@@ -36,7 +36,9 @@ pub fn snapshot_inversions() -> u64 {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Metric {
-    /// Signals per K-cut extracted by `turbomap::cutsearch::find_cut`.
+    /// Signals per K-cut a cut query found: the qualifying cut of a
+    /// `turbomap::cutenum` scan, or the cut `turbomap::cutsearch::find_cut`
+    /// extracted.
     CutSize = 0,
     /// Augmenting paths per completed max-flow run (one per min-cut).
     AugmentationsPerCut = 1,
@@ -45,8 +47,9 @@ pub enum Metric {
     /// Span durations in nanoseconds (recorded when tracing is enabled;
     /// a timing field — canonical artifacts zero it).
     SpanNanos = 3,
-    /// Cut queries per Φ probe answered from the probe-invariant expansion
-    /// cache (one sample per label-check call).
+    /// Gate label updates (cut queries) per Φ probe, each answered from the
+    /// probe-invariant cut arena or a fallback gate's kept expansion (one
+    /// sample per label-check call).
     CacheHitsPerProbe = 4,
     /// Dirty-task count of each topological level large enough for the
     /// parallel LabelUpdate path. Recorded from the level size alone, so

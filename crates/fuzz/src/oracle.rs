@@ -24,6 +24,12 @@
 //!    the stitched result must be valid, K-bounded, sequentially
 //!    equivalent to the source, and obey the Φ-gap bound — it can never
 //!    beat the monolithic TurboMap-frt optimum.
+//! 6. **Cut check** (always on) — FRTcheck answers every label update
+//!    from a once-per-run cut arena (`turbomap::cutenum`). At the labels
+//!    of each period the TurboMap-frt search probed, for every gate and
+//!    for heights `ℒ^s(v)` and `ℒ^s(v) − 1`, the arena's answer must
+//!    equal the bounded max-flow search on the gate's own expanded
+//!    circuit.
 //!
 //! Before the mappers run, a **front-end round-trip** check
 //! ([`CheckKind::RoundTrip`]) writes the case with
@@ -41,7 +47,8 @@
 
 use netlist::{random_equiv_mode, Circuit, EquivMode, EquivResult};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use turbomap::{Options, TurboMapError, TurboMapResult};
+use turbomap::frtcheck::{LS_NEG_INF, MAX_EXPANDED_NODES};
+use turbomap::{ExpandedCircuit, FrtContext, Options, TurboMapError, TurboMapResult};
 
 /// Oracle knobs; a repro manifest stores all of them.
 #[derive(Debug, Clone, Copy)]
@@ -121,6 +128,10 @@ pub enum CheckKind {
     /// monolithic optimum (impossible — frozen seams only *lose*
     /// retiming freedom).
     PartitionCheck,
+    /// The cut arena disagreed with max-flow: at some probed period's
+    /// labels, a gate's minimum K-cut weight from the arena differed from
+    /// `turbomap::min_weight_cut` on its expanded circuit.
+    CutCheck,
 }
 
 impl CheckKind {
@@ -138,6 +149,7 @@ impl CheckKind {
             CheckKind::CertificateCheck => "certificate_check",
             CheckKind::SimDivergence => "sim_divergence",
             CheckKind::PartitionCheck => "partition_check",
+            CheckKind::CutCheck => "cut_check",
         }
     }
 }
@@ -543,6 +555,52 @@ pub fn partition_violation(
     }
 }
 
+/// The cut judgement behind [`CheckKind::CutCheck`], exposed for focused
+/// tests: for each period in `phis`, runs a cold FRTcheck probe of `ctx`
+/// (built on `bounded`, the prepared circuit) and, at its labels,
+/// compares for every gate with a finite `ℒ^s(v)` and for heights
+/// `ℒ^s(v)` and `ℒ^s(v) − 1` the context's answer
+/// ([`FrtContext::min_cut_weight`]) with [`turbomap::min_weight_cut`] on
+/// a freshly built `F_v^{frt(v)}`. Returns the first disagreement, `None`
+/// when all agree or the run was cancelled (the caller re-checks the
+/// token).
+pub fn cut_check_violation(bounded: &Circuit, ctx: &FrtContext, phis: &[u64]) -> Option<String> {
+    for &phi in phis {
+        let ls = ctx.check(phi).labels.ls;
+        for v in bounded.gate_ids() {
+            if engine::cancel::cancelled() {
+                return None;
+            }
+            let script = bounded
+                .node(v)
+                .fanin()
+                .iter()
+                .map(|&e| bounded.edge(e))
+                .filter(|edge| ls[edge.from().index()] > LS_NEG_INF)
+                .map(|edge| ls[edge.from().index()] - phi as i64 * edge.weight() as i64)
+                .max();
+            let Some(script) = script else { continue };
+            let frt = ctx.frt[v.index()];
+            let Some(exp) = ExpandedCircuit::build(bounded, v, frt, MAX_EXPANDED_NODES) else {
+                continue;
+            };
+            for height in [script, script - 1] {
+                let arena = ctx.min_cut_weight(&ls, v, phi, height);
+                let flow = turbomap::min_weight_cut(&exp, &ls, phi as i64, height, frt, ctx.k())
+                    .map(|(w, _)| w);
+                if arena != flow {
+                    return Some(format!(
+                        "gate `{}` at Φ = {phi}, height {height}: the cut arena answers \
+                         {arena:?}, max-flow answers {flow:?}",
+                        bounded.node(v).name()
+                    ));
+                }
+            }
+        }
+    }
+    None
+}
+
 /// Judges one case. `source` must pass [`netlist::validate`] and be
 /// sharing-consistent (the generator guarantees both; the shrinker
 /// re-checks both on every candidate) — a source that already carries a
@@ -857,6 +915,33 @@ pub fn run_oracle(source: &Circuit, cfg: &OracleConfig) -> OracleOutcome {
         }
     }
 
+    // Check 7: the cut arena against max-flow, at the labels of every
+    // period the TurboMap-frt search probed.
+    if let (Some(frt), Some(b)) = (&frt_res, &bounded) {
+        let phis: Vec<u64> = frt.iterations.iter().map(|&(phi, _)| phi).collect();
+        match catch_unwind(AssertUnwindSafe(|| {
+            let ctx = FrtContext::new(b, cfg.k, opts.weight_horizon);
+            cut_check_violation(b, &ctx, &phis)
+        })) {
+            Ok(Some(detail)) => violations.push(Violation {
+                kind: CheckKind::CutCheck,
+                flow: "turbomap-frt",
+                detail,
+            }),
+            Ok(None) => {}
+            Err(_) => {
+                if engine::cancel::cancelled() {
+                    return OracleOutcome::Cancelled;
+                }
+                violations.push(Violation {
+                    kind: CheckKind::CutCheck,
+                    flow: "turbomap-frt",
+                    detail: "panic while checking the cut arena".to_string(),
+                });
+            }
+        }
+    }
+
     if engine::cancel::cancelled() {
         return OracleOutcome::Cancelled;
     }
@@ -925,6 +1010,7 @@ mod tests {
             (CheckKind::CertificateCheck, "certificate_check"),
             (CheckKind::SimDivergence, "sim_divergence"),
             (CheckKind::PartitionCheck, "partition_check"),
+            (CheckKind::CutCheck, "cut_check"),
         ] {
             assert_eq!(kind.name(), name);
         }

@@ -9,10 +9,11 @@
 //! corpus writer.
 
 use fuzz::{
-    generate_case, judge_mapped, shrink_with, CheckKind, GenConfig, OracleConfig, ShrinkConfig,
+    cut_check_violation, generate_case, judge_mapped, shrink_with, CheckKind, GenConfig,
+    OracleConfig, ShrinkConfig,
 };
 use netlist::Circuit;
-use turbomap::Options;
+use turbomap::{CutFault, FrtContext, Options};
 
 fn gen_cfg() -> GenConfig {
     GenConfig {
@@ -154,6 +155,41 @@ fn oversized_lut_fires_the_structural_check() {
         v.iter().any(|v| v.kind == CheckKind::StructuralInvalid),
         "K=4 bound not enforced on a 5-input LUT: {v:?}"
     );
+}
+
+#[test]
+fn corrupted_cut_arena_fires_the_cut_check() {
+    // A dropped cut or a raised cone weight is what a cut-enumeration bug
+    // looks like. Not every cut decides an answer at the probed labels, so
+    // plant the fault in cut after cut until the check fires — but one
+    // must, and the clean arena must pass.
+    let faults: [fn(usize) -> CutFault; 2] = [CutFault::DropCut, CutFault::BumpWeight];
+    for fault in faults {
+        let mut fired = false;
+        'seeds: for seed in 0..4 {
+            let source = generate_case(seed, &gen_cfg());
+            let bounded = turbomap::prepare(&source, 4).unwrap();
+            let mapped = turbomap::turbomap_frt(&source, Options::with_k(4)).unwrap();
+            let phis: Vec<u64> = mapped.iterations.iter().map(|&(phi, _)| phi).collect();
+            let clean = FrtContext::new(&bounded, 4, 32);
+            assert_eq!(
+                cut_check_violation(&bounded, &clean, &phis),
+                None,
+                "seed {seed}"
+            );
+            for v in bounded.gate_ids() {
+                for i in 0..clean.cut_arena().num_cuts(v) {
+                    let mut ctx = FrtContext::new(&bounded, 4, 32);
+                    assert!(ctx.inject_cut_fault(v, fault(i)));
+                    if cut_check_violation(&bounded, &ctx, &phis).is_some() {
+                        fired = true;
+                        break 'seeds;
+                    }
+                }
+            }
+        }
+        assert!(fired, "no planted {:?} was caught", fault(0));
+    }
 }
 
 #[test]

@@ -14,6 +14,17 @@
 //! violates Corollary 1 for every `r ≥ 0`, divergence is detected long
 //! before the theoretical `|V|²` iteration cap.
 //!
+//! # Cut queries
+//!
+//! Every `LabelUpdate` asks `F_v^{frt(v)}` one question: the minimum cone
+//! weight of a K-cut whose height is at most `ℒ^s(v)`. The context lists
+//! every gate's cuts once ([`crate::cutenum`]), so the answer is a scan of
+//! the gate's list. A gate whose list would exceed [`CUT_CAP`] falls back
+//! to the bounded max-flow of [`crate::cutsearch`] on its own expanded
+//! circuit, built once with the context. A label change re-queues the
+//! gates that list the node as a cut leaf (for a fallback gate: whose
+//! expansion contains it) — exactly the gates whose answers read it.
+//!
 //! # Sweep structure: level-synchronized, two-phase
 //!
 //! Each sweep walks the topological levels of the combinational graph.
@@ -39,16 +50,19 @@
 //! answer as a cold one, minus the sweeps spent re-deriving what the
 //! previous probe already proved.
 
+use crate::cutenum::{CutArena, CutFault, CUT_CAP};
 use crate::cutsearch::{find_cut_with, min_weight_cut_with, CutScratch, ExpCut};
 use crate::expand::ExpandedCircuit;
 use crate::sweep::{Board, StopOnDrop};
 use crate::witness::{WitnessOutcome, WitnessStep};
 use netlist::{Circuit, NodeId};
-use std::sync::RwLock;
+use std::sync::{OnceLock, RwLock};
 
-/// Practical ceiling on expanded-circuit size; `F_v^i` beyond this is
-/// treated as cut-less at that bound (conservative; never triggered by the
-/// benchmark suite — see DESIGN.md).
+/// Practical ceiling on the expanded circuits kept for flow-fallback
+/// gates (those whose cut lists exceed [`CUT_CAP`]): such a gate's
+/// `F_v^{frt(v)}` beyond this is treated as cut-less (conservative; never
+/// triggered by the benchmark suite — see DESIGN.md). No other expansion
+/// is capped.
 pub const MAX_EXPANDED_NODES: usize = 500_000;
 
 /// Sentinel for `−∞` labels.
@@ -88,6 +102,16 @@ enum SweepEnd {
     Converged,
 }
 
+/// What `F_v^{frt(v)}` answers one `LabelUpdate` (internal).
+enum CutAnswer {
+    /// The minimum cone weight of a K-cut within the height bound.
+    Weight(u64),
+    /// No K-cut lies within the height bound.
+    NoCut,
+    /// A fallback gate whose expansion hit [`MAX_EXPANDED_NODES`].
+    Capped,
+}
+
 /// Precomputed per-circuit state shared across FRTcheck runs (binary
 /// search on `Φ` re-uses it).
 pub struct FrtContext<'a> {
@@ -97,17 +121,21 @@ pub struct FrtContext<'a> {
     /// Gates whose true `frt(v)` exceeded the cap, so their expanded
     /// circuits are truncated and the mapping may be pessimal for them.
     pub frt_capped_gates: u64,
-    /// Expanded circuit per gate, at bound `frt(v)`.
-    expanded: Vec<Option<ExpandedCircuit>>,
+    /// Every gate's K-feasible cuts of `F_v^{frt(v)}`.
+    cuts: CutArena,
+    /// Expanded circuits `F_v^{frt(v)}` per node: built with the context
+    /// for flow-fallback gates (`None` past [`MAX_EXPANDED_NODES`]), on
+    /// first use by [`FrtContext::expanded`] for the others.
+    expanded: Vec<OnceLock<Option<Box<ExpandedCircuit>>>>,
     /// Topological levels over zero-weight edges: level `d` lists the
     /// non-PI nodes at combinational depth `d`, in topological order.
     /// Within a level no zero-weight edge connects two members, which is
     /// what makes the per-level fan-out safe and effective.
     levels: Levels,
-    /// Inverted cone index as a CSR graph: the out-row of node `x` lists
-    /// the gates whose expanded circuits contain `x` (whose labels
-    /// therefore depend on `x`'s label through the cut heights).
-    influenced: graphalgo::Csr,
+    /// Requeue index as a CSR graph: the out-row of node `x` lists the
+    /// gates whose cut answers read `x`'s label — the gates listing `x` as
+    /// a cut leaf, and the fallback gates whose expansions contain `x`.
+    requeue: graphalgo::Csr,
     k: usize,
 }
 
@@ -144,9 +172,9 @@ impl Levels {
 }
 
 impl<'a> FrtContext<'a> {
-    /// Builds the context: `frt` values (Lemma 1, Dijkstra) and expanded
-    /// circuits `F_v^{frt(v)}` for every gate — built **once** per run and
-    /// shared read-only by every Φ probe of the binary search.
+    /// Builds the context: `frt` values (Lemma 1, Dijkstra) and every
+    /// gate's cuts of `F_v^{frt(v)}` — enumerated **once** per run and
+    /// scanned read-only by every Φ probe of the binary search.
     ///
     /// `frt_cap` bounds the forward-retiming horizon (Definition 3 allows
     /// arbitrarily large values on register-heavy inputs; the cap trades
@@ -160,6 +188,17 @@ impl<'a> FrtContext<'a> {
     ///
     /// Panics on combinational cycles (validate first).
     pub fn new(circuit: &'a Circuit, k: usize, frt_cap: u64) -> FrtContext<'a> {
+        FrtContext::with_cut_cap(circuit, k, frt_cap, CUT_CAP)
+    }
+
+    /// [`FrtContext::new`] with the cut-list length above which a gate
+    /// falls back to max-flow.
+    pub(crate) fn with_cut_cap(
+        circuit: &'a Circuit,
+        k: usize,
+        frt_cap: u64,
+        cut_cap: usize,
+    ) -> FrtContext<'a> {
         let raw_frt = retiming::max_forward_retiming_values(circuit);
         let mut frt_capped_gates = 0u64;
         for v in circuit.gate_ids() {
@@ -183,46 +222,115 @@ impl<'a> FrtContext<'a> {
             .comb_topo_order()
             .expect("combinational cycles must be rejected before mapping");
         let levels = comb_levels(circuit, &order);
-        let mut expanded: Vec<Option<ExpandedCircuit>> = vec![None; circuit.num_nodes()];
+        let cuts = CutArena::enumerate(circuit, &order, &frt, k, cut_cap);
+        let n = circuit.num_nodes();
+        let mut expanded: Vec<OnceLock<Option<Box<ExpandedCircuit>>>> =
+            (0..n).map(|_| OnceLock::new()).collect();
         // Collect (node, dependent gate) pairs flat, then counting-sort
         // into a CSR row per node. The stamp array replaces a fresh
         // `seen` bitmap per gate (gate ids are dense, so `v.0 + 1` is a
         // unique generation tag).
-        let mut infl_pairs: Vec<(usize, usize)> = Vec::new();
-        let mut seen_stamp: Vec<u32> = vec![0; circuit.num_nodes()];
+        let mut pairs: Vec<(usize, usize)> = Vec::new();
+        let mut stamp: Vec<u32> = vec![0; n];
         for v in circuit.gate_ids() {
-            let exp = ExpandedCircuit::build(circuit, v, frt[v.index()], MAX_EXPANDED_NODES);
-            if let Some(exp) = &exp {
-                let stamp = v.0 + 1;
-                for en in &exp.nodes {
-                    if seen_stamp[en.node.index()] != stamp {
-                        seen_stamp[en.node.index()] = stamp;
-                        infl_pairs.push((en.node.index(), v.index()));
-                    }
+            let mut reads = |x: usize| {
+                if stamp[x] != v.0 + 1 {
+                    stamp[x] = v.0 + 1;
+                    pairs.push((x, v.index()));
+                }
+            };
+            if cuts.is_fallback(v) {
+                let exp = ExpandedCircuit::build(circuit, v, frt[v.index()], MAX_EXPANDED_NODES);
+                for en in exp.iter().flat_map(|exp| &exp.nodes) {
+                    reads(en.node.index());
+                }
+                expanded[v.index()] = OnceLock::from(exp.map(Box::new));
+            } else {
+                for &u in cuts.leaf_nodes(v) {
+                    reads(u as usize);
                 }
             }
-            expanded[v.index()] = exp;
         }
-        let influenced = graphalgo::Csr::from_edges(circuit.num_nodes(), &infl_pairs);
+        let requeue = graphalgo::Csr::from_edges(n, &pairs);
         FrtContext {
             circuit,
             frt,
             frt_capped_gates,
+            cuts,
             expanded,
             levels,
-            influenced,
+            requeue,
             k,
         }
     }
 
-    /// The expanded circuit of a gate (None when the size cap was hit).
+    /// The expanded circuit `F_v^{frt(v)}` of a gate, built on first use
+    /// and kept; `None` for a non-gate, and for a flow-fallback gate whose
+    /// expansion hit [`MAX_EXPANDED_NODES`]. Label updates read it only
+    /// for fallback gates; reports and measurements read it for any.
     pub fn expanded(&self, v: NodeId) -> Option<&ExpandedCircuit> {
-        self.expanded[v.index()].as_ref()
+        if !self.circuit.node(v).is_gate() {
+            return None;
+        }
+        self.expanded[v.index()]
+            .get_or_init(|| {
+                ExpandedCircuit::build(self.circuit, v, self.frt[v.index()], usize::MAX)
+                    .map(Box::new)
+            })
+            .as_deref()
+    }
+
+    /// The cut lists the label updates scan.
+    pub fn cut_arena(&self) -> &CutArena {
+        &self.cuts
+    }
+
+    /// Plants `fault` in gate `v`'s cut list; false when the list has no
+    /// such cut. A fault-injection hook for oracle tests: the context then
+    /// answers label updates wrongly.
+    #[doc(hidden)]
+    pub fn inject_cut_fault(&mut self, v: NodeId, fault: CutFault) -> bool {
+        self.cuts.inject(v, fault)
     }
 
     /// The LUT input bound `K` the context was built for.
     pub fn k(&self) -> usize {
         self.k
+    }
+
+    /// The minimum cone weight of a K-cut of `F_v^{frt(v)}` whose height
+    /// under labels `ls` is at most `height` — the question every
+    /// `LabelUpdate` asks, answered as the sweeps answer it. `None` when
+    /// no such cut exists, or when a fallback gate's expansion hit
+    /// [`MAX_EXPANDED_NODES`].
+    pub fn min_cut_weight(&self, ls: &[i64], v: NodeId, phi: u64, height: i64) -> Option<u64> {
+        match self.cut_answer(ls, v, phi as i64, height, &mut CutScratch::new()) {
+            CutAnswer::Weight(w) => Some(w),
+            CutAnswer::NoCut | CutAnswer::Capped => None,
+        }
+    }
+
+    /// The kernel `LabelUpdate` and the witness probe share: a scan of
+    /// `v`'s cut list, or for a fallback gate the min-weight max-flow
+    /// search on its kept expansion.
+    fn cut_answer(
+        &self,
+        ls: &[i64],
+        v: NodeId,
+        phi: i64,
+        height: i64,
+        scratch: &mut CutScratch,
+    ) -> CutAnswer {
+        let w_min = if self.cuts.is_fallback(v) {
+            let Some(Some(exp)) = self.expanded[v.index()].get() else {
+                return CutAnswer::Capped;
+            };
+            let frt_v = self.frt[v.index()];
+            min_weight_cut_with(scratch, exp, ls, phi, height, frt_v, self.k).map(|(w, _)| w)
+        } else {
+            self.cuts.min_weight(v, ls, phi, height)
+        };
+        w_min.map_or(CutAnswer::NoCut, CutAnswer::Weight)
     }
 
     /// `ℒ^s(v) = max { l^s(u) − Φ·w(e) }` over fanin edges (§3.2).
@@ -275,7 +383,7 @@ impl<'a> FrtContext<'a> {
         }
         let labels = RwLock::new(init);
         let board: Board<Option<(i64, u64)>> = Board::new();
-        let (end, iterations, cache_hits) = engine::pool::scoped_workers(
+        let (end, iterations, cut_queries) = engine::pool::scoped_workers(
             helpers,
             |_| {
                 let mut scratch = CutScratch::new();
@@ -297,7 +405,7 @@ impl<'a> FrtContext<'a> {
                 iterations,
             },
             SweepEnd::Infeasible => {
-                record_probe_metrics(iterations, cache_hits);
+                record_probe_metrics(iterations, cut_queries);
                 FrtCheck {
                     feasible: false,
                     labels,
@@ -305,7 +413,7 @@ impl<'a> FrtContext<'a> {
                 }
             }
             SweepEnd::Converged => {
-                record_probe_metrics(iterations, cache_hits);
+                record_probe_metrics(iterations, cut_queries);
                 // Converged: Corollary 1 must hold at every node.
                 let feasible = c.node_ids().all(|v| {
                     let i = v.index();
@@ -321,8 +429,8 @@ impl<'a> FrtContext<'a> {
     }
 
     /// The dirty-driven sweep loop: owner side of the two-phase scheme.
-    /// Returns the end state, the sweep count, and the number of cut
-    /// queries answered from the probe-invariant expansion cache.
+    /// Returns the end state, the sweep count, and the number of gate
+    /// label updates (cut queries) it scheduled.
     fn sweep_loop(
         &self,
         phi_i: i64,
@@ -334,10 +442,10 @@ impl<'a> FrtContext<'a> {
         let n = c.num_nodes();
         let cap = n.saturating_mul(n).max(4);
         let mut iterations = 0usize;
-        let mut cache_hits = 0u64;
+        let mut cut_queries = 0u64;
         // Dirty-driven sweeps: a node needs re-evaluation only when some
-        // fanin label changed since its last update (the practical
-        // speed-up behind the paper's "5–15 iterations per Φ").
+        // label its update reads changed since its last update (the
+        // practical speed-up behind the paper's "5–15 iterations per Φ").
         let mut dirty = vec![true; n];
         let mut tasks: Vec<u32> = Vec::new();
         let mut scratch = CutScratch::new();
@@ -350,7 +458,7 @@ impl<'a> FrtContext<'a> {
             // short-circuit per task, so a tripped token also drains an
             // in-flight parallel level at full speed.)
             if engine::cancel::cancelled() {
-                return (SweepEnd::Cancelled, iterations, cache_hits);
+                return (SweepEnd::Cancelled, iterations, cut_queries);
             }
             iterations += 1;
             engine::telemetry::count(engine::telemetry::Counter::FrtSweeps, 1);
@@ -370,9 +478,9 @@ impl<'a> FrtContext<'a> {
                 if tasks.is_empty() {
                     continue;
                 }
-                cache_hits += tasks
+                cut_queries += tasks
                     .iter()
-                    .filter(|&&vi| self.expanded[vi as usize].is_some())
+                    .filter(|&&vi| c.node(NodeId(vi)).is_gate())
                     .count() as u64;
                 // Phase 2: compute every update against the frozen labels.
                 // The batch-size histogram keys off the level size alone,
@@ -410,8 +518,8 @@ impl<'a> FrtContext<'a> {
                         w.r[i] = new_r;
                         changed = true;
                         // Direct fanouts see the change through ℒ^s; gates
-                        // whose expanded circuits contain the node see it
-                        // through their cut heights.
+                        // reading the node through their cut answers see
+                        // it through the cut heights.
                         let node = c.node(NodeId(i as u32));
                         for &e in node.fanout() {
                             let t = c.edge(e).to().index();
@@ -423,7 +531,7 @@ impl<'a> FrtContext<'a> {
                                 );
                             }
                         }
-                        for &g in self.influenced.out(i) {
+                        for &g in self.requeue.out(i) {
                             if !dirty[g as usize] {
                                 dirty[g as usize] = true;
                                 engine::telemetry::count(
@@ -435,16 +543,16 @@ impl<'a> FrtContext<'a> {
                         if new_ls > phi_i {
                             // Lower bound already violates Corollary 1 for
                             // every r ≥ 0: infeasible.
-                            return (SweepEnd::Infeasible, iterations, cache_hits);
+                            return (SweepEnd::Infeasible, iterations, cut_queries);
                         }
                     }
                 }
             }
             if !changed {
-                return (SweepEnd::Converged, iterations, cache_hits);
+                return (SweepEnd::Converged, iterations, cut_queries);
             }
             if iterations >= cap {
-                return (SweepEnd::Infeasible, iterations, cache_hits);
+                return (SweepEnd::Infeasible, iterations, cut_queries);
             }
         }
     }
@@ -452,7 +560,7 @@ impl<'a> FrtContext<'a> {
     /// One node's tightened pair against a frozen snapshot: `ℒ^s` plus
     /// `LabelUpdate` for gates, `ℒ^s` itself for POs, `None` when the
     /// fanins carry no information yet (or cancellation tripped — the
-    /// sweep is about to be discarded, so stop burning max-flows).
+    /// sweep is about to be discarded, so stop answering cut queries).
     fn compute_node(
         &self,
         ls: &[i64],
@@ -486,25 +594,18 @@ impl<'a> FrtContext<'a> {
         if script <= LS_NEG_INF {
             return None;
         }
-        let exp = match self.expanded(v) {
-            Some(exp) => exp,
-            None => return Some((script + 1, 0)), // conservative on cap
-        };
-        let frt_v = self.frt[v.index()];
-        match min_weight_cut_with(scratch, exp, ls, phi, script, frt_v, self.k) {
-            None => Some((script + 1, 0)),
-            Some((w_min, _)) => {
-                if script + phi * w_min as i64 <= phi {
-                    Some((script, w_min))
-                } else {
-                    Some((script + 1, 0))
-                }
-            }
+        match self.cut_answer(ls, v, phi, script, scratch) {
+            CutAnswer::Weight(w_min) if script + phi * w_min as i64 <= phi => Some((script, w_min)),
+            // No cut, a cut too heavy for Corollary 1, or a capped
+            // expansion (conservative).
+            _ => Some((script + 1, 0)),
         }
     }
 
     /// Extracts, for every gate, the K-cut consistent with the final
-    /// labels: height ≤ `l^s(v)`, cone weight ≤ `r(v)`.
+    /// labels: height ≤ `l^s(v)`, cone weight ≤ `r(v)` — the near-sink
+    /// max-flow cut on the gate's expansion, which is kept when there is
+    /// one and otherwise built, used and dropped.
     ///
     /// # Panics
     ///
@@ -519,7 +620,15 @@ impl<'a> FrtContext<'a> {
             if labels.ls[i] <= LS_NEG_INF {
                 continue;
             }
-            let exp = self.expanded(v).expect("expanded circuit exists");
+            let built;
+            let exp: &ExpandedCircuit = match self.expanded[i].get() {
+                Some(Some(exp)) => exp,
+                _ => {
+                    built = ExpandedCircuit::build(self.circuit, v, self.frt[i], usize::MAX)
+                        .expect("uncapped expansions always build");
+                    &built
+                }
+            };
             let cut = find_cut_with(
                 &mut scratch,
                 exp,
@@ -600,32 +709,18 @@ impl<'a> FrtContext<'a> {
                         continue;
                     }
                     let (from, weight) = arg.expect("finite ℒ^s has an argmax edge");
+                    let fanin_step = WitnessStep::Fanin {
+                        node: v,
+                        from,
+                        weight,
+                        value: script,
+                    };
                     let (new_ls, step) = if c.node(v).is_output() {
-                        (
-                            script,
-                            WitnessStep::Fanin {
-                                node: v,
-                                from,
-                                weight,
-                                value: script,
-                            },
-                        )
+                        (script, fanin_step)
                     } else {
-                        let exp = match self.expanded(v) {
-                            Some(exp) => exp,
-                            None => return WitnessOutcome::Capped,
-                        };
-                        let frt_v = self.frt[v.index()];
-                        match min_weight_cut_with(
-                            &mut scratch,
-                            exp,
-                            &ls,
-                            phi_i,
-                            script,
-                            frt_v,
-                            self.k,
-                        ) {
-                            None => (
+                        match self.cut_answer(&ls, v, phi_i, script, &mut scratch) {
+                            CutAnswer::Capped => return WitnessOutcome::Capped,
+                            CutAnswer::NoCut => (
                                 script + 1,
                                 WitnessStep::NoCut {
                                     node: v,
@@ -633,29 +728,18 @@ impl<'a> FrtContext<'a> {
                                     value: script + 1,
                                 },
                             ),
-                            Some((w_min, _)) => {
-                                if script + phi_i * w_min as i64 <= phi_i {
-                                    (
-                                        script,
-                                        WitnessStep::Fanin {
-                                            node: v,
-                                            from,
-                                            weight,
-                                            value: script,
-                                        },
-                                    )
-                                } else {
-                                    (
-                                        script + 1,
-                                        WitnessStep::WeightBump {
-                                            node: v,
-                                            height: script,
-                                            w_min,
-                                            value: script + 1,
-                                        },
-                                    )
-                                }
+                            CutAnswer::Weight(w_min) if script + phi_i * w_min as i64 <= phi_i => {
+                                (script, fanin_step)
                             }
+                            CutAnswer::Weight(w_min) => (
+                                script + 1,
+                                WitnessStep::WeightBump {
+                                    node: v,
+                                    height: script,
+                                    w_min,
+                                    value: script + 1,
+                                },
+                            ),
                         }
                     };
                     if new_ls > ls[i] {
@@ -668,7 +752,7 @@ impl<'a> FrtContext<'a> {
                         for &e in c.node(v).fanout() {
                             dirty[c.edge(e).to().index()] = true;
                         }
-                        for &g in self.influenced.out(i) {
+                        for &g in self.requeue.out(i) {
                             dirty[g as usize] = true;
                         }
                     }
@@ -684,11 +768,11 @@ impl<'a> FrtContext<'a> {
     }
 }
 
-/// Records the per-probe reuse metrics (shared by the converged and
-/// infeasible exits; cancelled runs record nothing, like before).
-fn record_probe_metrics(iterations: usize, cache_hits: u64) {
+/// Records the per-probe metrics (shared by the converged and infeasible
+/// exits; cancelled runs record nothing).
+fn record_probe_metrics(iterations: usize, cut_queries: u64) {
     engine::telemetry::record(engine::hist::Metric::SweepsPerPhi, iterations as u64);
-    engine::telemetry::record(engine::hist::Metric::CacheHitsPerProbe, cache_hits);
+    engine::telemetry::record(engine::hist::Metric::CacheHitsPerProbe, cut_queries);
 }
 
 /// Groups the non-PI nodes by combinational depth (longest zero-weight
@@ -946,6 +1030,84 @@ mod tests {
                     assert_eq!(serial.labels.ls, par.labels.ls, "k={k} phi={phi}");
                     assert_eq!(serial.labels.r, par.labels.r, "k={k} phi={phi}");
                 }
+            }
+        }
+    }
+
+    /// A registered-input FSM prepared for K, the shape of the Table-1
+    /// circuits.
+    fn fsm(seed: u64, k: usize) -> Circuit {
+        let c = workloads::generate_fsm(&workloads::FsmSpec {
+            name: format!("f{seed}"),
+            states: 9,
+            inputs: 4,
+            decoded: 2,
+            outputs: 2,
+            encoding: workloads::Encoding::Binary,
+            registered_inputs: true,
+            seed,
+        });
+        crate::prepare(&c, k).unwrap()
+    }
+
+    /// A cut cap of 1 sends most gates — and every gate whose cone may
+    /// absorb one of them — to the max-flow fallback; the probes must not
+    /// notice.
+    #[test]
+    fn tiny_cut_cap_falls_back_to_flow_with_identical_results() {
+        for (seed, k) in [(11, 4), (12, 3), (13, 5)] {
+            let c = fsm(seed, k);
+            let exact = FrtContext::new(&c, k, 32);
+            let capped = FrtContext::with_cut_cap(&c, k, 32, 1);
+            assert!(c.gate_ids().any(|v| capped.cuts.is_fallback(v)));
+            for phi in 1..=6 {
+                let (a, b) = (exact.check(phi), capped.check(phi));
+                assert_eq!(a.feasible, b.feasible, "seed {seed} phi {phi}");
+                assert_eq!(a.iterations, b.iterations, "seed {seed} phi {phi}");
+                assert_eq!(a.labels.ls, b.labels.ls, "seed {seed} phi {phi}");
+                assert_eq!(a.labels.r, b.labels.r, "seed {seed} phi {phi}");
+            }
+        }
+    }
+
+    /// The inverted cone-membership index the cut-leaf index replaced:
+    /// node → gates whose expanded circuits contain it.
+    fn cone_index(c: &Circuit, frt: &[u64]) -> graphalgo::Csr {
+        let mut pairs = Vec::new();
+        for v in c.gate_ids() {
+            let exp = ExpandedCircuit::build(c, v, frt[v.index()], usize::MAX).unwrap();
+            let mut nodes: Vec<usize> = exp.nodes.iter().map(|en| en.node.index()).collect();
+            nodes.sort_unstable();
+            nodes.dedup();
+            pairs.extend(nodes.into_iter().map(|x| (x, v.index())));
+        }
+        graphalgo::Csr::from_edges(c.num_nodes(), &pairs)
+    }
+
+    /// Re-queueing only the gates that list a node as a cut leaf skips
+    /// exactly the recomputations that could not change anything.
+    #[test]
+    fn cut_leaf_requeue_matches_the_cone_index() {
+        for (seed, k) in [(11, 4), (14, 5)] {
+            let c = fsm(seed, k);
+            let leaf = FrtContext::new(&c, k, 32);
+            let mut cone = FrtContext::new(&c, k, 32);
+            cone.requeue = cone_index(&c, &cone.frt);
+            for phi in 1..=6 {
+                for workers in [1, 3] {
+                    let a = leaf.check_opts(phi, None, workers);
+                    let b = cone.check_opts(phi, None, workers);
+                    let tag = format!("seed {seed} phi {phi} workers {workers}");
+                    assert_eq!(a.feasible, b.feasible, "{tag}");
+                    assert_eq!(a.iterations, b.iterations, "{tag}");
+                    assert_eq!(a.labels.ls, b.labels.ls, "{tag}");
+                    assert_eq!(a.labels.r, b.labels.r, "{tag}");
+                }
+                assert_eq!(
+                    leaf.infeasibility_witness(phi),
+                    cone.infeasibility_witness(phi),
+                    "seed {seed} phi {phi}"
+                );
             }
         }
     }

@@ -33,8 +33,9 @@ pub struct GeneralContext<'a> {
     order: Vec<NodeId>,
     /// Gates that reach a PO (dead logic is skipped; see DESIGN.md).
     live: Vec<bool>,
-    /// Inverted cone index (see `FrtContext::influenced`).
-    influenced: Vec<Vec<u32>>,
+    /// Inverted cone index as a CSR graph: the out-row of node `x` lists
+    /// the live gates whose expanded circuits contain `x`.
+    influenced: graphalgo::Csr,
     k: usize,
     horizon: u64,
 }
@@ -51,23 +52,27 @@ impl<'a> GeneralContext<'a> {
             .comb_topo_order()
             .expect("combinational cycles must be rejected before mapping");
         let live = po_reachable(circuit);
-        let mut expanded: Vec<Option<ExpandedCircuit>> = vec![None; circuit.num_nodes()];
-        let mut influenced: Vec<Vec<u32>> = vec![Vec::new(); circuit.num_nodes()];
+        let n = circuit.num_nodes();
+        let mut expanded: Vec<Option<ExpandedCircuit>> = vec![None; n];
+        // Collect (node, dependent gate) pairs flat, then counting-sort
+        // into a CSR row per node. The stamp array replaces a fresh
+        // `seen` bitmap per gate (gate ids are dense, so `v.0 + 1` is a
+        // unique generation tag).
+        let mut pairs: Vec<(usize, usize)> = Vec::new();
+        let mut stamp: Vec<u32> = vec![0; n];
         for v in circuit.gate_ids() {
             if live[v.index()] {
                 let exp = ExpandedCircuit::build(circuit, v, horizon, MAX_EXPANDED_NODES);
-                if let Some(exp) = &exp {
-                    let mut seen = vec![false; circuit.num_nodes()];
-                    for en in &exp.nodes {
-                        if !seen[en.node.index()] {
-                            seen[en.node.index()] = true;
-                            influenced[en.node.index()].push(v.0);
-                        }
+                for en in exp.iter().flat_map(|exp| &exp.nodes) {
+                    if stamp[en.node.index()] != v.0 + 1 {
+                        stamp[en.node.index()] = v.0 + 1;
+                        pairs.push((en.node.index(), v.index()));
                     }
                 }
                 expanded[v.index()] = exp;
             }
         }
+        let influenced = graphalgo::Csr::from_edges(n, &pairs);
         GeneralContext {
             circuit,
             expanded,
@@ -160,7 +165,7 @@ impl<'a> GeneralContext<'a> {
                     for &e in node.fanout() {
                         dirty[c.edge(e).to().index()] = true;
                     }
-                    for &g in &self.influenced[v.index()] {
+                    for &g in self.influenced.out(v.index()) {
                         dirty[g as usize] = true;
                     }
                     if node.is_output() && new_l > phi_i {

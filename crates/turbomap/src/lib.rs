@@ -10,8 +10,10 @@
 //! The pieces, mirroring the paper's Section 3:
 //!
 //! * [`expand`] — expanded circuits `F_v^i` (§3.1, Theorem 2),
+//! * [`cutenum`] — every gate's K-feasible cuts of `F_v^{frt(v)}`,
+//!   enumerated once per run; `LabelUpdate` scans them (§3.2),
 //! * [`cutsearch`] — min-height / min-weight K-feasible cuts by bounded
-//!   max-flow (§3.2, Definitions 4–5),
+//!   max-flow (§3.2, Definitions 4–5), for mapping and flow fallback,
 //! * [`frtcheck`] — the FRTcheck label-pair iteration (Figure 5) deciding
 //!   one target period,
 //! * [`generate`] — mapping generation with forward retiming and initial
@@ -51,6 +53,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cutenum;
 pub mod cutsearch;
 pub mod driver;
 pub mod expand;
@@ -61,6 +64,7 @@ pub mod slack;
 pub mod sweep;
 pub mod witness;
 
+pub use cutenum::{CutArena, CutFault, CUT_CAP};
 pub use cutsearch::{
     find_cut, find_cut_with, min_weight_cut, min_weight_cut_with, CutScratch, ExpCut,
 };

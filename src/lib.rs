@@ -4,7 +4,7 @@
 //! Efficient Initial State Computation" (DAC 1998)** as a Rust workspace.
 //!
 //! This umbrella crate re-exports the workspace's crates under one roof
-//! for the examples and integration tests:
+//! for the integration tests:
 //!
 //! * [`netlist`] — sequential circuits as retiming graphs with
 //!   three-valued FF initial states, BLIF I/O, simulation, equivalence
