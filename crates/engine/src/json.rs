@@ -307,12 +307,16 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             _ => {
-                // Copy the full UTF-8 scalar starting here.
-                let s = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| format!("invalid UTF-8 at byte {pos}"))?;
-                let ch = s.chars().next().unwrap();
-                out.push(ch);
-                *pos += ch.len_utf8();
+                // Copy the plain run up to the next quote or escape as one
+                // slice. Both delimiters are ASCII, so the run ends on a
+                // scalar boundary and every byte is validated once.
+                let start = *pos;
+                while bytes.get(*pos).is_some_and(|&b| b != b'"' && b != b'\\') {
+                    *pos += 1;
+                }
+                let run = std::str::from_utf8(&bytes[start..*pos])
+                    .map_err(|_| format!("invalid UTF-8 at byte {start}"))?;
+                out.push_str(run);
             }
         }
     }
@@ -459,6 +463,20 @@ mod tests {
         assert!(JsonValue::parse("{} extra").is_err());
         assert!(JsonValue::parse("\"open").is_err());
         assert!(JsonValue::parse("nul").is_err());
+    }
+
+    #[test]
+    fn parse_rejects_malformed_strings() {
+        assert!(JsonValue::parse("\"abc").is_err());
+        assert!(JsonValue::parse("\"a\\").is_err());
+        assert!(JsonValue::parse("\"a\\q\"").is_err());
+        assert!(JsonValue::parse("\"\\u12\"").is_err());
+        assert!(JsonValue::parse("\"\\uzzzz\"").is_err());
+        assert!(JsonValue::parse("{\"k\" 1}").is_err());
+        assert_eq!(
+            JsonValue::parse("\"a\\u00e9\\n€\"").unwrap(),
+            JsonValue::str("aé\n€")
+        );
     }
 
     #[test]

@@ -24,12 +24,14 @@
 //!    the stitched result must be valid, K-bounded, sequentially
 //!    equivalent to the source, and obey the Φ-gap bound — it can never
 //!    beat the monolithic TurboMap-frt optimum.
-//! 6. **Cut check** (always on) — FRTcheck answers every label update
-//!    from a once-per-run cut arena (`turbomap::cutenum`). At the labels
-//!    of each period the TurboMap-frt search probed, for every gate and
-//!    for heights `ℒ^s(v)` and `ℒ^s(v) − 1`, the arena's answer must
-//!    equal the bounded max-flow search on the gate's own expanded
-//!    circuit.
+//! 6. **Cut check** (always on) — both label computations answer every
+//!    label update from a once-per-run cut arena (`turbomap::cutenum`).
+//!    At the labels of each period the TurboMap-frt search probed, for
+//!    every gate and for heights `ℒ^s(v)` and `ℒ^s(v) − 1`, the arena's
+//!    minimum cut weight in `F_v^{frt(v)}` must equal the bounded
+//!    max-flow search on the gate's own expanded circuit; likewise, at
+//!    each period the TurboMap search probed, whether `F_v^h` has a cut
+//!    within the height must agree with one max-flow on `F_v^h`.
 //!
 //! Before the mappers run, a **front-end round-trip** check
 //! ([`CheckKind::RoundTrip`]) writes the case with
@@ -45,10 +47,12 @@
 //! be shrunk and archived. Cancellation (batch deadline) is recognized
 //! and reported as [`OracleOutcome::Cancelled`], never as a failure.
 
-use netlist::{random_equiv_mode, Circuit, EquivMode, EquivResult};
+use netlist::{random_equiv_mode, Circuit, EquivMode, EquivResult, NodeId};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use turbomap::frtcheck::{LS_NEG_INF, MAX_EXPANDED_NODES};
-use turbomap::{ExpandedCircuit, FrtContext, Options, TurboMapError, TurboMapResult};
+use turbomap::{
+    ExpandedCircuit, FrtContext, GeneralContext, Options, TurboMapError, TurboMapResult,
+};
 
 /// Oracle knobs; a repro manifest stores all of them.
 #[derive(Debug, Clone, Copy)]
@@ -129,8 +133,9 @@ pub enum CheckKind {
     /// retiming freedom).
     PartitionCheck,
     /// The cut arena disagreed with max-flow: at some probed period's
-    /// labels, a gate's minimum K-cut weight from the arena differed from
-    /// `turbomap::min_weight_cut` on its expanded circuit.
+    /// labels, a gate's cut answer from the arena (TurboMap-frt: the
+    /// minimum K-cut weight; TurboMap: whether a K-cut exists) differed
+    /// from max-flow on its expanded circuit.
     CutCheck,
 }
 
@@ -555,18 +560,67 @@ pub fn partition_violation(
     }
 }
 
-/// The cut judgement behind [`CheckKind::CutCheck`], exposed for focused
-/// tests: for each period in `phis`, runs a cold FRTcheck probe of `ctx`
-/// (built on `bounded`, the prepared circuit) and, at its labels,
-/// compares for every gate with a finite `ℒ^s(v)` and for heights
-/// `ℒ^s(v)` and `ℒ^s(v) − 1` the context's answer
+/// The cut judgement behind [`CheckKind::CutCheck`] for TurboMap-frt,
+/// exposed for focused tests: for each period in `phis`, runs a cold
+/// FRTcheck probe of `ctx` (built on `bounded`, the prepared circuit)
+/// and, at its labels, compares for every gate with a finite `ℒ^s(v)` and
+/// for heights `ℒ^s(v)` and `ℒ^s(v) − 1` the context's answer
 /// ([`FrtContext::min_cut_weight`]) with [`turbomap::min_weight_cut`] on
 /// a freshly built `F_v^{frt(v)}`. Returns the first disagreement, `None`
 /// when all agree or the run was cancelled (the caller re-checks the
 /// token).
 pub fn cut_check_violation(bounded: &Circuit, ctx: &FrtContext, phis: &[u64]) -> Option<String> {
+    first_cut_disagreement(
+        bounded,
+        phis,
+        |phi| ctx.check(phi).labels.ls,
+        |v| ctx.frt[v.index()],
+        |exp, ls, v, phi, height| {
+            let arena = ctx.min_cut_weight(ls, v, phi, height);
+            let flow = turbomap::min_weight_cut(exp, ls, phi as i64, height, exp.bound, ctx.k())
+                .map(|(w, _)| w);
+            (arena, flow)
+        },
+    )
+}
+
+/// The cut judgement behind [`CheckKind::CutCheck`] for TurboMap, the
+/// general-retiming baseline: as [`cut_check_violation`], but at the
+/// labels of the general label runs of `ctx`, comparing whether `F_v^h`
+/// has a K-cut within the height ([`GeneralContext::has_cut`]) with
+/// [`turbomap::find_cut`] on a freshly built `F_v^h`.
+pub fn general_cut_check_violation(
+    bounded: &Circuit,
+    ctx: &GeneralContext,
+    phis: &[u64],
+) -> Option<String> {
+    first_cut_disagreement(
+        bounded,
+        phis,
+        |phi| ctx.check(phi).labels,
+        |_| ctx.horizon(),
+        |exp, ls, v, phi, height| {
+            let arena = ctx.has_cut(ls, v, phi, height);
+            let flow =
+                turbomap::find_cut(exp, ls, phi as i64, height, exp.bound, ctx.k()).is_some();
+            (arena, flow)
+        },
+    )
+}
+
+/// Shared loop of the cut checks: at `labels(phi)` for each probed
+/// period, asks `answers` for the (arena, max-flow) pair of every gate with
+/// a finite `ℒ(v)` at heights `ℒ(v)` and `ℒ(v) − 1`, on a freshly built
+/// `F_v^{bound(v)}`, and reports the first pair that differs.
+fn first_cut_disagreement<A: PartialEq + std::fmt::Debug>(
+    bounded: &Circuit,
+    phis: &[u64],
+    labels: impl Fn(u64) -> Vec<i64>,
+    bound: impl Fn(NodeId) -> u64,
+    answers: impl Fn(&ExpandedCircuit, &[i64], NodeId, u64, i64) -> (A, A),
+) -> Option<String> {
     for &phi in phis {
-        let ls = ctx.check(phi).labels.ls;
+        let ls = labels(phi);
         for v in bounded.gate_ids() {
             if engine::cancel::cancelled() {
                 return None;
@@ -580,14 +634,11 @@ pub fn cut_check_violation(bounded: &Circuit, ctx: &FrtContext, phis: &[u64]) ->
                 .map(|edge| ls[edge.from().index()] - phi as i64 * edge.weight() as i64)
                 .max();
             let Some(script) = script else { continue };
-            let frt = ctx.frt[v.index()];
-            let Some(exp) = ExpandedCircuit::build(bounded, v, frt, MAX_EXPANDED_NODES) else {
+            let Some(exp) = ExpandedCircuit::build(bounded, v, bound(v), MAX_EXPANDED_NODES) else {
                 continue;
             };
             for height in [script, script - 1] {
-                let arena = ctx.min_cut_weight(&ls, v, phi, height);
-                let flow = turbomap::min_weight_cut(&exp, &ls, phi as i64, height, frt, ctx.k())
-                    .map(|(w, _)| w);
+                let (arena, flow) = answers(&exp, &ls, v, phi, height);
                 if arena != flow {
                     return Some(format!(
                         "gate `{}` at Φ = {phi}, height {height}: the cut arena answers \
@@ -916,28 +967,38 @@ pub fn run_oracle(source: &Circuit, cfg: &OracleConfig) -> OracleOutcome {
     }
 
     // Check 7: the cut arena against max-flow, at the labels of every
-    // period the TurboMap-frt search probed.
-    if let (Some(frt), Some(b)) = (&frt_res, &bounded) {
-        let phis: Vec<u64> = frt.iterations.iter().map(|&(phi, _)| phi).collect();
-        match catch_unwind(AssertUnwindSafe(|| {
-            let ctx = FrtContext::new(b, cfg.k, opts.weight_horizon);
-            cut_check_violation(b, &ctx, &phis)
-        })) {
-            Ok(Some(detail)) => violations.push(Violation {
-                kind: CheckKind::CutCheck,
-                flow: "turbomap-frt",
-                detail,
+    // period each TurboMap search probed.
+    if let Some(b) = &bounded {
+        type CutJudge = fn(&Circuit, usize, Options, &[u64]) -> Option<String>;
+        let judges: [(&str, Option<&TurboMapResult>, CutJudge); 2] = [
+            ("turbomap-frt", frt_res.as_ref(), |b, k, opts, phis| {
+                cut_check_violation(b, &FrtContext::new(b, k, opts.weight_horizon), phis)
             }),
-            Ok(None) => {}
-            Err(_) => {
-                if engine::cancel::cancelled() {
-                    return OracleOutcome::Cancelled;
-                }
-                violations.push(Violation {
+            ("turbomap", gen_res.as_ref(), |b, k, opts, phis| {
+                let ctx = GeneralContext::new(b, k, opts.general_horizon);
+                general_cut_check_violation(b, &ctx, phis)
+            }),
+        ];
+        for (flow, res, judge) in judges {
+            let Some(res) = res else { continue };
+            let phis: Vec<u64> = res.iterations.iter().map(|&(phi, _)| phi).collect();
+            match catch_unwind(AssertUnwindSafe(|| judge(b, cfg.k, opts, &phis))) {
+                Ok(Some(detail)) => violations.push(Violation {
                     kind: CheckKind::CutCheck,
-                    flow: "turbomap-frt",
-                    detail: "panic while checking the cut arena".to_string(),
-                });
+                    flow,
+                    detail,
+                }),
+                Ok(None) => {}
+                Err(_) => {
+                    if engine::cancel::cancelled() {
+                        return OracleOutcome::Cancelled;
+                    }
+                    violations.push(Violation {
+                        kind: CheckKind::CutCheck,
+                        flow,
+                        detail: "panic while checking the cut arena".to_string(),
+                    });
+                }
             }
         }
     }

@@ -9,11 +9,11 @@
 //! corpus writer.
 
 use fuzz::{
-    cut_check_violation, generate_case, judge_mapped, shrink_with, CheckKind, GenConfig,
-    OracleConfig, ShrinkConfig,
+    cut_check_violation, general_cut_check_violation, generate_case, judge_mapped, shrink_with,
+    CheckKind, GenConfig, OracleConfig, ShrinkConfig,
 };
 use netlist::Circuit;
-use turbomap::{CutFault, FrtContext, Options};
+use turbomap::{CutFault, FrtContext, GeneralContext, Options};
 
 fn gen_cfg() -> GenConfig {
     GenConfig {
@@ -190,6 +190,41 @@ fn corrupted_cut_arena_fires_the_cut_check() {
         }
         assert!(fired, "no planted {:?} was caught", fault(0));
     }
+}
+
+#[test]
+fn corrupted_general_cut_arena_fires_the_cut_check() {
+    // The general labels only ask whether a cut exists, so a raised cone
+    // weight cannot change an answer; a dropped cut can. Plant it in cut
+    // after cut until the check fires — one must, and the clean arena
+    // must pass.
+    let horizon = Options::with_k(4).general_horizon;
+    let mut fired = false;
+    'seeds: for seed in 0..4 {
+        let source = generate_case(seed, &gen_cfg());
+        let bounded = turbomap::prepare(&source, 4).unwrap();
+        let mapped = turbomap::turbomap_general(&source, Options::with_k(4)).unwrap();
+        let phis: Vec<u64> = mapped.iterations.iter().map(|&(phi, _)| phi).collect();
+        let clean = GeneralContext::new(&bounded, 4, horizon);
+        assert_eq!(
+            general_cut_check_violation(&bounded, &clean, &phis),
+            None,
+            "seed {seed}"
+        );
+        for v in bounded.gate_ids() {
+            for i in 0.. {
+                let mut ctx = GeneralContext::new(&bounded, 4, horizon);
+                if !ctx.inject_cut_fault(v, CutFault::DropCut(i)) {
+                    break;
+                }
+                if general_cut_check_violation(&bounded, &ctx, &phis).is_some() {
+                    fired = true;
+                    break 'seeds;
+                }
+            }
+        }
+    }
+    assert!(fired, "no planted DropCut was caught");
 }
 
 #[test]

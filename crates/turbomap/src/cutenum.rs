@@ -9,6 +9,10 @@
 //! `u^w` all satisfy `l^s(u) − Φ·w + 1 ≤ ℒ` gives `w_min`, and no such cut
 //! means "no cut".
 //!
+//! The bound need not be `frt(v)`: the general-retiming baseline lists
+//! the cuts of `F_v^h` for one horizon `h` by passing `h` for every gate
+//! (the containment argument below then holds trivially).
+//!
 //! # Enumeration
 //!
 //! Bottom-up with dominance pruning, after "Efficient Enumeration of
@@ -37,8 +41,8 @@
 //!
 //! A gate whose list exceeds the cut cap, whose leaves would carry more
 //! than 255 registers, or whose cone may absorb another fallback gate has
-//! no list. [`crate::frtcheck::FrtContext`] answers such gates with the
-//! bounded max-flow of [`crate::cutsearch`] on their own expanded
+//! no list. The cut oracle (`crate::cutoracle`) answers such gates with
+//! the bounded max-flow of [`crate::cutsearch`] on their own expanded
 //! circuits.
 
 use netlist::{Circuit, EdgeId, NodeId};
@@ -575,7 +579,7 @@ fn is_subset(a: &[Key], b: &[Key]) -> bool {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::cutsearch::min_weight_cut;
     use crate::expand::ExpandedCircuit;
@@ -583,7 +587,7 @@ mod tests {
     use engine::Rng64;
 
     /// A random FSM, K-bounded for `k`.
-    fn random_fsm(rng: &mut Rng64, trial: u64, k: usize) -> Circuit {
+    pub(crate) fn random_fsm(rng: &mut Rng64, trial: u64, k: usize) -> Circuit {
         let c = workloads::generate_fsm(&workloads::FsmSpec {
             name: format!("ce{trial}"),
             states: rng.range_usize(2, 9),

@@ -17,13 +17,14 @@
 //! # Cut queries
 //!
 //! Every `LabelUpdate` asks `F_v^{frt(v)}` one question: the minimum cone
-//! weight of a K-cut whose height is at most `ℒ^s(v)`. The context lists
-//! every gate's cuts once ([`crate::cutenum`]), so the answer is a scan of
-//! the gate's list. A gate whose list would exceed [`CUT_CAP`] falls back
-//! to the bounded max-flow of [`crate::cutsearch`] on its own expanded
-//! circuit, built once with the context. A label change re-queues the
-//! gates that list the node as a cut leaf (for a fallback gate: whose
-//! expansion contains it) — exactly the gates whose answers read it.
+//! weight of a K-cut whose height is at most `ℒ^s(v)`. The context answers
+//! it through the cut oracle it shares with the general-retiming baseline
+//! (`crate::cutoracle`): a scan of the gate's cut list, enumerated once
+//! per run ([`crate::cutenum`]), or for a gate whose list would exceed
+//! [`CUT_CAP`] the bounded max-flow of [`crate::cutsearch`] on its own
+//! expanded circuit. A label change re-queues the gates that list the
+//! node as a cut leaf (for a fallback gate: whose expansion contains it)
+//! — exactly the gates whose answers read it.
 //!
 //! # Sweep structure: level-synchronized, two-phase
 //!
@@ -51,12 +52,13 @@
 //! previous probe already proved.
 
 use crate::cutenum::{CutArena, CutFault, CUT_CAP};
-use crate::cutsearch::{find_cut_with, min_weight_cut_with, CutScratch, ExpCut};
+use crate::cutoracle::{CutAnswer, CutOracle};
+use crate::cutsearch::{CutScratch, ExpCut};
 use crate::expand::ExpandedCircuit;
 use crate::sweep::{Board, StopOnDrop};
 use crate::witness::{WitnessOutcome, WitnessStep};
 use netlist::{Circuit, NodeId};
-use std::sync::{OnceLock, RwLock};
+use std::sync::RwLock;
 
 /// Practical ceiling on the expanded circuits kept for flow-fallback
 /// gates (those whose cut lists exceed [`CUT_CAP`]): such a gate's
@@ -102,16 +104,6 @@ enum SweepEnd {
     Converged,
 }
 
-/// What `F_v^{frt(v)}` answers one `LabelUpdate` (internal).
-enum CutAnswer {
-    /// The minimum cone weight of a K-cut within the height bound.
-    Weight(u64),
-    /// No K-cut lies within the height bound.
-    NoCut,
-    /// A fallback gate whose expansion hit [`MAX_EXPANDED_NODES`].
-    Capped,
-}
-
 /// Precomputed per-circuit state shared across FRTcheck runs (binary
 /// search on `Φ` re-uses it).
 pub struct FrtContext<'a> {
@@ -121,22 +113,14 @@ pub struct FrtContext<'a> {
     /// Gates whose true `frt(v)` exceeded the cap, so their expanded
     /// circuits are truncated and the mapping may be pessimal for them.
     pub frt_capped_gates: u64,
-    /// Every gate's K-feasible cuts of `F_v^{frt(v)}`.
-    cuts: CutArena,
-    /// Expanded circuits `F_v^{frt(v)}` per node: built with the context
-    /// for flow-fallback gates (`None` past [`MAX_EXPANDED_NODES`]), on
-    /// first use by [`FrtContext::expanded`] for the others.
-    expanded: Vec<OnceLock<Option<Box<ExpandedCircuit>>>>,
+    /// Every gate's cuts of `F_v^{frt(v)}`, the flow-fallback expansions
+    /// and the requeue index.
+    oracle: CutOracle<'a>,
     /// Topological levels over zero-weight edges: level `d` lists the
     /// non-PI nodes at combinational depth `d`, in topological order.
     /// Within a level no zero-weight edge connects two members, which is
     /// what makes the per-level fan-out safe and effective.
     levels: Levels,
-    /// Requeue index as a CSR graph: the out-row of node `x` lists the
-    /// gates whose cut answers read `x`'s label — the gates listing `x` as
-    /// a cut leaf, and the fallback gates whose expansions contain `x`.
-    requeue: graphalgo::Csr,
-    k: usize,
 }
 
 /// Topological levels in flat form: the nodes of level `d` are
@@ -222,45 +206,13 @@ impl<'a> FrtContext<'a> {
             .comb_topo_order()
             .expect("combinational cycles must be rejected before mapping");
         let levels = comb_levels(circuit, &order);
-        let cuts = CutArena::enumerate(circuit, &order, &frt, k, cut_cap);
-        let n = circuit.num_nodes();
-        let mut expanded: Vec<OnceLock<Option<Box<ExpandedCircuit>>>> =
-            (0..n).map(|_| OnceLock::new()).collect();
-        // Collect (node, dependent gate) pairs flat, then counting-sort
-        // into a CSR row per node. The stamp array replaces a fresh
-        // `seen` bitmap per gate (gate ids are dense, so `v.0 + 1` is a
-        // unique generation tag).
-        let mut pairs: Vec<(usize, usize)> = Vec::new();
-        let mut stamp: Vec<u32> = vec![0; n];
-        for v in circuit.gate_ids() {
-            let mut reads = |x: usize| {
-                if stamp[x] != v.0 + 1 {
-                    stamp[x] = v.0 + 1;
-                    pairs.push((x, v.index()));
-                }
-            };
-            if cuts.is_fallback(v) {
-                let exp = ExpandedCircuit::build(circuit, v, frt[v.index()], MAX_EXPANDED_NODES);
-                for en in exp.iter().flat_map(|exp| &exp.nodes) {
-                    reads(en.node.index());
-                }
-                expanded[v.index()] = OnceLock::from(exp.map(Box::new));
-            } else {
-                for &u in cuts.leaf_nodes(v) {
-                    reads(u as usize);
-                }
-            }
-        }
-        let requeue = graphalgo::Csr::from_edges(n, &pairs);
+        let oracle = CutOracle::new(circuit, &order, frt.clone(), k, cut_cap);
         FrtContext {
             circuit,
             frt,
             frt_capped_gates,
-            cuts,
-            expanded,
+            oracle,
             levels,
-            requeue,
-            k,
         }
     }
 
@@ -269,20 +221,12 @@ impl<'a> FrtContext<'a> {
     /// expansion hit [`MAX_EXPANDED_NODES`]. Label updates read it only
     /// for fallback gates; reports and measurements read it for any.
     pub fn expanded(&self, v: NodeId) -> Option<&ExpandedCircuit> {
-        if !self.circuit.node(v).is_gate() {
-            return None;
-        }
-        self.expanded[v.index()]
-            .get_or_init(|| {
-                ExpandedCircuit::build(self.circuit, v, self.frt[v.index()], usize::MAX)
-                    .map(Box::new)
-            })
-            .as_deref()
+        self.oracle.expanded(v)
     }
 
     /// The cut lists the label updates scan.
     pub fn cut_arena(&self) -> &CutArena {
-        &self.cuts
+        self.oracle.arena()
     }
 
     /// Plants `fault` in gate `v`'s cut list; false when the list has no
@@ -290,12 +234,12 @@ impl<'a> FrtContext<'a> {
     /// answers label updates wrongly.
     #[doc(hidden)]
     pub fn inject_cut_fault(&mut self, v: NodeId, fault: CutFault) -> bool {
-        self.cuts.inject(v, fault)
+        self.oracle.inject(v, fault)
     }
 
     /// The LUT input bound `K` the context was built for.
     pub fn k(&self) -> usize {
-        self.k
+        self.oracle.k()
     }
 
     /// The minimum cone weight of a K-cut of `F_v^{frt(v)}` whose height
@@ -304,33 +248,13 @@ impl<'a> FrtContext<'a> {
     /// no such cut exists, or when a fallback gate's expansion hit
     /// [`MAX_EXPANDED_NODES`].
     pub fn min_cut_weight(&self, ls: &[i64], v: NodeId, phi: u64, height: i64) -> Option<u64> {
-        match self.cut_answer(ls, v, phi as i64, height, &mut CutScratch::new()) {
+        match self
+            .oracle
+            .answer(ls, v, phi as i64, height, &mut CutScratch::new())
+        {
             CutAnswer::Weight(w) => Some(w),
             CutAnswer::NoCut | CutAnswer::Capped => None,
         }
-    }
-
-    /// The kernel `LabelUpdate` and the witness probe share: a scan of
-    /// `v`'s cut list, or for a fallback gate the min-weight max-flow
-    /// search on its kept expansion.
-    fn cut_answer(
-        &self,
-        ls: &[i64],
-        v: NodeId,
-        phi: i64,
-        height: i64,
-        scratch: &mut CutScratch,
-    ) -> CutAnswer {
-        let w_min = if self.cuts.is_fallback(v) {
-            let Some(Some(exp)) = self.expanded[v.index()].get() else {
-                return CutAnswer::Capped;
-            };
-            let frt_v = self.frt[v.index()];
-            min_weight_cut_with(scratch, exp, ls, phi, height, frt_v, self.k).map(|(w, _)| w)
-        } else {
-            self.cuts.min_weight(v, ls, phi, height)
-        };
-        w_min.map_or(CutAnswer::NoCut, CutAnswer::Weight)
     }
 
     /// `ℒ^s(v) = max { l^s(u) − Φ·w(e) }` over fanin edges (§3.2).
@@ -531,7 +455,7 @@ impl<'a> FrtContext<'a> {
                                 );
                             }
                         }
-                        for &g in self.requeue.out(i) {
+                        for &g in self.oracle.requeue(i) {
                             if !dirty[g as usize] {
                                 dirty[g as usize] = true;
                                 engine::telemetry::count(
@@ -594,7 +518,7 @@ impl<'a> FrtContext<'a> {
         if script <= LS_NEG_INF {
             return None;
         }
-        match self.cut_answer(ls, v, phi, script, scratch) {
+        match self.oracle.answer(ls, v, phi, script, scratch) {
             CutAnswer::Weight(w_min) if script + phi * w_min as i64 <= phi => Some((script, w_min)),
             // No cut, a cut too heavy for Corollary 1, or a capped
             // expansion (conservative).
@@ -604,8 +528,7 @@ impl<'a> FrtContext<'a> {
 
     /// Extracts, for every gate, the K-cut consistent with the final
     /// labels: height ≤ `l^s(v)`, cone weight ≤ `r(v)` — the near-sink
-    /// max-flow cut on the gate's expansion, which is kept when there is
-    /// one and otherwise built, used and dropped.
+    /// max-flow cut on the gate's expansion.
     ///
     /// # Panics
     ///
@@ -620,25 +543,17 @@ impl<'a> FrtContext<'a> {
             if labels.ls[i] <= LS_NEG_INF {
                 continue;
             }
-            let built;
-            let exp: &ExpandedCircuit = match self.expanded[i].get() {
-                Some(Some(exp)) => exp,
-                _ => {
-                    built = ExpandedCircuit::build(self.circuit, v, self.frt[i], usize::MAX)
-                        .expect("uncapped expansions always build");
-                    &built
-                }
-            };
-            let cut = find_cut_with(
-                &mut scratch,
-                exp,
-                &labels.ls,
-                phi_i,
-                labels.ls[i],
-                labels.r[i],
-                self.k,
-            )
-            .expect("converged labels admit a cut");
+            let cut = self
+                .oracle
+                .final_cut(
+                    &mut scratch,
+                    &labels.ls,
+                    v,
+                    phi_i,
+                    labels.ls[i],
+                    labels.r[i],
+                )
+                .expect("converged labels admit a cut");
             cuts[i] = Some(cut);
         }
         cuts
@@ -718,7 +633,7 @@ impl<'a> FrtContext<'a> {
                     let (new_ls, step) = if c.node(v).is_output() {
                         (script, fanin_step)
                     } else {
-                        match self.cut_answer(&ls, v, phi_i, script, &mut scratch) {
+                        match self.oracle.answer(&ls, v, phi_i, script, &mut scratch) {
                             CutAnswer::Capped => return WitnessOutcome::Capped,
                             CutAnswer::NoCut => (
                                 script + 1,
@@ -752,7 +667,7 @@ impl<'a> FrtContext<'a> {
                         for &e in c.node(v).fanout() {
                             dirty[c.edge(e).to().index()] = true;
                         }
-                        for &g in self.requeue.out(i) {
+                        for &g in self.oracle.requeue(i) {
                             dirty[g as usize] = true;
                         }
                     }
@@ -1059,7 +974,7 @@ mod tests {
             let c = fsm(seed, k);
             let exact = FrtContext::new(&c, k, 32);
             let capped = FrtContext::with_cut_cap(&c, k, 32, 1);
-            assert!(c.gate_ids().any(|v| capped.cuts.is_fallback(v)));
+            assert!(c.gate_ids().any(|v| capped.cut_arena().is_fallback(v)));
             for phi in 1..=6 {
                 let (a, b) = (exact.check(phi), capped.check(phi));
                 assert_eq!(a.feasible, b.feasible, "seed {seed} phi {phi}");
@@ -1092,7 +1007,7 @@ mod tests {
             let c = fsm(seed, k);
             let leaf = FrtContext::new(&c, k, 32);
             let mut cone = FrtContext::new(&c, k, 32);
-            cone.requeue = cone_index(&c, &cone.frt);
+            cone.oracle.set_requeue(cone_index(&c, &cone.frt));
             for phi in 1..=6 {
                 for workers in [1, 3] {
                     let a = leaf.check_opts(phi, None, workers);

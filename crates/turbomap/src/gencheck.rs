@@ -9,10 +9,17 @@
 //! cones may absorb registers up to the configured weight horizon instead
 //! of `frt(v)` — nothing guarantees forward-only register motion, which is
 //! exactly why this baseline's initial states need NP-hard justification.
+//!
+//! The cut question is FRTcheck's, asked of `F_v^h` for one horizon `h`
+//! instead of `F_v^{frt(v)}`, so both share one cut oracle: every gate's
+//! cuts of `F_v^h` are listed once per run and a label update scans them
+//! (flow fallback for gates with too many cuts — see `crate::cutoracle`).
 
-use crate::cutsearch::{find_cut_with, CutScratch, ExpCut};
+use crate::cutenum::{CutFault, CUT_CAP};
+use crate::cutoracle::{CutAnswer, CutOracle};
+use crate::cutsearch::{CutScratch, ExpCut};
 use crate::expand::ExpandedCircuit;
-use crate::frtcheck::{LS_NEG_INF, MAX_EXPANDED_NODES};
+use crate::frtcheck::LS_NEG_INF;
 use netlist::{Circuit, NodeId};
 
 /// Outcome of one general-label check.
@@ -29,64 +36,87 @@ pub struct GeneralCheck {
 /// Precomputed state for general-retiming label runs.
 pub struct GeneralContext<'a> {
     circuit: &'a Circuit,
-    expanded: Vec<Option<ExpandedCircuit>>,
+    /// Every gate's cuts of `F_v^h`, the flow-fallback expansions and the
+    /// requeue index — the oracle FRTcheck uses, built with the uniform
+    /// bound `h` instead of `frt(v)`.
+    oracle: CutOracle<'a>,
     order: Vec<NodeId>,
     /// Gates that reach a PO (dead logic is skipped; see DESIGN.md).
     live: Vec<bool>,
-    /// Inverted cone index as a CSR graph: the out-row of node `x` lists
-    /// the live gates whose expanded circuits contain `x`.
-    influenced: graphalgo::Csr,
-    k: usize,
     horizon: u64,
 }
 
 impl<'a> GeneralContext<'a> {
-    /// Builds expanded circuits with the weight horizon for every live
-    /// gate.
+    /// Lists every gate's cuts of `F_v^{horizon}` once; the label runs of
+    /// every Φ probe scan them.
     ///
     /// # Panics
     ///
     /// Panics on combinational cycles.
     pub fn new(circuit: &'a Circuit, k: usize, horizon: u64) -> GeneralContext<'a> {
+        GeneralContext::with_cut_cap(circuit, k, horizon, CUT_CAP)
+    }
+
+    /// [`GeneralContext::new`] with the cut-list length above which a gate
+    /// falls back to max-flow.
+    pub(crate) fn with_cut_cap(
+        circuit: &'a Circuit,
+        k: usize,
+        horizon: u64,
+        cut_cap: usize,
+    ) -> GeneralContext<'a> {
         let order = circuit
             .comb_topo_order()
             .expect("combinational cycles must be rejected before mapping");
         let live = po_reachable(circuit);
-        let n = circuit.num_nodes();
-        let mut expanded: Vec<Option<ExpandedCircuit>> = vec![None; n];
-        // Collect (node, dependent gate) pairs flat, then counting-sort
-        // into a CSR row per node. The stamp array replaces a fresh
-        // `seen` bitmap per gate (gate ids are dense, so `v.0 + 1` is a
-        // unique generation tag).
-        let mut pairs: Vec<(usize, usize)> = Vec::new();
-        let mut stamp: Vec<u32> = vec![0; n];
-        for v in circuit.gate_ids() {
-            if live[v.index()] {
-                let exp = ExpandedCircuit::build(circuit, v, horizon, MAX_EXPANDED_NODES);
-                for en in exp.iter().flat_map(|exp| &exp.nodes) {
-                    if stamp[en.node.index()] != v.0 + 1 {
-                        stamp[en.node.index()] = v.0 + 1;
-                        pairs.push((en.node.index(), v.index()));
-                    }
-                }
-                expanded[v.index()] = exp;
-            }
-        }
-        let influenced = graphalgo::Csr::from_edges(n, &pairs);
+        let bound = vec![horizon; circuit.num_nodes()];
+        let oracle = CutOracle::new(circuit, &order, bound, k, cut_cap);
         GeneralContext {
             circuit,
-            expanded,
+            oracle,
             order,
             live,
-            influenced,
-            k,
             horizon,
         }
     }
 
-    /// The expanded circuit of a live gate (None when dead or capped).
+    /// The expanded circuit `F_v^h` of a live gate, built on first use and
+    /// kept; `None` for dead logic and non-gates, and for a flow-fallback
+    /// gate whose expansion hit [`crate::frtcheck::MAX_EXPANDED_NODES`].
     pub fn expanded(&self, v: NodeId) -> Option<&ExpandedCircuit> {
-        self.expanded[v.index()].as_ref()
+        if !self.live[v.index()] {
+            return None;
+        }
+        self.oracle.expanded(v)
+    }
+
+    /// The LUT input bound `K` the context was built for.
+    pub fn k(&self) -> usize {
+        self.oracle.k()
+    }
+
+    /// The register horizon `h` of every gate's expansion.
+    pub fn horizon(&self) -> u64 {
+        self.horizon
+    }
+
+    /// Whether `F_v^h` has a K-cut whose height under `labels` is at most
+    /// `height` — the question every label update asks, answered as the
+    /// sweeps answer it (false for a flow-fallback gate whose expansion hit
+    /// [`crate::frtcheck::MAX_EXPANDED_NODES`]).
+    pub fn has_cut(&self, labels: &[i64], v: NodeId, phi: u64, height: i64) -> bool {
+        let answer = self
+            .oracle
+            .answer(labels, v, phi as i64, height, &mut CutScratch::new());
+        matches!(answer, CutAnswer::Weight(_))
+    }
+
+    /// Plants `fault` in gate `v`'s cut list; false when the list has no
+    /// such cut. A fault-injection hook for oracle tests: the context then
+    /// answers label updates wrongly.
+    #[doc(hidden)]
+    pub fn inject_cut_fault(&mut self, v: NodeId, fault: CutFault) -> bool {
+        self.oracle.inject(v, fault)
     }
 
     fn script_l(&self, ls: &[i64], v: NodeId, phi: i64) -> i64 {
@@ -113,7 +143,7 @@ impl<'a> GeneralContext<'a> {
         let cap = n.saturating_mul(n).max(4);
         let mut iterations = 0usize;
         let mut dirty = vec![true; n];
-        // One flow-network arena for every cut query of this run.
+        // One flow-network arena for every fallback query of this run.
         let mut scratch = CutScratch::new();
         loop {
             // Same cancellation contract as `FrtContext::check`: bail out
@@ -143,20 +173,11 @@ impl<'a> GeneralContext<'a> {
                 let new_l = if node.is_output() {
                     script
                 } else {
-                    let exp = self.expanded[v.index()].as_ref();
-                    match exp.and_then(|e| {
-                        find_cut_with(
-                            &mut scratch,
-                            e,
-                            &labels,
-                            phi_i,
-                            script,
-                            self.horizon,
-                            self.k,
-                        )
-                    }) {
-                        Some(_) => script,
-                        None => script + 1,
+                    match self.oracle.answer(&labels, v, phi_i, script, &mut scratch) {
+                        CutAnswer::Weight(_) => script,
+                        // No cut, or a capped fallback expansion
+                        // (conservative).
+                        CutAnswer::NoCut | CutAnswer::Capped => script + 1,
                     }
                 };
                 if new_l > labels[v.index()] {
@@ -165,7 +186,7 @@ impl<'a> GeneralContext<'a> {
                     for &e in node.fanout() {
                         dirty[c.edge(e).to().index()] = true;
                     }
-                    for &g in self.influenced.out(v.index()) {
+                    for &g in self.oracle.requeue(v.index()) {
                         dirty[g as usize] = true;
                     }
                     if node.is_output() && new_l > phi_i {
@@ -204,7 +225,7 @@ impl<'a> GeneralContext<'a> {
     }
 
     /// Extracts a cut consistent with the final labels for every live
-    /// gate.
+    /// gate: the near-sink max-flow cut on the gate's expansion.
     ///
     /// # Panics
     ///
@@ -218,17 +239,10 @@ impl<'a> GeneralContext<'a> {
             if !self.live[i] || labels[i] <= LS_NEG_INF {
                 continue;
             }
-            let exp = self.expanded[i].as_ref().expect("live gate expanded");
-            let cut = find_cut_with(
-                &mut scratch,
-                exp,
-                labels,
-                phi_i,
-                labels[i],
-                self.horizon,
-                self.k,
-            )
-            .expect("converged labels admit a cut");
+            let cut = self
+                .oracle
+                .final_cut(&mut scratch, labels, v, phi_i, labels[i], self.horizon)
+                .expect("converged labels admit a cut");
             cuts[i] = Some(cut);
         }
         cuts
@@ -258,6 +272,9 @@ pub fn po_reachable(c: &Circuit) -> Vec<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cutenum::tests::random_fsm;
+    use crate::cutsearch::find_cut;
+    use engine::Rng64;
     use netlist::{Bit, TruthTable};
 
     /// FF *behind* a 3-gate chain: forward retiming can't improve the
@@ -344,5 +361,55 @@ mod tests {
         let ctx = GeneralContext::new(&c, 2, 16);
         let res = ctx.check(3);
         assert!(res.iterations <= 10);
+    }
+
+    /// The property the shared oracle stands on for the general labels:
+    /// for random labels, Φ and heights, the scan of `F_v^h`'s cut list
+    /// answers exactly what one bounded max-flow answers on a freshly
+    /// built `F_v^h`.
+    #[test]
+    fn scan_equals_flow_on_random_fsms() {
+        let mut rng = Rng64::new(0x6E4E4A1);
+        for trial in 0..16 {
+            let k = rng.range_usize(2, 7);
+            let c = random_fsm(&mut rng, trial, k);
+            for h in [0, 1, 2, 16] {
+                let ctx = GeneralContext::new(&c, k, h);
+                for _ in 0..2 {
+                    let ls: Vec<i64> = (0..c.num_nodes()).map(|_| rng.range_i64(-4, 6)).collect();
+                    let phi = rng.range_i64(1, 5);
+                    for v in c.gate_ids() {
+                        let exp = ExpandedCircuit::build(&c, v, h, usize::MAX).unwrap();
+                        let height = rng.range_i64(-3, 7);
+                        let flow = find_cut(&exp, &ls, phi, height, h, k).is_some();
+                        let scan = ctx.has_cut(&ls, v, phi as u64, height);
+                        assert_eq!(scan, flow, "trial {trial} k={k} h={h} {v:?} phi={phi}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A cut cap of 1 sends most gates to the max-flow fallback; the
+    /// probes must not notice.
+    #[test]
+    fn tiny_cut_cap_falls_back_to_flow_with_identical_results() {
+        let mut rng = Rng64::new(0xCA9);
+        for trial in 0..4 {
+            let k = rng.range_usize(3, 6);
+            let c = random_fsm(&mut rng, trial, k);
+            for h in [1, 2, 16] {
+                let exact = GeneralContext::new(&c, k, h);
+                let capped = GeneralContext::with_cut_cap(&c, k, h, 1);
+                assert!(c.gate_ids().any(|v| capped.oracle.arena().is_fallback(v)));
+                for phi in 1..=6 {
+                    let (a, b) = (exact.check(phi), capped.check(phi));
+                    let tag = format!("trial {trial} k={k} h={h} phi={phi}");
+                    assert_eq!(a.feasible, b.feasible, "{tag}");
+                    assert_eq!(a.iterations, b.iterations, "{tag}");
+                    assert_eq!(a.labels, b.labels, "{tag}");
+                }
+            }
+        }
     }
 }

@@ -14,6 +14,8 @@
 //!   enumerated once per run; `LabelUpdate` scans them (§3.2),
 //! * [`cutsearch`] — min-height / min-weight K-feasible cuts by bounded
 //!   max-flow (§3.2, Definitions 4–5), for mapping and flow fallback,
+//! * `cutoracle` — the cut-list scans plus flow fallback that answer the
+//!   label updates of both label computations below,
 //! * [`frtcheck`] — the FRTcheck label-pair iteration (Figure 5) deciding
 //!   one target period,
 //! * [`generate`] — mapping generation with forward retiming and initial
@@ -54,6 +56,7 @@
 #![warn(missing_docs)]
 
 pub mod cutenum;
+mod cutoracle;
 pub mod cutsearch;
 pub mod driver;
 pub mod expand;
