@@ -12,7 +12,8 @@
 //!   and alloc/free events are counted.
 //! * [`MemScope`] — RAII guards placed at the same sites (and under the
 //!   same names) as the span tracer's phases (`expand`, `min_cut`,
-//!   `frtcheck_sweep`, `apply_retiming`, `sim_step`, `verify`). A scope
+//!   `frtcheck_sweep`, `apply_retiming`, `sim_step`, `verify`,
+//!   `cut_enum`). A scope
 //!   attributes wall time, allocation deltas and the within-scope heap
 //!   high-water mark to its [`MemPhase`], accumulated into the job's
 //!   [`Telemetry`](crate::telemetry::Telemetry) through the usual
@@ -60,10 +61,12 @@ pub enum MemPhase {
     /// Partition-and-conquer work outside the per-block mapper runs:
     /// condensation, clustering, contracts, extraction, and stitching.
     Partition = 6,
+    /// Enumerating every gate's cuts into a cut arena.
+    CutEnum = 7,
 }
 
 /// Number of [`MemPhase`] variants.
-pub const NUM_MEM_PHASES: usize = 7;
+pub const NUM_MEM_PHASES: usize = 8;
 
 /// Stable phase names, indexed by `MemPhase as usize` — identical to the
 /// corresponding trace span names (JSON keys in the v3 artifact).
@@ -75,6 +78,7 @@ pub const MEM_PHASE_NAMES: [&str; NUM_MEM_PHASES] = [
     "sim_step",
     "verify",
     "partition",
+    "cut_enum",
 ];
 
 impl MemPhase {
@@ -88,6 +92,7 @@ impl MemPhase {
             4 => Some(MemPhase::Sim),
             5 => Some(MemPhase::Verify),
             6 => Some(MemPhase::Partition),
+            7 => Some(MemPhase::CutEnum),
             _ => None,
         }
     }

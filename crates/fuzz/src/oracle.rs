@@ -31,7 +31,11 @@
 //!    minimum cut weight in `F_v^{frt(v)}` must equal the bounded
 //!    max-flow search on the gate's own expanded circuit; likewise, at
 //!    each period the TurboMap search probed, whether `F_v^h` has a cut
-//!    within the height must agree with one max-flow on `F_v^h`.
+//!    within the height must agree with one max-flow on `F_v^h`. At each
+//!    feasible probed period, every gate's final cut (picked from the
+//!    arena for mapping generation) must have the leaves of the
+//!    near-sink max-flow cut on a freshly built expansion, for both
+//!    flows.
 //!
 //! Before the mappers run, a **front-end round-trip** check
 //! ([`CheckKind::RoundTrip`]) writes the case with
@@ -51,7 +55,7 @@ use netlist::{random_equiv_mode, Circuit, EquivMode, EquivResult, NodeId};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use turbomap::frtcheck::{LS_NEG_INF, MAX_EXPANDED_NODES};
 use turbomap::{
-    ExpandedCircuit, FrtContext, GeneralContext, Options, TurboMapError, TurboMapResult,
+    ExpCut, ExpandedCircuit, FrtContext, GeneralContext, Options, TurboMapError, TurboMapResult,
 };
 
 /// Oracle knobs; a repro manifest stores all of them.
@@ -134,8 +138,9 @@ pub enum CheckKind {
     PartitionCheck,
     /// The cut arena disagreed with max-flow: at some probed period's
     /// labels, a gate's cut answer from the arena (TurboMap-frt: the
-    /// minimum K-cut weight; TurboMap: whether a K-cut exists) differed
-    /// from max-flow on its expanded circuit.
+    /// minimum K-cut weight; TurboMap: whether a K-cut exists), or at a
+    /// feasible period its final cut, differed from max-flow on its
+    /// expanded circuit.
     CutCheck,
 }
 
@@ -566,14 +571,28 @@ pub fn partition_violation(
 /// and, at its labels, compares for every gate with a finite `ℒ^s(v)` and
 /// for heights `ℒ^s(v)` and `ℒ^s(v) − 1` the context's answer
 /// ([`FrtContext::min_cut_weight`]) with [`turbomap::min_weight_cut`] on
-/// a freshly built `F_v^{frt(v)}`. Returns the first disagreement, `None`
-/// when all agree or the run was cancelled (the caller re-checks the
-/// token).
+/// a freshly built `F_v^{frt(v)}`. At a feasible period it also compares
+/// every gate's [`FrtContext::final_cuts`] cut, as a leaf set, with
+/// [`turbomap::find_cut`] at height `l^s(v)` and weight `r(v)`. Returns
+/// the first disagreement, `None` when all agree or the run was cancelled
+/// (the caller re-checks the token).
 pub fn cut_check_violation(bounded: &Circuit, ctx: &FrtContext, phis: &[u64]) -> Option<String> {
     first_cut_disagreement(
         bounded,
         phis,
-        |phi| ctx.check(phi).labels.ls,
+        ctx.k(),
+        |phi| {
+            let res = ctx.check(phi);
+            let finals = try_final_cuts(res.feasible, || {
+                let cuts = ctx.final_cuts(&res.labels, phi);
+                let r = &res.labels.r;
+                cuts.into_iter()
+                    .zip(r)
+                    .map(|(cut, &w)| cut.map(|cut| (w, cut)))
+                    .collect()
+            });
+            (res.labels.ls, finals)
+        },
         |v| ctx.frt[v.index()],
         |exp, ls, v, phi, height| {
             let arena = ctx.min_cut_weight(ls, v, phi, height);
@@ -588,7 +607,9 @@ pub fn cut_check_violation(bounded: &Circuit, ctx: &FrtContext, phis: &[u64]) ->
 /// general-retiming baseline: as [`cut_check_violation`], but at the
 /// labels of the general label runs of `ctx`, comparing whether `F_v^h`
 /// has a K-cut within the height ([`GeneralContext::has_cut`]) with
-/// [`turbomap::find_cut`] on a freshly built `F_v^h`.
+/// [`turbomap::find_cut`] on a freshly built `F_v^h`, and at a feasible
+/// period the [`GeneralContext::final_cuts`] cuts with
+/// [`turbomap::find_cut`] at height `l(v)` and weight `h`.
 pub fn general_cut_check_violation(
     bounded: &Circuit,
     ctx: &GeneralContext,
@@ -597,7 +618,18 @@ pub fn general_cut_check_violation(
     first_cut_disagreement(
         bounded,
         phis,
-        |phi| ctx.check(phi).labels,
+        ctx.k(),
+        |phi| {
+            let res = ctx.check(phi);
+            let finals = try_final_cuts(res.feasible, || {
+                let cuts = ctx.final_cuts(&res.labels, phi);
+                let h = ctx.horizon();
+                cuts.into_iter()
+                    .map(|cut| cut.map(|cut| (h, cut)))
+                    .collect()
+            });
+            (res.labels, finals)
+        },
         |_| ctx.horizon(),
         |exp, ls, v, phi, height| {
             let arena = ctx.has_cut(ls, v, phi, height);
@@ -608,19 +640,37 @@ pub fn general_cut_check_violation(
     )
 }
 
-/// Shared loop of the cut checks: at `labels(phi)` for each probed
-/// period, asks `answers` for the (arena, max-flow) pair of every gate with
-/// a finite `ℒ(v)` at heights `ℒ(v)` and `ℒ(v) − 1`, on a freshly built
-/// `F_v^{bound(v)}`, and reports the first pair that differs.
+/// Per node, a final cut with the cone-weight bound it was picked under
+/// (empty at an infeasible period, which has no final cuts).
+type FinalCuts = Vec<Option<(u64, ExpCut)>>;
+
+/// `final_cuts()` at a feasible period, no cuts at an infeasible one, and
+/// `None` when it panics — a gate left without a cut at converged labels,
+/// which only a corrupted arena causes.
+fn try_final_cuts(feasible: bool, final_cuts: impl FnOnce() -> FinalCuts) -> Option<FinalCuts> {
+    if !feasible {
+        return Some(Vec::new());
+    }
+    catch_unwind(AssertUnwindSafe(final_cuts)).ok()
+}
+
+/// Shared loop of the cut checks: at the labels `probe(phi)` gives for
+/// each probed period, asks `answers` for the (arena, max-flow) pair of
+/// every gate with a finite `ℒ(v)` at heights `ℒ(v)` and `ℒ(v) − 1`, on
+/// a freshly built `F_v^{bound(v)}`; then compares each final cut `probe`
+/// gives with the near-sink max-flow cut at height `l(v)` under its
+/// weight bound. Reports the first difference.
 fn first_cut_disagreement<A: PartialEq + std::fmt::Debug>(
     bounded: &Circuit,
     phis: &[u64],
-    labels: impl Fn(u64) -> Vec<i64>,
+    k: usize,
+    probe: impl Fn(u64) -> (Vec<i64>, Option<FinalCuts>),
     bound: impl Fn(NodeId) -> u64,
     answers: impl Fn(&ExpandedCircuit, &[i64], NodeId, u64, i64) -> (A, A),
 ) -> Option<String> {
+    let expand = |v: NodeId| ExpandedCircuit::build(bounded, v, bound(v), MAX_EXPANDED_NODES);
     for &phi in phis {
-        let ls = labels(phi);
+        let (ls, finals) = probe(phi);
         for v in bounded.gate_ids() {
             if engine::cancel::cancelled() {
                 return None;
@@ -634,7 +684,7 @@ fn first_cut_disagreement<A: PartialEq + std::fmt::Debug>(
                 .map(|edge| ls[edge.from().index()] - phi as i64 * edge.weight() as i64)
                 .max();
             let Some(script) = script else { continue };
-            let Some(exp) = ExpandedCircuit::build(bounded, v, bound(v), MAX_EXPANDED_NODES) else {
+            let Some(exp) = expand(v) else {
                 continue;
             };
             for height in [script, script - 1] {
@@ -648,8 +698,46 @@ fn first_cut_disagreement<A: PartialEq + std::fmt::Debug>(
                 }
             }
         }
+        let Some(finals) = finals else {
+            return Some(format!(
+                "at Φ = {phi} some gate has no final cut within its converged labels"
+            ));
+        };
+        for v in bounded.gate_ids() {
+            if engine::cancel::cancelled() {
+                return None;
+            }
+            let Some(Some((weight, cut))) = finals.get(v.index()) else {
+                continue;
+            };
+            let Some(exp) = expand(v) else {
+                continue;
+            };
+            let height = ls[v.index()];
+            let flow = turbomap::find_cut(&exp, &ls, phi as i64, height, *weight, k);
+            let (arena, flow) = (leaves(bounded, Some(cut)), leaves(bounded, flow.as_ref()));
+            if arena != flow {
+                return Some(format!(
+                    "gate `{}` at Φ = {phi}: the final cut picked from the cut arena \
+                     (height {height}, weight {weight}) is {arena:?}, max-flow's is {flow:?}",
+                    bounded.node(v).name()
+                ));
+            }
+        }
     }
     None
+}
+
+/// A cut's leaves `u^w` as sorted `u^w` names (the two cut searches list
+/// them in different orders).
+fn leaves(c: &Circuit, cut: Option<&ExpCut>) -> Option<Vec<String>> {
+    cut.map(|cut| {
+        let mut set: Vec<(NodeId, u64)> = cut.signals.iter().map(|s| (s.node, s.weight)).collect();
+        set.sort_unstable();
+        set.into_iter()
+            .map(|(u, w)| format!("{}^{w}", c.node(u).name()))
+            .collect()
+    })
 }
 
 /// Judges one case. `source` must pass [`netlist::validate`] and be

@@ -227,6 +227,79 @@ fn corrupted_general_cut_arena_fires_the_cut_check() {
     assert!(fired, "no planted DropCut was caught");
 }
 
+/// The smallest feasible period among `phis` with its labels, by `check`.
+fn feasible_min<L>(phis: &[u64], check: impl Fn(u64) -> Option<L>) -> (u64, L) {
+    let mut phis = phis.to_vec();
+    phis.sort_unstable();
+    phis.into_iter()
+        .find_map(|phi| check(phi).map(|labels| (phi, labels)))
+        .expect("the search probed a feasible period")
+}
+
+#[test]
+fn dropped_final_cut_fires_the_cut_check() {
+    // A final cut missing from the arena is what a wrong final-cut pick
+    // looks like. At the smallest feasible probed period, drop each
+    // gate's selected final cut in turn: every drop must fire the check.
+    for seed in 0..2 {
+        let source = generate_case(seed, &gen_cfg());
+        let bounded = turbomap::prepare(&source, 4).unwrap();
+        let mapped = turbomap::turbomap_frt(&source, Options::with_k(4)).unwrap();
+        let phis: Vec<u64> = mapped.iterations.iter().map(|&(phi, _)| phi).collect();
+        let clean = FrtContext::new(&bounded, 4, 32);
+        let (phi, labels) = feasible_min(&phis, |phi| {
+            let res = clean.check(phi);
+            res.feasible.then_some(res.labels)
+        });
+        let mut planted = 0;
+        for (v, cut) in bounded.gate_ids().zip(clean.final_cuts(&labels, phi)) {
+            let Some(i) = cut.and_then(|cut| clean.cut_arena().position(v, &cut)) else {
+                continue;
+            };
+            let mut ctx = FrtContext::new(&bounded, 4, 32);
+            assert!(ctx.inject_cut_fault(v, CutFault::DropCut(i)));
+            assert!(
+                cut_check_violation(&bounded, &ctx, &phis).is_some(),
+                "seed {seed}: dropping {v:?}'s final cut went unnoticed"
+            );
+            planted += 1;
+        }
+        assert!(planted > 0, "seed {seed}: no final cut was listed");
+    }
+}
+
+#[test]
+fn dropped_general_final_cut_fires_the_cut_check() {
+    // As `dropped_final_cut_fires_the_cut_check`, for the general-retiming
+    // baseline's final cuts.
+    let horizon = Options::with_k(4).general_horizon;
+    for seed in 0..2 {
+        let source = generate_case(seed, &gen_cfg());
+        let bounded = turbomap::prepare(&source, 4).unwrap();
+        let mapped = turbomap::turbomap_general(&source, Options::with_k(4)).unwrap();
+        let phis: Vec<u64> = mapped.iterations.iter().map(|&(phi, _)| phi).collect();
+        let clean = GeneralContext::new(&bounded, 4, horizon);
+        let (phi, labels) = feasible_min(&phis, |phi| {
+            let res = clean.check(phi);
+            res.feasible.then_some(res.labels)
+        });
+        let mut planted = 0;
+        for (v, cut) in bounded.gate_ids().zip(clean.final_cuts(&labels, phi)) {
+            let Some(i) = cut.and_then(|cut| clean.cut_arena().position(v, &cut)) else {
+                continue;
+            };
+            let mut ctx = GeneralContext::new(&bounded, 4, horizon);
+            assert!(ctx.inject_cut_fault(v, CutFault::DropCut(i)));
+            assert!(
+                general_cut_check_violation(&bounded, &ctx, &phis).is_some(),
+                "seed {seed}: dropping {v:?}'s final cut went unnoticed"
+            );
+            planted += 1;
+        }
+        assert!(planted > 0, "seed {seed}: no final cut was listed");
+    }
+}
+
 #[test]
 fn shrinker_converges_and_repro_lands_in_the_corpus() {
     // End-to-end failing-case path with a deliberately buggy mapper:

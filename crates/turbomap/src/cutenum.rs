@@ -13,6 +13,19 @@
 //! the cuts of `F_v^h` for one horizon `h` by passing `h` for every gate
 //! (the containment argument below then holds trivially).
 //!
+//! # Final cuts
+//!
+//! Mapping generation (§3.3) takes one cut per gate at the converged
+//! labels: the near-sink cut the bounded max-flow returns on `F_v` under a
+//! height bound and a cone-weight bound. `CutArena::final_cut` picks it
+//! from the list. Max-flow returns a cut of minimum size, so the pick
+//! takes the qualifying cuts with the fewest leaves. Among minimum cuts,
+//! the near-sink one has a cone contained in every other one's cone, so
+//! of those the pick takes the one with the smallest cone, counted in
+//! `(node, register count)` instances (`ConeWalk`). Pruning never drops
+//! it: a dominator has a subset of its leaves at no larger weight, so it
+//! qualifies too and, being no larger, has the same leaves.
+//!
 //! # Enumeration
 //!
 //! Bottom-up with dominance pruning, after "Efficient Enumeration of
@@ -45,6 +58,8 @@
 //! the bounded max-flow of [`crate::cutsearch`] on their own expanded
 //! circuits.
 
+use crate::cutsearch::ExpCut;
+use crate::expand::ExpNode;
 use netlist::{Circuit, EdgeId, NodeId};
 use std::cmp::Ordering;
 
@@ -110,6 +125,7 @@ impl CutArena {
             .filter(|&v| c.node(v).is_gate())
             .collect();
         let _span = engine::trace::span1("cut_enum", "gates", gates.len() as u64);
+        let _mem = engine::mem::scope(engine::mem::MemPhase::CutEnum);
         let mut st = Lists {
             c,
             frt,
@@ -179,6 +195,18 @@ impl CutArena {
         (self.gate_off[v.index() + 1] - self.gate_off[v.index()]) as usize
     }
 
+    /// The position in `v`'s list of the cut with exactly `cut`'s leaves,
+    /// if listed — where a [`CutFault`] aimed at that cut goes.
+    pub fn position(&self, v: NodeId, cut: &ExpCut) -> Option<usize> {
+        let mut want: Vec<(u32, u64)> = cut.signals.iter().map(|s| (s.node.0, s.weight)).collect();
+        want.sort_unstable();
+        self.cuts(v).position(|c| {
+            self.leaves(c)
+                .map(|l| (self.leaf_node[l], u64::from(self.leaf_weight[l])))
+                .eq(want.iter().copied())
+        })
+    }
+
     /// The driver node of every leaf of every cut of `v` (with repeats).
     pub(crate) fn leaf_nodes(&self, v: NodeId) -> &[u32] {
         let lo = self.leaf_off[self.gate_off[v.index()] as usize] as usize;
@@ -191,19 +219,74 @@ impl CutArena {
     /// `l^s(u) − Φ·w + 1 ≤ height`, or `None` when no cut qualifies.
     /// Meaningless for fallback gates, which list no cuts.
     pub(crate) fn min_weight(&self, v: NodeId, ls: &[i64], phi: i64, height: i64) -> Option<u64> {
-        let cuts = self.gate_off[v.index()] as usize..self.gate_off[v.index() + 1] as usize;
-        'cuts: for cut in cuts {
-            let leaves = self.leaf_off[cut] as usize..self.leaf_off[cut + 1] as usize;
-            for l in leaves.clone() {
-                let u = self.leaf_node[l] as usize;
-                if ls[u] - phi * i64::from(self.leaf_weight[l]) + 1 > height {
-                    continue 'cuts;
-                }
-            }
-            engine::telemetry::record(engine::hist::Metric::CutSize, leaves.len() as u64);
-            return Some(u64::from(self.weight[cut]));
-        }
-        None
+        let cut = self
+            .cuts(v)
+            .find(|&cut| self.within_height(cut, ls, phi, height))?;
+        engine::telemetry::record(engine::hist::Metric::CutSize, self.num_leaves(cut) as u64);
+        Some(u64::from(self.weight[cut]))
+    }
+
+    /// The cut mapping generation takes (see the module docs): of `v`'s
+    /// listed cuts with cone weight ≤ `weight` whose leaves all satisfy
+    /// `l^s(u) − Φ·w + 1 ≤ height`, one with the fewest leaves, and of
+    /// those the one to which `cone_size` (given the cut's leaf nodes and
+    /// register counts) assigns the smallest cone. `None` when no cut
+    /// qualifies. Meaningless for fallback gates, which list no cuts.
+    pub(crate) fn final_cut(
+        &self,
+        v: NodeId,
+        ls: &[i64],
+        phi: i64,
+        height: i64,
+        weight: u64,
+        mut cone_size: impl FnMut(&[u32], &[u8]) -> usize,
+    ) -> Option<ExpCut> {
+        // Sorted by cone weight: the first cut too heavy ends the list.
+        let qualifying = || {
+            self.cuts(v)
+                .take_while(|&cut| u64::from(self.weight[cut]) <= weight)
+                .filter(|&cut| self.within_height(cut, ls, phi, height))
+        };
+        let fewest = qualifying().map(|cut| self.num_leaves(cut)).min()?;
+        let mut tied = qualifying().filter(|&cut| self.num_leaves(cut) == fewest);
+        let first = tied.next()?;
+        // Cone walks only break ties; `min_by_key` keeps the first minimum.
+        let cut = match tied.next() {
+            None => first,
+            Some(second) => [first, second].into_iter().chain(tied).min_by_key(|&cut| {
+                let leaves = self.leaves(cut);
+                cone_size(&self.leaf_node[leaves.clone()], &self.leaf_weight[leaves])
+            })?,
+        };
+        engine::telemetry::record(engine::hist::Metric::CutSize, fewest as u64);
+        let signals = self
+            .leaves(cut)
+            .map(|l| ExpNode {
+                node: NodeId(self.leaf_node[l]),
+                weight: u64::from(self.leaf_weight[l]),
+            })
+            .collect();
+        Some(ExpCut { signals })
+    }
+
+    /// The arena indices of `v`'s cuts, in ascending cone weight.
+    fn cuts(&self, v: NodeId) -> std::ops::Range<usize> {
+        self.gate_off[v.index()] as usize..self.gate_off[v.index() + 1] as usize
+    }
+
+    /// The arena indices of `cut`'s leaves.
+    fn leaves(&self, cut: usize) -> std::ops::Range<usize> {
+        self.leaf_off[cut] as usize..self.leaf_off[cut + 1] as usize
+    }
+
+    fn num_leaves(&self, cut: usize) -> usize {
+        (self.leaf_off[cut + 1] - self.leaf_off[cut]) as usize
+    }
+
+    /// Whether every leaf `u^w` of `cut` has `l^s(u) − Φ·w + 1 ≤ height`.
+    fn within_height(&self, cut: usize, ls: &[i64], phi: i64, height: i64) -> bool {
+        self.leaves(cut)
+            .all(|l| ls[self.leaf_node[l] as usize] - phi * i64::from(self.leaf_weight[l]) < height)
     }
 
     /// Plants `fault` in gate `v`'s list; false when the list has no such
@@ -231,6 +314,80 @@ impl CutArena {
             }
         }
         true
+    }
+}
+
+/// Reusable buffers of the cone walks that break final-cut ties.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ConeWalk {
+    /// Per node: the walk that last reached it; `head` is valid only
+    /// under the current walk's stamp.
+    stamp: Vec<u32>,
+    /// Per node: its latest instance in `inst` this walk.
+    head: Vec<u32>,
+    /// The instances reached: (register count, the node's previous
+    /// instance or [`ConeWalk::NONE`]).
+    inst: Vec<(u64, u32)>,
+    /// Instances `(node, register count)` still to expand.
+    stack: Vec<(u32, u64)>,
+    walk: u32,
+}
+
+impl ConeWalk {
+    const NONE: u32 = u32::MAX;
+
+    /// The number of `(node, register count)` instances in the cone of
+    /// gate `v` bounded by the leaves `node[i]^{w[i]}`, walking fanins from
+    /// the root as mapping generation derives the cone.
+    pub(crate) fn size(&mut self, c: &Circuit, v: NodeId, node: &[u32], w: &[u8]) -> usize {
+        let n = c.num_nodes();
+        if self.stamp.len() < n {
+            self.stamp.resize(n, 0);
+            self.head.resize(n, Self::NONE);
+        }
+        self.walk = self.walk.wrapping_add(1);
+        if self.walk == 0 {
+            self.stamp.fill(0);
+            self.walk = 1;
+        }
+        self.inst.clear();
+        self.stack.clear();
+        self.visit(v.0, 0);
+        while let Some((x, xw)) = self.stack.pop() {
+            for &e in c.node(NodeId(x)).fanin() {
+                let edge = c.edge(e);
+                let (u, uw) = (edge.from().0, xw + edge.weight() as u64);
+                let leaf = node
+                    .iter()
+                    .zip(w)
+                    .any(|(&ln, &lw)| ln == u && u64::from(lw) == uw);
+                if !leaf {
+                    self.visit(u, uw);
+                }
+            }
+        }
+        self.inst.len()
+    }
+
+    /// Records instance `u^w` and queues it, unless this walk has it.
+    fn visit(&mut self, u: u32, w: u64) {
+        let i = u as usize;
+        if self.stamp[i] == self.walk {
+            let mut j = self.head[i];
+            while j != Self::NONE {
+                let (jw, prev) = self.inst[j as usize];
+                if jw == w {
+                    return;
+                }
+                j = prev;
+            }
+        } else {
+            self.stamp[i] = self.walk;
+            self.head[i] = Self::NONE;
+        }
+        self.inst.push((w, self.head[i]));
+        self.head[i] = (self.inst.len() - 1) as u32;
+        self.stack.push((u, w));
     }
 }
 
@@ -581,10 +738,11 @@ fn is_subset(a: &[Key], b: &[Key]) -> bool {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::cutsearch::min_weight_cut;
+    use crate::cutsearch::{find_cut, min_weight_cut};
     use crate::expand::ExpandedCircuit;
     use crate::frtcheck::FrtContext;
     use engine::Rng64;
+    use netlist::{Bit, TruthTable};
 
     /// A random FSM, K-bounded for `k`.
     pub(crate) fn random_fsm(rng: &mut Rng64, trial: u64, k: usize) -> Circuit {
@@ -640,6 +798,110 @@ pub(crate) mod tests {
                 }
             }
         }
+    }
+
+    /// A cut's leaves `u^w` as a sorted set: flow and arena list the
+    /// same cut in different orders.
+    pub(crate) fn leaf_set(cut: Option<&ExpCut>) -> Option<Vec<(u32, u64)>> {
+        cut.map(|cut| {
+            let mut set: Vec<(u32, u64)> =
+                cut.signals.iter().map(|s| (s.node.0, s.weight)).collect();
+            set.sort_unstable();
+            set
+        })
+    }
+
+    /// The final-cut pick: for random labels, Φ, heights and cone-weight
+    /// bounds, the listed cut [`CutArena::final_cut`] picks has exactly
+    /// the leaves of the near-sink max-flow cut on the gate's expansion —
+    /// for per-gate `frt(v)` bounds and for one horizon `h`.
+    #[test]
+    fn final_cut_equals_the_flow_cut_on_random_fsms() {
+        let mut rng = Rng64::new(0xF1C07);
+        let mut walk = ConeWalk::default();
+        for trial in 0..24 {
+            let k = rng.range_usize(2, 7);
+            let c = random_fsm(&mut rng, trial, k);
+            let order = c.comb_topo_order().unwrap();
+            let h = rng.range_usize(0, 4) as u64;
+            let bounds = [
+                retiming::max_forward_retiming_values(&c),
+                vec![h; c.num_nodes()],
+            ];
+            for bound in &bounds {
+                let arena = CutArena::enumerate(&c, &order, bound, k, CUT_CAP);
+                for _ in 0..3 {
+                    let ls: Vec<i64> = (0..c.num_nodes()).map(|_| rng.range_i64(-4, 6)).collect();
+                    let phi = rng.range_i64(1, 5);
+                    for v in c.gate_ids().filter(|&v| !arena.is_fallback(v)) {
+                        let b = bound[v.index()];
+                        let exp = ExpandedCircuit::build(&c, v, b, usize::MAX).unwrap();
+                        let height = rng.range_i64(-3, 7);
+                        let weight = rng.range_usize(0, b as usize + 1) as u64;
+                        let flow = find_cut(&exp, &ls, phi, height, weight, k);
+                        let pick = arena.final_cut(v, &ls, phi, height, weight, |node, w| {
+                            walk.size(&c, v, node, w)
+                        });
+                        assert_eq!(
+                            leaf_set(pick.as_ref()),
+                            leaf_set(flow.as_ref()),
+                            "trial {trial} k={k} {v:?} bound {b} height {height} weight {weight}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Two minimum cuts qualify and the heavier cone is listed first: only
+    /// the cone-size tie-break picks the near-sink cut max-flow returns.
+    ///
+    /// `r = a ∧ b^1` with `a = c^1` (through a buffer edge), `c = ¬x` and
+    /// `b = ¬y`. At height 0 the labels rule out `a` and `b^1` as leaves,
+    /// leaving `{x^1, y^1}` (cone `r, a, c^1, b^1`) and `{c^1, y^1}` (cone
+    /// `r, a, b^1`).
+    #[test]
+    fn cone_size_breaks_ties_between_minimum_cuts() {
+        let mut c = Circuit::new("tie");
+        let x = c.add_input("x").unwrap();
+        let y = c.add_input("y").unwrap();
+        let cg = c.add_gate("c", TruthTable::not()).unwrap();
+        let a = c.add_gate("a", TruthTable::not()).unwrap();
+        let b = c.add_gate("b", TruthTable::not()).unwrap();
+        let r = c.add_gate("r", TruthTable::and(2)).unwrap();
+        let o = c.add_output("o").unwrap();
+        c.connect(x, cg, vec![]).unwrap();
+        c.connect(cg, a, vec![Bit::Zero]).unwrap();
+        c.connect(y, b, vec![]).unwrap();
+        c.connect(a, r, vec![]).unwrap();
+        c.connect(b, r, vec![Bit::Zero]).unwrap();
+        c.connect(r, o, vec![]).unwrap();
+        let order = c.comb_topo_order().unwrap();
+        let arena = CutArena::enumerate(&c, &order, &vec![1; c.num_nodes()], 2, CUT_CAP);
+        let mut ls = vec![0; c.num_nodes()];
+        ls[a.index()] = 100;
+        ls[b.index()] = 100;
+        let (phi, height, weight) = (1, 0, 1);
+
+        let exp = ExpandedCircuit::build(&c, r, 1, usize::MAX).unwrap();
+        let flow = find_cut(&exp, &ls, phi, height, weight, 2);
+        let near_sink = vec![(y.0, 1), (cg.0, 1)];
+        assert_eq!(leaf_set(flow.as_ref()), Some(near_sink.clone()));
+        // The first qualifying two-leaf cut in list order is the other one.
+        let first = arena
+            .cuts(r)
+            .find(|&cut| arena.num_leaves(cut) == 2 && arena.within_height(cut, &ls, phi, height))
+            .unwrap();
+        let leaves: Vec<(u32, u64)> = arena
+            .leaves(first)
+            .map(|l| (arena.leaf_node[l], u64::from(arena.leaf_weight[l])))
+            .collect();
+        assert_eq!(leaves, vec![(x.0, 1), (y.0, 1)]);
+        let mut walk = ConeWalk::default();
+        let pick = arena.final_cut(r, &ls, phi, height, weight, |node, w| {
+            walk.size(&c, r, node, w)
+        });
+        assert_eq!(leaf_set(pick.as_ref()), Some(near_sink));
     }
 
     #[test]

@@ -9,6 +9,10 @@
 //! `Φ` — so [`CutOracle::new`] lists every gate's cuts once per run
 //! ([`crate::cutenum`]) and an answer is a scan of the gate's list.
 //!
+//! Mapping generation's final cut per gate — the near-sink max-flow cut
+//! under the converged labels — is picked from the same list
+//! ([`CutArena::final_cut`]).
+//!
 //! A gate whose list would exceed the cut cap falls back to the bounded
 //! max-flow of [`crate::cutsearch`] on its own expanded circuit, built
 //! once with the oracle (and treated as cut-less past
@@ -73,6 +77,7 @@ impl<'a> CutOracle<'a> {
         // unique generation tag).
         let mut pairs: Vec<(usize, usize)> = Vec::new();
         let mut stamp: Vec<u32> = vec![0; n];
+        let mut fallback_gates = 0u64;
         for v in circuit.gate_ids() {
             let mut reads = |x: usize| {
                 if stamp[x] != v.0 + 1 {
@@ -81,6 +86,7 @@ impl<'a> CutOracle<'a> {
                 }
             };
             if cuts.is_fallback(v) {
+                fallback_gates += 1;
                 let exp = ExpandedCircuit::build(circuit, v, bound[v.index()], MAX_EXPANDED_NODES);
                 for en in exp.iter().flat_map(|exp| &exp.nodes) {
                     reads(en.node.index());
@@ -93,6 +99,14 @@ impl<'a> CutOracle<'a> {
             }
         }
         let requeue = graphalgo::Csr::from_edges(n, &pairs);
+        engine::log::debug(
+            "turbomap::cutoracle",
+            "cut arena",
+            &[
+                ("gates", engine::JsonValue::UInt(circuit.num_gates() as u64)),
+                ("fallback_gates", engine::JsonValue::UInt(fallback_gates)),
+            ],
+        );
         CutOracle {
             circuit,
             bound,
@@ -163,10 +177,11 @@ impl<'a> CutOracle<'a> {
         w_min.map_or(CutAnswer::NoCut, CutAnswer::Weight)
     }
 
-    /// The near-sink max-flow cut of `F_v^{b(v)}` with height ≤ `height`
-    /// and cone weight ≤ `weight` — the cut mapping generation uses. The
-    /// gate's expansion is read when kept, and otherwise built, used and
-    /// dropped.
+    /// The cut of `F_v^{b(v)}` mapping generation uses: the near-sink
+    /// max-flow cut with height ≤ `height` and cone weight ≤ `weight`.
+    /// Picked from the gate's cut list; a fallback gate runs the max-flow
+    /// on its kept expansion, or on one built, used and dropped when the
+    /// kept one hit [`MAX_EXPANDED_NODES`].
     pub(crate) fn final_cut(
         &self,
         scratch: &mut CutScratch,
@@ -176,6 +191,12 @@ impl<'a> CutOracle<'a> {
         height: i64,
         weight: u64,
     ) -> Option<ExpCut> {
+        if !self.cuts.is_fallback(v) {
+            let cones = &mut scratch.cones;
+            return self.cuts.final_cut(v, ls, phi, height, weight, |node, w| {
+                cones.size(self.circuit, v, node, w)
+            });
+        }
         let built;
         let exp: &ExpandedCircuit = match self.expanded[v.index()].get() {
             Some(Some(exp)) => exp,
@@ -186,6 +207,34 @@ impl<'a> CutOracle<'a> {
             }
         };
         find_cut_with(scratch, exp, ls, phi, height, weight, self.k)
+    }
+
+    /// [`CutOracle::final_cut`] for every gate `v` for which `goal(v)`
+    /// gives the `(height, weight)` bounds; `None` for the other nodes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a gate has no cut within its bounds (converged labels
+    /// always admit one).
+    pub(crate) fn final_cuts(
+        &self,
+        ls: &[i64],
+        phi: i64,
+        goal: impl Fn(NodeId) -> Option<(i64, u64)>,
+    ) -> Vec<Option<ExpCut>> {
+        let _span = engine::trace::span1("final_cuts", "gates", self.circuit.num_gates() as u64);
+        let mut cuts: Vec<Option<ExpCut>> = vec![None; self.circuit.num_nodes()];
+        let mut scratch = CutScratch::new();
+        for v in self.circuit.gate_ids() {
+            let Some((height, weight)) = goal(v) else {
+                continue;
+            };
+            let cut = self
+                .final_cut(&mut scratch, ls, v, phi, height, weight)
+                .expect("converged labels admit a cut");
+            cuts[v.index()] = Some(cut);
+        }
+        cuts
     }
 
     /// Replaces the requeue index (tests compare alternatives).

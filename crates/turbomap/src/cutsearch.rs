@@ -15,6 +15,7 @@
 //! * everything else has unit capacity; flow ≤ K ⟺ a K-cut exists, and the
 //!   residual min-cut is returned.
 
+use crate::cutenum::ConeWalk;
 use crate::expand::{ExpNode, ExpandedCircuit};
 use graphalgo::NodeCutNetwork;
 
@@ -25,18 +26,18 @@ pub struct ExpCut {
     pub signals: Vec<ExpNode>,
 }
 
-/// Reusable flow-network arena for cut queries.
+/// Reusable buffers for cut queries: the flow network of the max-flow
+/// queries, and the cone walks of the final cuts picked from a cut arena.
 ///
-/// The FRTcheck sweeps issue one bounded max-flow per `LabelUpdate`
-/// candidate weight — hundreds of thousands of queries per Φ probe on the
-/// larger circuits — and the inner [`NodeCutNetwork`] is the only
-/// allocation each query needs. A scratch amortises it: every query calls
+/// A flow query's inner [`NodeCutNetwork`] is the only allocation it
+/// needs. A scratch amortises it: every query calls
 /// [`NodeCutNetwork::reset`] instead of reallocating, so the adjacency
 /// rows, arc pool and BFS buffers grow to the largest expanded circuit
 /// seen and stay there. One scratch per thread (they are not shared).
 #[derive(Debug, Clone, Default)]
 pub struct CutScratch {
     net: NodeCutNetwork,
+    pub(crate) cones: ConeWalk,
 }
 
 impl CutScratch {

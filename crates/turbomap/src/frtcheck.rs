@@ -528,35 +528,18 @@ impl<'a> FrtContext<'a> {
 
     /// Extracts, for every gate, the K-cut consistent with the final
     /// labels: height ≤ `l^s(v)`, cone weight ≤ `r(v)` — the near-sink
-    /// max-flow cut on the gate's expansion.
+    /// max-flow cut of `F_v^{frt(v)}`, picked from the gate's cut list
+    /// (see `crate::cutenum`).
     ///
     /// # Panics
     ///
     /// Panics if a cut cannot be re-derived (would contradict
     /// convergence).
     pub fn final_cuts(&self, labels: &LabelPairs, phi: u64) -> Vec<Option<ExpCut>> {
-        let phi_i = phi as i64;
-        let mut cuts: Vec<Option<ExpCut>> = vec![None; self.circuit.num_nodes()];
-        let mut scratch = CutScratch::new();
-        for v in self.circuit.gate_ids() {
+        self.oracle.final_cuts(&labels.ls, phi as i64, |v| {
             let i = v.index();
-            if labels.ls[i] <= LS_NEG_INF {
-                continue;
-            }
-            let cut = self
-                .oracle
-                .final_cut(
-                    &mut scratch,
-                    &labels.ls,
-                    v,
-                    phi_i,
-                    labels.ls[i],
-                    labels.r[i],
-                )
-                .expect("converged labels admit a cut");
-            cuts[i] = Some(cut);
-        }
-        cuts
+            (labels.ls[i] > LS_NEG_INF).then_some((labels.ls[i], labels.r[i]))
+        })
     }
 
     /// Re-runs the probe at `phi` serially, recording every label
@@ -734,6 +717,7 @@ pub(crate) fn comb_levels(c: &Circuit, order: &[NodeId]) -> Levels {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cutenum::tests::leaf_set;
     use netlist::{Bit, TruthTable};
 
     /// Figure 2(a) of the paper (our reconstruction): a 2-gate chain from
@@ -966,8 +950,8 @@ mod tests {
     }
 
     /// A cut cap of 1 sends most gates — and every gate whose cone may
-    /// absorb one of them — to the max-flow fallback; the probes must not
-    /// notice.
+    /// absorb one of them — to the max-flow fallback; the probes and the
+    /// final cuts must not notice.
     #[test]
     fn tiny_cut_cap_falls_back_to_flow_with_identical_results() {
         for (seed, k) in [(11, 4), (12, 3), (13, 5)] {
@@ -981,6 +965,19 @@ mod tests {
                 assert_eq!(a.iterations, b.iterations, "seed {seed} phi {phi}");
                 assert_eq!(a.labels.ls, b.labels.ls, "seed {seed} phi {phi}");
                 assert_eq!(a.labels.r, b.labels.r, "seed {seed} phi {phi}");
+                if a.feasible {
+                    let (x, y) = (
+                        exact.final_cuts(&a.labels, phi),
+                        capped.final_cuts(&b.labels, phi),
+                    );
+                    for v in c.gate_ids() {
+                        assert_eq!(
+                            leaf_set(x[v.index()].as_ref()),
+                            leaf_set(y[v.index()].as_ref()),
+                            "seed {seed} phi {phi} {v:?}"
+                        );
+                    }
+                }
             }
         }
     }

@@ -15,7 +15,7 @@
 //! cuts of `F_v^h` are listed once per run and a label update scans them
 //! (flow fallback for gates with too many cuts — see `crate::cutoracle`).
 
-use crate::cutenum::{CutFault, CUT_CAP};
+use crate::cutenum::{CutArena, CutFault, CUT_CAP};
 use crate::cutoracle::{CutAnswer, CutOracle};
 use crate::cutsearch::{CutScratch, ExpCut};
 use crate::expand::ExpandedCircuit;
@@ -88,6 +88,11 @@ impl<'a> GeneralContext<'a> {
             return None;
         }
         self.oracle.expanded(v)
+    }
+
+    /// The cut lists the label updates scan.
+    pub fn cut_arena(&self) -> &CutArena {
+        self.oracle.arena()
     }
 
     /// The LUT input bound `K` the context was built for.
@@ -225,27 +230,17 @@ impl<'a> GeneralContext<'a> {
     }
 
     /// Extracts a cut consistent with the final labels for every live
-    /// gate: the near-sink max-flow cut on the gate's expansion.
+    /// gate: the near-sink max-flow cut of `F_v^h`, picked from the gate's
+    /// cut list (see `crate::cutenum`).
     ///
     /// # Panics
     ///
     /// Panics if a converged label admits no cut (contradiction).
     pub fn final_cuts(&self, labels: &[i64], phi: u64) -> Vec<Option<ExpCut>> {
-        let phi_i = phi as i64;
-        let mut cuts: Vec<Option<ExpCut>> = vec![None; self.circuit.num_nodes()];
-        let mut scratch = CutScratch::new();
-        for v in self.circuit.gate_ids() {
+        self.oracle.final_cuts(labels, phi as i64, |v| {
             let i = v.index();
-            if !self.live[i] || labels[i] <= LS_NEG_INF {
-                continue;
-            }
-            let cut = self
-                .oracle
-                .final_cut(&mut scratch, labels, v, phi_i, labels[i], self.horizon)
-                .expect("converged labels admit a cut");
-            cuts[i] = Some(cut);
-        }
-        cuts
+            (self.live[i] && labels[i] > LS_NEG_INF).then_some((labels[i], self.horizon))
+        })
     }
 }
 
@@ -272,7 +267,7 @@ pub fn po_reachable(c: &Circuit) -> Vec<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cutenum::tests::random_fsm;
+    use crate::cutenum::tests::{leaf_set, random_fsm};
     use crate::cutsearch::find_cut;
     use engine::Rng64;
     use netlist::{Bit, TruthTable};
@@ -391,7 +386,7 @@ mod tests {
     }
 
     /// A cut cap of 1 sends most gates to the max-flow fallback; the
-    /// probes must not notice.
+    /// probes and the final cuts must not notice.
     #[test]
     fn tiny_cut_cap_falls_back_to_flow_with_identical_results() {
         let mut rng = Rng64::new(0xCA9);
@@ -401,13 +396,26 @@ mod tests {
             for h in [1, 2, 16] {
                 let exact = GeneralContext::new(&c, k, h);
                 let capped = GeneralContext::with_cut_cap(&c, k, h, 1);
-                assert!(c.gate_ids().any(|v| capped.oracle.arena().is_fallback(v)));
+                assert!(c.gate_ids().any(|v| capped.cut_arena().is_fallback(v)));
                 for phi in 1..=6 {
                     let (a, b) = (exact.check(phi), capped.check(phi));
                     let tag = format!("trial {trial} k={k} h={h} phi={phi}");
                     assert_eq!(a.feasible, b.feasible, "{tag}");
                     assert_eq!(a.iterations, b.iterations, "{tag}");
                     assert_eq!(a.labels, b.labels, "{tag}");
+                    if a.feasible {
+                        let (x, y) = (
+                            exact.final_cuts(&a.labels, phi),
+                            capped.final_cuts(&b.labels, phi),
+                        );
+                        for v in c.gate_ids() {
+                            assert_eq!(
+                                leaf_set(x[v.index()].as_ref()),
+                                leaf_set(y[v.index()].as_ref()),
+                                "{tag} {v:?}"
+                            );
+                        }
+                    }
                 }
             }
         }
