@@ -23,13 +23,6 @@ pub struct SuiteConfig {
     pub timeout: Option<Duration>,
     /// Keep only circuits with at most this many gates (`None` → all 18).
     pub max_gates: Option<usize>,
-    /// Intra-job sweep parallelism for the TurboMap-frt Φ probes
-    /// (`turbomap::Options::sweep_workers`: 1 serial, 0 auto). Mapped
-    /// results are byte-identical for every value.
-    pub sweep_workers: usize,
-    /// Warm-start Φ probes from the previous feasible labels
-    /// (`turbomap::Options::warm_start`).
-    pub warm_start: bool,
     /// Partition-and-conquer TurboMap-frt leg: `None` monolithic,
     /// `Some(0)` auto block count, `Some(n)` fixed
     /// (see [`crate::try_run_row_partitioned`]).
@@ -44,8 +37,6 @@ impl Default for SuiteConfig {
             jobs: 1,
             timeout: None,
             max_gates: None,
-            sweep_workers: 1,
-            warm_start: true,
             partitions: None,
         }
     }
@@ -61,9 +52,7 @@ pub fn run_table1_suite(cfg: &SuiteConfig) -> Vec<JobReport<Row>> {
     let specs: Vec<JobSpec<Row>> = suite
         .into_iter()
         .map(|(p, c)| {
-            let mut opts = turbomap::Options::with_k(cfg.k);
-            opts.sweep_workers = cfg.sweep_workers;
-            opts.warm_start = cfg.warm_start;
+            let opts = turbomap::Options::with_k(cfg.k);
             let verify = cfg.verify;
             let partitions = cfg.partitions;
             JobSpec::new(p.name, move || {
@@ -98,9 +87,7 @@ pub fn explain_suite(cfg: &SuiteConfig) -> Vec<(String, Result<String, String>)>
     suite
         .into_iter()
         .map(|(p, c)| {
-            let mut opts = turbomap::Options::with_k(cfg.k);
-            opts.sweep_workers = cfg.sweep_workers;
-            opts.warm_start = cfg.warm_start;
+            let opts = turbomap::Options::with_k(cfg.k);
             (p.name.to_string(), explain_one(&c, opts))
         })
         .collect()

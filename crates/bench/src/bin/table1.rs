@@ -3,8 +3,7 @@
 //!
 //! Usage:
 //!   table1 [--max-gates N] [--k K] [--no-verify] [--stats]
-//!          [--jobs N] [--sweep-workers N] [--no-warm-start]
-//!          [--timeout-secs S] [--json PATH] [--canonical]
+//!          [--jobs N] [--timeout-secs S] [--json PATH] [--canonical]
 //!          [--trace-dir DIR] [--report-dir DIR] [--suite table1|large]
 //!          [--partitions K|auto]
 //!
@@ -45,13 +44,6 @@
 //!
 //! `--stats` additionally prints the FRTcheck iteration counts per probed
 //! clock period (the paper's §3.2 claim of 5–15 iterations).
-//!
-//! `--sweep-workers` sets the *intra*-job parallelism of the
-//! TurboMap-frt label sweeps (1 = serial, the default for artifact
-//! comparability; 0 = auto); any value yields the byte-identical
-//! canonical artifact. `--no-warm-start` disables probe warm-starting:
-//! mapped quality (Φ/LUT/FF) is unchanged but per-probe sweep counts
-//! and the `frt_sweeps`/`sweeps_saved` counters shift.
 
 use bench::batch::{failures, run_table1_suite, SuiteConfig};
 use bench::{artifact, geomean, Row};
@@ -184,13 +176,6 @@ fn main() {
             "--jobs" => {
                 cfg.jobs = args.next().and_then(|v| v.parse().ok()).expect("--jobs N");
             }
-            "--sweep-workers" => {
-                cfg.sweep_workers = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--sweep-workers N (0 = auto)");
-            }
-            "--no-warm-start" => cfg.warm_start = false,
             "--partitions" => {
                 let v = args.next().expect("--partitions K|auto");
                 cfg.partitions = Some(if v == "auto" {

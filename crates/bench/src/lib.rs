@@ -90,10 +90,8 @@ pub fn try_run_row(name: &str, c: &Circuit, k: usize, verify: bool) -> Result<Ro
     try_run_row_opts(name, c, verify, turbomap::Options::with_k(k))
 }
 
-/// [`try_run_row`] with full control over the TurboMap options — the
-/// bench binaries use this to thread `--sweep-workers` /
-/// `--no-warm-start` through to the Φ probes. `opts.k` applies to all
-/// three algorithms.
+/// [`try_run_row`] with full control over the TurboMap options.
+/// `opts.k` applies to all three algorithms.
 ///
 /// # Errors
 ///
@@ -165,8 +163,7 @@ pub fn try_run_row_partitioned(
             } else {
                 p
             };
-            let mut popts = partition::PartitionOptions::new(k, blocks);
-            popts.sweep_workers = opts.sweep_workers;
+            let popts = partition::PartitionOptions::new(k, blocks);
             let part =
                 partition::partition_map(c, &popts).map_err(|e| format!("partition: {e}"))?;
             let verified = check(&part.circuit, 3, netlist::EquivMode::Compatibility);

@@ -78,10 +78,8 @@ impl BatchArgs {
                 onehot: false,
                 pack: false,
                 strash: false,
-                sweep_workers: 1,
                 partitions: None,
                 jobs: 0,
-                no_warm_start: false,
                 trace_out: None,
                 report: None,
                 report_inline: false,

@@ -67,9 +67,6 @@ pub struct Args {
     pub pack: bool,
     /// Run structural hashing on the mapped result.
     pub strash: bool,
-    /// Intra-job sweep parallelism for turbomap-frt (1 = serial,
-    /// 0 = auto). Results are identical for every setting.
-    pub sweep_workers: usize,
     /// Partition-and-conquer mapping: `None` off, `Some(0)` auto (one
     /// block per ~100k gates), `Some(n)` a fixed block count.
     /// turbomap-frt only.
@@ -77,8 +74,6 @@ pub struct Args {
     /// Block-level worker threads for `--partitions` (0 → one worker).
     /// Results are byte-identical for every setting.
     pub jobs: usize,
-    /// Disable warm-starting Φ probes from the previous feasible probe.
-    pub no_warm_start: bool,
     /// Write a Chrome-trace JSON of the run's spans to this path.
     pub trace_out: Option<String>,
     /// Write a `turbomap-report/v1` JSON (Φ-optimality certificate +
@@ -110,10 +105,8 @@ impl Args {
             onehot: false,
             pack: false,
             strash: false,
-            sweep_workers: 1,
             partitions: None,
             jobs: 0,
-            no_warm_start: false,
             trace_out: None,
             report: None,
             report_inline: false,
@@ -161,12 +154,6 @@ impl Args {
                 "--onehot" => args.onehot = true,
                 "--pack" => args.pack = true,
                 "--strash" => args.strash = true,
-                "--sweep-workers" => {
-                    args.sweep_workers = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| "--sweep-workers needs a count (0 = auto)".to_string())?;
-                }
                 "--partitions" => {
                     let v = it
                         .next()
@@ -179,7 +166,6 @@ impl Args {
                         .and_then(|v| v.parse().ok())
                         .ok_or_else(|| "--jobs needs a count (0 = one worker)".to_string())?;
                 }
-                "--no-warm-start" => args.no_warm_start = true,
                 "--trace-out" => {
                     args.trace_out = Some(
                         it.next()
@@ -245,17 +231,12 @@ USAGE: tmfrt [map] <input> [-o out.blif] [-a ALGO] [-k K] [--pushback] [--verify
   --onehot     one-hot state encoding for KISS2 inputs (default binary)
   --pack       LUT packing area post-pass on the result
   --strash     structural hashing (duplicate-logic sweep) on the result
-  --sweep-workers N
-               threads for the turbomap-frt label sweeps (default 1,
-               0 = all cores); any N gives byte-identical results
   --partitions K|auto
                partition-and-conquer: split the design at FF boundaries
                into K blocks (auto = one per ~100k gates), map each with
                turbomap-frt, stitch the results (turbomap-frt only)
   --jobs N     block-level workers for --partitions (default 1); any N
                gives byte-identical results
-  --no-warm-start
-               cold-start every Φ probe (A/B switch; results unchanged)
   --trace-out  write a Chrome-trace JSON of the run's spans (open in
                Perfetto or chrome://tracing)
   --report     write a turbomap-report/v1 JSON (Φ-optimality certificate
@@ -565,9 +546,6 @@ pub struct ExplainArgs {
     pub check: bool,
     /// Also write the report JSON to this path.
     pub out: Option<String>,
-    /// Sweep parallelism (1 = serial, 0 = auto); report bytes are
-    /// identical for every setting.
-    pub sweep_workers: usize,
 }
 
 impl ExplainArgs {
@@ -584,7 +562,6 @@ impl ExplainArgs {
             json: false,
             check: false,
             out: None,
-            sweep_workers: 1,
         };
         let mut it = raw.iter();
         while let Some(a) = it.next() {
@@ -607,12 +584,6 @@ impl ExplainArgs {
                             .ok_or_else(|| "--output needs a path".to_string())?
                             .clone(),
                     );
-                }
-                "--sweep-workers" => {
-                    args.sweep_workers = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| "--sweep-workers needs a count (0 = auto)".to_string())?;
                 }
                 "-h" | "--help" => return Err(EXPLAIN_USAGE.to_string()),
                 other if args.input.is_empty() && !other.starts_with('-') => {
@@ -638,7 +609,7 @@ and (b) per-LUT depth/slack, the critical path, label pairs and the
 retiming summary.
 
 USAGE: tmfrt explain <input> [-k K] [--json] [--check] [-o r.json]
-                     [--onehot] [--sweep-workers N]
+                     [--onehot]
 
   <input>    a .blif file, a .kiss2 file, `-` (BLIF on stdin), or
              gen:<preset>
@@ -648,10 +619,7 @@ USAGE: tmfrt explain <input> [-k K] [--json] [--check] [-o r.json]
              (own frt/cone/max-flow arithmetic); exit non-zero unless
              the Φ−1 witness verifies
   -o PATH    also write the report JSON to PATH
-  --onehot   one-hot state encoding for KISS2 inputs
-  --sweep-workers N
-             label-sweep threads (default 1, 0 = all cores); the report
-             bytes are identical for every setting";
+  --onehot   one-hot state encoding for KISS2 inputs";
 
 /// Runs `tmfrt explain`: maps, assembles the report, optionally verifies
 /// it with the independent checker, and renders table or JSON.
@@ -662,8 +630,7 @@ USAGE: tmfrt explain <input> [-k K] [--json] [--check] [-o r.json]
 /// `certificate check FAILED: …` message when `--check` does not verify.
 pub fn run_explain(args: &ExplainArgs) -> Result<String, String> {
     let circuit = load_input(&args.input, args.onehot)?;
-    let mut opts = turbomap::Options::with_k(args.k);
-    opts.sweep_workers = args.sweep_workers;
+    let opts = turbomap::Options::with_k(args.k);
     let explained = report::explain(&circuit, opts).map_err(|e| e.to_string())?;
     let json = explained.to_json().render_pretty();
     let mut check_line = None;
@@ -780,9 +747,7 @@ pub fn run(args: &Args, input: &Circuit) -> Result<RunOutcome, String> {
             (r.circuit, false)
         }
         Algorithm::TurboMapFrt => {
-            let mut opts = turbomap::Options::with_k(args.k);
-            opts.sweep_workers = args.sweep_workers;
-            opts.warm_start = !args.no_warm_start;
+            let opts = turbomap::Options::with_k(args.k);
             if args.report.is_some() || args.report_inline {
                 // The report pipeline wraps the same mapping run, so the
                 // circuit comes out of `explain` rather than mapping twice.
@@ -809,7 +774,6 @@ pub fn run(args: &Args, input: &Circuit) -> Result<RunOutcome, String> {
                 };
                 let mut popts = partition::PartitionOptions::new(args.k, blocks);
                 popts.jobs = args.jobs;
-                popts.sweep_workers = args.sweep_workers;
                 let r = partition::partition_map(&source, &popts).map_err(|e| e.to_string())?;
                 let pr = &r.report;
                 writeln!(
@@ -976,20 +940,6 @@ mod tests {
         assert_eq!(a.verify, Some(100));
         assert!(a.onehot);
         assert_eq!(a.output.as_deref(), Some("out.blif"));
-    }
-
-    #[test]
-    fn parses_reuse_knobs() {
-        let a = Args::parse(&argv("gen:sand --sweep-workers 4 --no-warm-start")).unwrap();
-        assert_eq!(a.sweep_workers, 4);
-        assert!(a.no_warm_start);
-        let b = Args::parse(&argv("gen:sand --sweep-workers 0")).unwrap();
-        assert_eq!(b.sweep_workers, 0);
-        assert!(Args::parse(&argv("gen:sand --sweep-workers")).is_err());
-        // Defaults: serial sweeps, warm starts on.
-        let d = Args::parse(&argv("gen:sand")).unwrap();
-        assert_eq!(d.sweep_workers, 1);
-        assert!(!d.no_warm_start);
     }
 
     #[test]

@@ -40,8 +40,7 @@ tmfrt serve — live mapping service with /metrics, /jobs and SSE events
 
 USAGE: tmfrt serve [--addr HOST:PORT] [--jobs N] [--timeout-secs S]
                    [--trace] [-a ALGO] [-k K] [--verify N] [--pack]
-                   [--strash] [--pushback] [--sweep-workers N]
-                   [--partitions K|auto] [--no-warm-start] [-q]
+                   [--strash] [--pushback] [--partitions K|auto] [-q]
 
   --addr A          listen address (default 127.0.0.1:7878; port 0 picks
                     an ephemeral port, reported in the startup log line)
@@ -54,7 +53,7 @@ USAGE: tmfrt serve [--addr HOST:PORT] [--jobs N] [--timeout-secs S]
 
 ENDPOINTS
   POST /jobs        submit a BLIF body (?name=&algorithm=&k=&verify=&
-                    sweep_workers=&partition=&timeout_secs=&report=1
+                    partition=&timeout_secs=&report=1
                     override defaults; partition=K|auto|off maps the job
                     partition-and-conquer) or a JSON manifest
                     {\"jobs\":[{\"name\":…,\"source\":\"gen:…|path\"|\"blif\":…}]}
@@ -157,19 +156,12 @@ impl ServeArgs {
                 "--pack" => out.run.pack = true,
                 "--strash" => out.run.strash = true,
                 "--pushback" => out.run.pushback = true,
-                "--sweep-workers" => {
-                    out.run.sweep_workers = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| "--sweep-workers needs a count (0 = auto)".to_string())?;
-                }
                 "--partitions" => {
                     let v = it
                         .next()
                         .ok_or_else(|| "--partitions needs a count or `auto`".to_string())?;
                     out.run.partitions = Some(crate::parse_partitions(v)?);
                 }
-                "--no-warm-start" => out.run.no_warm_start = true,
                 "-q" | "--quiet" => out.quiet = true,
                 "-h" | "--help" => return Err(SERVE_USAGE.to_string()),
                 other => return Err(format!("unexpected argument `{other}`\n{SERVE_USAGE}")),
@@ -522,12 +514,6 @@ fn submit_jobs(state: &Arc<ServeState>, req: &Request) -> Response {
         match v.parse::<usize>() {
             Ok(n) => run_args.verify = Some(n),
             Err(_) => return Response::bad_request("verify must be a vector count"),
-        }
-    }
-    if let Some(w) = req.query_param("sweep_workers") {
-        match w.parse::<usize>() {
-            Ok(n) => run_args.sweep_workers = n,
-            Err(_) => return Response::bad_request("sweep_workers must be a count (0 = auto)"),
         }
     }
     if let Some(p) = req.query_param("partition") {
@@ -1138,8 +1124,7 @@ mod tests {
     #[test]
     fn parses_serve_flags() {
         let a = ServeArgs::parse(&argv(
-            "--addr 0.0.0.0:9000 --jobs 4 --timeout-secs 60 -a turbomap -k 4 --verify 64 \
-             --sweep-workers 3 --no-warm-start -q",
+            "--addr 0.0.0.0:9000 --jobs 4 --timeout-secs 60 -a turbomap -k 4 --verify 64 -q",
         ))
         .unwrap();
         assert_eq!(a.addr, "0.0.0.0:9000");
@@ -1148,8 +1133,6 @@ mod tests {
         assert_eq!(a.run.algorithm, crate::Algorithm::TurboMap);
         assert_eq!(a.run.k, 4);
         assert_eq!(a.run.verify, Some(64));
-        assert_eq!(a.run.sweep_workers, 3);
-        assert!(a.run.no_warm_start);
         assert!(a.quiet);
     }
 

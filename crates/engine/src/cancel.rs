@@ -108,13 +108,6 @@ pub fn current_reason() -> Option<CancelReason> {
     CURRENT.with(|c| c.borrow().as_ref().and_then(CancelToken::reason))
 }
 
-/// A clone of the token installed on the current thread, if any — lets a
-/// parent thread hand its job's token to scoped workers so they observe
-/// the same cancellation and deadline trips.
-pub fn current() -> Option<CancelToken> {
-    CURRENT.with(|c| c.borrow().clone())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,19 +146,6 @@ mod tests {
     fn no_token_means_not_cancelled() {
         assert!(!cancelled());
         assert_eq!(current_reason(), None);
-    }
-
-    #[test]
-    fn current_returns_installed_token() {
-        assert!(current().is_none());
-        let t = CancelToken::new();
-        {
-            let _g = install(t.clone());
-            let seen = current().expect("token installed");
-            t.cancel();
-            assert!(seen.is_cancelled());
-        }
-        assert!(current().is_none());
     }
 
     #[test]

@@ -82,7 +82,7 @@ pub use cancel::CancelToken;
 pub use hist::{Histogram, Metric};
 pub use json::JsonValue;
 pub use mem::{CountingAlloc, MemPhase, MemScope, MemStats};
-pub use pool::{scoped_workers, Pool};
+pub use pool::Pool;
 pub use prom::PromWriter;
 pub use rng::Rng64;
 pub use telemetry::{Counter, Phase, Telemetry};

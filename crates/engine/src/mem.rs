@@ -17,7 +17,7 @@
 //!   attributes wall time, allocation deltas and the within-scope heap
 //!   high-water mark to its [`MemPhase`], accumulated into the job's
 //!   [`Telemetry`](crate::telemetry::Telemetry) through the usual
-//!   snapshot/merge/since protocol — so scoped sweep workers merge their
+//!   snapshot/merge/since protocol — so worker threads merge their
 //!   phase memory back into the job exactly like counters do.
 //! * [`peak_rss_kib`] — the `VmHWM` probe from `/proc/self/status`
 //!   (previously private to `blifcheck`), plus [`current_rss_kib`].
@@ -30,7 +30,7 @@
 //! high-water without corrupting the enclosing scope's.
 //!
 //! Per-thread live bytes saturate at zero: a thread that frees memory
-//! allocated elsewhere (arena hand-offs between sweep workers) cannot
+//! allocated elsewhere (a hand-off from another thread) cannot
 //! underflow its own ledger.
 
 #![allow(unsafe_code)] // the GlobalAlloc impl is the crate's only unsafe.
@@ -249,8 +249,7 @@ impl MemStats {
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
 /// Serializes every test that toggles the process-wide gate — `ENABLED`
-/// is a global, so such tests cannot overlap (also used from `pool`'s
-/// scoped-worker accounting test).
+/// is a global, so such tests cannot overlap.
 #[cfg(test)]
 pub(crate) static TEST_GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
@@ -638,6 +637,50 @@ mod tests {
         let r = f();
         set_enabled(false);
         r
+    }
+
+    /// Worker threads attribute allocations to phases on their own
+    /// ledgers; taking each worker's telemetry and merging it into the
+    /// caller (what `partition_map` does with its block jobs) gives the
+    /// exact sums, and the max of the per-thread peaks.
+    #[test]
+    fn worker_memory_merges_into_the_caller() {
+        with_gate(|| {
+            let workers: Vec<telemetry::Telemetry> = std::thread::scope(|s| {
+                let handles: Vec<_> = (0..2)
+                    .map(|i| {
+                        s.spawn(move || {
+                            {
+                                let _s = scope(MemPhase::LabelSweep);
+                                // Worker 0 books 1000 bytes in 1 event,
+                                // worker 1 books 2000 in 2: distinct
+                                // shapes so the merge is checkable.
+                                for _ in 0..=i {
+                                    on_alloc(1000);
+                                }
+                                for _ in 0..=i {
+                                    on_dealloc(1000);
+                                }
+                            }
+                            telemetry::take()
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            for w in &workers {
+                telemetry::merge_local(w);
+            }
+            let t = telemetry::take();
+            let sweep = t.mem.phase(MemPhase::LabelSweep);
+            assert_eq!(sweep.allocs, 3, "1 + 2 events from the two workers");
+            assert_eq!(sweep.alloc_bytes, 3000);
+            assert_eq!(sweep.frees, 3);
+            // Peak merges as a max across threads: worker 1 held 2000 live.
+            assert_eq!(sweep.peak_bytes, 2000);
+            assert_eq!(t.mem.allocs, 3, "job ledger covers worker threads");
+            assert_eq!(t.mem.peak_bytes, 2000);
+        });
     }
 
     #[test]

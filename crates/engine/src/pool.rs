@@ -83,70 +83,6 @@ impl Pool {
     }
 }
 
-/// Runs `main` on the calling thread while `workers` scoped helper threads
-/// run `work(worker_index)` alongside it — the intra-job counterpart of
-/// [`Pool`], used to parallelise *within* one job (e.g. the per-level cut
-/// queries of a label sweep) without stealing threads from the job-level
-/// pool.
-///
-/// Each helper thread inherits the caller's execution context:
-///
-/// * the caller's installed [`crate::cancel::CancelToken`] (so deadline
-///   and shutdown trips reach the helpers),
-/// * the caller's [`crate::telemetry::LiveTelemetry`] mirror (so counters
-///   stay visible live while the job runs),
-///
-/// and when a helper returns, its thread-local telemetry (counters and
-/// histograms it accumulated) is merged back into the caller via
-/// [`crate::telemetry::merge_local`], keeping per-job totals exact and
-/// independent of how work was divided.
-///
-/// **Contract:** `main` must cause every `work(i)` call to return (for
-/// example by tripping a shared stop flag) — the calling thread joins the
-/// helpers after `main` returns and will otherwise block forever. With
-/// `workers == 0` no threads are spawned and `main` runs alone.
-pub fn scoped_workers<R>(
-    workers: usize,
-    work: impl Fn(usize) + Sync,
-    main: impl FnOnce() -> R,
-) -> R {
-    if workers == 0 {
-        return main();
-    }
-    let token = crate::cancel::current();
-    let mirror = crate::telemetry::current_mirror();
-    let collected: Mutex<Vec<crate::telemetry::Telemetry>> = Mutex::new(Vec::new());
-    let work = &work;
-    let token = &token;
-    let mirror = &mirror;
-    let collected_ref = &collected;
-    let result = std::thread::scope(|s| {
-        for i in 0..workers {
-            std::thread::Builder::new()
-                .name(format!("engine-sweep-{i}"))
-                .spawn_scoped(s, move || {
-                    let _cancel_guard = token.clone().map(crate::cancel::install);
-                    let _mirror_guard = mirror.clone().map(crate::telemetry::install_mirror);
-                    work(i);
-                    let t = crate::telemetry::take();
-                    collected_ref
-                        .lock()
-                        .expect("telemetry collection poisoned")
-                        .push(t);
-                })
-                .expect("spawn scoped worker");
-        }
-        main()
-    });
-    for t in collected
-        .into_inner()
-        .expect("telemetry collection poisoned")
-    {
-        crate::telemetry::merge_local(&t);
-    }
-    result
-}
-
 impl Drop for Pool {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
@@ -239,105 +175,6 @@ mod tests {
     fn workers_clamped_to_one() {
         let pool = Pool::new(0);
         assert_eq!(pool.workers(), 1);
-    }
-
-    #[test]
-    fn scoped_workers_merge_telemetry_and_inherit_cancel() {
-        use crate::telemetry::{self, Counter};
-        telemetry::reset();
-        let token = crate::cancel::CancelToken::new();
-        let _g = crate::cancel::install(token.clone());
-        let stop = AtomicBool::new(false);
-        let result = scoped_workers(
-            3,
-            |i| {
-                // Every helper sees the caller's (live) token...
-                assert!(!crate::cancel::cancelled());
-                // ...and its counts merge back into the caller afterwards.
-                telemetry::count(Counter::FlowAugmentations, i as u64 + 1);
-                while !stop.load(Ordering::Acquire) {
-                    std::thread::yield_now();
-                }
-            },
-            || {
-                stop.store(true, Ordering::Release);
-                42
-            },
-        );
-        assert_eq!(result, 42);
-        // 1 + 2 + 3 from the three helpers.
-        assert_eq!(
-            telemetry::take().counter(Counter::FlowAugmentations),
-            6,
-            "helper telemetry must merge into the caller"
-        );
-    }
-
-    #[test]
-    fn scoped_workers_merge_memory_accounting() {
-        use crate::mem::{self, MemPhase};
-        use crate::telemetry;
-        // Workers attribute allocations to phases on their own threads;
-        // after the scope, the caller's telemetry holds the exact sums
-        // (and the max of the per-thread peaks).
-        let _gate = mem::TEST_GATE.lock().unwrap_or_else(|e| e.into_inner());
-        mem::set_enabled(true);
-        telemetry::reset();
-        let stop = AtomicBool::new(false);
-        scoped_workers(
-            2,
-            |i| {
-                let _s = mem::scope(MemPhase::LabelSweep);
-                // Worker 0 books 1000 bytes in 1 event, worker 1 books
-                // 2000 in 2: distinct shapes so the merge is checkable.
-                for _ in 0..=i {
-                    mem::on_alloc(1000);
-                }
-                for _ in 0..=i {
-                    mem::on_dealloc(1000);
-                }
-                while !stop.load(Ordering::Acquire) {
-                    std::thread::yield_now();
-                }
-            },
-            || {
-                stop.store(true, Ordering::Release);
-            },
-        );
-        mem::set_enabled(false);
-        let t = telemetry::take();
-        let sweep = t.mem.phase(MemPhase::LabelSweep);
-        assert_eq!(sweep.allocs, 3, "1 + 2 events from the two workers");
-        assert_eq!(sweep.alloc_bytes, 3000);
-        assert_eq!(sweep.frees, 3);
-        // Peak merges as a max across threads: worker 1 held 2000 live.
-        assert_eq!(sweep.peak_bytes, 2000);
-        assert_eq!(t.mem.allocs, 3, "job ledger covers worker threads");
-        assert_eq!(t.mem.peak_bytes, 2000);
-    }
-
-    #[test]
-    fn scoped_workers_zero_runs_main_alone() {
-        let r = scoped_workers(0, |_| panic!("no workers expected"), || 7);
-        assert_eq!(r, 7);
-    }
-
-    #[test]
-    fn scoped_workers_see_cancellation_trips() {
-        let token = crate::cancel::CancelToken::new();
-        let _g = crate::cancel::install(token.clone());
-        let observed = AtomicBool::new(false);
-        scoped_workers(
-            1,
-            |_| {
-                while !crate::cancel::cancelled() {
-                    std::thread::yield_now();
-                }
-                observed.store(true, Ordering::Release);
-            },
-            || token.cancel(),
-        );
-        assert!(observed.load(Ordering::Acquire));
     }
 
     #[test]

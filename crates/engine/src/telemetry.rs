@@ -280,17 +280,9 @@ thread_local! {
     static MEM_ACC: Cell<MemStats> = const { Cell::new(MemStats::new()) };
 }
 
-/// The `Arc<LiveTelemetry>` mirror currently installed on this thread, if
-/// any — lets a parent thread hand its mirror to scoped workers so their
-/// counts stay visible live (e.g. in `tmfrt serve`'s `/jobs/<id>`).
-pub fn current_mirror() -> Option<Arc<LiveTelemetry>> {
-    MIRROR.with(|m| m.borrow().clone())
-}
-
-/// Merges a snapshot into the current thread's **local** accumulators
-/// only — the installed mirror (if any) is deliberately not updated,
-/// because the usual source of `t` is a scoped worker that mirrored its
-/// counts live while running; re-mirroring here would double-count them.
+/// Merges a snapshot taken on another thread (for example a batch job's
+/// report) into the current thread's **local** accumulators only — the
+/// installed mirror (if any) is not updated.
 pub fn merge_local(t: &Telemetry) {
     COUNTERS.with(|cs| {
         for (i, cell) in cs.iter().enumerate() {
@@ -394,7 +386,7 @@ pub fn snapshot() -> Telemetry {
     HISTS.with(|hs| t.hists = *hs.borrow());
     t.mem = MEM_ACC.with(|m| m.get());
     // Fold in this thread's allocator ledger since the last job mark —
-    // scoped workers contribute theirs through merge_local instead.
+    // other threads contribute theirs through merge_local instead.
     let (delta, peak) = mem::job_delta();
     t.mem.allocs = t.mem.allocs.wrapping_add(delta.allocs);
     t.mem.frees = t.mem.frees.wrapping_add(delta.frees);
@@ -552,18 +544,6 @@ mod tests {
         assert_eq!(snapshot().hist(Metric::CutSize).count, 2);
         assert_eq!(live.snapshot().counter(Counter::FrtSweeps), 0);
         reset();
-    }
-
-    #[test]
-    fn current_mirror_roundtrips() {
-        assert!(current_mirror().is_none());
-        let live = Arc::new(LiveTelemetry::new());
-        {
-            let _g = install_mirror(Arc::clone(&live));
-            let seen = current_mirror().expect("mirror installed");
-            assert!(Arc::ptr_eq(&seen, &live));
-        }
-        assert!(current_mirror().is_none());
     }
 
     #[test]

@@ -40,8 +40,6 @@ pub struct CampaignConfig {
     pub equiv_vectors: usize,
     /// Seed of the equivalence-check sequences.
     pub equiv_seed: u64,
-    /// Second `sweep_workers` value for the determinism check (0 = off).
-    pub alt_sweep_workers: usize,
     /// Enable the Φ-optimality certificate check per case.
     pub certificates: bool,
     /// Block count for the partition-and-conquer cross-check per case
@@ -69,7 +67,6 @@ impl Default for CampaignConfig {
             max_mutations: 12,
             equiv_vectors: 64,
             equiv_seed: 0xEC41_55EE,
-            alt_sweep_workers: 3,
             certificates: false,
             partitions: 0,
             jobs: 0,
@@ -97,7 +94,6 @@ impl CampaignConfig {
             k: self.k,
             equiv_vectors: self.equiv_vectors,
             equiv_seed: self.equiv_seed,
-            alt_sweep_workers: self.alt_sweep_workers,
             certificates: self.certificates,
             partitions: self.partitions,
         }
@@ -255,6 +251,8 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
                                 max_mutations: gen_cfg.max_mutations,
                                 equiv_vectors: oracle_cfg.equiv_vectors,
                                 equiv_seed: oracle_cfg.equiv_seed,
+                                certificates: oracle_cfg.certificates,
+                                partitions: oracle_cfg.partitions,
                                 shrink_steps: repro.steps,
                             };
                             match write_repro(
@@ -349,7 +347,6 @@ mod tests {
             max_gates: 40,
             max_mutations: 4,
             equiv_vectors: 24,
-            alt_sweep_workers: 2,
             jobs: 2,
             timeout: Some(Duration::from_secs(120)),
             corpus_dir: None,

@@ -43,6 +43,10 @@ pub struct ReproMeta {
     pub equiv_vectors: usize,
     /// Equivalence-check seed.
     pub equiv_seed: u64,
+    /// Whether the Φ-optimality certificate check ran.
+    pub certificates: bool,
+    /// Block count of the partition cross-check (below 2: off).
+    pub partitions: usize,
     /// Accepted shrink steps (0 when shrinking was off or stuck).
     pub shrink_steps: usize,
 }
@@ -76,6 +80,8 @@ pub fn manifest(
                 ("max_mutations", JsonValue::UInt(meta.max_mutations as u64)),
                 ("equiv_vectors", JsonValue::UInt(meta.equiv_vectors as u64)),
                 ("equiv_seed", JsonValue::UInt(meta.equiv_seed)),
+                ("certificates", JsonValue::Bool(meta.certificates)),
+                ("partitions", JsonValue::UInt(meta.partitions as u64)),
             ]),
         ),
         (
@@ -146,6 +152,8 @@ mod tests {
             max_mutations: 12,
             equiv_vectors: 64,
             equiv_seed: 7,
+            certificates: true,
+            partitions: 2,
             shrink_steps: 2,
         }
     }
@@ -165,6 +173,9 @@ mod tests {
             Some(MANIFEST_SCHEMA)
         );
         assert_eq!(parsed.get("campaign_seed").unwrap().as_u64(), Some(5));
+        let config = parsed.get("config").unwrap();
+        assert_eq!(config.get("certificates"), Some(&JsonValue::Bool(true)));
+        assert_eq!(config.get("partitions").unwrap().as_u64(), Some(2));
         let verdict = parsed.get("verdict").unwrap().as_array().unwrap();
         assert_eq!(
             verdict[0].get("kind").unwrap().as_str(),

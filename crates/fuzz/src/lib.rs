@@ -19,10 +19,10 @@
 //! * [`oracle`] — runs TurboMap-frt, FlowMap-frt and TurboMap on a case
 //!   and checks the Φ-ordering invariant, sequential equivalence
 //!   (three-valued simulation, [`netlist::EquivMode::Compatibility`]),
-//!   initial-state computability of the forward-retimed flows, and
-//!   byte-determinism across `sweep_workers` settings. Mapper panics are
-//!   caught and reported as verdicts, so a panicking case can still be
-//!   shrunk.
+//!   initial-state computability of the forward-retimed flows, and the
+//!   cut arena against max-flow (opt-in: Φ-optimality certificates and
+//!   the partition cross-check). Mapper panics are caught and reported
+//!   as verdicts, so a panicking case can still be shrunk.
 //! * [`shrink`] — a delta-debugging minimizer: drops primary outputs,
 //!   bypasses gates (concatenating register chains so no combinational
 //!   cycle can appear), trims registers and X-ifies initial values,

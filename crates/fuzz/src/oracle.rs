@@ -17,8 +17,9 @@
 //! 3. **Initial-state computability** (Section 3.3) — the forward-retimed
 //!    flows must never report `⋆`: no lost initial values, no register-
 //!    sharing conflicts.
-//! 4. **Determinism** — TurboMap-frt must produce byte-identical BLIF for
-//!    every `sweep_workers` setting.
+//! 4. **Certificates** (opt-in, `certificates`) — the TurboMap-frt
+//!    Φ-optimality report (`report::explain`) must agree with the
+//!    oracle's own run and replay through the independent checker.
 //! 5. **Partition cross-check** (opt-in, `partitions ≥ 2`) — the case is
 //!    also mapped partition-and-conquer (`partition::partition_map`):
 //!    the stitched result must be valid, K-bounded, sequentially
@@ -58,7 +59,7 @@ use turbomap::{
     ExpCut, ExpandedCircuit, FrtContext, GeneralContext, Options, TurboMapError, TurboMapResult,
 };
 
-/// Oracle knobs; a repro manifest stores all of them.
+/// Oracle knobs; a repro manifest's `config` object records every one.
 #[derive(Debug, Clone, Copy)]
 pub struct OracleConfig {
     /// LUT input bound K.
@@ -67,9 +68,6 @@ pub struct OracleConfig {
     pub equiv_vectors: usize,
     /// Seed of the equivalence-check input sequence.
     pub equiv_seed: u64,
-    /// Second `sweep_workers` setting for the determinism check (the
-    /// first is always 1); 0 disables the check.
-    pub alt_sweep_workers: usize,
     /// Run the Φ-optimality certificate check: extract a
     /// `turbomap-report/v1` document via `report::explain` and replay
     /// it through the independent checker.
@@ -89,7 +87,6 @@ impl Default for OracleConfig {
             k: 4,
             equiv_vectors: 64,
             equiv_seed: 0xEC41_55EE,
-            alt_sweep_workers: 3,
             certificates: false,
             partitions: 0,
         }
@@ -109,8 +106,6 @@ pub enum CheckKind {
     /// A forward-retimed flow reported `⋆` (lost initial state or
     /// register-sharing conflict).
     InitialState,
-    /// TurboMap-frt produced different bytes across `sweep_workers`.
-    Determinism,
     /// A mapper returned an error on a valid input.
     MapperError,
     /// A mapper panicked.
@@ -151,7 +146,6 @@ impl CheckKind {
             CheckKind::PhiOrdering => "phi_ordering",
             CheckKind::Equivalence => "equivalence",
             CheckKind::InitialState => "initial_state",
-            CheckKind::Determinism => "determinism",
             CheckKind::MapperError => "mapper_error",
             CheckKind::MapperPanic => "mapper_panic",
             CheckKind::StructuralInvalid => "structural_invalid",
@@ -958,46 +952,7 @@ pub fn run_oracle(source: &Circuit, cfg: &OracleConfig) -> OracleOutcome {
         }
     }
 
-    // Check 4: byte-determinism of TurboMap-frt across sweep workers.
-    if cfg.alt_sweep_workers > 1 {
-        if let Some(frt) = &frt_res {
-            let mut alt_opts = opts;
-            alt_opts.sweep_workers = cfg.alt_sweep_workers;
-            match guarded(|| turbomap::turbomap_frt(source, alt_opts)) {
-                MapperRun::Ok(alt) => {
-                    if netlist::write_blif(&alt.circuit) != netlist::write_blif(&frt.circuit) {
-                        violations.push(Violation {
-                            kind: CheckKind::Determinism,
-                            flow: "turbomap-frt",
-                            detail: format!(
-                                "BLIF differs between sweep_workers=1 and sweep_workers={}",
-                                cfg.alt_sweep_workers
-                            ),
-                        });
-                    }
-                }
-                MapperRun::Error(e) => violations.push(Violation {
-                    kind: CheckKind::Determinism,
-                    flow: "turbomap-frt",
-                    detail: format!(
-                        "sweep_workers={} run errored where serial succeeded: {e}",
-                        cfg.alt_sweep_workers
-                    ),
-                }),
-                MapperRun::Panic(e) => violations.push(Violation {
-                    kind: CheckKind::Determinism,
-                    flow: "turbomap-frt",
-                    detail: format!(
-                        "sweep_workers={} run panicked where serial succeeded: {e}",
-                        cfg.alt_sweep_workers
-                    ),
-                }),
-                MapperRun::Cancelled => return OracleOutcome::Cancelled,
-            }
-        }
-    }
-
-    // Check 5: Φ-optimality certificates. The explain pipeline re-maps
+    // Check 4: Φ-optimality certificates. The explain pipeline re-maps
     // the case; its report must replay through the independent checker
     // and agree with the oracle's own TurboMap-frt period.
     if cfg.certificates {
@@ -1025,7 +980,7 @@ pub fn run_oracle(source: &Circuit, cfg: &OracleConfig) -> OracleOutcome {
         }
     }
 
-    // Check 6: partition-and-conquer cross-check. The case is mapped a
+    // Check 5: partition-and-conquer cross-check. The case is mapped a
     // second way — split at FF boundaries, per-block TurboMap-frt,
     // stitched — and the two mappings judge each other: sequential
     // equivalence plus the Φ-gap bound (partitioned ≥ monolithic).
@@ -1054,7 +1009,7 @@ pub fn run_oracle(source: &Circuit, cfg: &OracleConfig) -> OracleOutcome {
         }
     }
 
-    // Check 7: the cut arena against max-flow, at the labels of every
+    // Check 6: the cut arena against max-flow, at the labels of every
     // period each TurboMap search probed.
     if let Some(b) = &bounded {
         type CutJudge = fn(&Circuit, usize, Options, &[u64]) -> Option<String>;
@@ -1151,7 +1106,6 @@ mod tests {
             (CheckKind::PhiOrdering, "phi_ordering"),
             (CheckKind::Equivalence, "equivalence"),
             (CheckKind::InitialState, "initial_state"),
-            (CheckKind::Determinism, "determinism"),
             (CheckKind::MapperError, "mapper_error"),
             (CheckKind::MapperPanic, "mapper_panic"),
             (CheckKind::StructuralInvalid, "structural_invalid"),
@@ -1177,7 +1131,6 @@ mod tests {
         };
         let cfg = OracleConfig {
             equiv_vectors: 16,
-            alt_sweep_workers: 0,
             partitions: 2,
             ..OracleConfig::default()
         };
@@ -1220,7 +1173,6 @@ mod tests {
         };
         let cfg = OracleConfig {
             equiv_vectors: 16,
-            alt_sweep_workers: 0,
             certificates: true,
             ..OracleConfig::default()
         };

@@ -329,7 +329,6 @@ mod tests {
             &c,
             &OracleConfig {
                 equiv_vectors: 8,
-                alt_sweep_workers: 0,
                 ..OracleConfig::default()
             },
             CheckKind::Equivalence,

@@ -34,7 +34,6 @@ fn corpus_files() -> Vec<PathBuf> {
 fn degenerate_corpus_never_panics() {
     let cfg = OracleConfig {
         equiv_vectors: 16,
-        alt_sweep_workers: 0,
         ..OracleConfig::default()
     };
     for path in corpus_files() {

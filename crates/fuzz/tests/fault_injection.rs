@@ -27,7 +27,6 @@ fn oracle_cfg() -> OracleConfig {
     OracleConfig {
         k: 4,
         equiv_vectors: 48,
-        alt_sweep_workers: 0,
         ..OracleConfig::default()
     }
 }
@@ -345,6 +344,8 @@ fn shrinker_converges_and_repro_lands_in_the_corpus() {
         max_mutations: 4,
         equiv_vectors: cfg.equiv_vectors,
         equiv_seed: cfg.equiv_seed,
+        certificates: cfg.certificates,
+        partitions: cfg.partitions,
         shrink_steps: out.steps,
     };
     let violations = vec![fuzz::Violation {

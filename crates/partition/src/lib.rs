@@ -109,9 +109,6 @@ pub struct PartitionOptions {
     /// Block-level worker threads (0 → one worker). Any value yields
     /// byte-identical results.
     pub jobs: usize,
-    /// Per-block FRTcheck sweep workers (0 → auto), forwarded to the
-    /// block mapper.
-    pub sweep_workers: usize,
     /// Balance cap multiplier over the ideal `gates / partitions` share.
     pub balance: f64,
     /// Soft per-block mapping deadline.
@@ -120,13 +117,12 @@ pub struct PartitionOptions {
 
 impl PartitionOptions {
     /// Options mapping into `partitions` blocks with LUT bound `k` and
-    /// the default balance cap (1.1), serial fan-out, auto sweeps.
+    /// the default balance cap (1.1) and serial fan-out.
     pub fn new(k: usize, partitions: usize) -> PartitionOptions {
         PartitionOptions {
             k,
             partitions,
             jobs: 0,
-            sweep_workers: 1,
             balance: 1.1,
             timeout: None,
         }
@@ -262,8 +258,8 @@ struct BlockMapped {
 /// Maps `source` by partitioning into `opts.partitions` blocks, mapping
 /// each with TurboMap-frt on the engine pool, and stitching the results.
 ///
-/// Deterministic for a fixed `(source, opts.k, opts.partitions,
-/// opts.sweep_workers)` regardless of `opts.jobs`.
+/// Deterministic for a fixed `(source, opts.k, opts.partitions)`
+/// regardless of `opts.jobs`.
 ///
 /// # Errors
 ///
@@ -302,8 +298,7 @@ pub fn partition_map(
         let gates = ex.block_gates[b];
         let block_cut = ex.block_cut_ffs[b];
         let name = circuit.name().to_string();
-        let mut mopts = turbomap::Options::with_k(opts.k);
-        mopts.sweep_workers = opts.sweep_workers;
+        let mopts = turbomap::Options::with_k(opts.k);
         specs.push(JobSpec::new(name, move || {
             let _s = trace::span1("partition_block", "block", b as u64);
             telemetry::record(Metric::PartitionBlockGates, gates);

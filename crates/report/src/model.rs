@@ -4,7 +4,7 @@
 //! Φ−1 infeasibility witness (certificate side) plus per-node timing
 //! attribution (observability side). [`Report::to_json`] renders the
 //! deterministic JSON document — insertion-ordered keys, node lists in id
-//! order, nothing that varies with `--sweep-workers` — and
+//! order, nothing that varies between runs — and
 //! [`Report::render_table`] the human-readable summary.
 
 use engine::JsonValue;

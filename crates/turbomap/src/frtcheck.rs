@@ -28,12 +28,13 @@
 //!
 //! # Sweep structure: level-synchronized, two-phase
 //!
-//! Each sweep walks the topological levels of the combinational graph.
-//! Per level, the dirty nodes' updates are **computed** against a frozen
-//! label snapshot (serially, or fanned out over a [`crate::sweep::Board`]
-//! crew), then **applied** in node order. Every computed pair is a pure
-//! function of (snapshot, node), so the outcome — labels, sweep counts,
-//! requeue counts — is byte-identical for every worker count. Register
+//! Each sweep walks the topological levels of the combinational graph on
+//! the calling thread. Per level, the dirty nodes' updates are
+//! **computed** against the labels as they stood at the start of the
+//! level, then **applied** in node order. The per-level snapshot fixes
+//! how many sweeps a probe takes (applying each update at once would let
+//! later nodes of the level see it, and change the `frt_sweeps` and
+//! `sweeps_per_phi` figures the canonical artifacts record). Register
 //! edges may point within or across levels in either direction; that only
 //! means an update can be computed against a slightly stale fanin bound,
 //! and the dirty re-marking in the apply phase schedules the node again —
@@ -42,7 +43,7 @@
 //!
 //! # Warm starts
 //!
-//! [`FrtContext::check_opts`] can seed `l^s` from the labels of a
+//! [`FrtContext::check_opts`] seeds `l^s` from the labels of a
 //! previously *feasible* check at a strictly larger Φ′. Since the final
 //! `l^s` values are pointwise non-decreasing as Φ shrinks, that seed is
 //! still below this probe's least fixpoint, and monotone ascent from any
@@ -55,10 +56,8 @@ use crate::cutenum::{CutArena, CutFault, CUT_CAP};
 use crate::cutoracle::{CutAnswer, CutOracle};
 use crate::cutsearch::{CutScratch, ExpCut};
 use crate::expand::ExpandedCircuit;
-use crate::sweep::{Board, StopOnDrop};
 use crate::witness::{WitnessOutcome, WitnessStep};
 use netlist::{Circuit, NodeId};
-use std::sync::RwLock;
 
 /// Practical ceiling on the expanded circuits kept for flow-fallback
 /// gates (those whose cut lists exceed [`CUT_CAP`]): such a gate's
@@ -70,8 +69,8 @@ pub const MAX_EXPANDED_NODES: usize = 500_000;
 /// Sentinel for `−∞` labels.
 pub const LS_NEG_INF: i64 = i64::MIN / 4;
 
-/// Smallest dirty-task count of a level worth waking the sweep crew for
-/// (and the recording threshold of the `parallel_batch_size` histogram).
+/// Smallest dirty-task count of a level the `parallel_batch_size`
+/// histogram records.
 const PAR_THRESHOLD: usize = 4;
 
 /// Per-node label pairs.
@@ -118,8 +117,8 @@ pub struct FrtContext<'a> {
     oracle: CutOracle<'a>,
     /// Topological levels over zero-weight edges: level `d` lists the
     /// non-PI nodes at combinational depth `d`, in topological order.
-    /// Within a level no zero-weight edge connects two members, which is
-    /// what makes the per-level fan-out safe and effective.
+    /// Within a level no zero-weight edge connects two members, so the
+    /// level's updates read no label the same level writes through one.
     levels: Levels,
 }
 
@@ -270,58 +269,38 @@ impl<'a> FrtContext<'a> {
         best
     }
 
-    /// Runs FRTcheck for one target period (serial, cold-started).
+    /// Runs FRTcheck for one target period, cold-started.
     pub fn check(&self, phi: u64) -> FrtCheck {
         self.check_opts(phi, None, 1)
     }
 
-    /// Runs FRTcheck with explicit reuse controls.
+    /// Runs FRTcheck, optionally warm-started.
     ///
     /// * `warm` — label pairs of a previously **feasible** check of this
     ///   same context at a strictly larger Φ; their `l^s` seeds this run
     ///   (see the module docs for why that is sound). Pass `None` for a
     ///   cold start.
-    /// * `workers` — total compute threads for the per-level cut queries
-    ///   (1 = serial). The answer is byte-identical for every value;
-    ///   helpers inherit the caller's cancel token and telemetry mirror
-    ///   through [`engine::pool::scoped_workers`].
-    pub fn check_opts(&self, phi: u64, warm: Option<&LabelPairs>, workers: usize) -> FrtCheck {
+    /// * `_workers` — ignored; every sweep runs on the calling thread.
+    pub fn check_opts(&self, phi: u64, warm: Option<&LabelPairs>, _workers: usize) -> FrtCheck {
         let c = self.circuit;
         let n = c.num_nodes();
         let phi_i = phi as i64;
-        let helpers = workers.max(1) - 1;
-        let mut init = LabelPairs {
+        let mut labels = LabelPairs {
             ls: vec![LS_NEG_INF; n],
             r: vec![0; n],
         };
         for &pi in c.inputs() {
-            init.ls[pi.index()] = 0;
+            labels.ls[pi.index()] = 0;
         }
         if let Some(seed) = warm {
             debug_assert_eq!(seed.ls.len(), n);
             for v in c.node_ids() {
                 if !c.node(v).is_input() {
-                    init.ls[v.index()] = seed.ls[v.index()];
+                    labels.ls[v.index()] = seed.ls[v.index()];
                 }
             }
         }
-        let labels = RwLock::new(init);
-        let board: Board<Option<(i64, u64)>> = Board::new();
-        let (end, iterations, cut_queries) = engine::pool::scoped_workers(
-            helpers,
-            |_| {
-                let mut scratch = CutScratch::new();
-                board.serve(|t| {
-                    let guard = labels.read().expect("labels poisoned");
-                    self.compute_node(&guard.ls, NodeId(t), phi_i, &mut scratch)
-                });
-            },
-            || {
-                let _stop = StopOnDrop(&board);
-                self.sweep_loop(phi_i, &labels, &board, helpers)
-            },
-        );
-        let labels = labels.into_inner().expect("labels poisoned");
+        let (end, iterations, cut_queries) = self.sweep_loop(phi_i, &mut labels);
         match end {
             SweepEnd::Cancelled => FrtCheck {
                 feasible: false,
@@ -352,16 +331,10 @@ impl<'a> FrtContext<'a> {
         }
     }
 
-    /// The dirty-driven sweep loop: owner side of the two-phase scheme.
+    /// The dirty-driven sweep loop of the compute-then-apply scheme.
     /// Returns the end state, the sweep count, and the number of gate
     /// label updates (cut queries) it scheduled.
-    fn sweep_loop(
-        &self,
-        phi_i: i64,
-        labels: &RwLock<LabelPairs>,
-        board: &Board<Option<(i64, u64)>>,
-        helpers: usize,
-    ) -> (SweepEnd, usize, u64) {
+    fn sweep_loop(&self, phi_i: i64, labels: &mut LabelPairs) -> (SweepEnd, usize, u64) {
         let c = self.circuit;
         let n = c.num_nodes();
         let cap = n.saturating_mul(n).max(4);
@@ -372,15 +345,16 @@ impl<'a> FrtContext<'a> {
         // practical speed-up behind the paper's "5–15 iterations per Φ").
         let mut dirty = vec![true; n];
         let mut tasks: Vec<u32> = Vec::new();
+        let mut results: Vec<Option<(i64, u64)>> = Vec::new();
         let mut scratch = CutScratch::new();
         loop {
             // Sweep-granular cancellation: when the batch runner's deadline
             // (or an external cancel) trips the installed token, bail out
             // as "infeasible" — the driver re-checks the token and maps
             // the early exit to `TurboMapError::Cancelled`, never using
-            // the partial labels. (The compute closures additionally
-            // short-circuit per task, so a tripped token also drains an
-            // in-flight parallel level at full speed.)
+            // the partial labels. (`compute_node` additionally
+            // short-circuits per task, so a tripped token also drains the
+            // level in flight at full speed.)
             if engine::cancel::cancelled() {
                 return (SweepEnd::Cancelled, iterations, cut_queries);
             }
@@ -406,46 +380,35 @@ impl<'a> FrtContext<'a> {
                     .iter()
                     .filter(|&&vi| c.node(NodeId(vi)).is_gate())
                     .count() as u64;
-                // Phase 2: compute every update against the frozen labels.
-                // The batch-size histogram keys off the level size alone,
-                // so its shape is identical for every worker count.
-                let parallel = tasks.len() >= PAR_THRESHOLD;
-                if parallel {
+                if tasks.len() >= PAR_THRESHOLD {
                     engine::telemetry::record(
                         engine::hist::Metric::ParallelBatchSize,
                         tasks.len() as u64,
                     );
                 }
-                let results: Vec<Option<(i64, u64)>> = if helpers > 0 && parallel {
-                    board.run_level(tasks.clone(), helpers, |t| {
-                        let guard = labels.read().expect("labels poisoned");
-                        self.compute_node(&guard.ls, NodeId(t), phi_i, &mut scratch)
-                    })
-                } else {
-                    let guard = labels.read().expect("labels poisoned");
+                // Phase 2: compute every update against the labels as they
+                // stood at the start of the level.
+                results.clear();
+                results.extend(
                     tasks
                         .iter()
-                        .map(|&t| self.compute_node(&guard.ls, NodeId(t), phi_i, &mut scratch))
-                        .collect()
-                };
-                // Phase 3: apply in task order (what a serial sweep would
-                // have done), re-marking dependents.
-                let mut w = labels.write().expect("labels poisoned");
-                for (slot, res) in results.into_iter().enumerate() {
+                        .map(|&t| self.compute_node(&labels.ls, NodeId(t), phi_i, &mut scratch)),
+                );
+                // Phase 3: apply in task order, re-marking dependents.
+                for (&t, &res) in tasks.iter().zip(&results) {
                     let (new_ls, new_r) = match res {
                         Some(pair) => pair,
                         None => continue, // no information yet
                     };
-                    let i = tasks[slot] as usize;
-                    if new_ls > w.ls[i] || (new_ls == w.ls[i] && new_r > w.r[i]) {
-                        w.ls[i] = new_ls;
-                        w.r[i] = new_r;
+                    let i = t as usize;
+                    if new_ls > labels.ls[i] || (new_ls == labels.ls[i] && new_r > labels.r[i]) {
+                        labels.ls[i] = new_ls;
+                        labels.r[i] = new_r;
                         changed = true;
                         // Direct fanouts see the change through ℒ^s; gates
                         // reading the node through their cut answers see
                         // it through the cut heights.
-                        let node = c.node(NodeId(i as u32));
-                        for &e in node.fanout() {
+                        for &e in c.node(NodeId(t)).fanout() {
                             let t = c.edge(e).to().index();
                             if !dirty[t] {
                                 dirty[t] = true;
@@ -481,7 +444,7 @@ impl<'a> FrtContext<'a> {
         }
     }
 
-    /// One node's tightened pair against a frozen snapshot: `ℒ^s` plus
+    /// One node's tightened pair against the level's labels: `ℒ^s` plus
     /// `LabelUpdate` for gates, `ℒ^s` itself for POs, `None` when the
     /// fanins carry no information yet (or cancellation tripped — the
     /// sweep is about to be discarded, so stop answering cut queries).
@@ -915,20 +878,20 @@ mod tests {
         }
     }
 
+    /// A context keeps no state between probes: the Φ search may ask it
+    /// the same question twice and must get the same answer.
     #[test]
-    fn parallel_check_matches_serial_exactly() {
+    fn repeated_checks_are_identical() {
         let c = chainy();
         for k in 1..=3 {
             let ctx = FrtContext::new(&c, k, 32);
             for phi in 1..=4u64 {
-                let serial = ctx.check_opts(phi, None, 1);
-                for workers in [2usize, 4] {
-                    let par = ctx.check_opts(phi, None, workers);
-                    assert_eq!(serial.feasible, par.feasible, "k={k} phi={phi}");
-                    assert_eq!(serial.iterations, par.iterations, "k={k} phi={phi}");
-                    assert_eq!(serial.labels.ls, par.labels.ls, "k={k} phi={phi}");
-                    assert_eq!(serial.labels.r, par.labels.r, "k={k} phi={phi}");
-                }
+                let first = ctx.check(phi);
+                let again = ctx.check(phi);
+                assert_eq!(first.feasible, again.feasible, "k={k} phi={phi}");
+                assert_eq!(first.iterations, again.iterations, "k={k} phi={phi}");
+                assert_eq!(first.labels.ls, again.labels.ls, "k={k} phi={phi}");
+                assert_eq!(first.labels.r, again.labels.r, "k={k} phi={phi}");
             }
         }
     }
@@ -1006,15 +969,12 @@ mod tests {
             let mut cone = FrtContext::new(&c, k, 32);
             cone.oracle.set_requeue(cone_index(&c, &cone.frt));
             for phi in 1..=6 {
-                for workers in [1, 3] {
-                    let a = leaf.check_opts(phi, None, workers);
-                    let b = cone.check_opts(phi, None, workers);
-                    let tag = format!("seed {seed} phi {phi} workers {workers}");
-                    assert_eq!(a.feasible, b.feasible, "{tag}");
-                    assert_eq!(a.iterations, b.iterations, "{tag}");
-                    assert_eq!(a.labels.ls, b.labels.ls, "{tag}");
-                    assert_eq!(a.labels.r, b.labels.r, "{tag}");
-                }
+                let (a, b) = (leaf.check(phi), cone.check(phi));
+                let tag = format!("seed {seed} phi {phi}");
+                assert_eq!(a.feasible, b.feasible, "{tag}");
+                assert_eq!(a.iterations, b.iterations, "{tag}");
+                assert_eq!(a.labels.ls, b.labels.ls, "{tag}");
+                assert_eq!(a.labels.r, b.labels.r, "{tag}");
                 assert_eq!(
                     leaf.infeasibility_witness(phi),
                     cone.infeasibility_witness(phi),

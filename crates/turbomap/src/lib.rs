@@ -64,7 +64,6 @@ pub mod frtcheck;
 pub mod gencheck;
 pub mod generate;
 pub mod slack;
-pub mod sweep;
 pub mod witness;
 
 pub use cutenum::{CutArena, CutFault, CUT_CAP};
@@ -77,5 +76,4 @@ pub use frtcheck::{FrtCheck, FrtContext, LabelPairs};
 pub use gencheck::{po_reachable, GeneralCheck, GeneralContext};
 pub use generate::{collect_roots, generate_mapping, GenerateError, GeneratedMapping};
 pub use slack::{plan_mapping, MappingPlan};
-pub use sweep::Board;
 pub use witness::{WitnessOutcome, WitnessStep};
