@@ -1,9 +1,8 @@
 //! Industrial BLIF front-end: a streaming, full-spec reader with yosys
 //! extensions, hierarchy flattening, and a round-tripping writer.
 //!
-//! The old `netlist::blif` reader covers the flat structural subset
-//! (`.model/.inputs/.outputs/.names/.latch`) and is kept as the
-//! conformance oracle. This crate is the production front-end:
+//! Every netlist the workspace reads or writes as BLIF goes through
+//! this crate:
 //!
 //! * **Streaming** — input is scanned through a fixed 64 KiB chunk
 //!   buffer ([`scan`]); names are interned into a single arena
@@ -20,11 +19,12 @@
 //!   when available, the offending source line with a caret ([`diag`]).
 //! * **Flattening** — [`link`] elaborates the hierarchy into the
 //!   retiming-graph [`Circuit`](netlist::Circuit) used by the
-//!   mapping/retiming stack, with the old reader's latch-folding
-//!   semantics.
+//!   mapping/retiming stack, folding each latch into one FF on every
+//!   consumer edge of its output.
 //! * **Round-tripping writer** — [`write`] serialises everything the
-//!   reader accepts, and converts circuits back to BLIF byte-identically
-//!   with the old `netlist::write_blif`.
+//!   reader accepts, and converts circuits back to BLIF
+//!   ([`write_circuit`]). The committed `tests/golden/` corpus pins the
+//!   reader's verdict and the writer's bytes for the flat subset.
 //!
 //! # Examples
 //!

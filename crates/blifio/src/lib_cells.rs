@@ -4,7 +4,7 @@
 //! library the file does not carry. We resolve them against a small
 //! built-in library of the generic cells yosys/SIS emit (inverters,
 //! buffers, constants, and 2–4 input and/or/nand/nor plus xor/xnor and
-//! a mux), which is enough to ingest `write_blif -gates`-style output.
+//! a mux), which is enough to ingest the gate-level BLIF those tools write.
 //! Cell and pin names match case-insensitively.
 
 use netlist::TruthTable;

@@ -48,7 +48,7 @@ impl Default for LinkOptions {
 /// # Errors
 ///
 /// Positioned [`Diag`]s for link problems (unknown models, bad port
-/// bindings, recursion, blackbox instantiation), and the old reader's
+/// bindings, recursion, blackbox instantiation), and
 /// [`NetlistError`]s for driver conflicts and undefined signals.
 pub fn flatten(file: &BlifFile, opts: &LinkOptions) -> Result<Circuit, BlifError> {
     match kiss_lower(file, opts.encoding)? {
@@ -618,23 +618,6 @@ mod tests {
 
     fn read(text: &str) -> Circuit {
         flatten(&parse_str(text).unwrap(), &LinkOptions::default()).unwrap()
-    }
-
-    #[test]
-    fn flat_model_matches_old_reader() {
-        let src = "\
-.model counter
-.inputs en
-.outputs q
-.names en state q
-01 1
-10 1
-.latch q state 0
-.end
-";
-        let c = read(src);
-        let old = netlist::parse_blif(src).unwrap();
-        assert!(crate::compare::structural_diff(&old, &c).is_none());
     }
 
     #[test]

@@ -77,8 +77,7 @@ struct Parser {
 impl Parser {
     fn model_mut(&mut self, line: u32) -> &mut Model {
         if self.cur.is_none() {
-            // Directives before any `.model` open an implicit model, as
-            // the old reader did.
+            // Directives before any `.model` open an implicit model.
             self.cur = Some(Model::new("unnamed", line));
         }
         self.cur.as_mut().expect("just set")

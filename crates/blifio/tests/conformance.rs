@@ -1,8 +1,9 @@
 //! Conformance and acceptance tests for the streaming front-end.
 //!
-//! * The old `netlist::blif` reader is the oracle on the flat subset:
-//!   both readers must produce structurally identical circuits (and the
-//!   new writer byte-identical text).
+//! * The golden corpus (`tests/golden/`) freezes the verdicts of the
+//!   flat-subset reader and writer this crate replaced: every
+//!   `<case>.blif` must be read and written to exactly `<case>.out`, or
+//!   be rejected with the error in `<case>.err`.
 //! * The hierarchical acceptance test checks that a multi-model file
 //!   with `.subckt`s, yosys annotations, `.conn` and an embedded KISS
 //!   FSM flattens into the same circuit as a flattened-by-hand
@@ -11,62 +12,74 @@
 //!   against `workloads::large::build_flat`.
 
 use blifio::{flatten, parse_reader, parse_str, structural_diff, LinkOptions, ParseOptions};
-use netlist::{Circuit, NodeId, TruthTable};
+use netlist::{Circuit, NetlistError, NodeId, TruthTable};
 use std::collections::HashMap;
+use std::path::{Path, PathBuf};
 use workloads::Encoding;
 
-const FLAT_SOURCES: &[&str] = &[
-    // Counter with a feedback latch.
-    ".model counter\n.inputs en\n.outputs q\n.names en state q\n01 1\n10 1\n.latch q state 0\n.end\n",
-    // Latch chain, off-set cubes, don't-cares, constants.
-    ".model mix\n.inputs a b c\n.outputs z y k\n.names b2 c z\n1- 1\n-1 1\n.latch a b1 0\n.latch b1 b2 1\n.names a b y\n11 0\n.names k\n1\n.end\n",
-    // PO name collision with a gate, PO fed straight from a latched PI.
-    ".model col\n.inputs a\n.outputs a z\n.latch a z 3\n.end\n",
-    // Continuations and comments.
-    "# hdr\n.model cont\n.inputs a \\\nb\n.outputs z\n.names a b z # and\n11 1\n.end\n",
-];
-
-#[test]
-fn flat_subset_matches_oracle() {
-    for src in FLAT_SOURCES {
-        let oracle = netlist::parse_blif(src).unwrap_or_else(|e| panic!("oracle on {src}: {e}"));
-        let ours = blifio::read_circuit_str(src).unwrap_or_else(|e| panic!("blifio on {src}: {e}"));
-        assert_eq!(oracle.name(), ours.name());
-        if let Some(d) = structural_diff(&oracle, &ours) {
-            panic!("structural mismatch on {src}: {d}");
-        }
-        assert!(netlist::random_equiv(&oracle, &ours, 64, 11)
-            .unwrap()
-            .is_equivalent());
-        // The new writer serialises identically to the old one.
-        assert_eq!(blifio::write_circuit(&ours), netlist::write_blif(&oracle));
-    }
+fn golden_dir() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
 }
 
+/// Reads every golden input with `blifio` alone. An accepted input must
+/// write to the frozen bytes and re-read to an equivalent circuit; a
+/// rejected one must fail at the frozen line with the frozen message,
+/// which `blifio` may extend with detail (a bad latch init adds
+/// ` (expected 0-3)`).
 #[test]
-fn generated_circuits_roundtrip_through_both_writers() {
-    let bbtas = workloads::presets()
-        .into_iter()
-        .find(|p| p.name == "bbtas")
-        .unwrap();
-    let circuits = vec![
-        workloads::fig1_circuit(true),
-        workloads::fig3_circuit(),
-        workloads::build_preset(&bbtas),
-    ];
-    for c in circuits {
-        let text = netlist::write_blif(&c);
-        let oracle = netlist::parse_blif(&text).unwrap();
-        let ours = blifio::read_circuit_str(&text).unwrap();
-        if let Some(d) = structural_diff(&oracle, &ours) {
-            panic!("{}: {d}", c.name());
+fn golden_corpus() {
+    let mut inputs: Vec<PathBuf> = std::fs::read_dir(golden_dir())
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "blif"))
+        .collect();
+    inputs.sort();
+    assert!(inputs.len() >= 38, "golden corpus shrank");
+    for path in inputs {
+        let name = path.file_stem().unwrap().to_string_lossy().into_owned();
+        let src = std::fs::read_to_string(&path).unwrap();
+        let out = std::fs::read_to_string(path.with_extension("out")).ok();
+        let err = std::fs::read_to_string(path.with_extension("err")).ok();
+        match (blifio::read_circuit_str(&src), out, err) {
+            (Ok(c), Some(want), None) => {
+                let text = blifio::write_circuit(&c);
+                assert_eq!(text, want, "{name}: written bytes");
+                let back = blifio::read_circuit_str(&text).unwrap();
+                assert!(
+                    netlist::random_equiv(&c, &back, 64, 11)
+                        .unwrap()
+                        .is_equivalent(),
+                    "{name}: re-read circuit diverged"
+                );
+            }
+            (Err(e), None, Some(want)) => {
+                let got = NetlistError::from(e).to_string();
+                assert!(
+                    got.starts_with(want.trim_end()),
+                    "{name}: got `{got}`, want `{want}`"
+                );
+            }
+            (got, out, err) => panic!(
+                "{name}: read as {:?}, but has .out: {}, .err: {}",
+                got.map(|_| ()),
+                out.is_some(),
+                err.is_some()
+            ),
         }
     }
 }
 
 #[test]
 fn tiny_chunks_change_nothing() {
-    let src = FLAT_SOURCES.join("");
+    let src: String = [
+        "counter",
+        "flat_mix",
+        "flat_po_collision",
+        "flat_continuation_comments",
+    ]
+    .iter()
+    .map(|n| std::fs::read_to_string(golden_dir().join(format!("{n}.blif"))).unwrap())
+    .collect();
     let whole = blifio::write_file(&parse_str(&src).unwrap());
     for chunk in [1usize, 2, 3, 7, 64] {
         let f = parse_reader(src.as_bytes(), &ParseOptions { chunk }).unwrap();

@@ -228,7 +228,7 @@ pub fn run_batch_dir(args: &BatchArgs) -> Result<BatchSummary, String> {
                 Ok(FileResult {
                     report: outcome.report,
                     star: outcome.star,
-                    blif: want_blif.then(|| netlist::write_blif(&outcome.circuit)),
+                    blif: want_blif.then(|| blifio::write_circuit(&outcome.circuit)),
                 })
             })
         })
@@ -357,7 +357,7 @@ mod tests {
         assert!(out.join("b_second.blif").exists());
         // The written outputs parse back as valid circuits.
         let text = std::fs::read_to_string(out.join("b_second.blif")).unwrap();
-        netlist::parse_blif(&text).unwrap();
+        blifio::read_circuit_str(&text).unwrap();
     }
 
     #[test]

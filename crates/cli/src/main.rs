@@ -99,7 +99,7 @@ fn main() {
             let render = |path: Option<&str>| match path {
                 Some(p) if p.ends_with(".v") => netlist::to_verilog(&outcome.circuit),
                 Some(p) if p.ends_with(".dot") => netlist::to_dot(&outcome.circuit),
-                _ => netlist::write_blif(&outcome.circuit),
+                _ => blifio::write_circuit(&outcome.circuit),
             };
             match &args.output {
                 Some(path) => {

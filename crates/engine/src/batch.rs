@@ -176,11 +176,15 @@ impl Watchdog {
 
     /// The watchdog loop: sleep until the earliest pending deadline,
     /// trip expired tokens, drop entries whose token is already tripped
-    /// or whose job finished (finished jobs leave tokens live forever,
-    /// so entries are also pruned once expired).
+    /// or whose deadline passed. Finished jobs leave their watches in
+    /// place, so the loop ends on [`Watchdog::close`], which runs once
+    /// every job has finished, not when the last watch expires.
     fn run(&self) {
         let mut st = self.state.lock().expect("watchdog poisoned");
         loop {
+            if st.closed {
+                return;
+            }
             let now = Instant::now();
             st.watches.retain(|w| {
                 if w.token.is_cancelled() {
@@ -192,9 +196,6 @@ impl Watchdog {
                 }
                 true
             });
-            if st.closed && st.watches.is_empty() {
-                return;
-            }
             let next = st.watches.iter().map(|w| w.deadline).min();
             st = match next {
                 Some(when) => {
@@ -406,6 +407,18 @@ mod tests {
         })];
         let reports = run_batch(specs, &opts);
         assert_eq!(reports[0].outcome.status(), "deadline");
+    }
+
+    #[test]
+    fn finished_batch_does_not_wait_out_its_deadline() {
+        let opts = BatchOptions::with_jobs(2).with_timeout(Duration::from_secs(5));
+        let specs: Vec<JobSpec<u32>> = (0..4)
+            .map(|i| JobSpec::new(format!("j{i}"), move || Ok(i)))
+            .collect();
+        let t0 = Instant::now();
+        let reports = run_batch(specs, &opts);
+        assert!(t0.elapsed() < Duration::from_secs(1), "{:?}", t0.elapsed());
+        assert!(reports.iter().all(|r| r.outcome.completed().is_some()));
     }
 
     #[test]

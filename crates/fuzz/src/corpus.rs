@@ -117,8 +117,8 @@ pub fn write_repro(
 ) -> io::Result<PathBuf> {
     let dir = corpus_dir.join(case_name);
     std::fs::create_dir_all(&dir)?;
-    std::fs::write(dir.join("original.blif"), netlist::write_blif(original))?;
-    std::fs::write(dir.join("repro.blif"), netlist::write_blif(repro))?;
+    std::fs::write(dir.join("original.blif"), blifio::write_circuit(original))?;
+    std::fs::write(dir.join("repro.blif"), blifio::write_circuit(repro))?;
     std::fs::write(
         dir.join("manifest.json"),
         manifest(meta, violations, original, repro).render_pretty(),
@@ -205,7 +205,7 @@ mod tests {
         let blif = std::fs::read_to_string(case_dir.join("repro.blif")).unwrap();
         // The BLIF round-trip may insert latch buffers; only require that
         // the archived repro parses back into a valid circuit.
-        let parsed = netlist::parse_blif(&blif).unwrap();
+        let parsed = blifio::read_circuit_str(&blif).unwrap();
         netlist::validate(&parsed).unwrap();
         assert!(parsed.num_gates() >= 1);
         let _ = std::fs::remove_dir_all(&dir);

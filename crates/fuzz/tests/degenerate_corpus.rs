@@ -41,19 +41,10 @@ fn degenerate_corpus_never_panics() {
         eprintln!("corpus case: {name}");
         let text = std::fs::read_to_string(&path).expect("corpus file readable");
 
-        // Stage 1: both front-ends. Errors are fine, panics are not.
-        let parsed = catch_unwind(AssertUnwindSafe(|| netlist::parse_blif(&text)))
-            .unwrap_or_else(|_| panic!("{name}: parse_blif panicked"));
-        let streamed = catch_unwind(AssertUnwindSafe(|| blifio::read_circuit_str(&text)))
+        // Stage 1: the front-end. A typed error is fine, a panic is not.
+        let parsed = catch_unwind(AssertUnwindSafe(|| blifio::read_circuit_str(&text)))
             .unwrap_or_else(|_| panic!("{name}: blifio reader panicked"));
-        let c = match (parsed, streamed) {
-            (Ok(c), Ok(_)) => c,
-            // Both readers may reject a degenerate model; they must
-            // agree on rejecting it.
-            (Err(_), Err(_)) => continue,
-            (Ok(_), Err(e)) => panic!("{name}: only the streaming reader rejected it: {e}"),
-            (Err(e), Ok(_)) => panic!("{name}: only the old reader rejected it: {e}"),
-        };
+        let Ok(c) = parsed else { continue };
 
         // Stage 2: validation and basic analyses must not panic.
         let valid = catch_unwind(AssertUnwindSafe(|| netlist::validate(&c)))

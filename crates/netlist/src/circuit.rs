@@ -60,7 +60,7 @@ pub enum NodeKind {
 }
 
 /// A node of the retiming graph.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Node {
     name: String,
     kind: NodeKind,
@@ -123,7 +123,7 @@ impl Node {
 }
 
 /// An edge of the retiming graph with its flip-flop chain.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Edge {
     from: NodeId,
     to: NodeId,
@@ -168,7 +168,7 @@ impl Edge {
 /// assert_eq!(c.num_gates(), 1);
 /// assert_eq!(c.ff_count_shared(), 1);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Circuit {
     name: String,
     nodes: Vec<Node>,

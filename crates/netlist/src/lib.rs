@@ -8,7 +8,6 @@
 //!
 //! * [`Circuit`] — the retiming graph with FF initial states ([`circuit`]),
 //! * [`TruthTable`] / [`Bit`] — gate functions and 3-valued logic,
-//! * [`blif`] — BLIF reading/writing (the SIS interchange format),
 //! * [`sim`] — cycle-accurate 3-valued simulation,
 //! * [`vsim`] — batched two-bitplane simulation, 64 vectors per word,
 //! * [`equiv`] — sequential equivalence checking (random-vector and
@@ -47,7 +46,6 @@
 #![warn(missing_docs)]
 
 pub mod bit;
-pub mod blif;
 pub mod circuit;
 pub mod decompose;
 pub mod dot;
@@ -63,7 +61,6 @@ pub mod verilog;
 pub mod vsim;
 
 pub use bit::Bit;
-pub use blif::{parse_blif, write_blif};
 pub use circuit::{Circuit, Edge, EdgeId, Node, NodeId, NodeKind};
 pub use decompose::decompose_to_k;
 pub use dot::to_dot;

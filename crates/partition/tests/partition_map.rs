@@ -7,7 +7,7 @@
 //! by the CI partition-smoke job (`cargo test -p partition --release --
 //! --ignored`).
 
-use netlist::{random_equiv_mode, write_blif, Circuit, EquivMode};
+use netlist::{random_equiv_mode, Circuit, EquivMode};
 use partition::{partition_map, preview, PartitionOptions};
 use workloads::{table1_suite, table1_suite_small};
 
@@ -102,10 +102,9 @@ fn output_is_identical_across_worker_counts() {
         wide.jobs = 4;
         let a = partition_map(c, &serial).unwrap();
         let b = partition_map(c, &wide).unwrap();
-        assert_eq!(
-            write_blif(&a.circuit),
-            write_blif(&b.circuit),
-            "{}: --jobs 1 vs --jobs 4 BLIF mismatch",
+        assert!(
+            a.circuit == b.circuit,
+            "{}: --jobs 1 vs --jobs 4 circuit mismatch",
             p.name
         );
         assert_eq!(a.report.phi, b.report.phi);

@@ -258,7 +258,7 @@ mod tests {
     fn suite_is_deterministic() {
         let a = build_preset(&presets()[1]);
         let b = build_preset(&presets()[1]);
-        assert_eq!(netlist::write_blif(&a), netlist::write_blif(&b));
+        assert_eq!(a, b);
     }
 
     #[test]

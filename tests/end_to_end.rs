@@ -154,8 +154,8 @@ fn blif_round_trip_of_mapped_result() {
         .unwrap();
     let c = workloads::build_preset(&preset);
     let tf = turbomap_frt(&c, Options::with_k(5)).expect("maps");
-    let blif = netlist::write_blif(&tf.circuit);
-    let reparsed = netlist::parse_blif(&blif).expect("parses");
+    let blif = blifio::write_circuit(&tf.circuit);
+    let reparsed = blifio::read_circuit_str(&blif).expect("parses");
     assert!(random_equiv(&c, &reparsed, 512, 7).unwrap().is_equivalent());
 }
 

@@ -97,8 +97,8 @@ fn blif_round_trip_random() {
     let mut rng = Rng64::new(0x7A14);
     for case in 0..CASES {
         let c = random_fsm(&mut rng, "blif", case);
-        let text = netlist::write_blif(&c);
-        let back = netlist::parse_blif(&text).unwrap();
+        let text = blifio::write_circuit(&c);
+        let back = blifio::read_circuit_str(&text).unwrap();
         assert!(
             netlist::random_equiv(&c, &back, 256, 31)
                 .unwrap()
