@@ -1,47 +1,45 @@
 //! The versioned `BENCH_table1.json` artifact.
 //!
-//! Schema `turbomap-bench/table1/v3` — see DESIGN.md for the
+//! Schema `turbomap-bench/table1/v4` — see DESIGN.md for the
 //! field-by-field description. Objects render with insertion-ordered
 //! keys via [`engine::JsonValue`], so the artifact is byte-deterministic
 //! for a given suite result. The `canonical` flag zeroes every timing
-//! field (wall seconds, cpu seconds, phase timers, span-duration
-//! histograms) and **omits** the memory breakdowns (heap behaviour is
-//! scheduling- and allocator-dependent) while keeping the deterministic
-//! algorithmic counters and value histograms; two runs that differ only
-//! in scheduling (`--jobs 1` vs `--jobs 8`) — or in whether tracing or
-//! memory accounting was enabled — produce **byte-identical** canonical
-//! artifacts.
+//! field (wall seconds, cpu seconds, span-duration histograms) and
+//! **omits** the `spans` and memory objects (timing and heap behaviour
+//! are scheduling- and allocator-dependent) while keeping the
+//! deterministic algorithmic counters and value histograms; two runs
+//! that differ only in scheduling (`--jobs 1` vs `--jobs 8`) — or in
+//! whether tracing or memory accounting was enabled — produce
+//! **byte-identical** canonical artifacts.
 //!
-//! Version compatibility is strictly additive: `v2` added the optional
-//! `histograms` / `job_histograms` objects to `v1`, and `v3` adds the
-//! optional `mem_phases` (per algorithm), `job_mem_phases` and `job_mem`
-//! objects — per-phase wall + peak-heap + alloc-count breakdowns keyed
-//! by the span tracer's phase names, omitted when empty or canonical.
-//! Every earlier field keeps its name, type and position, so old
-//! consumers read new artifacts by ignoring the new keys and checking
-//! the schema prefix `turbomap-bench/table1/`.
+//! `v4` replaced `v3`'s four per-phase objects (phase timers and memory
+//! breakdowns, per algorithm and per job) with one `spans` object per
+//! algorithm and per job, read from the span table: for each span name, its count,
+//! wall and self seconds, and — with memory accounting on — its
+//! allocations and within-span heap peak. Consumers check the schema
+//! prefix `turbomap-bench/table1/`.
 
 use crate::{geomean, Measured, Row};
 use engine::hist::{Histogram, Metric, HIST_NAMES, NUM_HISTS};
-use engine::mem::{MemStats, MEM_PHASE_NAMES, NUM_MEM_PHASES};
-use engine::telemetry::{Telemetry, COUNTER_NAMES, NUM_COUNTERS, PHASE_NAMES};
+use engine::mem::MemStats;
+use engine::telemetry::{SpanTable, Telemetry, COUNTER_NAMES, NUM_COUNTERS};
 use engine::{JobOutcome, JobReport, JsonValue};
 
 /// Artifact schema identifier (bump on breaking changes).
-pub const SCHEMA: &str = "turbomap-bench/table1/v3";
+pub const SCHEMA: &str = "turbomap-bench/table1/v4";
 
 /// Schema of the large-workload ingestion artifact (`v2` added the
 /// optional `peak_rss_kib` field; `v3` added the vectorized verify
 /// phase — `verify_lanes`/`verify_cycles` structural fields, the
-/// `verify_secs`/`verify_scalar_secs` timings, and the `job_phases`
-/// wall breakdown benchdiff attributes regressions to; `v4` adds the
-/// optional partitioned-mapping fields of `--partitions` runs —
-/// structural `partition_blocks`/`partition_cut_ffs`/`partition_phi`/
-/// `partition_luts`, exact-gated by benchdiff, plus the `map_secs`/
-/// `partition_block_secs` timings, the derived `partition_speedup`,
-/// and a `map` entry in `job_phases`; all omitted on ingestion-only
-/// rows, so `v3` consumers read `v4` artifacts unchanged).
-pub const LARGE_SCHEMA: &str = "turbomap-bench/large/v4";
+/// `verify_secs`/`verify_scalar_secs` timings, and a per-phase wall
+/// breakdown; `v4` added the optional partitioned-mapping fields of
+/// `--partitions` runs — structural `partition_blocks`/
+/// `partition_cut_ffs`/`partition_phi`/`partition_luts`, exact-gated by
+/// benchdiff, plus the `map_secs`/`partition_block_secs` timings and the
+/// derived `partition_speedup`, all omitted on ingestion-only rows;
+/// `v5` replaces the per-phase breakdown with the row's `spans` object,
+/// read from the span table like the Table-1 artifact's).
+pub const LARGE_SCHEMA: &str = "turbomap-bench/large/v5";
 
 fn secs(value: f64, canonical: bool) -> JsonValue {
     JsonValue::Float(if canonical { 0.0 } else { value })
@@ -51,21 +49,6 @@ fn counters_json(t: &Telemetry) -> JsonValue {
     JsonValue::Object(
         (0..NUM_COUNTERS)
             .map(|i| (COUNTER_NAMES[i].to_string(), JsonValue::UInt(t.counters[i])))
-            .collect(),
-    )
-}
-
-fn phases_json(t: &Telemetry, canonical: bool) -> JsonValue {
-    JsonValue::Object(
-        PHASE_NAMES
-            .iter()
-            .enumerate()
-            .map(|(i, name)| {
-                (
-                    name.to_string(),
-                    secs(t.phase_nanos[i] as f64 / 1e9, canonical),
-                )
-            })
             .collect(),
     )
 }
@@ -109,39 +92,38 @@ fn hists_json(t: &Telemetry, canonical: bool) -> Option<JsonValue> {
     }
 }
 
-/// The `v3` per-phase memory breakdown: for each phase that recorded
-/// anything, wall seconds inside its scopes plus the heap deltas. `None`
-/// when canonical (heap numbers are not scheduling-deterministic) or
-/// when accounting never recorded (gate off → field omitted, keeping
-/// accounting-on/off artifacts identical in canonical mode).
-fn mem_phases_json(mem: &MemStats, canonical: bool) -> Option<JsonValue> {
-    if canonical {
+/// The `spans` object: for each span name (sorted), its count, wall and
+/// self seconds, plus its heap numbers when accounting recorded any.
+/// `None` when canonical (timings are not scheduling-deterministic) or
+/// when no span closed.
+fn spans_json(spans: &SpanTable, canonical: bool) -> Option<JsonValue> {
+    if canonical || spans.is_empty() {
         return None;
     }
-    let pairs: Vec<(String, JsonValue)> = (0..NUM_MEM_PHASES)
-        .filter(|&i| !mem.phases[i].is_empty())
-        .map(|i| {
-            let p = &mem.phases[i];
-            (
-                MEM_PHASE_NAMES[i].to_string(),
-                JsonValue::object(vec![
-                    ("wall_secs", JsonValue::Float(p.wall_nanos as f64 / 1e9)),
-                    ("peak_heap_bytes", JsonValue::UInt(p.peak_bytes)),
-                    ("allocs", JsonValue::UInt(p.allocs)),
-                    ("alloc_bytes", JsonValue::UInt(p.alloc_bytes)),
-                ]),
-            )
+    let pairs = spans
+        .sorted()
+        .into_iter()
+        .map(|(name, s)| {
+            let mut fields = vec![
+                ("count", JsonValue::UInt(s.count)),
+                ("wall_secs", JsonValue::Float(s.wall_secs())),
+                ("self_secs", JsonValue::Float(s.self_secs())),
+            ];
+            if s.allocs > 0 || s.peak_bytes > 0 {
+                fields.extend([
+                    ("peak_heap_bytes", JsonValue::UInt(s.peak_bytes)),
+                    ("allocs", JsonValue::UInt(s.allocs)),
+                    ("alloc_bytes", JsonValue::UInt(s.alloc_bytes)),
+                ]);
+            }
+            (name.to_string(), JsonValue::object(fields))
         })
         .collect();
-    if pairs.is_empty() {
-        None
-    } else {
-        Some(JsonValue::Object(pairs))
-    }
+    Some(JsonValue::Object(pairs))
 }
 
-/// The `v3` job-level allocation ledger; `None` under the same rules as
-/// [`mem_phases_json`].
+/// The job-level allocation ledger; `None` when canonical or when
+/// accounting never recorded.
 fn job_mem_json(mem: &MemStats, canonical: bool) -> Option<JsonValue> {
     if canonical || mem.is_empty() {
         return None;
@@ -163,14 +145,13 @@ fn measured_json(m: &Measured, canonical: bool) -> JsonValue {
         ("star", JsonValue::Bool(m.star)),
         ("verified", JsonValue::Bool(m.verified)),
         ("cpu_secs", secs(m.cpu, canonical)),
-        ("phases", phases_json(&m.telemetry, canonical)),
         ("counters", counters_json(&m.telemetry)),
     ];
     if let Some(h) = hists_json(&m.telemetry, canonical) {
         pairs.push(("histograms", h));
     }
-    if let Some(mp) = mem_phases_json(&m.telemetry.mem, canonical) {
-        pairs.push(("mem_phases", mp));
+    if let Some(sp) = spans_json(&m.telemetry.spans, canonical) {
+        pairs.push(("spans", sp));
     }
     JsonValue::object(pairs)
 }
@@ -214,13 +195,12 @@ fn circuit_json(report: &JobReport<Row>, canonical: bool) -> JsonValue {
         }
     }
     pairs.push(("wall_secs", secs(report.wall.as_secs_f64(), canonical)));
-    pairs.push(("job_phases", phases_json(&report.telemetry, canonical)));
     pairs.push(("job_counters", counters_json(&report.telemetry)));
     if let Some(h) = hists_json(&report.telemetry, canonical) {
         pairs.push(("job_histograms", h));
     }
-    if let Some(mp) = mem_phases_json(&report.telemetry.mem, canonical) {
-        pairs.push(("job_mem_phases", mp));
+    if let Some(sp) = spans_json(&report.telemetry.spans, canonical) {
+        pairs.push(("spans", sp));
     }
     if let Some(jm) = job_mem_json(&report.telemetry.mem, canonical) {
         pairs.push(("job_mem", jm));
@@ -316,14 +296,6 @@ pub fn large_json(rows: &[crate::large::IngestRow], canonical: bool) -> JsonValu
                 rows.iter()
                     .map(|r| {
                         let map_secs = r.partition.as_ref().map_or(0.0, |p| p.map_secs);
-                        let mut phases = vec![
-                            ("parse", secs(r.parse_secs, canonical)),
-                            ("flatten", secs(r.total_secs - r.parse_secs, canonical)),
-                            ("verify", secs(r.verify_secs, canonical)),
-                        ];
-                        if r.partition.is_some() {
-                            phases.push(("map", secs(map_secs, canonical)));
-                        }
                         let mut pairs = vec![
                             ("name", JsonValue::str(r.name.clone())),
                             ("status", JsonValue::str("ok")),
@@ -342,7 +314,6 @@ pub fn large_json(rows: &[crate::large::IngestRow], canonical: bool) -> JsonValu
                                 "wall_secs",
                                 secs(r.total_secs + r.verify_secs + map_secs, canonical),
                             ),
-                            ("job_phases", JsonValue::object(phases)),
                             (
                                 "peak_rss_kib",
                                 JsonValue::UInt(if canonical { 0 } else { r.peak_rss_kib }),
@@ -358,6 +329,9 @@ pub fn large_json(rows: &[crate::large::IngestRow], canonical: bool) -> JsonValu
                                 ("partition_block_secs", secs(p.block_secs, canonical)),
                                 ("partition_speedup", secs(p.speedup(), canonical)),
                             ]);
+                        }
+                        if let Some(sp) = spans_json(&r.spans, canonical) {
+                            pairs.push(("spans", sp));
                         }
                         JsonValue::object(pairs)
                     })
@@ -390,7 +364,6 @@ mod tests {
     fn fake_measured(phi: u64) -> Measured {
         let mut t = Telemetry::default();
         t.counters[0] = 42;
-        t.phase_nanos[0] = 1_500_000_000;
         for v in [2u64, 3, 3, 5] {
             t.hists[Metric::CutSize as usize].record(v);
         }
@@ -400,13 +373,27 @@ mod tests {
         t.mem.allocs = 11;
         t.mem.alloc_bytes = 2_222;
         t.mem.peak_bytes = 1_111;
-        t.mem.phases[engine::mem::MemPhase::LabelSweep as usize] = engine::mem::MemPhaseStats {
-            wall_nanos: 700_000_000,
-            allocs: 9,
-            frees: 8,
-            alloc_bytes: 2_000,
-            peak_bytes: 999,
-        };
+        // Spans (with heap numbers) that canonical artifacts must omit.
+        t.spans.add(
+            "turbomap_frt",
+            &engine::SpanStats {
+                count: 1,
+                wall_nanos: 1_500_000_000,
+                self_nanos: 800_000_000,
+                ..engine::SpanStats::ZERO
+            },
+        );
+        t.spans.add(
+            "frtcheck_sweep",
+            &engine::SpanStats {
+                count: 3,
+                wall_nanos: 700_000_000,
+                self_nanos: 700_000_000,
+                allocs: 9,
+                alloc_bytes: 2_000,
+                peak_bytes: 999,
+            },
+        );
         Measured {
             phi,
             luts: 10,
@@ -441,7 +428,7 @@ mod tests {
     fn canonical_artifact_has_no_timing() {
         let reports = vec![fake_report("a")];
         let text = table1_json(&reports, 5, 3008, true).render_pretty();
-        assert!(text.contains("\"schema\": \"turbomap-bench/table1/v3\""));
+        assert!(text.contains("\"schema\": \"turbomap-bench/table1/v4\""));
         assert!(text.contains("\"cpu_secs\": 0.0"));
         assert!(!text.contains("1.5"), "timing leaked: {text}");
         // Counters survive canonicalisation.
@@ -449,24 +436,26 @@ mod tests {
         // Value histograms survive; the span-duration histogram does not.
         assert!(text.contains("\"cut_size\""));
         assert!(!text.contains("\"span_nanos\""), "timing hist leaked");
-        // Memory breakdowns are omitted wholesale in canonical mode, so
-        // accounting-on and accounting-off runs stay byte-identical.
-        assert!(!text.contains("mem_phases"), "mem leaked: {text}");
+        // Spans and memory are omitted wholesale in canonical mode, so
+        // tracing- and accounting-on and -off runs stay byte-identical.
+        assert!(!text.contains("spans"), "spans leaked: {text}");
         assert!(!text.contains("job_mem"), "mem leaked: {text}");
     }
 
     #[test]
-    fn non_canonical_artifact_carries_mem_breakdowns() {
+    fn non_canonical_artifact_carries_spans_and_mem() {
         let mut reports = vec![fake_report("a")];
-        reports[0].telemetry.mem = fake_measured(5).telemetry.mem;
+        reports[0].telemetry = fake_measured(5).telemetry;
         let text = table1_json(&reports, 5, 3008, false).render();
-        // Per-algorithm breakdown keyed by the tracer's phase names.
+        // Per-algorithm spans sorted by name; heap numbers only on the
+        // span that recorded some.
         assert!(text.contains(
-            "\"mem_phases\":{\"frtcheck_sweep\":{\"wall_secs\":0.7,\
-             \"peak_heap_bytes\":999,\"allocs\":9,\"alloc_bytes\":2000}}"
+            "\"spans\":{\"frtcheck_sweep\":{\"count\":3,\"wall_secs\":0.7,\
+             \"self_secs\":0.7,\"peak_heap_bytes\":999,\"allocs\":9,\"alloc_bytes\":2000},\
+             \"turbomap_frt\":{\"count\":1,\"wall_secs\":1.5,\"self_secs\":0.8}}"
         ));
-        // Job-level breakdown plus the allocation ledger.
-        assert!(text.contains("\"job_mem_phases\""));
+        // The job-level spans object plus the allocation ledger.
+        assert_eq!(text.matches("\"spans\"").count(), 4, "3 algorithms + 1 job");
         assert!(text.contains(
             "\"job_mem\":{\"peak_heap_bytes\":1111,\"allocs\":11,\"frees\":0,\
              \"alloc_bytes\":2222,\"free_bytes\":0}"
@@ -525,26 +514,44 @@ mod tests {
                 map_secs: 2.0,
                 block_secs: 6.0,
             }),
+            spans: {
+                let mut spans = SpanTable::new();
+                spans.add(
+                    "partition_map",
+                    &engine::SpanStats {
+                        count: 1,
+                        wall_nanos: 2_000_000_000,
+                        self_nanos: 1_000_000_000,
+                        ..engine::SpanStats::ZERO
+                    },
+                );
+                spans
+            },
         };
         let text = large_json(std::slice::from_ref(&row), false).render();
-        assert!(text.contains("\"schema\":\"turbomap-bench/large/v4\""));
+        assert!(text.contains("\"schema\":\"turbomap-bench/large/v5\""));
         assert!(text.contains("\"partition_blocks\":4"));
         assert!(text.contains("\"partition_cut_ffs\":12"));
         assert!(text.contains("\"partition_speedup\":3.0"));
-        assert!(text.contains("\"map\":2.0"), "{text}");
-        // Canonical zeroes the partition timings, keeps the structure.
+        assert!(
+            text.contains("\"spans\":{\"partition_map\":{\"count\":1,\"wall_secs\":2.0"),
+            "{text}"
+        );
+        // Canonical zeroes the partition timings, keeps the structure,
+        // and omits the spans.
         let text = large_json(std::slice::from_ref(&row), true).render();
         assert!(text.contains("\"partition_phi\":9"));
         assert!(text.contains("\"partition_speedup\":0.0"));
         assert!(text.contains("\"map_secs\":0.0"));
+        assert!(!text.contains("spans"), "{text}");
         // Ingestion-only rows omit every partition field (v3 shape).
         let plain = crate::large::IngestRow {
             partition: None,
+            spans: SpanTable::new(),
             ..row
         };
         let text = large_json(&[plain], false).render();
         assert!(!text.contains("partition_"), "{text}");
-        assert!(!text.contains("\"map\""), "{text}");
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! time more than P percent over baseline — default 25 — or, with
 //! `--mem-threshold-pct`, per-job peak memory more than M percent over
 //! baseline), 2 on usage or parse errors. When a wall or memory gate
-//! trips, the report names the phase whose wall/peak grew the most
-//! (from the schema-v3 `mem_phases` breakdowns). Wall and memory
+//! trips, the report names the span whose self time/heap peak grew the
+//! most (from the row's `spans` object). Wall and memory
 //! gating are skipped automatically when either artifact is canonical
 //! (timing zeroed, memory omitted by design).
 //!

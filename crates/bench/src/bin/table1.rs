@@ -14,23 +14,24 @@
 //! the partitioned artifact against the committed monolithic baseline;
 //! on `--suite large` every preset is additionally *mapped* (not just
 //! ingested), with `--jobs` as the block-level worker count, and the
-//! artifact gains the `large/v4` partition fields including the
+//! artifact gains the `large/v5` partition fields including the
 //! measured multi-block parallel speedup.
 //!
 //! `--suite large` runs the large-workload *ingestion* suite instead:
 //! each `workloads::large` preset is generated to a temp dir and
 //! ingested through the streaming BLIF front-end; `--json` then writes
-//! the `turbomap-bench/large/v3` artifact (also honouring
+//! the `turbomap-bench/large/v5` artifact (also honouring
 //! `--canonical` and `--max-gates`, which caps the preset's flattened
 //! gate count).
 //!
 //! Circuits run as isolated jobs on the `engine` batch runner: `--jobs`
 //! picks the worker count (results are identical and identically ordered
 //! for any value), `--timeout-secs` arms a per-circuit soft deadline, and
-//! `--json` writes the versioned `turbomap-bench/table1/v3` artifact
-//! (`--canonical` zeroes its timing fields and omits its heap-accounting
-//! fields so reruns are byte-identical, even with tracing or memory
-//! accounting toggled). `--trace-dir` enables span tracing and
+//! `--json` writes the versioned `turbomap-bench/table1/v4` artifact
+//! (`--canonical` zeroes its timing fields and omits its `spans` and
+//! heap-accounting fields so reruns are byte-identical, even with
+//! tracing or memory accounting toggled). `--trace-dir` enables span
+//! tracing and
 //! writes one Chrome-trace JSON per circuit (`DIR/<name>.trace.json`,
 //! loadable in Perfetto / `chrome://tracing`). `--report-dir` runs a
 //! post-suite certificate pass: every circuit is re-mapped through
@@ -50,14 +51,14 @@ use bench::{artifact, geomean, Row};
 use engine::{log, JsonValue};
 use std::time::Duration;
 
-/// Heap accounting for the schema-v3 `mem_phases` / `job_mem`
-/// breakdowns: the counting wrapper always delegates to the system
+/// Heap accounting for the artifacts' per-span heap numbers and
+/// `job_mem` ledger: the counting wrapper always delegates to the system
 /// allocator, and counting itself is off until `mem::set_enabled`.
 #[global_allocator]
 static ALLOC: engine::mem::CountingAlloc = engine::mem::CountingAlloc::new();
 
 /// The `--suite large` path: ingest every large preset (within the
-/// gate cap) and optionally write the `turbomap-bench/large/v3`
+/// gate cap) and optionally write the `turbomap-bench/large/v5`
 /// artifact.
 fn run_large_suite_main(cfg: &SuiteConfig, json_path: Option<&str>, canonical: bool) {
     let dir = std::env::temp_dir().join("tmfrt_large_suite");

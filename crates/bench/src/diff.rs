@@ -21,18 +21,17 @@
 //!   meaningless there);
 //! * with [`DiffOptions::mem_threshold`] set, a **peak-memory** increase
 //!   beyond that fraction gates too — per-job peak heap for table1 rows
-//!   (`job_mem.peak_heap_bytes`, schema v3), peak RSS for large rows —
+//!   (`job_mem.peak_heap_bytes`), peak RSS for large rows —
 //!   again skipped when either artifact is canonical (canonical
 //!   artifacts omit memory, which is allocator-dependent);
 //! * histogram quantile shifts are reported but never gate — they are
 //!   scheduling-sensitive distributions, not acceptance criteria.
 //!
-//! When a wall or memory gate trips, the offending **phase** is named:
-//! the diff scans the v3 per-phase breakdowns (`job_mem_phases`, falling
-//! back to the per-algorithm `mem_phases` and to the v2 wall-only
-//! `job_phases`) and appends `attributed to phase \`<name>\`` with the
-//! phase's own before/after numbers to the regression line, so CI logs
-//! point at the subsystem, not just the circuit.
+//! When a wall or memory gate trips, the offending **span** is named:
+//! the diff scans the row's job-level `spans` object and appends
+//! `attributed to span \`<name>\`` with the span's own before/after self
+//! time (or heap peak) to the regression line, so CI logs point at the
+//! subsystem, not just the circuit.
 //!
 //! The rendered report is byte-deterministic for a given pair of
 //! artifacts: circuits sort by name, floats render through the same
@@ -218,66 +217,32 @@ fn diff_hists(base: &JsonValue, cand: &JsonValue, key: &str, scope: &str, notes:
     }
 }
 
-fn add_phase(out: &mut Vec<(String, f64, u64)>, name: &str, wall: f64, peak: u64) {
-    if let Some(e) = out.iter_mut().find(|(n, _, _)| n == name) {
-        e.1 += wall;
-        e.2 = e.2.max(peak);
-    } else {
-        out.push((name.to_string(), wall, peak));
-    }
-}
-
-fn collect_mem_phases(obj: &JsonValue, out: &mut Vec<(String, f64, u64)>) {
-    let JsonValue::Object(pairs) = obj else {
-        return;
+/// Per-span `(name, self_secs, peak_heap_bytes)` profile of a circuit
+/// row, from its job-level `spans` object (in the artifact's name order,
+/// so attribution is deterministic).
+fn span_profile(row: &JsonValue) -> Vec<(&str, f64, u64)> {
+    let Some(JsonValue::Object(pairs)) = row.get("spans") else {
+        return Vec::new();
     };
-    for (name, p) in pairs {
-        let wall = p.get("wall_secs").and_then(as_f64).unwrap_or(0.0);
-        let peak = p
-            .get("peak_heap_bytes")
-            .and_then(|v| v.as_u64())
-            .unwrap_or(0);
-        add_phase(out, name, wall, peak);
-    }
+    pairs
+        .iter()
+        .map(|(name, s)| {
+            let self_secs = s.get("self_secs").and_then(as_f64).unwrap_or(0.0);
+            let peak = s
+                .get("peak_heap_bytes")
+                .and_then(|v| v.as_u64())
+                .unwrap_or(0);
+            (name.as_str(), self_secs, peak)
+        })
+        .collect()
 }
 
-/// Per-phase `(name, wall_secs, peak_heap_bytes)` profile of a circuit
-/// row. Prefers the v3 job-level `job_mem_phases`, falls back to the
-/// per-algorithm `mem_phases` (walls summed, peaks max'd — peaks are
-/// high-water marks, not flows), and finally to the v2 wall-only
-/// `job_phases`. Sorted by name so attribution is deterministic.
-fn phase_profile(row: &JsonValue) -> Vec<(String, f64, u64)> {
-    let mut out = Vec::new();
-    if let Some(jmp) = row.get("job_mem_phases") {
-        collect_mem_phases(jmp, &mut out);
-    } else {
-        for alg in ALGORITHMS {
-            if let Some(mp) = row.get(alg).and_then(|a| a.get("mem_phases")) {
-                collect_mem_phases(mp, &mut out);
-            }
-        }
-    }
-    if out.is_empty() {
-        if let Some(JsonValue::Object(pairs)) = row.get("job_phases") {
-            for (name, v) in pairs {
-                if let Some(w) = as_f64(v) {
-                    if w > 0.0 {
-                        add_phase(&mut out, name, w, 0);
-                    }
-                }
-            }
-        }
-    }
-    out.sort_by(|a, b| a.0.cmp(&b.0));
-    out
-}
-
-/// Names the phase whose wall time (or, with `by_peak`, peak heap) grew
+/// Names the span whose self time (or, with `by_peak`, heap peak) grew
 /// the most between the two rows, with its own before/after numbers.
-/// `None` when no phase grew or no breakdown exists on the candidate.
+/// `None` when no span grew or the candidate carries no spans.
 fn attribute(base: &JsonValue, cand: &JsonValue, by_peak: bool) -> Option<String> {
-    let bp = phase_profile(base);
-    let cp = phase_profile(cand);
+    let bp = span_profile(base);
+    let cp = span_profile(cand);
     let mut best: Option<(f64, String)> = None;
     for (name, cw, cpk) in &cp {
         let (bw, bpk) = bp
@@ -297,7 +262,7 @@ fn attribute(base: &JsonValue, cand: &JsonValue, by_peak: bool) -> Option<String
             let line = if by_peak {
                 format!("`{name}` (peak heap {bpk} -> {cpk} bytes)")
             } else {
-                format!("`{name}` (wall {} -> {})", fmt_secs(bw), fmt_secs(*cw))
+                format!("`{name}` (self {} -> {})", fmt_secs(bw), fmt_secs(*cw))
             };
             best = Some((delta, line));
         }
@@ -404,7 +369,7 @@ fn diff_circuit(
                 );
                 if ratio > 1.0 + opts.wall_threshold {
                     if let Some(attr) = attribute(base, cand, false) {
-                        line = format!("{line}; attributed to phase {attr}");
+                        line = format!("{line}; attributed to span {attr}");
                     }
                     regressions.push(line.clone());
                 }
@@ -428,7 +393,7 @@ fn diff_circuit(
                     );
                     if ratio > 1.0 + mem_threshold {
                         if let Some(attr) = attribute(base, cand, true) {
-                            line = format!("{line}; attributed to phase {attr}");
+                            line = format!("{line}; attributed to span {attr}");
                         }
                         regressions.push(line.clone());
                     }
@@ -693,6 +658,8 @@ mod tests {
         let report = diff_artifacts(&base, &slow, &DiffOptions::default()).unwrap();
         assert_eq!(report.regressions.len(), 1);
         assert!(report.regressions[0].contains("wall"), "{report:?}");
+        // A row without spans has nothing to attribute the regression to.
+        assert!(!report.regressions[0].contains("attributed"), "{report:?}");
         // Within threshold: reported but not gated.
         let ok = artifact(3, 10, 1.1, false);
         let report = diff_artifacts(&base, &ok, &DiffOptions::default()).unwrap();
@@ -876,20 +843,22 @@ mod tests {
         assert!(!report.circuits[0].notes.is_empty());
     }
 
-    /// A v3-shaped artifact: one circuit with a job-level memory ledger
-    /// and a two-phase breakdown (`frtcheck_sweep` = the LabelUpdate
-    /// sweeps, `min_cut`).
-    fn mem_artifact(wall: f64, sweep_wall: f64, peak: u64, sweep_peak: u64) -> JsonValue {
-        let phase = |wall: f64, peak: u64, allocs: u64| {
+    /// A v4-shaped artifact: one circuit with a job-level memory ledger
+    /// and a three-span breakdown (`turbomap_frt` enclosing
+    /// `frtcheck_sweep` — the LabelUpdate sweeps — and `min_cut`).
+    fn mem_artifact(wall: f64, sweep_self: f64, peak: u64, sweep_peak: u64) -> JsonValue {
+        let span = |wall: f64, self_secs: f64, peak: u64| {
             JsonValue::object(vec![
+                ("count", JsonValue::UInt(3)),
                 ("wall_secs", JsonValue::Float(wall)),
+                ("self_secs", JsonValue::Float(self_secs)),
                 ("peak_heap_bytes", JsonValue::UInt(peak)),
-                ("allocs", JsonValue::UInt(allocs)),
+                ("allocs", JsonValue::UInt(50)),
                 ("alloc_bytes", JsonValue::UInt(peak * 2)),
             ])
         };
         JsonValue::object(vec![
-            ("schema", JsonValue::str("turbomap-bench/table1/v3")),
+            ("schema", JsonValue::str("turbomap-bench/table1/v4")),
             ("canonical", JsonValue::Bool(false)),
             (
                 "circuits",
@@ -898,10 +867,11 @@ mod tests {
                     ("status", JsonValue::str("ok")),
                     ("wall_secs", JsonValue::Float(wall)),
                     (
-                        "job_mem_phases",
+                        "spans",
                         JsonValue::object(vec![
-                            ("frtcheck_sweep", phase(sweep_wall, sweep_peak, 50)),
-                            ("min_cut", phase(0.2, 4_000, 10)),
+                            ("frtcheck_sweep", span(sweep_self, sweep_self, sweep_peak)),
+                            ("min_cut", span(0.2, 0.2, 4_000)),
+                            ("turbomap_frt", span(wall - 0.1, 0.1, peak)),
                         ]),
                     ),
                     (
@@ -920,65 +890,33 @@ mod tests {
     }
 
     #[test]
-    fn wall_regression_names_the_inflated_phase() {
-        // The acceptance scenario: the LabelUpdate sweep's wall doubles
-        // (0.7s -> 1.4s), dragging the job from 1.0s to 1.7s. The gate
-        // must not just flag the circuit — it must name `frtcheck_sweep`.
+    fn wall_regression_names_the_inflated_span() {
+        // The acceptance scenario: the LabelUpdate sweep's self time
+        // doubles (0.7s -> 1.4s), dragging the job from 1.0s to 1.7s. The
+        // gate must not just flag the circuit — it must name
+        // `frtcheck_sweep`, not `turbomap_frt`, whose wall grew as much
+        // but whose self time did not move.
         let base = mem_artifact(1.0, 0.7, 10_000, 8_000);
         let cand = mem_artifact(1.7, 1.4, 10_000, 8_000);
         let report = diff_artifacts(&base, &cand, &DiffOptions::default()).unwrap();
         assert_eq!(report.regressions.len(), 1);
         let r = &report.regressions[0];
         assert!(
-            r.contains("attributed to phase `frtcheck_sweep` (wall 0.7000s -> 1.4000s)"),
+            r.contains("attributed to span `frtcheck_sweep` (self 0.7000s -> 1.4000s)"),
             "{r}"
         );
         assert!(render_report(&report).contains("frtcheck_sweep"));
     }
 
     #[test]
-    fn wall_attribution_falls_back_to_v2_job_phases() {
-        // No v3 memory objects at all — a v2 baseline still attributes
-        // through the wall-only `job_phases` object.
-        let v2 = |wall: f64, sweep: f64| {
-            JsonValue::object(vec![
-                ("schema", JsonValue::str("turbomap-bench/table1/v2")),
-                ("canonical", JsonValue::Bool(false)),
-                (
-                    "circuits",
-                    JsonValue::Array(vec![JsonValue::object(vec![
-                        ("name", JsonValue::str("s27")),
-                        ("status", JsonValue::str("ok")),
-                        ("wall_secs", JsonValue::Float(wall)),
-                        (
-                            "job_phases",
-                            JsonValue::object(vec![
-                                ("frtcheck_sweep", JsonValue::Float(sweep)),
-                                ("min_cut", JsonValue::Float(0.1)),
-                            ]),
-                        ),
-                    ])]),
-                ),
-            ])
-        };
-        let report = diff_artifacts(&v2(1.0, 0.6), &v2(1.6, 1.2), &DiffOptions::default()).unwrap();
-        assert_eq!(report.regressions.len(), 1);
-        assert!(
-            report.regressions[0].contains("attributed to phase `frtcheck_sweep`"),
-            "{:?}",
-            report.regressions
-        );
-    }
-
-    #[test]
-    fn mem_gate_fires_past_threshold_and_names_the_phase() {
+    fn mem_gate_fires_past_threshold_and_names_the_span() {
         let base = mem_artifact(1.0, 0.7, 10_000, 8_000);
         let bloated = mem_artifact(1.0, 0.7, 20_000, 18_000);
         // Off by default: peak doubling is note-worthy only when asked.
         let report = diff_artifacts(&base, &bloated, &DiffOptions::default()).unwrap();
         assert!(report.is_clean());
-        // With the gate on, +100% > 25% fails and names the phase whose
-        // peak grew.
+        // With the gate on, +100% > 25% fails and names the span whose
+        // peak grew the most.
         let opts = DiffOptions {
             mem_threshold: Some(0.25),
             ..DiffOptions::default()
@@ -991,7 +929,7 @@ mod tests {
             "{r}"
         );
         assert!(
-            r.contains("attributed to phase `frtcheck_sweep` (peak heap 8000 -> 18000 bytes)"),
+            r.contains("attributed to span `frtcheck_sweep` (peak heap 8000 -> 18000 bytes)"),
             "{r}"
         );
         // Within threshold: reported but not gated.

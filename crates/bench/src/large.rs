@@ -8,7 +8,9 @@
 //! totals (deterministic for a preset — any drift is a generator or
 //! linker regression) and the parse/flatten/verify wall times
 //! (reported, and zeroed in canonical artifacts like every other
-//! timing field).
+//! timing field). Every wall time is read from the row's span table:
+//! the `parse`, `flatten`, `verify_vector` and `verify_scalar` spans
+//! opened here and the mapper's own `partition_map` span.
 //!
 //! The verify phase drives [`VERIFY_LANES`] independent random input
 //! sequences through the circuit on **both** simulation engines — the
@@ -20,8 +22,9 @@
 //! the equivalence checkers see (`verify_scalar_secs / verify_secs`,
 //! gated by `benchdiff --verify-speedup`).
 
+use engine::telemetry::{self, SpanTable};
+use engine::trace::span;
 use netlist::{Bit, Planes, Simulator, VecSimulator, LANES};
-use std::time::Instant;
 
 /// Independent sequences in the verify phase: one full `Planes` word.
 pub const VERIFY_LANES: usize = LANES;
@@ -76,6 +79,9 @@ pub struct IngestRow {
     /// Partition-and-conquer mapping measurement (`--partitions` runs
     /// only; `None` keeps the row ingestion-only).
     pub partition: Option<PartitionMeasurement>,
+    /// Every span closed while the row ran (the mapper's block spans
+    /// included); the timing fields above are read from it.
+    pub spans: SpanTable,
 }
 
 /// The partitioned-mapping leg of a large row: structural fields
@@ -160,12 +166,16 @@ pub fn run_ingest_row_partitioned(
         .map_err(|e| format!("stat `{}`: {e}", path.display()))?
         .len();
 
-    let start = Instant::now();
-    let file = blifio::parse_path(&path).map_err(|e| format!("parsing {}: {e}", spec.name))?;
-    let parse_secs = start.elapsed().as_secs_f64();
-    let circuit = blifio::flatten(&file, &blifio::LinkOptions::default())
-        .map_err(|e| format!("flattening {}: {e}", spec.name))?;
-    let total_secs = start.elapsed().as_secs_f64();
+    let before = telemetry::snapshot();
+    let file = {
+        let _s = span("parse");
+        blifio::parse_path(&path).map_err(|e| format!("parsing {}: {e}", spec.name))?
+    };
+    let circuit = {
+        let _s = span("flatten");
+        blifio::flatten(&file, &blifio::LinkOptions::default())
+            .map_err(|e| format!("flattening {}: {e}", spec.name))?
+    };
 
     if circuit.num_gates() != spec.flat_gates() || circuit.ff_count_total() != spec.flat_ffs() {
         return Err(format!(
@@ -179,10 +189,10 @@ pub fn run_ingest_row_partitioned(
         ));
     }
 
-    let verify = run_verify_phase(&circuit, spec.seed)
+    let verify_cycles = run_verify_phase(&circuit, spec.seed)
         .map_err(|e| format!("{}: verify phase: {e}", spec.name))?;
 
-    let partition = match partitions {
+    let mapped = match partitions {
         None => None,
         Some(p) => {
             let blocks = if p == 0 {
@@ -192,22 +202,22 @@ pub fn run_ingest_row_partitioned(
             };
             let mut popts = partition::PartitionOptions::new(k, blocks);
             popts.jobs = jobs;
-            let start = Instant::now();
             let mapped = partition::partition_map(&circuit, &popts)
                 .map_err(|e| format!("{}: partition: {e}", spec.name))?;
-            let map_secs = start.elapsed().as_secs_f64();
-            let r = &mapped.report;
-            Some(PartitionMeasurement {
-                blocks: r.blocks,
-                cut_ffs: r.cut_ffs,
-                phi: r.phi,
-                luts: r.luts,
-                map_secs,
-                block_secs: r.block_outcomes.iter().map(|b| b.wall.as_secs_f64()).sum(),
-            })
+            Some(mapped.report)
         }
     };
 
+    let spans = telemetry::snapshot().since(&before).spans;
+    let partition = mapped.map(|r| PartitionMeasurement {
+        blocks: r.blocks,
+        cut_ffs: r.cut_ffs,
+        phi: r.phi,
+        luts: r.luts,
+        map_secs: spans.wall_secs("partition_map"),
+        block_secs: spans.wall_secs("partition_block"),
+    });
+    let parse_secs = spans.wall_secs("parse");
     Ok(IngestRow {
         name: spec.name.clone(),
         file_bytes,
@@ -217,26 +227,22 @@ pub fn run_ingest_row_partitioned(
         pis: circuit.inputs().len(),
         pos: circuit.outputs().len(),
         parse_secs,
-        total_secs,
+        total_secs: parse_secs + spans.wall_secs("flatten"),
         verify_lanes: VERIFY_LANES,
-        verify_cycles: verify.cycles,
-        verify_secs: verify.vector_secs,
-        verify_scalar_secs: verify.scalar_secs,
+        verify_cycles,
+        verify_secs: spans.wall_secs("verify_vector"),
+        verify_scalar_secs: spans.wall_secs("verify_scalar"),
         peak_rss_kib: engine::mem::peak_rss_kib().unwrap_or(0),
         partition,
+        spans,
     })
 }
 
-struct VerifyMeasurement {
-    cycles: usize,
-    vector_secs: f64,
-    scalar_secs: f64,
-}
-
 /// Simulates [`VERIFY_LANES`] independent random sequences on both
-/// engines and requires bit-for-bit agreement on every PO, lane and
-/// cycle. Returns the two wall times.
-fn run_verify_phase(circuit: &netlist::Circuit, seed: u64) -> Result<VerifyMeasurement, String> {
+/// engines — the vector pass under a `verify_vector` span, the scalar
+/// pass under `verify_scalar` — and requires bit-for-bit agreement on
+/// every PO, lane and cycle. Returns the sequence depth in cycles.
+fn run_verify_phase(circuit: &netlist::Circuit, seed: u64) -> Result<usize, String> {
     let m = circuit.inputs().len();
     let cycles = verify_cycles_for(circuit.num_gates());
     // Stimulus: [cycle][lane * m + pi], defined bits with a 1-in-8
@@ -258,7 +264,7 @@ fn run_verify_phase(circuit: &netlist::Circuit, seed: u64) -> Result<VerifyMeasu
         .collect();
 
     // Vector pass: all lanes at once.
-    let start = Instant::now();
+    let vector_span = span("verify_vector");
     let mut vsim = VecSimulator::new(circuit).map_err(|e| e.to_string())?;
     let mut vector_out: Vec<Vec<Planes>> = Vec::with_capacity(cycles);
     let mut inputs = vec![Planes::splat(Bit::X); m];
@@ -279,11 +285,11 @@ fn run_verify_phase(circuit: &netlist::Circuit, seed: u64) -> Result<VerifyMeasu
         }
         vector_out.push(vsim.step(&inputs).map_err(|e| e.to_string())?);
     }
-    let vector_secs = start.elapsed().as_secs_f64();
+    drop(vector_span);
 
     // Scalar pass: the same sequences one lane at a time — the
     // pre-vectorization equivalence-check protocol.
-    let start = Instant::now();
+    let _scalar_span = span("verify_scalar");
     for l in 0..VERIFY_LANES {
         let mut sim = Simulator::new(circuit).map_err(|e| e.to_string())?;
         for (cycle, bits) in stimulus.iter().enumerate() {
@@ -300,13 +306,7 @@ fn run_verify_phase(circuit: &netlist::Circuit, seed: u64) -> Result<VerifyMeasu
             }
         }
     }
-    let scalar_secs = start.elapsed().as_secs_f64();
-
-    Ok(VerifyMeasurement {
-        cycles,
-        vector_secs,
-        scalar_secs,
-    })
+    Ok(cycles)
 }
 
 /// Runs the whole large suite (presets with at most `max_gates` flat

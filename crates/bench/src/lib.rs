@@ -1,17 +1,19 @@
 //! Benchmark harness support: runs the paper's three algorithms on a
 //! circuit and formats Table-1-style reports.
 //!
-//! Timing comes from one source: the `engine` phase timers that the
-//! mapping crates themselves maintain (label / search / generate /
-//! verify). The text report and the JSON artifact read the same
-//! [`engine::Telemetry`] snapshots, so they can never disagree.
+//! Timing comes from one source: the `engine::trace` spans that the
+//! mapping crates open, accumulated into the span table of each
+//! [`engine::Telemetry`] snapshot. Each algorithm runs under one
+//! top-level span named after it ([`ALGORITHM_SPANS`]); its `CPU`
+//! column is that span's wall time. The text report and the JSON
+//! artifact read the same snapshots, so they can never disagree.
 
 pub mod artifact;
 pub mod batch;
 pub mod diff;
 pub mod large;
 
-use engine::telemetry::{self, Phase, Telemetry};
+use engine::telemetry::{self, Telemetry};
 use netlist::Circuit;
 
 /// One algorithm's measured row fragment.
@@ -23,15 +25,15 @@ pub struct Measured {
     pub luts: usize,
     /// FF count (register sharing).
     pub ffs: usize,
-    /// Mapping seconds: the label + search + generate phase timers
-    /// (verification is timed separately under [`Phase::Verify`]).
+    /// Mapping seconds: the wall time of the algorithm's top-level span
+    /// (verification runs after it, under its own `verify` span).
     pub cpu: f64,
     /// `⋆`: no usable equivalent initial state.
     pub star: bool,
     /// Sequential equivalence verified (random vectors).
     pub verified: bool,
-    /// Full telemetry delta attributed to this algorithm (phase timers
-    /// plus algorithmic counters).
+    /// Full telemetry delta attributed to this algorithm (spans,
+    /// counters and histograms, verification included).
     pub telemetry: Telemetry,
 }
 
@@ -70,10 +72,9 @@ impl Row {
 /// for its largest circuits).
 pub const VERIFY_VECTORS: usize = 3008;
 
-/// Mapping seconds of a telemetry delta: every phase except verify.
-fn mapping_secs(t: &Telemetry) -> f64 {
-    t.total_phase_secs() - t.phase_secs(Phase::Verify)
-}
+/// The top-level span of each algorithm, in [`Row`] order: FlowMap-frt,
+/// TurboMap, TurboMap-frt.
+pub const ALGORITHM_SPANS: [&str; 3] = ["flowmap_frt", "turbomap", "turbomap_frt"];
 
 /// Runs the three algorithms on one circuit, returning an error string
 /// instead of panicking (the batch runner's preferred shape: a cancelled
@@ -129,24 +130,29 @@ pub fn try_run_row_partitioned(
 ) -> Result<Row, String> {
     let k = opts.k;
     let check = |mapped: &Circuit, seed: u64, mode: netlist::EquivMode| -> bool {
-        let _t = telemetry::time_phase(Phase::Verify);
         let _s = engine::trace::span1("verify", "vectors", VERIFY_VECTORS as u64);
-        let _mem = engine::mem::scope(engine::mem::MemPhase::Verify);
         verify
             && netlist::random_equiv_mode(c, mapped, VERIFY_VECTORS, seed, mode)
                 .map(|r| r.is_equivalent())
                 .unwrap_or(false)
     };
 
+    let [fm_span, tm_span, tf_span] = ALGORITHM_SPANS;
     let t0 = telemetry::snapshot();
-    let prep = turbomap::prepare(c, k).map_err(|e| format!("prepare: {e}"))?;
-    let fm = flowmap::flowmap_frt(&prep, k).map_err(|e| format!("flowmap-frt: {e}"))?;
+    let fm = {
+        let _s = engine::trace::span(fm_span);
+        let prep = turbomap::prepare(c, k).map_err(|e| format!("prepare: {e}"))?;
+        flowmap::flowmap_frt(&prep, k).map_err(|e| format!("flowmap-frt: {e}"))?
+    };
     let fm_verified = check(&fm.circuit, 1, netlist::EquivMode::Conformance);
     let t1 = telemetry::snapshot();
 
     let tf = match partitions {
         None => {
-            let tf = turbomap::turbomap_frt(c, opts).map_err(|e| format!("turbomap-frt: {e}"))?;
+            let tf = {
+                let _s = engine::trace::span(tf_span);
+                turbomap::turbomap_frt(c, opts).map_err(|e| format!("turbomap-frt: {e}"))?
+            };
             let verified = check(&tf.circuit, 3, netlist::EquivMode::Conformance);
             (
                 tf.period,
@@ -164,8 +170,10 @@ pub fn try_run_row_partitioned(
                 p
             };
             let popts = partition::PartitionOptions::new(k, blocks);
-            let part =
-                partition::partition_map(c, &popts).map_err(|e| format!("partition: {e}"))?;
+            let part = {
+                let _s = engine::trace::span(tf_span);
+                partition::partition_map(c, &popts).map_err(|e| format!("partition: {e}"))?
+            };
             let verified = check(&part.circuit, 3, netlist::EquivMode::Compatibility);
             // Per-block initial states are recomputed across seams, so
             // the stitched mapping never loses them (no `⋆`); the
@@ -177,7 +185,10 @@ pub fn try_run_row_partitioned(
     let (tf_phi, tf_luts, tf_ffs, tf_star, tf_iterations, tf_verified) = tf;
     let t2 = telemetry::snapshot();
 
-    let tm = turbomap::turbomap_general(c, opts).map_err(|e| format!("turbomap: {e}"))?;
+    let tm = {
+        let _s = engine::trace::span(tm_span);
+        turbomap::turbomap_general(c, opts).map_err(|e| format!("turbomap: {e}"))?
+    };
     let tm_verified = check(&tm.circuit, 2, netlist::EquivMode::Conformance);
     let t3 = telemetry::snapshot();
 
@@ -192,7 +203,7 @@ pub fn try_run_row_partitioned(
             phi: fm.period,
             luts: fm.luts,
             ffs: fm.ffs,
-            cpu: mapping_secs(&fm_t),
+            cpu: fm_t.spans.wall_secs(fm_span),
             star: false,
             verified: fm_verified,
             telemetry: fm_t,
@@ -201,7 +212,7 @@ pub fn try_run_row_partitioned(
             phi: tm.period,
             luts: tm.luts,
             ffs: tm.ffs,
-            cpu: mapping_secs(&tm_t),
+            cpu: tm_t.spans.wall_secs(tm_span),
             star: tm.star(),
             verified: tm_verified,
             telemetry: tm_t,
@@ -210,7 +221,7 @@ pub fn try_run_row_partitioned(
             phi: tf_phi,
             luts: tf_luts,
             ffs: tf_ffs,
-            cpu: mapping_secs(&tf_t),
+            cpu: tf_t.spans.wall_secs(tf_span),
             star: tf_star,
             verified: tf_verified,
             telemetry: tf_t,
@@ -277,9 +288,17 @@ mod tests {
                 .counter(Counter::FlowAugmentations)
                 > 0
         );
-        // Verification was timed but excluded from the mapping cpu.
-        assert!(row.turbomap_frt.telemetry.phase_secs(Phase::Verify) > 0.0);
-        assert!(row.turbomap_frt.cpu <= row.turbomap_frt.telemetry.total_phase_secs());
+        // The mapping cpu is the algorithm span's wall; verification
+        // ran after it, under its own span.
+        let spans = &row.turbomap_frt.telemetry.spans;
+        assert_eq!(spans.get("turbomap_frt").unwrap().count, 1);
+        assert_eq!(row.turbomap_frt.cpu, spans.wall_secs("turbomap_frt"));
+        assert_eq!(spans.get("verify").unwrap().count, 1);
+        assert!(spans.get("flowmap_frt").is_none());
+        // Every mapping phase is a named child span of the algorithm's.
+        for child in ["prepare", "flowmap_label", "frt_context", "phi_search"] {
+            assert!(spans.get(child).is_some(), "no {child} span: {spans:?}");
+        }
         // FlowMap-frt does no FRTcheck sweeps.
         assert_eq!(row.flowmap_frt.telemetry.counter(Counter::FrtSweeps), 0);
     }

@@ -27,8 +27,8 @@ USAGE: tmfrt batch <dir> [--jobs N] [--timeout-secs S] [-o OUTDIR]
   --timeout-secs S  per-circuit soft deadline; an over-deadline circuit
                     is reported and skipped, the rest still complete
   -o OUTDIR         write each mapped circuit to OUTDIR/<stem>.blif
-  --metrics-out F   write Prometheus text exposition (job outcomes, phase
-                    timers, counters, histogram quantiles) to F
+  --metrics-out F   write Prometheus text exposition (job outcomes,
+                    counters, span times, histogram quantiles) to F
   -q, --quiet       suppress per-circuit reports on stderr (failures and
                     errors still print)
   remaining flags   as in single-circuit mode (see `tmfrt --help`)

@@ -17,7 +17,7 @@
 //! * `tmfrt profile <PATH>...` — self/total per-span report;
 //! * `--folded FILE` — additionally write folded stacks
 //!   (`flamegraph.pl` / speedscope input) to `FILE`;
-//! * `tmfrt profile --diff <BASE> <CAND>` — phase-attributed
+//! * `tmfrt profile --diff <BASE> <CAND>` — span-attributed
 //!   differential: per-span self-time deltas plus a `top regression:`
 //!   trailer naming the span that got slowest.
 

@@ -5,13 +5,13 @@
 //! several sources) enqueues each circuit on a long-lived
 //! [`engine::Pool`], exactly as `tmfrt batch` does — panic-isolated,
 //! deadline-bounded through [`engine::CancelToken`]s, with per-job
-//! telemetry. While a job runs, its counters, current phase and
-//! heap-accounting peaks are readable by other threads through the
+//! telemetry. While a job runs, its counters, spans, innermost open span
+//! and heap-accounting peaks are readable by other threads through the
 //! [`engine::telemetry::LiveTelemetry`] mirror, so `GET /jobs/<id>`
 //! shows counters- and peak-heap-so-far, `GET /metrics` folds running
 //! jobs into the Prometheus exposition (including the process-wide
 //! allocator gauges from [`engine::mem`]), and `GET /events` streams
-//! job-lifecycle and phase-transition events as Server-Sent Events.
+//! job-lifecycle and span-transition events as Server-Sent Events.
 //! With `--trace`, every job also records its spans, and
 //! `GET /jobs/<id>/trace` serves the finished job's Chrome-trace JSON
 //! (loadable in Perfetto, analyzable offline with `tmfrt profile`).
@@ -27,7 +27,7 @@
 use crate::{load_circuit, run, Args};
 use engine::cancel::{self, CancelReason};
 use engine::http::{Request, Response, Server, ServerConfig};
-use engine::telemetry::{self, Counter, LiveTelemetry, Telemetry, COUNTER_NAMES, PHASE_NAMES};
+use engine::telemetry::{self, Counter, LiveTelemetry, Telemetry, COUNTER_NAMES};
 use engine::{log, trace, CancelToken, JsonValue, Pool, PromWriter};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -60,14 +60,15 @@ ENDPOINTS
                     report=1 (turbomap-frt only) also records a
                     turbomap-report/v1 certificate per job
   GET  /jobs        all jobs (id, state, status, wall)
-  GET  /jobs/<id>   one job: phase timers, counters- and peak-heap-so-far
-                    while running, final telemetry and report when done
+  GET  /jobs/<id>   one job: spans, counters and peak heap so far plus
+                    the innermost open span while running, final
+                    telemetry and report when done
   GET  /jobs/<id>/report  the job's turbomap-report/v1 JSON (requires a
                     finished report=1 job; 404 otherwise)
   GET  /jobs/<id>/trace  the job's Chrome-trace JSON (requires --trace
                     and a finished job; 404 otherwise)
   GET  /metrics     Prometheus text exposition (live + finished jobs)
-  GET  /events      Server-Sent Events: job lifecycle + phase transitions
+  GET  /events      Server-Sent Events: job lifecycle + span transitions
   GET  /healthz     liveness   GET /readyz  readiness
   POST /shutdown    graceful stop: cancels in-flight jobs, drains, exits
 
@@ -212,8 +213,9 @@ struct JobRecord {
     final_telemetry: Option<Telemetry>,
     /// Spans harvested from the job thread (`--trace` runs only).
     trace: Option<trace::TraceBuffer>,
-    /// Last phase index published to the event stream (monitor state).
-    last_phase: Option<&'static str>,
+    /// Last innermost span published to the event stream (monitor
+    /// state).
+    last_span: Option<&'static str>,
 }
 
 /// Bounded in-memory event log backing `GET /events`.
@@ -325,7 +327,7 @@ pub fn start(args: &ServeArgs) -> Result<ServeHandle, String> {
         ],
     );
 
-    // Monitor thread: enforces job deadlines and publishes phase
+    // Monitor thread: enforces job deadlines and publishes span
     // transitions of running jobs to the event stream.
     let monitor = {
         let state = Arc::clone(&state);
@@ -399,22 +401,19 @@ fn monitor_loop(state: &ServeState) {
                         );
                     }
                 }
-                let phase = job.live.current_phase().map(|p| PHASE_NAMES[p as usize]);
-                if phase != job.last_phase {
-                    if let Some(name) = phase {
+                let span = job.live.current_span();
+                if span != job.last_span {
+                    if let Some(name) = span {
                         transitions.push((job.id, name));
                     }
-                    job.last_phase = phase;
+                    job.last_span = span;
                 }
             }
         }
-        for (id, phase) in transitions {
+        for (id, span) in transitions {
             state.push_event(
-                "phase",
-                vec![
-                    ("job", JsonValue::UInt(id)),
-                    ("phase", JsonValue::str(phase)),
-                ],
+                "span",
+                vec![("job", JsonValue::UInt(id)), ("span", JsonValue::str(span))],
             );
         }
         std::thread::sleep(Duration::from_millis(20));
@@ -599,7 +598,7 @@ fn submit_jobs(state: &Arc<ServeState>, req: &Request) -> Response {
             live: Arc::clone(&live),
             final_telemetry: None,
             trace: None,
-            last_phase: None,
+            last_span: None,
         };
         state.jobs.lock().expect("jobs poisoned").push(record);
         state.push_event(
@@ -796,21 +795,32 @@ fn jobs_index(state: &ServeState) -> JsonValue {
 
 fn telemetry_json(
     t: &Telemetry,
-    current_phase: Option<&'static str>,
+    current_span: Option<&'static str>,
 ) -> Vec<(&'static str, JsonValue)> {
     let counters = COUNTER_NAMES
         .iter()
         .zip(t.counters.iter())
         .map(|(name, v)| (*name, JsonValue::UInt(*v)))
         .collect();
-    let phases = PHASE_NAMES
-        .iter()
-        .zip(t.phase_nanos.iter())
-        .map(|(name, nanos)| (*name, JsonValue::UInt(nanos / 1_000)))
+    let spans = t
+        .spans
+        .sorted()
+        .into_iter()
+        .map(|(name, s)| {
+            let fields = JsonValue::object(vec![
+                ("count", JsonValue::UInt(s.count)),
+                ("wall_micros", JsonValue::UInt(s.wall_nanos / 1_000)),
+                ("self_micros", JsonValue::UInt(s.self_nanos / 1_000)),
+            ]);
+            (name, fields)
+        })
         .collect();
+    // The headline quality counter also surfaces as an explicit field so
+    // dashboards need not dig through the counters object.
     let mut pairs = vec![
+        ("frt_capped", JsonValue::UInt(t.counter(Counter::FrtCapped))),
         ("counters", JsonValue::object(counters)),
-        ("phase_micros", JsonValue::object(phases)),
+        ("spans", JsonValue::object(spans)),
     ];
     if !t.mem.is_empty() {
         pairs.push((
@@ -822,8 +832,8 @@ fn telemetry_json(
             ]),
         ));
     }
-    if let Some(phase) = current_phase {
-        pairs.push(("phase", JsonValue::str(phase)));
+    if let Some(span) = current_span {
+        pairs.push(("span", JsonValue::str(span)));
     }
     pairs
 }
@@ -909,30 +919,12 @@ fn job_detail(state: &ServeState, id: u64) -> Option<JsonValue> {
     if let Some(buffer) = &j.trace {
         pairs.push(("trace_dropped_events", JsonValue::UInt(buffer.dropped)));
     }
-    // Telemetry: the final snapshot once done, counters-so-far through
-    // the live mirror while running. The two headline efficiency
-    // counters also surface as explicit fields so dashboards need not
-    // dig through the counters object.
-    let headline = |pairs: &mut Vec<(&'static str, JsonValue)>, t: &Telemetry| {
-        pairs.push((
-            "sweeps_saved",
-            JsonValue::UInt(t.counters[Counter::SweepsSaved as usize]),
-        ));
-        pairs.push((
-            "frt_capped",
-            JsonValue::UInt(t.counters[Counter::FrtCapped as usize]),
-        ));
-    };
+    // Telemetry: the final snapshot once done, counters and spans so far
+    // through the live mirror while running.
     match (&j.final_telemetry, j.state) {
-        (Some(t), _) => {
-            headline(&mut pairs, t);
-            pairs.extend(telemetry_json(t, None));
-        }
+        (Some(t), _) => pairs.extend(telemetry_json(t, None)),
         (None, JobState::Running) => {
-            let live = j.live.snapshot();
-            let phase = j.live.current_phase().map(|p| PHASE_NAMES[p as usize]);
-            headline(&mut pairs, &live);
-            pairs.extend(telemetry_json(&live, phase));
+            pairs.extend(telemetry_json(&j.live.snapshot(), j.live.current_span()));
         }
         _ => {}
     }
@@ -998,25 +990,15 @@ fn render_metrics(state: &ServeState) -> String {
         "Total wall-clock seconds spent by finished jobs.",
     );
     w.sample("tmfrt_job_wall_seconds", &[], wall_total);
-    // Observability health + headline efficiency counters as dedicated
-    // families (they also appear inside tmfrt_events, but dashboards
-    // alert on these three specifically).
+    // Observability health + the headline quality counter as dedicated
+    // families (the counter also appears inside tmfrt_events, but
+    // dashboards alert on these two specifically).
     w.family(
         "tmfrt_trace_dropped_events",
         engine::prom::MetricKind::Counter,
         "Trace ring-buffer events dropped across recorded jobs (non-zero = incomplete traces).",
     );
     w.sample_u64("tmfrt_trace_dropped_events", &[], trace_dropped);
-    w.family(
-        "tmfrt_sweeps_saved_total",
-        engine::prom::MetricKind::Counter,
-        "Label sweeps skipped by warm-start seeding across all jobs.",
-    );
-    w.sample_u64(
-        "tmfrt_sweeps_saved_total",
-        &[],
-        agg.counters[Counter::SweepsSaved as usize],
-    );
     w.family(
         "tmfrt_frt_capped_total",
         engine::prom::MetricKind::Counter,

@@ -143,9 +143,21 @@ fn serve_end_to_end() {
         .expect("ok job has a report");
     assert!(report.contains("input:"), "{report}");
     assert!(report.contains("verify: equivalent"), "{report}");
-    // Final telemetry rides along: counters and phase timers.
+    // Final telemetry rides along: counters and the span table.
     assert!(done.get("counters").is_some(), "{done:?}");
-    assert!(done.get("phase_micros").is_some(), "{done:?}");
+    let phi_search = done
+        .get("spans")
+        .and_then(|s| s.get("phi_search"))
+        .expect("phi_search span in the job's table");
+    assert!(
+        phi_search
+            .get("count")
+            .and_then(|c| c.as_u64())
+            .unwrap_or(0)
+            >= 1,
+        "{done:?}"
+    );
+    assert!(phi_search.get("self_micros").is_some(), "{done:?}");
 
     // The index lists it as done.
     let (status, body) = get(addr, "/jobs");
@@ -333,14 +345,13 @@ fn serve_report_endpoint_metrics_and_keepalive() {
         "{done:?}"
     );
     // The detail document advertises the report and surfaces the
-    // headline efficiency counters and trace health explicitly.
+    // headline quality counter and trace health explicitly.
     assert_eq!(
         done.get("report_available")
             .map(|v| matches!(v, JsonValue::Bool(true))),
         Some(true),
         "{done:?}"
     );
-    assert!(done.get("sweeps_saved").and_then(|v| v.as_u64()).is_some());
     assert!(done.get("frt_capped").and_then(|v| v.as_u64()).is_some());
     assert_eq!(
         done.get("trace_dropped_events").and_then(|v| v.as_u64()),
@@ -380,7 +391,10 @@ fn serve_report_endpoint_metrics_and_keepalive() {
     assert_eq!(status, 200);
     engine::prom::validate_exposition(&text).expect("metrics must validate");
     assert!(text.contains("tmfrt_trace_dropped_events 0\n"), "{text}");
-    assert!(text.contains("tmfrt_sweeps_saved_total"), "{text}");
+    assert!(
+        text.contains("tmfrt_span_count_total{span=\"phi_search\"}"),
+        "{text}"
+    );
     assert!(text.contains("tmfrt_frt_capped_total"), "{text}");
     assert!(
         text.contains("tmfrt_events{counter=\"reports_generated\"} 1\n"),

@@ -11,7 +11,7 @@
 //!   job observes the token cooperatively (deep loops poll
 //!   [`cancel::cancelled`](crate::cancel::cancelled)) and unwinds with an
 //!   error, reported as [`JobOutcome::DeadlineExceeded`].
-//! * **Telemetry** — counters and phase timers are reset when the job
+//! * **Telemetry** — counters, spans and histograms are reset when the job
 //!   starts on its worker and harvested into the report when it ends.
 //! * **Deterministic ordering** — reports come back in submission order
 //!   regardless of worker count or completion order.
@@ -438,6 +438,40 @@ mod tests {
         let reports = run_batch(specs, &BatchOptions::with_jobs(1));
         assert_eq!(reports[0].telemetry.counter(Counter::FrtSweeps), 5);
         assert_eq!(reports[1].telemetry.counter(Counter::FrtSweeps), 11);
+    }
+
+    #[test]
+    fn span_tables_merge_across_pool_workers() {
+        // Job i opens `block` once and `sweep` i + 1 times under it, on
+        // whichever of the two workers picks it up.
+        let specs: Vec<JobSpec<u32>> = (0..4u32)
+            .map(|i| {
+                JobSpec::new(format!("j{i}"), move || {
+                    let _b = crate::trace::span("block");
+                    for _ in 0..=i {
+                        let _s = crate::trace::span("sweep");
+                    }
+                    Ok(i)
+                })
+            })
+            .collect();
+        let reports = run_batch(specs, &BatchOptions::with_jobs(2));
+        for (i, r) in reports.iter().enumerate() {
+            assert_eq!(r.telemetry.spans.get("sweep").unwrap().count, i as u64 + 1);
+        }
+        // What `partition_map` does with its block reports.
+        telemetry::reset();
+        for r in &reports {
+            telemetry::merge_local(&r.telemetry);
+        }
+        let merged = telemetry::take().spans;
+        assert_eq!(merged.get("block").unwrap().count, 4);
+        assert_eq!(merged.get("sweep").unwrap().count, 1 + 2 + 3 + 4);
+        let wall: u64 = reports
+            .iter()
+            .map(|r| r.telemetry.spans.get("block").unwrap().wall_nanos)
+            .sum();
+        assert_eq!(merged.get("block").unwrap().wall_nanos, wall);
     }
 
     #[test]

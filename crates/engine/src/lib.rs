@@ -15,16 +15,17 @@
 //! * [`cancel`] — cancellation tokens installed thread-locally so deep
 //!   algorithm loops (the Φ binary search, the FRTcheck sweeps) can poll
 //!   [`cancel::cancelled`] without threading a token through every call,
-//! * [`telemetry`] — lock-free per-job counters, monotonic phase
-//!   timers and streaming [`hist`] histograms accumulated in
+//! * [`telemetry`] — lock-free per-job counters, the per-name span
+//!   table and streaming [`hist`] histograms accumulated in
 //!   thread-locals and merged at job end,
-//! * [`trace`] — span/event tracing into bounded per-thread ring
-//!   buffers with Chrome-trace/Perfetto JSON export; zero-cost when
-//!   disabled (one atomic branch per record site),
+//! * [`trace`] — spans, the one phase marker: each closing span adds its
+//!   wall, self time and heap to the [`telemetry`] span table; with
+//!   tracing on, spans and events also go into bounded per-thread ring
+//!   buffers with Chrome-trace/Perfetto JSON export,
 //! * [`mem`] — heap accounting: a counting `GlobalAlloc` wrapper the
-//!   binaries install, per-phase [`mem::MemScope`]s feeding
-//!   [`telemetry`], and the `VmHWM` peak-RSS probe; gated like [`trace`]
-//!   (one atomic load per allocation when off),
+//!   binaries install, per-span heap attribution, and the `VmHWM`
+//!   peak-RSS probe; gated like tracing (one atomic load per allocation
+//!   when off),
 //! * [`profile`] — offline Chrome-trace analysis for `tmfrt profile`:
 //!   self/total span aggregation, folded-stack export, and A/B
 //!   differentials with phase attribution,
@@ -81,9 +82,9 @@ pub use batch::{run_batch, BatchOptions, JobOutcome, JobReport, JobSpec};
 pub use cancel::CancelToken;
 pub use hist::{Histogram, Metric};
 pub use json::JsonValue;
-pub use mem::{CountingAlloc, MemPhase, MemScope, MemStats};
+pub use mem::{CountingAlloc, MemStats};
 pub use pool::Pool;
 pub use prom::PromWriter;
 pub use rng::Rng64;
-pub use telemetry::{Counter, Phase, Telemetry};
+pub use telemetry::{Counter, SpanStats, SpanTable, Telemetry};
 pub use trace::{SpanGuard, TraceBuffer};

@@ -6,7 +6,7 @@
 //! timestamp, a severity, a `target` (the emitting module), a message,
 //! the current **job** name (installed by the batch runner and `tmfrt
 //! serve` around each job body) and the current **span** (the innermost
-//! [`crate::trace`] span, when tracing is enabled), so a log line can be
+//! open [`crate::trace`] span), so a log line can be
 //! correlated with the Chrome-trace timeline of the same job. Arbitrary
 //! extra fields ride along as a `fields` object of [`JsonValue`]s.
 //!

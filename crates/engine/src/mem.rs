@@ -1,33 +1,24 @@
-//! Heap and RSS accounting: a counting allocator, per-phase memory
-//! scopes, and the process peak-RSS probe.
+//! Heap and RSS accounting: a counting allocator, per-span heap
+//! attribution, and the process peak-RSS probe.
 //!
-//! The ROADMAP's next structural swings (flat-arena/SoA core, partitioned
-//! million-gate mapping) are memory-layout plays; this module gives them
-//! gates to land behind. Three layers:
+//! Three layers:
 //!
 //! * [`CountingAlloc`] — a `GlobalAlloc` wrapper over [`System`] that the
 //!   binaries install with `#[global_allocator]`. When the accounting
 //!   gate is **off** (the default) every allocation pays exactly one
 //!   relaxed atomic load; when on, global and per-thread live/peak bytes
 //!   and alloc/free events are counted.
-//! * [`MemScope`] — RAII guards placed at the same sites (and under the
-//!   same names) as the span tracer's phases (`expand`, `min_cut`,
-//!   `frtcheck_sweep`, `apply_retiming`, `sim_step`, `verify`,
-//!   `cut_enum`). A scope
-//!   attributes wall time, allocation deltas and the within-scope heap
-//!   high-water mark to its [`MemPhase`], accumulated into the job's
-//!   [`Telemetry`](crate::telemetry::Telemetry) through the usual
-//!   snapshot/merge/since protocol — so worker threads merge their
-//!   phase memory back into the job exactly like counters do.
-//! * [`peak_rss_kib`] — the `VmHWM` probe from `/proc/self/status`
-//!   (previously private to `blifcheck`), plus [`current_rss_kib`].
-//!
-//! Like `trace`, scope sites nest: a `frtcheck_sweep` scope encloses the
-//! `expand` and `min_cut` scopes it triggers, so per-phase numbers are
-//! *inclusive* (they attribute to the innermost-opened site
-//! independently; sweep totals overlap expand/min-cut totals). Peaks use
-//! a save/restore watermark so nested scopes each observe their own
-//! high-water without corrupting the enclosing scope's.
+//! * Span attribution — with the gate on, every [`crate::trace`] span
+//!   records the allocations made inside it and its within-span heap
+//!   high-water mark into the span table of the job's
+//!   [`Telemetry`](crate::telemetry::Telemetry), which worker threads
+//!   merge back into the job exactly like counters. Spans nest, so the
+//!   heap numbers are *inclusive*: a `frtcheck_sweep` span's allocations
+//!   include those of the `expand` spans it encloses. Peaks use a
+//!   save/restore watermark so nested spans each observe their own
+//!   high-water without corrupting the enclosing span's.
+//! * [`peak_rss_kib`] — the `VmHWM` probe from `/proc/self/status`,
+//!   plus [`current_rss_kib`].
 //!
 //! Per-thread live bytes saturate at zero: a thread that frees memory
 //! allocated elsewhere (a hand-off from another thread) cannot
@@ -35,144 +26,16 @@
 
 #![allow(unsafe_code)] // the GlobalAlloc impl is the crate's only unsafe.
 
-use crate::telemetry;
+use crate::telemetry::SpanStats;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::time::Instant;
 
-/// Memory phases, named after the span tracer's sites so traces,
-/// artifacts and `benchdiff` attribution all speak one vocabulary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(usize)]
-pub enum MemPhase {
-    /// Expanded-circuit construction (`F_v^bound` build).
-    Expand = 0,
-    /// One max-flow min-cut query (cut search per node).
-    MinCut = 1,
-    /// One FRTcheck / general-check LabelUpdate sweep.
-    LabelSweep = 2,
-    /// Applying a retiming (register moves + initial states).
-    Retime = 3,
-    /// One simulation step of the sequential netlist.
-    Sim = 4,
-    /// Equivalence verification of a mapped result.
-    Verify = 5,
-    /// Partition-and-conquer work outside the per-block mapper runs:
-    /// condensation, clustering, contracts, extraction, and stitching.
-    Partition = 6,
-    /// Enumerating every gate's cuts into a cut arena.
-    CutEnum = 7,
-}
-
-/// Number of [`MemPhase`] variants.
-pub const NUM_MEM_PHASES: usize = 8;
-
-/// Stable phase names, indexed by `MemPhase as usize` — identical to the
-/// corresponding trace span names (JSON keys in the v3 artifact).
-pub const MEM_PHASE_NAMES: [&str; NUM_MEM_PHASES] = [
-    "expand",
-    "min_cut",
-    "frtcheck_sweep",
-    "apply_retiming",
-    "sim_step",
-    "verify",
-    "partition",
-    "cut_enum",
-];
-
-impl MemPhase {
-    /// The phase with index `i` (`MemPhase as usize`), if in range.
-    pub fn from_index(i: usize) -> Option<MemPhase> {
-        match i {
-            0 => Some(MemPhase::Expand),
-            1 => Some(MemPhase::MinCut),
-            2 => Some(MemPhase::LabelSweep),
-            3 => Some(MemPhase::Retime),
-            4 => Some(MemPhase::Sim),
-            5 => Some(MemPhase::Verify),
-            6 => Some(MemPhase::Partition),
-            7 => Some(MemPhase::CutEnum),
-            _ => None,
-        }
-    }
-
-    /// The stable name (trace span name / JSON key) of this phase.
-    pub fn name(self) -> &'static str {
-        MEM_PHASE_NAMES[self as usize]
-    }
-}
-
-/// Accumulated memory activity attributed to one [`MemPhase`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MemPhaseStats {
-    /// Wall time spent inside scopes of this phase, in nanoseconds
-    /// (inclusive of nested scopes of other phases).
-    pub wall_nanos: u64,
-    /// Allocation events inside scopes of this phase.
-    pub allocs: u64,
-    /// Free events inside scopes of this phase.
-    pub frees: u64,
-    /// Bytes allocated inside scopes of this phase.
-    pub alloc_bytes: u64,
-    /// Largest within-scope heap growth (high-water minus bytes live at
-    /// scope entry) observed by any single scope of this phase.
-    pub peak_bytes: u64,
-}
-
-impl MemPhaseStats {
-    /// A zeroed accumulation (`const` form of `Default`).
-    pub const fn zeroed() -> MemPhaseStats {
-        MemPhaseStats {
-            wall_nanos: 0,
-            allocs: 0,
-            frees: 0,
-            alloc_bytes: 0,
-            peak_bytes: 0,
-        }
-    }
-
-    /// Adds another accumulation into this one (peaks take the max).
-    pub fn merge(&mut self, other: &MemPhaseStats) {
-        self.wall_nanos = self.wall_nanos.wrapping_add(other.wall_nanos);
-        self.allocs = self.allocs.wrapping_add(other.allocs);
-        self.frees = self.frees.wrapping_add(other.frees);
-        self.alloc_bytes = self.alloc_bytes.wrapping_add(other.alloc_bytes);
-        self.peak_bytes = self.peak_bytes.max(other.peak_bytes);
-    }
-
-    /// This accumulation minus an earlier one (saturating). The peak is
-    /// a running max, so the delta is the current peak when it grew
-    /// during the interval and zero otherwise.
-    pub fn since(&self, earlier: &MemPhaseStats) -> MemPhaseStats {
-        MemPhaseStats {
-            wall_nanos: self.wall_nanos.saturating_sub(earlier.wall_nanos),
-            allocs: self.allocs.saturating_sub(earlier.allocs),
-            frees: self.frees.saturating_sub(earlier.frees),
-            alloc_bytes: self.alloc_bytes.saturating_sub(earlier.alloc_bytes),
-            peak_bytes: if self.peak_bytes > earlier.peak_bytes {
-                self.peak_bytes
-            } else {
-                0
-            },
-        }
-    }
-
-    /// True when every field is zero (the phase never ran, or the
-    /// accounting gate was off).
-    pub fn is_empty(&self) -> bool {
-        *self == MemPhaseStats::default()
-    }
-}
-
-/// Per-job memory telemetry: phase attributions plus the job thread's
-/// own allocation ledger, carried inside
-/// [`Telemetry`](crate::telemetry::Telemetry) through snapshot/merge/
-/// since like counters and phase timers.
+/// Per-job memory telemetry: the job threads' allocation ledger,
+/// carried inside [`Telemetry`](crate::telemetry::Telemetry) through
+/// snapshot/merge/since like counters and spans.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemStats {
-    /// Per-phase attribution, indexed by `MemPhase as usize`.
-    pub phases: [MemPhaseStats; NUM_MEM_PHASES],
     /// Allocation events on the job's threads since the job started.
     pub allocs: u64,
     /// Free events on the job's threads since the job started.
@@ -190,7 +53,6 @@ impl MemStats {
     /// A zeroed snapshot (`const` form of `Default`).
     pub const fn new() -> MemStats {
         MemStats {
-            phases: [MemPhaseStats::zeroed(); NUM_MEM_PHASES],
             allocs: 0,
             frees: 0,
             alloc_bytes: 0,
@@ -201,9 +63,6 @@ impl MemStats {
 
     /// Adds another snapshot into this one (peaks take the max).
     pub fn merge(&mut self, other: &MemStats) {
-        for i in 0..NUM_MEM_PHASES {
-            self.phases[i].merge(&other.phases[i]);
-        }
         self.allocs = self.allocs.wrapping_add(other.allocs);
         self.frees = self.frees.wrapping_add(other.frees);
         self.alloc_bytes = self.alloc_bytes.wrapping_add(other.alloc_bytes);
@@ -211,10 +70,11 @@ impl MemStats {
         self.peak_bytes = self.peak_bytes.max(other.peak_bytes);
     }
 
-    /// This snapshot minus an earlier one (saturating; see
-    /// [`MemPhaseStats::since`] for peak semantics).
+    /// This snapshot minus an earlier one (saturating). The peak is a
+    /// running max, so the delta is the current peak when it grew during
+    /// the interval and zero otherwise.
     pub fn since(&self, earlier: &MemStats) -> MemStats {
-        let mut out = MemStats {
+        MemStats {
             allocs: self.allocs.saturating_sub(earlier.allocs),
             frees: self.frees.saturating_sub(earlier.frees),
             alloc_bytes: self.alloc_bytes.saturating_sub(earlier.alloc_bytes),
@@ -224,17 +84,7 @@ impl MemStats {
             } else {
                 0
             },
-            ..MemStats::default()
-        };
-        for i in 0..NUM_MEM_PHASES {
-            out.phases[i] = self.phases[i].since(&earlier.phases[i]);
         }
-        out
-    }
-
-    /// Stats for one phase.
-    pub fn phase(&self, p: MemPhase) -> &MemPhaseStats {
-        &self.phases[p as usize]
     }
 
     /// True when nothing was recorded (accounting off, or no activity).
@@ -263,7 +113,7 @@ static G_PEAK: AtomicU64 = AtomicU64::new(0);
 
 /// Turns memory accounting on or off process-wide. Off (the default),
 /// the installed [`CountingAlloc`] adds exactly one relaxed atomic load
-/// per allocator call and [`scope`] returns inert guards.
+/// per allocator call and spans record no heap activity.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::SeqCst);
 }
@@ -451,36 +301,28 @@ pub fn job_mark() {
 }
 
 // ---------------------------------------------------------------------------
-// Phase scopes.
+// Span attribution.
 
-/// RAII guard from [`scope`]: on drop, attributes the wall time,
-/// allocation deltas and within-scope heap high-water to its phase in
-/// the current thread's telemetry. Inert when accounting is disabled.
-#[derive(Debug)]
-pub struct MemScope {
-    inner: Option<ScopeInner>,
-}
-
-#[derive(Debug)]
-struct ScopeInner {
-    phase: MemPhase,
-    start: Instant,
+/// What an open [`crate::trace`] span remembers of this thread's ledger
+/// to attribute heap activity when it closes.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SpanMark {
     entry: ThreadTotals,
     entry_live: u64,
-    /// The thread peak at entry; the scope lowers the watermark to its
+    /// The thread peak at entry; the span lowers the watermark to its
     /// entry live bytes to observe its own high-water, and restores
-    /// `max(saved, observed)` on drop so enclosing scopes stay correct.
+    /// `max(saved, observed)` on close so enclosing spans stay correct.
     saved_peak: u64,
 }
 
-/// Opens a memory scope attributing activity until drop to `phase`.
-/// One relaxed atomic load when accounting is disabled.
+/// Marks a span opening; `None` (one relaxed atomic load) when
+/// accounting is disabled.
 #[inline]
-pub fn scope(phase: MemPhase) -> MemScope {
+pub(crate) fn span_enter() -> Option<SpanMark> {
     if !enabled() {
-        return MemScope { inner: None };
+        return None;
     }
-    let (entry, entry_live, saved_peak) = LOCAL.with(|t| {
+    Some(LOCAL.with(|t| {
         let entry = ThreadTotals {
             allocs: t.allocs.get(),
             frees: t.frees.get(),
@@ -488,47 +330,30 @@ pub fn scope(phase: MemPhase) -> MemScope {
             free_bytes: t.free_bytes.get(),
         };
         let live = t.live.get();
-        let saved = t.peak.get();
+        let saved_peak = t.peak.get();
         t.peak.set(live);
-        (entry, live, saved)
-    });
-    MemScope {
-        inner: Some(ScopeInner {
-            phase,
-            start: Instant::now(),
+        SpanMark {
             entry,
-            entry_live,
+            entry_live: live,
             saved_peak,
-        }),
-    }
+        }
+    }))
 }
 
-impl Drop for MemScope {
-    fn drop(&mut self) {
-        let Some(inner) = self.inner.take() else {
-            return;
-        };
-        let wall_nanos = inner.start.elapsed().as_nanos() as u64;
-        let (delta, scope_peak) = LOCAL.with(|t| {
-            let now = ThreadTotals {
-                allocs: t.allocs.get(),
-                frees: t.frees.get(),
-                alloc_bytes: t.alloc_bytes.get(),
-                free_bytes: t.free_bytes.get(),
-            };
-            let observed = t.peak.get();
-            t.peak.set(observed.max(inner.saved_peak));
-            (now.since(&inner.entry), observed)
-        });
-        let stats = MemPhaseStats {
-            wall_nanos,
-            allocs: delta.allocs,
-            frees: delta.frees,
-            alloc_bytes: delta.alloc_bytes,
-            peak_bytes: scope_peak.saturating_sub(inner.entry_live),
-        };
-        telemetry::mem_phase_add(inner.phase, &stats, thread_peak());
-    }
+/// Closes the span opened at `mark`: writes its allocation deltas and
+/// its own heap growth (high-water minus bytes live at entry) into
+/// `stats`, restores the enclosing watermark, and returns this thread's
+/// heap high-water.
+pub(crate) fn span_exit(mark: SpanMark, stats: &mut SpanStats) -> u64 {
+    LOCAL.with(|t| {
+        let observed = t.peak.get();
+        let thread_peak = observed.max(mark.saved_peak);
+        t.peak.set(thread_peak);
+        stats.allocs = t.allocs.get().saturating_sub(mark.entry.allocs);
+        stats.alloc_bytes = t.alloc_bytes.get().saturating_sub(mark.entry.alloc_bytes);
+        stats.peak_bytes = observed.saturating_sub(mark.entry_live);
+        thread_peak
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -625,6 +450,8 @@ pub fn peak_rss() -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry;
+    use crate::trace::span;
 
     use super::TEST_GATE as GATE;
 
@@ -639,7 +466,7 @@ mod tests {
         r
     }
 
-    /// Worker threads attribute allocations to phases on their own
+    /// Worker threads attribute allocations to spans on their own
     /// ledgers; taking each worker's telemetry and merging it into the
     /// caller (what `partition_map` does with its block jobs) gives the
     /// exact sums, and the max of the per-thread peaks.
@@ -651,7 +478,7 @@ mod tests {
                     .map(|i| {
                         s.spawn(move || {
                             {
-                                let _s = scope(MemPhase::LabelSweep);
+                                let _s = span("frtcheck_sweep");
                                 // Worker 0 books 1000 bytes in 1 event,
                                 // worker 1 books 2000 in 2: distinct
                                 // shapes so the merge is checkable.
@@ -672,10 +499,10 @@ mod tests {
                 telemetry::merge_local(w);
             }
             let t = telemetry::take();
-            let sweep = t.mem.phase(MemPhase::LabelSweep);
+            let sweep = t.spans.get("frtcheck_sweep").expect("sweeps closed");
+            assert_eq!(sweep.count, 2);
             assert_eq!(sweep.allocs, 3, "1 + 2 events from the two workers");
             assert_eq!(sweep.alloc_bytes, 3000);
-            assert_eq!(sweep.frees, 3);
             // Peak merges as a max across threads: worker 1 held 2000 live.
             assert_eq!(sweep.peak_bytes, 2000);
             assert_eq!(t.mem.allocs, 3, "job ledger covers worker threads");
@@ -684,14 +511,14 @@ mod tests {
     }
 
     #[test]
-    fn gate_off_scopes_are_inert_and_hooks_unused() {
+    fn gate_off_spans_record_no_heap_and_hooks_unused() {
         let _g = GATE.lock().unwrap_or_else(|e| e.into_inner());
         set_enabled(false);
         telemetry::reset();
         job_mark();
         let before = thread_totals();
         {
-            let _s = scope(MemPhase::Expand);
+            let _s = span("expand");
             // The allocator hooks are behind `enabled()`; with the gate
             // off nothing in this block records anything.
             let v: Vec<u64> = (0..64).collect();
@@ -700,6 +527,11 @@ mod tests {
         assert_eq!(thread_totals(), before);
         let t = telemetry::snapshot();
         assert!(t.mem.is_empty(), "gate off must leave MemStats zeroed");
+        let expand = t.spans.get("expand").expect("the span itself still closed");
+        assert_eq!(
+            (expand.allocs, expand.alloc_bytes, expand.peak_bytes),
+            (0, 0, 0)
+        );
     }
 
     #[test]
@@ -734,33 +566,32 @@ mod tests {
     }
 
     #[test]
-    fn scope_attributes_phase_delta_and_peak() {
+    fn span_attributes_heap_delta_and_peak() {
         with_gate(|| {
             {
-                let _s = scope(MemPhase::MinCut);
+                let _s = span("min_cut");
                 on_alloc(4096);
                 on_alloc(4096);
                 on_dealloc(4096);
             }
             let t = telemetry::snapshot();
-            let p = t.mem.phase(MemPhase::MinCut);
+            let p = t.spans.get("min_cut").expect("span closed");
             assert_eq!(p.allocs, 2);
-            assert_eq!(p.frees, 1);
             assert_eq!(p.alloc_bytes, 8192);
             assert_eq!(p.peak_bytes, 8192);
             assert!(p.wall_nanos > 0);
-            assert!(t.mem.phase(MemPhase::Expand).is_empty());
+            assert!(t.spans.get("expand").is_none());
         });
     }
 
     #[test]
-    fn nested_scopes_restore_enclosing_watermark() {
+    fn nested_spans_restore_enclosing_watermark() {
         with_gate(|| {
             {
-                let _outer = scope(MemPhase::LabelSweep);
+                let _outer = span("frtcheck_sweep");
                 on_alloc(10_000);
                 {
-                    let _inner = scope(MemPhase::MinCut);
+                    let _inner = span("min_cut");
                     on_alloc(100);
                     on_dealloc(100);
                 }
@@ -768,11 +599,12 @@ mod tests {
             }
             let t = telemetry::snapshot();
             // Inner observed only its own 100-byte bump…
-            assert_eq!(t.mem.phase(MemPhase::MinCut).peak_bytes, 100);
+            assert_eq!(t.spans.get("min_cut").unwrap().peak_bytes, 100);
             // …while the outer (inclusive) saw the 10k base plus the
             // inner's 100 on top: the restore must not lose either.
-            assert_eq!(t.mem.phase(MemPhase::LabelSweep).peak_bytes, 10_100);
-            assert_eq!(t.mem.phase(MemPhase::LabelSweep).allocs, 2);
+            let outer = t.spans.get("frtcheck_sweep").unwrap();
+            assert_eq!(outer.peak_bytes, 10_100);
+            assert_eq!(outer.allocs, 2);
         });
     }
 
@@ -795,52 +627,26 @@ mod tests {
 
     #[test]
     fn merge_and_since_roundtrip() {
-        let mut a = MemStats::default();
-        a.phases[0] = MemPhaseStats {
-            wall_nanos: 10,
+        let a = MemStats {
             allocs: 2,
-            frees: 1,
-            alloc_bytes: 100,
             peak_bytes: 80,
+            ..MemStats::default()
         };
-        a.allocs = 2;
-        a.peak_bytes = 80;
-        let mut b = MemStats::default();
-        b.phases[0] = MemPhaseStats {
-            wall_nanos: 5,
+        let b = MemStats {
             allocs: 1,
-            frees: 0,
-            alloc_bytes: 50,
             peak_bytes: 120,
+            ..MemStats::default()
         };
-        b.allocs = 1;
-        b.peak_bytes = 120;
         let mut m = a;
         m.merge(&b);
-        assert_eq!(m.phases[0].wall_nanos, 15);
-        assert_eq!(m.phases[0].allocs, 3);
-        assert_eq!(m.phases[0].peak_bytes, 120);
+        assert_eq!(m.allocs, 3);
         assert_eq!(m.peak_bytes, 120);
         let d = m.since(&b);
-        assert_eq!(d.phases[0].allocs, 2);
+        assert_eq!(d.allocs, 2);
         // Peak did not grow past `b`'s, so the interval reports zero…
-        assert_eq!(b.since(&m).phases[0].peak_bytes, 0);
+        assert_eq!(d.peak_bytes, 0);
         // …and a grown peak reports its absolute value.
-        assert_eq!(d.phases[0].peak_bytes, 0);
-        assert_eq!(m.since(&a).phases[0].peak_bytes, 120);
-    }
-
-    #[test]
-    fn phase_names_cover_variants() {
-        assert_eq!(MEM_PHASE_NAMES.len(), NUM_MEM_PHASES);
-        for (i, &name) in MEM_PHASE_NAMES.iter().enumerate() {
-            let p = MemPhase::from_index(i).expect("index in range");
-            assert_eq!(p as usize, i);
-            assert_eq!(p.name(), name);
-        }
-        assert_eq!(MemPhase::from_index(NUM_MEM_PHASES), None);
-        let unique: std::collections::HashSet<&str> = MEM_PHASE_NAMES.iter().copied().collect();
-        assert_eq!(unique.len(), NUM_MEM_PHASES);
+        assert_eq!(m.since(&a).peak_bytes, 120);
     }
 
     #[test]

@@ -415,7 +415,7 @@ mod tests {
             ("tid", JsonValue::UInt(1)),
         ])];
         events.push(ev("B", "expand", 0));
-        events.push(ev("i", "cut_found", 3));
+        events.push(ev("i", "partition_block_done", 3));
         events.push(ev("E", "expand", 7));
         p.add_trace(&doc(events)).expect("valid trace");
         assert_eq!(p.instants, 1);

@@ -2,7 +2,7 @@
 //! (std-only).
 //!
 //! `tmfrt batch --metrics-out metrics.prom` summarises a whole batch —
-//! job outcomes, phase timers, counters and histogram quantiles — in the
+//! job outcomes, counters, span timings and histogram quantiles — in the
 //! Prometheus text exposition format (version 0.0.4): `# HELP` / `# TYPE`
 //! comment lines followed by `name{label="value"} number` samples. The
 //! writer keeps families in emission order (deterministic output, same
@@ -11,8 +11,7 @@
 
 use crate::batch::JobReport;
 use crate::hist::HIST_NAMES;
-use crate::mem::MEM_PHASE_NAMES;
-use crate::telemetry::{Telemetry, COUNTER_NAMES, PHASE_NAMES};
+use crate::telemetry::{SpanStats, Telemetry, COUNTER_NAMES};
 use std::fmt::Write as _;
 
 /// Metric family kinds the writer supports.
@@ -122,25 +121,13 @@ fn is_label_name(name: &str) -> bool {
 /// them (the [`crate::batch::JobOutcome::status`] vocabulary).
 pub const JOB_STATUSES: [&str; 4] = ["ok", "failed", "panicked", "deadline"];
 
-/// Writes the telemetry-derived families — `tmfrt_phase_seconds`,
-/// `tmfrt_events` and one quantile family per non-empty histogram —
-/// into `w`. Shared by `tmfrt batch --metrics-out`, `tmfrt serve
-/// /metrics` and the tests; output order is fixed, so a given snapshot
-/// always renders to the same bytes.
+/// Writes the telemetry-derived families — `tmfrt_events`, the memory
+/// ledger, the `tmfrt_span_*` families (one sample per span name, sorted
+/// by name) and one quantile family per non-empty histogram — into `w`.
+/// Shared by `tmfrt batch --metrics-out`, `tmfrt serve /metrics` and the
+/// tests; output order is fixed, so a given snapshot always renders to
+/// the same bytes.
 pub fn write_telemetry_families(w: &mut PromWriter, agg: &Telemetry) {
-    w.family(
-        "tmfrt_phase_seconds",
-        MetricKind::Counter,
-        "CPU seconds per pipeline phase, summed over all jobs.",
-    );
-    for (i, phase) in PHASE_NAMES.iter().enumerate() {
-        w.sample(
-            "tmfrt_phase_seconds",
-            &[("phase", phase)],
-            agg.phase_nanos[i] as f64 / 1e9,
-        );
-    }
-
     w.family(
         "tmfrt_events",
         MetricKind::Counter,
@@ -152,7 +139,7 @@ pub fn write_telemetry_families(w: &mut PromWriter, agg: &Telemetry) {
 
     // Memory accounting (engine::mem). The aggregate families are
     // always present — zeros when the gate is off — so dashboards can
-    // rely on them; per-phase families appear once any scope recorded.
+    // rely on them.
     w.family(
         "tmfrt_mem_allocs_total",
         MetricKind::Counter,
@@ -178,42 +165,59 @@ pub fn write_telemetry_families(w: &mut PromWriter, agg: &Telemetry) {
     );
     w.sample_u64("tmfrt_mem_peak_heap_bytes", &[], agg.mem.peak_bytes);
 
-    if agg.mem.phases.iter().any(|p| !p.is_empty()) {
-        w.family(
-            "tmfrt_mem_phase_seconds",
+    // The span table; the heap families appear once a span recorded
+    // heap activity (accounting on).
+    let spans = agg.spans.sorted();
+    type SpanFamily = (
+        &'static str,
+        MetricKind,
+        &'static str,
+        fn(&SpanStats) -> f64,
+    );
+    let families: [SpanFamily; 5] = [
+        (
+            "tmfrt_span_count_total",
             MetricKind::Counter,
-            "Wall seconds inside memory scopes, per phase (inclusive).",
-        );
-        for (i, phase) in MEM_PHASE_NAMES.iter().enumerate() {
-            w.sample(
-                "tmfrt_mem_phase_seconds",
-                &[("phase", phase)],
-                agg.mem.phases[i].wall_nanos as f64 / 1e9,
-            );
-        }
-        w.family(
-            "tmfrt_mem_phase_allocs_total",
+            "Closed spans per span name, summed over all jobs.",
+            |s| s.count as f64,
+        ),
+        (
+            "tmfrt_span_wall_seconds_total",
             MetricKind::Counter,
-            "Allocation events inside memory scopes, per phase.",
-        );
-        for (i, phase) in MEM_PHASE_NAMES.iter().enumerate() {
-            w.sample_u64(
-                "tmfrt_mem_phase_allocs_total",
-                &[("phase", phase)],
-                agg.mem.phases[i].allocs,
-            );
-        }
-        w.family(
-            "tmfrt_mem_phase_peak_bytes",
+            "Wall-clock seconds inside spans, children included, per span name.",
+            SpanStats::wall_secs,
+        ),
+        (
+            "tmfrt_span_self_seconds_total",
+            MetricKind::Counter,
+            "Wall-clock seconds inside spans minus their child spans, per span name.",
+            SpanStats::self_secs,
+        ),
+        (
+            "tmfrt_span_allocs_total",
+            MetricKind::Counter,
+            "Heap allocation events inside spans, per span name.",
+            |s| s.allocs as f64,
+        ),
+        (
+            "tmfrt_span_peak_heap_bytes",
             MetricKind::Gauge,
-            "Largest within-scope heap growth, per phase.",
-        );
-        for (i, phase) in MEM_PHASE_NAMES.iter().enumerate() {
-            w.sample_u64(
-                "tmfrt_mem_phase_peak_bytes",
-                &[("phase", phase)],
-                agg.mem.phases[i].peak_bytes,
-            );
+            "Largest heap growth within one span, per span name.",
+            |s| s.peak_bytes as f64,
+        ),
+    ];
+    let heap = spans.iter().any(|(_, s)| s.allocs > 0 || s.peak_bytes > 0);
+    let shown = if spans.is_empty() {
+        0
+    } else if heap {
+        5
+    } else {
+        3
+    };
+    for (name, kind, help, value) in &families[..shown] {
+        w.family(name, *kind, help);
+        for (span, s) in &spans {
+            w.sample(name, &[("span", span)], value(s));
         }
     }
 
@@ -399,8 +403,16 @@ mod tests {
         w.family("tmfrt_jobs_total", MetricKind::Counter, "Jobs by outcome.");
         w.sample_u64("tmfrt_jobs_total", &[("status", "completed")], 17);
         w.sample_u64("tmfrt_jobs_total", &[("status", "failed")], 0);
-        w.family("tmfrt_phase_seconds", MetricKind::Gauge, "Phase wall time.");
-        w.sample("tmfrt_phase_seconds", &[("phase", "label")], 1.25);
+        w.family(
+            "tmfrt_span_wall_seconds_total",
+            MetricKind::Counter,
+            "Span wall time.",
+        );
+        w.sample(
+            "tmfrt_span_wall_seconds_total",
+            &[("span", "phi_search")],
+            1.25,
+        );
         w.family(
             "tmfrt_cut_size",
             MetricKind::Gauge,
@@ -411,7 +423,7 @@ mod tests {
         validate_exposition(&text).expect("writer output must validate");
         assert!(text.contains("# TYPE tmfrt_jobs_total counter\n"));
         assert!(text.contains("tmfrt_jobs_total{status=\"completed\"} 17\n"));
-        assert!(text.contains("tmfrt_phase_seconds{phase=\"label\"} 1.25\n"));
+        assert!(text.contains("tmfrt_span_wall_seconds_total{span=\"phi_search\"} 1.25\n"));
         assert!(text.contains("tmfrt_cut_size{quantile=\"0.5\"} 4\n"));
     }
 
@@ -447,7 +459,15 @@ mod tests {
         let report = |name: &str, outcome: JobOutcome<()>| {
             let mut t = Telemetry::default();
             t.counters[0] = 10;
-            t.phase_nanos[0] = 250_000_000;
+            t.spans.add(
+                "phi_search",
+                &SpanStats {
+                    count: 1,
+                    wall_nanos: 250_000_000,
+                    self_nanos: 50_000_000,
+                    ..SpanStats::ZERO
+                },
+            );
             for v in [2u64, 3, 5, 9] {
                 t.hists[Metric::CutSize as usize].record(v);
             }
@@ -471,7 +491,11 @@ mod tests {
         assert!(text.contains("tmfrt_jobs{status=\"deadline\"} 0\n"));
         assert!(text.contains("tmfrt_job_wall_seconds 1.5\n"));
         assert!(text.contains("tmfrt_events{counter=\"flow_augmentations\"} 30\n"));
-        assert!(text.contains("tmfrt_phase_seconds{phase=\"label\"} 0.75\n"));
+        assert!(text.contains("tmfrt_span_count_total{span=\"phi_search\"} 3\n"));
+        assert!(text.contains("tmfrt_span_wall_seconds_total{span=\"phi_search\"} 0.75\n"));
+        assert!(text.contains("tmfrt_span_self_seconds_total{span=\"phi_search\"} 0.15\n"));
+        // No heap activity recorded: the heap span families stay out.
+        assert!(!text.contains("tmfrt_span_allocs_total"));
         // 12 merged samples of 2,3,5,9: p50 lands in bucket [2,3].
         assert!(text.contains("tmfrt_cut_size{quantile=\"0.5\"} 3\n"));
         assert!(text.contains("tmfrt_cut_size_count 12\n"));
@@ -487,37 +511,40 @@ mod tests {
 
     #[test]
     fn mem_families_expose_and_validate() {
-        use crate::mem::{MemPhase, MemPhaseStats};
         let mut agg = Telemetry::default();
         agg.mem.allocs = 42;
         agg.mem.frees = 40;
         agg.mem.alloc_bytes = 4096;
         agg.mem.peak_bytes = 2048;
-        agg.mem.phases[MemPhase::LabelSweep as usize] = MemPhaseStats {
-            wall_nanos: 1_500_000_000,
-            allocs: 30,
-            frees: 28,
-            alloc_bytes: 3000,
-            peak_bytes: 1024,
-        };
+        agg.spans.add(
+            "frtcheck_sweep",
+            &SpanStats {
+                count: 4,
+                wall_nanos: 1_500_000_000,
+                self_nanos: 1_000_000_000,
+                allocs: 30,
+                alloc_bytes: 3000,
+                peak_bytes: 1024,
+            },
+        );
         let mut w = PromWriter::new();
         write_telemetry_families(&mut w, &agg);
         let text = w.finish();
         validate_exposition(&text).expect("mem families must validate");
         assert!(text.contains("tmfrt_mem_allocs_total 42\n"));
         assert!(text.contains("tmfrt_mem_peak_heap_bytes 2048\n"));
-        assert!(text.contains("tmfrt_mem_phase_seconds{phase=\"frtcheck_sweep\"} 1.5\n"));
-        assert!(text.contains("tmfrt_mem_phase_allocs_total{phase=\"frtcheck_sweep\"} 30\n"));
-        assert!(text.contains("tmfrt_mem_phase_peak_bytes{phase=\"frtcheck_sweep\"} 1024\n"));
+        assert!(text.contains("tmfrt_span_wall_seconds_total{span=\"frtcheck_sweep\"} 1.5\n"));
+        assert!(text.contains("tmfrt_span_allocs_total{span=\"frtcheck_sweep\"} 30\n"));
+        assert!(text.contains("tmfrt_span_peak_heap_bytes{span=\"frtcheck_sweep\"} 1024\n"));
 
-        // With no scope activity the per-phase families stay out, but
-        // the aggregate families are always present (zeros included).
+        // With no span closed the span families stay out, but the
+        // aggregate memory families are always present (zeros included).
         let mut w = PromWriter::new();
         write_telemetry_families(&mut w, &Telemetry::default());
         let text = w.finish();
         validate_exposition(&text).expect("zeroed exposition must validate");
         assert!(text.contains("tmfrt_mem_allocs_total 0\n"));
-        assert!(!text.contains("tmfrt_mem_phase_seconds"));
+        assert!(!text.contains("tmfrt_span_"));
     }
 
     #[test]

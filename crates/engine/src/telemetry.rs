@@ -1,4 +1,4 @@
-//! Structured per-job telemetry: counters and phase timers.
+//! Structured per-job telemetry: counters, histograms and the span table.
 //!
 //! Hot paths increment plain thread-local [`Cell`]s — no locks, no
 //! atomics — and the batch runner snapshots and resets them around each
@@ -9,15 +9,19 @@
 //! augmentations (`graphalgo::flow`), FRTcheck sweeps and re-queued
 //! gates (`turbomap::frtcheck`), expanded-circuit node-cache hits and
 //! misses (`turbomap::expand`), and unit register moves
-//! (`retiming::moves`). Phase timers split wall time into the pipeline's
-//! four stages: label / search / generate / verify.
+//! (`retiming::moves`).
+//!
+//! Timing has one source: every [`crate::trace`] span, traced or not,
+//! adds its count, wall time, self time (wall minus the wall of its
+//! child spans on the same thread) and — with [`crate::mem`] accounting
+//! on — its heap activity to this thread's [`SpanTable`], keyed by span
+//! name. The table is a fixed array, so recording never allocates.
 
 use crate::hist::{Histogram, Metric, NUM_HISTS};
-use crate::mem::{self, MemPhase, MemPhaseStats, MemStats};
+use crate::mem::{self, MemStats};
 use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::time::Instant;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 /// Algorithmic event counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,24 +44,13 @@ pub enum Counter {
     /// Gates whose expansion window `F_v^{frt(v)}` was truncated by the
     /// `weight_horizon` cap — the mapped result may be suboptimal.
     FrtCapped = 7,
-    /// Label sweeps skipped thanks to warm-started Φ probes (estimated as
-    /// the previous feasible probe's sweep count minus this probe's).
-    SweepsSaved = 8,
-    /// Fuzz cases executed to completion by the differential oracle
-    /// (`crates/fuzz`): generated, mapped by all three flows, and judged.
-    CasesRun = 9,
-    /// Individual oracle-check failures recorded by the fuzzer (one per
-    /// violated invariant, so a single case can contribute several).
-    OracleFailures = 10,
-    /// Accepted shrinker reductions while minimizing failing fuzz cases.
-    ShrinkSteps = 11,
     /// Mapping reports generated (`crates/report`): witness extraction
     /// plus timing attribution for one run.
-    ReportsGenerated = 12,
+    ReportsGenerated = 8,
 }
 
 /// Number of [`Counter`] variants.
-pub const NUM_COUNTERS: usize = 13;
+pub const NUM_COUNTERS: usize = 9;
 
 /// Stable snake_case names, indexed by `Counter as usize` (used as JSON
 /// keys — part of the `BENCH_table1.json` schema).
@@ -70,43 +63,190 @@ pub const COUNTER_NAMES: [&str; NUM_COUNTERS] = [
     "forward_moves",
     "backward_moves",
     "frt_capped",
-    "sweeps_saved",
-    "cases_run",
-    "oracle_failures",
-    "shrink_steps",
     "reports_generated",
 ];
 
-/// Pipeline phases timed per job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(usize)]
-pub enum Phase {
-    /// Label computation (FRTcheck / general check / FlowMap labels).
-    Label = 0,
-    /// Structure search: expanded-circuit construction and final cuts.
-    Search = 1,
-    /// Mapping generation, retiming and initial-state computation.
-    Generate = 2,
-    /// Equivalence verification of the result.
-    Verify = 3,
+/// What the closed spans of one name accumulated.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SpanStats {
+    /// Closed spans.
+    pub count: u64,
+    /// Wall nanoseconds inside the spans, children included.
+    pub wall_nanos: u64,
+    /// Wall nanoseconds inside the spans minus the wall of their direct
+    /// child spans on the same thread.
+    pub self_nanos: u64,
+    /// Allocation events inside the spans (zero unless [`mem`]
+    /// accounting was on).
+    pub allocs: u64,
+    /// Bytes allocated inside the spans.
+    pub alloc_bytes: u64,
+    /// Largest heap growth within any single span (its high-water mark
+    /// minus the bytes live when it opened).
+    pub peak_bytes: u64,
 }
 
-/// Number of [`Phase`] variants.
-pub const NUM_PHASES: usize = 4;
+impl SpanStats {
+    /// Nothing recorded (`const` form of `Default`).
+    pub const ZERO: SpanStats = SpanStats {
+        count: 0,
+        wall_nanos: 0,
+        self_nanos: 0,
+        allocs: 0,
+        alloc_bytes: 0,
+        peak_bytes: 0,
+    };
 
-/// Stable phase names, indexed by `Phase as usize` (JSON keys).
-pub const PHASE_NAMES: [&str; NUM_PHASES] = ["label", "search", "generate", "verify"];
+    /// Adds another accumulation into this one (peaks take the max).
+    pub fn merge(&mut self, other: &SpanStats) {
+        self.count = self.count.wrapping_add(other.count);
+        self.wall_nanos = self.wall_nanos.wrapping_add(other.wall_nanos);
+        self.self_nanos = self.self_nanos.wrapping_add(other.self_nanos);
+        self.allocs = self.allocs.wrapping_add(other.allocs);
+        self.alloc_bytes = self.alloc_bytes.wrapping_add(other.alloc_bytes);
+        self.peak_bytes = self.peak_bytes.max(other.peak_bytes);
+    }
 
-impl Phase {
-    /// The phase with index `i` (`Phase as usize`), if in range.
-    pub fn from_index(i: usize) -> Option<Phase> {
-        match i {
-            0 => Some(Phase::Label),
-            1 => Some(Phase::Search),
-            2 => Some(Phase::Generate),
-            3 => Some(Phase::Verify),
-            _ => None,
+    /// This accumulation minus an earlier one (saturating). The peak is
+    /// a running max, so the delta is the current peak when it grew
+    /// during the interval and zero otherwise.
+    pub fn since(&self, earlier: &SpanStats) -> SpanStats {
+        SpanStats {
+            count: self.count.saturating_sub(earlier.count),
+            wall_nanos: self.wall_nanos.saturating_sub(earlier.wall_nanos),
+            self_nanos: self.self_nanos.saturating_sub(earlier.self_nanos),
+            allocs: self.allocs.saturating_sub(earlier.allocs),
+            alloc_bytes: self.alloc_bytes.saturating_sub(earlier.alloc_bytes),
+            peak_bytes: if self.peak_bytes > earlier.peak_bytes {
+                self.peak_bytes
+            } else {
+                0
+            },
         }
+    }
+
+    /// Wall seconds inside the spans.
+    pub fn wall_secs(&self) -> f64 {
+        self.wall_nanos as f64 / 1e9
+    }
+
+    /// Self seconds of the spans.
+    pub fn self_secs(&self) -> f64 {
+        self.self_nanos as f64 / 1e9
+    }
+}
+
+/// Distinct span names one [`SpanTable`] holds. The last slot is
+/// reserved for [`OVERFLOW_SPAN`].
+pub const MAX_SPAN_NAMES: usize = 48;
+
+/// The entry that pools spans whose names arrive after the table filled.
+pub const OVERFLOW_SPAN: &str = "other";
+
+/// Per-name span accumulations in a fixed array: adding never allocates,
+/// and the table is `Copy` like the rest of a [`Telemetry`] snapshot.
+/// Entries keep first-seen order; readers that render them sort by name
+/// ([`SpanTable::sorted`]); equality compares that order too.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct SpanTable {
+    len: usize,
+    entries: [(&'static str, SpanStats); MAX_SPAN_NAMES],
+}
+
+impl std::fmt::Debug for SpanTable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
+impl Default for SpanTable {
+    fn default() -> SpanTable {
+        SpanTable::new()
+    }
+}
+
+impl SpanTable {
+    /// An empty table (`const` form of `Default`).
+    pub const fn new() -> SpanTable {
+        SpanTable {
+            len: 0,
+            entries: [("", SpanStats::ZERO); MAX_SPAN_NAMES],
+        }
+    }
+
+    fn position(&self, name: &str) -> Option<usize> {
+        self.entries[..self.len]
+            .iter()
+            .position(|(n, _)| *n == name)
+    }
+
+    /// Adds `stats` to the entry for `name`, creating it if needed.
+    pub fn add(&mut self, name: &'static str, stats: &SpanStats) {
+        let i = match self.position(name) {
+            Some(i) => i,
+            None if self.len == MAX_SPAN_NAMES => MAX_SPAN_NAMES - 1,
+            None => {
+                let name = if self.len == MAX_SPAN_NAMES - 1 {
+                    OVERFLOW_SPAN
+                } else {
+                    name
+                };
+                self.entries[self.len] = (name, SpanStats::ZERO);
+                self.len += 1;
+                self.len - 1
+            }
+        };
+        self.entries[i].1.merge(stats);
+    }
+
+    /// The accumulation for `name`, if any span of that name closed.
+    pub fn get(&self, name: &str) -> Option<&SpanStats> {
+        self.position(name).map(|i| &self.entries[i].1)
+    }
+
+    /// Wall seconds of the spans named `name` (zero when none closed).
+    pub fn wall_secs(&self, name: &str) -> f64 {
+        self.get(name).map_or(0.0, SpanStats::wall_secs)
+    }
+
+    /// Entries in first-seen order.
+    pub fn iter(&self) -> impl Iterator<Item = (&'static str, &SpanStats)> {
+        self.entries[..self.len].iter().map(|(n, s)| (*n, s))
+    }
+
+    /// Entries sorted by name — the order every rendering uses.
+    pub fn sorted(&self) -> Vec<(&'static str, SpanStats)> {
+        let mut out: Vec<(&'static str, SpanStats)> = self.iter().map(|(n, s)| (n, *s)).collect();
+        out.sort_by(|a, b| a.0.cmp(b.0));
+        out
+    }
+
+    /// True when no span closed.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Adds every entry of `other` into this table.
+    pub fn merge(&mut self, other: &SpanTable) {
+        for (name, s) in other.iter() {
+            self.add(name, s);
+        }
+    }
+
+    /// This table minus an earlier one; names with no span closed in
+    /// between are left out.
+    pub fn since(&self, earlier: &SpanTable) -> SpanTable {
+        let mut out = SpanTable::new();
+        for (name, s) in self.iter() {
+            let d = match earlier.get(name) {
+                Some(e) => s.since(e),
+                None => *s,
+            };
+            if d.count > 0 {
+                out.add(name, &d);
+            }
+        }
+        out
     }
 }
 
@@ -115,15 +255,13 @@ impl Phase {
 pub struct Telemetry {
     /// Counter values, indexed by `Counter as usize`.
     pub counters: [u64; NUM_COUNTERS],
-    /// Accumulated phase durations in nanoseconds, indexed by
-    /// `Phase as usize`.
-    pub phase_nanos: [u64; NUM_PHASES],
+    /// Closed spans per name: count, wall, self time and heap.
+    pub spans: SpanTable,
     /// Streaming distribution histograms, indexed by
     /// `hist::Metric as usize`.
     pub hists: [Histogram; NUM_HISTS],
-    /// Memory accounting: per-phase attributions from
-    /// [`mem::MemScope`]s plus the job's allocation ledger. All zeros
-    /// unless [`mem::set_enabled`] turned accounting on.
+    /// The job's allocation ledger. All zeros unless
+    /// [`mem::set_enabled`] turned accounting on.
     pub mem: MemStats,
 }
 
@@ -131,16 +269,6 @@ impl Telemetry {
     /// Value of one counter.
     pub fn counter(&self, c: Counter) -> u64 {
         self.counters[c as usize]
-    }
-
-    /// Accumulated seconds spent in one phase.
-    pub fn phase_secs(&self, p: Phase) -> f64 {
-        self.phase_nanos[p as usize] as f64 / 1e9
-    }
-
-    /// Total seconds across all phases.
-    pub fn total_phase_secs(&self) -> f64 {
-        self.phase_nanos.iter().sum::<u64>() as f64 / 1e9
     }
 
     /// One distribution histogram.
@@ -153,9 +281,7 @@ impl Telemetry {
         for i in 0..NUM_COUNTERS {
             self.counters[i] += other.counters[i];
         }
-        for i in 0..NUM_PHASES {
-            self.phase_nanos[i] += other.phase_nanos[i];
-        }
+        self.spans.merge(&other.spans);
         for i in 0..NUM_HISTS {
             self.hists[i].merge(&other.hists[i]);
         }
@@ -168,9 +294,7 @@ impl Telemetry {
         for i in 0..NUM_COUNTERS {
             out.counters[i] = self.counters[i].saturating_sub(earlier.counters[i]);
         }
-        for i in 0..NUM_PHASES {
-            out.phase_nanos[i] = self.phase_nanos[i].saturating_sub(earlier.phase_nanos[i]);
-        }
+        out.spans = self.spans.since(&earlier.spans);
         for i in 0..NUM_HISTS {
             out.hists[i] = self.hists[i].since(&earlier.hists[i]);
         }
@@ -182,84 +306,56 @@ impl Telemetry {
 /// A cross-thread live view of one running job's telemetry.
 ///
 /// The worker thread installs an `Arc<LiveTelemetry>` as a *mirror*
-/// ([`install_mirror`]): every [`count`] and every finished
-/// [`PhaseTimer`] segment then also lands in these atomics, so another
-/// thread — the `tmfrt serve` `/jobs/<id>` handler — can read a running
-/// job's counters-so-far without touching the worker's thread-locals.
-/// Histograms are **not** mirrored (64 atomic buckets per sample would
-/// tax the hot paths); they arrive with the final [`Telemetry`] at job
-/// end. `current_phase` tracks the innermost open phase timer, feeding
-/// the serve monitor's phase-transition events.
+/// ([`install_mirror`]): every [`count`] and every closing span then
+/// also lands here, so another thread — the `tmfrt serve` `/jobs/<id>`
+/// handler — can read a running job's counters and spans so far without
+/// touching the worker's thread-locals. Histograms are **not** mirrored
+/// (64 atomic buckets per sample would tax the hot paths); they arrive
+/// with the final [`Telemetry`] at job end. The mirror also tracks the
+/// innermost open span, which the serve monitor publishes as events.
 #[derive(Debug, Default)]
 pub struct LiveTelemetry {
     counters: [AtomicU64; NUM_COUNTERS],
-    phase_nanos: [AtomicU64; NUM_PHASES],
-    /// `Phase as usize`, or `NUM_PHASES` when no phase timer is open.
-    current_phase: AtomicUsize,
-    /// Heap high-water so far (bytes), max-merged from closing
-    /// [`mem::MemScope`]s on the mirrored threads.
+    spans: Mutex<LiveSpans>,
+    /// Heap high-water so far (bytes), max-merged from closing spans on
+    /// the mirrored threads.
     mem_peak_bytes: AtomicU64,
-    /// Allocation events so far inside memory scopes on the mirrored
-    /// threads.
+    /// Allocation events so far inside spans on the mirrored threads.
     mem_allocs: AtomicU64,
 }
 
+#[derive(Debug, Default)]
+struct LiveSpans {
+    table: SpanTable,
+    open: Option<&'static str>,
+}
+
 impl LiveTelemetry {
-    /// A zeroed live view with no open phase.
+    /// A zeroed live view with no open span.
     pub fn new() -> LiveTelemetry {
-        let live = LiveTelemetry::default();
-        live.current_phase.store(NUM_PHASES, Ordering::Relaxed);
-        live
+        LiveTelemetry::default()
     }
 
-    /// A point-in-time copy of the mirrored counters and phase timers
+    fn live_spans(&self) -> std::sync::MutexGuard<'_, LiveSpans> {
+        self.spans.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// A point-in-time copy of the mirrored counters and spans
     /// (histogram slots stay empty — see the type docs).
     pub fn snapshot(&self) -> Telemetry {
         let mut t = Telemetry::default();
         for i in 0..NUM_COUNTERS {
             t.counters[i] = self.counters[i].load(Ordering::Relaxed);
         }
-        for i in 0..NUM_PHASES {
-            t.phase_nanos[i] = self.phase_nanos[i].load(Ordering::Relaxed);
-        }
+        t.spans = self.live_spans().table;
         t.mem.peak_bytes = self.mem_peak_bytes.load(Ordering::Relaxed);
         t.mem.allocs = self.mem_allocs.load(Ordering::Relaxed);
         t
     }
 
-    /// Heap high-water mark mirrored so far, in bytes (zero when memory
-    /// accounting is off).
-    pub fn mem_peak_bytes(&self) -> u64 {
-        self.mem_peak_bytes.load(Ordering::Relaxed)
-    }
-
-    /// The phase whose timer is currently open on the mirrored job, if
-    /// any.
-    pub fn current_phase(&self) -> Option<Phase> {
-        Phase::from_index(self.current_phase.load(Ordering::Relaxed))
-    }
-
-    fn add_count(&self, c: Counter, n: u64) {
-        self.counters[c as usize].fetch_add(n, Ordering::Relaxed);
-    }
-
-    fn add_phase(&self, p: Phase, nanos: u64) {
-        self.phase_nanos[p as usize].fetch_add(nanos, Ordering::Relaxed);
-    }
-
-    fn note_mem(&self, allocs: u64, thread_peak: u64) {
-        self.mem_allocs.fetch_add(allocs, Ordering::Relaxed);
-        self.mem_peak_bytes
-            .fetch_max(thread_peak, Ordering::Relaxed);
-    }
-
-    /// Marks `p` open, returning the previous marker for restoration.
-    fn enter_phase(&self, p: Phase) -> usize {
-        self.current_phase.swap(p as usize, Ordering::Relaxed)
-    }
-
-    fn restore_phase(&self, prev: usize) {
-        self.current_phase.store(prev, Ordering::Relaxed);
+    /// The innermost span open on the mirrored job, if any.
+    pub fn current_span(&self) -> Option<&'static str> {
+        self.live_spans().open
     }
 }
 
@@ -267,16 +363,13 @@ thread_local! {
     static COUNTERS: [Cell<u64>; NUM_COUNTERS] = const {
         [const { Cell::new(0) }; NUM_COUNTERS]
     };
-    static PHASES: [Cell<u64>; NUM_PHASES] = const {
-        [const { Cell::new(0) }; NUM_PHASES]
-    };
+    static SPANS: RefCell<SpanTable> = const { RefCell::new(SpanTable::new()) };
     static HISTS: RefCell<[Histogram; NUM_HISTS]> =
         const { RefCell::new([Histogram::zeroed(); NUM_HISTS]) };
     static MIRROR: RefCell<Option<Arc<LiveTelemetry>>> = const { RefCell::new(None) };
-    /// Memory telemetry accumulated on this thread: phase attributions
-    /// from closing [`mem::MemScope`]s plus worker snapshots folded in
-    /// by [`merge_local`]. The job-thread allocator ledger
-    /// ([`mem::job_delta`]) is added at [`snapshot`] time, not here.
+    /// Memory ledgers of worker snapshots folded in by [`merge_local`].
+    /// This thread's own allocator ledger ([`mem::job_delta`]) is added
+    /// at [`snapshot`] time, not here.
     static MEM_ACC: Cell<MemStats> = const { Cell::new(MemStats::new()) };
 }
 
@@ -289,11 +382,7 @@ pub fn merge_local(t: &Telemetry) {
             cell.set(cell.get().wrapping_add(t.counters[i]));
         }
     });
-    PHASES.with(|ps| {
-        for (i, cell) in ps.iter().enumerate() {
-            cell.set(cell.get().wrapping_add(t.phase_nanos[i]));
-        }
-    });
+    SPANS.with(|s| s.borrow_mut().merge(&t.spans));
     HISTS.with(|hs| {
         let mut hists = hs.borrow_mut();
         for i in 0..NUM_HISTS {
@@ -307,23 +396,44 @@ pub fn merge_local(t: &Telemetry) {
     });
 }
 
-/// Accumulates one closing [`mem::MemScope`]'s attribution into the
-/// current thread's telemetry and, when a mirror is installed, its
-/// live aggregates (`thread_peak` is the thread heap high-water for the
-/// mirror's max-merge). Called by `mem`, not user code.
-pub(crate) fn mem_phase_add(phase: MemPhase, stats: &MemPhaseStats, thread_peak: u64) {
-    MEM_ACC.with(|m| {
-        let mut acc = m.get();
-        acc.phases[phase as usize].merge(stats);
-        m.set(acc);
+/// Marks `name` as the innermost open span of the installed mirror.
+/// Returns the marker it replaced (`None` when no mirror is installed),
+/// for [`span_closed`] to restore. Called by `trace`, not user code.
+pub(crate) fn mirror_enter(name: &'static str) -> Option<Option<&'static str>> {
+    let mut prev = None;
+    with_mirror(|live| prev = Some(live.live_spans().open.replace(name)));
+    prev
+}
+
+/// Accumulates one closing span into the current thread's table and,
+/// when a mirror is installed, into its live view (`thread_peak` is the
+/// thread heap high-water for the mirror's max-merge; `mirror_prev` is
+/// what [`mirror_enter`] returned). Called by `trace`, not user code.
+pub(crate) fn span_closed(
+    name: &'static str,
+    stats: &SpanStats,
+    thread_peak: u64,
+    mirror_prev: Option<Option<&'static str>>,
+) {
+    SPANS.with(|s| s.borrow_mut().add(name, stats));
+    with_mirror(|live| {
+        {
+            let mut spans = live.live_spans();
+            spans.table.add(name, stats);
+            if let Some(prev) = mirror_prev {
+                spans.open = prev;
+            }
+        }
+        live.mem_allocs.fetch_add(stats.allocs, Ordering::Relaxed);
+        live.mem_peak_bytes
+            .fetch_max(thread_peak, Ordering::Relaxed);
     });
-    with_mirror(|live| live.note_mem(stats.allocs, thread_peak));
 }
 
 /// Installs `live` as the current thread's telemetry mirror for the
 /// lifetime of the returned guard (the previous mirror is restored on
-/// drop). Counters and phase-timer segments recorded on this thread are
-/// duplicated into the mirror's atomics.
+/// drop). Counters and closing spans recorded on this thread are
+/// duplicated into the mirror.
 pub fn install_mirror(live: Arc<LiveTelemetry>) -> MirrorGuard {
     let prev = MIRROR.with(|m| m.replace(Some(live)));
     MirrorGuard { prev }
@@ -360,7 +470,9 @@ pub fn count(c: Counter, n: u64) {
         let cell = &cs[c as usize];
         cell.set(cell.get().wrapping_add(n));
     });
-    with_mirror(|live| live.add_count(c, n));
+    with_mirror(|live| {
+        live.counters[c as usize].fetch_add(n, Ordering::Relaxed);
+    });
 }
 
 /// Records one sample into a distribution histogram on the current
@@ -378,11 +490,7 @@ pub fn snapshot() -> Telemetry {
             t.counters[i] = cell.get();
         }
     });
-    PHASES.with(|ps| {
-        for (i, cell) in ps.iter().enumerate() {
-            t.phase_nanos[i] = cell.get();
-        }
-    });
+    t.spans = SPANS.with(|s| *s.borrow());
     HISTS.with(|hs| t.hists = *hs.borrow());
     t.mem = MEM_ACC.with(|m| m.get());
     // Fold in this thread's allocator ledger since the last job mark —
@@ -400,7 +508,7 @@ pub fn snapshot() -> Telemetry {
 pub fn take() -> Telemetry {
     let t = snapshot();
     COUNTERS.with(|cs| cs.iter().for_each(|c| c.set(0)));
-    PHASES.with(|ps| ps.iter().for_each(|p| p.set(0)));
+    SPANS.with(|s| *s.borrow_mut() = SpanTable::new());
     HISTS.with(|hs| *hs.borrow_mut() = [Histogram::zeroed(); NUM_HISTS]);
     MEM_ACC.with(|m| m.set(MemStats::new()));
     mem::job_mark();
@@ -412,49 +520,19 @@ pub fn reset() {
     let _ = take();
 }
 
-/// RAII timer: created by [`time_phase`], adds the elapsed monotonic time
-/// to the phase's thread-local accumulator (and the installed mirror, if
-/// any) on drop.
-#[derive(Debug)]
-pub struct PhaseTimer {
-    phase: Phase,
-    start: Instant,
-    /// The mirror's previous `current_phase` marker, restored on drop
-    /// (`None` when no mirror was installed at creation).
-    mirror_prev: Option<usize>,
-}
-
-impl Drop for PhaseTimer {
-    fn drop(&mut self) {
-        let nanos = self.start.elapsed().as_nanos() as u64;
-        PHASES.with(|ps| {
-            let cell = &ps[self.phase as usize];
-            cell.set(cell.get().wrapping_add(nanos));
-        });
-        if let Some(prev) = self.mirror_prev {
-            with_mirror(|live| {
-                live.add_phase(self.phase, nanos);
-                live.restore_phase(prev);
-            });
-        }
-    }
-}
-
-/// Starts timing `phase` until the returned guard drops.
-#[inline]
-pub fn time_phase(phase: Phase) -> PhaseTimer {
-    let mut mirror_prev = None;
-    with_mirror(|live| mirror_prev = Some(live.enter_phase(phase)));
-    PhaseTimer {
-        phase,
-        start: Instant::now(),
-        mirror_prev,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::span;
+
+    fn stats(count: u64, wall: u64) -> SpanStats {
+        SpanStats {
+            count,
+            wall_nanos: wall,
+            self_nanos: wall,
+            ..SpanStats::ZERO
+        }
+    }
 
     #[test]
     fn count_take_roundtrip() {
@@ -470,57 +548,82 @@ mod tests {
     }
 
     #[test]
-    fn phase_timer_accumulates() {
+    fn spans_accumulate_wall_and_self_time_per_name() {
         reset();
-        {
-            let _t = time_phase(Phase::Label);
+        for _ in 0..2 {
+            let _outer = span("outer");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+            let _inner = span("inner");
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
         let t = take();
-        assert!(t.phase_nanos[Phase::Label as usize] > 0);
-        assert_eq!(t.phase_nanos[Phase::Verify as usize], 0);
-        assert!(t.phase_secs(Phase::Label) > 0.0);
+        let (outer, inner) = (t.spans.get("outer").unwrap(), t.spans.get("inner").unwrap());
+        assert_eq!((outer.count, inner.count), (2, 2));
+        assert_eq!(inner.self_nanos, inner.wall_nanos, "no children");
+        // The parent's self time is its wall minus its children's, to
+        // the nanosecond.
+        assert_eq!(outer.self_nanos, outer.wall_nanos - inner.wall_nanos);
+        assert!(outer.self_nanos >= 2_000_000 && inner.wall_nanos >= 4_000_000);
+        assert!(t.spans.get("verify").is_none());
+        assert!(take().spans.is_empty(), "take() reset the table");
     }
 
     #[test]
     fn merge_and_since() {
+        let peaked = |count, wall, peak_bytes| SpanStats {
+            peak_bytes,
+            ..stats(count, wall)
+        };
         let mut a = Telemetry::default();
         a.counters[0] = 2;
-        a.phase_nanos[1] = 10;
+        a.spans.add("label", &peaked(1, 10, 80));
         let mut b = Telemetry::default();
         b.counters[0] = 3;
-        b.phase_nanos[1] = 5;
+        b.spans.add("search", &stats(1, 7));
+        b.spans.add("label", &peaked(2, 5, 120));
         a.merge(&b);
         assert_eq!(a.counters[0], 5);
-        assert_eq!(a.phase_nanos[1], 15);
+        // Peaks merge as a max.
+        assert_eq!(a.spans.get("label"), Some(&peaked(3, 15, 120)));
+        assert_eq!(a.spans.get("search"), Some(&stats(1, 7)));
+        assert_eq!(a.spans.sorted()[0].0, "label");
         let d = a.since(&b);
         assert_eq!(d.counters[0], 2);
-        assert_eq!(d.phase_nanos[1], 10);
+        // The peak did not grow past `b`'s, so the interval reports zero.
+        assert_eq!(d.spans.get("label"), Some(&stats(1, 10)));
+        // A name with no span closed in the interval drops out.
+        assert!(d.spans.get("search").is_none());
+    }
+
+    #[test]
+    fn table_pools_overflow() {
+        // Names beyond capacity land in the overflow entry, never lost.
+        let names: Vec<&'static str> = (0..MAX_SPAN_NAMES + 5)
+            .map(|i| &*Box::leak(format!("s{i}").into_boxed_str()))
+            .collect();
+        let mut full = SpanTable::new();
+        for n in &names {
+            full.add(n, &stats(1, 1));
+        }
+        assert_eq!(full.iter().count(), MAX_SPAN_NAMES);
+        assert_eq!(full.get(OVERFLOW_SPAN).unwrap().count, 6);
+        let total: u64 = full.iter().map(|(_, s)| s.count).sum();
+        assert_eq!(total, names.len() as u64);
     }
 
     #[test]
     fn names_cover_variants() {
         assert_eq!(COUNTER_NAMES.len(), NUM_COUNTERS);
-        assert_eq!(PHASE_NAMES.len(), NUM_PHASES);
         assert_eq!(
             COUNTER_NAMES[Counter::BackwardMoves as usize],
             "backward_moves"
         );
-        assert_eq!(PHASE_NAMES[Phase::Verify as usize], "verify");
-        // Every counter (0..=12 = FlowAugmentations..ReportsGenerated) has
-        // a distinct JSON key — a duplicate would silently shadow a column
-        // in the artifact.
+        // Every counter has a distinct JSON key — a duplicate would
+        // silently shadow a column in the artifact.
         let unique: std::collections::HashSet<&str> = COUNTER_NAMES.iter().copied().collect();
         assert_eq!(unique.len(), NUM_COUNTERS);
         assert_eq!(Counter::FlowAugmentations as usize, 0);
         assert_eq!(COUNTER_NAMES[Counter::FrtCapped as usize], "frt_capped");
-        assert_eq!(COUNTER_NAMES[Counter::SweepsSaved as usize], "sweeps_saved");
-        assert_eq!(COUNTER_NAMES[Counter::CasesRun as usize], "cases_run");
-        assert_eq!(
-            COUNTER_NAMES[Counter::OracleFailures as usize],
-            "oracle_failures"
-        );
-        assert_eq!(COUNTER_NAMES[Counter::ShrinkSteps as usize], "shrink_steps");
         assert_eq!(
             COUNTER_NAMES[Counter::ReportsGenerated as usize],
             "reports_generated"
@@ -538,11 +641,14 @@ mod tests {
         let mut worker = Telemetry::default();
         worker.counters[Counter::FrtSweeps as usize] = 5;
         worker.hists[Metric::CutSize as usize].record(9);
+        worker.spans.add("label", &stats(1, 9));
         merge_local(&worker);
         // Thread-local view has both; the mirror saw nothing from the merge.
         assert_eq!(snapshot().counter(Counter::FrtSweeps), 7);
         assert_eq!(snapshot().hist(Metric::CutSize).count, 2);
+        assert_eq!(snapshot().spans.get("label"), Some(&stats(1, 9)));
         assert_eq!(live.snapshot().counter(Counter::FrtSweeps), 0);
+        assert!(live.snapshot().spans.is_empty());
         reset();
     }
 
@@ -561,41 +667,35 @@ mod tests {
     }
 
     #[test]
-    fn mirror_sees_live_counts_and_phases() {
+    fn mirror_sees_live_counts_and_spans() {
         reset();
         let live = Arc::new(LiveTelemetry::new());
-        assert_eq!(live.current_phase(), None);
+        assert_eq!(live.current_span(), None);
         {
             let _g = install_mirror(Arc::clone(&live));
             count(Counter::FlowAugmentations, 4);
             {
-                let _t = time_phase(Phase::Search);
-                assert_eq!(live.current_phase(), Some(Phase::Search));
+                let _t = span("search");
+                assert_eq!(live.current_span(), Some("search"));
                 {
-                    let _inner = time_phase(Phase::Label);
-                    assert_eq!(live.current_phase(), Some(Phase::Label));
+                    let _inner = span("label");
+                    assert_eq!(live.current_span(), Some("label"));
                 }
-                // Nested timer restored the outer phase marker.
-                assert_eq!(live.current_phase(), Some(Phase::Search));
+                // The closed inner span restored the outer marker.
+                assert_eq!(live.current_span(), Some("search"));
+                assert_eq!(live.snapshot().spans.get("label").unwrap().count, 1);
             }
-            assert_eq!(live.current_phase(), None);
+            assert_eq!(live.current_span(), None);
         }
         // Mirror uninstalled: further counts stay local.
         count(Counter::FlowAugmentations, 10);
         let snap = live.snapshot();
         assert_eq!(snap.counter(Counter::FlowAugmentations), 4);
-        assert!(snap.phase_nanos[Phase::Search as usize] > 0);
-        assert!(snap.phase_nanos[Phase::Label as usize] > 0);
+        assert_eq!(snap.spans.get("search").unwrap().count, 1);
         // The thread-local view kept everything.
-        assert_eq!(take().counter(Counter::FlowAugmentations), 14);
-    }
-
-    #[test]
-    fn phase_from_index_roundtrips() {
-        for i in 0..NUM_PHASES {
-            assert_eq!(Phase::from_index(i).map(|p| p as usize), Some(i));
-        }
-        assert_eq!(Phase::from_index(NUM_PHASES), None);
+        let local = take();
+        assert_eq!(local.counter(Counter::FlowAugmentations), 14);
+        assert_eq!(local.spans, snap.spans);
     }
 
     #[test]

@@ -1,30 +1,35 @@
-//! Span/event tracing: bounded per-thread ring buffers with
-//! Chrome-trace export (std-only, lock-free on the hot path).
+//! Spans — the one phase marker — and event tracing into bounded
+//! per-thread ring buffers with Chrome-trace export (std-only,
+//! lock-free on the hot path).
 //!
-//! The flat telemetry counters say *how much* algorithmic work a job did;
-//! traces say *when* and *under which Φ probe*. Each worker thread
-//! records [`Event`]s into a fixed-capacity ring buffer
-//! (drop-oldest, counted in `dropped_events` — no allocation and no
-//! locking once the buffer exists). Spans are hierarchical —
-//! `phi_search` → `phi_probe{phi}` → `frtcheck_sweep{n}` →
-//! `min_cut{node}` — with enter/exit timestamps from a monotonic clock
-//! anchored once per job, and events carry up to two static key/value
-//! payloads (cut size, Φ bound, requeue count, …).
+//! Every span, traced or not, feeds the thread's
+//! [`SpanTable`](crate::telemetry::SpanTable) when it closes: its count,
+//! wall time, self time (wall minus the wall of its direct child spans)
+//! and, with [`crate::mem`] accounting on, its heap activity. That table
+//! is where every per-phase number in the repo comes from. Spans are
+//! hierarchical — `phi_search` → `phi_probe{phi}` → `frtcheck_sweep{n}`
+//! → `expand{node}` — and a span costs two clock reads plus a few
+//! thread-local writes, so spans mark phases, not per-item work
+//! (counters and histograms carry per-item numbers).
 //!
-//! **Zero-cost when disabled**: every record site is guarded by a single
-//! relaxed load of one atomic flag ([`enabled`]); with tracing off no
-//! clock is read, no buffer is touched and `--canonical` artifacts are
-//! byte-identical to a tracing-enabled binary's (proven by
-//! `crates/bench/tests/determinism.rs`).
+//! **Tracing** additionally records each span's enter and exit as
+//! [`Event`]s into a fixed-capacity ring buffer (drop-oldest, counted in
+//! `dropped_events` — no allocation and no locking once the buffer
+//! exists), with timestamps from a monotonic clock anchored once per job
+//! and up to two static key/value payloads per event. Tracing is off by
+//! default; one relaxed load of one atomic flag ([`enabled`]) guards the
+//! ring, and `--canonical` artifacts are byte-identical with tracing on
+//! or off (proven by `crates/bench/tests/determinism.rs`).
 //!
 //! Harvesting is a job-boundary operation: the batch runner calls
 //! [`job_start`] before the job body and [`take_thread`] after it, so a
-//! [`TraceBuffer`] never spans two jobs. A completed span's duration is
+//! [`TraceBuffer`] never spans two jobs. A traced span's duration is
 //! also recorded into the [`crate::hist::Metric::SpanNanos`] histogram.
 
 use crate::hist::Metric;
 use crate::json::JsonValue;
-use crate::telemetry;
+use crate::mem;
+use crate::telemetry::{self, SpanStats};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
@@ -135,26 +140,57 @@ impl Ring {
     }
 }
 
-thread_local! {
-    static RING: RefCell<Ring> = RefCell::new(Ring::new(DEFAULT_CAPACITY));
-    /// Stack of open spans: `(name, seq)`, innermost last. Maintained
-    /// only while tracing is enabled; read by `engine::log` so log lines
-    /// can name the span they were emitted under.
-    static SPAN_STACK: RefCell<Vec<(&'static str, u64)>> = const { RefCell::new(Vec::new()) };
-    static SPAN_SEQ: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+/// Open spans tracked per thread for self time and [`current_span`];
+/// deeper nesting still records, with its self time uncorrected.
+const MAX_DEPTH: usize = 64;
+
+/// One open span: name, per-thread sequence number, and the wall of the
+/// children closed under it so far.
+#[derive(Clone, Copy)]
+struct Frame {
+    name: &'static str,
+    seq: u64,
+    child_nanos: u64,
 }
 
-/// The innermost open span's name on this thread, when tracing is
-/// enabled and a span is open (log correlation; `None` otherwise).
+struct OpenSpans {
+    depth: usize,
+    /// Spans opened on this thread so far (the last one's sequence
+    /// number).
+    opened: u64,
+    frames: [Frame; MAX_DEPTH],
+}
+
+thread_local! {
+    static RING: RefCell<Ring> = RefCell::new(Ring::new(DEFAULT_CAPACITY));
+    static OPEN: RefCell<OpenSpans> = const {
+        RefCell::new(OpenSpans {
+            depth: 0,
+            opened: 0,
+            frames: [Frame { name: "", seq: 0, child_nanos: 0 }; MAX_DEPTH],
+        })
+    };
+}
+
+fn innermost() -> Option<Frame> {
+    OPEN.with(|o| {
+        let o = o.borrow();
+        o.depth
+            .checked_sub(1)
+            .map(|d| o.frames[d.min(MAX_DEPTH - 1)])
+    })
+}
+
+/// The innermost open span's name on this thread (log correlation).
 pub fn current_span() -> Option<&'static str> {
-    SPAN_STACK.with(|s| s.borrow().last().map(|&(name, _)| name))
+    innermost().map(|f| f.name)
 }
 
 /// The innermost open span's per-thread sequence number (1-based;
 /// 0 when no span is open). Paired with the span name this identifies
-/// one specific span instance within a job's trace.
+/// one specific span instance within a job.
 pub fn current_span_seq() -> u64 {
-    SPAN_STACK.with(|s| s.borrow().last().map(|&(_, seq)| seq).unwrap_or(0))
+    innermost().map_or(0, |f| f.seq)
 }
 
 /// Nanoseconds since this thread's job anchor.
@@ -173,9 +209,6 @@ fn push(ev: Event) {
 pub fn job_start() {
     if enabled() {
         RING.with(|r| r.borrow_mut().reset());
-        // Guards open across a job boundary (there should be none) must
-        // not leak context into the next job's log lines.
-        SPAN_STACK.with(|s| s.borrow_mut().clear());
     }
 }
 
@@ -200,63 +233,97 @@ pub fn take_if_enabled() -> Option<TraceBuffer> {
     }
 }
 
-/// RAII span: records `Enter` at creation and `Exit` (plus a
-/// [`Metric::SpanNanos`] histogram sample) on drop. Inactive (a true
-/// no-op) when tracing was disabled at creation.
+/// RAII span: on drop, adds its count, wall, self time and (with
+/// [`mem`] accounting on) heap activity to the thread's span table.
+/// When tracing was enabled at creation it also records `Enter` and
+/// `Exit` events and a [`Metric::SpanNanos`] histogram sample.
 #[derive(Debug)]
 pub struct SpanGuard {
     name: &'static str,
-    enter_nanos: u64,
-    active: bool,
+    start: Instant,
+    depth: usize,
+    heap: Option<mem::SpanMark>,
+    mirror_prev: Option<Option<&'static str>>,
+    /// Ring-clock enter timestamp, when the span is traced.
+    traced: Option<u64>,
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if !self.active {
-            return;
+        let wall = self.start.elapsed().as_nanos() as u64;
+        let child = OPEN.with(|o| {
+            let mut o = o.borrow_mut();
+            // `min`: a span dropped out of order never reopens frames
+            // an enclosing span already closed.
+            o.depth = o.depth.min(self.depth);
+            if let Some(parent) = self.depth.checked_sub(1).filter(|&p| p < MAX_DEPTH) {
+                o.frames[parent].child_nanos += wall;
+            }
+            if self.depth < MAX_DEPTH {
+                o.frames[self.depth].child_nanos
+            } else {
+                0
+            }
+        });
+        let mut stats = SpanStats {
+            count: 1,
+            wall_nanos: wall,
+            self_nanos: wall.saturating_sub(child),
+            ..SpanStats::ZERO
+        };
+        let thread_peak = self
+            .heap
+            .take()
+            .map_or(0, |m| mem::span_exit(m, &mut stats));
+        telemetry::span_closed(self.name, &stats, thread_peak, self.mirror_prev);
+        if let Some(enter) = self.traced {
+            let nanos = now_nanos();
+            push(Event {
+                kind: EventKind::Exit,
+                name: self.name,
+                nanos,
+                args: [None, None],
+            });
+            telemetry::record(Metric::SpanNanos, nanos.saturating_sub(enter));
         }
-        let nanos = now_nanos();
-        push(Event {
-            kind: EventKind::Exit,
-            name: self.name,
-            nanos,
-            args: [None, None],
-        });
-        SPAN_STACK.with(|s| {
-            s.borrow_mut().pop();
-        });
-        telemetry::record(Metric::SpanNanos, nanos.saturating_sub(self.enter_nanos));
     }
 }
 
-/// Opens a span with a payload. The single `enabled()` branch is the
-/// only cost when tracing is off.
+/// Opens a span with a payload (the payload rides on the trace's
+/// `Enter` event).
 #[inline]
 pub fn span_with(name: &'static str, args: Payload) -> SpanGuard {
-    if !enabled() {
-        return SpanGuard {
+    let depth = OPEN.with(|o| {
+        let mut o = o.borrow_mut();
+        o.opened += 1;
+        let d = o.depth;
+        if d < MAX_DEPTH {
+            o.frames[d] = Frame {
+                name,
+                seq: o.opened,
+                child_nanos: 0,
+            };
+        }
+        o.depth = d + 1;
+        d
+    });
+    let traced = enabled().then(|| {
+        let nanos = now_nanos();
+        push(Event {
+            kind: EventKind::Enter,
             name,
-            enter_nanos: 0,
-            active: false,
-        };
-    }
-    let nanos = now_nanos();
-    push(Event {
-        kind: EventKind::Enter,
-        name,
-        nanos,
-        args,
+            nanos,
+            args,
+        });
+        nanos
     });
-    let seq = SPAN_SEQ.with(|c| {
-        let next = c.get() + 1;
-        c.set(next);
-        next
-    });
-    SPAN_STACK.with(|s| s.borrow_mut().push((name, seq)));
     SpanGuard {
         name,
-        enter_nanos: nanos,
-        active: true,
+        depth,
+        heap: mem::span_enter(),
+        mirror_prev: telemetry::mirror_enter(name),
+        traced,
+        start: Instant::now(),
     }
 }
 
@@ -285,12 +352,6 @@ pub fn event_with(name: &'static str, args: Payload) {
         nanos,
         args,
     });
-}
-
-/// Records a payload-less point event.
-#[inline]
-pub fn event(name: &'static str) {
-    event_with(name, [None, None]);
 }
 
 /// Records a point event with one key/value payload.
@@ -410,7 +471,7 @@ mod tests {
             let _outer = span1("phi_search", "upper", 7);
             {
                 let _probe = span1("phi_probe", "phi", 4);
-                event1("augment", "unit", 1);
+                event1("tick", "unit", 1);
             }
             drop(_outer);
             take_thread()
@@ -423,7 +484,7 @@ mod tests {
             vec![
                 (EventKind::Enter, "phi_search"),
                 (EventKind::Enter, "phi_probe"),
-                (EventKind::Instant, "augment"),
+                (EventKind::Instant, "tick"),
                 (EventKind::Exit, "phi_probe"),
                 (EventKind::Exit, "phi_search"),
             ]
@@ -441,7 +502,7 @@ mod tests {
         set_enabled(false);
         job_start();
         let _s = span("never");
-        event("nothing");
+        event1("nothing", "n", 0);
         drop(_s);
         let buffer = take_thread();
         assert!(buffer.events.is_empty());
@@ -481,7 +542,7 @@ mod tests {
                 let _b = span("early_b");
             }
             for _ in 0..7 {
-                event("noise");
+                event1("noise", "n", 0);
             }
             {
                 let _c = span("late");
@@ -502,7 +563,7 @@ mod tests {
     fn chrome_trace_shape() {
         let buffer = with_tracing(|| {
             let _s = span1("min_cut", "node", 42);
-            event("augment");
+            event1("tick", "n", 1);
             drop(_s);
             take_thread()
         });

@@ -117,11 +117,9 @@ pub(crate) fn collect_roots(c: &Circuit, labeling: &Labeling) -> HashMap<NodeId,
 /// Panics if the circuit is not K-bounded (decompose first).
 pub fn flowmap(c: &Circuit, k: usize) -> Result<FlowMapResult, FlowMapError> {
     let labeling = {
-        let _t = engine::telemetry::time_phase(engine::telemetry::Phase::Label);
         let _s = engine::trace::span1("flowmap_label", "k", k as u64);
         flowmap_labels(c, k)
     };
-    let _t = engine::telemetry::time_phase(engine::telemetry::Phase::Generate);
     let _s = engine::trace::span("flowmap_generate");
     let roots = collect_roots(c, &labeling);
     let mapped = build_lut_network(c, &roots, &format!("{}_flowmap", c.name()))?;
@@ -163,7 +161,6 @@ pub struct FlowMapFrtResult {
 /// Panics if the circuit is not K-bounded (decompose first).
 pub fn flowmap_frt(c: &Circuit, k: usize) -> Result<FlowMapFrtResult, FlowMapError> {
     let mapped = flowmap(c, k)?;
-    let _t = engine::telemetry::time_phase(engine::telemetry::Phase::Generate);
     let res = retime_min_period_forward(&mapped.circuit)?;
     Ok(FlowMapFrtResult {
         period: res.period,

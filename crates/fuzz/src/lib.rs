@@ -32,8 +32,8 @@
 //!   (`turbomap-fuzz/repro/v1`: seed, config, verdict) under
 //!   `fuzz/corpus/`.
 //! * [`campaign`] — drives the whole thing on the [`engine`] batch pool
-//!   with per-case deadlines, cancellation, telemetry counters
-//!   (`cases_run`, `oracle_failures`, `shrink_steps`), histograms
+//!   with per-case deadlines, cancellation, a report counting judged
+//!   cases, oracle failures and shrink steps, telemetry histograms
 //!   (`fuzz_case_gates`, `fuzz_case_nanos`) and structured-log progress.
 
 pub mod campaign;

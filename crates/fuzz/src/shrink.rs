@@ -17,8 +17,7 @@
 //! * **X-ify an initial value** — replace one defined FF bit with `X`.
 //!
 //! The loop stops at a fixpoint or when the oracle-evaluation budget is
-//! exhausted; every accepted step bumps the `shrink_steps` telemetry
-//! counter. Shrinking re-runs the full oracle per candidate, so it is the
+//! exhausted; the outcome counts the accepted steps. Shrinking re-runs the full oracle per candidate, so it is the
 //! expensive half of a failing case — budget accordingly.
 
 use crate::oracle::{run_oracle, CheckKind, OracleConfig};
@@ -112,7 +111,6 @@ pub fn shrink_with(
             if still_fails(&cand) {
                 current = cand;
                 steps += 1;
-                engine::telemetry::count(engine::telemetry::Counter::ShrinkSteps, 1);
                 continue 'passes; // restart with the smaller circuit
             }
         }

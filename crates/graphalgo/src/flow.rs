@@ -290,7 +290,6 @@ impl NodeCutNetwork {
             }
             flow += 1;
             engine::telemetry::count(engine::telemetry::Counter::FlowAugmentations, 1);
-            engine::trace::event1("augment", "flow", flow as u64);
         }
     }
 

@@ -69,7 +69,6 @@ impl<'a> Simulator<'a> {
             });
         }
         let _span = engine::trace::span1("sim_step", "nodes", self.order.len() as u64);
-        let _mem = engine::mem::scope(engine::mem::MemPhase::Sim);
         for (&pi, &v) in c.inputs().iter().zip(inputs) {
             self.values[pi.index()] = v;
         }

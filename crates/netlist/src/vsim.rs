@@ -222,7 +222,6 @@ impl<'a> VecSimulator<'a> {
             });
         }
         let _span = engine::trace::span1("sim_step", "nodes", self.eval_nodes.len() as u64);
-        let _mem = engine::mem::scope(engine::mem::MemPhase::Sim);
         for (&pi, &v) in self.inputs.iter().zip(inputs) {
             self.values[pi as usize] = v;
         }

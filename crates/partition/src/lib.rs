@@ -45,7 +45,6 @@ pub use stitch::{stitch as stitch_blocks, StitchStats};
 
 use engine::batch::{run_batch, BatchOptions, JobSpec};
 use engine::hist::Metric;
-use engine::mem::{self, MemPhase};
 use engine::{telemetry, trace};
 use netlist::{Circuit, NetlistError};
 use std::time::Duration;
@@ -271,7 +270,6 @@ pub fn partition_map(
 ) -> Result<PartitionedMapping, PartitionError> {
     let _span = trace::span1("partition_map", "blocks", opts.partitions as u64);
     let (cl_stats, asg_meta, con, mut ex) = {
-        let _mem = mem::scope(MemPhase::Partition);
         let _plan = trace::span("partition_plan");
         let cl = cluster::cluster(source);
         let asg = assign::assign(source, &cl, opts.partitions.max(1), opts.balance);
@@ -329,7 +327,7 @@ pub fn partition_map(
     let mut mapped: Vec<Circuit> = Vec::with_capacity(reports.len());
     let mut block_outcomes: Vec<BlockOutcome> = Vec::with_capacity(reports.len());
     for (b, r) in reports.into_iter().enumerate() {
-        // Fold each block's counters, histograms, and mem phases into
+        // Fold each block's counters, spans, and histograms into
         // the calling thread so job-level telemetry sees the whole run.
         telemetry::merge_local(&r.telemetry);
         trace::event_with(
@@ -373,7 +371,6 @@ pub fn partition_map(
     }
 
     let (stitched, stitch_stats) = {
-        let _mem = mem::scope(MemPhase::Partition);
         let _s = trace::span("partition_stitch");
         stitch::stitch(source, &ex, &mapped)?
     };

@@ -127,6 +127,7 @@ pub fn min_period_forward(c: &Circuit) -> Result<u64, RetimingError> {
 /// Propagates netlist errors; the application itself cannot fail for
 /// forward retimings.
 pub fn retime_min_period_forward(c: &Circuit) -> Result<ForwardRetimingResult, RetimingError> {
+    let _span = engine::trace::span("retime_forward");
     let period = min_period_forward(c)?;
     let retiming = forward_retiming_for(c, period)?;
     let (circuit, stats) = apply_forward_retiming(c, &retiming)?;

@@ -44,7 +44,6 @@ pub struct MoveStats {
 pub fn apply_retiming(c: &Circuit, r: &Retiming) -> Result<(Circuit, MoveStats), RetimingError> {
     r.validate(c)?;
     let _span = engine::trace::span("apply_retiming");
-    let _mem = engine::mem::scope(engine::mem::MemPhase::Retime);
     let mut out = c.clone();
     let mut remaining: Vec<i64> = r.values().to_vec();
     let mut stats = MoveStats::default();
@@ -61,7 +60,6 @@ pub fn apply_retiming(c: &Circuit, r: &Retiming) -> Result<(Circuit, MoveStats),
                 remaining[v.index()] += 1;
                 stats.forward_moves += 1;
                 engine::telemetry::count(engine::telemetry::Counter::ForwardMoves, 1);
-                engine::trace::event1("forward_move", "node", v.index() as u64);
                 progressed = true;
             }
             while remaining[v.index()] > 0 {
@@ -70,7 +68,6 @@ pub fn apply_retiming(c: &Circuit, r: &Retiming) -> Result<(Circuit, MoveStats),
                         remaining[v.index()] -= 1;
                         stats.backward_moves += 1;
                         engine::telemetry::count(engine::telemetry::Counter::BackwardMoves, 1);
-                        engine::trace::event1("backward_move", "node", v.index() as u64);
                         progressed = true;
                     }
                     false => break,

@@ -125,7 +125,6 @@ impl CutArena {
             .filter(|&v| c.node(v).is_gate())
             .collect();
         let _span = engine::trace::span1("cut_enum", "gates", gates.len() as u64);
-        let _mem = engine::mem::scope(engine::mem::MemPhase::CutEnum);
         let mut st = Lists {
             c,
             frt,

@@ -96,7 +96,6 @@ pub fn find_cut_with(
             Some(("weight_bound", weight_bound)),
         ],
     );
-    let _mem = engine::mem::scope(engine::mem::MemPhase::MinCut);
     // Effective leaf: a declared leaf, or weight above the current bound.
     let effective_leaf = |i: usize| exp.is_leaf[i] || exp.nodes[i].weight > weight_bound;
     let value = |i: usize| {
@@ -136,7 +135,6 @@ pub fn find_cut_with(
         return None;
     }
     engine::telemetry::record(engine::hist::Metric::CutSize, signals.len() as u64);
-    engine::trace::event1("cut_found", "size", signals.len() as u64);
     Some(ExpCut { signals })
 }
 

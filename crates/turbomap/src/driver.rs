@@ -9,7 +9,6 @@
 use crate::frtcheck::FrtContext;
 use crate::gencheck::GeneralContext;
 use crate::generate::{generate_mapping, GenerateError};
-use engine::telemetry::{time_phase, Phase};
 use netlist::Circuit;
 use retiming::MoveStats;
 
@@ -170,6 +169,7 @@ fn log_probe(target: &str, phi: u64, feasible: bool, sweeps: usize) {
 ///
 /// Returns the validation error if the circuit is malformed.
 pub fn prepare(c: &Circuit, k: usize) -> Result<Circuit, TurboMapError> {
+    let _span = engine::trace::span1("prepare", "gates", c.num_gates() as u64);
     netlist::validate(c).map_err(TurboMapError::Invalid)?;
     let live = netlist::prune_dead(c).map_err(TurboMapError::Invalid)?;
     let bounded = if live.max_fanin() > k {
@@ -194,10 +194,7 @@ pub fn turbomap_frt(c: &Circuit, opts: Options) -> Result<TurboMapResult, TurboM
     // Upper bound: FlowMap-frt (cheap, feasible by construction).
     let baseline = flowmap::flowmap_frt(&bounded, opts.k).map_err(TurboMapError::Baseline)?;
     let upper = baseline.period.max(1);
-    let ctx = {
-        let _t = time_phase(Phase::Search);
-        FrtContext::new(&bounded, opts.k, opts.weight_horizon)
-    };
+    let ctx = FrtContext::new(&bounded, opts.k, opts.weight_horizon);
     let mut iterations = Vec::new();
     let mut lo = 1u64;
     let mut hi = upper;
@@ -205,7 +202,6 @@ pub fn turbomap_frt(c: &Circuit, opts: Options) -> Result<TurboMapResult, TurboM
     // Confirm the upper bound under FRTcheck itself (it must be feasible;
     // keep its labels as fallback).
     let top = {
-        let _t = time_phase(Phase::Label);
         let _p = engine::trace::span1("phi_probe", "phi", upper);
         ctx.check(upper)
     };
@@ -215,14 +211,12 @@ pub fn turbomap_frt(c: &Circuit, opts: Options) -> Result<TurboMapResult, TurboM
     if !top.feasible {
         return Err(TurboMapError::NoFeasiblePeriod);
     }
-    // Best feasible probe so far: its period, labels (the mapping seed
-    // and the warm-start donor) and sweep count (the warm-start savings
-    // baseline).
-    let mut best = (upper, top.labels, top.iterations);
+    // Best feasible probe so far: its period and labels (the mapping
+    // seed and the warm-start donor).
+    let mut best = (upper, top.labels);
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
         let res = {
-            let _t = time_phase(Phase::Label);
             let _p = engine::trace::span1("phi_probe", "phi", mid);
             // Every remaining probe sits strictly below the best feasible
             // Φ (the search keeps `hi` at it), so its labels are a sound
@@ -231,23 +225,16 @@ pub fn turbomap_frt(c: &Circuit, opts: Options) -> Result<TurboMapResult, TurboM
         };
         check_cancelled()?;
         log_probe("turbomap::frt", mid, res.feasible, res.iterations);
-        // Estimate: a cold probe re-derives at least what the seeding probe
-        // needed; count the sweeps the warm seed let this probe skip
-        // relative to that.
-        engine::telemetry::count(
-            engine::telemetry::Counter::SweepsSaved,
-            best.2.saturating_sub(res.iterations) as u64,
-        );
         iterations.push((mid, res.iterations));
         if res.feasible {
-            best = (mid, res.labels, res.iterations);
+            best = (mid, res.labels);
             hi = mid;
         } else {
             lo = mid + 1;
         }
     }
     drop(phi_span);
-    let (phi, labels, _) = best;
+    let (phi, labels) = best;
     debug_assert_eq!(phi, lo.min(upper));
 
     // At equal Φ the FlowMap-frt network is itself an optimal FRT mapping
@@ -270,11 +257,7 @@ pub fn turbomap_frt(c: &Circuit, opts: Options) -> Result<TurboMapResult, TurboM
             circuit,
         });
     }
-    let cuts = {
-        let _t = time_phase(Phase::Search);
-        ctx.final_cuts(&labels, phi)
-    };
-    let _t_gen = time_phase(Phase::Generate);
+    let cuts = ctx.final_cuts(&labels, phi);
     let roots = crate::generate::collect_roots(&bounded, &cuts)?;
     let rr: std::collections::HashMap<netlist::NodeId, i64> = roots
         .keys()
@@ -310,16 +293,12 @@ pub fn turbomap_general(c: &Circuit, opts: Options) -> Result<TurboMapResult, Tu
     let bounded = prepare(c, opts.k)?;
     let baseline = flowmap::flowmap_frt(&bounded, opts.k).map_err(TurboMapError::Baseline)?;
     let upper = baseline.period.max(1);
-    let ctx = {
-        let _t = time_phase(Phase::Search);
-        GeneralContext::new(&bounded, opts.k, opts.general_horizon)
-    };
+    let ctx = GeneralContext::new(&bounded, opts.k, opts.general_horizon);
     let mut iterations = Vec::new();
     let mut lo = 1u64;
     let mut hi = upper;
     let phi_span = engine::trace::span1("phi_search", "upper", upper);
     let top = {
-        let _t = time_phase(Phase::Label);
         let _p = engine::trace::span1("phi_probe", "phi", upper);
         ctx.check(upper)
     };
@@ -333,7 +312,6 @@ pub fn turbomap_general(c: &Circuit, opts: Options) -> Result<TurboMapResult, Tu
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
         let res = {
-            let _t = time_phase(Phase::Label);
             let _p = engine::trace::span1("phi_probe", "phi", mid);
             ctx.check(mid)
         };
@@ -365,11 +343,7 @@ pub fn turbomap_general(c: &Circuit, opts: Options) -> Result<TurboMapResult, Tu
             circuit,
         });
     }
-    let cuts = {
-        let _t = time_phase(Phase::Search);
-        ctx.final_cuts(&labels, phi)
-    };
-    let _t_gen = time_phase(Phase::Generate);
+    let cuts = ctx.final_cuts(&labels, phi);
     let roots = crate::generate::collect_roots(&bounded, &cuts)?;
     let rr: std::collections::HashMap<netlist::NodeId, i64> = roots
         .keys()

@@ -177,7 +177,6 @@ impl ExpandedCircuit {
             "expand",
             [Some(("node", v.index() as u64)), Some(("bound", bound))],
         );
-        let _mem = engine::mem::scope(engine::mem::MemPhase::Expand);
         let mut index = ExpIndex::new();
         let mut nodes: Vec<ExpNode> = Vec::new();
         let mut fanin_off: Vec<u32> = Vec::new();

@@ -182,6 +182,7 @@ impl<'a> FrtContext<'a> {
         frt_cap: u64,
         cut_cap: usize,
     ) -> FrtContext<'a> {
+        let _span = engine::trace::span1("frt_context", "gates", circuit.num_gates() as u64);
         let raw_frt = retiming::max_forward_retiming_values(circuit);
         let mut frt_capped_gates = 0u64;
         for v in circuit.gate_ids() {
@@ -361,7 +362,6 @@ impl<'a> FrtContext<'a> {
             iterations += 1;
             engine::telemetry::count(engine::telemetry::Counter::FrtSweeps, 1);
             let _sweep = engine::trace::span1("frtcheck_sweep", "n", iterations as u64);
-            let _mem = engine::mem::scope(engine::mem::MemPhase::LabelSweep);
             let mut changed = false;
             for level in self.levels.iter() {
                 // Phase 1: collect this level's dirty nodes. The flags

@@ -65,6 +65,7 @@ impl<'a> GeneralContext<'a> {
         horizon: u64,
         cut_cap: usize,
     ) -> GeneralContext<'a> {
+        let _span = engine::trace::span1("general_context", "gates", circuit.num_gates() as u64);
         let order = circuit
             .comb_topo_order()
             .expect("combinational cycles must be rejected before mapping");
@@ -163,7 +164,6 @@ impl<'a> GeneralContext<'a> {
             iterations += 1;
             engine::telemetry::count(engine::telemetry::Counter::FrtSweeps, 1);
             let _sweep = engine::trace::span1("frtcheck_sweep", "n", iterations as u64);
-            let _mem = engine::mem::scope(engine::mem::MemPhase::LabelSweep);
             let mut changed = false;
             for &v in &self.order {
                 let node = c.node(v);

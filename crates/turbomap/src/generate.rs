@@ -204,6 +204,7 @@ pub fn generate_mapping(
     name: &str,
     allow_state_loss: bool,
 ) -> Result<GeneratedMapping, GenerateError> {
+    let _span = engine::trace::span1("generate_mapping", "roots", roots.len() as u64);
     // ---- Step 2a: build the expanded (node-duplicated) network H. ----
     let mut h = Circuit::new(format!("{name}_expanded"));
     let mut pi_map: HashMap<NodeId, NodeId> = HashMap::new();
