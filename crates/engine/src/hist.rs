@@ -37,7 +37,7 @@ pub fn snapshot_inversions() -> u64 {
 #[repr(usize)]
 pub enum Metric {
     /// Signals per K-cut a cut query found: the qualifying cut of a
-    /// `turbomap::cutenum` scan, or the cut `turbomap::cutsearch::find_cut`
+    /// `flowmap::cutenum` scan, or the cut `turbomap::cutsearch::find_cut`
     /// extracted.
     CutSize = 0,
     /// Augmenting paths per completed max-flow run (one per min-cut).

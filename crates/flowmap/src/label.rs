@@ -1,19 +1,48 @@
-//! FlowMap label computation (Cong & Ding, 1994).
+//! FlowMap label computation (Cong & Ding, 1994), by cut enumeration.
 //!
-//! FlowMap computes, for every gate of a K-bounded combinational network,
-//! the minimum depth of any K-LUT mapping rooted at that gate — its
-//! *label* — using the key theorem that `l(v) ∈ {p, p+1}` where `p` is the
-//! maximum fanin label, and `l(v) = p` iff the cone of `v` has a K-feasible
-//! cut whose cut nodes all have labels `< p`. That test is a max-flow
-//! computation with unit node capacities after collapsing all label-`p`
-//! nodes into the sink.
+//! FlowMap gives every gate of a K-bounded combinational network its
+//! *label*: the minimum depth of any K-LUT mapping rooted at the gate. A
+//! gate's label is one more than the smallest, over its K-feasible cuts,
+//! of the largest label among the cut's leaves — the cut-enumeration
+//! labelling of Kulkarni & Vrudhula ("Efficient Enumeration of
+//! Unidirectional Cuts"), which the cut-based mappers of Mapping Fusion
+//! use too. FlowMap's theorem bounds it: `l(v) ∈ {p, p+1}` for `p` the
+//! largest fanin label, and `l(v) = p` iff some K-cut has every leaf
+//! labelled below `p`.
 //!
-//! We run FlowMap directly on a *sequential* circuit: any register crossing
-//! is a depth-0 source (a [`CutSignal`] tap), so each combinational block
-//! bounded by FFs is labelled independently — exactly the "map each
-//! combinational subcircuit with FlowMap" baseline of the paper.
+//! We run FlowMap directly on a *sequential* circuit: a register crossing
+//! is a depth-0 leaf (a [`CutSignal`] tap), so each combinational block
+//! bounded by FFs is labelled independently — the "map each combinational
+//! subcircuit with FlowMap" baseline of the paper. Those cuts are the
+//! cone-weight-0 cuts of a [`CutArena`]: its round 0, which
+//! [`flowmap_labels`] enumerates alone and which every TurboMap context's
+//! arena already holds ([`flowmap_labels_with`]).
+//!
+//! # The cut
+//!
+//! When `l(v) = p` the gate's cut is the one FlowMap's max-flow returns,
+//! the near-sink minimum cut among those with every leaf below `p`. The
+//! arena's final-cut pick (fewest leaves, then smallest cone) is exactly
+//! that cut. Otherwise the cut is the fanin cut. Cut signals are listed
+//! in the order max-flow's network numbers them, so LUT inputs come out
+//! in the same order whichever path found the cut.
+//!
+//! # Max-flow fallback
+//!
+//! Two kinds of gates are labelled by one bounded max-flow on the gate's
+//! cone instead, unit node capacities and every node labelled `p` or more
+//! collapsed into the sink:
+//!
+//! * arena-fallback gates, which list no cuts;
+//! * gates whose cone reads two taps of one driver with equal register
+//!   counts but different initial values. The arena keys a leaf `u^w`
+//!   and so merges them; FlowMap keeps them apart, as two LUT inputs.
+//!
+//! [`flow_label`] runs that max-flow for one gate; the fuzz `cut_check`
+//! judges every arena-labelled gate against it.
 
 use crate::cut::{Cut, CutSignal};
+use crate::cutenum::{ConeWalk, CutArena, ExpNode};
 use graphalgo::NodeCutNetwork;
 use netlist::{Circuit, NodeId};
 use std::collections::HashMap;
@@ -50,87 +79,233 @@ enum ConeObj {
     Tap(NodeId, Vec<netlist::Bit>),
 }
 
-/// Computes FlowMap labels and best cuts for every gate.
+/// Computes FlowMap labels and best cuts for every gate, enumerating the
+/// cone-weight-0 cuts first ([`CutArena::combinational`]).
 ///
 /// # Panics
 ///
 /// Panics if the circuit is not K-bounded or has combinational cycles —
 /// callers are expected to validate and decompose first.
 pub fn flowmap_labels(c: &Circuit, k: usize) -> Labeling {
+    flowmap_labels_with(c, &CutArena::combinational(c, k))
+}
+
+/// [`flowmap_labels`] from the cone-weight-0 cuts of an arena enumerated
+/// on `c` (any bounds: round 0 is the same for all), at the arena's `K`.
+///
+/// # Panics
+///
+/// Panics if the circuit is not K-bounded or has combinational cycles.
+pub fn flowmap_labels_with(c: &Circuit, arena: &CutArena) -> Labeling {
+    let k = arena.k();
     assert!(c.max_fanin() <= k, "network must be {k}-bounded");
     let order = c
         .comb_topo_order()
         .expect("combinational cycles must be rejected before labelling");
+    let merged = merged_taps(c, &order);
     let mut labels = vec![0u64; c.num_nodes()];
+    // The arena's heights `l(u) − Φ·w` at a Φ above every label: a tap
+    // (w ≥ 1) then sits below every height, as its depth 0 does.
+    let mut heights = vec![0i64; c.num_nodes()];
+    let phi = c.num_nodes() as i64 + 1;
+    let mut cones = ConeWalk::default();
+    let mut order_walk = FlowOrder::default();
     let mut cuts: HashMap<NodeId, Cut> = HashMap::new();
-
     for &v in &order {
         let node = c.node(v);
         if node.is_input() {
-            labels[v.index()] = 0;
             continue;
         }
         if node.is_output() {
-            let e = node.fanin()[0];
-            let edge = c.edge(e);
-            labels[v.index()] = if edge.weight() > 0 {
-                0
+            labels[v.index()] = driver_label(c, v, &labels);
+            continue;
+        }
+        let (label, cut) = if arena.is_fallback(v) || merged[v.index()] {
+            flow_label(c, v, &labels, k)
+        } else {
+            let p = fanin_label(c, v, &labels);
+            let cut = if p == 0 {
+                None
             } else {
-                labels[edge.from().index()]
+                arena
+                    .final_cut(v, &heights, phi, p as i64, 0, |node, w| {
+                        cones.size(c, v, node, w)
+                    })
+                    .map(|cut| Cut {
+                        signals: order_walk.signals(c, v, &cut.signals),
+                    })
             };
-            continue;
-        }
-        // Gate: p = max label over fanin signals (taps are depth 0).
-        let mut p = 0u64;
-        for &e in node.fanin() {
-            let edge = c.edge(e);
-            if edge.weight() == 0 {
-                p = p.max(labels[edge.from().index()]);
-            }
-        }
-        let fanin_cut = || Cut {
-            signals: dedup_signals(node.fanin().iter().map(|&e| {
-                let edge = c.edge(e);
-                CutSignal {
-                    node: edge.from(),
-                    weight: edge.weight(),
-                    chain: edge.ffs().to_vec(),
-                }
-            })),
+            settle(c, v, p, cut)
         };
-        if p == 0 {
-            // All fanins are depth-0 signals; depth 1 via the trivial cut.
-            labels[v.index()] = 1;
-            cuts.insert(v, fanin_cut());
-            continue;
-        }
-        match min_height_cut(c, v, &labels, p, k) {
-            Some(cut) => {
-                labels[v.index()] = p;
-                cuts.insert(v, cut);
-            }
-            None => {
-                labels[v.index()] = p + 1;
-                cuts.insert(v, fanin_cut());
-            }
-        }
+        labels[v.index()] = label;
+        heights[v.index()] = label as i64;
+        cuts.insert(v, cut);
     }
     Labeling { labels, cuts, k }
 }
 
-fn dedup_signals(it: impl Iterator<Item = CutSignal>) -> Vec<CutSignal> {
-    let mut seen: Vec<CutSignal> = Vec::new();
-    for s in it {
-        if !seen.contains(&s) {
-            seen.push(s);
+/// Gate `v`'s label and cut by max-flow, from the labels of the nodes
+/// before it in topological order — the fallback path of
+/// [`flowmap_labels_with`], and the oracle its other gates are judged
+/// against.
+pub fn flow_label(c: &Circuit, v: NodeId, labels: &[u64], k: usize) -> (u64, Cut) {
+    let p = fanin_label(c, v, labels);
+    let cut = if p == 0 {
+        None
+    } else {
+        min_height_cut(c, v, labels, p, k)
+    };
+    settle(c, v, p, cut)
+}
+
+/// `(p, cut)` when a cut with every leaf below `p ≥ 1` was found, else
+/// `(p + 1, the fanin cut)`.
+fn settle(c: &Circuit, v: NodeId, p: u64, cut: Option<Cut>) -> (u64, Cut) {
+    match cut {
+        Some(cut) => (p, cut),
+        None => (p + 1, fanin_cut(c, v)),
+    }
+}
+
+/// A PO's label: its driver's, or 0 behind a register.
+fn driver_label(c: &Circuit, po: NodeId, labels: &[u64]) -> u64 {
+    let edge = c.edge(c.node(po).fanin()[0]);
+    if edge.weight() > 0 {
+        0
+    } else {
+        labels[edge.from().index()]
+    }
+}
+
+/// `p`: the largest label over a gate's fanin signals (taps are depth 0).
+fn fanin_label(c: &Circuit, v: NodeId, labels: &[u64]) -> u64 {
+    c.node(v)
+        .fanin()
+        .iter()
+        .map(|&e| c.edge(e))
+        .filter(|edge| edge.weight() == 0)
+        .map(|edge| labels[edge.from().index()])
+        .max()
+        .unwrap_or(0)
+}
+
+/// The gate's fanin signals as a cut, deduplicated.
+fn fanin_cut(c: &Circuit, v: NodeId) -> Cut {
+    let mut signals: Vec<CutSignal> = Vec::new();
+    for &e in c.node(v).fanin() {
+        let edge = c.edge(e);
+        let s = CutSignal {
+            node: edge.from(),
+            weight: edge.weight(),
+            chain: edge.ffs().to_vec(),
+        };
+        if !signals.contains(&s) {
+            signals.push(s);
         }
     }
-    seen
+    Cut { signals }
+}
+
+/// Per node: true for a gate whose combinational cone reads two register
+/// taps of one driver with equal register counts but different initial
+/// values (any such driver counts, conservatively).
+fn merged_taps(c: &Circuit, order: &[NodeId]) -> Vec<bool> {
+    // Drivers with two equal-length taps into gates that differ.
+    let mut clashing = vec![false; c.num_nodes()];
+    for u in c.node_ids() {
+        let mut seen: Vec<&[netlist::Bit]> = Vec::new();
+        for &e in c.node(u).fanout() {
+            let edge = c.edge(e);
+            if edge.weight() == 0 || !c.node(edge.to()).is_gate() {
+                continue;
+            }
+            match seen.iter().find(|chain| chain.len() == edge.weight()) {
+                Some(&chain) if chain != edge.ffs() => clashing[u.index()] = true,
+                Some(_) => {}
+                None => seen.push(edge.ffs()),
+            }
+        }
+    }
+    let mut merged = vec![false; c.num_nodes()];
+    if !clashing.contains(&true) {
+        return merged;
+    }
+    for &v in order {
+        merged[v.index()] = c.node(v).is_gate()
+            && c.node(v).fanin().iter().any(|&e| {
+                let edge = c.edge(e);
+                let u = edge.from().index();
+                if edge.weight() == 0 {
+                    merged[u]
+                } else {
+                    clashing[u]
+                }
+            });
+    }
+    merged
+}
+
+/// Reusable buffers of [`FlowOrder::signals`].
+#[derive(Debug, Default)]
+struct FlowOrder {
+    /// Per node: the walk that last pushed it.
+    stamp: Vec<u32>,
+    walk: u32,
+    stack: Vec<NodeId>,
+}
+
+impl FlowOrder {
+    /// The leaves `u^w` of a cut of gate `v` as cut signals, each tap with
+    /// its initial values, in the order [`min_height_cut`] numbers its
+    /// flow network: first sight in a walk of `v`'s whole combinational
+    /// cone that pops gates last-in first-out and scans each one's
+    /// fanins in order. Stops once every leaf is seen.
+    fn signals(&mut self, c: &Circuit, v: NodeId, leaves: &[ExpNode]) -> Vec<CutSignal> {
+        if self.stamp.len() < c.num_nodes() {
+            self.stamp.resize(c.num_nodes(), 0);
+        }
+        self.walk = self.walk.wrapping_add(1);
+        if self.walk == 0 {
+            self.stamp.fill(0);
+            self.walk = 1;
+        }
+        let mut signals: Vec<CutSignal> = Vec::with_capacity(leaves.len());
+        self.stack.clear();
+        self.stack.push(v);
+        self.stamp[v.index()] = self.walk;
+        'walk: while let Some(g) = self.stack.pop() {
+            for &e in c.node(g).fanin() {
+                let edge = c.edge(e);
+                let u = edge.from();
+                let leaf = ExpNode {
+                    node: u,
+                    weight: edge.weight() as u64,
+                };
+                if leaves.contains(&leaf)
+                    && !signals
+                        .iter()
+                        .any(|s| s.node == u && s.weight == edge.weight())
+                {
+                    signals.push(CutSignal::tap(u, edge.ffs().to_vec()));
+                    if signals.len() == leaves.len() {
+                        break 'walk;
+                    }
+                }
+                if edge.weight() == 0 && c.node(u).is_gate() && self.stamp[u.index()] != self.walk {
+                    self.stamp[u.index()] = self.walk;
+                    self.stack.push(u);
+                }
+            }
+        }
+        debug_assert_eq!(signals.len(), leaves.len(), "every leaf lies in the cone");
+        signals
+    }
 }
 
 /// Searches a K-feasible cut of `v`'s combinational cone whose cut objects
 /// all have labels `< p` (taps and PIs have label 0 `< p`).
 fn min_height_cut(c: &Circuit, v: NodeId, labels: &[u64], p: u64, k: usize) -> Option<Cut> {
+    let _span = engine::trace::span1("min_cut", "node", v.index() as u64);
     // Enumerate the cone objects: gates reachable backward through
     // weight-0 edges, plus boundary PIs and taps.
     let mut obj_index: HashMap<ConeObj, usize> = HashMap::new();
@@ -347,5 +522,47 @@ mod tests {
         // K=2: every gate needs its own LUT (each has 3 distinct inputs in
         // its cone) → optimal depth 3.
         assert_eq!(flowmap_labels(&c, 2).depth(&c), 3);
+    }
+
+    /// `v = x ∧ y` with `x = a^{[i]} ∧ b` and `y = ¬a^{[j]}`: two taps of
+    /// `a` through one register each, feeding one cone.
+    fn two_taps(i: Bit, j: Bit) -> (Circuit, NodeId) {
+        let mut c = Circuit::new("taps");
+        let a = c.add_input("a").unwrap();
+        let b = c.add_input("b").unwrap();
+        let x = c.add_gate("x", TruthTable::and(2)).unwrap();
+        let y = c.add_gate("y", TruthTable::not()).unwrap();
+        let v = c.add_gate("v", TruthTable::and(2)).unwrap();
+        let o = c.add_output("o").unwrap();
+        c.connect(a, x, vec![i]).unwrap();
+        c.connect(b, x, vec![]).unwrap();
+        c.connect(a, y, vec![j]).unwrap();
+        c.connect(x, v, vec![]).unwrap();
+        c.connect(y, v, vec![]).unwrap();
+        c.connect(v, o, vec![]).unwrap();
+        (c, v)
+    }
+
+    /// Taps of one driver with equal register counts but different
+    /// initial values are two LUT inputs to FlowMap, while the arena keys
+    /// both `a^1`. At K = 2 the merged key would admit the cut
+    /// `{a^1, b}` and label `v` 1; max-flow sees three signals and labels
+    /// it 2, and so must the arena path.
+    #[test]
+    fn taps_with_different_initial_values_stay_apart() {
+        let (c, v) = two_taps(Bit::Zero, Bit::One);
+        let lab = flowmap_labels(&c, 2);
+        assert_eq!(lab.labels[v.index()], 2);
+        let flow = flow_label(&c, v, &lab.labels, 2);
+        assert_eq!((lab.labels[v.index()], &lab.cuts[&v]), (flow.0, &flow.1));
+        let mapped = crate::flowmap(&c, 2).unwrap();
+        assert!(netlist::exhaustive_equiv(&c, &mapped.circuit, 3)
+            .unwrap()
+            .is_equivalent());
+        // Equal initial values make one signal: one 2-input LUT.
+        let (c, v) = two_taps(Bit::Zero, Bit::Zero);
+        let lab = flowmap_labels(&c, 2);
+        assert_eq!(lab.labels[v.index()], 1);
+        assert_eq!(lab.cuts[&v].signals.len(), 2);
     }
 }

@@ -8,7 +8,12 @@
 //! forward-retiming post-pass for clock period minimisation (with
 //! simulation-computed initial states).
 //!
-//! * [`flowmap_labels`] — label computation (minimum LUT depth per gate).
+//! * [`cutenum`] — every gate's K-feasible cuts, enumerated once per run
+//!   into one arena; FlowMap reads its cone-weight-0 cuts, the TurboMap
+//!   label computations all of them.
+//! * [`flowmap_labels`] — label computation (minimum LUT depth per gate)
+//!   by scanning those cuts, with max-flow for the gates the arena cannot
+//!   answer.
 //! * [`flowmap`] — mapping generation (registers untouched).
 //! * [`flowmap_frt`] — the full baseline including forward retiming.
 //! * [`pack_luts`] — single-fanout LUT packing (area post-pass).
@@ -44,11 +49,15 @@
 #![warn(missing_docs)]
 
 pub mod cut;
+pub mod cutenum;
 pub mod label;
 pub mod map;
 pub mod pack;
 
 pub use cut::{build_lut_network, cone_function, Cut, CutSignal, MapError};
-pub use label::{flowmap_labels, Labeling};
-pub use map::{flowmap, flowmap_frt, FlowMapError, FlowMapFrtResult, FlowMapResult};
+pub use cutenum::{ConeWalk, CutArena, CutFault, ExpCut, ExpNode, CUT_CAP};
+pub use label::{flow_label, flowmap_labels, flowmap_labels_with, Labeling};
+pub use map::{
+    flowmap, flowmap_frt, flowmap_frt_with, FlowMapError, FlowMapFrtResult, FlowMapResult,
+};
 pub use pack::{pack_luts, PackReport};

@@ -8,7 +8,8 @@
 //! for minimum clock period, and compute the initial state by simulation.
 
 use crate::cut::{build_lut_network, Cut, MapError};
-use crate::label::{flowmap_labels, Labeling};
+use crate::cutenum::CutArena;
+use crate::label::{flowmap_labels_with, Labeling};
 use netlist::{Circuit, NodeId};
 use retiming::{retime_min_period_forward, MoveStats, RetimingError};
 use std::collections::HashMap;
@@ -116,9 +117,16 @@ pub(crate) fn collect_roots(c: &Circuit, labeling: &Labeling) -> HashMap<NodeId,
 ///
 /// Panics if the circuit is not K-bounded (decompose first).
 pub fn flowmap(c: &Circuit, k: usize) -> Result<FlowMapResult, FlowMapError> {
+    flowmap_with(c, &CutArena::combinational(c, k))
+}
+
+/// [`flowmap`] labelling from the cone-weight-0 cuts of an arena already
+/// enumerated on `c`, at the arena's `K` — a TurboMap context's, whose
+/// round 0 is exactly what [`flowmap`] enumerates.
+fn flowmap_with(c: &Circuit, arena: &CutArena) -> Result<FlowMapResult, FlowMapError> {
     let labeling = {
-        let _s = engine::trace::span1("flowmap_label", "k", k as u64);
-        flowmap_labels(c, k)
+        let _s = engine::trace::span1("flowmap_label", "k", arena.k() as u64);
+        flowmap_labels_with(c, arena)
     };
     let _s = engine::trace::span("flowmap_generate");
     let roots = collect_roots(c, &labeling);
@@ -160,7 +168,22 @@ pub struct FlowMapFrtResult {
 ///
 /// Panics if the circuit is not K-bounded (decompose first).
 pub fn flowmap_frt(c: &Circuit, k: usize) -> Result<FlowMapFrtResult, FlowMapError> {
-    let mapped = flowmap(c, k)?;
+    flowmap_frt_with(c, &CutArena::combinational(c, k))
+}
+
+/// [`flowmap_frt`] on the cone-weight-0 cuts of an arena already
+/// enumerated on `c` — a TurboMap context's, whose round 0 is exactly
+/// what [`flowmap_frt`] enumerates.
+///
+/// # Errors
+///
+/// Propagates mapping/retiming errors.
+///
+/// # Panics
+///
+/// Panics if the circuit is not K-bounded (decompose first).
+pub fn flowmap_frt_with(c: &Circuit, arena: &CutArena) -> Result<FlowMapFrtResult, FlowMapError> {
+    let mapped = flowmap_with(c, arena)?;
     let res = retime_min_period_forward(&mapped.circuit)?;
     Ok(FlowMapFrtResult {
         period: res.period,

@@ -9,8 +9,8 @@
 //!    erased to `X` with seeded probabilities, producing the full/partial/
 //!    unknown initial-state spectrum of the paper's Section 3.3;
 //! 2. **structural mutations** — a seeded number of [`crate::mutate`]
-//!    operators (insert / rewire / hand-retime / init-flip), each applied
-//!    under apply–validate–revert so the case stays valid.
+//!    operators (insert / rewire / hand-retime / init-flip / init-blur),
+//!    each applied under apply–validate–revert so the case stays valid.
 //!
 //! Generation is a pure function of `(seed, config)`: a repro manifest
 //! holding those two values regenerates the exact case.

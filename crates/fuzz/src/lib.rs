@@ -46,7 +46,7 @@ pub mod shrink;
 pub use campaign::{run_campaign, CampaignConfig, CampaignReport, CaseStatus};
 pub use gen::{generate_case, GenConfig};
 pub use oracle::{
-    cut_check_violation, general_cut_check_violation, judge_mapped, run_oracle, CheckKind,
-    OracleConfig, OracleOutcome, Violation,
+    cut_check_violation, flowmap_cut_check_violation, general_cut_check_violation, judge_mapped,
+    run_oracle, CheckKind, OracleConfig, OracleOutcome, Violation,
 };
 pub use shrink::{shrink, shrink_with, ShrinkConfig, ShrinkOutcome};

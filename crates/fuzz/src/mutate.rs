@@ -15,11 +15,12 @@ use netlist::{Bit, Circuit, EdgeId, NodeId, TruthTable};
 /// Applies one randomly chosen operator; returns `true` when a mutation
 /// was committed. Operators that find no applicable site are no-ops.
 pub fn mutate_random(c: &mut Circuit, rng: &mut Rng64) -> bool {
-    match rng.below(4) {
+    match rng.below(5) {
         0 => insert_gate(c, rng),
         1 => rewire_fanin(c, rng),
         2 => retime_forward(c, rng),
-        _ => flip_init(c, rng),
+        3 => flip_init(c, rng),
+        _ => blur_init(c, rng),
     }
 }
 
@@ -200,6 +201,29 @@ pub fn flip_init(c: &mut Circuit, rng: &mut Rng64) -> bool {
     true
 }
 
+/// Erases one defined initial value to `X` in a single fanout chain,
+/// leaving the driver's other chains as they are (still sharing-
+/// consistent: `X` merges with any bit). A driver with another chain of
+/// the same length then feeds two taps that differ only in initial
+/// values: two LUT inputs to FlowMap, one leaf `u^w` to the cut arena.
+pub fn blur_init(c: &mut Circuit, rng: &mut Rng64) -> bool {
+    let defined: Vec<(EdgeId, usize)> = c
+        .edge_ids()
+        .flat_map(|e| {
+            let ffs = c.edge(e).ffs();
+            (0..ffs.len())
+                .filter(move |&i| ffs[i] != Bit::X)
+                .map(move |i| (e, i))
+        })
+        .collect();
+    if defined.is_empty() {
+        return false;
+    }
+    let (e, i) = defined[rng.below(defined.len())];
+    c.ffs_mut(e)[i] = Bit::X;
+    true
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -308,5 +332,24 @@ mod tests {
         let after: Vec<usize> = c.edge_ids().map(|e| c.edge(e).weight()).collect();
         assert_eq!(weights, after, "flip_init must not change weights");
         netlist::validate(&c).unwrap();
+    }
+
+    #[test]
+    fn blur_init_splits_one_chain() {
+        let mut rng = Rng64::new(23);
+        let mut c = base(2);
+        let before: Vec<Vec<Bit>> = c.edge_ids().map(|e| c.edge(e).ffs().to_vec()).collect();
+        assert!(blur_init(&mut c, &mut rng));
+        let changed: Vec<usize> = c
+            .edge_ids()
+            .filter(|&e| c.edge(e).ffs() != before[e.index()].as_slice())
+            .map(|e| e.index())
+            .collect();
+        assert_eq!(changed.len(), 1, "exactly one chain changes");
+        let after = c.edge(EdgeId(changed[0] as u32)).ffs();
+        assert_eq!(after.len(), before[changed[0]].len());
+        assert!(after.contains(&Bit::X));
+        netlist::validate(&c).unwrap();
+        assert!(c.sharing_consistent());
     }
 }

@@ -25,9 +25,13 @@
 //!    the stitched result must be valid, K-bounded, sequentially
 //!    equivalent to the source, and obey the Φ-gap bound — it can never
 //!    beat the monolithic TurboMap-frt optimum.
-//! 6. **Cut check** (always on) — both label computations answer every
-//!    label update from a once-per-run cut arena (`turbomap::cutenum`).
-//!    At the labels of each period the TurboMap-frt search probed, for
+//! 6. **Cut check** (always on) — all three label computations answer
+//!    every label update from a once-per-run cut arena
+//!    (`flowmap::cutenum`). FlowMap-frt's labels come from the arena's
+//!    cone-weight-0 cuts: every gate's label and cut must be what one
+//!    max-flow on its combinational cone gives at the same fanin labels
+//!    (`flowmap::flow_label`). At the labels of each period the
+//!    TurboMap-frt search probed, for
 //!    every gate and for heights `ℒ^s(v)` and `ℒ^s(v) − 1`, the arena's
 //!    minimum cut weight in `F_v^{frt(v)}` must equal the bounded
 //!    max-flow search on the gate's own expanded circuit; likewise, at
@@ -54,7 +58,8 @@ use netlist::{random_equiv_mode, Circuit, EquivMode, EquivResult, NodeId};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use turbomap::frtcheck::{LS_NEG_INF, MAX_EXPANDED_NODES};
 use turbomap::{
-    ExpCut, ExpandedCircuit, FrtContext, GeneralContext, Options, TurboMapError, TurboMapResult,
+    CutArena, ExpCut, ExpandedCircuit, FrtContext, GeneralContext, Options, TurboMapError,
+    TurboMapResult,
 };
 
 /// Oracle knobs; a repro manifest's `config` object records every one.
@@ -130,11 +135,12 @@ pub enum CheckKind {
     /// monolithic optimum (impossible — frozen seams only *lose*
     /// retiming freedom).
     PartitionCheck,
-    /// The cut arena disagreed with max-flow: at some probed period's
-    /// labels, a gate's cut answer from the arena (TurboMap-frt: the
-    /// minimum K-cut weight; TurboMap: whether a K-cut exists), or at a
-    /// feasible period its final cut, differed from max-flow on its
-    /// expanded circuit.
+    /// The cut arena disagreed with max-flow: a gate's FlowMap label or
+    /// cut differed from max-flow on its combinational cone; or at some
+    /// probed period's labels, a gate's cut answer from the arena
+    /// (TurboMap-frt: the minimum K-cut weight; TurboMap: whether a K-cut
+    /// exists), or at a feasible period its final cut, differed from
+    /// max-flow on its expanded circuit.
     CutCheck,
 }
 
@@ -546,6 +552,41 @@ pub fn partition_violation(
         )),
         Err(e) => Some(format!("partition equivalence check failed to run: {e}")),
     }
+}
+
+/// The cut judgement behind [`CheckKind::CutCheck`] for FlowMap-frt,
+/// exposed for focused tests: labels `bounded` (the prepared circuit)
+/// from the cone-weight-0 cuts of `arena`, enumerated on it, then asks
+/// [`flowmap::flow_label`] for every gate's label and cut by max-flow at
+/// the same fanin labels. Returns the first gate whose label, or whose
+/// cut's signals, differ; `None` when all agree or the run was cancelled
+/// (the caller re-checks the token).
+pub fn flowmap_cut_check_violation(bounded: &Circuit, arena: &CutArena) -> Option<String> {
+    let lab = flowmap::flowmap_labels_with(bounded, arena);
+    for v in bounded.gate_ids() {
+        if engine::cancel::cancelled() {
+            return None;
+        }
+        let (label, cut) = flowmap::flow_label(bounded, v, &lab.labels, arena.k());
+        let arena_cut = &lab.cuts[&v];
+        if lab.labels[v.index()] != label || *arena_cut != cut {
+            let names = |cut: &flowmap::Cut| -> Vec<String> {
+                cut.signals
+                    .iter()
+                    .map(|s| format!("{}^{}", bounded.node(s.node).name(), s.weight))
+                    .collect()
+            };
+            return Some(format!(
+                "gate `{}`: the cut arena labels it {} with cut {:?}, max-flow labels it \
+                 {label} with cut {:?}",
+                bounded.node(v).name(),
+                lab.labels[v.index()],
+                names(arena_cut),
+                names(&cut)
+            ));
+        }
+    }
+    None
 }
 
 /// The cut judgement behind [`CheckKind::CutCheck`] for TurboMap-frt,
@@ -996,22 +1037,34 @@ pub fn run_oracle(source: &Circuit, cfg: &OracleConfig) -> OracleOutcome {
         }
     }
 
-    // Check 6: the cut arena against max-flow, at the labels of every
-    // period each TurboMap search probed.
+    // Check 6: the cut arena against max-flow: FlowMap's labels, and the
+    // labels of every period each TurboMap search probed.
     if let Some(b) = &bounded {
         type CutJudge = fn(&Circuit, usize, Options, &[u64]) -> Option<String>;
-        let judges: [(&str, Option<&TurboMapResult>, CutJudge); 2] = [
-            ("turbomap-frt", frt_res.as_ref(), |b, k, opts, phis| {
+        let probed = |res: &Option<TurboMapResult>| {
+            res.as_ref().map(|r| {
+                r.iterations
+                    .iter()
+                    .map(|&(phi, _)| phi)
+                    .collect::<Vec<u64>>()
+            })
+        };
+        let judges: [(&str, Option<Vec<u64>>, CutJudge); 3] = [
+            (
+                "flowmap-frt",
+                fm_res.as_ref().map(|_| Vec::new()),
+                |b, k, _, _| flowmap_cut_check_violation(b, &CutArena::combinational(b, k)),
+            ),
+            ("turbomap-frt", probed(&frt_res), |b, k, opts, phis| {
                 cut_check_violation(b, &FrtContext::new(b, k, opts.weight_horizon), phis)
             }),
-            ("turbomap", gen_res.as_ref(), |b, k, opts, phis| {
+            ("turbomap", probed(&gen_res), |b, k, opts, phis| {
                 let ctx = GeneralContext::new(b, k, opts.general_horizon);
                 general_cut_check_violation(b, &ctx, phis)
             }),
         ];
-        for (flow, res, judge) in judges {
-            let Some(res) = res else { continue };
-            let phis: Vec<u64> = res.iterations.iter().map(|&(phi, _)| phi).collect();
+        for (flow, phis, judge) in judges {
+            let Some(phis) = phis else { continue };
             match catch_unwind(AssertUnwindSafe(|| judge(b, cfg.k, opts, &phis))) {
                 Ok(Some(detail)) => violations.push(Violation {
                     kind: CheckKind::CutCheck,

@@ -9,11 +9,11 @@
 //! corpus writer.
 
 use fuzz::{
-    cut_check_violation, general_cut_check_violation, generate_case, judge_mapped, shrink_with,
-    CheckKind, GenConfig, OracleConfig, ShrinkConfig,
+    cut_check_violation, flowmap_cut_check_violation, general_cut_check_violation, generate_case,
+    judge_mapped, shrink_with, CheckKind, GenConfig, OracleConfig, ShrinkConfig,
 };
 use netlist::Circuit;
-use turbomap::{CutFault, FrtContext, GeneralContext, Options};
+use turbomap::{CutArena, CutFault, ExpCut, ExpNode, FrtContext, GeneralContext, Options};
 
 fn gen_cfg() -> GenConfig {
     GenConfig {
@@ -268,6 +268,58 @@ fn dropped_final_cut_fires_the_cut_check() {
 }
 
 #[test]
+fn dropped_flowmap_cut_fires_the_cut_check() {
+    // A labelling cut missing from the arena's cone-weight-0 list is what
+    // a FlowMap enumeration bug looks like. Drop, in turn, the cut that
+    // gave each gate its label `p` (the largest fanin label): every drop
+    // must fire the check.
+    for seed in 0..2 {
+        let source = generate_case(seed, &gen_cfg());
+        let bounded = turbomap::prepare(&source, 4).unwrap();
+        let clean = CutArena::combinational(&bounded, 4);
+        assert_eq!(
+            flowmap_cut_check_violation(&bounded, &clean),
+            None,
+            "seed {seed}"
+        );
+        let lab = flowmap::flowmap_labels_with(&bounded, &clean);
+        let mut planted = 0;
+        for v in bounded.gate_ids() {
+            let p = bounded
+                .node(v)
+                .fanin()
+                .iter()
+                .map(|&e| bounded.edge(e))
+                .filter(|edge| edge.weight() == 0)
+                .map(|edge| lab.labels[edge.from().index()])
+                .max()
+                .unwrap_or(0);
+            if p == 0 || lab.labels[v.index()] != p {
+                continue;
+            }
+            let signals = lab.cuts[&v].signals.iter();
+            let cut = ExpCut {
+                signals: signals
+                    .map(|s| ExpNode {
+                        node: s.node,
+                        weight: s.weight as u64,
+                    })
+                    .collect(),
+            };
+            let i = clean.position(v, &cut).expect("labelling cuts are listed");
+            let mut arena = clean.clone();
+            assert!(arena.inject(v, CutFault::DropCut(i)));
+            assert!(
+                flowmap_cut_check_violation(&bounded, &arena).is_some(),
+                "seed {seed}: dropping {v:?}'s labelling cut went unnoticed"
+            );
+            planted += 1;
+        }
+        assert!(planted > 0, "seed {seed}: no gate was labelled by a cut");
+    }
+}
+
+#[test]
 fn dropped_general_final_cut_fires_the_cut_check() {
     // As `dropped_final_cut_fires_the_cut_check`, for the general-retiming
     // baseline's final cuts.
@@ -304,8 +356,9 @@ fn shrinker_converges_and_repro_lands_in_the_corpus() {
     // End-to-end failing-case path with a deliberately buggy mapper:
     // TurboMap-frt followed by one flipped LUT bit. The predicate is the
     // real differential check (source vs buggy mapping), so shrinking
-    // exercises oracle-style evaluation on every candidate.
-    let source = generate_case(4, &gen_cfg());
+    // exercises oracle-style evaluation on every candidate. Not every
+    // case exposes its first LUT to the equivalence check's vectors, so
+    // the test takes the first generated case that does.
     let cfg = oracle_cfg();
     let buggy_fails = |c: &Circuit| -> bool {
         let Ok(r) = turbomap::turbomap_frt(c, Options::with_k(4)) else {
@@ -324,7 +377,10 @@ fn shrinker_converges_and_repro_lands_in_the_corpus() {
             .iter()
             .any(|v| v.kind == CheckKind::Equivalence)
     };
-    assert!(buggy_fails(&source), "the injected bug must be observable");
+    let (case_seed, source) = (0..16)
+        .map(|seed| (seed, generate_case(seed, &gen_cfg())))
+        .find(|(_, c)| buggy_fails(c))
+        .expect("the injected bug must be observable");
 
     let out = shrink_with(&source, buggy_fails, &ShrinkConfig { budget: 80 });
     // Convergence: the minimized repro still fails the same way and is
@@ -338,7 +394,7 @@ fn shrinker_converges_and_repro_lands_in_the_corpus() {
     let meta = fuzz::corpus::ReproMeta {
         campaign_seed: 0,
         case_index: 0,
-        case_seed: 4,
+        case_seed,
         k: 4,
         max_gates: 40,
         max_mutations: 4,

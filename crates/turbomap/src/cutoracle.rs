@@ -52,7 +52,6 @@ pub(crate) struct CutOracle<'a> {
     /// Requeue index as a CSR graph: the out-row of node `x` lists the
     /// gates whose cut answers read `x`'s label.
     requeue: graphalgo::Csr,
-    k: usize,
 }
 
 impl<'a> CutOracle<'a> {
@@ -113,13 +112,12 @@ impl<'a> CutOracle<'a> {
             cuts,
             expanded,
             requeue,
-            k,
         }
     }
 
     /// The LUT input bound `K`.
     pub(crate) fn k(&self) -> usize {
-        self.k
+        self.cuts.k()
     }
 
     /// The cut lists the answers scan.
@@ -170,7 +168,7 @@ impl<'a> CutOracle<'a> {
                 return CutAnswer::Capped;
             };
             let bound = self.bound[v.index()];
-            min_weight_cut_with(scratch, exp, ls, phi, height, bound, self.k).map(|(w, _)| w)
+            min_weight_cut_with(scratch, exp, ls, phi, height, bound, self.k()).map(|(w, _)| w)
         } else {
             self.cuts.min_weight(v, ls, phi, height)
         };
@@ -206,7 +204,7 @@ impl<'a> CutOracle<'a> {
                 &built
             }
         };
-        find_cut_with(scratch, exp, ls, phi, height, weight, self.k)
+        find_cut_with(scratch, exp, ls, phi, height, weight, self.k())
     }
 
     /// [`CutOracle::final_cut`] for every gate `v` for which `goal(v)`
@@ -241,5 +239,206 @@ impl<'a> CutOracle<'a> {
     #[cfg(test)]
     pub(crate) fn set_requeue(&mut self, requeue: graphalgo::Csr) {
         self.requeue = requeue;
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use crate::cutenum::{ConeWalk, CUT_CAP};
+    use crate::cutsearch::{find_cut, min_weight_cut};
+    use crate::frtcheck::FrtContext;
+    use engine::Rng64;
+    use netlist::{Bit, TruthTable};
+
+    /// A random FSM, K-bounded for `k`.
+    pub(crate) fn random_fsm(rng: &mut Rng64, trial: u64, k: usize) -> Circuit {
+        let c = workloads::generate_fsm(&workloads::FsmSpec {
+            name: format!("ce{trial}"),
+            states: rng.range_usize(2, 9),
+            inputs: rng.range_usize(1, 4),
+            decoded: 2,
+            outputs: 1,
+            encoding: if rng.chance(0.5) {
+                workloads::Encoding::OneHot
+            } else {
+                workloads::Encoding::Binary
+            },
+            registered_inputs: rng.chance(0.5),
+            seed: trial,
+        });
+        crate::prepare(&c, k).expect("generated FSMs are valid")
+    }
+
+    /// The property the arena stands on: for random labels, Φ and
+    /// heights, the scan answers exactly what the bounded max-flow binary
+    /// search answers on the gate's own expanded circuit.
+    #[test]
+    fn scan_equals_flow_on_random_fsms() {
+        let mut rng = Rng64::new(0xA7E7A);
+        for trial in 0..24 {
+            let k = rng.range_usize(2, 7);
+            let c = random_fsm(&mut rng, trial, k);
+            let ctx = FrtContext::new(&c, k, 32);
+            for _ in 0..3 {
+                let ls: Vec<i64> = (0..c.num_nodes()).map(|_| rng.range_i64(-4, 6)).collect();
+                let phi = rng.range_i64(1, 5);
+                for v in c.gate_ids() {
+                    let frt = ctx.frt[v.index()];
+                    let exp = ExpandedCircuit::build(&c, v, frt, usize::MAX).unwrap();
+                    let h = rng.range_i64(-3, 7);
+                    let flow = min_weight_cut(&exp, &ls, phi, h, frt, k).map(|(w, _)| w);
+                    let scan = ctx.min_cut_weight(&ls, v, phi as u64, h);
+                    assert_eq!(scan, flow, "trial {trial} k={k} {v:?} h={h} phi={phi}");
+                }
+            }
+        }
+    }
+
+    /// A cut's leaves `u^w` as a sorted set: flow and arena list the
+    /// same cut in different orders.
+    pub(crate) fn leaf_set(cut: Option<&ExpCut>) -> Option<Vec<(u32, u64)>> {
+        cut.map(|cut| {
+            let mut set: Vec<(u32, u64)> =
+                cut.signals.iter().map(|s| (s.node.0, s.weight)).collect();
+            set.sort_unstable();
+            set
+        })
+    }
+
+    /// The final-cut pick: for random labels, Φ, heights and cone-weight
+    /// bounds, the listed cut [`CutArena::final_cut`] picks has exactly
+    /// the leaves of the near-sink max-flow cut on the gate's expansion —
+    /// for per-gate `frt(v)` bounds and for one horizon `h`.
+    #[test]
+    fn final_cut_equals_the_flow_cut_on_random_fsms() {
+        let mut rng = Rng64::new(0xF1C07);
+        let mut walk = ConeWalk::default();
+        for trial in 0..24 {
+            let k = rng.range_usize(2, 7);
+            let c = random_fsm(&mut rng, trial, k);
+            let order = c.comb_topo_order().unwrap();
+            let h = rng.range_usize(0, 4) as u64;
+            let bounds = [
+                retiming::max_forward_retiming_values(&c),
+                vec![h; c.num_nodes()],
+            ];
+            for bound in &bounds {
+                let arena = CutArena::enumerate(&c, &order, bound, k, CUT_CAP);
+                for _ in 0..3 {
+                    let ls: Vec<i64> = (0..c.num_nodes()).map(|_| rng.range_i64(-4, 6)).collect();
+                    let phi = rng.range_i64(1, 5);
+                    for v in c.gate_ids().filter(|&v| !arena.is_fallback(v)) {
+                        let b = bound[v.index()];
+                        let exp = ExpandedCircuit::build(&c, v, b, usize::MAX).unwrap();
+                        let height = rng.range_i64(-3, 7);
+                        let weight = rng.range_usize(0, b as usize + 1) as u64;
+                        let flow = find_cut(&exp, &ls, phi, height, weight, k);
+                        let pick = arena.final_cut(v, &ls, phi, height, weight, |node, w| {
+                            walk.size(&c, v, node, w)
+                        });
+                        assert_eq!(
+                            leaf_set(pick.as_ref()),
+                            leaf_set(flow.as_ref()),
+                            "trial {trial} k={k} {v:?} bound {b} height {height} weight {weight}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Two minimum cuts qualify and the heavier cone is listed first: only
+    /// the cone-size tie-break picks the near-sink cut max-flow returns.
+    ///
+    /// `r = a ∧ b^1` with `a = c^1` (through a buffer edge), `c = ¬x` and
+    /// `b = ¬y`. At height 0 the labels rule out `a` and `b^1` as leaves,
+    /// leaving `{x^1, y^1}` (cone `r, a, c^1, b^1`) and `{c^1, y^1}` (cone
+    /// `r, a, b^1`).
+    #[test]
+    fn cone_size_breaks_ties_between_minimum_cuts() {
+        let mut c = Circuit::new("tie");
+        let x = c.add_input("x").unwrap();
+        let y = c.add_input("y").unwrap();
+        let cg = c.add_gate("c", TruthTable::not()).unwrap();
+        let a = c.add_gate("a", TruthTable::not()).unwrap();
+        let b = c.add_gate("b", TruthTable::not()).unwrap();
+        let r = c.add_gate("r", TruthTable::and(2)).unwrap();
+        let o = c.add_output("o").unwrap();
+        c.connect(x, cg, vec![]).unwrap();
+        c.connect(cg, a, vec![Bit::Zero]).unwrap();
+        c.connect(y, b, vec![]).unwrap();
+        c.connect(a, r, vec![]).unwrap();
+        c.connect(b, r, vec![Bit::Zero]).unwrap();
+        c.connect(r, o, vec![]).unwrap();
+        let order = c.comb_topo_order().unwrap();
+        let arena = CutArena::enumerate(&c, &order, &vec![1; c.num_nodes()], 2, CUT_CAP);
+        let mut ls = vec![0; c.num_nodes()];
+        ls[a.index()] = 100;
+        ls[b.index()] = 100;
+        let (phi, height, weight) = (1, 0, 1);
+
+        let exp = ExpandedCircuit::build(&c, r, 1, usize::MAX).unwrap();
+        let flow = find_cut(&exp, &ls, phi, height, weight, 2);
+        let near_sink = vec![(y.0, 1), (cg.0, 1)];
+        assert_eq!(leaf_set(flow.as_ref()), Some(near_sink.clone()));
+        // Without the cone-size tie-break the pick is the first qualifying
+        // two-leaf cut in list order: the other one.
+        let first = arena.final_cut(r, &ls, phi, height, weight, |_, _| 0);
+        assert_eq!(leaf_set(first.as_ref()), Some(vec![(x.0, 1), (y.0, 1)]));
+        let mut walk = ConeWalk::default();
+        let pick = arena.final_cut(r, &ls, phi, height, weight, |node, w| {
+            walk.size(&c, r, node, w)
+        });
+        assert_eq!(leaf_set(pick.as_ref()), Some(near_sink));
+    }
+
+    /// FlowMap labels from a TurboMap context's arena — its round 0 —
+    /// equal those from enumerating round 0 alone, also when a small cut
+    /// cap sends gates to the flow fallback in some round.
+    #[test]
+    fn flowmap_labels_from_context_arenas_equal_standalone() {
+        let mut rng = Rng64::new(0xF10A);
+        for trial in 0..16 {
+            let k = rng.range_usize(2, 7);
+            let c = random_fsm(&mut rng, trial, k);
+            let alone = flowmap::flowmap_labels(&c, k);
+            for cap in [CUT_CAP, 4] {
+                let frt = FrtContext::with_cut_cap(&c, k, 32, cap);
+                let general = crate::gencheck::GeneralContext::with_cut_cap(&c, k, 1, cap);
+                for arena in [frt.cut_arena(), general.cut_arena()] {
+                    let shared = flowmap::flowmap_labels_with(&c, arena);
+                    assert_eq!(shared.labels, alone.labels, "trial {trial} k={k} cap {cap}");
+                    assert_eq!(shared.cuts, alone.cuts, "trial {trial} k={k} cap {cap}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn injected_faults_change_the_list() {
+        let mut rng = Rng64::new(7);
+        let c = random_fsm(&mut rng, 3, 4);
+        let order = c.comb_topo_order().unwrap();
+        let frt = retiming::max_forward_retiming_values(&c);
+        let arena = CutArena::enumerate(&c, &order, &frt, 4, CUT_CAP);
+        let v = c
+            .gate_ids()
+            .find(|&v| arena.num_cuts(v) >= 2)
+            .expect("some gate lists two cuts");
+        let mut dropped = arena.clone();
+        assert!(dropped.inject(v, CutFault::DropCut(0)));
+        assert_eq!(dropped.num_cuts(v), arena.num_cuts(v) - 1);
+        assert!(!dropped.inject(v, CutFault::DropCut(arena.num_cuts(v))));
+        for g in c.gate_ids().filter(|&g| g != v) {
+            assert_eq!(dropped.leaf_nodes(g), arena.leaf_nodes(g));
+        }
+        let mut bumped = arena.clone();
+        assert!(bumped.inject(v, CutFault::BumpWeight(0)));
+        let ls = vec![0; c.num_nodes()];
+        assert_eq!(
+            bumped.min_weight(v, &ls, 1, i64::MAX),
+            arena.min_weight(v, &ls, 1, i64::MAX).map(|w| w + 1)
+        );
     }
 }

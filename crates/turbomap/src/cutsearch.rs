@@ -15,16 +15,10 @@
 //! * everything else has unit capacity; flow ≤ K ⟺ a K-cut exists, and the
 //!   residual min-cut is returned.
 
-use crate::cutenum::ConeWalk;
 use crate::expand::{ExpNode, ExpandedCircuit};
+use flowmap::cutenum::ConeWalk;
+pub use flowmap::cutenum::ExpCut;
 use graphalgo::NodeCutNetwork;
-
-/// A cut on an expanded circuit: the future LUT inputs, as expanded nodes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExpCut {
-    /// Cut-set nodes `u^w`, each a signal `u` delayed by `w` registers.
-    pub signals: Vec<ExpNode>,
-}
 
 /// Reusable buffers for cut queries: the flow network of the max-flow
 /// queries, and the cone walks of the final cuts picked from a cut arena.

@@ -4,7 +4,9 @@
 //! Both drivers binary-search the clock period `Φ ∈ [1, Φ_upper]` — the
 //! upper bound coming from a quick FlowMap-frt run (footnote 4 of the
 //! paper) — with their respective label computations as the feasibility
-//! oracle, then generate the mapping at `Φ_min`.
+//! oracle, then generate the mapping at `Φ_min`. Each builds its label
+//! context first; FlowMap-frt then labels from the cone-weight-0 cuts of
+//! the context's cut arena, so the cuts are enumerated once per run.
 
 use crate::frtcheck::FrtContext;
 use crate::gencheck::GeneralContext;
@@ -191,10 +193,11 @@ pub fn turbomap_frt(c: &Circuit, opts: Options) -> Result<TurboMapResult, TurboM
     let backward_before =
         engine::telemetry::snapshot().counter(engine::telemetry::Counter::BackwardMoves);
     let bounded = prepare(c, opts.k)?;
-    // Upper bound: FlowMap-frt (cheap, feasible by construction).
-    let baseline = flowmap::flowmap_frt(&bounded, opts.k).map_err(TurboMapError::Baseline)?;
-    let upper = baseline.period.max(1);
     let ctx = FrtContext::new(&bounded, opts.k, opts.weight_horizon);
+    // Upper bound: FlowMap-frt (cheap, feasible by construction).
+    let baseline =
+        flowmap::flowmap_frt_with(&bounded, ctx.cut_arena()).map_err(TurboMapError::Baseline)?;
+    let upper = baseline.period.max(1);
     let mut iterations = Vec::new();
     let mut lo = 1u64;
     let mut hi = upper;
@@ -291,9 +294,10 @@ pub fn turbomap_frt(c: &Circuit, opts: Options) -> Result<TurboMapResult, TurboM
 /// See [`TurboMapError`].
 pub fn turbomap_general(c: &Circuit, opts: Options) -> Result<TurboMapResult, TurboMapError> {
     let bounded = prepare(c, opts.k)?;
-    let baseline = flowmap::flowmap_frt(&bounded, opts.k).map_err(TurboMapError::Baseline)?;
-    let upper = baseline.period.max(1);
     let ctx = GeneralContext::new(&bounded, opts.k, opts.general_horizon);
+    let baseline =
+        flowmap::flowmap_frt_with(&bounded, ctx.cut_arena()).map_err(TurboMapError::Baseline)?;
+    let upper = baseline.period.max(1);
     let mut iterations = Vec::new();
     let mut lo = 1u64;
     let mut hi = upper;

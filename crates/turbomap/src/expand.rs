@@ -13,16 +13,8 @@
 //! value of `v`, Lemma 1) the correspondence covers exactly the LUTs
 //! realisable by forward retiming.
 
+pub use flowmap::cutenum::ExpNode;
 use netlist::{Circuit, NodeId};
-
-/// An expanded node `u^w`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ExpNode {
-    /// The original node.
-    pub node: NodeId,
-    /// Registers between `node` and the root.
-    pub weight: u64,
-}
 
 /// Open-addressed `(node, weight) -> expanded index` map with linear
 /// probing over a power-of-two table.

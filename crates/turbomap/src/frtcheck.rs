@@ -680,7 +680,7 @@ pub(crate) fn comb_levels(c: &Circuit, order: &[NodeId]) -> Levels {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cutenum::tests::leaf_set;
+    use crate::cutoracle::tests::leaf_set;
     use netlist::{Bit, TruthTable};
 
     /// Figure 2(a) of the paper (our reconstruction): a 2-gate chain from

@@ -267,7 +267,7 @@ pub fn po_reachable(c: &Circuit) -> Vec<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cutenum::tests::{leaf_set, random_fsm};
+    use crate::cutoracle::tests::{leaf_set, random_fsm};
     use crate::cutsearch::find_cut;
     use engine::Rng64;
     use netlist::{Bit, TruthTable};

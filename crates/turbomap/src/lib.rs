@@ -11,7 +11,9 @@
 //!
 //! * [`expand`] — expanded circuits `F_v^i` (§3.1, Theorem 2),
 //! * [`cutenum`] — every gate's K-feasible cuts of `F_v^{frt(v)}`,
-//!   enumerated once per run; `LabelUpdate` scans them (§3.2),
+//!   enumerated once per run; `LabelUpdate` scans them (§3.2), and the
+//!   FlowMap-frt upper bound reads their cone-weight-0 part (re-exported
+//!   from `flowmap`, which owns the enumerator),
 //! * [`cutsearch`] — min-height / min-weight K-feasible cuts by bounded
 //!   max-flow (§3.2, Definitions 4–5), for mapping and flow fallback,
 //! * `cutoracle` — the cut-list scans plus flow fallback that answer the
@@ -55,7 +57,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cutenum;
+pub use flowmap::cutenum;
 mod cutoracle;
 pub mod cutsearch;
 pub mod driver;
