@@ -1,11 +1,12 @@
 //! Ablation study over the design choices called out in DESIGN.md:
 //!
-//! 1. **Cut extraction side** — near-sink min-cuts (small cones, less
-//!    duplication) vs the slack-relaxed planner (`turbomap::plan_mapping`).
+//! 1. **Simple-only TurboMap-frt** (`weight_horizon = 0`) — what the
+//!    paper's non-simple solutions buy.
 //! 2. **Weight horizon of the general TurboMap baseline** — how the
 //!    per-LUT register-crossing window changes Φ, area and ⋆ rate.
-//! 3. **Simple-only TurboMap-frt** (`weight_horizon = 0`) — what the
-//!    paper's non-simple solutions buy.
+//!
+//! The slack-relaxed planner (`turbomap::plan_mapping`) is no ablation
+//! here: it maps nothing, and only the mapping report reads it.
 //!
 //! Run with: `cargo run --release -p bench --example ablations`
 
@@ -13,7 +14,7 @@ use turbomap::{turbomap_frt, turbomap_general, Options};
 
 fn main() {
     let names = ["dk16", "ex1", "kirkman", "sand", "keyb", "scf"];
-    println!("== ablation 1+3: TurboMap-frt horizon (0 = simple solutions only) ==");
+    println!("== ablation 1: TurboMap-frt horizon (0 = simple solutions only) ==");
     println!(
         "{:<10} {:>10} {:>10} {:>14}",
         "circuit", "Φ full", "Φ simple", "LUT full/simple"

@@ -51,34 +51,30 @@ pub enum Metric {
     /// probe-invariant cut arena or a fallback gate's kept expansion (one
     /// sample per label-check call).
     CacheHitsPerProbe = 4,
-    /// Dirty-task count of each topological level large enough for the
-    /// parallel LabelUpdate path. Recorded from the level size alone, so
-    /// the distribution is identical for every worker count.
-    ParallelBatchSize = 5,
     /// Gate count of each generated fuzz case (`crates/fuzz`), recorded
     /// after generation so the campaign's size distribution is visible.
-    FuzzCaseGates = 6,
+    FuzzCaseGates = 5,
     /// Wall-clock nanoseconds per completed fuzz case (generation through
     /// oracle verdict; a timing field — canonical artifacts zero it).
-    FuzzCaseNanos = 7,
+    FuzzCaseNanos = 6,
     /// Per-LUT timing slack (period − depth) of each mapped gate, recorded
     /// when a mapping report is generated (`crates/report`).
-    NodeSlack = 8,
+    NodeSlack = 7,
     /// Derivation-log length of each Φ−1 infeasibility witness.
-    WitnessSteps = 9,
+    WitnessSteps = 8,
     /// Node count of the critical cycle found on the mapped network at
     /// Φ−1 (recorded only when a cycle exists).
-    WitnessCycleLen = 10,
+    WitnessCycleLen = 9,
     /// Gate count of each block mapped by the partition-and-conquer
     /// pipeline (`crates/partition`), recorded once per block.
-    PartitionBlockGates = 11,
+    PartitionBlockGates = 10,
     /// Flip-flops frozen on each block's seam (cut registers charged to
     /// the block that consumes them), recorded once per block.
-    PartitionCutFfs = 12,
+    PartitionCutFfs = 11,
 }
 
 /// Number of [`Metric`] variants.
-pub const NUM_HISTS: usize = 13;
+pub const NUM_HISTS: usize = 12;
 
 /// Stable snake_case metric names, indexed by `Metric as usize` (JSON
 /// keys in the `turbomap-bench/table1/v2` artifact).
@@ -88,7 +84,6 @@ pub const HIST_NAMES: [&str; NUM_HISTS] = [
     "sweeps_per_phi",
     "span_nanos",
     "cache_hits_per_probe",
-    "parallel_batch_size",
     "fuzz_case_gates",
     "fuzz_case_nanos",
     "node_slack",

@@ -16,9 +16,6 @@
 //! * [`pushback`] — the Section-5 methodology: a preprocessing pass that
 //!   pushes registers backward toward the PIs wherever initial states can
 //!   be justified, enlarging the forward-retiming solution space.
-//! * [`minarea`] — greedy register-count reduction under a period budget
-//!   with initial states maintained (the direction of the paper's
-//!   reference \[9\]).
 //!
 //! # Examples
 //!
@@ -50,7 +47,6 @@
 pub mod error;
 pub mod feas;
 pub mod lvalues;
-pub mod minarea;
 pub mod moves;
 pub mod pushback;
 pub mod spec;
@@ -63,7 +59,6 @@ pub use lvalues::{
     forward_feasible, forward_retiming_for, l_values, max_forward_retiming_values,
     min_period_forward, retime_min_period_forward, ForwardRetimingResult,
 };
-pub use minarea::{minimize_registers, MinAreaReport};
 pub use moves::{apply_forward_retiming, apply_retiming, MoveStats};
 pub use pushback::{max_backward_retiming_values, push_registers_backward, PushBackStats};
 pub use spec::Retiming;

@@ -182,6 +182,113 @@ pub fn prepare(c: &Circuit, k: usize) -> Result<Circuit, TurboMapError> {
     Ok(bounded)
 }
 
+/// The least feasible Φ the search found, with its labels.
+struct Searched<L> {
+    phi: u64,
+    labels: L,
+    /// Label-computation sweeps per probed period (Φ, sweeps).
+    iterations: Vec<(u64, usize)>,
+}
+
+/// Binary-searches the least feasible Φ in `[1, upper]`, probing `upper`
+/// first: it must be feasible. `probe(Φ, seed)` answers one period as
+/// `(feasible, labels, sweeps)`; `seed` holds the labels of the best
+/// feasible probe so far, a sound warm start because every later probe
+/// sits strictly below it (the search keeps `hi` at it).
+fn phi_search<L>(
+    target: &str,
+    upper: u64,
+    mut probe: impl FnMut(u64, Option<&L>) -> (bool, L, usize),
+) -> Result<Searched<L>, TurboMapError> {
+    let _span = engine::trace::span1("phi_search", "upper", upper);
+    let mut iterations = Vec::new();
+    let mut best: Option<(u64, L)> = None;
+    let (mut lo, mut hi) = (1u64, upper);
+    let mut phi = upper;
+    loop {
+        let (feasible, labels, sweeps) = {
+            let _p = engine::trace::span1("phi_probe", "phi", phi);
+            probe(phi, best.as_ref().map(|(_, labels)| labels))
+        };
+        check_cancelled()?;
+        log_probe(target, phi, feasible, sweeps);
+        iterations.push((phi, sweeps));
+        if feasible {
+            best = Some((phi, labels));
+            hi = phi;
+        } else if best.is_none() {
+            return Err(TurboMapError::NoFeasiblePeriod);
+        } else {
+            lo = phi + 1;
+        }
+        if lo >= hi {
+            break;
+        }
+        phi = lo + (hi - lo) / 2;
+    }
+    let (phi, labels) = best.ok_or(TurboMapError::NoFeasiblePeriod)?;
+    debug_assert_eq!(phi, lo);
+    Ok(Searched {
+        phi,
+        labels,
+        iterations,
+    })
+}
+
+/// The mapping at the searched Φ, named `name`; the caller fills in the
+/// search's `iterations`. At equal Φ the FlowMap-frt baseline is itself
+/// an optimal solution with a guaranteed initial state, and block-wise
+/// generation wastes no area on duplication — take it (the paper's
+/// near-identical LUT counts at equal Φ suggest the authors' generation
+/// behaves the same way). Otherwise the roots come from `final_cuts`,
+/// their retiming `Ɍ(v) = ⌈l(v)/Φ⌉ − 1` from the labels `ls`, and
+/// [`generate_mapping`] builds the network (`general` lets it lose the
+/// initial state).
+fn generate_at(
+    bounded: &Circuit,
+    baseline: flowmap::FlowMapFrtResult,
+    name: &str,
+    phi: u64,
+    ls: &[i64],
+    final_cuts: impl FnOnce() -> Vec<Option<crate::ExpCut>>,
+    general: bool,
+) -> Result<TurboMapResult, TurboMapError> {
+    if phi == baseline.period {
+        let mut circuit = baseline.circuit;
+        circuit.set_name(name);
+        return Ok(TurboMapResult {
+            period: phi,
+            luts: circuit.num_gates(),
+            ffs: circuit.ff_count_shared(),
+            iterations: Vec::new(),
+            moves: baseline.moves,
+            initial_state_lost: false,
+            sharing_conflict: !circuit.sharing_consistent(),
+            circuit,
+        });
+    }
+    let cuts = final_cuts();
+    let roots = crate::generate::collect_roots(bounded, &cuts)?;
+    let rr: std::collections::HashMap<netlist::NodeId, i64> = roots
+        .keys()
+        .map(|&v| (v, ceil_div(ls[v.index()], phi as i64) - 1))
+        .collect();
+    let gen = generate_mapping(bounded, &roots, &rr, name, general)?;
+    let achieved = gen.circuit.clock_period().map_err(TurboMapError::Invalid)?;
+    debug_assert!(achieved <= phi, "generated period {achieved} > Φ {phi}");
+    let sharing_conflict = !gen.circuit.sharing_consistent();
+    Ok(TurboMapResult {
+        period: achieved.min(phi),
+        luts: gen.circuit.num_gates(),
+        ffs: gen.circuit.ff_count_shared(),
+        iterations: Vec::new(),
+        moves: gen.moves,
+        initial_state_lost: gen.initial_state_lost,
+        sharing_conflict,
+        circuit: gen.circuit,
+    })
+}
+
 /// TurboMap-frt (the paper's algorithm): optimal K-LUT mapping with
 /// forward retiming, minimum clock period, guaranteed initial state.
 ///
@@ -197,91 +304,19 @@ pub fn turbomap_frt(c: &Circuit, opts: Options) -> Result<TurboMapResult, TurboM
     // Upper bound: FlowMap-frt (cheap, feasible by construction).
     let baseline =
         flowmap::flowmap_frt_with(&bounded, ctx.cut_arena()).map_err(TurboMapError::Baseline)?;
-    let upper = baseline.period.max(1);
-    let mut iterations = Vec::new();
-    let mut lo = 1u64;
-    let mut hi = upper;
-    let phi_span = engine::trace::span1("phi_search", "upper", upper);
-    // Confirm the upper bound under FRTcheck itself (it must be feasible;
-    // keep its labels as fallback).
-    let top = {
-        let _p = engine::trace::span1("phi_probe", "phi", upper);
-        ctx.check(upper)
-    };
-    check_cancelled()?;
-    log_probe("turbomap::frt", upper, top.feasible, top.iterations);
-    iterations.push((upper, top.iterations));
-    if !top.feasible {
-        return Err(TurboMapError::NoFeasiblePeriod);
-    }
-    // Best feasible probe so far: its period and labels (the mapping
-    // seed and the warm-start donor).
-    let mut best = (upper, top.labels);
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        let res = {
-            let _p = engine::trace::span1("phi_probe", "phi", mid);
-            // Every remaining probe sits strictly below the best feasible
-            // Φ (the search keeps `hi` at it), so its labels are a sound
-            // warm seed for `mid`.
-            ctx.check_opts(mid, Some(&best.1), 1)
-        };
-        check_cancelled()?;
-        log_probe("turbomap::frt", mid, res.feasible, res.iterations);
-        iterations.push((mid, res.iterations));
-        if res.feasible {
-            best = (mid, res.labels);
-            hi = mid;
-        } else {
-            lo = mid + 1;
-        }
-    }
-    drop(phi_span);
-    let (phi, labels) = best;
-    debug_assert_eq!(phi, lo.min(upper));
-
-    // At equal Φ the FlowMap-frt network is itself an optimal FRT mapping
-    // solution and block-wise generation wastes no area on duplication —
-    // take it (the paper's near-identical LUT counts at equal Φ suggest
-    // the authors' generation behaves the same way).
-    if phi == baseline.period {
-        let mut circuit = baseline.circuit;
-        circuit.set_name(format!("{}_tmfrt", c.name()));
-        #[cfg(debug_assertions)]
-        debug_assert_no_backward_moves(backward_before, &baseline.moves);
-        return Ok(TurboMapResult {
-            period: phi,
-            luts: circuit.num_gates(),
-            ffs: circuit.ff_count_shared(),
-            iterations,
-            moves: baseline.moves,
-            initial_state_lost: false,
-            sharing_conflict: !circuit.sharing_consistent(),
-            circuit,
-        });
-    }
-    let cuts = ctx.final_cuts(&labels, phi);
-    let roots = crate::generate::collect_roots(&bounded, &cuts)?;
-    let rr: std::collections::HashMap<netlist::NodeId, i64> = roots
-        .keys()
-        .map(|&v| (v, ceil_div(labels.ls[v.index()], phi as i64) - 1))
-        .collect();
-    let gen = generate_mapping(&bounded, &roots, &rr, &format!("{}_tmfrt", c.name()), false)?;
-    debug_assert!(!gen.initial_state_lost);
+    let s = phi_search("turbomap::frt", baseline.period.max(1), |phi, seed| {
+        let res = ctx.check_opts(phi, seed, 1);
+        (res.feasible, res.labels, res.iterations)
+    })?;
+    let name = format!("{}_tmfrt", c.name());
+    let cuts = || ctx.final_cuts(&s.labels, s.phi);
+    let res = generate_at(&bounded, baseline, &name, s.phi, &s.labels.ls, cuts, false)?;
+    debug_assert!(!res.initial_state_lost);
     #[cfg(debug_assertions)]
-    debug_assert_no_backward_moves(backward_before, &gen.moves);
-    let achieved = gen.circuit.clock_period().map_err(TurboMapError::Invalid)?;
-    debug_assert!(achieved <= phi, "generated period {achieved} > Φ {phi}");
-    let sharing_conflict = !gen.circuit.sharing_consistent();
+    debug_assert_no_backward_moves(backward_before, &res.moves);
     Ok(TurboMapResult {
-        period: achieved.min(phi),
-        luts: gen.circuit.num_gates(),
-        ffs: gen.circuit.ff_count_shared(),
-        iterations,
-        moves: gen.moves,
-        initial_state_lost: gen.initial_state_lost,
-        sharing_conflict,
-        circuit: gen.circuit,
+        iterations: s.iterations,
+        ..res
     })
 }
 
@@ -297,75 +332,17 @@ pub fn turbomap_general(c: &Circuit, opts: Options) -> Result<TurboMapResult, Tu
     let ctx = GeneralContext::new(&bounded, opts.k, opts.general_horizon);
     let baseline =
         flowmap::flowmap_frt_with(&bounded, ctx.cut_arena()).map_err(TurboMapError::Baseline)?;
-    let upper = baseline.period.max(1);
-    let mut iterations = Vec::new();
-    let mut lo = 1u64;
-    let mut hi = upper;
-    let phi_span = engine::trace::span1("phi_search", "upper", upper);
-    let top = {
-        let _p = engine::trace::span1("phi_probe", "phi", upper);
-        ctx.check(upper)
-    };
-    check_cancelled()?;
-    log_probe("turbomap::general", upper, top.feasible, top.iterations);
-    iterations.push((upper, top.iterations));
-    if !top.feasible {
-        return Err(TurboMapError::NoFeasiblePeriod);
-    }
-    let mut best = Some((upper, top.labels));
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        let res = {
-            let _p = engine::trace::span1("phi_probe", "phi", mid);
-            ctx.check(mid)
-        };
-        check_cancelled()?;
-        log_probe("turbomap::general", mid, res.feasible, res.iterations);
-        iterations.push((mid, res.iterations));
-        if res.feasible {
-            best = Some((mid, res.labels));
-            hi = mid;
-        } else {
-            lo = mid + 1;
-        }
-    }
-    drop(phi_span);
-    let (phi, labels) = best.ok_or(TurboMapError::NoFeasiblePeriod)?;
-    if phi == baseline.period {
-        // The baseline network achieves the same period with guaranteed
-        // initial state — a general-retiming run cannot improve on it.
-        let mut circuit = baseline.circuit;
-        circuit.set_name(format!("{}_tm", c.name()));
-        return Ok(TurboMapResult {
-            period: phi,
-            luts: circuit.num_gates(),
-            ffs: circuit.ff_count_shared(),
-            iterations,
-            moves: baseline.moves,
-            initial_state_lost: false,
-            sharing_conflict: !circuit.sharing_consistent(),
-            circuit,
-        });
-    }
-    let cuts = ctx.final_cuts(&labels, phi);
-    let roots = crate::generate::collect_roots(&bounded, &cuts)?;
-    let rr: std::collections::HashMap<netlist::NodeId, i64> = roots
-        .keys()
-        .map(|&v| (v, ceil_div(labels[v.index()], phi as i64) - 1))
-        .collect();
-    let gen = generate_mapping(&bounded, &roots, &rr, &format!("{}_tm", c.name()), true)?;
-    let achieved = gen.circuit.clock_period().map_err(TurboMapError::Invalid)?;
-    debug_assert!(achieved <= phi, "generated period {achieved} > Φ {phi}");
-    let sharing_conflict = !gen.circuit.sharing_consistent();
+    // Every probe starts cold: the general labels take no warm seed.
+    let s = phi_search("turbomap::general", baseline.period.max(1), |phi, _| {
+        let res = ctx.check(phi);
+        (res.feasible, res.labels, res.iterations)
+    })?;
+    let name = format!("{}_tm", c.name());
+    let cuts = || ctx.final_cuts(&s.labels, s.phi);
+    let res = generate_at(&bounded, baseline, &name, s.phi, &s.labels, cuts, true)?;
     Ok(TurboMapResult {
-        period: achieved.min(phi),
-        luts: gen.circuit.num_gates(),
-        ffs: gen.circuit.ff_count_shared(),
-        iterations,
-        moves: gen.moves,
-        initial_state_lost: gen.initial_state_lost,
-        sharing_conflict,
-        circuit: gen.circuit,
+        iterations: s.iterations,
+        ..res
     })
 }
 
@@ -481,8 +458,8 @@ mod tests {
     /// Warm-started probes (every probe after the first) reach the verdict
     /// a cold probe reaches at the same Φ, and never take more sweeps in
     /// total than cold probes would. planet1 is the Table-1 preset on
-    /// which a warm probe takes fewer sweeps than a cold one (150 against
-    /// 151 sweeps over the whole suite), so there the saving must show.
+    /// which a warm probe takes fewer sweeps than a cold one (148 against
+    /// 149 sweeps over the whole suite), so there the saving must show.
     #[test]
     fn warm_probes_match_cold_checks() {
         let planet1 = workloads::presets()

@@ -26,20 +26,19 @@
 //! node as a cut leaf (for a fallback gate: whose expansion contains it)
 //! — exactly the gates whose answers read it.
 //!
-//! # Sweep structure: level-synchronized, two-phase
+//! # Sweep structure
 //!
-//! Each sweep walks the topological levels of the combinational graph on
-//! the calling thread. Per level, the dirty nodes' updates are
-//! **computed** against the labels as they stood at the start of the
-//! level, then **applied** in node order. The per-level snapshot fixes
-//! how many sweeps a probe takes (applying each update at once would let
-//! later nodes of the level see it, and change the `frt_sweeps` and
-//! `sweeps_per_phi` figures the canonical artifacts record). Register
-//! edges may point within or across levels in either direction; that only
-//! means an update can be computed against a slightly stale fanin bound,
-//! and the dirty re-marking in the apply phase schedules the node again —
-//! chaotic iteration of a monotone system converges to the same least
-//! fixpoint under any fair order.
+//! Each sweep walks the non-PI nodes in combinational topological order
+//! on the calling thread and applies every update as soon as it is
+//! computed, so later nodes of the same sweep already read it. A node is
+//! recomputed only while dirty: some label its update reads changed since
+//! its last update. Register edges may point either way in that order; a
+//! node fed through one may compute against a stale fanin bound, and the
+//! re-marking schedules it again. Chaotic iteration of a monotone system
+//! converges to the same least fixpoint under any fair order.
+//!
+//! The same loop, cold-started and logging each `l^s` improvement as a
+//! [`WitnessStep`], is the infeasibility witness of [`crate::witness`].
 //!
 //! # Warm starts
 //!
@@ -69,10 +68,6 @@ pub const MAX_EXPANDED_NODES: usize = 500_000;
 /// Sentinel for `−∞` labels.
 pub const LS_NEG_INF: i64 = i64::MIN / 4;
 
-/// Smallest dirty-task count of a level the `parallel_batch_size`
-/// histogram records.
-const PAR_THRESHOLD: usize = 4;
-
 /// Per-node label pairs.
 #[derive(Debug, Clone)]
 pub struct LabelPairs {
@@ -93,14 +88,28 @@ pub struct FrtCheck {
     pub iterations: usize,
 }
 
-/// How a sweep loop ended (internal).
+/// How the sweep loop ended (internal).
 enum SweepEnd {
     /// The installed cancel token tripped; partial labels, no records.
     Cancelled,
-    /// Corollary 1 provably violated (or the iteration cap was hit).
+    /// Some `l^s` exceeds Φ, so Corollary 1 is violated for every `r ≥ 0`.
     Infeasible,
+    /// The `|V|²` iteration cap was hit.
+    IterationCap,
+    /// A logging run met a capped fallback expansion, which no witness
+    /// rule covers.
+    Capped,
     /// Labels converged; Corollary 1 decides feasibility.
     Converged,
+}
+
+/// One node's tightened label pair, with the witness rule that derives
+/// its `l^s` (`None` for a capped fallback expansion: the update is
+/// conservative, but no rule justifies it).
+struct Update {
+    ls: i64,
+    r: u64,
+    rule: Option<WitnessStep>,
 }
 
 /// Precomputed per-circuit state shared across FRTcheck runs (binary
@@ -115,43 +124,9 @@ pub struct FrtContext<'a> {
     /// Every gate's cuts of `F_v^{frt(v)}`, the flow-fallback expansions
     /// and the requeue index.
     oracle: CutOracle<'a>,
-    /// Topological levels over zero-weight edges: level `d` lists the
-    /// non-PI nodes at combinational depth `d`, in topological order.
-    /// Within a level no zero-weight edge connects two members, so the
-    /// level's updates read no label the same level writes through one.
-    levels: Levels,
-}
-
-/// Topological levels in flat form: the nodes of level `d` are
-/// `nodes[off[d]..off[d + 1]]` — one arena for the whole partition
-/// instead of a `Vec` per depth.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct Levels {
-    off: Vec<u32>,
-    nodes: Vec<u32>,
-}
-
-impl Levels {
-    /// Number of levels.
-    pub(crate) fn len(&self) -> usize {
-        self.off.len().saturating_sub(1)
-    }
-
-    /// The nodes of level `d`, in topological order.
-    pub(crate) fn level(&self, d: usize) -> &[u32] {
-        &self.nodes[self.off[d] as usize..self.off[d + 1] as usize]
-    }
-
-    /// Iterates the levels shallow-to-deep.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &[u32]> {
-        (0..self.len()).map(move |d| self.level(d))
-    }
-
-    /// Total node count across all levels.
-    #[cfg(test)]
-    pub(crate) fn total(&self) -> usize {
-        self.nodes.len()
-    }
+    /// The non-PI nodes in combinational topological order: the order
+    /// every sweep walks.
+    order: Vec<NodeId>,
 }
 
 impl<'a> FrtContext<'a> {
@@ -205,14 +180,17 @@ impl<'a> FrtContext<'a> {
         let order = circuit
             .comb_topo_order()
             .expect("combinational cycles must be rejected before mapping");
-        let levels = comb_levels(circuit, &order);
         let oracle = CutOracle::new(circuit, &order, frt.clone(), k, cut_cap);
+        let order = order
+            .into_iter()
+            .filter(|&v| !circuit.node(v).is_input())
+            .collect();
         FrtContext {
             circuit,
             frt,
             frt_capped_gates,
             oracle,
-            levels,
+            order,
         }
     }
 
@@ -257,17 +235,17 @@ impl<'a> FrtContext<'a> {
         }
     }
 
-    /// `ℒ^s(v) = max { l^s(u) − Φ·w(e) }` over fanin edges (§3.2).
-    fn script_l(&self, ls: &[i64], v: NodeId, phi: i64) -> i64 {
-        let mut best = LS_NEG_INF;
-        for &e in self.circuit.node(v).fanin() {
-            let edge = self.circuit.edge(e);
-            let lu = ls[edge.from().index()];
-            if lu > LS_NEG_INF {
-                best = best.max(lu - phi * edge.weight() as i64);
-            }
+    /// The cold start of Figure 5: `(0, 0)` at PIs, `(−∞, 0)` elsewhere.
+    fn cold_labels(&self) -> LabelPairs {
+        let n = self.circuit.num_nodes();
+        let mut labels = LabelPairs {
+            ls: vec![LS_NEG_INF; n],
+            r: vec![0; n],
+        };
+        for &pi in self.circuit.inputs() {
+            labels.ls[pi.index()] = 0;
         }
-        best
+        labels
     }
 
     /// Runs FRTcheck for one target period, cold-started.
@@ -284,58 +262,51 @@ impl<'a> FrtContext<'a> {
     /// * `_workers` — ignored; every sweep runs on the calling thread.
     pub fn check_opts(&self, phi: u64, warm: Option<&LabelPairs>, _workers: usize) -> FrtCheck {
         let c = self.circuit;
-        let n = c.num_nodes();
         let phi_i = phi as i64;
-        let mut labels = LabelPairs {
-            ls: vec![LS_NEG_INF; n],
-            r: vec![0; n],
-        };
-        for &pi in c.inputs() {
-            labels.ls[pi.index()] = 0;
-        }
+        let mut labels = self.cold_labels();
         if let Some(seed) = warm {
-            debug_assert_eq!(seed.ls.len(), n);
-            for v in c.node_ids() {
-                if !c.node(v).is_input() {
-                    labels.ls[v.index()] = seed.ls[v.index()];
-                }
+            debug_assert_eq!(seed.ls.len(), c.num_nodes());
+            for &v in &self.order {
+                labels.ls[v.index()] = seed.ls[v.index()];
             }
         }
-        let (end, iterations, cut_queries) = self.sweep_loop(phi_i, &mut labels);
-        match end {
-            SweepEnd::Cancelled => FrtCheck {
-                feasible: false,
-                labels,
-                iterations,
-            },
-            SweepEnd::Infeasible => {
-                record_probe_metrics(iterations, cut_queries);
-                FrtCheck {
+        let (end, iterations, cut_queries) = self.sweep_loop(phi_i, &mut labels, None);
+        let feasible = match end {
+            SweepEnd::Cancelled => {
+                return FrtCheck {
                     feasible: false,
                     labels,
                     iterations,
                 }
             }
-            SweepEnd::Converged => {
-                record_probe_metrics(iterations, cut_queries);
-                // Converged: Corollary 1 must hold at every node.
-                let feasible = c.node_ids().all(|v| {
-                    let i = v.index();
-                    labels.ls[i] <= LS_NEG_INF || labels.ls[i] + phi_i * labels.r[i] as i64 <= phi_i
-                });
-                FrtCheck {
-                    feasible,
-                    labels,
-                    iterations,
-                }
-            }
+            // Converged: Corollary 1 must hold at every node.
+            SweepEnd::Converged => c.node_ids().all(|v| {
+                let i = v.index();
+                labels.ls[i] <= LS_NEG_INF || labels.ls[i] + phi_i * labels.r[i] as i64 <= phi_i
+            }),
+            // `Capped` only ends a logging run.
+            SweepEnd::Infeasible | SweepEnd::IterationCap | SweepEnd::Capped => false,
+        };
+        engine::telemetry::record(engine::hist::Metric::SweepsPerPhi, iterations as u64);
+        engine::telemetry::record(engine::hist::Metric::CacheHitsPerProbe, cut_queries);
+        FrtCheck {
+            feasible,
+            labels,
+            iterations,
         }
     }
 
-    /// The dirty-driven sweep loop of the compute-then-apply scheme.
-    /// Returns the end state, the sweep count, and the number of gate
-    /// label updates (cut queries) it scheduled.
-    fn sweep_loop(&self, phi_i: i64, labels: &mut LabelPairs) -> (SweepEnd, usize, u64) {
+    /// The dirty-driven sweep loop: walks `order`, applying each update at
+    /// once. With `log`, every `l^s` improvement is appended as the witness
+    /// step that justifies it, and a capped expansion ends the run.
+    /// Returns the end state, the sweep count, and the number of gate label
+    /// updates (cut queries) it scheduled.
+    fn sweep_loop(
+        &self,
+        phi_i: i64,
+        labels: &mut LabelPairs,
+        mut log: Option<&mut Vec<WitnessStep>>,
+    ) -> (SweepEnd, usize, u64) {
         let c = self.circuit;
         let n = c.num_nodes();
         let cap = n.saturating_mul(n).max(4);
@@ -344,18 +315,14 @@ impl<'a> FrtContext<'a> {
         // Dirty-driven sweeps: a node needs re-evaluation only when some
         // label its update reads changed since its last update (the
         // practical speed-up behind the paper's "5–15 iterations per Φ").
-        let mut dirty = vec![true; n];
-        let mut tasks: Vec<u32> = Vec::new();
-        let mut results: Vec<Option<(i64, u64)>> = Vec::new();
+        // PIs are never dirty: nothing re-marks a node without fanins.
+        let mut dirty: Vec<bool> = c.node_ids().map(|v| !c.node(v).is_input()).collect();
         let mut scratch = CutScratch::new();
         loop {
-            // Sweep-granular cancellation: when the batch runner's deadline
-            // (or an external cancel) trips the installed token, bail out
-            // as "infeasible" — the driver re-checks the token and maps
-            // the early exit to `TurboMapError::Cancelled`, never using
-            // the partial labels. (`compute_node` additionally
-            // short-circuits per task, so a tripped token also drains the
-            // level in flight at full speed.)
+            // Cancellation: when the batch runner's deadline (or an
+            // external cancel) trips the installed token, bail out; the
+            // driver re-checks the token and maps the early exit to
+            // `TurboMapError::Cancelled`, never using the partial labels.
             if engine::cancel::cancelled() {
                 return (SweepEnd::Cancelled, iterations, cut_queries);
             }
@@ -363,130 +330,121 @@ impl<'a> FrtContext<'a> {
             engine::telemetry::count(engine::telemetry::Counter::FrtSweeps, 1);
             let _sweep = engine::trace::span1("frtcheck_sweep", "n", iterations as u64);
             let mut changed = false;
-            for level in self.levels.iter() {
-                // Phase 1: collect this level's dirty nodes. The flags
-                // clear now; the apply phase below may re-mark them.
-                tasks.clear();
-                for &vi in level {
-                    if dirty[vi as usize] {
-                        dirty[vi as usize] = false;
-                        tasks.push(vi);
-                    }
-                }
-                if tasks.is_empty() {
+            for &v in &self.order {
+                let i = v.index();
+                if !dirty[i] {
                     continue;
                 }
-                cut_queries += tasks
-                    .iter()
-                    .filter(|&&vi| c.node(NodeId(vi)).is_gate())
-                    .count() as u64;
-                if tasks.len() >= PAR_THRESHOLD {
-                    engine::telemetry::record(
-                        engine::hist::Metric::ParallelBatchSize,
-                        tasks.len() as u64,
-                    );
+                dirty[i] = false;
+                if engine::cancel::cancelled() {
+                    return (SweepEnd::Cancelled, iterations, cut_queries);
                 }
-                // Phase 2: compute every update against the labels as they
-                // stood at the start of the level.
-                results.clear();
-                results.extend(
-                    tasks
-                        .iter()
-                        .map(|&t| self.compute_node(&labels.ls, NodeId(t), phi_i, &mut scratch)),
-                );
-                // Phase 3: apply in task order, re-marking dependents.
-                for (&t, &res) in tasks.iter().zip(&results) {
-                    let (new_ls, new_r) = match res {
-                        Some(pair) => pair,
-                        None => continue, // no information yet
-                    };
-                    let i = t as usize;
-                    if new_ls > labels.ls[i] || (new_ls == labels.ls[i] && new_r > labels.r[i]) {
-                        labels.ls[i] = new_ls;
-                        labels.r[i] = new_r;
-                        changed = true;
-                        // Direct fanouts see the change through ℒ^s; gates
-                        // reading the node through their cut answers see
-                        // it through the cut heights.
-                        for &e in c.node(NodeId(t)).fanout() {
-                            let t = c.edge(e).to().index();
-                            if !dirty[t] {
-                                dirty[t] = true;
-                                engine::telemetry::count(
-                                    engine::telemetry::Counter::FrtRequeuedGates,
-                                    1,
-                                );
-                            }
-                        }
-                        for &g in self.oracle.requeue(i) {
-                            if !dirty[g as usize] {
-                                dirty[g as usize] = true;
-                                engine::telemetry::count(
-                                    engine::telemetry::Counter::FrtRequeuedGates,
-                                    1,
-                                );
-                            }
-                        }
-                        if new_ls > phi_i {
-                            // Lower bound already violates Corollary 1 for
-                            // every r ≥ 0: infeasible.
-                            return (SweepEnd::Infeasible, iterations, cut_queries);
-                        }
+                if c.node(v).is_gate() {
+                    cut_queries += 1;
+                }
+                let Some(up) = self.label_update(&labels.ls, v, phi_i, &mut scratch) else {
+                    continue; // no information yet
+                };
+                if up.rule.is_none() && log.is_some() {
+                    return (SweepEnd::Capped, iterations, cut_queries);
+                }
+                if (up.ls, up.r) <= (labels.ls[i], labels.r[i]) {
+                    continue;
+                }
+                if let (true, Some(log), Some(step)) =
+                    (up.ls > labels.ls[i], log.as_deref_mut(), up.rule)
+                {
+                    log.push(step);
+                }
+                labels.ls[i] = up.ls;
+                labels.r[i] = up.r;
+                changed = true;
+                // Direct fanouts see the change through ℒ^s; gates reading
+                // the node through their cut answers see it through the
+                // cut heights.
+                let fanouts = c.node(v).fanout().iter().map(|&e| c.edge(e).to().0);
+                for t in fanouts.chain(self.oracle.requeue(i).iter().copied()) {
+                    if !dirty[t as usize] {
+                        dirty[t as usize] = true;
+                        engine::telemetry::count(engine::telemetry::Counter::FrtRequeuedGates, 1);
                     }
+                }
+                if up.ls > phi_i {
+                    // Lower bound already violates Corollary 1 for every
+                    // r ≥ 0: infeasible.
+                    return (SweepEnd::Infeasible, iterations, cut_queries);
                 }
             }
             if !changed {
                 return (SweepEnd::Converged, iterations, cut_queries);
             }
             if iterations >= cap {
-                return (SweepEnd::Infeasible, iterations, cut_queries);
+                return (SweepEnd::IterationCap, iterations, cut_queries);
             }
         }
     }
 
-    /// One node's tightened pair against the level's labels: `ℒ^s` plus
-    /// `LabelUpdate` for gates, `ℒ^s` itself for POs, `None` when the
-    /// fanins carry no information yet (or cancellation tripped — the
-    /// sweep is about to be discarded, so stop answering cut queries).
-    fn compute_node(
-        &self,
-        ls: &[i64],
-        v: NodeId,
-        phi: i64,
-        scratch: &mut CutScratch,
-    ) -> Option<(i64, u64)> {
-        if engine::cancel::cancelled() {
-            return None;
-        }
-        if self.circuit.node(v).is_output() {
-            let script = self.script_l(ls, v, phi);
-            if script <= LS_NEG_INF {
-                return None;
-            }
-            return Some((script, 0));
-        }
-        self.label_update(ls, v, phi, scratch)
-    }
-
-    /// `LabelUpdate` (§3.2): the tightened pair for a gate, or `None` when
-    /// the fanins carry no information yet.
+    /// `LabelUpdate` (§3.2) for a gate, `ℒ^s` itself for a PO, against the
+    /// current labels; `None` when the fanins carry no information yet.
+    /// `ℒ^s(v) = max { l^s(u) − Φ·w(e) }` over fanin edges, and its argmax
+    /// edge is the R1 justification.
     fn label_update(
         &self,
         ls: &[i64],
         v: NodeId,
         phi: i64,
         scratch: &mut CutScratch,
-    ) -> Option<(i64, u64)> {
-        let script = self.script_l(ls, v, phi);
-        if script <= LS_NEG_INF {
-            return None;
+    ) -> Option<Update> {
+        let mut script = LS_NEG_INF;
+        let mut arg = None;
+        for &e in self.circuit.node(v).fanin() {
+            let edge = self.circuit.edge(e);
+            let lu = ls[edge.from().index()];
+            if lu > LS_NEG_INF {
+                let cand = lu - phi * edge.weight() as i64;
+                if cand > script {
+                    script = cand;
+                    arg = Some((edge.from(), edge.weight() as u64));
+                }
+            }
         }
-        match self.oracle.answer(ls, v, phi, script, scratch) {
-            CutAnswer::Weight(w_min) if script + phi * w_min as i64 <= phi => Some((script, w_min)),
-            // No cut, a cut too heavy for Corollary 1, or a capped
-            // expansion (conservative).
-            _ => Some((script + 1, 0)),
+        let (from, weight) = arg?;
+        let fanin = |r| Update {
+            ls: script,
+            r,
+            rule: Some(WitnessStep::Fanin {
+                node: v,
+                from,
+                weight,
+                value: script,
+            }),
+        };
+        if self.circuit.node(v).is_output() {
+            return Some(fanin(0));
         }
+        let rule = match self.oracle.answer(ls, v, phi, script, scratch) {
+            CutAnswer::Weight(w_min) if script + phi * w_min as i64 <= phi => {
+                return Some(fanin(w_min))
+            }
+            CutAnswer::Weight(w_min) => Some(WitnessStep::WeightBump {
+                node: v,
+                height: script,
+                w_min,
+                value: script + 1,
+            }),
+            CutAnswer::NoCut => Some(WitnessStep::NoCut {
+                node: v,
+                height: script,
+                value: script + 1,
+            }),
+            // A capped expansion: conservative, but no rule justifies it.
+            CutAnswer::Capped => None,
+        };
+        Some(Update {
+            ls: script + 1,
+            r: 0,
+            rule,
+        })
     }
 
     /// Extracts, for every gate, the K-cut consistent with the final
@@ -505,20 +463,17 @@ impl<'a> FrtContext<'a> {
         })
     }
 
-    /// Re-runs the probe at `phi` serially, recording every label
-    /// improvement as a replayable [`WitnessStep`] (see [`crate::witness`]
-    /// for the certificate semantics). Intended for the `Φ_min − 1` probe:
-    /// on a truly infeasible period the recorded log ends with a step whose
-    /// `value` exceeds `phi`, and an independent checker can replay the
-    /// arithmetic without trusting the mapper.
+    /// Re-runs the probe at `phi` cold, logging every `l^s` improvement as
+    /// a replayable [`WitnessStep`] (see [`crate::witness`] for the
+    /// certificate semantics). Intended for the `Φ_min − 1` probe: on a
+    /// truly infeasible period the log ends with a step whose `value`
+    /// exceeds `phi`, and an independent checker can replay the arithmetic
+    /// without trusting the mapper.
     ///
-    /// The probe is always serial and cold-started, and applies each
-    /// improvement immediately (no per-level snapshot), so a checker
+    /// It is [`FrtContext::check`]'s own sweep loop, so it reaches the same
+    /// verdict, and since each update is applied at once, a checker
     /// replaying the log in order sees exactly the labels each cut query
-    /// ran against. The `l^s` recurrence is self-contained (the `r`
-    /// components never feed back into it), so the probe iterates `l^s`
-    /// alone; it reaches the same least fixpoint as [`FrtContext::check`]
-    /// and therefore the same feasibility verdict.
+    /// ran against.
     pub fn infeasibility_witness(&self, phi: u64) -> WitnessOutcome {
         if self.frt_capped_gates > 0 {
             // R2/R3 justifications quantify over cuts of the *true*
@@ -526,155 +481,16 @@ impl<'a> FrtContext<'a> {
             // assert "no cut" where one exists and would not verify.
             return WitnessOutcome::Capped;
         }
-        let c = self.circuit;
-        let n = c.num_nodes();
-        let phi_i = phi as i64;
-        let cap = n.saturating_mul(n).max(4);
-        let mut ls = vec![LS_NEG_INF; n];
-        for &pi in c.inputs() {
-            ls[pi.index()] = 0;
-        }
-        let mut dirty = vec![true; n];
-        let mut scratch = CutScratch::new();
-        let mut steps: Vec<WitnessStep> = Vec::new();
-        let mut sweeps = 0usize;
-        loop {
-            if engine::cancel::cancelled() {
-                return WitnessOutcome::Cancelled;
-            }
-            sweeps += 1;
-            let mut changed = false;
-            for level in self.levels.iter() {
-                for &vi in level {
-                    let i = vi as usize;
-                    if !dirty[i] {
-                        continue;
-                    }
-                    dirty[i] = false;
-                    let v = NodeId(vi);
-                    // ℒ^s with its argmax edge (the R1 justification).
-                    let mut script = LS_NEG_INF;
-                    let mut arg: Option<(NodeId, u64)> = None;
-                    for &e in c.node(v).fanin() {
-                        let edge = c.edge(e);
-                        let lu = ls[edge.from().index()];
-                        if lu > LS_NEG_INF {
-                            let cand = lu - phi_i * edge.weight() as i64;
-                            if cand > script {
-                                script = cand;
-                                arg = Some((edge.from(), edge.weight() as u64));
-                            }
-                        }
-                    }
-                    if script <= LS_NEG_INF {
-                        continue;
-                    }
-                    let (from, weight) = arg.expect("finite ℒ^s has an argmax edge");
-                    let fanin_step = WitnessStep::Fanin {
-                        node: v,
-                        from,
-                        weight,
-                        value: script,
-                    };
-                    let (new_ls, step) = if c.node(v).is_output() {
-                        (script, fanin_step)
-                    } else {
-                        match self.oracle.answer(&ls, v, phi_i, script, &mut scratch) {
-                            CutAnswer::Capped => return WitnessOutcome::Capped,
-                            CutAnswer::NoCut => (
-                                script + 1,
-                                WitnessStep::NoCut {
-                                    node: v,
-                                    height: script,
-                                    value: script + 1,
-                                },
-                            ),
-                            CutAnswer::Weight(w_min) if script + phi_i * w_min as i64 <= phi_i => {
-                                (script, fanin_step)
-                            }
-                            CutAnswer::Weight(w_min) => (
-                                script + 1,
-                                WitnessStep::WeightBump {
-                                    node: v,
-                                    height: script,
-                                    w_min,
-                                    value: script + 1,
-                                },
-                            ),
-                        }
-                    };
-                    if new_ls > ls[i] {
-                        ls[i] = new_ls;
-                        steps.push(step);
-                        changed = true;
-                        if new_ls > phi_i {
-                            return WitnessOutcome::Infeasible(steps);
-                        }
-                        for &e in c.node(v).fanout() {
-                            dirty[c.edge(e).to().index()] = true;
-                        }
-                        for &g in self.oracle.requeue(i) {
-                            dirty[g as usize] = true;
-                        }
-                    }
-                }
-            }
-            if !changed {
-                return WitnessOutcome::Feasible;
-            }
-            if sweeps >= cap {
-                return WitnessOutcome::IterationCap;
-            }
+        let mut labels = self.cold_labels();
+        let mut steps = Vec::new();
+        match self.sweep_loop(phi as i64, &mut labels, Some(&mut steps)).0 {
+            SweepEnd::Cancelled => WitnessOutcome::Cancelled,
+            SweepEnd::Infeasible => WitnessOutcome::Infeasible(steps),
+            SweepEnd::IterationCap => WitnessOutcome::IterationCap,
+            SweepEnd::Capped => WitnessOutcome::Capped,
+            SweepEnd::Converged => WitnessOutcome::Feasible,
         }
     }
-}
-
-/// Records the per-probe metrics (shared by the converged and infeasible
-/// exits; cancelled runs record nothing).
-fn record_probe_metrics(iterations: usize, cut_queries: u64) {
-    engine::telemetry::record(engine::hist::Metric::SweepsPerPhi, iterations as u64);
-    engine::telemetry::record(engine::hist::Metric::CacheHitsPerProbe, cut_queries);
-}
-
-/// Groups the non-PI nodes by combinational depth (longest zero-weight
-/// path from any source), preserving topological order within each level.
-pub(crate) fn comb_levels(c: &Circuit, order: &[NodeId]) -> Levels {
-    let n = c.num_nodes();
-    let mut depth = vec![0u32; n];
-    let mut max_depth = 0u32;
-    for &v in order {
-        let mut d = 0u32;
-        for &e in c.node(v).fanin() {
-            let edge = c.edge(e);
-            if edge.weight() == 0 {
-                d = d.max(depth[edge.from().index()] + 1);
-            }
-        }
-        depth[v.index()] = d;
-        max_depth = max_depth.max(d);
-    }
-    // Stable counting sort by depth over the topological scan: each
-    // level's slice keeps topological order, packed into one flat arena.
-    let num_levels = max_depth as usize + 1;
-    let mut off = vec![0u32; num_levels + 1];
-    for &v in order {
-        if !c.node(v).is_input() {
-            off[depth[v.index()] as usize + 1] += 1;
-        }
-    }
-    for d in 0..num_levels {
-        off[d + 1] += off[d];
-    }
-    let mut nodes = vec![0u32; off[num_levels] as usize];
-    let mut cursor = off[..num_levels].to_vec();
-    for &v in order {
-        if !c.node(v).is_input() {
-            let d = depth[v.index()] as usize;
-            nodes[cursor[d] as usize] = v.0;
-            cursor[d] += 1;
-        }
-    }
-    Levels { off, nodes }
 }
 
 #[cfg(test)]
@@ -827,31 +643,6 @@ mod tests {
     }
 
     #[test]
-    fn levels_partition_non_inputs_topologically() {
-        let c = chainy();
-        let order = c.comb_topo_order().unwrap();
-        let levels = comb_levels(&c, &order);
-        let total = levels.total();
-        let non_inputs = c.node_ids().filter(|&v| !c.node(v).is_input()).count();
-        assert_eq!(total, non_inputs);
-        // Zero-weight edges must never connect two nodes of one level.
-        let mut level_of = vec![usize::MAX; c.num_nodes()];
-        for (d, lvl) in levels.iter().enumerate() {
-            for &vi in lvl {
-                level_of[vi as usize] = d;
-            }
-        }
-        for v in c.node_ids() {
-            for &e in c.node(v).fanin() {
-                let edge = c.edge(e);
-                if edge.weight() == 0 && !c.node(edge.from()).is_input() {
-                    assert!(level_of[edge.from().index()] < level_of[v.index()]);
-                }
-            }
-        }
-    }
-
-    #[test]
     fn warm_start_reaches_the_same_fixpoint() {
         let c = chainy();
         for k in 1..=3 {
@@ -910,6 +701,80 @@ mod tests {
             seed,
         });
         crate::prepare(&c, k).unwrap()
+    }
+
+    /// The label pairs FRTcheck must converge to, by plain round-robin
+    /// iteration: every non-PI node recomputed every round through
+    /// [`FrtContext::min_cut_weight`], with no dirty flags and no requeue
+    /// index. `None` once some `l^s` exceeds Φ (Corollary 1 violated).
+    fn reference_fixpoint(c: &Circuit, ctx: &FrtContext, phi: u64) -> Option<LabelPairs> {
+        let p = phi as i64;
+        let n = c.num_nodes();
+        let (mut ls, mut r) = (vec![LS_NEG_INF; n], vec![0u64; n]);
+        for &pi in c.inputs() {
+            ls[pi.index()] = 0;
+        }
+        loop {
+            let mut changed = false;
+            for v in c.node_ids().filter(|&v| !c.node(v).is_input()) {
+                let script = c
+                    .node(v)
+                    .fanin()
+                    .iter()
+                    .map(|&e| c.edge(e))
+                    .filter(|edge| ls[edge.from().index()] > LS_NEG_INF)
+                    .map(|edge| ls[edge.from().index()] - p * edge.weight() as i64)
+                    .max();
+                let Some(script) = script else { continue };
+                let pair = match ctx.min_cut_weight(&ls, v, phi, script) {
+                    _ if c.node(v).is_output() => (script, 0),
+                    Some(w) if script + p * w as i64 <= p => (script, w),
+                    _ => (script + 1, 0),
+                };
+                if pair > (ls[v.index()], r[v.index()]) {
+                    (ls[v.index()], r[v.index()]) = pair;
+                    changed = true;
+                    if pair.0 > p {
+                        return None;
+                    }
+                }
+            }
+            if !changed {
+                return Some(LabelPairs { ls, r });
+            }
+        }
+    }
+
+    /// The dirty-driven sweeps reach the reference fixpoint, and the
+    /// witness run of the same loop refutes exactly the infeasible periods.
+    #[test]
+    fn check_matches_the_reference_fixpoint() {
+        let fsms = [(11, 4), (12, 4), (13, 5), (14, 5)].map(|(seed, k)| (fsm(seed, k), k));
+        let cases = (1..=3).map(|k| (chainy(), k)).chain(fsms);
+        let mut verdicts = [0; 2];
+        for (c, k) in cases {
+            let ctx = FrtContext::new(&c, k, 32);
+            for phi in 1..=6 {
+                let tag = format!("{} k {k} phi {phi}", c.name());
+                let check = ctx.check(phi);
+                verdicts[check.feasible as usize] += 1;
+                let reference = reference_fixpoint(&c, &ctx, phi);
+                assert_eq!(check.feasible, reference.is_some(), "{tag}");
+                if let Some(reference) = reference {
+                    assert_eq!(check.labels.ls, reference.ls, "{tag}");
+                    assert_eq!(check.labels.r, reference.r, "{tag}");
+                }
+                match ctx.infeasibility_witness(phi) {
+                    WitnessOutcome::Infeasible(steps) => {
+                        assert!(!check.feasible, "{tag}");
+                        assert_witness_shape(&c, phi, &steps);
+                    }
+                    WitnessOutcome::Feasible => assert!(check.feasible, "{tag}"),
+                    other => panic!("unexpected outcome {other:?} ({tag})"),
+                }
+            }
+        }
+        assert!(verdicts.iter().all(|&n| n > 0), "verdicts {verdicts:?}");
     }
 
     /// A cut cap of 1 sends most gates — and every gate whose cone may
@@ -1016,25 +881,6 @@ mod tests {
         }
         let last = steps.last().expect("non-empty witness");
         assert!(last.value() > phi_i, "terminal value must exceed Φ");
-    }
-
-    #[test]
-    fn witness_probe_matches_check_verdicts() {
-        let c = chainy();
-        for k in 1..=3 {
-            let ctx = FrtContext::new(&c, k, 32);
-            for phi in 1..=4u64 {
-                let check = ctx.check(phi);
-                match ctx.infeasibility_witness(phi) {
-                    WitnessOutcome::Infeasible(steps) => {
-                        assert!(!check.feasible, "k={k} phi={phi}");
-                        assert_witness_shape(&c, phi, &steps);
-                    }
-                    WitnessOutcome::Feasible => assert!(check.feasible, "k={k} phi={phi}"),
-                    other => panic!("unexpected outcome {other:?} (k={k} phi={phi})"),
-                }
-            }
-        }
     }
 
     #[test]

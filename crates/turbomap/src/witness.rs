@@ -2,10 +2,10 @@
 //!
 //! When the binary search settles on `Φ_min`, the probe at `Φ_min − 1`
 //! proved infeasibility — and then threw the proof away. This module
-//! keeps it: [`FrtContext::infeasibility_witness`] re-runs the probe
-//! serially, recording every label improvement as a [`WitnessStep`] whose
-//! arithmetic an independent checker can replay without trusting the
-//! mapper (see `crates/report`).
+//! keeps it: [`FrtContext::infeasibility_witness`] re-runs the probe cold
+//! through FRTcheck's own sweep loop, logging every `l^s` improvement as a
+//! [`WitnessStep`] whose arithmetic an independent checker can replay
+//! without trusting the mapper (see `crates/report`).
 //!
 //! # Certificate semantics
 //!

@@ -223,26 +223,6 @@ fn post_passes_compose_and_preserve_equivalence() {
 }
 
 #[test]
-fn register_minimisation_after_mapping() {
-    let preset = workloads::presets()
-        .into_iter()
-        .find(|p| p.name == "ex2")
-        .unwrap();
-    let c = workloads::build_preset(&preset);
-    let tf = turbomap_frt(&c, Options::with_k(5)).expect("maps");
-    let budget = tf.circuit.clock_period().unwrap();
-    let r = retiming::minimize_registers(&tf.circuit, budget, 8).expect("runs");
-    assert!(r.after <= r.before);
-    assert!(r.circuit.clock_period().unwrap() <= budget);
-    assert!(
-        random_equiv(&c, &r.circuit, 512, 13)
-            .unwrap()
-            .is_equivalent(),
-        "register minimisation broke equivalence"
-    );
-}
-
-#[test]
 fn kiss2_through_full_flow() {
     // A KISS2 STG synthesised with both encodings maps equivalently.
     let src = "\
