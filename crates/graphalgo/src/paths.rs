@@ -12,11 +12,22 @@
 //!   with positive cycles signalling infeasibility, solved by
 //!   [`longest_paths`].
 //!
-//! Both solvers are called once per probe of a binary search over Φ, so
-//! each has a scratch-reusing form ([`DijkstraScratch`],
-//! [`LongestPathScratch`]) that keeps its distance arrays and heap across
-//! calls; the free functions are one-shot conveniences over a fresh
-//! scratch.
+//! Dijkstra runs once per circuit; the longest-path solver runs once per
+//! probe of a binary search over Φ. Each has a scratch-reusing form
+//! ([`DijkstraScratch`], [`LongestPathScratch`]) that keeps its distance
+//! arrays and heap across calls; the free functions are one-shot
+//! conveniences over a fresh scratch.
+//!
+//! A feasibility probe only needs to know whether every l-value stays at
+//! or below Φ, so [`LongestPathScratch::run`] takes an optional upper
+//! bound and stops with [`LongestPathError::ExceedsBound`] as soon as any
+//! length passes it. The exit is exact: relaxation only ever raises a
+//! length, and every length it holds is that of a real walk from a
+//! source, so a length above the bound means the final answer (if one
+//! exists) is above it too. A reachable positive cycle drives its lengths
+//! past any finite bound, one gain per lap; with a small bound such as Φ
+//! an infeasible probe ends after a handful of rounds instead of the
+//! `n + 1` that cycle detection alone needs.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -138,6 +149,15 @@ pub enum LongestPathError {
     /// A relaxation overflowed `i64` towards `+∞` — path lengths grew past
     /// what the machine can represent, so no finite answer exists.
     Overflow,
+    /// A length passed the caller's upper bound (see
+    /// [`LongestPathScratch::run`]): the first node seen above it and that
+    /// length. The longest path to `node`, if finite, is at least `length`.
+    ExceedsBound {
+        /// The node whose length passed the bound.
+        node: usize,
+        /// Its length when the run stopped.
+        length: i64,
+    },
 }
 
 impl std::fmt::Display for LongestPathError {
@@ -152,6 +172,9 @@ impl std::fmt::Display for LongestPathError {
             }
             LongestPathError::Overflow => {
                 write!(f, "path length overflowed i64 during relaxation")
+            }
+            LongestPathError::ExceedsBound { node, length } => {
+                write!(f, "length {length} of node {node} exceeds the bound")
             }
         }
     }
@@ -181,11 +204,18 @@ impl LongestPathScratch {
     }
 
     /// Longest paths by Bellman–Ford relaxation; see [`longest_paths`] for
-    /// the semantics. The returned slice borrows this scratch and is valid
-    /// until the next call.
+    /// the semantics. With `bound = Some(b)` the run stops as soon as any
+    /// length exceeds `b` (lengths exactly at `b` are fine). Each round
+    /// relaxes `edges` in slice order, so an order that lists each edge
+    /// after the edges into its tail settles acyclic stretches in one
+    /// round. The returned slice borrows this scratch and is valid until
+    /// the next call.
     ///
     /// # Errors
     ///
+    /// [`LongestPathError::ExceedsBound`] when a length passes `bound`
+    /// (checked before cycle detection, so a positive cycle reachable
+    /// from a source usually reports this instead);
     /// [`LongestPathError::PositiveCycle`] — carrying the cycle's node
     /// sequence — when a positive-length cycle is reachable from a
     /// source; [`LongestPathError::Overflow`] when a relaxation overflows
@@ -201,13 +231,18 @@ impl LongestPathScratch {
         n: usize,
         edges: &[(usize, usize, i64)],
         sources: &[usize],
+        bound: Option<i64>,
     ) -> Result<&[i64], LongestPathError> {
+        let bound = bound.unwrap_or(i64::MAX);
         self.len.clear();
         self.len.resize(n, NEG_INF);
         self.pred.clear();
         self.pred.resize(n, NO_PRED);
         for &s in sources {
             assert!(s < n, "source out of range");
+            if bound < 0 {
+                return Err(LongestPathError::ExceedsBound { node: s, length: 0 });
+            }
             self.len[s] = 0;
         }
         for round in 0..=n {
@@ -225,6 +260,12 @@ impl LongestPathScratch {
                     None => return Err(LongestPathError::Overflow),
                 };
                 if cand > self.len[v] {
+                    if cand > bound {
+                        return Err(LongestPathError::ExceedsBound {
+                            node: v,
+                            length: cand,
+                        });
+                    }
                     self.len[v] = cand;
                     self.pred[v] = u;
                     last_improved = v;
@@ -321,7 +362,7 @@ pub fn longest_paths(
     sources: &[usize],
 ) -> Result<Vec<i64>, LongestPathError> {
     let mut scratch = LongestPathScratch::new();
-    scratch.run(n, edges, sources)?;
+    scratch.run(n, edges, sources, None)?;
     Ok(scratch.len)
 }
 
@@ -522,19 +563,72 @@ mod tests {
     }
 
     #[test]
+    fn bound_stops_a_reachable_positive_cycle_early() {
+        // 1 <-> 2 gains +1 per lap; with bound 3 the run stops in round 2,
+        // when a length reaches 4, before the n-round cycle detector.
+        let edges = [(0, 1, 1), (1, 2, 1), (2, 1, 0)];
+        let mut scratch = LongestPathScratch::new();
+        match scratch.run(3, &edges, &[0], Some(3)) {
+            Err(LongestPathError::ExceedsBound { node, length }) => {
+                assert!(node == 1 || node == 2);
+                assert_eq!(length, 4);
+            }
+            other => panic!("expected a bound exit, got {other:?}"),
+        }
+        // Unbounded, the same graph still yields the cycle witness.
+        assert_eq!(
+            scratch.run(3, &edges, &[0], None),
+            Err(LongestPathError::PositiveCycle(vec![1, 2]))
+        );
+    }
+
+    #[test]
+    fn bound_ignores_an_unreachable_positive_cycle() {
+        // The cycle 1 <-> 2 never gets a finite length, so it can neither
+        // pass the bound nor be reported.
+        let edges = [(1, 2, 5), (2, 1, 5), (0, 3, 2)];
+        let mut scratch = LongestPathScratch::new();
+        assert_eq!(
+            scratch.run(4, &edges, &[0], Some(2)).unwrap(),
+            &[0, NEG_INF, NEG_INF, 2]
+        );
+    }
+
+    #[test]
+    fn lengths_exactly_at_the_bound_pass() {
+        // Longest length 3 at node 3 (via 0 -> 1 -> 3): bound 3 passes
+        // and returns the unbounded answer; bound 2 stops at that node.
+        let edges = [(0, 1, 1), (1, 3, 2), (0, 2, 1), (2, 3, 0)];
+        let mut scratch = LongestPathScratch::new();
+        assert_eq!(
+            scratch.run(4, &edges, &[0], Some(3)).unwrap(),
+            longest_paths(4, &edges, &[0]).unwrap().as_slice()
+        );
+        assert_eq!(
+            scratch.run(4, &edges, &[0], Some(2)),
+            Err(LongestPathError::ExceedsBound { node: 3, length: 3 })
+        );
+        // A negative bound is passed by the sources themselves.
+        assert_eq!(
+            scratch.run(4, &edges, &[0], Some(-1)),
+            Err(LongestPathError::ExceedsBound { node: 0, length: 0 })
+        );
+    }
+
+    #[test]
     fn longest_path_scratch_reuse_matches_fresh() {
         let mut scratch = LongestPathScratch::new();
         let e1 = [(0, 1, 1), (1, 3, 2), (0, 2, 1), (2, 3, 0)];
-        assert_eq!(scratch.run(4, &e1, &[0]).unwrap()[3], 3);
+        assert_eq!(scratch.run(4, &e1, &[0], None).unwrap()[3], 3);
         // Smaller follow-up query: stale lengths must not leak.
         let e2 = [(0, 1, -5)];
-        assert_eq!(scratch.run(2, &e2, &[0]).unwrap(), &[0, -5]);
+        assert_eq!(scratch.run(2, &e2, &[0], None).unwrap(), &[0, -5]);
         // Error path leaves the scratch reusable.
         let cyc = [(0, 1, 1), (1, 0, 1)];
         assert_eq!(
-            scratch.run(2, &cyc, &[0]),
+            scratch.run(2, &cyc, &[0], None),
             Err(LongestPathError::PositiveCycle(vec![0, 1]))
         );
-        assert_eq!(scratch.run(2, &e2, &[0]).unwrap(), &[0, -5]);
+        assert_eq!(scratch.run(2, &e2, &[0], None).unwrap(), &[0, -5]);
     }
 }

@@ -11,46 +11,149 @@
 //! Positive-length cycles make `l` diverge, which the longest-path engine
 //! reports as infeasibility — this covers the cycle-ratio bound
 //! `Φ ≥ ⌈d(c)/w(c)⌉` automatically.
+//!
+//! A feasibility probe runs the longest-path kernel with upper bound `Φ`:
+//! Theorem 1 only asks whether every `l(v) ≤ Φ`, and relaxation only
+//! raises lengths, so the first length above `Φ` ends the probe as
+//! infeasible. A positive cycle passes the bound within a few laps, so an
+//! infeasible probe costs a few rounds rather than the `n + 1` of plain
+//! cycle detection. `LValueGraph` builds the edge list once per circuit,
+//! sorted by tail in combinational topological order so one round settles
+//! every register-free stretch, and re-weights it in place for each probe
+//! into one reused scratch.
 
 use crate::error::RetimingError;
 use crate::moves::{apply_forward_retiming, MoveStats};
 use crate::spec::Retiming;
+use graphalgo::{LongestPathError, LongestPathScratch};
 use netlist::Circuit;
 
+/// The l-value problem of one circuit, reusable across Φ probes.
+///
+/// Holds each edge `e(u, v)` as `(u, v, d(v), w(e))` in the order of `u`
+/// in [`Circuit::comb_topo_order`], plus the per-probe length list and the
+/// longest-path scratch, so repeated probes do not touch the allocator.
+#[derive(Debug)]
+struct LValueGraph {
+    n: usize,
+    /// `(tail, head, d(head), w(e))` per edge, tails in topological order.
+    base: Vec<(usize, usize, i64, i64)>,
+    /// `(tail, head, d(head) − Φ·w(e))` for the current probe.
+    edges: Vec<(usize, usize, i64)>,
+    sources: Vec<usize>,
+    scratch: LongestPathScratch,
+}
+
+impl LValueGraph {
+    /// The l-value graph of `c`.
+    ///
+    /// # Errors
+    ///
+    /// [`RetimingError::Netlist`] when `c` has a combinational cycle.
+    fn new(c: &Circuit) -> Result<LValueGraph, RetimingError> {
+        let mut base = Vec::with_capacity(c.num_edges());
+        for u in c.comb_topo_order()? {
+            for &e in c.node(u).fanout() {
+                let edge = c.edge(e);
+                base.push((
+                    u.index(),
+                    edge.to().index(),
+                    c.node(edge.to()).delay() as i64,
+                    edge.weight() as i64,
+                ));
+            }
+        }
+        Ok(LValueGraph {
+            n: c.num_nodes(),
+            edges: Vec::with_capacity(base.len()),
+            base,
+            sources: c.inputs().iter().map(|v| v.index()).collect(),
+            scratch: LongestPathScratch::new(),
+        })
+    }
+
+    /// l-values at period `phi`, stopping with
+    /// [`LongestPathError::ExceedsBound`] as soon as one passes `bound`.
+    fn run(&mut self, phi: u64, bound: Option<i64>) -> Result<&[i64], LongestPathError> {
+        let phi = phi as i64;
+        self.edges.clear();
+        self.edges
+            .extend(self.base.iter().map(|&(u, v, d, w)| (u, v, d - phi * w)));
+        self.scratch.run(self.n, &self.edges, &self.sources, bound)
+    }
+
+    /// True when the circuit can reach period ≤ `phi` by forward
+    /// retiming: every l-value at `phi` is at most `phi`.
+    fn feasible(&mut self, phi: u64) -> bool {
+        self.run(phi, Some(phi as i64)).is_ok()
+    }
+
+    /// The forward retiming derived from l-values: `r(v) = ⌈l(v)/Φ⌉ − 1`
+    /// on gates, 0 on PIs/POs and on unreachable nodes.
+    ///
+    /// # Errors
+    ///
+    /// [`RetimingError::Infeasible`] when `phi` is infeasible under
+    /// forward retiming.
+    fn retiming(&mut self, c: &Circuit, phi: u64) -> Result<Retiming, RetimingError> {
+        let phi_i = phi as i64;
+        let l = self
+            .run(phi, Some(phi_i))
+            .map_err(|_| RetimingError::Infeasible { period: phi })?;
+        let mut r = Retiming::zero(c);
+        for v in c.node_ids() {
+            let lv = l[v.index()];
+            if c.node(v).is_gate() && lv > graphalgo::NEG_INF {
+                r.set(v, div_ceil_i64(lv, phi_i) - 1);
+            }
+        }
+        r.validate(c)?;
+        Ok(r)
+    }
+
+    /// Minimum clock period achievable by forward retiming alone: a
+    /// binary search over `[1, upper]`, where `upper` is the circuit's
+    /// current period (feasible by the identity retiming).
+    fn min_period(&mut self, upper: u64) -> u64 {
+        if upper <= 1 {
+            return upper;
+        }
+        let mut lo = 1u64;
+        let mut hi = upper;
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.feasible(mid) {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        lo
+    }
+}
+
 /// l-values of every node for a target period, or `Err` when a positive
-/// cycle makes the period infeasible.
+/// cycle makes the period infeasible. Unlike a probe, this runs without a
+/// bound, so lengths above `phi` are returned as they are.
 ///
 /// Unreachable nodes keep [`graphalgo::NEG_INF`]; validated circuits have
 /// none (see `netlist::validate`).
 ///
 /// # Errors
 ///
-/// [`RetimingError::Infeasible`] when a positive-length cycle exists.
+/// [`RetimingError::Infeasible`] when a positive-length cycle exists;
+/// [`RetimingError::Netlist`] on a combinational cycle.
 pub fn l_values(c: &Circuit, phi: u64) -> Result<Vec<i64>, RetimingError> {
-    let edges: Vec<(usize, usize, i64)> = c
-        .edge_ids()
-        .map(|e| {
-            let edge = c.edge(e);
-            let d_head = c.node(edge.to()).delay() as i64;
-            (
-                edge.from().index(),
-                edge.to().index(),
-                d_head - (phi as i64) * (edge.weight() as i64),
-            )
-        })
-        .collect();
-    let sources: Vec<usize> = c.inputs().iter().map(|v| v.index()).collect();
-    graphalgo::longest_paths(c.num_nodes(), &edges, &sources)
+    LValueGraph::new(c)?
+        .run(phi, None)
+        .map(<[i64]>::to_vec)
         .map_err(|_| RetimingError::Infeasible { period: phi })
 }
 
 /// True when the circuit can reach period ≤ `phi` using forward retiming
 /// only.
 pub fn forward_feasible(c: &Circuit, phi: u64) -> bool {
-    match l_values(c, phi) {
-        Ok(l) => c.node_ids().all(|v| l[v.index()] <= phi as i64),
-        Err(_) => false,
-    }
+    LValueGraph::new(c).is_ok_and(|mut g| g.feasible(phi))
 }
 
 /// The forward retiming derived from l-values: `r(v) = ⌈l(v)/Φ⌉ − 1` on
@@ -61,20 +164,7 @@ pub fn forward_feasible(c: &Circuit, phi: u64) -> bool {
 /// [`RetimingError::Infeasible`] when `phi` is infeasible under forward
 /// retiming.
 pub fn forward_retiming_for(c: &Circuit, phi: u64) -> Result<Retiming, RetimingError> {
-    let l = l_values(c, phi)?;
-    let phi_i = phi as i64;
-    let mut r = Retiming::zero(c);
-    for v in c.node_ids() {
-        let lv = l[v.index()];
-        if lv > phi_i {
-            return Err(RetimingError::Infeasible { period: phi });
-        }
-        if c.node(v).is_gate() && lv > graphalgo::NEG_INF {
-            r.set(v, div_ceil_i64(lv, phi_i) - 1);
-        }
-    }
-    r.validate(c)?;
-    Ok(r)
+    LValueGraph::new(c)?.retiming(c, phi)
 }
 
 pub(crate) fn div_ceil_i64(a: i64, b: i64) -> i64 {
@@ -103,20 +193,7 @@ pub struct ForwardRetimingResult {
 /// Propagates netlist errors (combinational cycles).
 pub fn min_period_forward(c: &Circuit) -> Result<u64, RetimingError> {
     let upper = c.clock_period()?;
-    if upper <= 1 {
-        return Ok(upper);
-    }
-    let mut lo = 1u64;
-    let mut hi = upper; // feasible: the identity retiming achieves it
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if forward_feasible(c, mid) {
-            hi = mid;
-        } else {
-            lo = mid + 1;
-        }
-    }
-    Ok(lo)
+    Ok(LValueGraph::new(c)?.min_period(upper))
 }
 
 /// Full flow: find the minimum forward-retimable period, apply the
@@ -128,8 +205,10 @@ pub fn min_period_forward(c: &Circuit) -> Result<u64, RetimingError> {
 /// forward retimings.
 pub fn retime_min_period_forward(c: &Circuit) -> Result<ForwardRetimingResult, RetimingError> {
     let _span = engine::trace::span("retime_forward");
-    let period = min_period_forward(c)?;
-    let retiming = forward_retiming_for(c, period)?;
+    let upper = c.clock_period()?;
+    let mut graph = LValueGraph::new(c)?;
+    let period = graph.min_period(upper);
+    let retiming = graph.retiming(c, period)?;
     let (circuit, stats) = apply_forward_retiming(c, &retiming)?;
     debug_assert!(circuit.clock_period()? <= period);
     Ok(ForwardRetimingResult {

@@ -191,3 +191,65 @@ fn feasibility_monotone_in_phi() {
         }
     }
 }
+
+/// `min_period_forward`'s bounded, topologically ordered binary search
+/// against the plain definition: the least Φ in `1..=clock_period` whose
+/// unbounded l-values, relaxed in edge-id order, are all at most Φ.
+/// `forward_retiming_for` must derive its retiming from those l-values.
+#[test]
+fn min_period_forward_matches_linear_scan() {
+    let mut rng = Rng64::new(0x7A19);
+    let mut improved = 0;
+    for case in 0..CASES {
+        for c in [
+            random_layered(&mut rng, "scan", case),
+            random_fsm(&mut rng, "scan", case),
+        ] {
+            let upper = c.clock_period().unwrap();
+            let edges: Vec<(usize, usize, i64, i64)> = c
+                .edge_ids()
+                .map(|e| {
+                    let edge = c.edge(e);
+                    let d = c.node(edge.to()).delay() as i64;
+                    (
+                        edge.from().index(),
+                        edge.to().index(),
+                        d,
+                        edge.weight() as i64,
+                    )
+                })
+                .collect();
+            let sources: Vec<usize> = c.inputs().iter().map(|v| v.index()).collect();
+            let l_at = |phi: u64| {
+                let lengths: Vec<(usize, usize, i64)> = edges
+                    .iter()
+                    .map(|&(u, v, d, w)| (u, v, d - phi as i64 * w))
+                    .collect();
+                graphalgo::longest_paths(c.num_nodes(), &lengths, &sources)
+                    .ok()
+                    .filter(|l| l.iter().all(|&x| x <= phi as i64))
+            };
+            let (phi, l) = (1..=upper)
+                .find_map(|phi| l_at(phi).map(|l| (phi, l)))
+                .expect("the current period is forward-feasible");
+            let name = c.name().to_string();
+            assert_eq!(
+                retiming::min_period_forward(&c).unwrap(),
+                phi,
+                "case {case} ({name})"
+            );
+            improved += usize::from(phi < upper);
+            let r = retiming::forward_retiming_for(&c, phi).unwrap();
+            for v in c.node_ids() {
+                let lv = l[v.index()];
+                let want = if c.node(v).is_gate() && lv > graphalgo::NEG_INF {
+                    lv.div_euclid(phi as i64) + i64::from(lv.rem_euclid(phi as i64) != 0) - 1
+                } else {
+                    0
+                };
+                assert_eq!(r.get(v), want, "case {case} ({name}): r({v:?})");
+            }
+        }
+    }
+    assert!(improved > 0, "no case retimes below its current period");
+}
