@@ -8,8 +8,9 @@
 //! Counters cover the algorithmic work the paper reports on: max-flow
 //! augmentations (`graphalgo::flow`), FRTcheck sweeps and re-queued
 //! gates (`turbomap::frtcheck`), expanded-circuit node-cache hits and
-//! misses (`turbomap::expand`), and unit register moves
-//! (`retiming::moves`).
+//! misses (`turbomap::expand`), unit register moves
+//! (`retiming::moves`), and the cut enumeration's unions, kept cuts and
+//! dominance checks (`flowmap::cutenum`).
 //!
 //! Timing has one source: every [`crate::trace`] span, traced or not,
 //! adds its count, wall time, self time (wall minus the wall of its
@@ -47,10 +48,19 @@ pub enum Counter {
     /// Mapping reports generated (`crates/report`): witness extraction
     /// plus timing attribution for one run.
     ReportsGenerated = 8,
+    /// Cut pairs the cut enumeration (`flowmap::cutenum`) tried to
+    /// unite, counting those its signature test rejects at once.
+    CutProductPairs = 9,
+    /// Unions of at most K leaves the cut enumeration formed.
+    CutCandidates = 10,
+    /// Cuts the cut enumeration appended to the gates' lists.
+    CutsKept = 11,
+    /// Cuts a dominance check of the cut enumeration examined.
+    CutDominanceScans = 12,
 }
 
 /// Number of [`Counter`] variants.
-pub const NUM_COUNTERS: usize = 9;
+pub const NUM_COUNTERS: usize = 13;
 
 /// Stable snake_case names, indexed by `Counter as usize` (used as JSON
 /// keys — part of the `BENCH_table1.json` schema).
@@ -64,6 +74,10 @@ pub const COUNTER_NAMES: [&str; NUM_COUNTERS] = [
     "backward_moves",
     "frt_capped",
     "reports_generated",
+    "cut_product_pairs",
+    "cut_candidates",
+    "cuts_kept",
+    "cut_dominance_scans",
 ];
 
 /// What the closed spans of one name accumulated.
@@ -628,7 +642,11 @@ mod tests {
             COUNTER_NAMES[Counter::ReportsGenerated as usize],
             "reports_generated"
         );
-        assert_eq!(Counter::ReportsGenerated as usize, NUM_COUNTERS - 1);
+        assert_eq!(
+            COUNTER_NAMES[Counter::CutDominanceScans as usize],
+            "cut_dominance_scans"
+        );
+        assert_eq!(Counter::CutDominanceScans as usize, NUM_COUNTERS - 1);
     }
 
     #[test]

@@ -66,12 +66,13 @@ impl Explained {
 /// [`ReportError::Internal`] when a pipeline invariant breaks (e.g. the
 /// label system refuses the achieved period).
 pub fn explain(source: &Circuit, opts: Options) -> Result<Explained, ReportError> {
-    let result = turbomap::turbomap_frt(source, opts).map_err(|e| match e {
+    let bounded = turbomap::prepare(source, opts.k).map_err(ReportError::Map)?;
+    // The mapping run's context, reused below: one cut enumeration.
+    let ctx = FrtContext::new(&bounded, opts.k, opts.weight_horizon);
+    let result = turbomap::turbomap_frt_with(source.name(), &ctx).map_err(|e| match e {
         TurboMapError::Cancelled => ReportError::Cancelled,
         other => ReportError::Map(other),
     })?;
-    let bounded = turbomap::prepare(source, opts.k).map_err(ReportError::Map)?;
-    let ctx = FrtContext::new(&bounded, opts.k, opts.weight_horizon);
 
     let (nodes, critical_path, period, slack_hist) = timing(&result.circuit)?;
 

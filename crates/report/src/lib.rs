@@ -69,6 +69,17 @@ mod tests {
         assert_eq!(summary.nodes_checked, explained.result.luts);
     }
 
+    /// The report reads the mapping run's own label context, so a report
+    /// costs one cut enumeration, not two.
+    #[test]
+    fn explain_enumerates_cuts_once() {
+        let c = workloads::figures::fig1_circuit(true);
+        let before = engine::telemetry::snapshot();
+        explain(&c, Options::with_k(3)).expect("explain");
+        let spans = engine::telemetry::snapshot().since(&before).spans;
+        assert_eq!(spans.get("cut_enum").map(|s| s.count), Some(1));
+    }
+
     /// Slack invariants hold on a batch of table-1 circuits: the minimum
     /// slack is exactly 0 (a critical node exists) and every slack is
     /// non-negative by construction — re-derived by the checker.

@@ -296,21 +296,34 @@ fn generate_at(
 ///
 /// See [`TurboMapError`]; initial state computation cannot fail here.
 pub fn turbomap_frt(c: &Circuit, opts: Options) -> Result<TurboMapResult, TurboMapError> {
+    let bounded = prepare(c, opts.k)?;
+    let ctx = FrtContext::new(&bounded, opts.k, opts.weight_horizon);
+    turbomap_frt_with(c.name(), &ctx)
+}
+
+/// [`turbomap_frt`] of the circuit named `name` from its label context:
+/// `ctx` built on the [`prepare`]d network. A caller that reads the
+/// context after the run (the certificate report) builds it once and so
+/// enumerates the cuts once.
+///
+/// # Errors
+///
+/// See [`TurboMapError`]; initial state computation cannot fail here.
+pub fn turbomap_frt_with(name: &str, ctx: &FrtContext) -> Result<TurboMapResult, TurboMapError> {
     #[cfg(debug_assertions)]
     let backward_before =
         engine::telemetry::snapshot().counter(engine::telemetry::Counter::BackwardMoves);
-    let bounded = prepare(c, opts.k)?;
-    let ctx = FrtContext::new(&bounded, opts.k, opts.weight_horizon);
+    let bounded = ctx.circuit();
     // Upper bound: FlowMap-frt (cheap, feasible by construction).
     let baseline =
-        flowmap::flowmap_frt_with(&bounded, ctx.cut_arena()).map_err(TurboMapError::Baseline)?;
+        flowmap::flowmap_frt_with(bounded, ctx.cut_arena()).map_err(TurboMapError::Baseline)?;
     let s = phi_search("turbomap::frt", baseline.period.max(1), |phi, seed| {
         let res = ctx.check_opts(phi, seed, 1);
         (res.feasible, res.labels, res.iterations)
     })?;
-    let name = format!("{}_tmfrt", c.name());
+    let name = format!("{name}_tmfrt");
     let cuts = || ctx.final_cuts(&s.labels, s.phi);
-    let res = generate_at(&bounded, baseline, &name, s.phi, &s.labels.ls, cuts, false)?;
+    let res = generate_at(bounded, baseline, &name, s.phi, &s.labels.ls, cuts, false)?;
     debug_assert!(!res.initial_state_lost);
     #[cfg(debug_assertions)]
     debug_assert_no_backward_moves(backward_before, &res.moves);

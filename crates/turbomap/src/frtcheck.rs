@@ -202,6 +202,11 @@ impl<'a> FrtContext<'a> {
         self.oracle.expanded(v)
     }
 
+    /// The prepared network the context was built on.
+    pub fn circuit(&self) -> &'a Circuit {
+        self.circuit
+    }
+
     /// The cut lists the label updates scan.
     pub fn cut_arena(&self) -> &CutArena {
         self.oracle.arena()

@@ -72,7 +72,10 @@ pub use cutenum::{CutArena, CutFault, CUT_CAP};
 pub use cutsearch::{
     find_cut, find_cut_with, min_weight_cut, min_weight_cut_with, CutScratch, ExpCut,
 };
-pub use driver::{prepare, turbomap_frt, turbomap_general, Options, TurboMapError, TurboMapResult};
+pub use driver::{
+    prepare, turbomap_frt, turbomap_frt_with, turbomap_general, Options, TurboMapError,
+    TurboMapResult,
+};
 pub use expand::{ExpNode, ExpandedCircuit};
 pub use frtcheck::{FrtCheck, FrtContext, LabelPairs};
 pub use gencheck::{po_reachable, GeneralCheck, GeneralContext};
