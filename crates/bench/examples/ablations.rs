@@ -5,9 +5,6 @@
 //! 2. **Weight horizon of the general TurboMap baseline** — how the
 //!    per-LUT register-crossing window changes Φ, area and ⋆ rate.
 //!
-//! The slack-relaxed planner (`turbomap::plan_mapping`) is no ablation
-//! here: it maps nothing, and only the mapping report reads it.
-//!
 //! Run with: `cargo run --release -p bench --example ablations`
 
 use turbomap::{turbomap_frt, turbomap_general, Options};

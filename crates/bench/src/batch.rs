@@ -69,7 +69,7 @@ pub fn run_table1_suite(cfg: &SuiteConfig) -> Vec<JobReport<Row>> {
 
 /// Runs the `--report-dir` pass: re-maps every suite circuit (within
 /// `cfg.max_gates`) through [`report::explain`] and replays the
-/// rendered `turbomap-report/v1` document through the independent
+/// rendered `turbomap-report/v2` document through the independent
 /// checker. Returns `(name, Ok(json))` per circuit, or `Err` naming
 /// what failed — an unverifiable witness, a negative slack, or a
 /// missing critical node all count as failures, so a clean pass is the

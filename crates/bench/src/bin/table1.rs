@@ -35,7 +35,7 @@
 //! writes one Chrome-trace JSON per circuit (`DIR/<name>.trace.json`,
 //! loadable in Perfetto / `chrome://tracing`). `--report-dir` runs a
 //! post-suite certificate pass: every circuit is re-mapped through
-//! `report::explain`, the `turbomap-report/v1` document is replayed
+//! `report::explain`, the `turbomap-report/v2` document is replayed
 //! through the independent checker, and `DIR/<name>.report.json` is
 //! written — the process exits nonzero if any witness fails to verify.
 //! The pass runs after the measured rows, so the canonical artifact is

@@ -34,7 +34,7 @@ USAGE: tmfrt fuzz [--seed N | --seed A..=B] [--cases N] [--jobs N]
   --corpus DIR      repro directory for failing cases (default fuzz/corpus)
   --no-shrink       archive failing cases unminimized
   --shrink-budget N oracle evaluations the shrinker may spend (default 160)
-  --certificates    per case, extract a turbomap-report/v1 Φ-optimality
+  --certificates    per case, extract a turbomap-report/v2 Φ-optimality
                     certificate and replay it through the independent
                     checker (CheckKind certificate_check)
   --partitions N    per case, also map partition-and-conquer with N ≥ 2

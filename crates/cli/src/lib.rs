@@ -76,7 +76,7 @@ pub struct Args {
     pub jobs: usize,
     /// Write a Chrome-trace JSON of the run's spans to this path.
     pub trace_out: Option<String>,
-    /// Write a `turbomap-report/v1` JSON (Φ-optimality certificate +
+    /// Write a `turbomap-report/v2` JSON (Φ-optimality certificate +
     /// timing attribution) to this path. Only for `turbomap-frt`.
     pub report: Option<String>,
     /// Generate the report without writing a file and hand the JSON
@@ -239,7 +239,7 @@ USAGE: tmfrt [map] <input> [-o out.blif] [-a ALGO] [-k K] [--pushback] [--verify
                gives byte-identical results
   --trace-out  write a Chrome-trace JSON of the run's spans (open in
                Perfetto or chrome://tracing)
-  --report     write a turbomap-report/v1 JSON (Φ-optimality certificate
+  --report     write a turbomap-report/v2 JSON (Φ-optimality certificate
                plus timing attribution; turbomap-frt only)
   -q, --quiet  suppress the progress report on stderr
 
@@ -539,7 +539,7 @@ pub struct ExplainArgs {
     pub k: usize,
     /// One-hot encoding for KISS2 inputs.
     pub onehot: bool,
-    /// Print the `turbomap-report/v1` JSON instead of the table.
+    /// Print the `turbomap-report/v2` JSON instead of the table.
     pub json: bool,
     /// Run the independent certificate checker on the rendered report
     /// and fail unless the Φ−1 witness verifies.
@@ -614,7 +614,7 @@ USAGE: tmfrt explain <input> [-k K] [--json] [--check] [-o r.json]
   <input>    a .blif file, a .kiss2 file, `-` (BLIF on stdin), or
              gen:<preset>
   -k K       LUT input bound (default 5)
-  --json     print the turbomap-report/v1 JSON instead of the table
+  --json     print the turbomap-report/v2 JSON instead of the table
   --check    replay the rendered report through the independent checker
              (own frt/cone/max-flow arithmetic); exit non-zero unless
              the Φ−1 witness verifies
@@ -688,7 +688,7 @@ pub struct RunOutcome {
     pub circuit: Circuit,
     /// Human-readable summary lines.
     pub report: String,
-    /// The rendered `turbomap-report/v1` document, when requested via
+    /// The rendered `turbomap-report/v2` document, when requested via
     /// [`Args::report`] or [`Args::report_inline`].
     pub report_json: Option<String>,
     /// True when the initial state was lost (general retiming only).

@@ -58,12 +58,12 @@ ENDPOINTS
                     partition-and-conquer) or a JSON manifest
                     {\"jobs\":[{\"name\":…,\"source\":\"gen:…|path\"|\"blif\":…}]}
                     report=1 (turbomap-frt only) also records a
-                    turbomap-report/v1 certificate per job
+                    turbomap-report/v2 certificate per job
   GET  /jobs        all jobs (id, state, status, wall)
   GET  /jobs/<id>   one job: spans, counters and peak heap so far plus
                     the innermost open span while running, final
                     telemetry and report when done
-  GET  /jobs/<id>/report  the job's turbomap-report/v1 JSON (requires a
+  GET  /jobs/<id>/report  the job's turbomap-report/v2 JSON (requires a
                     finished report=1 job; 404 otherwise)
   GET  /jobs/<id>/trace  the job's Chrome-trace JSON (requires --trace
                     and a finished job; 404 otherwise)
@@ -201,7 +201,7 @@ struct JobRecord {
     error: Option<String>,
     /// The run's human-readable report (ok outcomes).
     report: Option<String>,
-    /// The run's rendered `turbomap-report/v1` document (`report=1`
+    /// The run's rendered `turbomap-report/v2` document (`report=1`
     /// submissions, ok outcomes). Served on `GET /jobs/<id>/report`.
     report_json: Option<String>,
     started: Option<Instant>,
@@ -856,7 +856,7 @@ fn job_trace(state: &ServeState, id: u64) -> Response {
     }
 }
 
-/// `GET /jobs/<id>/report`: the finished job's `turbomap-report/v1`
+/// `GET /jobs/<id>/report`: the finished job's `turbomap-report/v2`
 /// certificate + attribution document.
 fn job_report(state: &ServeState, id: u64) -> Response {
     let jobs = state.jobs.lock().expect("jobs poisoned");

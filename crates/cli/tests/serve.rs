@@ -329,7 +329,7 @@ fn serve_report_endpoint_metrics_and_keepalive() {
     let (status, body) = post(addr, "/jobs?report=2", "text/plain", &blif);
     assert_eq!(status, 400, "{body}");
 
-    // A report=1 job records a turbomap-report/v1 document.
+    // A report=1 job records a turbomap-report/v2 document.
     let (status, body) = post(addr, "/jobs?name=certified&report=1", "text/plain", &blif);
     assert_eq!(status, 202, "{body}");
     let id = JsonValue::parse(&body)

@@ -448,13 +448,14 @@ pub fn chrome_trace(buffer: &TraceBuffer, process_name: &str) -> JsonValue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
 
     /// Serialises the tests that toggle the global flag or inspect the
     /// thread-local ring: `cargo test` may run them concurrently, and the
     /// enable flag is process-wide.
+    static LOCK: Mutex<()> = Mutex::new(());
+
     fn with_tracing<R>(f: impl FnOnce() -> R) -> R {
-        use std::sync::Mutex;
-        static LOCK: Mutex<()> = Mutex::new(());
         let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
         set_enabled(true);
         set_thread_capacity(DEFAULT_CAPACITY);
@@ -498,7 +499,9 @@ mod tests {
 
     #[test]
     fn disabled_records_nothing() {
-        // Outside with_tracing the flag is off; record sites are no-ops.
+        // With the flag off, record sites are no-ops. The flag is
+        // process-wide, so hold the lock that `with_tracing` holds.
+        let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
         set_enabled(false);
         job_start();
         let _s = span("never");

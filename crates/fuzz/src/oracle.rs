@@ -72,7 +72,7 @@ pub struct OracleConfig {
     /// Seed of the equivalence-check input sequence.
     pub equiv_seed: u64,
     /// Run the Φ-optimality certificate check: extract a
-    /// `turbomap-report/v1` document via `report::explain` and replay
+    /// `turbomap-report/v2` document via `report::explain` and replay
     /// it through the independent checker.
     pub certificates: bool,
     /// Block count for the partition-and-conquer cross-check
@@ -454,7 +454,7 @@ pub fn round_trip_violation(source: &Circuit, cfg: &OracleConfig) -> Option<Stri
 /// The certificate judgement behind [`CheckKind::CertificateCheck`],
 /// exposed for focused tests: re-maps `source` with `report::explain`,
 /// checks the resulting Φ against `expected_phi` (the oracle's own
-/// TurboMap-frt run), renders the `turbomap-report/v1` document and
+/// TurboMap-frt run), renders the `turbomap-report/v2` document and
 /// replays it through the independent checker. Timing attribution must
 /// always verify; the Φ−1 witness may be legitimately unavailable (a
 /// non-simple solution beat the probe, or a horizon cap fired), which

@@ -49,7 +49,7 @@ pub struct Explained {
 }
 
 impl Explained {
-    /// The rendered `turbomap-report/v1` document.
+    /// The rendered `turbomap-report/v2` document.
     pub fn to_json(&self) -> JsonValue {
         self.report.to_json()
     }
@@ -143,44 +143,24 @@ pub fn explain(source: &Circuit, opts: Options) -> Result<Explained, ReportError
 
     let (critical_cycle, cycle_delay, cycle_weight) = critical_cycle(&result.circuit, period);
 
-    // Per-gate label attribution plus planner demand bounds on the roots.
-    let plan = turbomap::plan_mapping(
-        &bounded,
-        |v| ctx.expanded(v),
-        &probe.labels.ls,
-        phi_labels,
-        opts.k,
-        |v| ctx.frt[v.index()],
-        true,
-    );
+    // Per-gate label attribution at the label system's Φ.
     let phi_i = phi_labels as i64;
     let labels: Vec<LabelRow> = bounded
         .gate_ids()
         .map(|v| {
             let ls = probe.labels.ls[v.index()];
             let r = probe.labels.r[v.index()];
-            let (rb, rb_slack, lag) = match plan.rb.get(&v) {
-                Some(&rb) => (Some(rb), Some(rb - ls), plan.rr.get(&v).copied()),
-                None => (None, None, None),
-            };
             LabelRow {
                 id: v.0,
                 name: bounded.node(v).name().to_string(),
                 ls,
                 r,
                 label_slack: phi_i - (ls + phi_i * r as i64),
-                rb,
-                rb_slack,
-                lag,
             }
         })
         .collect();
 
     let retiming = RetimingSummary {
-        lag_min: plan.rr.values().copied().min().unwrap_or(0),
-        lag_max: plan.rr.values().copied().max().unwrap_or(0),
-        lag_nonzero: plan.rr.values().filter(|&&l| l != 0).count(),
-        planned_roots: plan.roots.len(),
         forward_moves: result.moves.forward_moves as u64,
         backward_moves: result.moves.backward_moves as u64,
         initial_state_lost: result.initial_state_lost,

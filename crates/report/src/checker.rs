@@ -1,6 +1,6 @@
 //! Independent certificate checker.
 //!
-//! Verifies a rendered `turbomap-report/v1` document **without trusting
+//! Verifies a rendered `turbomap-report/v2` document **without trusting
 //! the mapper**: every quantity a witness step relies on is recomputed
 //! here from scratch — `frt(v)` by a fresh Dijkstra over the register
 //! weights, replicated cones by a fresh `(node, weight)` expansion, and
@@ -628,7 +628,7 @@ fn check_cycle(witness: &ParsedWitness, mapped: &Circuit) -> Result<bool, String
     Ok(true)
 }
 
-/// Verifies a rendered `turbomap-report/v1` document against the source
+/// Verifies a rendered `turbomap-report/v2` document against the source
 /// and mapped networks.
 ///
 /// # Errors

@@ -9,14 +9,15 @@
 //!   extracted from a serial re-run of the label fixpoint, plus the
 //!   critical cycle of the mapped network when the refutation is
 //!   cycle-shaped.
-//! * **Attribution** — per-LUT depth and slack (`period − arrival`),
-//!   one critical path, per-gate label pairs `(l^s, r)` with planner
-//!   demand bounds `rb`, and the retiming / initial-state summary.
+//! * **Attribution** — per-LUT depth and slack (`period − arrival`) of
+//!   the emitted mapping, one critical path, per-gate label pairs
+//!   `(l^s, r)` with their label slack, and the forward / backward moves
+//!   and initial-state outcome of the retiming that was applied.
 //!
 //! [`checker::verify`] replays a rendered report **independently** — its
 //! own Dijkstra for `frt`, its own cone expansion, its own max-flow —
 //! so the Φ lower bound is established without trusting the mapper's
-//! arithmetic. The document schema is `turbomap-report/v1`
+//! arithmetic. The document schema is `turbomap-report/v2`
 //! ([`model::SCHEMA`]); rendering is deterministic (no timestamps, no
 //! worker-dependent data), so report bytes are reproducible.
 
@@ -70,14 +71,19 @@ mod tests {
     }
 
     /// The report reads the mapping run's own label context, so a report
-    /// costs one cut enumeration, not two.
+    /// costs one cut enumeration, not two, and builds no expanded circuit
+    /// and runs no max-flow beyond what the mapping itself does (none on
+    /// Fig. 1, whose cuts all come from the arena).
     #[test]
     fn explain_enumerates_cuts_once() {
+        use engine::telemetry::Counter;
         let c = workloads::figures::fig1_circuit(true);
         let before = engine::telemetry::snapshot();
         explain(&c, Options::with_k(3)).expect("explain");
-        let spans = engine::telemetry::snapshot().since(&before).spans;
-        assert_eq!(spans.get("cut_enum").map(|s| s.count), Some(1));
+        let delta = engine::telemetry::snapshot().since(&before);
+        assert_eq!(delta.spans.get("cut_enum").map(|s| s.count), Some(1));
+        assert_eq!(delta.counter(Counter::FlowAugmentations), 0);
+        assert_eq!(delta.counter(Counter::ExpandCacheMisses), 0);
     }
 
     /// Slack invariants hold on a batch of table-1 circuits: the minimum

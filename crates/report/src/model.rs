@@ -1,4 +1,4 @@
-//! The `turbomap-report/v1` document model.
+//! The `turbomap-report/v2` document model.
 //!
 //! A [`Report`] is the explainable artifact of one TurboMap-frt run: the
 //! Φ−1 infeasibility witness (certificate side) plus per-node timing
@@ -12,7 +12,7 @@ use netlist::NodeId;
 use turbomap::WitnessStep;
 
 /// Schema tag of the JSON document.
-pub const SCHEMA: &str = "turbomap-report/v1";
+pub const SCHEMA: &str = "turbomap-report/v2";
 
 /// Rows shown per node table in the human rendering (the JSON always
 /// carries every node).
@@ -77,25 +77,11 @@ pub struct LabelRow {
     pub r: u64,
     /// Corollary 1 margin `Φ − (l^s + Φ·r)` ≥ 0.
     pub label_slack: i64,
-    /// Planner required bound `rb(v)` — only for planned roots.
-    pub rb: Option<i64>,
-    /// Planner slack `rb − l^s` ≥ 0 — only for planned roots.
-    pub rb_slack: Option<i64>,
-    /// Planned retiming lag `Ɍ(v)` — only for planned roots.
-    pub lag: Option<i64>,
 }
 
-/// Retiming / initial-state summary.
+/// Retiming / initial-state summary of the emitted mapping.
 #[derive(Debug, Clone)]
 pub struct RetimingSummary {
-    /// Minimum planned lag (0 when no roots).
-    pub lag_min: i64,
-    /// Maximum planned lag (0 when no roots).
-    pub lag_max: i64,
-    /// Planned roots with a non-zero lag.
-    pub lag_nonzero: usize,
-    /// Total planned roots.
-    pub planned_roots: usize,
     /// Forward unit register moves of the final retiming.
     pub forward_moves: u64,
     /// Backward unit register moves (0 for TurboMap-frt by construction).
@@ -234,7 +220,7 @@ pub struct ParsedWitness {
     pub cycle_weight: u64,
 }
 
-/// Extracts the witness section from a rendered `turbomap-report/v1`
+/// Extracts the witness section from a rendered `turbomap-report/v2`
 /// document.
 pub fn parse_witness(doc: &JsonValue) -> Result<ParsedWitness, String> {
     let w = doc.get("witness").ok_or("document missing `witness`")?;
@@ -298,7 +284,7 @@ pub fn parse_witness(doc: &JsonValue) -> Result<ParsedWitness, String> {
 }
 
 impl Report {
-    /// Renders the deterministic `turbomap-report/v1` document.
+    /// Renders the deterministic `turbomap-report/v2` document.
     pub fn to_json(&self) -> JsonValue {
         let witness = {
             let mut pairs: Vec<(&str, JsonValue)> = vec![
@@ -406,33 +392,19 @@ impl Report {
                     self.labels
                         .iter()
                         .map(|l| {
-                            let mut pairs: Vec<(&str, JsonValue)> = vec![
+                            JsonValue::object(vec![
                                 ("id", uint(l.id as u64)),
                                 ("name", JsonValue::str(l.name.clone())),
                                 ("ls", int(l.ls)),
                                 ("r", uint(l.r)),
                                 ("label_slack", int(l.label_slack)),
-                            ];
-                            if let Some(rb) = l.rb {
-                                pairs.push(("rb", int(rb)));
-                            }
-                            if let Some(rbs) = l.rb_slack {
-                                pairs.push(("rb_slack", int(rbs)));
-                            }
-                            if let Some(lag) = l.lag {
-                                pairs.push(("lag", int(lag)));
-                            }
-                            JsonValue::object(pairs)
+                            ])
                         })
                         .collect(),
                 ),
             ),
         ]);
         let retiming = JsonValue::object(vec![
-            ("lag_min", int(self.retiming.lag_min)),
-            ("lag_max", int(self.retiming.lag_max)),
-            ("lag_nonzero", uint(self.retiming.lag_nonzero as u64)),
-            ("planned_roots", uint(self.retiming.planned_roots as u64)),
             ("forward_moves", uint(self.retiming.forward_moves)),
             ("backward_moves", uint(self.retiming.backward_moves)),
             (
@@ -551,23 +523,12 @@ impl Report {
             "-- label attribution (source network, Φ = {}) --",
             self.phi_labels
         );
-        let _ = writeln!(
-            out,
-            "{:>5}  {:>3}  {:>6}  {:>5}  {:>9}  {:>4}  node",
-            "l^s", "r", "slack", "rb", "rb_slack", "lag"
-        );
-        let opt = |v: Option<i64>| v.map_or("-".to_string(), |x| x.to_string());
+        let _ = writeln!(out, "{:>5}  {:>3}  {:>6}  node", "l^s", "r", "slack");
         for l in self.labels.iter().take(TABLE_ROWS) {
             let _ = writeln!(
                 out,
-                "{:>5}  {:>3}  {:>6}  {:>5}  {:>9}  {:>4}  {}",
-                l.ls,
-                l.r,
-                l.label_slack,
-                opt(l.rb),
-                opt(l.rb_slack),
-                opt(l.lag),
-                l.name
+                "{:>5}  {:>3}  {:>6}  {}",
+                l.ls, l.r, l.label_slack, l.name
             );
         }
         if self.labels.len() > TABLE_ROWS {
@@ -575,14 +536,6 @@ impl Report {
         }
         let _ = writeln!(out);
         let _ = writeln!(out, "-- retiming & initial state --");
-        let _ = writeln!(
-            out,
-            "planned lags: min {}  max {}  nonzero {}/{} roots",
-            self.retiming.lag_min,
-            self.retiming.lag_max,
-            self.retiming.lag_nonzero,
-            self.retiming.planned_roots
-        );
         let _ = writeln!(
             out,
             "moves: {} forward, {} backward; initial state {}",

@@ -197,7 +197,8 @@ impl<'a> FrtContext<'a> {
     /// The expanded circuit `F_v^{frt(v)}` of a gate, built on first use
     /// and kept; `None` for a non-gate, and for a flow-fallback gate whose
     /// expansion hit [`MAX_EXPANDED_NODES`]. Label updates read it only
-    /// for fallback gates; reports and measurements read it for any.
+    /// for fallback gates; `tmbench`'s per-layer cut-query measurement
+    /// reads it for any.
     pub fn expanded(&self, v: NodeId) -> Option<&ExpandedCircuit> {
         self.oracle.expanded(v)
     }

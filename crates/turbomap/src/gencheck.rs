@@ -18,7 +18,6 @@
 use crate::cutenum::{CutArena, CutFault, CUT_CAP};
 use crate::cutoracle::{CutAnswer, CutOracle};
 use crate::cutsearch::{CutScratch, ExpCut};
-use crate::expand::ExpandedCircuit;
 use crate::frtcheck::LS_NEG_INF;
 use netlist::{Circuit, NodeId};
 
@@ -79,16 +78,6 @@ impl<'a> GeneralContext<'a> {
             live,
             horizon,
         }
-    }
-
-    /// The expanded circuit `F_v^h` of a live gate, built on first use and
-    /// kept; `None` for dead logic and non-gates, and for a flow-fallback
-    /// gate whose expansion hit [`crate::frtcheck::MAX_EXPANDED_NODES`].
-    pub fn expanded(&self, v: NodeId) -> Option<&ExpandedCircuit> {
-        if !self.live[v.index()] {
-            return None;
-        }
-        self.oracle.expanded(v)
     }
 
     /// The cut lists the label updates scan.
@@ -269,6 +258,7 @@ mod tests {
     use super::*;
     use crate::cutoracle::tests::{leaf_set, random_fsm};
     use crate::cutsearch::find_cut;
+    use crate::expand::ExpandedCircuit;
     use engine::Rng64;
     use netlist::{Bit, TruthTable};
 

@@ -65,7 +65,6 @@ pub mod expand;
 pub mod frtcheck;
 pub mod gencheck;
 pub mod generate;
-pub mod slack;
 pub mod witness;
 
 pub use cutenum::{CutArena, CutFault, CUT_CAP};
@@ -80,5 +79,4 @@ pub use expand::{ExpNode, ExpandedCircuit};
 pub use frtcheck::{FrtCheck, FrtContext, LabelPairs};
 pub use gencheck::{po_reachable, GeneralCheck, GeneralContext};
 pub use generate::{collect_roots, generate_mapping, GenerateError, GeneratedMapping};
-pub use slack::{plan_mapping, MappingPlan};
 pub use witness::{WitnessOutcome, WitnessStep};
