@@ -25,11 +25,11 @@
 //! (with a note) when the candidate itself is canonical.
 //!
 //! `--phi-gap N` compares a *partitioned* candidate against the
-//! committed monolithic baseline: per-circuit Φ and LUT deltas are
+//! committed monolithic baseline: per-circuit Φ, LUT and FF deltas are
 //! still reported, but Φ gates only when it exceeds the baseline by
-//! more than N, and LUT growth (expected from duplicated seam logic)
-//! never gates. `--phi-gap 0` demands Φ parity while keeping LUTs
-//! informational.
+//! more than N, and LUT and FF growth (expected from duplicated seam
+//! logic) never gates. `--phi-gap 0` demands Φ parity while keeping
+//! LUTs and FFs informational.
 
 use bench::diff::{diff_artifacts, render_report, DiffOptions};
 use engine::log;

@@ -5,16 +5,17 @@
 //! The `benchdiff` binary reads a **baseline** artifact (typically the
 //! committed `BENCH_table1.json` or `BENCH_large.json`) and a
 //! **candidate** artifact (a fresh run) and reports per-circuit deltas
-//! on the quality metrics (Φ, LUT count for table1; file/model/gate/FF
-//! totals for large — deterministic, so any change is signal), wall
-//! time, and histogram quantiles (p50/p90/p99 of each recorded
-//! distribution).
+//! on the quality metrics (Φ, LUT and FF counts and `⋆` for table1;
+//! file/model/gate/FF totals for large — deterministic, so any change
+//! is signal), wall time, and histogram quantiles (p50/p90/p99 of each
+//! recorded distribution).
 //!
 //! Regression policy:
 //!
-//! * any **quality** change (Φ or LUTs up for any algorithm, a circuit
-//!   disappearing, a status downgrade) is a regression — these are
-//!   deterministic and must be byte-stable run-to-run;
+//! * any **quality** change (Φ, LUTs or FFs up or a `⋆` appearing for
+//!   any algorithm, a circuit disappearing, a status downgrade) is a
+//!   regression — these are deterministic and must be byte-stable
+//!   run-to-run;
 //! * a **wall-time** increase beyond the configurable fractional
 //!   threshold is a regression, *unless* either artifact is canonical
 //!   (canonical artifacts zero all timing, so wall deltas are
@@ -63,8 +64,8 @@ pub struct DiffOptions {
     /// Φ-gap mode for partitioned-vs-monolithic comparisons: the
     /// candidate's `phi` may exceed the baseline's by up to this much
     /// per circuit before the diff counts a regression (partitioning
-    /// freezes seam lags, so Φ can only stay equal or grow). LUT
-    /// deltas are reported but never gated in this mode — duplicated
+    /// freezes seam lags, so Φ can only stay equal or grow). LUT and
+    /// FF deltas are reported but never gated in this mode — duplicated
     /// boundary logic makes them incomparable. `None` (the default)
     /// keeps the exact quality gate.
     pub phi_gap: Option<u64>,
@@ -134,7 +135,8 @@ fn fmt_secs(s: f64) -> String {
 const ALGORITHMS: [&str; 3] = ["flowmap_frt", "turbomap", "turbomap_frt"];
 
 /// Quality fields compared per algorithm (deterministic; up = worse).
-const QUALITY_FIELDS: [&str; 2] = ["phi", "luts"];
+/// A `star` (initial state lost) turning true gates too.
+const QUALITY_FIELDS: [&str; 3] = ["phi", "luts", "ffs"];
 
 /// Structural fields of a `turbomap-bench/large/*` ingestion row.
 /// Deterministic per preset, so *any* change — either direction — is a
@@ -323,7 +325,7 @@ fn diff_circuit(
                     let line = format!("{alg}.{field}: {bv} -> {cv}");
                     // Under `--phi-gap` the candidate is a partitioned
                     // mapping: Φ regresses only past the allowed gap,
-                    // and LUT deltas are informational.
+                    // and LUT and FF deltas are informational.
                     let worse = match (field, opts.phi_gap) {
                         ("phi", Some(gap)) => cv > bv.saturating_add(gap),
                         (_, Some(_)) => false,
@@ -334,6 +336,19 @@ fn diff_circuit(
                     }
                     notes.push(line);
                 }
+            }
+        }
+        let star = |row: &JsonValue| match row.get("star") {
+            Some(JsonValue::Bool(star)) => Some(*star),
+            _ => None,
+        };
+        if let (Some(bs), Some(cs)) = (star(b), star(c)) {
+            if bs != cs {
+                let line = format!("{alg}.star: {bs} -> {cs}");
+                if cs && opts.quality_gate {
+                    regressions.push(line.clone());
+                }
+                notes.push(line);
             }
         }
         diff_hists(b, c, "histograms", alg, &mut notes);
@@ -615,6 +630,43 @@ mod tests {
         };
         let report = diff_artifacts(&base, &cand, &opts).unwrap();
         assert!(report.is_clean());
+    }
+
+    /// A canonical one-row artifact whose TurboMap row has `ffs` FFs and
+    /// the given `star`.
+    fn ff_artifact(ffs: u64, star: bool) -> JsonValue {
+        let alg = format!(r#"{{"phi": 3, "luts": 10, "ffs": {ffs}, "star": {star}}}"#);
+        let row = format!(r#"{{"name": "s27", "status": "ok", "turbomap": {alg}}}"#);
+        let doc = r#"{"schema": "turbomap-bench/table1/v4", "canonical": true, "circuits": [ROW]}"#;
+        JsonValue::parse(&doc.replace("ROW", &row)).unwrap()
+    }
+
+    #[test]
+    fn ff_regression_gates_and_is_informational_under_phi_gap() {
+        let (base, cand) = (ff_artifact(5, false), ff_artifact(7, false));
+        let report = diff_artifacts(&base, &cand, &DiffOptions::default()).unwrap();
+        assert_eq!(report.regressions, ["s27: turbomap.ffs: 5 -> 7"]);
+        assert!(diff_artifacts(&cand, &base, &DiffOptions::default())
+            .unwrap()
+            .is_clean());
+        let gap = DiffOptions {
+            phi_gap: Some(1),
+            ..DiffOptions::default()
+        };
+        let report = diff_artifacts(&base, &cand, &gap).unwrap();
+        assert!(report.is_clean(), "{:?}", report.regressions);
+        assert!(render_report(&report).contains("turbomap.ffs: 5 -> 7"));
+    }
+
+    #[test]
+    fn star_turning_true_gates() {
+        let (base, cand) = (ff_artifact(5, false), ff_artifact(5, true));
+        let report = diff_artifacts(&base, &cand, &DiffOptions::default()).unwrap();
+        assert_eq!(report.regressions, ["s27: turbomap.star: false -> true"]);
+        // A star that goes away is reported, not gated.
+        let report = diff_artifacts(&cand, &base, &DiffOptions::default()).unwrap();
+        assert!(report.is_clean(), "{:?}", report.regressions);
+        assert!(render_report(&report).contains("turbomap.star: true -> false"));
     }
 
     #[test]

@@ -630,7 +630,7 @@ pub fn cut_check_violation(bounded: &Circuit, ctx: &FrtContext, phis: &[u64]) ->
 /// The cut judgement behind [`CheckKind::CutCheck`] for TurboMap, the
 /// general-retiming baseline: as [`cut_check_violation`], but at the
 /// labels of the general label runs of `ctx`, comparing whether `F_v^h`
-/// has a K-cut within the height ([`GeneralContext::has_cut`]) with
+/// has a K-cut within the height ([`GeneralContext::min_cut_weight`]) with
 /// [`turbomap::find_cut`] on a freshly built `F_v^h`, and at a feasible
 /// period the [`GeneralContext::final_cuts`] cuts with
 /// [`turbomap::find_cut`] at height `l(v)` and weight `h`.
@@ -656,7 +656,7 @@ pub fn general_cut_check_violation(
         },
         |_| ctx.horizon(),
         |exp, ls, v, phi, height| {
-            let arena = ctx.has_cut(ls, v, phi, height);
+            let arena = ctx.min_cut_weight(ls, v, phi, height).is_some();
             let flow =
                 turbomap::find_cut(exp, ls, phi as i64, height, exp.bound, ctx.k()).is_some();
             (arena, flow)

@@ -77,6 +77,6 @@ pub use driver::{
 };
 pub use expand::{ExpNode, ExpandedCircuit};
 pub use frtcheck::{FrtCheck, FrtContext, LabelPairs};
-pub use gencheck::{po_reachable, GeneralCheck, GeneralContext};
+pub use gencheck::{GeneralCheck, GeneralContext};
 pub use generate::{collect_roots, generate_mapping, GenerateError, GeneratedMapping};
 pub use witness::{WitnessOutcome, WitnessStep};
