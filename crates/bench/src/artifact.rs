@@ -28,18 +28,17 @@ use engine::{JobOutcome, JobReport, JsonValue};
 /// Artifact schema identifier (bump on breaking changes).
 pub const SCHEMA: &str = "turbomap-bench/table1/v4";
 
-/// Schema of the large-workload ingestion artifact (`v2` added the
-/// optional `peak_rss_kib` field; `v3` added the vectorized verify
-/// phase — `verify_lanes`/`verify_cycles` structural fields, the
+/// Schema of the large-workload artifact (`v2` added the optional
+/// `peak_rss_kib` field; `v3` added the vectorized verify phase —
+/// `verify_lanes`/`verify_cycles` structural fields, the
 /// `verify_secs`/`verify_scalar_secs` timings, and a per-phase wall
-/// breakdown; `v4` added the optional partitioned-mapping fields of
-/// `--partitions` runs — structural `partition_blocks`/
-/// `partition_cut_ffs`/`partition_phi`/`partition_luts`, exact-gated by
-/// benchdiff, plus the `map_secs`/`partition_block_secs` timings and the
-/// derived `partition_speedup`, all omitted on ingestion-only rows;
-/// `v5` replaces the per-phase breakdown with the row's `spans` object,
-/// read from the span table like the Table-1 artifact's).
-pub const LARGE_SCHEMA: &str = "turbomap-bench/large/v5";
+/// breakdown; `v4` added optional partitioned-mapping fields; `v5`
+/// replaced the per-phase breakdown with the row's `spans` object,
+/// read from the span table like the Table-1 artifact's; `v6` maps
+/// every row monolithically with TurboMap-frt — structural
+/// `mapped_phi`/`mapped_luts`/`mapped_ffs`, exact-gated by benchdiff,
+/// and the `map_secs` timing replace the partition fields).
+pub const LARGE_SCHEMA: &str = "turbomap-bench/large/v6";
 
 fn secs(value: f64, canonical: bool) -> JsonValue {
     JsonValue::Float(if canonical { 0.0 } else { value })
@@ -280,12 +279,13 @@ pub fn table1_json(
     ])
 }
 
-/// Builds the [`LARGE_SCHEMA`] ingestion artifact.
+/// Builds the [`LARGE_SCHEMA`] artifact.
 ///
 /// The structural fields (`file_bytes`, `models`, `gates`, `ffs`,
-/// `pis`, `pos`) are deterministic per preset; `benchdiff` compares
-/// them exactly, so *any* drift gates. `canonical` zeroes the timing
-/// fields (`parse_secs`, `wall_secs`) like the Table-1 artifact.
+/// `pis`, `pos`, the verify shape and the `mapped_*` results) are
+/// deterministic per preset; `benchdiff` compares them exactly, so
+/// *any* drift gates. `canonical` zeroes the timing fields
+/// (`*_secs`, `peak_rss_kib`) like the Table-1 artifact.
 pub fn large_json(rows: &[crate::large::IngestRow], canonical: bool) -> JsonValue {
     JsonValue::object(vec![
         ("schema", JsonValue::str(LARGE_SCHEMA)),
@@ -295,7 +295,7 @@ pub fn large_json(rows: &[crate::large::IngestRow], canonical: bool) -> JsonValu
             JsonValue::Array(
                 rows.iter()
                     .map(|r| {
-                        let map_secs = r.partition.as_ref().map_or(0.0, |p| p.map_secs);
+                        let m = &r.mapped;
                         let mut pairs = vec![
                             ("name", JsonValue::str(r.name.clone())),
                             ("status", JsonValue::str("ok")),
@@ -312,24 +312,17 @@ pub fn large_json(rows: &[crate::large::IngestRow], canonical: bool) -> JsonValu
                             ("verify_scalar_secs", secs(r.verify_scalar_secs, canonical)),
                             (
                                 "wall_secs",
-                                secs(r.total_secs + r.verify_secs + map_secs, canonical),
+                                secs(r.total_secs + r.verify_secs + m.map_secs, canonical),
                             ),
                             (
                                 "peak_rss_kib",
                                 JsonValue::UInt(if canonical { 0 } else { r.peak_rss_kib }),
                             ),
+                            ("mapped_phi", JsonValue::UInt(m.phi)),
+                            ("mapped_luts", JsonValue::UInt(m.luts as u64)),
+                            ("mapped_ffs", JsonValue::UInt(m.ffs as u64)),
+                            ("map_secs", secs(m.map_secs, canonical)),
                         ];
-                        if let Some(p) = &r.partition {
-                            pairs.extend([
-                                ("partition_blocks", JsonValue::UInt(p.blocks as u64)),
-                                ("partition_cut_ffs", JsonValue::UInt(p.cut_ffs)),
-                                ("partition_phi", JsonValue::UInt(p.phi)),
-                                ("partition_luts", JsonValue::UInt(p.luts as u64)),
-                                ("map_secs", secs(p.map_secs, canonical)),
-                                ("partition_block_secs", secs(p.block_secs, canonical)),
-                                ("partition_speedup", secs(p.speedup(), canonical)),
-                            ]);
-                        }
                         if let Some(sp) = spans_json(&r.spans, canonical) {
                             pairs.push(("spans", sp));
                         }
@@ -490,7 +483,7 @@ mod tests {
     }
 
     #[test]
-    fn large_artifact_carries_partition_fields() {
+    fn large_artifact_carries_mapped_fields() {
         let row = crate::large::IngestRow {
             name: "hier".into(),
             file_bytes: 10,
@@ -506,18 +499,16 @@ mod tests {
             verify_secs: 0.05,
             verify_scalar_secs: 0.5,
             peak_rss_kib: 1000,
-            partition: Some(crate::large::PartitionMeasurement {
-                blocks: 4,
-                cut_ffs: 12,
+            mapped: crate::large::MapMeasurement {
                 phi: 9,
                 luts: 50,
+                ffs: 12,
                 map_secs: 2.0,
-                block_secs: 6.0,
-            }),
+            },
             spans: {
                 let mut spans = SpanTable::new();
                 spans.add(
-                    "partition_map",
+                    "turbomap_frt",
                     &engine::SpanStats {
                         count: 1,
                         wall_nanos: 2_000_000_000,
@@ -529,29 +520,21 @@ mod tests {
             },
         };
         let text = large_json(std::slice::from_ref(&row), false).render();
-        assert!(text.contains("\"schema\":\"turbomap-bench/large/v5\""));
-        assert!(text.contains("\"partition_blocks\":4"));
-        assert!(text.contains("\"partition_cut_ffs\":12"));
-        assert!(text.contains("\"partition_speedup\":3.0"));
+        assert!(text.contains("\"schema\":\"turbomap-bench/large/v6\""));
+        assert!(text.contains("\"mapped_phi\":9,\"mapped_luts\":50,\"mapped_ffs\":12"));
+        assert!(text.contains("\"map_secs\":2.0"));
+        assert!(text.contains("\"wall_secs\":2.25"), "{text}");
         assert!(
-            text.contains("\"spans\":{\"partition_map\":{\"count\":1,\"wall_secs\":2.0"),
+            text.contains("\"spans\":{\"turbomap_frt\":{\"count\":1,\"wall_secs\":2.0"),
             "{text}"
         );
-        // Canonical zeroes the partition timings, keeps the structure,
+        assert!(!text.contains("partition"), "{text}");
+        // Canonical zeroes the map timing, keeps the mapped structure,
         // and omits the spans.
         let text = large_json(std::slice::from_ref(&row), true).render();
-        assert!(text.contains("\"partition_phi\":9"));
-        assert!(text.contains("\"partition_speedup\":0.0"));
+        assert!(text.contains("\"mapped_phi\":9,\"mapped_luts\":50,\"mapped_ffs\":12"));
         assert!(text.contains("\"map_secs\":0.0"));
         assert!(!text.contains("spans"), "{text}");
-        // Ingestion-only rows omit every partition field (v3 shape).
-        let plain = crate::large::IngestRow {
-            partition: None,
-            spans: SpanTable::new(),
-            ..row
-        };
-        let text = large_json(&[plain], false).render();
-        assert!(!text.contains("partition_"), "{text}");
     }
 
     #[test]

@@ -23,10 +23,6 @@ pub struct SuiteConfig {
     pub timeout: Option<Duration>,
     /// Keep only circuits with at most this many gates (`None` → all 18).
     pub max_gates: Option<usize>,
-    /// Partition-and-conquer TurboMap-frt leg: `None` monolithic,
-    /// `Some(0)` auto block count, `Some(n)` fixed
-    /// (see [`crate::try_run_row_partitioned`]).
-    pub partitions: Option<usize>,
 }
 
 impl Default for SuiteConfig {
@@ -37,7 +33,6 @@ impl Default for SuiteConfig {
             jobs: 1,
             timeout: None,
             max_gates: None,
-            partitions: None,
         }
     }
 }
@@ -52,12 +47,8 @@ pub fn run_table1_suite(cfg: &SuiteConfig) -> Vec<JobReport<Row>> {
     let specs: Vec<JobSpec<Row>> = suite
         .into_iter()
         .map(|(p, c)| {
-            let opts = turbomap::Options::with_k(cfg.k);
-            let verify = cfg.verify;
-            let partitions = cfg.partitions;
-            JobSpec::new(p.name, move || {
-                crate::try_run_row_partitioned(p.name, &c, verify, opts, partitions)
-            })
+            let (k, verify) = (cfg.k, cfg.verify);
+            JobSpec::new(p.name, move || crate::try_run_row(p.name, &c, k, verify))
         })
         .collect();
     let mut opts = BatchOptions::with_jobs(cfg.jobs);

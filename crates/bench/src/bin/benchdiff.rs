@@ -4,10 +4,10 @@
 //! Usage:
 //!   benchdiff <baseline.json> <candidate.json>
 //!             [--wall-threshold-pct P] [--mem-threshold-pct M]
-//!             [--verify-speedup X] [--phi-gap N] [--no-quality-gate]
+//!             [--verify-speedup X] [--no-quality-gate]
 //!
-//! Prints a byte-deterministic per-circuit delta report (Φ, LUTs, wall
-//! time, peak memory, histogram p50/p90/p99) to stdout. Exit status: 0
+//! Prints a byte-deterministic per-circuit delta report (Φ, LUTs, FFs,
+//! wall time, peak memory, histogram p50/p90/p99) to stdout. Exit status: 0
 //! when the candidate passes, 1 on regressions (quality changes, wall
 //! time more than P percent over baseline — default 25 — or, with
 //! `--mem-threshold-pct`, per-job peak memory more than M percent over
@@ -23,13 +23,6 @@
 //! within one run, so only the *candidate* needs real timings — the
 //! checked-in canonical baseline works fine as the other side. Skipped
 //! (with a note) when the candidate itself is canonical.
-//!
-//! `--phi-gap N` compares a *partitioned* candidate against the
-//! committed monolithic baseline: per-circuit Φ, LUT and FF deltas are
-//! still reported, but Φ gates only when it exceeds the baseline by
-//! more than N, and LUT and FF growth (expected from duplicated seam
-//! logic) never gates. `--phi-gap 0` demands Φ parity while keeping
-//! LUTs and FFs informational.
 
 use bench::diff::{diff_artifacts, render_report, DiffOptions};
 use engine::log;
@@ -39,7 +32,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: benchdiff <baseline.json> <candidate.json> \
          [--wall-threshold-pct P] [--mem-threshold-pct M] \
-         [--verify-speedup X] [--phi-gap N] [--no-quality-gate]"
+         [--verify-speedup X] [--no-quality-gate]"
     );
     std::process::exit(2);
 }
@@ -99,13 +92,6 @@ fn main() {
                     _ => usage(),
                 };
                 opts.verify_speedup = Some(x);
-            }
-            "--phi-gap" => {
-                let n: u64 = match args.next().and_then(|v| v.parse().ok()) {
-                    Some(n) => n,
-                    None => usage(),
-                };
-                opts.phi_gap = Some(n);
             }
             "--no-quality-gate" => opts.quality_gate = false,
             "-h" | "--help" => usage(),

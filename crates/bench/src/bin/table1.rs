@@ -5,22 +5,12 @@
 //!   table1 [--max-gates N] [--k K] [--no-verify] [--stats]
 //!          [--jobs N] [--timeout-secs S] [--json PATH] [--canonical]
 //!          [--trace-dir DIR] [--report-dir DIR] [--suite table1|large]
-//!          [--partitions K|auto]
 //!
-//! `--partitions` swaps the TurboMap-frt leg for the
-//! partition-and-conquer mapper (`auto` picks one block per ~100k
-//! gates): on the Table-1 suite the partitioned numbers land in the
-//! `turbomap_frt` artifact slot, so `benchdiff --phi-gap N` can gate
-//! the partitioned artifact against the committed monolithic baseline;
-//! on `--suite large` every preset is additionally *mapped* (not just
-//! ingested), with `--jobs` as the block-level worker count, and the
-//! artifact gains the `large/v5` partition fields including the
-//! measured multi-block parallel speedup.
-//!
-//! `--suite large` runs the large-workload *ingestion* suite instead:
-//! each `workloads::large` preset is generated to a temp dir and
-//! ingested through the streaming BLIF front-end; `--json` then writes
-//! the `turbomap-bench/large/v5` artifact (also honouring
+//! `--suite large` runs the large-workload suite instead: each
+//! `workloads::large` preset is generated to a temp dir, ingested
+//! through the streaming BLIF front-end, simulated by the verify phase
+//! and mapped monolithically with TurboMap-frt at `--k`; `--json` then
+//! writes the `turbomap-bench/large/v6` artifact (also honouring
 //! `--canonical` and `--max-gates`, which caps the preset's flattened
 //! gate count).
 //!
@@ -57,14 +47,17 @@ use std::time::Duration;
 #[global_allocator]
 static ALLOC: engine::mem::CountingAlloc = engine::mem::CountingAlloc::new();
 
-/// The `--suite large` path: ingest every large preset (within the
-/// gate cap) and optionally write the `turbomap-bench/large/v5`
+/// The `--suite large` path: ingest and map every large preset (within
+/// the gate cap) and optionally write the `turbomap-bench/large/v6`
 /// artifact.
 fn run_large_suite_main(cfg: &SuiteConfig, json_path: Option<&str>, canonical: bool) {
     let dir = std::env::temp_dir().join("tmfrt_large_suite");
-    println!("Large-workload ingestion suite (streaming BLIF front-end)");
     println!(
-        "{:<10} {:>12} {:>7} {:>9} {:>7} {:>5} {:>5} {:>9} {:>9} {:>9} {:>9} {:>8}",
+        "Large-workload suite (streaming BLIF front-end, TurboMap-frt at K = {})",
+        cfg.k
+    );
+    println!(
+        "{:<10} {:>12} {:>7} {:>9} {:>7} {:>5} {:>5} {:>9} {:>9} {:>9} {:>9} {:>8} {:>3} {:>7} {:>7} {:>8}",
         "preset",
         "file_bytes",
         "models",
@@ -76,15 +69,13 @@ fn run_large_suite_main(cfg: &SuiteConfig, json_path: Option<&str>, canonical: b
         "total_s",
         "verify_s",
         "scalar_s",
-        "speedup"
+        "speedup",
+        "Φ",
+        "LUTs",
+        "map_FFs",
+        "map_s"
     );
-    let rows = match bench::large::run_large_suite_partitioned(
-        cfg.max_gates,
-        &dir,
-        cfg.partitions,
-        cfg.jobs,
-        cfg.k,
-    ) {
+    let rows = match bench::large::run_large_suite(cfg.max_gates, &dir, cfg.k) {
         Ok(rows) => rows,
         Err(e) => {
             log::error(
@@ -97,7 +88,7 @@ fn run_large_suite_main(cfg: &SuiteConfig, json_path: Option<&str>, canonical: b
     };
     for r in &rows {
         println!(
-            "{:<10} {:>12} {:>7} {:>9} {:>7} {:>5} {:>5} {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>7.1}x",
+            "{:<10} {:>12} {:>7} {:>9} {:>7} {:>5} {:>5} {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>7.1}x {:>3} {:>7} {:>7} {:>8.3}",
             r.name,
             r.file_bytes,
             r.models,
@@ -109,21 +100,12 @@ fn run_large_suite_main(cfg: &SuiteConfig, json_path: Option<&str>, canonical: b
             r.total_secs,
             r.verify_secs,
             r.verify_scalar_secs,
-            r.verify_scalar_secs / r.verify_secs.max(1e-12)
+            r.verify_scalar_secs / r.verify_secs.max(1e-12),
+            r.mapped.phi,
+            r.mapped.luts,
+            r.mapped.ffs,
+            r.mapped.map_secs
         );
-        if let Some(p) = &r.partition {
-            println!(
-                "           partitioned map: {} blocks, {} cut FFs -> Φ {}, {} LUTs \
-                 in {:.1}s ({:.2}x multi-block speedup, {:.1}s serial)",
-                p.blocks,
-                p.cut_ffs,
-                p.phi,
-                p.luts,
-                p.map_secs,
-                p.speedup(),
-                p.block_secs,
-            );
-        }
     }
     if let Some(path) = json_path {
         let doc = artifact::large_json(&rows, canonical);
@@ -177,24 +159,6 @@ fn main() {
             "--jobs" => {
                 cfg.jobs = args.next().and_then(|v| v.parse().ok()).expect("--jobs N");
             }
-            "--partitions" => {
-                let v = args.next().expect("--partitions K|auto");
-                cfg.partitions = Some(if v == "auto" {
-                    0
-                } else {
-                    match v.parse::<usize>() {
-                        Ok(n) if n >= 1 => n,
-                        _ => {
-                            log::error(
-                                "table1",
-                                "--partitions needs a count >= 1 or `auto`",
-                                &[("value", JsonValue::str(v))],
-                            );
-                            std::process::exit(2);
-                        }
-                    }
-                });
-            }
             "--timeout-secs" => {
                 let s: u64 = args
                     .next()
@@ -246,13 +210,6 @@ fn main() {
         cfg.jobs.max(1),
         if cfg.jobs.max(1) == 1 { "" } else { "s" },
     );
-    if let Some(p) = cfg.partitions {
-        if p == 0 {
-            println!("TurboMap-frt column: partition-and-conquer (auto block count)");
-        } else {
-            println!("TurboMap-frt column: partition-and-conquer ({p} blocks)");
-        }
-    }
     println!(
         "{:<10} {:>6}{:>6} | {:^25} | {:^27} | {:>5} | {:^25}",
         "", "", "", "FlowMap-frt", "TurboMap", "Best", "TurboMap-frt"

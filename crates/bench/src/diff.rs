@@ -1,13 +1,13 @@
 //! Bench-regression analysis: compare two `turbomap-bench/*` artifacts
 //! of the same family (`table1/v*` mapping runs, or `large/v*`
-//! ingestion runs).
+//! ingest-and-map runs).
 //!
 //! The `benchdiff` binary reads a **baseline** artifact (typically the
 //! committed `BENCH_table1.json` or `BENCH_large.json`) and a
 //! **candidate** artifact (a fresh run) and reports per-circuit deltas
 //! on the quality metrics (Φ, LUT and FF counts and `⋆` for table1;
-//! file/model/gate/FF totals for large — deterministic, so any change
-//! is signal), wall time, and histogram quantiles (p50/p90/p99 of each
+//! file/model/gate/FF totals and the mapped Φ, LUTs and FFs for
+//! large — deterministic, so any change is signal), wall time, and histogram quantiles (p50/p90/p99 of each
 //! recorded distribution).
 //!
 //! Regression policy:
@@ -61,14 +61,6 @@ pub struct DiffOptions {
     /// machine-relative, so a canonical baseline is fine. `None` (the
     /// default) disables the gate.
     pub verify_speedup: Option<f64>,
-    /// Φ-gap mode for partitioned-vs-monolithic comparisons: the
-    /// candidate's `phi` may exceed the baseline's by up to this much
-    /// per circuit before the diff counts a regression (partitioning
-    /// freezes seam lags, so Φ can only stay equal or grow). LUT and
-    /// FF deltas are reported but never gated in this mode — duplicated
-    /// boundary logic makes them incomparable. `None` (the default)
-    /// keeps the exact quality gate.
-    pub phi_gap: Option<u64>,
 }
 
 impl Default for DiffOptions {
@@ -78,7 +70,6 @@ impl Default for DiffOptions {
             quality_gate: true,
             mem_threshold: None,
             verify_speedup: None,
-            phi_gap: None,
         }
     }
 }
@@ -138,10 +129,10 @@ const ALGORITHMS: [&str; 3] = ["flowmap_frt", "turbomap", "turbomap_frt"];
 /// A `star` (initial state lost) turning true gates too.
 const QUALITY_FIELDS: [&str; 3] = ["phi", "luts", "ffs"];
 
-/// Structural fields of a `turbomap-bench/large/*` ingestion row.
-/// Deterministic per preset, so *any* change — either direction — is a
-/// generator or front-end regression.
-const STRUCT_FIELDS: [&str; 12] = [
+/// Structural fields of a `turbomap-bench/large/*` row. Deterministic
+/// per preset, so *any* change — either direction — is a generator,
+/// front-end or mapper regression.
+const STRUCT_FIELDS: [&str; 11] = [
     "file_bytes",
     "models",
     "gates",
@@ -150,12 +141,10 @@ const STRUCT_FIELDS: [&str; 12] = [
     "pos",
     "verify_lanes",
     "verify_cycles",
-    // Partitioned-mapping fields (large/v4, `--partitions` runs only):
-    // deterministic per preset + block count, like the rest.
-    "partition_blocks",
-    "partition_cut_ffs",
-    "partition_phi",
-    "partition_luts",
+    // The monolithic TurboMap-frt mapping (large/v6).
+    "mapped_phi",
+    "mapped_luts",
+    "mapped_ffs",
 ];
 
 fn circuit_map(doc: &JsonValue) -> Result<Vec<(String, &JsonValue)>, String> {
@@ -323,15 +312,7 @@ fn diff_circuit(
             if let (Some(bv), Some(cv)) = (bv, cv) {
                 if bv != cv {
                     let line = format!("{alg}.{field}: {bv} -> {cv}");
-                    // Under `--phi-gap` the candidate is a partitioned
-                    // mapping: Φ regresses only past the allowed gap,
-                    // and LUT and FF deltas are informational.
-                    let worse = match (field, opts.phi_gap) {
-                        ("phi", Some(gap)) => cv > bv.saturating_add(gap),
-                        (_, Some(_)) => false,
-                        (_, None) => cv > bv,
-                    };
-                    if worse && opts.quality_gate {
+                    if cv > bv && opts.quality_gate {
                         regressions.push(line.clone());
                     }
                     notes.push(line);
@@ -642,20 +623,14 @@ mod tests {
     }
 
     #[test]
-    fn ff_regression_gates_and_is_informational_under_phi_gap() {
+    fn ff_regression_gates() {
         let (base, cand) = (ff_artifact(5, false), ff_artifact(7, false));
         let report = diff_artifacts(&base, &cand, &DiffOptions::default()).unwrap();
         assert_eq!(report.regressions, ["s27: turbomap.ffs: 5 -> 7"]);
-        assert!(diff_artifacts(&cand, &base, &DiffOptions::default())
-            .unwrap()
-            .is_clean());
-        let gap = DiffOptions {
-            phi_gap: Some(1),
-            ..DiffOptions::default()
-        };
-        let report = diff_artifacts(&base, &cand, &gap).unwrap();
+        // An FF decrease is reported, not gated.
+        let report = diff_artifacts(&cand, &base, &DiffOptions::default()).unwrap();
         assert!(report.is_clean(), "{:?}", report.regressions);
-        assert!(render_report(&report).contains("turbomap.ffs: 5 -> 7"));
+        assert!(render_report(&report).contains("turbomap.ffs: 7 -> 5"));
     }
 
     #[test]
@@ -667,40 +642,6 @@ mod tests {
         let report = diff_artifacts(&cand, &base, &DiffOptions::default()).unwrap();
         assert!(report.is_clean(), "{:?}", report.regressions);
         assert!(render_report(&report).contains("turbomap.star: true -> false"));
-    }
-
-    #[test]
-    fn phi_gap_relaxes_quality_gate() {
-        let opts = DiffOptions {
-            phi_gap: Some(1),
-            ..DiffOptions::default()
-        };
-        let base = artifact(3, 10, 1.0, false);
-        // Φ +1 and LUTs +5: both inside the gap — reported, not gated.
-        let cand = artifact(4, 15, 1.0, false);
-        let report = diff_artifacts(&base, &cand, &opts).unwrap();
-        assert!(report.is_clean(), "{:?}", report.regressions);
-        let text = render_report(&report);
-        assert!(text.contains("turbomap_frt.phi: 3 -> 4"), "{text}");
-        assert!(text.contains("turbomap_frt.luts: 10 -> 15"), "{text}");
-        // Φ +2 exceeds a gap of 1: gated.
-        let cand = artifact(5, 10, 1.0, false);
-        let report = diff_artifacts(&base, &cand, &opts).unwrap();
-        assert!(!report.is_clean());
-        assert!(
-            report
-                .regressions
-                .iter()
-                .any(|r| r.contains(".phi: 3 -> 5")),
-            "{:?}",
-            report.regressions
-        );
-        // Only Φ entries gate in gap mode — no LUT regressions.
-        assert!(
-            report.regressions.iter().all(|r| !r.contains(".luts")),
-            "{:?}",
-            report.regressions
-        );
     }
 
     #[test]
@@ -893,6 +834,16 @@ mod tests {
         let report = diff_artifacts(&base, &cand, &DiffOptions::default()).unwrap();
         assert!(report.is_clean());
         assert!(!report.circuits[0].notes.is_empty());
+        // The v6 mapping results are exact too: fewer LUTs still gates.
+        let mapped = |luts: u64| {
+            let text = base.render().replace(
+                "\"pos\":32",
+                &format!("\"pos\":32,\"mapped_phi\":6,\"mapped_luts\":{luts}"),
+            );
+            JsonValue::parse(&text).unwrap()
+        };
+        let report = diff_artifacts(&mapped(8123), &mapped(8000), &DiffOptions::default()).unwrap();
+        assert_eq!(report.regressions, ["hier100k: mapped_luts: 8123 -> 8000"]);
     }
 
     /// A v4-shaped artifact: one circuit with a job-level memory ledger

@@ -1,16 +1,16 @@
-//! The large-workload ingestion suite: generate each `workloads::large`
-//! preset to disk, time the streaming front-end parsing and flattening
-//! it, then time a vectorized **verify phase** over the flattened
-//! circuit.
+//! The large-workload suite: generate each `workloads::large` preset to
+//! disk, time the streaming front-end parsing and flattening it, time a
+//! vectorized **verify phase** over the flattened circuit, then map it
+//! monolithically with TurboMap-frt.
 //!
-//! Unlike the Table-1 suite this measures the *front-end*, not the
-//! mappers: the interesting numbers are file size, model/gate/FF
-//! totals (deterministic for a preset — any drift is a generator or
-//! linker regression) and the parse/flatten/verify wall times
-//! (reported, and zeroed in canonical artifacts like every other
-//! timing field). Every wall time is read from the row's span table:
-//! the `parse`, `flatten`, `verify_vector` and `verify_scalar` spans
-//! opened here and the mapper's own `partition_map` span.
+//! The interesting numbers are file size, model/gate/FF totals and the
+//! mapping's Φ, LUTs and FFs (all deterministic for a preset — any
+//! drift is a generator, linker or mapper regression) and the
+//! parse/flatten/verify/map wall times (reported, and zeroed in
+//! canonical artifacts like every other timing field). Every wall time
+//! is read from the row's span table: the `parse`, `flatten`,
+//! `verify_vector`, `verify_scalar` and `turbomap_frt` spans opened
+//! here.
 //!
 //! The verify phase drives [`VERIFY_LANES`] independent random input
 //! sequences through the circuit on **both** simulation engines — the
@@ -72,85 +72,45 @@ pub struct IngestRow {
     /// time — the pre-vectorization baseline; `verify_scalar_secs /
     /// verify_secs` is the measured vectorization speedup.
     pub verify_scalar_secs: f64,
-    /// Process peak RSS (`VmHWM`) in KiB after the ingest, 0 when the
-    /// probe is unavailable. Zeroed in canonical artifacts like every
-    /// other environment-dependent measurement.
+    /// Process peak RSS (`VmHWM`) in KiB after the row (ingest, verify
+    /// and map), 0 when the probe is unavailable. Zeroed in canonical
+    /// artifacts like every other environment-dependent measurement.
     pub peak_rss_kib: u64,
-    /// Partition-and-conquer mapping measurement (`--partitions` runs
-    /// only; `None` keeps the row ingestion-only).
-    pub partition: Option<PartitionMeasurement>,
-    /// Every span closed while the row ran (the mapper's block spans
+    /// The monolithic TurboMap-frt mapping of the flattened circuit.
+    pub mapped: MapMeasurement,
+    /// Every span closed while the row ran (the mapper's own spans
     /// included); the timing fields above are read from it.
     pub spans: SpanTable,
 }
 
-/// The partitioned-mapping leg of a large row: structural fields
-/// (blocks, cut FFs, Φ, LUTs) are deterministic per preset + block
-/// count and exact-gated by `benchdiff`; the wall times and the
-/// derived speedup are environment measurements, zeroed in canonical
-/// artifacts.
+/// The mapping leg of a large row: Φ, LUTs and FFs are deterministic
+/// per preset and `k`, and exact-gated by `benchdiff`; the wall time is
+/// an environment measurement, zeroed in canonical artifacts.
 #[derive(Debug, Clone)]
-pub struct PartitionMeasurement {
-    /// Non-empty blocks actually mapped.
-    pub blocks: usize,
-    /// Registers frozen on seams between blocks.
-    pub cut_ffs: u64,
-    /// Φ of the stitched circuit.
+pub struct MapMeasurement {
+    /// Φ of the mapped circuit.
     pub phi: u64,
-    /// LUTs in the stitched circuit.
+    /// LUTs in the mapped circuit.
     pub luts: usize,
-    /// Wall seconds of the whole partitioned mapping (plan + blocks +
-    /// stitch) at the requested worker count.
+    /// FFs in the mapped circuit (register sharing).
+    pub ffs: usize,
+    /// Wall seconds of the mapping: its `turbomap_frt` span.
     pub map_secs: f64,
-    /// Sum of the per-block mapping walls — the serial cost of the
-    /// block legs. `block_secs / map_secs` is the measured multi-block
-    /// parallel speedup (> 1 when workers overlap blocks).
-    pub block_secs: f64,
 }
 
-impl PartitionMeasurement {
-    /// Measured multi-block parallel speedup: serial block cost over
-    /// actual wall (0 when the run was too fast to time).
-    pub fn speedup(&self) -> f64 {
-        if self.map_secs > 0.0 {
-            self.block_secs / self.map_secs
-        } else {
-            0.0
-        }
-    }
-}
-
-/// Generates `spec` into `dir` and ingests it through the streaming
-/// front-end. The generated file is left in place (callers pass a temp
-/// dir; CI reuses the file for `blifcheck`).
+/// Generates `spec` into `dir`, ingests it through the streaming
+/// front-end, runs the verify phase and maps the flattened circuit with
+/// TurboMap-frt at LUT input bound `k`. The generated file is left in
+/// place (callers pass a temp dir; CI reuses the file for `blifcheck`).
 ///
 /// # Errors
 ///
-/// Returns a message on I/O, parse or link failures, and when the
-/// flattened totals disagree with the generator's closed-form counts
-/// (which would mean the generator and linker drifted apart).
+/// Returns a message on I/O, parse, link or mapping failures, and when
+/// the flattened totals disagree with the generator's closed-form
+/// counts (which would mean the generator and linker drifted apart).
 pub fn run_ingest_row(
     spec: &workloads::LargeSpec,
     dir: &std::path::Path,
-) -> Result<IngestRow, String> {
-    run_ingest_row_partitioned(spec, dir, None, 0, 5)
-}
-
-/// [`run_ingest_row`] plus an optional partition-and-conquer mapping
-/// leg: `partitions` follows the usual convention (`None` off,
-/// `Some(0)` auto, `Some(n)` fixed blocks), `jobs` is the block-level
-/// worker count (0 → one worker; the mapped result is byte-identical
-/// for every value) and `k` the LUT input bound.
-///
-/// # Errors
-///
-/// Same contract as [`run_ingest_row`]; mapping failures name the
-/// preset and the partition stage.
-pub fn run_ingest_row_partitioned(
-    spec: &workloads::LargeSpec,
-    dir: &std::path::Path,
-    partitions: Option<usize>,
-    jobs: usize,
     k: usize,
 ) -> Result<IngestRow, String> {
     std::fs::create_dir_all(dir).map_err(|e| format!("creating `{}`: {e}", dir.display()))?;
@@ -192,31 +152,20 @@ pub fn run_ingest_row_partitioned(
     let verify_cycles = run_verify_phase(&circuit, spec.seed)
         .map_err(|e| format!("{}: verify phase: {e}", spec.name))?;
 
-    let mapped = match partitions {
-        None => None,
-        Some(p) => {
-            let blocks = if p == 0 {
-                partition::auto_blocks(circuit.num_gates())
-            } else {
-                p
-            };
-            let mut popts = partition::PartitionOptions::new(k, blocks);
-            popts.jobs = jobs;
-            let mapped = partition::partition_map(&circuit, &popts)
-                .map_err(|e| format!("{}: partition: {e}", spec.name))?;
-            Some(mapped.report)
-        }
+    let map_span = crate::ALGORITHM_SPANS[2];
+    let mapped = {
+        let _s = span(map_span);
+        turbomap::turbomap_frt(&circuit, turbomap::Options::with_k(k))
+            .map_err(|e| format!("{}: turbomap-frt: {e}", spec.name))?
     };
 
     let spans = telemetry::snapshot().since(&before).spans;
-    let partition = mapped.map(|r| PartitionMeasurement {
-        blocks: r.blocks,
-        cut_ffs: r.cut_ffs,
-        phi: r.phi,
-        luts: r.luts,
-        map_secs: spans.wall_secs("partition_map"),
-        block_secs: spans.wall_secs("partition_block"),
-    });
+    let mapped = MapMeasurement {
+        phi: mapped.period,
+        luts: mapped.luts,
+        ffs: mapped.ffs,
+        map_secs: spans.wall_secs(map_span),
+    };
     let parse_secs = spans.wall_secs("parse");
     Ok(IngestRow {
         name: spec.name.clone(),
@@ -233,7 +182,7 @@ pub fn run_ingest_row_partitioned(
         verify_secs: spans.wall_secs("verify_vector"),
         verify_scalar_secs: spans.wall_secs("verify_scalar"),
         peak_rss_kib: engine::mem::peak_rss_kib().unwrap_or(0),
-        partition,
+        mapped,
         spans,
     })
 }
@@ -310,7 +259,7 @@ fn run_verify_phase(circuit: &netlist::Circuit, seed: u64) -> Result<usize, Stri
 }
 
 /// Runs the whole large suite (presets with at most `max_gates` flat
-/// gates when given), in preset order.
+/// gates when given), in preset order, mapping at LUT input bound `k`.
 ///
 /// # Errors
 ///
@@ -318,27 +267,12 @@ fn run_verify_phase(circuit: &netlist::Circuit, seed: u64) -> Result<usize, Stri
 pub fn run_large_suite(
     max_gates: Option<usize>,
     dir: &std::path::Path,
-) -> Result<Vec<IngestRow>, String> {
-    run_large_suite_partitioned(max_gates, dir, None, 0, 5)
-}
-
-/// [`run_large_suite`] with the partitioned-mapping leg of
-/// [`run_ingest_row_partitioned`] on every row.
-///
-/// # Errors
-///
-/// Returns the first failing preset's message.
-pub fn run_large_suite_partitioned(
-    max_gates: Option<usize>,
-    dir: &std::path::Path,
-    partitions: Option<usize>,
-    jobs: usize,
     k: usize,
 ) -> Result<Vec<IngestRow>, String> {
     workloads::large_presets()
         .iter()
         .filter(|s| max_gates.is_none_or(|cap| s.flat_gates() <= cap))
-        .map(|s| run_ingest_row_partitioned(s, dir, partitions, jobs, k))
+        .map(|s| run_ingest_row(s, dir, k))
         .collect()
 }
 
@@ -357,7 +291,7 @@ mod tests {
             seed: 7,
         };
         let dir = std::env::temp_dir().join("tmfrt_bench_large");
-        let row = run_ingest_row(&spec, &dir).unwrap();
+        let row = run_ingest_row(&spec, &dir, 5).unwrap();
         assert_eq!(row.gates, spec.flat_gates());
         assert_eq!(row.ffs, spec.flat_ffs());
         assert_eq!(row.models, 1 + spec.kinds + 1);
@@ -370,29 +304,15 @@ mod tests {
         assert_eq!(row.verify_cycles, verify_cycles_for(row.gates));
         assert!(row.verify_secs > 0.0);
         assert!(row.verify_scalar_secs > 0.0);
-    }
-
-    #[test]
-    fn partitioned_ingest_row_on_small_spec() {
-        let spec = workloads::LargeSpec {
-            name: "bench_small_part".into(),
-            width: 4,
-            kinds: 2,
-            tiles: 3,
-            tile_gates: 16,
-            seed: 7,
-        };
-        let dir = std::env::temp_dir().join("tmfrt_bench_large");
-        let row = run_ingest_row_partitioned(&spec, &dir, Some(2), 2, 5).unwrap();
-        let p = row.partition.expect("partition leg requested");
-        assert!(p.blocks >= 1);
-        assert!(p.phi > 0);
-        assert!(p.luts > 0);
-        assert!(p.map_secs > 0.0);
-        assert!(p.block_secs > 0.0);
-        // Ingestion-only rows carry no partition leg.
-        let plain = run_ingest_row(&spec, &dir).unwrap();
-        assert!(plain.partition.is_none());
+        // The map leg is TurboMap-frt on the flattened circuit.
+        let file = blifio::parse_str(&workloads::hier_to_string(&spec)).unwrap();
+        let flat = blifio::flatten(&file, &blifio::LinkOptions::default()).unwrap();
+        let want = turbomap::turbomap_frt(&flat, turbomap::Options::with_k(5)).unwrap();
+        assert_eq!(row.mapped.phi, want.period);
+        assert_eq!(row.mapped.luts, want.luts);
+        assert_eq!(row.mapped.ffs, want.ffs);
+        assert!(row.mapped.map_secs > 0.0);
+        assert_eq!(row.spans.get("turbomap_frt").unwrap().count, 1);
     }
 
     #[test]
@@ -407,7 +327,7 @@ mod tests {
     #[test]
     fn suite_respects_gate_cap() {
         let dir = std::env::temp_dir().join("tmfrt_bench_large");
-        let rows = run_large_suite(Some(0), &dir).unwrap();
+        let rows = run_large_suite(Some(0), &dir, 5).unwrap();
         assert!(rows.is_empty());
     }
 }

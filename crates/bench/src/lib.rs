@@ -103,36 +103,11 @@ pub fn try_run_row_opts(
     verify: bool,
     opts: turbomap::Options,
 ) -> Result<Row, String> {
-    try_run_row_partitioned(name, c, verify, opts, None)
-}
-
-/// [`try_run_row_opts`] with an optional partition-and-conquer
-/// TurboMap-frt leg: `Some(0)` resolves the block count automatically
-/// (one block per ~100k gates), `Some(n)` fixes it. FlowMap-frt and
-/// TurboMap stay monolithic — they are the paper's baselines — so a
-/// partitioned artifact diffs cleanly against a monolithic one under
-/// `benchdiff --phi-gap`.
-///
-/// The partitioned leg verifies in [`netlist::EquivMode::Compatibility`]
-/// (both the stitched result and the source can carry pessimistic `X`
-/// bits in different registers) and reports no FRTcheck iteration trail
-/// (each block keeps its own).
-///
-/// # Errors
-///
-/// Same contract as [`try_run_row`].
-pub fn try_run_row_partitioned(
-    name: &str,
-    c: &Circuit,
-    verify: bool,
-    opts: turbomap::Options,
-    partitions: Option<usize>,
-) -> Result<Row, String> {
     let k = opts.k;
-    let check = |mapped: &Circuit, seed: u64, mode: netlist::EquivMode| -> bool {
+    let check = |mapped: &Circuit, seed: u64| -> bool {
         let _s = engine::trace::span1("verify", "vectors", VERIFY_VECTORS as u64);
         verify
-            && netlist::random_equiv_mode(c, mapped, VERIFY_VECTORS, seed, mode)
+            && netlist::random_equiv(c, mapped, VERIFY_VECTORS, seed)
                 .map(|r| r.is_equivalent())
                 .unwrap_or(false)
     };
@@ -144,52 +119,21 @@ pub fn try_run_row_partitioned(
         let prep = turbomap::prepare(c, k).map_err(|e| format!("prepare: {e}"))?;
         flowmap::flowmap_frt(&prep, k).map_err(|e| format!("flowmap-frt: {e}"))?
     };
-    let fm_verified = check(&fm.circuit, 1, netlist::EquivMode::Conformance);
+    let fm_verified = check(&fm.circuit, 1);
     let t1 = telemetry::snapshot();
 
-    let tf = match partitions {
-        None => {
-            let tf = {
-                let _s = engine::trace::span(tf_span);
-                turbomap::turbomap_frt(c, opts).map_err(|e| format!("turbomap-frt: {e}"))?
-            };
-            let verified = check(&tf.circuit, 3, netlist::EquivMode::Conformance);
-            (
-                tf.period,
-                tf.luts,
-                tf.ffs,
-                tf.star(),
-                tf.iterations,
-                verified,
-            )
-        }
-        Some(p) => {
-            let blocks = if p == 0 {
-                partition::auto_blocks(c.num_gates())
-            } else {
-                p
-            };
-            let popts = partition::PartitionOptions::new(k, blocks);
-            let part = {
-                let _s = engine::trace::span(tf_span);
-                partition::partition_map(c, &popts).map_err(|e| format!("partition: {e}"))?
-            };
-            let verified = check(&part.circuit, 3, netlist::EquivMode::Compatibility);
-            // Per-block initial states are recomputed across seams, so
-            // the stitched mapping never loses them (no `⋆`); the
-            // FRTcheck iteration trail is per-block and not reported.
-            let r = &part.report;
-            (r.phi, r.luts, r.ffs, false, Vec::new(), verified)
-        }
+    let tf = {
+        let _s = engine::trace::span(tf_span);
+        turbomap::turbomap_frt(c, opts).map_err(|e| format!("turbomap-frt: {e}"))?
     };
-    let (tf_phi, tf_luts, tf_ffs, tf_star, tf_iterations, tf_verified) = tf;
+    let tf_verified = check(&tf.circuit, 3);
     let t2 = telemetry::snapshot();
 
     let tm = {
         let _s = engine::trace::span(tm_span);
         turbomap::turbomap_general(c, opts).map_err(|e| format!("turbomap: {e}"))?
     };
-    let tm_verified = check(&tm.circuit, 2, netlist::EquivMode::Conformance);
+    let tm_verified = check(&tm.circuit, 2);
     let t3 = telemetry::snapshot();
 
     let fm_t = t1.since(&t0);
@@ -218,15 +162,15 @@ pub fn try_run_row_partitioned(
             telemetry: tm_t,
         },
         turbomap_frt: Measured {
-            phi: tf_phi,
-            luts: tf_luts,
-            ffs: tf_ffs,
+            phi: tf.period,
+            luts: tf.luts,
+            ffs: tf.ffs,
             cpu: tf_t.spans.wall_secs(tf_span),
-            star: tf_star,
+            star: tf.star(),
             verified: tf_verified,
             telemetry: tf_t,
         },
-        frt_iterations: tf_iterations,
+        frt_iterations: tf.iterations,
     })
 }
 
@@ -302,25 +246,6 @@ mod tests {
         }
         // FlowMap-frt does no FRTcheck sweeps.
         assert_eq!(row.flowmap_frt.telemetry.counter(Counter::FrtSweeps), 0);
-    }
-
-    #[test]
-    fn partitioned_row_keeps_baselines_and_bounds_phi() {
-        let presets = workloads::presets();
-        let p = &presets[1]; // bbtas
-        let c = workloads::build_preset(p);
-        let opts = turbomap::Options::with_k(5);
-        let mono = try_run_row_opts(p.name, &c, true, opts).unwrap();
-        let part = try_run_row_partitioned(p.name, &c, true, opts, Some(2)).unwrap();
-        // Baselines are monolithic in both rows.
-        assert_eq!(part.flowmap_frt.phi, mono.flowmap_frt.phi);
-        assert_eq!(part.turbomap.phi, mono.turbomap.phi);
-        // Frozen seams can only lose retiming freedom.
-        assert!(part.turbomap_frt.phi >= mono.turbomap_frt.phi);
-        assert!(part.turbomap_frt.verified);
-        assert!(!part.turbomap_frt.star);
-        // The FRTcheck trail is per-block and not reported.
-        assert!(part.frt_iterations.is_empty());
     }
 
     #[test]

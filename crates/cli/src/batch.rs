@@ -78,8 +78,6 @@ impl BatchArgs {
                 onehot: false,
                 pack: false,
                 strash: false,
-                partitions: None,
-                jobs: 0,
                 trace_out: None,
                 report: None,
                 report_inline: false,

@@ -67,13 +67,6 @@ pub struct Args {
     pub pack: bool,
     /// Run structural hashing on the mapped result.
     pub strash: bool,
-    /// Partition-and-conquer mapping: `None` off, `Some(0)` auto (one
-    /// block per ~100k gates), `Some(n)` a fixed block count.
-    /// turbomap-frt only.
-    pub partitions: Option<usize>,
-    /// Block-level worker threads for `--partitions` (0 → one worker).
-    /// Results are byte-identical for every setting.
-    pub jobs: usize,
     /// Write a Chrome-trace JSON of the run's spans to this path.
     pub trace_out: Option<String>,
     /// Write a `turbomap-report/v2` JSON (Φ-optimality certificate +
@@ -105,8 +98,6 @@ impl Args {
             onehot: false,
             pack: false,
             strash: false,
-            partitions: None,
-            jobs: 0,
             trace_out: None,
             report: None,
             report_inline: false,
@@ -154,18 +145,6 @@ impl Args {
                 "--onehot" => args.onehot = true,
                 "--pack" => args.pack = true,
                 "--strash" => args.strash = true,
-                "--partitions" => {
-                    let v = it
-                        .next()
-                        .ok_or_else(|| "--partitions needs a count or `auto`".to_string())?;
-                    args.partitions = Some(parse_partitions(v)?);
-                }
-                "--jobs" => {
-                    args.jobs = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| "--jobs needs a count (0 = one worker)".to_string())?;
-                }
                 "--trace-out" => {
                     args.trace_out = Some(
                         it.next()
@@ -195,25 +174,12 @@ impl Args {
     }
 }
 
-/// Parses a `--partitions` (or `partitions=`) value: `auto` → 0,
-/// otherwise a block count ≥ 1.
-pub(crate) fn parse_partitions(v: &str) -> Result<usize, String> {
-    if v == "auto" {
-        return Ok(0);
-    }
-    match v.parse::<usize>() {
-        Ok(n) if n >= 1 => Ok(n),
-        _ => Err("--partitions needs a count ≥ 1 or `auto`".into()),
-    }
-}
-
 /// Usage text.
 pub const USAGE: &str = "\
 tmfrt — FPGA mapping with forward retiming (Cong & Wu, DAC'98 reproduction)
 
 USAGE: tmfrt [map] <input> [-o out.blif] [-a ALGO] [-k K] [--pushback] [--verify N]
-             [--partitions K|auto] [--jobs N] [--onehot] [--trace-out t.json]
-             [--report r.json] [-q]
+             [--onehot] [--trace-out t.json] [--report r.json] [-q]
        tmfrt explain <input> [-k K] [--json] [--check] …  (see `tmfrt explain --help`)
        tmfrt batch <dir> [--jobs N] [--timeout-secs S] [-o OUTDIR] …  (see `tmfrt batch --help`)
        tmfrt fuzz [--seed A..=B] [--cases N] [--jobs N] …  (see `tmfrt fuzz --help`)
@@ -231,12 +197,6 @@ USAGE: tmfrt [map] <input> [-o out.blif] [-a ALGO] [-k K] [--pushback] [--verify
   --onehot     one-hot state encoding for KISS2 inputs (default binary)
   --pack       LUT packing area post-pass on the result
   --strash     structural hashing (duplicate-logic sweep) on the result
-  --partitions K|auto
-               partition-and-conquer: split the design at FF boundaries
-               into K blocks (auto = one per ~100k gates), map each with
-               turbomap-frt, stitch the results (turbomap-frt only)
-  --jobs N     block-level workers for --partitions (default 1); any N
-               gives byte-identical results
   --trace-out  write a Chrome-trace JSON of the run's spans (open in
                Perfetto or chrome://tracing)
   --report     write a turbomap-report/v2 JSON (Φ-optimality certificate
@@ -347,11 +307,6 @@ pub struct StatsArgs {
     pub input: String,
     /// One-hot encoding for embedded KISS FSMs.
     pub onehot: bool,
-    /// Partition preview: `None` off, `Some(0)` auto, `Some(n)` a fixed
-    /// block count. Plans the FF-boundary partition without mapping.
-    pub partition_preview: Option<usize>,
-    /// LUT input bound for the preview's Φ estimate.
-    pub k: usize,
 }
 
 impl StatsArgs {
@@ -364,31 +319,10 @@ impl StatsArgs {
         let mut args = StatsArgs {
             input: String::new(),
             onehot: false,
-            partition_preview: None,
-            k: 5,
         };
-        let mut it = raw.iter();
-        while let Some(a) = it.next() {
+        for a in raw {
             match a.as_str() {
                 "--onehot" => args.onehot = true,
-                "--partition-preview" => {
-                    let v = it
-                        .next()
-                        .ok_or_else(|| "--partition-preview needs a count or `auto`".to_string())?;
-                    args.partition_preview = Some(
-                        parse_partitions(v)
-                            .map_err(|_| "--partition-preview needs a count ≥ 1 or `auto`")?,
-                    );
-                }
-                "-k" => {
-                    args.k = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| "-k needs a number ≥ 2".to_string())?;
-                    if args.k < 2 {
-                        return Err("-k must be at least 2".into());
-                    }
-                }
                 "-h" | "--help" => return Err(STATS_USAGE.to_string()),
                 other if args.input.is_empty() && !other.starts_with('-') => {
                     args.input = other.to_string();
@@ -407,15 +341,11 @@ impl StatsArgs {
 pub const STATS_USAGE: &str = "\
 tmfrt stats — ingestion report: per-model counts and post-flatten totals
 
-USAGE: tmfrt stats <input> [--onehot] [--partition-preview K|auto] [-k K]
+USAGE: tmfrt stats <input> [--onehot]
 
   <input>    a .blif file (flat or hierarchical), a .kiss2 file, `-`
              (BLIF on stdin), or gen:<preset>
-  --onehot   one-hot state encoding for embedded KISS FSMs
-  --partition-preview K|auto
-             plan the FF-boundary partition without mapping: SCC and
-             cluster counts, per-block gates, cut size, Φ estimate
-  -k K       LUT bound for the preview's Φ estimate (default 5)";
+  --onehot   one-hot state encoding for embedded KISS FSMs";
 
 /// Runs `tmfrt stats`: for BLIF inputs, a per-model table (PI/PO, gates,
 /// latches, subckts, KISS blocks) followed by the flattened circuit's
@@ -434,14 +364,9 @@ pub fn run_stats(args: &StatsArgs) -> Result<String, String> {
         encoding: enc,
         ..blifio::LinkOptions::default()
     };
-    let pv = args.partition_preview.map(|p| (p, args.k));
     let circuit_only = |c: &Circuit| -> Result<String, String> {
         let stats = netlist::CircuitStats::of(c).map_err(|e| e.to_string())?;
-        let mut out = format!("flat:   {stats}\n");
-        if let Some((p, k)) = pv {
-            out.push_str(&render_partition_preview(c, p, k));
-        }
-        Ok(out)
+        Ok(format!("flat:   {stats}\n"))
     };
     if let Some(name) = args.input.strip_prefix("gen:") {
         if let Some(preset) = workloads::presets().into_iter().find(|p| p.name == name) {
@@ -450,7 +375,7 @@ pub fn run_stats(args: &StatsArgs) -> Result<String, String> {
         if let Some(spec) = workloads::large_preset(name) {
             let file =
                 blifio::parse_str(&workloads::hier_to_string(&spec)).map_err(|e| e.to_string())?;
-            return render_file_stats(&file, &link, pv);
+            return render_file_stats(&file, &link);
         }
         return Err(format!("unknown preset `{name}`"));
     }
@@ -471,62 +396,18 @@ pub fn run_stats(args: &StatsArgs) -> Result<String, String> {
     } else {
         blifio::parse_path(&args.input).map_err(|e| e.to_string())?
     };
-    render_file_stats(&file, &link, pv)
+    render_file_stats(&file, &link)
 }
 
-/// Renders the `--partition-preview` block: the planned FF-boundary
-/// partition of `c` into `requested` blocks (0 = auto) at LUT bound `k`,
-/// without running the mapper.
-fn render_partition_preview(c: &Circuit, requested: usize, k: usize) -> String {
-    let blocks = if requested == 0 {
-        partition::auto_blocks(c.num_gates())
-    } else {
-        requested
-    };
-    let pv = partition::preview(c, blocks, k);
-    let mut out = String::new();
-    writeln!(
-        out,
-        "partition preview ({} blocks requested{}):",
-        pv.requested_blocks,
-        if requested == 0 { ", auto" } else { "" }
-    )
-    .ok();
-    writeln!(
-        out,
-        "  {} SCC components, {} FF-boundary clusters -> {} blocks",
-        pv.components, pv.clusters, pv.blocks
-    )
-    .ok();
-    writeln!(
-        out,
-        "  block gates: {:?} (imbalance {:.2})",
-        pv.block_gates, pv.imbalance
-    )
-    .ok();
-    writeln!(
-        out,
-        "  cut: {} edges, {} FFs; Φ_est {}, min slack {}, {} contracts",
-        pv.cut_edges, pv.cut_ffs, pv.phi_estimate, pv.min_slack, pv.contracts
-    )
-    .ok();
-    out
-}
-
-/// The per-model table plus post-flatten totals for a parsed BLIF file;
-/// `preview` appends a `--partition-preview` block for the flat circuit.
+/// The per-model table plus post-flatten totals for a parsed BLIF file.
 fn render_file_stats(
     file: &blifio::BlifFile,
     link: &blifio::LinkOptions,
-    preview: Option<(usize, usize)>,
 ) -> Result<String, String> {
     let mut out = netlist::stats::render_model_table(&file.model_counts());
     let flat = blifio::flatten(file, link).map_err(|e| e.to_string())?;
     let stats = netlist::CircuitStats::of(&flat).map_err(|e| e.to_string())?;
     write!(out, "\nflat:   {stats}\n").ok();
-    if let Some((p, k)) = preview {
-        out.push_str(&render_partition_preview(&flat, p, k));
-    }
     Ok(out)
 }
 
@@ -704,18 +585,6 @@ pub fn run(args: &Args, input: &Circuit) -> Result<RunOutcome, String> {
     if (args.report.is_some() || args.report_inline) && args.algorithm != Algorithm::TurboMapFrt {
         return Err("--report is only available with -a turbomap-frt".into());
     }
-    if args.partitions.is_some() {
-        if args.algorithm != Algorithm::TurboMapFrt {
-            return Err("--partitions is only available with -a turbomap-frt".into());
-        }
-        if args.report.is_some() || args.report_inline {
-            return Err(
-                "--report is not available with --partitions (the Φ-optimality \
-                        certificate is monolithic)"
-                    .into(),
-            );
-        }
-    }
     let mut report = String::new();
     let mut report_json: Option<String> = None;
     let stats = netlist::CircuitStats::of(input).map_err(|e| e.to_string())?;
@@ -763,62 +632,6 @@ pub fn run(args: &Args, input: &Circuit) -> Result<RunOutcome, String> {
                     report,
                     "turbomap-frt: Φ = {}, {} LUTs, {} FFs (initial state guaranteed)",
                     r.period, r.luts, r.ffs
-                )
-                .ok();
-                (r.circuit, false)
-            } else if let Some(p) = args.partitions {
-                let blocks = if p == 0 {
-                    partition::auto_blocks(source.num_gates())
-                } else {
-                    p
-                };
-                let mut popts = partition::PartitionOptions::new(args.k, blocks);
-                popts.jobs = args.jobs;
-                let r = partition::partition_map(&source, &popts).map_err(|e| e.to_string())?;
-                let pr = &r.report;
-                writeln!(
-                    report,
-                    "partition: {} blocks (requested {}), {} clusters / {} components, \
-                     cut {} edges / {} FFs",
-                    pr.blocks,
-                    pr.requested_blocks,
-                    pr.clusters,
-                    pr.components,
-                    pr.cut_edges,
-                    pr.cut_ffs
-                )
-                .ok();
-                writeln!(
-                    report,
-                    "partition: Φ_est {}, min slack {}, {}/{} contract violations, \
-                     imbalance {:.2}, {} seam FFs restored",
-                    pr.phi_estimate,
-                    pr.min_slack,
-                    pr.contract_violations,
-                    pr.contracts,
-                    pr.imbalance,
-                    pr.stitch.seam_ffs
-                )
-                .ok();
-                for b in &pr.block_outcomes {
-                    writeln!(
-                        report,
-                        "  block {}: {} gates, {} cut FFs -> Φ {}, {} LUTs ({:.1} ms){}",
-                        b.name,
-                        b.gates,
-                        b.cut_ffs,
-                        b.phi,
-                        b.luts,
-                        b.wall.as_secs_f64() * 1e3,
-                        if b.passthrough { " [passthrough]" } else { "" }
-                    )
-                    .ok();
-                }
-                writeln!(
-                    report,
-                    "turbomap-frt[partitioned]: Φ = {}, {} LUTs, {} FFs \
-                     (initial state guaranteed)",
-                    pr.phi, pr.luts, pr.ffs
                 )
                 .ok();
                 (r.circuit, false)
@@ -940,53 +753,6 @@ mod tests {
         assert_eq!(a.verify, Some(100));
         assert!(a.onehot);
         assert_eq!(a.output.as_deref(), Some("out.blif"));
-    }
-
-    #[test]
-    fn parses_partition_flags() {
-        let a = Args::parse(&argv("gen:sand --partitions 4 --jobs 2")).unwrap();
-        assert_eq!(a.partitions, Some(4));
-        assert_eq!(a.jobs, 2);
-        let b = Args::parse(&argv("gen:sand --partitions auto")).unwrap();
-        assert_eq!(b.partitions, Some(0));
-        assert!(Args::parse(&argv("gen:sand --partitions 0")).is_err());
-        assert!(Args::parse(&argv("gen:sand --partitions")).is_err());
-        // Default: off, serial block fan-out.
-        let d = Args::parse(&argv("gen:sand")).unwrap();
-        assert_eq!(d.partitions, None);
-        assert_eq!(d.jobs, 0);
-    }
-
-    #[test]
-    fn partitions_require_turbomap_frt() {
-        let args = Args::parse(&argv("gen:dk17 -a turbomap --partitions 2")).unwrap();
-        let c = load_circuit(&args).unwrap();
-        let e = run(&args, &c).unwrap_err();
-        assert!(e.contains("--partitions"));
-    }
-
-    #[test]
-    fn end_to_end_partitioned_preset() {
-        let args = Args::parse(&argv("gen:dk17 --partitions 2 --jobs 2 --verify 256")).unwrap();
-        let c = load_circuit(&args).unwrap();
-        let out = run(&args, &c).unwrap();
-        assert!(out.report.contains("partition:"));
-        assert!(out.report.contains("turbomap-frt[partitioned]"));
-        assert!(out.report.contains("verify: equivalent"));
-    }
-
-    #[test]
-    fn stats_partition_preview() {
-        let args = StatsArgs::parse(&argv("gen:dk17 --partition-preview 2")).unwrap();
-        assert_eq!(args.partition_preview, Some(2));
-        let out = run_stats(&args).unwrap();
-        assert!(out.contains("partition preview"));
-        assert!(out.contains("cut:"));
-        let auto = StatsArgs::parse(&argv("gen:dk17 --partition-preview auto -k 4")).unwrap();
-        assert_eq!(auto.partition_preview, Some(0));
-        assert_eq!(auto.k, 4);
-        assert!(run_stats(&auto).unwrap().contains("auto"));
-        assert!(StatsArgs::parse(&argv("gen:dk17 --partition-preview -3")).is_err());
     }
 
     #[test]

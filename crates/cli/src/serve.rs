@@ -28,7 +28,7 @@ use crate::{load_circuit, run, Args};
 use engine::cancel::{self, CancelReason};
 use engine::http::{Request, Response, Server, ServerConfig};
 use engine::telemetry::{self, Counter, LiveTelemetry, Telemetry, COUNTER_NAMES};
-use engine::{log, trace, CancelToken, JsonValue, Pool, PromWriter};
+use engine::{batch, log, trace, CancelToken, JsonValue, Pool, PromWriter};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -40,7 +40,7 @@ tmfrt serve — live mapping service with /metrics, /jobs and SSE events
 
 USAGE: tmfrt serve [--addr HOST:PORT] [--jobs N] [--timeout-secs S]
                    [--trace] [-a ALGO] [-k K] [--verify N] [--pack]
-                   [--strash] [--pushback] [--partitions K|auto] [-q]
+                   [--strash] [--pushback] [-q]
 
   --addr A          listen address (default 127.0.0.1:7878; port 0 picks
                     an ephemeral port, reported in the startup log line)
@@ -53,9 +53,8 @@ USAGE: tmfrt serve [--addr HOST:PORT] [--jobs N] [--timeout-secs S]
 
 ENDPOINTS
   POST /jobs        submit a BLIF body (?name=&algorithm=&k=&verify=&
-                    partition=&timeout_secs=&report=1
-                    override defaults; partition=K|auto|off maps the job
-                    partition-and-conquer) or a JSON manifest
+                    timeout_secs=&report=1 override defaults) or a JSON
+                    manifest
                     {\"jobs\":[{\"name\":…,\"source\":\"gen:…|path\"|\"blif\":…}]}
                     report=1 (turbomap-frt only) also records a
                     turbomap-report/v2 certificate per job
@@ -157,12 +156,6 @@ impl ServeArgs {
                 "--pack" => out.run.pack = true,
                 "--strash" => out.run.strash = true,
                 "--pushback" => out.run.pushback = true,
-                "--partitions" => {
-                    let v = it
-                        .next()
-                        .ok_or_else(|| "--partitions needs a count or `auto`".to_string())?;
-                    out.run.partitions = Some(crate::parse_partitions(v)?);
-                }
                 "-q" | "--quiet" => out.quiet = true,
                 "-h" | "--help" => return Err(SERVE_USAGE.to_string()),
                 other => return Err(format!("unexpected argument `{other}`\n{SERVE_USAGE}")),
@@ -515,24 +508,6 @@ fn submit_jobs(state: &Arc<ServeState>, req: &Request) -> Response {
             Err(_) => return Response::bad_request("verify must be a vector count"),
         }
     }
-    if let Some(p) = req.query_param("partition") {
-        match p {
-            "0" | "off" => run_args.partitions = None,
-            _ => match crate::parse_partitions(p) {
-                Ok(n) => {
-                    if run_args.algorithm != crate::Algorithm::TurboMapFrt {
-                        return Response::bad_request(
-                            "partition= is only available with turbomap-frt",
-                        );
-                    }
-                    run_args.partitions = Some(n);
-                }
-                Err(_) => {
-                    return Response::bad_request("partition must be a count ≥ 1, `auto`, or 0/off")
-                }
-            },
-        }
-    }
     if let Some(r) = req.query_param("report") {
         match r {
             "1" | "true" => {
@@ -730,14 +705,7 @@ fn execute_job(
         Ok(Err(_)) if deadline_hit => ("deadline", Some("deadline exceeded".into()), None, None),
         Ok(Err(e)) => ("failed", Some(e), None, None),
         Err(_) if deadline_hit => ("deadline", Some("deadline exceeded".into()), None, None),
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".into());
-            ("panicked", Some(msg), None, None)
-        }
+        Err(payload) => ("panicked", Some(batch::panic_message(payload)), None, None),
     };
     {
         let mut jobs = state.jobs.lock().expect("jobs poisoned");
@@ -1116,16 +1084,6 @@ mod tests {
         assert_eq!(a.run.k, 4);
         assert_eq!(a.run.verify, Some(64));
         assert!(a.quiet);
-    }
-
-    #[test]
-    fn parses_serve_partitions() {
-        let a = ServeArgs::parse(&argv("--partitions auto")).unwrap();
-        assert_eq!(a.run.partitions, Some(0));
-        let b = ServeArgs::parse(&argv("--partitions 4")).unwrap();
-        assert_eq!(b.run.partitions, Some(4));
-        assert!(ServeArgs::parse(&argv("--partitions 0")).is_err());
-        assert_eq!(ServeArgs::parse(&[]).unwrap().run.partitions, None);
     }
 
     #[test]

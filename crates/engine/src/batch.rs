@@ -211,7 +211,9 @@ impl Watchdog {
     }
 }
 
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+/// The message a caught panic carried: its `&str` or `String` payload,
+/// or a fixed placeholder for any other payload type.
+pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -367,7 +367,9 @@ fn write_float(out: &mut String, f: f64) {
     }
 }
 
-fn write_string(out: &mut String, s: &str) {
+/// Writes `s` as a quoted JSON string, escaping quotes, backslashes and
+/// control characters.
+pub(crate) fn write_string(out: &mut String, s: &str) {
     out.push('"');
     for ch in s.chars() {
         match ch {

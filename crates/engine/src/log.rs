@@ -21,7 +21,7 @@
 //! no partial lines), then takes the sink lock for exactly one
 //! `write_all`, so concurrent workers never interleave bytes.
 
-use crate::json::JsonValue;
+use crate::json::{write_string, JsonValue};
 use std::cell::RefCell;
 use std::fmt::Write as _;
 use std::io::Write as _;
@@ -182,24 +182,6 @@ impl Drop for JobGuard {
     }
 }
 
-fn write_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 /// Emits one structured event. Prefer the level helpers ([`error`],
 /// [`warn`], [`info`], [`debug`], [`trace`]); this is the common
 /// implementation they share.
@@ -220,18 +202,18 @@ pub fn log(level: Level, target: &str, msg: &str, fields: &[(&str, JsonValue)]) 
             level.as_str()
         );
         out.push_str("\"target\":");
-        write_json_str(&mut out, target);
+        write_string(&mut out, target);
         out.push_str(",\"msg\":");
-        write_json_str(&mut out, msg);
+        write_string(&mut out, msg);
         JOB.with(|j| {
             if let Some(job) = j.borrow().as_deref() {
                 out.push_str(",\"job\":");
-                write_json_str(&mut out, job);
+                write_string(&mut out, job);
             }
         });
         if let Some(span) = crate::trace::current_span() {
             out.push_str(",\"span\":");
-            write_json_str(&mut out, span);
+            write_string(&mut out, span);
             let _ = write!(out, ",\"span_seq\":{}", crate::trace::current_span_seq());
         }
         if !fields.is_empty() {
@@ -240,7 +222,7 @@ pub fn log(level: Level, target: &str, msg: &str, fields: &[(&str, JsonValue)]) 
                 if i > 0 {
                     out.push(',');
                 }
-                write_json_str(&mut out, k);
+                write_string(&mut out, k);
                 out.push(':');
                 out.push_str(&v.render());
             }

@@ -247,14 +247,7 @@ fn guarded<T>(f: impl FnOnce() -> Result<T, TurboMapError>) -> MapperRun<T> {
             if engine::cancel::cancelled() {
                 return MapperRun::Cancelled;
             }
-            let msg = if let Some(s) = payload.downcast_ref::<&str>() {
-                (*s).to_string()
-            } else if let Some(s) = payload.downcast_ref::<String>() {
-                s.clone()
-            } else {
-                "non-string panic payload".to_string()
-            };
-            MapperRun::Panic(msg)
+            MapperRun::Panic(engine::batch::panic_message(payload))
         }
     }
 }

@@ -302,26 +302,6 @@ pub fn random_equiv_mode(
     Ok(EquivResult::Equivalent)
 }
 
-/// The pre-vectorization 3008-vector protocol: **one** random sequence of
-/// `num_vectors` cycles from [`random_sequence`], simulated bit-at-a-time
-/// on the scalar [`Simulator`]. Retained as the differential oracle for
-/// the vector engine (and for measuring the vectorization speedup); new
-/// callers should prefer [`random_equiv_mode`].
-///
-/// # Errors
-///
-/// Same as [`sequence_equiv`].
-pub fn random_equiv_scalar_mode(
-    reference: &Circuit,
-    candidate: &Circuit,
-    num_vectors: usize,
-    seed: u64,
-    mode: EquivMode,
-) -> Result<EquivResult, NetlistError> {
-    let sequence = random_sequence(reference.inputs().len(), num_vectors, seed);
-    sequence_equiv_mode(reference, candidate, &sequence, mode)
-}
-
 /// Maximum `log2` sequence count [`exhaustive_equiv`] will enumerate.
 pub const EXHAUSTIVE_BITS_BOUND: usize = 22;
 

@@ -65,9 +65,8 @@ pub use circuit::{Circuit, Edge, EdgeId, Node, NodeId, NodeKind};
 pub use decompose::decompose_to_k;
 pub use dot::to_dot;
 pub use equiv::{
-    exhaustive_equiv, random_equiv, random_equiv_mode, random_equiv_scalar_mode, random_sequence,
-    sequence_equiv, sequence_equiv_mode, CounterExample, EquivMode, EquivResult,
-    EXHAUSTIVE_BITS_BOUND,
+    exhaustive_equiv, random_equiv, random_equiv_mode, random_sequence, sequence_equiv,
+    sequence_equiv_mode, CounterExample, EquivMode, EquivResult, EXHAUSTIVE_BITS_BOUND,
 };
 pub use error::NetlistError;
 pub use prune::prune_dead;
