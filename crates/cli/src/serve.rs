@@ -53,8 +53,8 @@ USAGE: tmfrt serve [--addr HOST:PORT] [--jobs N] [--timeout-secs S]
 
 ENDPOINTS
   POST /jobs        submit a BLIF body (?name=&algorithm=&k=&verify=&
-                    timeout_secs=&report=1 override defaults) or a JSON
-                    manifest
+                    timeout_secs=&report=1 override defaults; any other
+                    parameter is a 400) or a JSON manifest
                     {\"jobs\":[{\"name\":…,\"source\":\"gen:…|path\"|\"blif\":…}]}
                     report=1 (turbomap-frt only) also records a
                     turbomap-report/v2 certificate per job
@@ -219,6 +219,9 @@ struct EventLog {
 }
 
 const EVENT_CAPACITY: usize = 4096;
+
+/// The query parameters `POST /jobs` accepts; any other key is a 400.
+const SUBMIT_PARAMS: [&str; 6] = ["name", "algorithm", "k", "verify", "report", "timeout_secs"];
 
 /// Shared state of one serve instance.
 struct ServeState {
@@ -487,6 +490,20 @@ fn submit_jobs(state: &Arc<ServeState>, req: &Request) -> Response {
     // empty submission would mask the client's framing bug as a 400.
     if !req.declares_body() {
         return Response::length_required();
+    }
+    // A misspelt or retired parameter would otherwise run the job
+    // silently without it.
+    if let Some(key) = req
+        .query
+        .split('&')
+        .filter(|pair| !pair.is_empty())
+        .map(|pair| pair.split_once('=').map_or(pair, |(k, _)| k))
+        .find(|k| !SUBMIT_PARAMS.contains(k))
+    {
+        return Response::bad_request(format!(
+            "unknown query parameter `{key}`; accepted: {}",
+            SUBMIT_PARAMS.join(", ")
+        ));
     }
     // Per-request overrides of the serve-level defaults.
     let mut run_args = state.defaults.run.clone();

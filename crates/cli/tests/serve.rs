@@ -329,6 +329,24 @@ fn serve_report_endpoint_metrics_and_keepalive() {
     let (status, body) = post(addr, "/jobs?report=2", "text/plain", &blif);
     assert_eq!(status, 400, "{body}");
 
+    // Unknown parameters (a retired flag, a typo) are refused by name,
+    // listing what is accepted, instead of running the job without them.
+    for query in ["partition=4", "name=t&verfy=64"] {
+        let (status, body) = post(addr, &format!("/jobs?{query}"), "text/plain", &blif);
+        assert_eq!(status, 400, "{query}: {body}");
+        let key = query.rsplit('&').next().unwrap().split('=').next().unwrap();
+        assert!(body.contains(&format!("`{key}`")), "{body}");
+        assert!(
+            body.contains("name, algorithm, k, verify, report, timeout_secs"),
+            "{body}"
+        );
+    }
+    let (_, jobs) = get(addr, "/jobs");
+    assert!(
+        !jobs.contains("\"id\""),
+        "a refused submission queued a job: {jobs}"
+    );
+
     // A report=1 job records a turbomap-report/v2 document.
     let (status, body) = post(addr, "/jobs?name=certified&report=1", "text/plain", &blif);
     assert_eq!(status, 202, "{body}");

@@ -337,10 +337,12 @@ pub fn exhaustive_equiv(
     let total = 1u64 << total_bits;
     let mut base = 0u64;
     let mut inputs = vec![Planes::splat(Bit::X); m];
+    let mut ref_sim = VecSimulator::new(reference)?;
+    let mut cand_sim = VecSimulator::new(candidate)?;
     while base < total {
         let lanes = LANES.min((total - base) as usize);
-        let mut ref_sim = VecSimulator::new(reference)?;
-        let mut cand_sim = VecSimulator::new(candidate)?;
+        ref_sim.reset();
+        cand_sim.reset();
         // Per-lane first violation, encoded (cycle, po) — lanes are combo
         // order, so the lowest violating lane is the scalar-scan witness.
         let mut first: Vec<Option<(usize, usize)>> = vec![None; lanes];

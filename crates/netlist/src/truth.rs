@@ -15,6 +15,61 @@ use crate::bit::Bit;
 /// inputs before mapping and LUTs have at most `K ≤ 8` inputs.
 pub const MAX_INPUTS: usize = 16;
 
+/// Largest arity whose on-set fits one `u64` word (`2^6` rows): the
+/// range of the branch-free kernel [`eval3_planes_word`].
+pub(crate) const WORD_INPUTS: usize = 6;
+
+/// Batched three-valued evaluation of a function of `k = inputs.len() ≤`
+/// [`WORD_INPUTS`] inputs whose on-set is `table` (bit `r` = row `r`,
+/// input `i` = bit `i` of the row), in the two-bitplane encoding of
+/// [`TruthTable::eval3_planes`].
+///
+/// A Shannon mux tree over the planes: row `r` becomes the mask `M(f(r))`
+/// (all-ones when `f(r) = 1`), and each input `i`, from input 0 up,
+/// halves the row set by `out_b = (p0_i & lo_b) | (p1_i & hi_b)` for both
+/// output planes `b`. Distributing the ANDs over the ORs gives the same
+/// sum of minterm products as the row walk, so controlling-value `X`
+/// masking is exact. No branch depends on the lane data.
+///
+/// # Panics
+///
+/// Panics if `inputs.len() > WORD_INPUTS`.
+#[inline]
+pub(crate) fn eval3_planes_word(table: u64, inputs: &[(u64, u64)]) -> (u64, u64) {
+    match inputs.len() {
+        0 => mux_tree::<0>(table, inputs),
+        1 => mux_tree::<1>(table, inputs),
+        2 => mux_tree::<2>(table, inputs),
+        3 => mux_tree::<3>(table, inputs),
+        4 => mux_tree::<4>(table, inputs),
+        5 => mux_tree::<5>(table, inputs),
+        6 => mux_tree::<6>(table, inputs),
+        k => panic!("{k} inputs exceed the {WORD_INPUTS}-input word kernel"),
+    }
+}
+
+/// [`eval3_planes_word`] at a compile-time arity `K`, so every loop
+/// unrolls and the level arrays stay in registers.
+#[inline(always)]
+fn mux_tree<const K: usize>(table: u64, inputs: &[(u64, u64)]) -> (u64, u64) {
+    let mut lo = [0u64; 1 << WORD_INPUTS];
+    let mut hi = [0u64; 1 << WORD_INPUTS];
+    for r in 0..1 << K {
+        let m = ((table >> r) & 1).wrapping_neg();
+        lo[r] = !m;
+        hi[r] = m;
+    }
+    let mut width = 1 << K;
+    for &(p0, p1) in &inputs[..K] {
+        width >>= 1;
+        for j in 0..width {
+            lo[j] = (p0 & lo[2 * j]) | (p1 & lo[2 * j + 1]);
+            hi[j] = (p0 & hi[2 * j]) | (p1 & hi[2 * j + 1]);
+        }
+    }
+    (lo[0], hi[0])
+}
+
 /// A complete Boolean function of `k` inputs, stored as its on-set bitmap.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct TruthTable {
@@ -224,13 +279,20 @@ impl TruthTable {
     /// that output value, so the output is defined exactly when every
     /// completion agrees.
     ///
-    /// Cost is `O(2^k · k)` word operations — one minterm mask per row.
+    /// Tables of at most 6 inputs go through a branch-free Shannon mux
+    /// tree over the planes: `O(2^k)` word operations. Wider
+    /// tables walk their rows, one minterm mask per row, at
+    /// `O(2^k · k)`. Both compute the same sum of minterm products, bit
+    /// for bit.
     ///
     /// # Panics
     ///
     /// Panics if `inputs.len() != self.num_inputs()`.
     pub fn eval3_planes(&self, inputs: &[(u64, u64)]) -> (u64, u64) {
         assert_eq!(inputs.len(), self.num_inputs(), "arity mismatch");
+        if let Some(table) = self.word() {
+            return eval3_planes_word(table, inputs);
+        }
         let mut out0 = 0u64;
         let mut out1 = 0u64;
         for r in 0..self.num_rows() {
@@ -252,6 +314,12 @@ impl TruthTable {
             }
         }
         (out0, out1)
+    }
+
+    /// The whole on-set as one word (bit `r` = row `r`) when the table
+    /// has at most [`WORD_INPUTS`] inputs.
+    pub(crate) fn word(&self) -> Option<u64> {
+        (self.num_inputs() <= WORD_INPUTS).then_some(self.words[0])
     }
 
     /// Finds an input vector `j` with `f(j) = target`, maximising the number

@@ -12,22 +12,29 @@
 //! | `X`        | 1        | 1        |
 //!
 //! (`p0` = "could be 0", `p1` = "could be 1"; both clear never occurs.)
-//! Gates evaluate all 64 lanes with [`TruthTable::eval3_planes`] —
-//! bitwise minterm masks over the truth-table rows — which reproduces
-//! the pessimistic [`eval3`](TruthTable::eval3) semantics exactly,
-//! including controlling-value `X` masking. The equivalence checkers in
-//! [`crate::equiv`] run on this engine; the scalar simulator is retained
-//! as the differential oracle (see the `scalar_agreement` tests below).
+//! Gates evaluate all 64 lanes with the branch-free Shannon mux tree
+//! `truth::eval3_planes_word` — each table row becomes an all-zero or
+//! all-one mask and each input halves the rows with
+//! `(p0 & lo) | (p1 & hi)` — which reproduces the pessimistic [`eval3`](TruthTable::eval3)
+//! semantics exactly, including controlling-value `X` masking. The
+//! equivalence checkers in [`crate::equiv`] run on this engine; the
+//! scalar simulator is retained as the differential oracle (see the
+//! `vector_matches_scalar_bit_for_bit` test below).
 //!
-//! Internally the simulator is flat struct-of-arrays: one pin CSR
-//! (offsets into a flat pool of pin sources), one flat FF-chain arena,
-//! and a dense per-node value array — no per-node `Vec` or map on the
-//! step path, so a step is a single linear walk.
+//! [`VecSimulator::new`] compiles the circuit once into a flat program:
+//! one op per scheduled node (its table as a `u64` word, its arity and
+//! its destination slot), a pin pool of slot indices, and one slot array
+//! holding node values, then the FF-chain arena, then a constant `X`.
+//! POs compile to one-input buffers (an unconnected PO reads the `X`
+//! slot). A step gathers each op's pins into a stack array and runs the
+//! word kernel; no `TruthTable` is touched, except by the rare gate wider
+//! than 6 inputs, which keeps the row walk of
+//! [`TruthTable::eval3_planes`].
 
 use crate::bit::Bit;
 use crate::circuit::Circuit;
 use crate::error::NetlistError;
-use crate::truth::TruthTable;
+use crate::truth::{eval3_planes_word, TruthTable, WORD_INPUTS};
 
 /// Number of simulation lanes packed into one [`Planes`] word.
 pub const LANES: usize = 64;
@@ -109,38 +116,52 @@ impl Planes {
     }
 }
 
-/// Sentinel in the pin-slot pool: read the driver's current value
-/// (weight-0 edge) instead of an FF chain slot.
-const DIRECT: u32 = u32::MAX;
+/// On-set word of the one-input buffer every PO compiles to.
+const BUF_WORD: u64 = 0b10;
+
+/// One scheduled node of the compiled step program.
+#[derive(Debug, Clone, Copy)]
+struct Op {
+    /// On-set word for arity ≤ [`WORD_INPUTS`]; otherwise the index of
+    /// the table in [`VecSimulator::wide`].
+    table: u64,
+    /// Slot the result is written to (the node's value slot).
+    dst: u32,
+    /// First of this op's `arity` entries in [`VecSimulator::pins`].
+    pin_start: u32,
+    /// Number of pins.
+    arity: u8,
+}
 
 /// A cycle-accurate three-valued simulator evaluating 64 vectors per
 /// step. Lanes are fully independent: each starts from the circuit's
 /// initial state and sees its own input sequence.
 #[derive(Debug, Clone)]
 pub struct VecSimulator<'a> {
-    /// Non-PI nodes in combinational topological order.
-    eval_nodes: Vec<u32>,
-    /// Gate function per scheduled node (`None` = primary output).
-    funcs: Vec<Option<&'a TruthTable>>,
-    /// Pin CSR: pins of `eval_nodes[j]` are `pin_off[j]..pin_off[j+1]`.
-    pin_off: Vec<u32>,
-    /// Driver node index per pin (used when `pin_slot` is `DIRECT`).
-    pin_src: Vec<u32>,
-    /// FF-chain arena slot per pin, or `DIRECT` for weight-0 pins.
-    pin_slot: Vec<u32>,
-    /// Flat FF-chain arena, edge-major, source→sink within a chain.
-    chain: Vec<Planes>,
+    /// Non-PI nodes in combinational topological order, compiled to ops.
+    ops: Vec<Op>,
+    /// Slot read by each pin, op-major.
+    pins: Vec<u32>,
+    /// Tables wider than [`WORD_INPUTS`] inputs, evaluated by row walk.
+    wide: Vec<&'a TruthTable>,
+    /// Every value the step reads: node values (indexed by node id),
+    /// then the FF-chain arena from [`Self::chain_base`] (edge-major,
+    /// source→sink within a chain), then one constant `X` slot that
+    /// unconnected outputs read.
+    slots: Vec<Planes>,
+    /// Index of the first FF-chain slot in `slots`.
+    chain_base: usize,
+    /// The FF-chain slots' initial planes, restored by [`Self::reset`].
+    chain_init: Vec<Planes>,
     /// Chain extents per registered edge, paired with the source node:
-    /// `(source node index, start, end)` into `chain`.
+    /// `(source node slot, start, end)` into `slots`.
     shifts: Vec<(u32, u32, u32)>,
-    /// Current node values (dense, indexed by node id).
-    values: Vec<Planes>,
     /// Primary input node indices, PI order.
     inputs: Vec<u32>,
     /// Primary output node indices, PO order.
     outputs: Vec<u32>,
-    /// Scratch pin-plane buffer reused across gates.
-    pins: Vec<(u64, u64)>,
+    /// Pin planes of the wide gate being evaluated.
+    scratch: Vec<(u64, u64)>,
 }
 
 impl<'a> VecSimulator<'a> {
@@ -153,12 +174,8 @@ impl<'a> VecSimulator<'a> {
     /// cannot be evaluated.
     pub fn new(circuit: &'a Circuit) -> Result<VecSimulator<'a>, NetlistError> {
         let order = circuit.comb_topo_order()?;
-        let mut eval_nodes = Vec::with_capacity(order.len());
-        let mut funcs = Vec::with_capacity(order.len());
-        let mut pin_off = vec![0u32];
-        let mut pin_src = Vec::new();
-        let mut pin_slot = Vec::new();
-        let mut chain = Vec::new();
+        let chain_base = circuit.num_nodes();
+        let mut chain_init = Vec::new();
         let mut shifts = Vec::new();
 
         // Flatten every FF chain into one arena first, so pins can point
@@ -166,45 +183,77 @@ impl<'a> VecSimulator<'a> {
         let mut chain_start = vec![0u32; circuit.num_edges()];
         for e in circuit.edge_ids() {
             let edge = circuit.edge(e);
-            chain_start[e.index()] = chain.len() as u32;
+            let start = (chain_base + chain_init.len()) as u32;
+            chain_start[e.index()] = start;
             if edge.weight() > 0 {
-                let start = chain.len() as u32;
-                chain.extend(edge.ffs().iter().map(|&b| Planes::splat(b)));
-                shifts.push((edge.from().index() as u32, start, chain.len() as u32));
+                chain_init.extend(edge.ffs().iter().map(|&b| Planes::splat(b)));
+                let end = (chain_base + chain_init.len()) as u32;
+                shifts.push((edge.from().index() as u32, start, end));
             }
         }
+        let const_x = (chain_base + chain_init.len()) as u32;
+        let mut ops = Vec::with_capacity(order.len());
+        let mut pins = Vec::new();
+        let mut wide = Vec::new();
         for &v in &order {
             let node = circuit.node(v);
             if node.is_input() {
                 continue;
             }
-            eval_nodes.push(v.index() as u32);
-            funcs.push(node.function());
+            let pin_start = pins.len() as u32;
             for &e in node.fanin() {
                 let edge = circuit.edge(e);
-                let w = edge.weight();
-                pin_src.push(edge.from().index() as u32);
-                pin_slot.push(if w == 0 {
-                    DIRECT
-                } else {
-                    chain_start[e.index()] + (w - 1) as u32
+                pins.push(match edge.weight() {
+                    0 => edge.from().index() as u32,
+                    w => chain_start[e.index()] + (w - 1) as u32,
                 });
             }
-            pin_off.push(pin_src.len() as u32);
+            let (table, arity) = match node.function() {
+                Some(tt) => match tt.word() {
+                    Some(word) => (word, tt.num_inputs()),
+                    None => {
+                        wide.push(tt);
+                        ((wide.len() - 1) as u64, tt.num_inputs())
+                    }
+                },
+                // A PO is a buffer of its single fanin (X when unconnected).
+                None => {
+                    if node.fanin().is_empty() {
+                        pins.push(const_x);
+                    }
+                    (BUF_WORD, 1)
+                }
+            };
+            ops.push(Op {
+                table,
+                dst: v.index() as u32,
+                pin_start,
+                arity: arity as u8,
+            });
         }
+        let mut slots = vec![Planes::splat(Bit::X); chain_base];
+        slots.extend_from_slice(&chain_init);
+        slots.push(Planes::splat(Bit::X));
         Ok(VecSimulator {
-            eval_nodes,
-            funcs,
-            pin_off,
-            pin_src,
-            pin_slot,
-            chain,
+            ops,
+            pins,
+            wide,
+            slots,
+            chain_base,
+            chain_init,
             shifts,
-            values: vec![Planes::splat(Bit::X); circuit.num_nodes()],
             inputs: circuit.inputs().iter().map(|v| v.index() as u32).collect(),
             outputs: circuit.outputs().iter().map(|v| v.index() as u32).collect(),
-            pins: Vec::new(),
+            scratch: Vec::new(),
         })
+    }
+
+    /// Returns every lane to the circuit's initial state, as if the
+    /// simulator had just been created. Only the FF chains carry state
+    /// across steps: every node value is rewritten before it is read.
+    pub fn reset(&mut self) {
+        let base = self.chain_base;
+        self.slots[base..base + self.chain_init.len()].copy_from_slice(&self.chain_init);
     }
 
     /// Advances one clock cycle on all 64 lanes and returns the PO
@@ -221,49 +270,40 @@ impl<'a> VecSimulator<'a> {
                 actual: inputs.len(),
             });
         }
-        let _span = engine::trace::span1("sim_step", "nodes", self.eval_nodes.len() as u64);
+        let _span = engine::trace::span1("sim_step", "nodes", self.ops.len() as u64);
+        let slots = &mut self.slots;
         for (&pi, &v) in self.inputs.iter().zip(inputs) {
-            self.values[pi as usize] = v;
+            slots[pi as usize] = v;
         }
-        for (j, &v) in self.eval_nodes.iter().enumerate() {
-            let (lo, hi) = (self.pin_off[j] as usize, self.pin_off[j + 1] as usize);
-            self.pins.clear();
-            for p in lo..hi {
-                let slot = self.pin_slot[p];
-                let planes = if slot == DIRECT {
-                    self.values[self.pin_src[p] as usize]
-                } else {
-                    self.chain[slot as usize]
-                };
-                self.pins.push((planes.p0, planes.p1));
-            }
-            self.values[v as usize] = match self.funcs[j] {
-                Some(tt) => {
-                    let (p0, p1) = tt.eval3_planes(&self.pins);
-                    Planes { p0, p1 }
+        for op in &self.ops {
+            let arity = op.arity as usize;
+            let pins = &self.pins[op.pin_start as usize..][..arity];
+            let (p0, p1) = if arity <= WORD_INPUTS {
+                let mut planes = [(0u64, 0u64); WORD_INPUTS];
+                for (p, &s) in planes.iter_mut().zip(pins) {
+                    let v = slots[s as usize];
+                    *p = (v.p0, v.p1);
                 }
-                // PO: pass the single fanin through (X when unconnected).
-                None => match self.pins.first() {
-                    Some(&(p0, p1)) => Planes { p0, p1 },
-                    None => Planes::splat(Bit::X),
-                },
+                eval3_planes_word(op.table, &planes[..arity])
+            } else {
+                self.scratch.clear();
+                self.scratch.extend(pins.iter().map(|&s| {
+                    let v = slots[s as usize];
+                    (v.p0, v.p1)
+                }));
+                self.wide[op.table as usize].eval3_planes(&self.scratch)
             };
+            slots[op.dst as usize] = Planes { p0, p1 };
         }
         // Synchronous FF shift, one rotation per registered edge: the
         // sink-end slot falls off, the driver's new value enters at the
         // source end.
         for &(src, start, end) in &self.shifts {
-            let chain = &mut self.chain[start as usize..end as usize];
-            for i in (1..chain.len()).rev() {
-                chain[i] = chain[i - 1];
-            }
-            chain[0] = self.values[src as usize];
+            let (src, start, end) = (src as usize, start as usize, end as usize);
+            slots.copy_within(start..end - 1, start + 1);
+            slots[start] = slots[src];
         }
-        Ok(self
-            .outputs
-            .iter()
-            .map(|&po| self.values[po as usize])
-            .collect())
+        Ok(self.outputs.iter().map(|&po| slots[po as usize]).collect())
     }
 }
 
@@ -304,33 +344,128 @@ mod tests {
     fn eval3_planes_matches_eval3_exhaustively() {
         // Every truth table of arity ≤ 2, every 3-valued input combo,
         // packed into lanes — the bitplane path must agree with eval3.
-        let all = [Bit::Zero, Bit::One, Bit::X];
         for k in 0..=2usize {
+            let combos = all_combos(k);
             for code in 0..(1u32 << (1 << k)) {
                 let tt = TruthTable::from_fn(k, |r| (code >> r) & 1 == 1);
-                let combos: Vec<Vec<Bit>> = (0..3usize.pow(k as u32))
-                    .map(|mut c| {
-                        (0..k)
-                            .map(|_| {
-                                let b = all[c % 3];
-                                c /= 3;
-                                b
-                            })
-                            .collect()
+                assert_kernel_matches_eval3(&tt, &combos);
+            }
+        }
+    }
+
+    fn random_bit(rng: &mut Rng64) -> Bit {
+        match rng.next_u64() % 3 {
+            0 => Bit::Zero,
+            1 => Bit::One,
+            _ => Bit::X,
+        }
+    }
+
+    /// A table of `k` inputs with uniformly random rows.
+    fn random_table(rng: &mut Rng64, k: usize) -> TruthTable {
+        let mut tt = TruthTable::const_zero(k);
+        for r in 0..tt.num_rows() {
+            tt.set(r, rng.next_u64() & 1 == 1);
+        }
+        tt
+    }
+
+    /// Every three-valued combination of `k` inputs, as lane vectors.
+    fn all_combos(k: usize) -> Vec<Vec<Bit>> {
+        let all = [Bit::Zero, Bit::One, Bit::X];
+        (0..3usize.pow(k as u32))
+            .map(|mut c| {
+                (0..k)
+                    .map(|_| {
+                        let b = all[c % 3];
+                        c /= 3;
+                        b
                     })
-                    .collect();
-                // Pack one combo per lane.
-                let inputs: Vec<(u64, u64)> = (0..k)
-                    .map(|i| {
-                        let p = Planes::pack(&combos.iter().map(|c| c[i]).collect::<Vec<_>>());
-                        (p.p0, p.p1)
-                    })
-                    .collect();
-                let (p0, p1) = tt.eval3_planes(&inputs);
-                let out = Planes { p0, p1 };
-                for (l, combo) in combos.iter().enumerate() {
-                    assert_eq!(out.get(l), tt.eval3(combo), "tt {tt} combo {combo:?}");
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Evaluates `combos` 64 lanes at a time through the word kernel
+    /// (when the table fits a word) and through `eval3_planes`, and
+    /// checks every lane of both against scalar `eval3`.
+    fn assert_kernel_matches_eval3(tt: &TruthTable, combos: &[Vec<Bit>]) {
+        let k = tt.num_inputs();
+        for chunk in combos.chunks(LANES) {
+            let inputs: Vec<(u64, u64)> = (0..k)
+                .map(|i| {
+                    let p = Planes::pack(&chunk.iter().map(|c| c[i]).collect::<Vec<_>>());
+                    (p.p0, p.p1)
+                })
+                .collect();
+            let (p0, p1) = tt.eval3_planes(&inputs);
+            let rows = Planes { p0, p1 };
+            let word = tt.word().map(|w| {
+                let (p0, p1) = eval3_planes_word(w, &inputs);
+                Planes { p0, p1 }
+            });
+            assert_eq!(word.is_some(), k <= WORD_INPUTS, "tt {tt}");
+            for (l, combo) in chunk.iter().enumerate() {
+                let want = tt.eval3(combo);
+                assert_eq!(rows.get(l), want, "tt {tt} combo {combo:?}");
+                if let Some(word) = word {
+                    assert_eq!(word.get(l), want, "word kernel, tt {tt} combo {combo:?}");
                 }
+            }
+        }
+    }
+
+    /// The mux-tree kernel at every arity it serves (0–6) and the row
+    /// walk that serves 7 and 8 inputs: every 3-valued combination up
+    /// to 4 inputs, 512 random ones above, on random tables and on
+    /// constants, AND, XOR and MUX.
+    #[test]
+    fn word_kernel_matches_eval3_at_every_arity() {
+        let mut rng = Rng64::new(25);
+        for k in 0..=8usize {
+            let combos = if k <= 4 {
+                all_combos(k)
+            } else {
+                (0..512)
+                    .map(|_| (0..k).map(|_| random_bit(&mut rng)).collect())
+                    .collect()
+            };
+            let mut tables = vec![
+                TruthTable::const_zero(k),
+                TruthTable::const_one(k),
+                TruthTable::and(k),
+                TruthTable::xor(k),
+            ];
+            if k == 3 {
+                tables.push(TruthTable::mux());
+            }
+            tables.extend((0..8).map(|_| random_table(&mut rng, k)));
+            for tt in &tables {
+                assert_kernel_matches_eval3(tt, &combos);
+            }
+        }
+    }
+
+    /// Release sweep of the word kernel: every 3-input table against all
+    /// 27 three-valued combinations, then random 4–6-input tables over
+    /// 100k random lanes each. Run with
+    /// `cargo test -p netlist --release -- --ignored`.
+    #[test]
+    #[ignore = "release sweep, well under a second in release"]
+    fn word_kernel_sweep() {
+        let combos = all_combos(3);
+        for code in 0..256u32 {
+            let tt = TruthTable::from_fn(3, |r| (code >> r) & 1 == 1);
+            assert_kernel_matches_eval3(&tt, &combos);
+        }
+        let mut rng = Rng64::new(0x5eed);
+        for k in 4..=WORD_INPUTS {
+            for _ in 0..4 {
+                let tt = random_table(&mut rng, k);
+                let combos: Vec<Vec<Bit>> = (0..100_000)
+                    .map(|_| (0..k).map(|_| random_bit(&mut rng)).collect())
+                    .collect();
+                assert_kernel_matches_eval3(&tt, &combos);
             }
         }
     }
@@ -339,6 +474,18 @@ mod tests {
     /// arity 1–3 with random functions, random FF weights 0–2 with
     /// random (possibly `X`) initial values, and `pos` outputs.
     fn random_circuit(seed: u64, pis: usize, gates: usize, pos: usize) -> Circuit {
+        random_circuit_with_arities(seed, pis, gates, pos, 1, 3)
+    }
+
+    /// [`random_circuit`] with gate arities drawn from `min_k..=max_k`.
+    fn random_circuit_with_arities(
+        seed: u64,
+        pis: usize,
+        gates: usize,
+        pos: usize,
+        min_k: usize,
+        max_k: usize,
+    ) -> Circuit {
         let mut rng = Rng64::new(seed);
         let mut c = Circuit::new(format!("rand{seed}"));
         let mut drivers = Vec::new();
@@ -346,20 +493,18 @@ mod tests {
             drivers.push(c.add_input(format!("i{i}")).unwrap());
         }
         for g in 0..gates {
-            let k = 1 + (rng.next_u64() % 3) as usize;
+            let k = min_k + (rng.next_u64() % (max_k - min_k + 1) as u64) as usize;
             let code = rng.next_u64();
-            let tt = TruthTable::from_fn(k, |r| (code >> r) & 1 == 1);
+            let tt = if k <= WORD_INPUTS {
+                TruthTable::from_fn(k, |r| (code >> r) & 1 == 1)
+            } else {
+                random_table(&mut rng, k)
+            };
             let v = c.add_gate(format!("g{g}"), tt).unwrap();
             for _ in 0..k {
                 let from = drivers[(rng.next_u64() as usize) % drivers.len()];
                 let w = (rng.next_u64() % 3) as usize;
-                let ffs: Vec<Bit> = (0..w)
-                    .map(|_| match rng.next_u64() % 3 {
-                        0 => Bit::Zero,
-                        1 => Bit::One,
-                        _ => Bit::X,
-                    })
-                    .collect();
+                let ffs: Vec<Bit> = (0..w).map(|_| random_bit(&mut rng)).collect();
                 c.connect(from, v, ffs).unwrap();
             }
             drivers.push(v);
@@ -378,8 +523,23 @@ mod tests {
     /// bit-for-bit, cycle by cycle.
     #[test]
     fn vector_matches_scalar_bit_for_bit() {
-        for seed in 0..6u64 {
-            let c = random_circuit(1000 + seed, 3, 12, 3);
+        let mut cases: Vec<(u64, Circuit)> = (0..6u64)
+            .map(|seed| (seed, random_circuit(1000 + seed, 3, 12, 3)))
+            .collect();
+        // 5- and 6-input gates on the word kernel, 7-input gates on the
+        // row-walk fallback, and an output nothing drives.
+        let mut wide_arities = std::collections::BTreeSet::new();
+        for seed in 6..9u64 {
+            let mut c = random_circuit_with_arities(1000 + seed, 3, 10, 3, 5, 7);
+            c.add_output("dangling").unwrap();
+            wide_arities.extend(
+                c.node_ids()
+                    .filter_map(|v| c.node(v).function().map(|tt| tt.num_inputs())),
+            );
+            cases.push((seed, c));
+        }
+        assert_eq!(wide_arities.into_iter().collect::<Vec<_>>(), [5, 6, 7]);
+        for (seed, c) in cases {
             let cycles = 8;
             let mut rng = Rng64::new(77 ^ seed);
             // Lane-major input sequences, with a 1-in-8 chance of X to
@@ -460,6 +620,32 @@ mod tests {
             let out = sim.step(&drive).unwrap();
             assert_eq!(out[0].unpack(2), want);
         }
+    }
+
+    /// After `reset`, a used simulator replays a fresh one's trajectory.
+    #[test]
+    fn reset_restores_the_initial_state() {
+        let c = random_circuit(11, 3, 16, 3);
+        let mut rng = Rng64::new(3);
+        let seq: Vec<Vec<Planes>> = (0..6)
+            .map(|_| {
+                (0..3)
+                    .map(|_| {
+                        let p1 = rng.next_u64();
+                        Planes { p0: !p1, p1 }
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut fresh = VecSimulator::new(&c).unwrap();
+        let want: Vec<Vec<Planes>> = seq.iter().map(|inp| fresh.step(inp).unwrap()).collect();
+        let mut used = VecSimulator::new(&c).unwrap();
+        for inp in seq.iter().rev() {
+            used.step(inp).unwrap();
+        }
+        used.reset();
+        let got: Vec<Vec<Planes>> = seq.iter().map(|inp| used.step(inp).unwrap()).collect();
+        assert_eq!(got, want);
     }
 
     #[test]
