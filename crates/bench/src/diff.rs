@@ -30,7 +30,7 @@
 //!
 //! When a wall or memory gate trips, the offending **span** is named:
 //! the diff scans the row's job-level `spans` object and appends
-//! `attributed to span \`<name>\`` with the span's own before/after self
+//! ``attributed to span `<name>` `` with the span's own before/after self
 //! time (or heap peak) to the regression line, so CI logs point at the
 //! subsystem, not just the circuit.
 //!

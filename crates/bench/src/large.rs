@@ -10,7 +10,8 @@
 //! canonical artifacts like every other timing field). Every wall time
 //! is read from the row's span table: the `parse`, `flatten`,
 //! `verify_vector`, `verify_scalar` and `turbomap_frt` spans opened
-//! here.
+//! here. `verify_vector` includes its `verify_setup` child: compiling
+//! the vector simulator and packing the stimulus into bitplanes.
 //!
 //! The verify phase drives [`VERIFY_LANES`] independent random input
 //! sequences through the circuit on **both** simulation engines — the
@@ -65,8 +66,10 @@ pub struct IngestRow {
     pub verify_lanes: usize,
     /// Cycles per verify sequence (budget-bounded, see [`verify_cycles_for`]).
     pub verify_cycles: usize,
-    /// Seconds the vectorized engine took to simulate all verify
-    /// sequences (one 64-lane pass).
+    /// Seconds of the vector pass (the `verify_vector` span): compiling
+    /// the [`VecSimulator`] and packing the stimulus into bitplanes (its
+    /// `verify_setup` child span), then simulating all verify sequences
+    /// in one 64-lane pass.
     pub verify_secs: f64,
     /// Seconds the scalar engine took on the same sequences, one at a
     /// time — the pre-vectorization baseline; `verify_scalar_secs /
@@ -188,9 +191,10 @@ pub fn run_ingest_row(
 }
 
 /// Simulates [`VERIFY_LANES`] independent random sequences on both
-/// engines — the vector pass under a `verify_vector` span, the scalar
-/// pass under `verify_scalar` — and requires bit-for-bit agreement on
-/// every PO, lane and cycle. Returns the sequence depth in cycles.
+/// engines — the vector pass under a `verify_vector` span (set-up in its
+/// `verify_setup` child), the scalar pass under `verify_scalar` — and
+/// requires bit-for-bit agreement on every PO, lane and cycle. Returns
+/// the sequence depth in cycles.
 fn run_verify_phase(circuit: &netlist::Circuit, seed: u64) -> Result<usize, String> {
     let m = circuit.inputs().len();
     let cycles = verify_cycles_for(circuit.num_gates());
@@ -212,27 +216,28 @@ fn run_verify_phase(circuit: &netlist::Circuit, seed: u64) -> Result<usize, Stri
         })
         .collect();
 
-    // Vector pass: all lanes at once.
+    // Vector pass: all lanes at once. Set-up compiles the simulator and
+    // packs every cycle's stimulus into bitplanes, lane `l` in bit `l`.
     let vector_span = span("verify_vector");
-    let mut vsim = VecSimulator::new(circuit).map_err(|e| e.to_string())?;
+    let (mut vsim, planes) = {
+        let _setup = span("verify_setup");
+        let vsim = VecSimulator::new(circuit).map_err(|e| e.to_string())?;
+        let planes: Vec<Vec<Planes>> = stimulus
+            .iter()
+            .map(|bits| {
+                (0..m)
+                    .map(|i| {
+                        let lanes: Vec<Bit> = (0..VERIFY_LANES).map(|l| bits[l * m + i]).collect();
+                        Planes::pack(&lanes)
+                    })
+                    .collect()
+            })
+            .collect();
+        (vsim, planes)
+    };
     let mut vector_out: Vec<Vec<Planes>> = Vec::with_capacity(cycles);
-    let mut inputs = vec![Planes::splat(Bit::X); m];
-    for bits in &stimulus {
-        for (i, planes) in inputs.iter_mut().enumerate() {
-            let (mut p0, mut p1) = (0u64, 0u64);
-            for l in 0..VERIFY_LANES {
-                match bits[l * m + i] {
-                    Bit::Zero => p0 |= 1 << l,
-                    Bit::One => p1 |= 1 << l,
-                    Bit::X => {
-                        p0 |= 1 << l;
-                        p1 |= 1 << l;
-                    }
-                }
-            }
-            *planes = Planes { p0, p1 };
-        }
-        vector_out.push(vsim.step(&inputs).map_err(|e| e.to_string())?);
+    for inputs in &planes {
+        vector_out.push(vsim.step(inputs).map_err(|e| e.to_string())?);
     }
     drop(vector_span);
 

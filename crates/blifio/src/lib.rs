@@ -18,10 +18,10 @@
 //! * **Precise diagnostics** — every error carries line + column and,
 //!   when available, the offending source line with a caret ([`diag`]).
 //! * **Flattening** — [`link`] elaborates the hierarchy into the
-//!   retiming-graph [`Circuit`](netlist::Circuit) used by the
+//!   retiming-graph [`Circuit`] used by the
 //!   mapping/retiming stack, folding each latch into one FF on every
 //!   consumer edge of its output.
-//! * **Round-tripping writer** — [`write`] serialises everything the
+//! * **Round-tripping writer** — [`write`](mod@write) serialises everything the
 //!   reader accepts, and converts circuits back to BLIF
 //!   ([`write_circuit`]). The committed `tests/golden/` corpus pins the
 //!   reader's verdict and the writer's bytes for the flat subset.

@@ -1,15 +1,15 @@
 //! Batch job runner: isolation, deadlines, telemetry, stable ordering.
 //!
-//! [`run_batch`] executes a vector of [`JobSpec`]s on a [`Pool`](crate::Pool):
+//! [`run_batch`] executes a vector of [`JobSpec`]s on a [`Pool`]:
 //!
 //! * **Panic isolation** — each job body runs under
 //!   [`std::panic::catch_unwind`]; a panicking job becomes
 //!   [`JobOutcome::Panicked`] with the panic message, and its siblings
 //!   (and the suite) keep running.
 //! * **Soft deadlines** — a watchdog thread trips the job's
-//!   [`CancelToken`](crate::CancelToken) when its deadline passes; the
+//!   [`CancelToken`] when its deadline passes; the
 //!   job observes the token cooperatively (deep loops poll
-//!   [`cancel::cancelled`](crate::cancel::cancelled)) and unwinds with an
+//!   [`cancel::cancelled`]) and unwinds with an
 //!   error, reported as [`JobOutcome::DeadlineExceeded`].
 //! * **Telemetry** — counters, spans and histograms are reset when the job
 //!   starts on its worker and harvested into the report when it ends.

@@ -97,11 +97,11 @@ impl From<NetlistError> for MapError {
 }
 
 /// Where a cone gate reads one fanin from while its cone is simulated.
-#[derive(Debug, Clone, Copy)]
-enum Operand {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Operand {
     /// Cut input `i`: bit `i` of the row.
     Input(usize),
-    /// The cone gate with this discovery slot (the root is slot 0).
+    /// The cone gate in this slot of the cone (the root is slot 0).
     Gate(usize),
 }
 
@@ -113,8 +113,7 @@ enum Operand {
 /// not match a cut signal are reported as errors.
 ///
 /// Each cone gate's fanins are resolved once, to a cut input or another
-/// cone gate, and the gates are put in evaluation order; the `2^k` rows
-/// then run over one reused value buffer.
+/// cone gate, and [`cone_table`] simulates the result.
 ///
 /// # Errors
 ///
@@ -171,36 +170,53 @@ pub fn cone_function(c: &Circuit, root: NodeId, cut: &Cut) -> Result<TruthTable,
         }));
         spans.push(start..fanins.len());
     }
-    // Evaluation order: post-order DFS from the root over cone fanins, so
-    // every gate follows the gates it reads.
-    let mut order: Vec<(usize, &TruthTable)> = Vec::with_capacity(cone.len());
-    let mut visited = vec![false; cone.len()];
+    let gates: Vec<(&TruthTable, &[Operand])> = cone
+        .iter()
+        .zip(spans)
+        .map(|(&v, span)| {
+            let f = c.node(v).function().expect("cone nodes are gates");
+            (f, &fanins[span])
+        })
+        .collect();
+    Ok(cone_table(cut.signals.len(), &gates))
+}
+
+/// The truth table over `inputs` cut inputs of a cone given as its gates,
+/// slot 0 the root: each gate's function and the operands it reads, in
+/// fanin order. The gates are put in evaluation order (post-order from the
+/// root), then the `2^inputs` rows run over one reused value buffer.
+///
+/// # Panics
+///
+/// Panics when a gate's operand count differs from its arity.
+pub fn cone_table(inputs: usize, gates: &[(&TruthTable, &[Operand])]) -> TruthTable {
+    let mut order: Vec<usize> = Vec::with_capacity(gates.len());
+    let mut visited = vec![false; gates.len()];
     visited[0] = true;
-    let mut walk = vec![(0usize, spans[0].start)];
+    let mut walk = vec![(0usize, 0usize)];
     while let Some(top) = walk.last_mut() {
-        let s = top.0;
-        if top.1 < spans[s].end {
-            let op = fanins[top.1];
+        let (s, next) = *top;
+        let (f, ops) = gates[s];
+        if let Some(&op) = ops.get(next) {
             top.1 += 1;
             if let Operand::Gate(t) = op {
                 if !visited[t] {
                     visited[t] = true;
-                    walk.push((t, spans[t].start));
+                    walk.push((t, 0));
                 }
             }
         } else {
-            let f = c.node(cone[s]).function().expect("cone nodes are gates");
-            assert_eq!(spans[s].len(), f.num_inputs(), "arity mismatch");
-            order.push((s, f));
+            assert_eq!(ops.len(), f.num_inputs(), "arity mismatch");
+            order.push(s);
             walk.pop();
         }
     }
-
-    let mut values = vec![false; cone.len()];
-    Ok(TruthTable::from_fn(cut.signals.len(), |row| {
-        for &(s, f) in &order {
+    let mut values = vec![false; gates.len()];
+    TruthTable::from_fn(inputs, |row| {
+        for &s in &order {
+            let (f, ops) = gates[s];
             let mut r = 0usize;
-            for (b, &op) in fanins[spans[s].clone()].iter().enumerate() {
+            for (b, &op) in ops.iter().enumerate() {
                 let bit = match op {
                     Operand::Input(i) => (row >> i) & 1,
                     Operand::Gate(t) => values[t] as usize,
@@ -210,7 +226,7 @@ pub fn cone_function(c: &Circuit, root: NodeId, cut: &Cut) -> Result<TruthTable,
             values[s] = f.eval_row(r);
         }
         values[0]
-    }))
+    })
 }
 
 /// Builds the LUT network for a `root → cut` assignment.

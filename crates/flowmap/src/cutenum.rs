@@ -382,7 +382,8 @@ impl CutArena {
     }
 }
 
-/// Reusable buffers of the cone walks that break final-cut ties.
+/// Reusable buffers of the cone walks that break final-cut ties and that
+/// mapping generation derives its cones with.
 #[derive(Debug, Clone, Default)]
 pub struct ConeWalk {
     /// Per node: the walk that last reached it; `head` is valid only
@@ -390,11 +391,11 @@ pub struct ConeWalk {
     stamp: Vec<u32>,
     /// Per node: its latest instance in `inst` this walk.
     head: Vec<u32>,
-    /// The instances reached: (register count, the node's previous
-    /// instance or [`ConeWalk::NONE`]).
-    inst: Vec<(u64, u32)>,
-    /// Instances `(node, register count)` still to expand.
-    stack: Vec<(u32, u64)>,
+    /// The instances reached, in slot order: (node, register count, the
+    /// node's previous instance or [`ConeWalk::NONE`]).
+    inst: Vec<(NodeId, u64, u32)>,
+    /// Slots of the instances still to expand.
+    stack: Vec<u32>,
     walk: u32,
 }
 
@@ -405,6 +406,25 @@ impl ConeWalk {
     /// gate `v` bounded by the leaves `node[i]^{w[i]}`, walking fanins from
     /// the root as mapping generation derives the cone.
     pub fn size(&mut self, c: &Circuit, v: NodeId, node: &[u32], w: &[u8]) -> usize {
+        self.start(c, v);
+        while let Some((_, x, xw)) = self.pop() {
+            for &e in c.node(x).fanin() {
+                let edge = c.edge(e);
+                let (u, uw) = (edge.from(), xw + edge.weight() as u64);
+                let leaf = node
+                    .iter()
+                    .zip(w)
+                    .any(|(&ln, &lw)| ln == u.0 && u64::from(lw) == uw);
+                if !leaf {
+                    self.visit(u, uw);
+                }
+            }
+        }
+        self.inst.len()
+    }
+
+    /// Starts a new walk at gate `v`, instance `v^0` in slot 0.
+    pub fn start(&mut self, c: &Circuit, v: NodeId) {
         let n = c.num_nodes();
         if self.stamp.len() < n {
             self.stamp.resize(n, 0);
@@ -417,32 +437,27 @@ impl ConeWalk {
         }
         self.inst.clear();
         self.stack.clear();
-        self.visit(v.0, 0);
-        while let Some((x, xw)) = self.stack.pop() {
-            for &e in c.node(NodeId(x)).fanin() {
-                let edge = c.edge(e);
-                let (u, uw) = (edge.from().0, xw + edge.weight() as u64);
-                let leaf = node
-                    .iter()
-                    .zip(w)
-                    .any(|(&ln, &lw)| ln == u && u64::from(lw) == uw);
-                if !leaf {
-                    self.visit(u, uw);
-                }
-            }
-        }
-        self.inst.len()
+        self.visit(v, 0);
     }
 
-    /// Records instance `u^w` and queues it, unless this walk has it.
-    fn visit(&mut self, u: u32, w: u64) {
-        let i = u as usize;
+    /// The next instance to expand, depth first: its slot, node and
+    /// register count.
+    pub fn pop(&mut self) -> Option<(usize, NodeId, u64)> {
+        let slot = self.stack.pop()? as usize;
+        let (u, w, _) = self.inst[slot];
+        Some((slot, u, w))
+    }
+
+    /// The slot of instance `u^w`: the next free one, and `u^w` queued,
+    /// the first time this walk reaches it.
+    pub fn visit(&mut self, u: NodeId, w: u64) -> usize {
+        let i = u.index();
         if self.stamp[i] == self.walk {
             let mut j = self.head[i];
             while j != Self::NONE {
-                let (jw, prev) = self.inst[j as usize];
+                let (_, jw, prev) = self.inst[j as usize];
                 if jw == w {
-                    return;
+                    return j as usize;
                 }
                 j = prev;
             }
@@ -450,9 +465,11 @@ impl ConeWalk {
             self.stamp[i] = self.walk;
             self.head[i] = Self::NONE;
         }
-        self.inst.push((w, self.head[i]));
-        self.head[i] = (self.inst.len() - 1) as u32;
-        self.stack.push((u, w));
+        let slot = self.inst.len() as u32;
+        self.inst.push((u, w, self.head[i]));
+        self.head[i] = slot;
+        self.stack.push(slot);
+        slot as usize
     }
 }
 

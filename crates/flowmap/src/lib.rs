@@ -54,10 +54,11 @@ pub mod label;
 pub mod map;
 pub mod pack;
 
-pub use cut::{build_lut_network, cone_function, Cut, CutSignal, MapError};
+pub use cut::{build_lut_network, cone_function, cone_table, Cut, CutSignal, MapError, Operand};
 pub use cutenum::{ConeWalk, CutArena, CutFault, ExpCut, ExpNode, CUT_CAP};
 pub use label::{flow_label, flowmap_labels, flowmap_labels_with, Labeling};
 pub use map::{
-    flowmap, flowmap_frt, flowmap_frt_with, FlowMapError, FlowMapFrtResult, FlowMapResult,
+    flowmap, flowmap_frt, flowmap_frt_with, select_roots, FlowMapError, FlowMapFrtResult,
+    FlowMapResult,
 };
 pub use pack::{pack_luts, PackReport};

@@ -7,12 +7,13 @@
 //! map each combinational block, re-stitch the registers, forward-retime
 //! for minimum clock period, and compute the initial state by simulation.
 
-use crate::cut::{build_lut_network, Cut, MapError};
+use crate::cut::{build_lut_network, MapError};
 use crate::cutenum::CutArena;
 use crate::label::{flowmap_labels_with, Labeling};
 use netlist::{Circuit, NodeId};
 use retiming::{retime_min_period_forward, MoveStats, RetimingError};
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, VecDeque};
 
 /// Result of combinational FlowMap mapping on a (possibly sequential)
 /// circuit: every FF-bounded block mapped depth-optimally, registers kept
@@ -86,24 +87,32 @@ fn seed_roots(c: &Circuit) -> Vec<NodeId> {
     seeds
 }
 
-/// Selects the final LUT roots from a labelling: FIFO from the seeds,
-/// pulling in every gate used as a direct (weight-0) cut signal.
-pub(crate) fn collect_roots(c: &Circuit, labeling: &Labeling) -> HashMap<NodeId, Cut> {
-    let mut roots: HashMap<NodeId, Cut> = HashMap::new();
-    let mut queue: std::collections::VecDeque<NodeId> = seed_roots(c).into();
+/// Selects the LUT roots: a FIFO from the gates among `seeds` in which
+/// every gate that a chosen cut reads becomes a root itself.
+/// `cut_of(v, read)` returns `v`'s cut after calling `read` on the driver
+/// of each of its leaves.
+///
+/// # Errors
+///
+/// The first error `cut_of` returns.
+pub fn select_roots<C, E>(
+    c: &Circuit,
+    seeds: impl IntoIterator<Item = NodeId>,
+    mut cut_of: impl FnMut(NodeId, &mut dyn FnMut(NodeId)) -> Result<C, E>,
+) -> Result<HashMap<NodeId, C>, E> {
+    let mut roots = HashMap::new();
+    let gate = |u: &NodeId| c.node(*u).is_gate();
+    let mut queue: VecDeque<NodeId> = seeds.into_iter().filter(gate).collect();
     while let Some(v) = queue.pop_front() {
-        if roots.contains_key(&v) {
-            continue;
+        if let Entry::Vacant(slot) = roots.entry(v) {
+            slot.insert(cut_of(v, &mut |u| {
+                if gate(&u) {
+                    queue.push_back(u);
+                }
+            })?);
         }
-        let cut = labeling.cuts[&v].clone();
-        for sig in &cut.signals {
-            if c.node(sig.node).is_gate() && !roots.contains_key(&sig.node) {
-                queue.push_back(sig.node);
-            }
-        }
-        roots.insert(v, cut);
     }
-    roots
+    Ok(roots)
 }
 
 /// Depth-optimal K-LUT mapping of every combinational block (registers
@@ -129,7 +138,11 @@ fn flowmap_with(c: &Circuit, arena: &CutArena) -> Result<FlowMapResult, FlowMapE
         flowmap_labels_with(c, arena)
     };
     let _s = engine::trace::span("flowmap_generate");
-    let roots = collect_roots(c, &labeling);
+    let roots = select_roots(c, seed_roots(c), |v, read| {
+        let cut = labeling.cuts[&v].clone();
+        cut.signals.iter().for_each(|s| read(s.node));
+        Ok::<_, MapError>(cut)
+    })?;
     let mapped = build_lut_network(c, &roots, &format!("{}_flowmap", c.name()))?;
     let depth = mapped.clock_period()?;
     Ok(FlowMapResult {

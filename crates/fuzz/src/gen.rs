@@ -3,7 +3,7 @@
 //! Every case starts from a cyclic FSM core ([`workloads::generate_fsm`]
 //! — guaranteed valid, fully defined initial state, feedback through the
 //! state registers), is optionally grown toward a gate/depth target with
-//! live 2-input gates ([`workloads::grow`]), then diversified:
+//! live 2-input gates ([`workloads::grow`](fn@workloads::grow)), then diversified:
 //!
 //! 1. **initial-state shaping** — register initial values are flipped or
 //!    erased to `X` with seeded probabilities, producing the full/partial/
@@ -43,7 +43,7 @@ impl Default for GenConfig {
 
 /// Generates one structurally valid case from a seed.
 ///
-/// The result always passes [`netlist::validate`]; gate fanin is ≤ 2 by
+/// The result always passes [`netlist::validate`](fn@netlist::validate); gate fanin is ≤ 2 by
 /// construction (the mappers decompose anyway, but small fanin keeps the
 /// mapping interesting at K = 3..5).
 pub fn generate_case(seed: u64, cfg: &GenConfig) -> Circuit {

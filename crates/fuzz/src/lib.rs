@@ -11,7 +11,7 @@
 //!
 //! * [`gen`] — a seeded, std-only generator of structurally valid
 //!   sequential netlists: cyclic FSM cores ([`workloads::generate_fsm`])
-//!   grown with live gates ([`workloads::grow`]), diversified with
+//!   grown with live gates ([`workloads::grow`](fn@workloads::grow)), diversified with
 //!   partial/`X` initial states and the [`mutate`] operators.
 //! * [`mutate`] — apply–validate–revert mutation operators: gate
 //!   insertion, fanin rewiring ("merge"), forward retiming by hand (with
@@ -23,7 +23,7 @@
 //!   cut arena against max-flow (opt-in: Φ-optimality certificates and
 //!   the partition cross-check). Mapper panics are caught and reported
 //!   as verdicts, so a panicking case can still be shrunk.
-//! * [`shrink`] — a delta-debugging minimizer: drops primary outputs,
+//! * [`shrink`](mod@shrink) — a delta-debugging minimizer: drops primary outputs,
 //!   bypasses gates (concatenating register chains so no combinational
 //!   cycle can appear), trims registers and X-ifies initial values,
 //!   keeping any candidate that still fails with the same verdict kind

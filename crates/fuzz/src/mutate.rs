@@ -1,7 +1,7 @@
 //! Structural mutation operators (apply–validate–revert).
 //!
 //! Each operator builds its candidate on a clone and commits only when
-//! [`netlist::validate`] accepts the result, so a mutated case is always
+//! [`netlist::validate`](fn@netlist::validate) accepts the result, so a mutated case is always
 //! mappable. Operators never need to *preserve behaviour* — the oracle
 //! compares each mapped result against the mutated source itself — but
 //! [`retime_forward`] does preserve it exactly (it is the paper's forward

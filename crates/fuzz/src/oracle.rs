@@ -757,7 +757,7 @@ fn leaves(c: &Circuit, cut: Option<&ExpCut>) -> Option<Vec<String>> {
     })
 }
 
-/// Judges one case. `source` must pass [`netlist::validate`] and be
+/// Judges one case. `source` must pass [`netlist::validate`](fn@netlist::validate) and be
 /// sharing-consistent (the generator guarantees both; the shrinker
 /// re-checks both on every candidate) — a source that already carries a
 /// register-sharing conflict would trip the initial-state check through

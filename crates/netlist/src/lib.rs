@@ -14,10 +14,10 @@
 //!   bounded-exhaustive; our stand-in for SIS `verify_fsm`), running on
 //!   the vector engine with the scalar simulator as differential oracle,
 //! * [`decompose`] — fanin-bounding tech decomposition before mapping,
-//! * [`strash`] — structural hashing (duplicate-logic sweep),
+//! * [`strash`](mod@strash) — structural hashing (duplicate-logic sweep),
 //! * [`dot`] — Graphviz export for the paper's figure-style diagrams,
 //! * [`verilog`] — structural Verilog export of mapped networks,
-//! * [`validate`] — structural validation of the papers' preconditions,
+//! * [`validate`](mod@validate) — structural validation of the papers' preconditions,
 //! * [`stats`] — size/timing summaries.
 //!
 //! # Examples

@@ -9,7 +9,10 @@
 //! Simulation is also the engine of forward-retiming initial state
 //! computation: moving a register forward across a gate assigns it the
 //! gate's output under the old registers' initial values — exactly one
-//! simulation step of that gate (Touati & Brayton 1993).
+//! simulation step of that gate (Touati & Brayton 1993). So the `k`-th
+//! forward move at a gate emits the gate's value at cycle `k` of a
+//! simulation from the initial state, and `retiming::ForwardValues`
+//! computes every forward-retimed chain in one such pass.
 
 use crate::bit::Bit;
 use crate::circuit::{Circuit, NodeId};

@@ -2,7 +2,7 @@
 //!
 //! TurboMap-frt answers "the minimum clock period is Φ" — this crate
 //! makes the answer *inspectable*. [`explain`] runs the mapper and
-//! assembles a [`Report`](model::Report) with two halves:
+//! assembles a [`Report`] with two halves:
 //!
 //! * **Certificate** — a replayable derivation log proving that Φ−1 is
 //!   infeasible (no simple FRT mapping solution exists at that period),

@@ -4,11 +4,11 @@
 //!
 //! * [`spec`] — retiming assignments (Leiserson–Saxe sign convention) and
 //!   legality checking.
-//! * [`moves`] — realising a retiming as atomic register moves while
-//!   computing the **equivalent initial state**: forward moves by
-//!   three-valued simulation (always succeed — Fig. 1 of the paper),
-//!   backward moves by truth-table justification (may fail — the NP-hard
-//!   case).
+//! * [`moves`] — realising a retiming while computing the **equivalent
+//!   initial state**: forward moves by three-valued simulation (always
+//!   succeed — Fig. 1 of the paper; a forward-only retiming takes one
+//!   simulation pass, [`ForwardValues`]), backward moves by truth-table
+//!   justification (may fail — the NP-hard case).
 //! * [`lvalues`] — Theorem 1: l-values, forward feasibility and optimal
 //!   forward-only retiming.
 //! * [`feas`] — Leiserson–Saxe FEAS for *general* minimum-period retiming
@@ -59,6 +59,6 @@ pub use lvalues::{
     forward_feasible, forward_retiming_for, l_values, max_forward_retiming_values,
     min_period_forward, retime_min_period_forward, ForwardRetimingResult,
 };
-pub use moves::{apply_forward_retiming, apply_retiming, MoveStats};
+pub use moves::{apply_forward_retiming, apply_retiming, ForwardValues, MoveStats};
 pub use pushback::{max_backward_retiming_values, push_registers_backward, PushBackStats};
 pub use spec::Retiming;

@@ -1,5 +1,4 @@
-//! Applying a retiming as a sequence of atomic register moves, computing
-//! the equivalent initial state as it goes.
+//! Applying a retiming while computing the equivalent initial state.
 //!
 //! Figure 1 of the paper: moving a register **forward** across a gate gives
 //! the new register the gate's output under the old registers' values — one
@@ -8,15 +7,20 @@
 //! vector that produces the old register's value — a satisfiability query
 //! that may fail.
 //!
-//! [`apply_retiming`] decomposes any legal retiming into such unit moves.
-//! A greedy maximal schedule cannot deadlock on a legal retiming: if every
-//! pending node were blocked, following blocked fanins (or fanouts) would
-//! exhibit a zero-weight cycle, which cannot exist because cycle weights
-//! are retiming-invariant and combinational cycles are excluded.
+//! A forward retiming needs no move order: [`ForwardValues`] computes every
+//! value the forward moves would emit in one simulation pass, and
+//! [`apply_forward_retiming`] reads the retimed chains off it.
+//!
+//! [`apply_retiming`] decomposes any legal retiming, backward moves
+//! included, into unit moves. A greedy maximal schedule cannot deadlock on
+//! a legal retiming: if every pending node were blocked, following blocked
+//! fanins (or fanouts) would exhibit a zero-weight cycle, which cannot
+//! exist because cycle weights are retiming-invariant and combinational
+//! cycles are excluded.
 
 use crate::error::RetimingError;
 use crate::spec::Retiming;
-use netlist::{Bit, Circuit, NodeId};
+use netlist::{Bit, Circuit, EdgeId, NodeId};
 
 /// Statistics of one retiming application.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -86,7 +90,8 @@ pub fn apply_retiming(c: &Circuit, r: &Retiming) -> Result<(Circuit, MoveStats),
 }
 
 /// Applies a **forward-only** retiming (`r(v) ≤ 0` everywhere), which is
-/// guaranteed to succeed on any legal retiming.
+/// guaranteed to succeed on any legal retiming: node `v` makes `−r(v)`
+/// forward moves, and [`ForwardValues`] supplies the values they emit.
 ///
 /// # Errors
 ///
@@ -106,7 +111,104 @@ pub fn apply_forward_retiming(
             r: r.get(bad),
         });
     }
-    apply_retiming(c, r)
+    r.validate(c)?;
+    let _span = engine::trace::span("apply_retiming");
+    let moves: Vec<u64> = r.values().iter().map(|&x| x.unsigned_abs()).collect();
+    let values = ForwardValues::simulate(c, &moves)?;
+    let mut out = c.clone();
+    for e in c.edge_ids() {
+        let (from, to) = (
+            moves[c.edge(e).from().index()],
+            moves[c.edge(e).to().index()],
+        );
+        if from + to > 0 {
+            *out.ffs_mut(e) = values.chain(c, e, from, to).expect("validated retiming");
+        }
+    }
+    let forward_moves = moves.iter().sum::<u64>();
+    engine::telemetry::count(engine::telemetry::Counter::ForwardMoves, forward_moves);
+    let stats = MoveStats {
+        forward_moves: forward_moves as usize,
+        backward_moves: 0,
+    };
+    Ok((out, stats))
+}
+
+/// Every value that forward register moves emit, found by one evaluation
+/// pass instead of move by move.
+///
+/// A forward move does not depend on move order. The `k`-th move at node
+/// `u` emits `V(u, k)`: `u`'s value at cycle `k` of a three-valued
+/// simulation from the initial state. At cycle `k`, a fanin edge `p → u`
+/// of `w` registers with initial chain `B` (source end first) reads
+/// `B[w − 1 − k]` while `k < w`, and `V(p, k − w)` after. So after `m_u`
+/// moves at every node, edge `u → x` carries `[V(u, m_u − 1), …, V(u, 0)]
+/// ++ B`, cut to its first `w + m_u − m_x` registers ([`Self::chain`]).
+#[derive(Debug, Clone)]
+pub struct ForwardValues {
+    /// Per node and one past the last: where its values start in `vals`;
+    /// `V(u, k)` sits at `off[u] + k`.
+    off: Vec<usize>,
+    vals: Vec<Bit>,
+}
+
+impl ForwardValues {
+    /// `V(u, k)` for every node `u` and every `k < depth[u]`, one cycle at
+    /// a time in combinational topological order over the nodes with
+    /// `depth[u] > k`. Only gates may have a nonzero depth.
+    ///
+    /// With `depth[u]` the number of moves at `u` of a legal forward
+    /// retiming, every value read exists: a fanin edge `p → u` of `w`
+    /// registers keeps `w + depth[p] − depth[u] ≥ 0` registers. A depth
+    /// that breaks this makes the pass panic on the value it lacks.
+    ///
+    /// # Errors
+    ///
+    /// [`RetimingError::Netlist`] when `c` has a combinational cycle.
+    pub fn simulate(c: &Circuit, depth: &[u64]) -> Result<ForwardValues, RetimingError> {
+        let mut off = Vec::with_capacity(depth.len() + 1);
+        off.push(0);
+        for &d in depth {
+            off.push(off[off.len() - 1] + d as usize);
+        }
+        let mut order = c.comb_topo_order()?;
+        order.retain(|v| depth[v.index()] > 0);
+        let mut vals = vec![Bit::X; off[depth.len()]];
+        let mut inputs = Vec::new();
+        let mut k = 0usize;
+        while !order.is_empty() {
+            for &u in &order {
+                inputs.clear();
+                for &e in c.node(u).fanin() {
+                    let edge = c.edge(e);
+                    let w = edge.weight();
+                    inputs.push(if k < w {
+                        edge.ffs()[w - 1 - k]
+                    } else {
+                        let p = edge.from().index();
+                        vals[off[p]..off[p + 1]][k - w]
+                    });
+                }
+                let f = c.node(u).function().expect("only gates move");
+                vals[off[u.index()] + k] = f.eval3(&inputs);
+            }
+            k += 1;
+            order.retain(|&u| depth[u.index()] > k as u64);
+        }
+        Ok(ForwardValues { off, vals })
+    }
+
+    /// The register chain of edge `e` after `m_from` forward moves at its
+    /// source and `m_to` at its sink, source end first; `None` when that
+    /// leaves fewer than zero registers. `m_from` is at most the source's
+    /// depth.
+    pub fn chain(&self, c: &Circuit, e: EdgeId, m_from: u64, m_to: u64) -> Option<Vec<Bit>> {
+        let edge = c.edge(e);
+        let len = (edge.weight() as u64 + m_from).checked_sub(m_to)? as usize;
+        let u = edge.from().index();
+        let emitted = self.vals[self.off[u]..self.off[u + 1]][..m_from as usize].iter();
+        Some(emitted.rev().chain(edge.ffs()).copied().take(len).collect())
+    }
 }
 
 fn can_move_forward(c: &Circuit, v: NodeId) -> bool {
@@ -117,8 +219,8 @@ fn can_move_forward(c: &Circuit, v: NodeId) -> bool {
 /// edge, evaluate the gate on their values, emit that value as a new
 /// source-end register on every fanout edge.
 fn move_forward(c: &mut Circuit, v: NodeId) {
-    let fanin: Vec<netlist::EdgeId> = c.node(v).fanin().to_vec();
-    let fanout: Vec<netlist::EdgeId> = c.node(v).fanout().to_vec();
+    let fanin: Vec<EdgeId> = c.node(v).fanin().to_vec();
+    let fanout: Vec<EdgeId> = c.node(v).fanout().to_vec();
     let mut vals = Vec::with_capacity(fanin.len());
     for &e in &fanin {
         let chain = c.ffs_mut(e);
@@ -140,7 +242,7 @@ fn move_forward(c: &mut Circuit, v: NodeId) {
 /// Returns `Ok(false)` when the node currently has a zero-weight fanout
 /// edge (move not possible *yet*).
 fn try_move_backward(c: &mut Circuit, v: NodeId) -> Result<bool, RetimingError> {
-    let fanout: Vec<netlist::EdgeId> = c.node(v).fanout().to_vec();
+    let fanout: Vec<EdgeId> = c.node(v).fanout().to_vec();
     if fanout.iter().any(|&e| c.edge(e).weight() == 0) {
         return Ok(false);
     }
@@ -167,7 +269,7 @@ fn try_move_backward(c: &mut Circuit, v: NodeId) -> Result<bool, RetimingError> 
     for &e in &fanout {
         c.ffs_mut(e).remove(0);
     }
-    let fanin: Vec<netlist::EdgeId> = c.node(v).fanin().to_vec();
+    let fanin: Vec<EdgeId> = c.node(v).fanin().to_vec();
     for (&e, &j) in fanin.iter().zip(&justified) {
         c.ffs_mut(e).push(j);
     }
@@ -371,6 +473,118 @@ mod tests {
         let (rc, stats) = apply_retiming(&c, &r).unwrap();
         assert_eq!(stats.backward_moves, 1);
         assert!(exhaustive_equiv(&c, &rc, 4).unwrap().is_equivalent());
+    }
+
+    /// Three PIs and `gates` gates of one to three fanins. A fanin is a
+    /// zero-weight edge from a PI or an earlier gate, or, half the time, a
+    /// chain of one to three random 0/1/X registers from any node, the
+    /// gate itself included. The last two gates drive POs.
+    fn random_circuit(rng: &mut engine::Rng64, gates: usize) -> Circuit {
+        let mut c = Circuit::new("rand");
+        let mut nodes: Vec<NodeId> = (0..3)
+            .map(|i| c.add_input(format!("i{i}")).unwrap())
+            .collect();
+        let first_gate = nodes.len();
+        for i in 0..gates {
+            let arity = rng.range_usize(1, 4);
+            let tt = TruthTable::from_fn(arity, |_| rng.chance(0.5));
+            nodes.push(c.add_gate(format!("g{i}"), tt).unwrap());
+        }
+        for g in first_gate..nodes.len() {
+            for _ in 0..c.node(nodes[g]).function().unwrap().num_inputs() {
+                let (src, w) = if rng.chance(0.5) {
+                    (nodes[rng.below(nodes.len())], rng.range_usize(1, 4))
+                } else {
+                    (nodes[rng.below(g)], 0)
+                };
+                let chain = (0..w)
+                    .map(|_| [Bit::Zero, Bit::One, Bit::X][rng.below(3)])
+                    .collect();
+                c.connect(src, nodes[g], chain).unwrap();
+            }
+        }
+        for (i, &g) in nodes[nodes.len() - 2..].iter().enumerate() {
+            let o = c.add_output(format!("o{i}")).unwrap();
+            c.connect(g, o, vec![Bit::Zero; i]).unwrap();
+        }
+        c
+    }
+
+    /// A legal forward retiming: random unit moves at gates whose fanin
+    /// edges all still carry a register.
+    fn random_forward_retiming(c: &Circuit, rng: &mut engine::Rng64) -> Retiming {
+        let gates: Vec<NodeId> = c.gate_ids().collect();
+        let mut r = Retiming::zero(c);
+        for _ in 0..4 * gates.len() {
+            let v = gates[rng.below(gates.len())];
+            if c.node(v)
+                .fanin()
+                .iter()
+                .all(|&e| r.retimed_weight(c, e) >= 1)
+            {
+                r.set(v, r.get(v) - 1);
+            }
+        }
+        r
+    }
+
+    /// The one-pass kernel against the unit-move oracle: identical chains
+    /// on every edge and identical move counts on legal forward
+    /// retimings, the oracle's errors on illegal ones, and the positive-
+    /// value rejection on retimings that move a register backward.
+    #[test]
+    fn one_pass_kernel_matches_unit_moves() {
+        let mut rng = engine::Rng64::new(26);
+        let (mut self_loops, mut x_bits, mut pi_fed, mut long_lags) = (0, 0, 0, 0);
+        for case in 0..300 {
+            let gates = rng.range_usize(2, 9);
+            let c = random_circuit(&mut rng, gates);
+            let r = random_forward_retiming(&c, &mut rng);
+            for e in c.edge_ids() {
+                let edge = c.edge(e);
+                self_loops += usize::from(edge.from() == edge.to());
+                x_bits += edge.ffs().iter().filter(|&&b| b == Bit::X).count();
+                let moved = r.get(edge.to()) < 0;
+                pi_fed += usize::from(moved && c.node(edge.from()).is_input());
+                long_lags += usize::from(r.get(edge.to()).unsigned_abs() > edge.weight() as u64);
+            }
+            let (want, want_stats) = apply_retiming(&c, &r).unwrap();
+            let (got, got_stats) = apply_forward_retiming(&c, &r).unwrap();
+            assert_eq!(got_stats, want_stats, "case {case}");
+            for e in c.edge_ids() {
+                assert_eq!(got.edge(e).ffs(), want.edge(e).ffs(), "case {case}");
+            }
+
+            // Illegal: random lags that ignore the edge weights.
+            let mut bad = Retiming::zero(&c);
+            for v in c.gate_ids() {
+                bad.set(v, -rng.range_i64(0, 4));
+            }
+            match (apply_retiming(&c, &bad), apply_forward_retiming(&c, &bad)) {
+                (Ok((want, want_stats)), Ok((got, got_stats))) => {
+                    assert_eq!(got_stats, want_stats, "case {case}");
+                    for e in c.edge_ids() {
+                        assert_eq!(got.edge(e).ffs(), want.edge(e).ffs(), "case {case}");
+                    }
+                }
+                (want, got) => assert_eq!(got.err(), want.err(), "case {case}"),
+            }
+
+            // Positive: rejected before validation, naming the first such node.
+            let v = c.gate_ids().nth(rng.below(c.num_gates())).unwrap();
+            let mut up = r.clone();
+            up.set(v, 1);
+            let first = c.node_ids().find(|&u| up.get(u) > 0).unwrap();
+            assert_eq!(
+                apply_forward_retiming(&c, &up).err(),
+                Some(RetimingError::NonZeroBoundary {
+                    node: c.node(first).name().to_string(),
+                    r: 1,
+                }),
+                "case {case}"
+            );
+        }
+        assert!(self_loops > 0 && x_bits > 0 && pi_fed > 0 && long_lags > 0);
     }
 
     #[test]

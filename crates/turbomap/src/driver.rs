@@ -123,23 +123,6 @@ fn ceil_div(a: i64, b: i64) -> i64 {
     a.div_euclid(b) + if a.rem_euclid(b) != 0 { 1 } else { 0 }
 }
 
-/// TurboMap-frt's core guarantee is that it only ever moves registers
-/// **forward** (that is what makes initial states computable in linear
-/// time); pin that invariant on both the move stats and the thread's
-/// telemetry counter in debug builds.
-#[cfg(debug_assertions)]
-fn debug_assert_no_backward_moves(counter_before: u64, moves: &MoveStats) {
-    assert_eq!(
-        moves.backward_moves, 0,
-        "turbomap_frt applied backward register moves"
-    );
-    let now = engine::telemetry::snapshot().counter(engine::telemetry::Counter::BackwardMoves);
-    assert_eq!(
-        now, counter_before,
-        "turbomap_frt incremented the backward_moves counter"
-    );
-}
-
 /// Errors out when the thread's installed cancellation token tripped
 /// (the oracles bail out early in that state, so their answers must be
 /// discarded rather than interpreted as infeasibility).
@@ -310,9 +293,6 @@ pub fn turbomap_frt(c: &Circuit, opts: Options) -> Result<TurboMapResult, TurboM
 ///
 /// See [`TurboMapError`]; initial state computation cannot fail here.
 pub fn turbomap_frt_with(name: &str, ctx: &FrtContext) -> Result<TurboMapResult, TurboMapError> {
-    #[cfg(debug_assertions)]
-    let backward_before =
-        engine::telemetry::snapshot().counter(engine::telemetry::Counter::BackwardMoves);
     let bounded = ctx.circuit();
     // Upper bound: FlowMap-frt (cheap, feasible by construction).
     let baseline =
@@ -325,8 +305,6 @@ pub fn turbomap_frt_with(name: &str, ctx: &FrtContext) -> Result<TurboMapResult,
     let cuts = || ctx.final_cuts(&s.labels, s.phi);
     let res = generate_at(bounded, baseline, &name, s.phi, &s.labels.ls, cuts, false)?;
     debug_assert!(!res.initial_state_lost);
-    #[cfg(debug_assertions)]
-    debug_assert_no_backward_moves(backward_before, &res.moves);
     Ok(TurboMapResult {
         iterations: s.iterations,
         ..res

@@ -39,7 +39,7 @@
 //!
 //! The same loop, cold-started and logging each `l^s` improvement as a
 //! [`WitnessStep`], is the infeasibility witness of [`crate::witness`];
-//! under the general-retiming [`LabelRule`] it is the label run of the
+//! under the general-retiming `LabelRule` it is the label run of the
 //! TurboMap baseline ([`crate::gencheck`]). Both need a
 //! [`crate::prepare`]d network: the loop has no dead-logic filter, and a
 //! gate that reaches no PO could otherwise climb to the `|V|²` cap.

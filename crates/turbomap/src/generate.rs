@@ -1,31 +1,38 @@
 //! Mapping generation (Section 3.3).
 //!
-//! Given the final labels and one K-cut per LUT root, the mapping is
-//! materialised in three steps, following the paper:
+//! Given the final labels and one K-cut per gate, [`collect_roots`]
+//! selects the LUT roots: a FIFO seeded with the PO drivers, in which
+//! every gate named by a chosen cut becomes a root itself. Root `v` is
+//! retimed by `Ɍ(v) = ⌈L^s(v)/Φ⌉ − 1` and each instance `u^w` of its cone
+//! by `Ɍ(v) + w` (Theorem 6), so every intra-cone edge ends up with no
+//! register. [`generate_mapping`] then builds the LUT network in three
+//! steps, each its own trace span:
 //!
-//! 1. **Root selection** — a FIFO seeded with the PO drivers; every gate
-//!    named by a chosen cut becomes a root itself.
-//! 2. **Expanded network** — each root's cone is instantiated as real
-//!    gates (node duplication), every edge carrying its original register
-//!    chain and initial values; the whole network is then retimed with
-//!    `Ɍ(v) = ⌈L^s(v)/Φ⌉ − 1` at roots and `Ɍ(u^w) = Ɍ(v) + w` inside
-//!    cones (Theorem 6), computing initial states with the retiming
-//!    engine's unit moves.
-//! 3. **Collapse** — after retiming every intra-cone edge carries zero
-//!    registers, so each cone folds into a single K-LUT (truth table by
-//!    exhaustive cone simulation).
-//!
-//! For TurboMap-frt the retiming is pure forward and the initial state
-//! computation cannot fail; the general TurboMap baseline reuses the same
-//! machinery with mixed-direction retimings, where backward justification
-//! *can* fail — reported to the caller (the paper's `⋆` rows).
+//! 1. **`cone_walk`** — each root's expanded cone is walked once over its
+//!    `(node, register count)` instances. The LUT's function is the cone
+//!    function over the expanded cut; its inputs are the cut signals the
+//!    cone reads, in first-read order.
+//! 2. **`initial_states`** — every LUT input's register chain after the
+//!    retiming. When no instance has a positive lag, as always for
+//!    TurboMap-frt, the chains come from one forward simulation pass over
+//!    the original circuit ([`ForwardValues`]): the `k`-th forward move at
+//!    a node emits its value at cycle `k`. A positive lag (the general
+//!    TurboMap baseline) needs backward justification, which can fail;
+//!    then the cones are instantiated as real gates in a node-duplicated
+//!    network H (`expand_network`), and the retiming engine's unit moves
+//!    over H supply the chains. Failed justification is reported to the
+//!    caller (the paper's `⋆` rows).
+//! 3. **`emit_luts`** — one K-LUT per root. Reads of the same signal merge
+//!    into one LUT input, their chains merged bit by bit.
 
 use crate::cutsearch::ExpCut;
 use crate::expand::ExpNode;
-use flowmap::{build_lut_network, Cut, CutSignal};
-use netlist::{Circuit, NodeId};
-use retiming::{apply_retiming, MoveStats, Retiming, RetimingError};
-use std::collections::{HashMap, VecDeque};
+use flowmap::cutenum::ConeWalk;
+use flowmap::{cone_table, MapError, Operand};
+use netlist::{Bit, Circuit, EdgeId, NodeId, TruthTable};
+use retiming::{apply_retiming, ForwardValues, MoveStats, Retiming, RetimingError};
+use std::collections::HashMap;
+use std::ops::Range;
 
 /// Errors from mapping generation.
 #[derive(Debug)]
@@ -48,7 +55,7 @@ pub enum GenerateError {
     /// Netlist construction error.
     Netlist(netlist::NetlistError),
     /// LUT collapse error.
-    Collapse(flowmap::MapError),
+    Collapse(MapError),
 }
 
 impl std::fmt::Display for GenerateError {
@@ -74,12 +81,6 @@ impl From<netlist::NetlistError> for GenerateError {
     }
 }
 
-impl From<flowmap::MapError> for GenerateError {
-    fn from(e: flowmap::MapError) -> Self {
-        GenerateError::Collapse(e)
-    }
-}
-
 /// The generated mapping.
 #[derive(Debug, Clone)]
 pub struct GeneratedMapping {
@@ -94,95 +95,27 @@ pub struct GeneratedMapping {
 
 /// Selects the LUT roots: FIFO from the PO drivers, pulling in every gate
 /// named by a root's cut (§3.3 step 1).
+///
+/// # Errors
+///
+/// [`GenerateError::MissingCut`] when a selected gate has no cut.
 pub fn collect_roots(
     c: &Circuit,
     cuts: &[Option<ExpCut>],
 ) -> Result<HashMap<NodeId, ExpCut>, GenerateError> {
-    let mut roots: HashMap<NodeId, ExpCut> = HashMap::new();
-    let mut queue: VecDeque<NodeId> = VecDeque::new();
-    for &po in c.outputs() {
-        let driver = c.edge(c.node(po).fanin()[0]).from();
-        if c.node(driver).is_gate() {
-            queue.push_back(driver);
-        }
-    }
-    while let Some(v) = queue.pop_front() {
-        if roots.contains_key(&v) {
-            continue;
-        }
+    let po_drivers = c
+        .outputs()
+        .iter()
+        .map(|&po| c.edge(c.node(po).fanin()[0]).from());
+    flowmap::select_roots(c, po_drivers, |v, read| {
         let cut = cuts[v.index()]
             .clone()
             .ok_or_else(|| GenerateError::MissingCut {
                 node: c.node(v).name().to_string(),
             })?;
-        for s in &cut.signals {
-            if c.node(s.node).is_gate() && !roots.contains_key(&s.node) {
-                queue.push_back(s.node);
-            }
-        }
-        roots.insert(v, cut);
-    }
-    Ok(roots)
-}
-
-/// One root's cone, derived from its cut: the internal expanded nodes and,
-/// per internal node, its fanin resolution.
-struct Cone {
-    /// Internal expanded nodes, root first.
-    internal: Vec<ExpNode>,
-    /// For each internal node (same order), its fanins: the original edge
-    /// and the expanded target, plus whether the target is a boundary
-    /// (cut) signal.
-    fanins: Vec<Vec<(netlist::EdgeId, ExpNode, bool)>>,
-}
-
-fn derive_cone(c: &Circuit, root: NodeId, cut: &ExpCut) -> Result<Cone, GenerateError> {
-    let cut_set: std::collections::HashSet<ExpNode> = cut.signals.iter().copied().collect();
-    let mut index: HashMap<ExpNode, usize> = HashMap::new();
-    let mut internal: Vec<ExpNode> = Vec::new();
-    let mut fanins: Vec<Vec<(netlist::EdgeId, ExpNode, bool)>> = Vec::new();
-    let start = ExpNode {
-        node: root,
-        weight: 0,
-    };
-    index.insert(start, 0);
-    internal.push(start);
-    fanins.push(Vec::new());
-    let mut stack = vec![0usize];
-    while let Some(xi) = stack.pop() {
-        let x = internal[xi];
-        let fanin_edges: Vec<netlist::EdgeId> = c.node(x.node).fanin().to_vec();
-        for e in fanin_edges {
-            let edge = c.edge(e);
-            let target = ExpNode {
-                node: edge.from(),
-                weight: x.weight + edge.weight() as u64,
-            };
-            if cut_set.contains(&target) {
-                fanins[xi].push((e, target, true));
-                continue;
-            }
-            if !c.node(target.node).is_gate() {
-                return Err(GenerateError::InconsistentCone {
-                    root: c.node(root).name().to_string(),
-                });
-            }
-            let ti = match index.get(&target) {
-                Some(&ti) => ti,
-                None => {
-                    let ti = internal.len();
-                    index.insert(target, ti);
-                    internal.push(target);
-                    fanins.push(Vec::new());
-                    stack.push(ti);
-                    ti
-                }
-            };
-            fanins[xi].push((e, target, false));
-            let _ = ti;
-        }
-    }
-    Ok(Cone { internal, fanins })
+        cut.signals.iter().for_each(|s| read(s.node));
+        Ok(cut)
+    })
 }
 
 /// Generates the final LUT network from roots, cuts and per-root retiming
@@ -205,86 +138,286 @@ pub fn generate_mapping(
     allow_state_loss: bool,
 ) -> Result<GeneratedMapping, GenerateError> {
     let _span = engine::trace::span1("generate_mapping", "roots", roots.len() as u64);
-    // ---- Step 2a: build the expanded (node-duplicated) network H. ----
-    let mut h = Circuit::new(format!("{name}_expanded"));
-    let mut pi_map: HashMap<NodeId, NodeId> = HashMap::new();
-    for &pi in c.inputs() {
-        pi_map.insert(pi, h.add_input(c.node(pi).name().to_string())?);
-    }
-    let mut root_ids: Vec<NodeId> = roots.keys().copied().collect();
-    root_ids.sort_unstable();
-
-    // Instance nodes per (root, expanded node).
-    let mut cones: HashMap<NodeId, Cone> = HashMap::new();
-    let mut inst: HashMap<(NodeId, ExpNode), NodeId> = HashMap::new();
-    let mut retime_values: Vec<(NodeId, i64)> = Vec::new();
-    for &v in &root_ids {
-        let cone = derive_cone(c, v, &roots[&v])?;
-        let rv = *rr.get(&v).expect("retiming value for every root");
-        for (pos, &en) in cone.internal.iter().enumerate() {
-            let node_name = if pos == 0 {
-                c.node(v).name().to_string()
-            } else {
-                format!(
-                    "{}~x{}w{}",
-                    c.node(v).name(),
-                    c.node(en.node).name(),
-                    en.weight
-                )
-            };
-            let tt = c.node(en.node).function().expect("cone gates").clone();
-            let id = h.add_gate(node_name, tt)?;
-            inst.insert((v, en), id);
-            retime_values.push((id, rv + en.weight as i64));
+    let cones = Cones::walk(c, roots, rr)?;
+    let states = {
+        let _s = engine::trace::span("initial_states");
+        if cones.forward_only {
+            forward_states(c, &cones)?
+        } else {
+            expanded_states(c, &cones, name, allow_state_loss)?
         }
-        cones.insert(v, cone);
+    };
+    emit_luts(c, &cones, states, name)
+}
+
+/// One LUT: its root, the root's lag `Ɍ(v)`, its function, and its parts
+/// of [`Cones`]' flat lists.
+struct Lut {
+    root: NodeId,
+    lag: i64,
+    function: TruthTable,
+    /// Its cone instances, the root's own instance first.
+    inst: Range<usize>,
+    /// Its instances' operands.
+    ops: Range<usize>,
+    /// Its inputs.
+    inputs: Range<usize>,
+}
+
+/// Every root's expanded cone, walked once: what both initial-state paths
+/// and the emission read.
+struct Cones {
+    /// The roots in ascending order.
+    luts: Vec<Lut>,
+    /// Cone instances `u^w`, root by root, in walk order (each root's
+    /// slots).
+    inst: Vec<ExpNode>,
+    /// Per instance fanin, instance by instance in fanin order: the cone
+    /// instance (by slot) or the LUT input that it reads.
+    ops: Vec<Operand>,
+    /// LUT inputs `u^w`, root by root, in first-read order.
+    inputs: Vec<ExpNode>,
+    /// Per node: its lag when it is a root.
+    lag: Vec<Option<i64>>,
+    /// True when no instance has a positive lag.
+    forward_only: bool,
+}
+
+impl Cones {
+    fn walk(
+        c: &Circuit,
+        roots: &HashMap<NodeId, ExpCut>,
+        rr: &HashMap<NodeId, i64>,
+    ) -> Result<Cones, GenerateError> {
+        let _span = engine::trace::span("cone_walk");
+        let mut root_ids: Vec<NodeId> = roots.keys().copied().collect();
+        root_ids.sort_unstable();
+        let mut lag = vec![None; c.num_nodes()];
+        for &v in &root_ids {
+            lag[v.index()] = Some(*rr.get(&v).expect("retiming value for every root"));
+        }
+        let mut cones = Cones {
+            luts: Vec::with_capacity(root_ids.len()),
+            inst: Vec::new(),
+            ops: Vec::new(),
+            inputs: Vec::new(),
+            forward_only: true,
+            lag,
+        };
+        let mut walk = ConeWalk::default();
+        // Per slot of the current cone: its instance and where its fanin
+        // targets start in `reads`: a slot, or the cut signal read.
+        let mut slots: Vec<(ExpNode, usize)> = Vec::new();
+        let mut reads: Vec<Result<usize, ExpNode>> = Vec::new();
+        for &v in &root_ids {
+            let cut = &roots[&v];
+            slots.clear();
+            reads.clear();
+            walk.start(c, v);
+            while let Some((x, node, weight)) = walk.pop() {
+                slots.resize(slots.len().max(x + 1), (ExpNode { node, weight }, 0));
+                slots[x] = (ExpNode { node, weight }, reads.len());
+                for &e in c.node(node).fanin() {
+                    let (u, w) = (c.edge(e).from(), weight + c.edge(e).weight() as u64);
+                    let t = ExpNode { node: u, weight: w };
+                    let gate = c.node(u).is_gate();
+                    reads.push(match cut.signals.contains(&t) {
+                        true if !gate || cones.lag[u.index()].is_some() => Err(t),
+                        false if gate => Ok(walk.visit(u, w)),
+                        _ => {
+                            return Err(GenerateError::InconsistentCone {
+                                root: c.node(v).name().to_string(),
+                            })
+                        }
+                    });
+                }
+            }
+            // Number the inputs in slot order, as the cone reads them.
+            let lag = cones.lag[v.index()].expect("a root");
+            let (inst0, ops0, in0) = (cones.inst.len(), cones.ops.len(), cones.inputs.len());
+            for &(x, start) in &slots {
+                cones.forward_only &= lag + x.weight as i64 <= 0;
+                cones.inst.push(x);
+                for &read in &reads[start..start + c.node(x.node).fanin().len()] {
+                    cones.ops.push(match read {
+                        Ok(slot) => Operand::Gate(slot),
+                        Err(t) => match cones.inputs[in0..].iter().position(|&i| i == t) {
+                            Some(i) => Operand::Input(i),
+                            None => {
+                                cones.inputs.push(t);
+                                Operand::Input(cones.inputs.len() - in0 - 1)
+                            }
+                        },
+                    });
+                }
+            }
+            let inputs = cones.inputs.len() - in0;
+            if inputs > netlist::MAX_INPUTS {
+                return Err(GenerateError::Collapse(MapError::ConeTooWide {
+                    root: c.node(v).name().to_string(),
+                    inputs,
+                }));
+            }
+            let mut gates = Vec::with_capacity(slots.len());
+            let mut at = ops0;
+            for x in &cones.inst[inst0..] {
+                let f = c.node(x.node).function().expect("cone gates");
+                gates.push((f, &cones.ops[at..at + f.num_inputs()]));
+                at += f.num_inputs();
+            }
+            cones.luts.push(Lut {
+                root: v,
+                lag,
+                function: cone_table(inputs, &gates),
+                inst: inst0..cones.inst.len(),
+                ops: ops0..cones.ops.len(),
+                inputs: in0..cones.inputs.len(),
+            });
+        }
+        for &po in c.outputs() {
+            let d = c.edge(c.node(po).fanin()[0]).from();
+            if c.node(d).is_gate() && cones.lag[d.index()].is_none() {
+                return Err(GenerateError::MissingCut {
+                    node: c.node(d).name().to_string(),
+                });
+            }
+        }
+        Ok(cones)
     }
-    // Wire cone fanins; record boundary edges per root for the collapse.
-    let mut boundary_edges: HashMap<NodeId, Vec<netlist::EdgeId>> = HashMap::new();
-    for &v in &root_ids {
-        let cone = &cones[&v];
-        let mut blist = Vec::new();
-        for (pos, &en) in cone.internal.iter().enumerate() {
-            let consumer = inst[&(v, en)];
-            for &(e, target, is_boundary) in &cone.fanins[pos] {
-                let chain = c.edge(e).ffs().to_vec();
-                let src = if is_boundary {
-                    signal_driver(c, &pi_map, &inst, target, v)?
-                } else {
-                    inst[&(v, target)]
-                };
-                let new_edge = h.connect(src, consumer, chain)?;
-                if is_boundary {
-                    blist.push(new_edge);
+
+    /// Every edge whose chain the network reads, in emission order: each
+    /// LUT's reads of its inputs, instance by instance in fanin order,
+    /// with the lag of the instance that reads it; then each PO's edge,
+    /// with lag 0.
+    fn taps(&self, c: &Circuit) -> Vec<(EdgeId, i64)> {
+        let mut taps = Vec::new();
+        for lut in &self.luts {
+            let mut ops = self.ops[lut.ops.clone()].iter();
+            for x in &self.inst[lut.inst.clone()] {
+                let lag = lut.lag + x.weight as i64;
+                for (&e, op) in c.node(x.node).fanin().iter().zip(ops.by_ref()) {
+                    if let Operand::Input(_) = op {
+                        taps.push((e, lag));
+                    }
                 }
             }
         }
-        boundary_edges.insert(v, blist);
+        taps.extend(c.outputs().iter().map(|&po| (c.node(po).fanin()[0], 0)));
+        taps
     }
-    // Primary outputs.
+}
+
+/// The register chains after the retiming, source end first, of every
+/// edge in [`Cones::taps`] order.
+struct InitialStates {
+    chains: Vec<Vec<Bit>>,
+    moves: MoveStats,
+    /// Justification failed and the values were erased to `X`.
+    lost: bool,
+}
+
+/// The chains of a forward-only retiming, from one [`ForwardValues`] pass
+/// over `c`: each node simulated for as many cycles as the most moves
+/// any of its instances makes.
+fn forward_states(c: &Circuit, cones: &Cones) -> Result<InitialStates, GenerateError> {
+    let mut depth = vec![0u64; c.num_nodes()];
+    let mut moves = 0u64;
+    for lut in &cones.luts {
+        for x in &cones.inst[lut.inst.clone()] {
+            let m = (lut.lag + x.weight as i64).unsigned_abs();
+            depth[x.node.index()] = depth[x.node.index()].max(m);
+            moves += m;
+        }
+    }
+    // (edge, moves at its source, moves at its sink); a PI never moves.
+    let taps: Vec<(EdgeId, u64, u64)> = (cones.taps(c).into_iter())
+        .map(|(e, lag)| {
+            let from = cones.lag[c.edge(e).from().index()].unwrap_or(0);
+            (e, from.unsigned_abs(), lag.unsigned_abs())
+        })
+        .collect();
+    for &(e, m_from, m_to) in &taps {
+        let edge = c.edge(e);
+        if edge.weight() as u64 + m_from < m_to {
+            return Err(GenerateError::Retiming(RetimingError::NegativeEdgeWeight {
+                from: c.node(edge.from()).name().to_string(),
+                to: c.node(edge.to()).name().to_string(),
+                weight: edge.weight() as i64 + m_from as i64 - m_to as i64,
+            }));
+        }
+    }
+    let values = ForwardValues::simulate(c, &depth).map_err(GenerateError::Retiming)?;
+    let chains = taps
+        .iter()
+        .map(|&(e, m_from, m_to)| values.chain(c, e, m_from, m_to));
+    engine::telemetry::count(engine::telemetry::Counter::ForwardMoves, moves);
+    Ok(InitialStates {
+        chains: chains.map(|chain| chain.expect("checked above")).collect(),
+        moves: MoveStats {
+            forward_moves: moves as usize,
+            backward_moves: 0,
+        },
+        lost: false,
+    })
+}
+
+/// The chains from unit moves over the node-duplicated network H: every
+/// cone instance a real gate retimed by its lag, every read edge copied
+/// with its chain. With `allow_state_loss`, failed justification retries
+/// with every initial value erased to `X`.
+fn expanded_states(
+    c: &Circuit,
+    cones: &Cones,
+    name: &str,
+    allow_state_loss: bool,
+) -> Result<InitialStates, GenerateError> {
+    let _span = engine::trace::span("expand_network");
+    let mut h = Circuit::new(format!("{name}_expanded"));
+    // Per node of `c`: its H node when it is a PI or a root.
+    let mut driver: Vec<Option<NodeId>> = vec![None; c.num_nodes()];
+    for &pi in c.inputs() {
+        driver[pi.index()] = Some(h.add_input(c.node(pi).name().to_string())?);
+    }
+    // H's node ids run PIs, cone instances, POs: so do the lags.
+    let mut lags = vec![0; c.inputs().len()];
+    for lut in &cones.luts {
+        let root = c.node(lut.root).name();
+        driver[lut.root.index()] = Some(NodeId(h.num_nodes() as u32));
+        for (slot, x) in cones.inst[lut.inst.clone()].iter().enumerate() {
+            let node_name = match slot {
+                0 => root.to_string(),
+                _ => format!("{root}~x{}w{}", c.node(x.node).name(), x.weight),
+            };
+            h.add_gate(node_name, c.node(x.node).function().expect("gate").clone())?;
+            lags.push(lut.lag + x.weight as i64);
+        }
+    }
+    let mut taps = Vec::new();
+    for lut in &cones.luts {
+        let mut ops = cones.ops[lut.ops.clone()].iter();
+        let first = driver[lut.root.index()].expect("emitted above").index();
+        for (slot, x) in cones.inst[lut.inst.clone()].iter().enumerate() {
+            let consumer = NodeId((first + slot) as u32);
+            for (&e, op) in c.node(x.node).fanin().iter().zip(ops.by_ref()) {
+                let chain = c.edge(e).ffs().to_vec();
+                if let Operand::Gate(t) = *op {
+                    h.connect(NodeId((first + t) as u32), consumer, chain)?;
+                } else {
+                    let src = driver[c.edge(e).from().index()].expect("checked by the walk");
+                    taps.push(h.connect(src, consumer, chain)?);
+                }
+            }
+        }
+    }
     for &po in c.outputs() {
         let new_po = h.add_output(c.node(po).name().to_string())?;
-        let e = c.node(po).fanin()[0];
-        let edge = c.edge(e);
-        let d = edge.from();
-        let src = if c.node(d).is_gate() {
-            *inst
-                .get(&(d, ExpNode { node: d, weight: 0 }))
-                .ok_or_else(|| GenerateError::MissingCut {
-                    node: c.node(d).name().to_string(),
-                })?
-        } else {
-            pi_map[&d]
-        };
-        h.connect(src, new_po, edge.ffs().to_vec())?;
+        let edge = c.edge(c.node(po).fanin()[0]);
+        let src = driver[edge.from().index()].expect("checked by the walk");
+        taps.push(h.connect(src, new_po, edge.ffs().to_vec())?);
     }
-
-    // ---- Step 2b: retime H, computing initial states. ----
-    let mut retiming = Retiming::zero(&h);
-    for &(id, r) in &retime_values {
-        retiming.set(id, r);
-    }
-    let (h_retimed, moves, initial_state_lost) = match apply_retiming(&h, &retiming) {
+    lags.resize(h.num_nodes(), 0);
+    let retiming = Retiming::from_values(lags);
+    let (h, moves, lost) = match apply_retiming(&h, &retiming) {
         Ok((hr, mv)) => (hr, mv, false),
         Err(
             e @ (RetimingError::ConflictingFanoutValues { .. }
@@ -296,108 +429,123 @@ pub fn generate_mapping(
             // Erase initial values and retime structurally.
             let mut hx = h.clone();
             for eid in hx.edge_ids().collect::<Vec<_>>() {
-                for b in hx.ffs_mut(eid).iter_mut() {
-                    *b = netlist::Bit::X;
-                }
+                hx.ffs_mut(eid).fill(Bit::X);
             }
             let (hr, mv) = apply_retiming(&hx, &retiming).map_err(GenerateError::Retiming)?;
             (hr, mv, true)
         }
         Err(e) => return Err(GenerateError::Retiming(e)),
     };
-
-    // ---- Step 3: collapse cones into K-LUTs. ----
-    // Boundary edges with the same (driver, weight) carry the *same
-    // logical signal* and become one LUT input — the cut counted them
-    // once, so K-feasibility depends on merging them. Their register
-    // chains must agree; justified backward values can diverge, in which
-    // case the positions are erased to X and the initial state is lost
-    // for those registers (a `⋆` ingredient).
-    let mut h_retimed = h_retimed;
-    let mut initial_state_lost = initial_state_lost;
-    let mut lut_roots: HashMap<NodeId, Cut> = HashMap::new();
-    for &v in &root_ids {
-        let root_inst = inst[&(v, ExpNode { node: v, weight: 0 })];
-        // Merge chains per (driver, weight).
-        let mut merged: Vec<((NodeId, usize), Vec<netlist::Bit>)> = Vec::new();
-        for &be in &boundary_edges[&v] {
-            let edge = h_retimed.edge(be);
-            let key = (edge.from(), edge.weight());
-            let chain = edge.ffs().to_vec();
-            match merged.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, existing)) => {
-                    for (slot, b) in existing.iter_mut().zip(chain) {
-                        match slot.merge(b) {
-                            Some(m) => *slot = m,
-                            None => {
-                                *slot = netlist::Bit::X;
-                                initial_state_lost = true;
-                            }
-                        }
-                    }
-                }
-                None => merged.push((key, chain)),
-            }
-        }
-        // Write the merged chains back so the cone collapse sees exactly
-        // the signatures listed in the cut.
-        for &be in &boundary_edges[&v] {
-            let key = (h_retimed.edge(be).from(), h_retimed.edge(be).weight());
-            let chain = merged
-                .iter()
-                .find(|(k, _)| *k == key)
-                .map(|(_, c)| c.clone())
-                .expect("merged above");
-            *h_retimed.ffs_mut(be) = chain;
-        }
-        let signals: Vec<CutSignal> = merged
-            .into_iter()
-            .map(|((node, weight), chain)| CutSignal {
-                node,
-                weight,
-                chain,
-            })
-            .collect();
-        lut_roots.insert(root_inst, Cut { signals });
-    }
-    let circuit = build_lut_network(&h_retimed, &lut_roots, name)?;
-    Ok(GeneratedMapping {
-        circuit,
+    Ok(InitialStates {
+        chains: taps.iter().map(|&e| h.edge(e).ffs().to_vec()).collect(),
         moves,
-        initial_state_lost,
+        lost,
     })
 }
 
-/// Resolves the H-network driver of a boundary signal: the root instance
-/// of a gate, or a PI.
-fn signal_driver(
+/// Builds the LUT network: PIs, one LUT per root in ascending order, each
+/// LUT's inputs, then the POs. Reads of one input carry the same logical
+/// signal, so their chains must agree; justified backward values can
+/// diverge, and those positions are erased to `X` with the initial state
+/// flagged lost (a `⋆` ingredient).
+fn emit_luts(
     c: &Circuit,
-    pi_map: &HashMap<NodeId, NodeId>,
-    inst: &HashMap<(NodeId, ExpNode), NodeId>,
-    target: ExpNode,
-    root: NodeId,
-) -> Result<NodeId, GenerateError> {
-    if c.node(target.node).is_gate() {
-        inst.get(&(
-            target.node,
-            ExpNode {
-                node: target.node,
-                weight: 0,
-            },
-        ))
-        .copied()
-        .ok_or_else(|| GenerateError::InconsistentCone {
-            root: c.node(root).name().to_string(),
-        })
-    } else {
-        Ok(pi_map[&target.node])
+    cones: &Cones,
+    states: InitialStates,
+    name: &str,
+) -> Result<GeneratedMapping, GenerateError> {
+    let _span = engine::trace::span("emit_luts");
+    let mut lost = states.lost;
+    let mut out = Circuit::new(name.to_string());
+    let mut id: Vec<Option<NodeId>> = vec![None; c.num_nodes()];
+    for &pi in c.inputs() {
+        id[pi.index()] = Some(out.add_input(c.node(pi).name().to_string())?);
     }
+    for lut in &cones.luts {
+        let f = lut.function.clone();
+        id[lut.root.index()] = Some(out.add_gate(c.node(lut.root).name().to_string(), f)?);
+    }
+    let mut chains = states.chains.into_iter();
+    for lut in &cones.luts {
+        let mut merged: Vec<Option<Vec<Bit>>> = vec![None; lut.inputs.len()];
+        for op in &cones.ops[lut.ops.clone()] {
+            let Operand::Input(i) = *op else { continue };
+            let chain = chains.next().expect("one chain per read");
+            match &mut merged[i] {
+                None => merged[i] = Some(chain),
+                Some(existing) => {
+                    for (slot, b) in existing.iter_mut().zip(chain) {
+                        *slot = slot.merge(b).unwrap_or_else(|| {
+                            lost = true;
+                            Bit::X
+                        });
+                    }
+                }
+            }
+        }
+        let lut_id = id[lut.root.index()].expect("emitted above");
+        for (input, chain) in cones.inputs[lut.inputs.clone()].iter().zip(merged) {
+            let src = id[input.node.index()].expect("checked by the walk");
+            out.connect(src, lut_id, chain.expect("every input is read"))?;
+        }
+    }
+    for (&po, chain) in c.outputs().iter().zip(chains) {
+        let new_po = out.add_output(c.node(po).name().to_string())?;
+        let src = id[c.edge(c.node(po).fanin()[0]).from().index()].expect("checked by the walk");
+        out.connect(src, new_po, chain)?;
+    }
+    Ok(GeneratedMapping {
+        circuit: out,
+        moves: states.moves,
+        initial_state_lost: lost,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use netlist::{exhaustive_equiv, Bit, TruthTable};
+
+    /// [`generate_mapping`] with the chains always from unit moves over the
+    /// node-duplicated network H, even when no lag is positive: the
+    /// reference for the one-pass path.
+    fn generate_expanded(
+        c: &Circuit,
+        roots: &HashMap<NodeId, ExpCut>,
+        rr: &HashMap<NodeId, i64>,
+        name: &str,
+        allow_state_loss: bool,
+    ) -> Result<GeneratedMapping, GenerateError> {
+        let cones = Cones::walk(c, roots, rr)?;
+        let states = expanded_states(c, &cones, name, allow_state_loss)?;
+        emit_luts(c, &cones, states, name)
+    }
+
+    /// Generates by both initial-state paths, which must give the same
+    /// network, moves and flag, or the same kind of error; returns the
+    /// one-pass path's result.
+    fn generate_both(
+        c: &Circuit,
+        roots: &HashMap<NodeId, ExpCut>,
+        rr: &HashMap<NodeId, i64>,
+        name: &str,
+        allow_state_loss: bool,
+    ) -> Result<GeneratedMapping, GenerateError> {
+        let direct = generate_mapping(c, roots, rr, name, allow_state_loss);
+        let reference = generate_expanded(c, roots, rr, name, allow_state_loss);
+        match (&direct, &reference) {
+            (Ok(d), Ok(r)) => {
+                assert_eq!(d.circuit, r.circuit);
+                assert_eq!(d.moves, r.moves);
+                assert_eq!(d.initial_state_lost, r.initial_state_lost);
+            }
+            (Err(d), Err(r)) => {
+                assert_eq!(std::mem::discriminant(d), std::mem::discriminant(r));
+            }
+            _ => panic!("paths disagree: {direct:?} against {reference:?}"),
+        }
+        direct
+    }
 
     /// i1 -FF-> g1 -> g2 -> o with a side PI into g2.
     fn sample() -> Circuit {
@@ -447,9 +595,39 @@ mod tests {
             },
         );
         let rr: HashMap<NodeId, i64> = [(g1, 0), (g2, 0)].into_iter().collect();
-        let gen = generate_mapping(&c, &roots, &rr, "ident", false).unwrap();
+        let gen = generate_both(&c, &roots, &rr, "ident", false).unwrap();
         assert!(!gen.initial_state_lost);
         assert_eq!(gen.circuit.num_gates(), 2);
+        assert!(exhaustive_equiv(&c, &gen.circuit, 5)
+            .unwrap()
+            .is_equivalent());
+    }
+
+    #[test]
+    fn outputs_driven_by_inputs_need_no_root() {
+        let mut c = sample();
+        let i2 = c.find("i2").unwrap();
+        let o2 = c.add_output("o2").unwrap();
+        c.connect(i2, o2, vec![Bit::One]).unwrap();
+        let (g2, i1) = (c.find("g2").unwrap(), c.find("i1").unwrap());
+        let mut cuts = vec![None; c.num_nodes()];
+        cuts[g2.index()] = Some(ExpCut {
+            signals: vec![
+                ExpNode {
+                    node: i1,
+                    weight: 1,
+                },
+                ExpNode {
+                    node: i2,
+                    weight: 0,
+                },
+            ],
+        });
+        let roots = collect_roots(&c, &cuts).unwrap();
+        assert_eq!(roots.keys().collect::<Vec<_>>(), [&g2]);
+        let rr: HashMap<NodeId, i64> = [(g2, 0)].into_iter().collect();
+        let gen = generate_both(&c, &roots, &rr, "pi_po", false).unwrap();
+        assert!(gen.circuit.find("g1").is_none());
         assert!(exhaustive_equiv(&c, &gen.circuit, 5)
             .unwrap()
             .is_equivalent());
@@ -482,7 +660,7 @@ mod tests {
             },
         );
         let rr: HashMap<NodeId, i64> = [(g2, 0)].into_iter().collect();
-        let gen = generate_mapping(&c, &roots, &rr, "absorb", false).unwrap();
+        let gen = generate_both(&c, &roots, &rr, "absorb", false).unwrap();
         assert_eq!(gen.circuit.num_gates(), 1);
         assert_eq!(gen.circuit.ff_count_shared(), 1);
         assert!(exhaustive_equiv(&c, &gen.circuit, 5)
@@ -527,7 +705,7 @@ mod tests {
         // Ɍ(g1) = -1: register through g1; g2's cut signal (g1, 0)
         // becomes weight 0 + 0 - (-1) = 1 in the final network.
         let rr: HashMap<NodeId, i64> = [(g1, -1), (g2, 0)].into_iter().collect();
-        let gen = generate_mapping(&c, &roots, &rr, "pull", false).unwrap();
+        let gen = generate_both(&c, &roots, &rr, "pull", false).unwrap();
         assert!(gen.moves.forward_moves > 0);
         let g1_new = gen.circuit.find("g1").unwrap();
         let out_edge = gen.circuit.node(g1_new).fanout()[0];
@@ -572,7 +750,7 @@ mod tests {
         roots.insert(p, cut_for(p));
         roots.insert(q, cut_for(q));
         let rr: HashMap<NodeId, i64> = [(p, 0), (q, 0)].into_iter().collect();
-        let gen = generate_mapping(&c, &roots, &rr, "dup", false).unwrap();
+        let gen = generate_both(&c, &roots, &rr, "dup", false).unwrap();
         assert_eq!(gen.circuit.num_gates(), 2);
         assert!(exhaustive_equiv(&c, &gen.circuit, 3)
             .unwrap()
@@ -611,11 +789,99 @@ mod tests {
         // Ɍ(g) = +1: backward move, must justify 1 through const-0 → ⋆.
         let rr: HashMap<NodeId, i64> = [(g, 1), (t, 0)].into_iter().collect();
         assert!(matches!(
-            generate_mapping(&c, &roots, &rr, "bk", false),
+            generate_both(&c, &roots, &rr, "bk", false),
             Err(GenerateError::InitialState(_))
         ));
-        let gen = generate_mapping(&c, &roots, &rr, "bk2", true).unwrap();
+        let gen = generate_both(&c, &roots, &rr, "bk2", true).unwrap();
         assert!(gen.initial_state_lost);
         assert_eq!(gen.circuit.num_gates(), 2);
+    }
+
+    /// The least Φ in `[1, upper]` that `feasible` accepts; `upper` must be
+    /// accepted.
+    fn least_feasible(upper: u64, feasible: impl Fn(u64) -> bool) -> u64 {
+        let (mut lo, mut hi) = (1, upper);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if feasible(mid) {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        lo
+    }
+
+    /// Both paths on the roots of `cuts` at Φ, retimed by
+    /// `Ɍ(v) = ⌈l(v)/Φ⌉ − 1` as the driver does: byte-identical BLIF, the
+    /// same moves and `⋆` flag. Returns the one-pass result.
+    fn table1_paths(
+        c: &Circuit,
+        cuts: &[Option<ExpCut>],
+        ls: &[i64],
+        phi: u64,
+        general: bool,
+    ) -> GeneratedMapping {
+        let roots = collect_roots(c, cuts).unwrap();
+        let phi = phi as i64;
+        let rr: HashMap<_, _> = roots
+            .keys()
+            .map(|&v| (v, (ls[v.index()] + phi - 1).div_euclid(phi) - 1))
+            .collect();
+        let direct = generate_mapping(c, &roots, &rr, c.name(), general).unwrap();
+        let reference = generate_expanded(c, &roots, &rr, c.name(), general).unwrap();
+        let what = format!("{} Φ={phi} general={general}", c.name());
+        assert_eq!(
+            blifio::write_circuit(&direct.circuit),
+            blifio::write_circuit(&reference.circuit),
+            "{what}"
+        );
+        assert_eq!(direct.moves, reference.moves, "{what}");
+        assert_eq!(
+            direct.initial_state_lost, reference.initial_state_lost,
+            "{what}"
+        );
+        direct
+    }
+
+    /// The one-pass path against the node-duplicated network on all 18
+    /// Table-1 circuits, at each algorithm's least feasible Φ: TurboMap-frt
+    /// and every forward-only TurboMap row match the reference; scf's
+    /// TurboMap row is the one that moves registers backward, so the
+    /// reference is its only path, with its 13 justified moves and no `⋆`.
+    #[test]
+    fn one_pass_generation_matches_expanded_network_on_table1() {
+        let opts = crate::Options::default();
+        let presets = workloads::presets();
+        assert_eq!(presets.len(), 18);
+        let mut backward_rows = Vec::new();
+        for p in &presets {
+            let c = crate::prepare(&workloads::build_preset(p), opts.k).unwrap();
+            let frt = crate::FrtContext::new(&c, opts.k, opts.weight_horizon);
+            let upper = flowmap::flowmap_frt_with(&c, frt.cut_arena())
+                .unwrap()
+                .period;
+            let phi = least_feasible(upper.max(1), |phi| frt.check(phi).feasible);
+            let labels = frt.check(phi).labels;
+            let cuts = frt.final_cuts(&labels, phi);
+            let mapped = table1_paths(&c, &cuts, &labels.ls, phi, false);
+            assert_eq!(mapped.moves.backward_moves, 0, "{}", p.name);
+            drop(frt);
+
+            let general = crate::GeneralContext::new(&c, opts.k, opts.general_horizon);
+            let phi = least_feasible(upper.max(1), |phi| general.check(phi).feasible);
+            let labels = general.check(phi).labels;
+            let cuts = general.final_cuts(&labels, phi);
+            let mapped = table1_paths(&c, &cuts, &labels, phi, true);
+            if mapped.moves.backward_moves > 0 {
+                let row = (
+                    p.name,
+                    mapped.moves.backward_moves,
+                    mapped.initial_state_lost,
+                );
+                backward_rows.push(row);
+            }
+        }
+        assert_eq!(backward_rows, [("scf", 13, false)]);
     }
 }

@@ -27,7 +27,7 @@ pub enum GrowError {
     /// The base circuit has no primary inputs to pair spliced gates with.
     NoInputs,
     /// The base circuit — or, defensively, the grown result — failed
-    /// [`netlist::validate`]. Growth only ever splices live 2-input gates
+    /// [`netlist::validate`](fn@netlist::validate). Growth only ever splices live 2-input gates
     /// into existing edges, so a failure here means the *input* was
     /// already structurally broken.
     Invalid(NetlistError),
@@ -69,7 +69,7 @@ impl From<NetlistError> for GrowError {
 /// Returns [`GrowError::NoEdges`] / [`GrowError::NoInputs`] for bases
 /// that cannot be spliced into, and [`GrowError::Invalid`] when the base
 /// (checked up front) or the grown result (checked defensively before
-/// returning) fails [`netlist::validate`] — callers never receive a
+/// returning) fails [`netlist::validate`](fn@netlist::validate) — callers never receive a
 /// circuit that would panic downstream.
 pub fn grow(
     c: &Circuit,

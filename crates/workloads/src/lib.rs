@@ -9,7 +9,7 @@
 //!   networks with encoded, reset-initialised state registers,
 //! * [`layered`] — layered datapath-style sequential circuits with exact
 //!   gate/register counts,
-//! * [`grow`] — size/depth calibration by live gate insertion,
+//! * [`grow`](mod@grow) — size/depth calibration by live gate insertion,
 //! * [`kiss`] — KISS2 parsing/synthesis for genuine MCNC FSM files,
 //! * [`figures`] — the paper's Figure 1–4 example circuits,
 //! * [`table1`] — the 18 Table-1 presets with the paper's reported
