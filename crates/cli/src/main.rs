@@ -65,16 +65,45 @@ fn main() {
         Err(msg) => usage_error(&msg),
     };
     log::init(args.quiet);
-    let circuit = match load_circuit(&args) {
-        Ok(c) => c,
-        Err(msg) => fatal("loading circuit", &msg),
-    };
     if args.trace_out.is_some() {
         engine::trace::set_enabled(true);
         engine::trace::job_start();
     }
+    let circuit = {
+        let _s = engine::trace::span("load");
+        match load_circuit(&args) {
+            Ok(c) => c,
+            Err(msg) => fatal("loading circuit", &msg),
+        }
+    };
     match run(&args, &circuit) {
         Ok(outcome) => {
+            if !args.quiet {
+                eprint!("{}", outcome.report);
+            }
+            {
+                let _s = engine::trace::span("write_output");
+                // Output format by extension: .v → Verilog, .dot →
+                // Graphviz, anything else (and stdout) → BLIF.
+                let render = |path: Option<&str>| match path {
+                    Some(p) if p.ends_with(".v") => netlist::to_verilog(&outcome.circuit),
+                    Some(p) if p.ends_with(".dot") => netlist::to_dot(&outcome.circuit),
+                    _ => blifio::write_circuit(&outcome.circuit),
+                };
+                match &args.output {
+                    Some(path) => {
+                        if let Err(e) = std::fs::write(path, render(Some(path))) {
+                            fatal("writing output", &format!("`{path}`: {e}"));
+                        }
+                        log::info(
+                            "tmfrt",
+                            "wrote output",
+                            &[("path", JsonValue::str(path.clone()))],
+                        );
+                    }
+                    None => print!("{}", render(None)),
+                }
+            }
             if let Some(path) = &args.trace_out {
                 let buffer = engine::trace::take_thread();
                 let doc = engine::trace::chrome_trace(&buffer, &args.input);
@@ -90,29 +119,6 @@ fn main() {
                         ("dropped", JsonValue::UInt(buffer.dropped as u64)),
                     ],
                 );
-            }
-            if !args.quiet {
-                eprint!("{}", outcome.report);
-            }
-            // Output format by extension: .v → Verilog, .dot → Graphviz,
-            // anything else (and stdout) → BLIF.
-            let render = |path: Option<&str>| match path {
-                Some(p) if p.ends_with(".v") => netlist::to_verilog(&outcome.circuit),
-                Some(p) if p.ends_with(".dot") => netlist::to_dot(&outcome.circuit),
-                _ => blifio::write_circuit(&outcome.circuit),
-            };
-            match &args.output {
-                Some(path) => {
-                    if let Err(e) = std::fs::write(path, render(Some(path))) {
-                        fatal("writing output", &format!("`{path}`: {e}"));
-                    }
-                    log::info(
-                        "tmfrt",
-                        "wrote output",
-                        &[("path", JsonValue::str(path.clone()))],
-                    );
-                }
-                None => print!("{}", render(None)),
             }
             if outcome.star {
                 std::process::exit(3); // distinct status for ⋆ results

@@ -194,11 +194,7 @@ fn fanin_cut(c: &Circuit, v: NodeId) -> Cut {
     let mut signals: Vec<CutSignal> = Vec::new();
     for &e in c.node(v).fanin() {
         let edge = c.edge(e);
-        let s = CutSignal {
-            node: edge.from(),
-            weight: edge.weight(),
-            chain: edge.ffs().to_vec(),
-        };
+        let s = CutSignal::tap(edge.from(), edge.ffs().to_vec());
         if !signals.contains(&s) {
             signals.push(s);
         }
@@ -284,7 +280,7 @@ impl FlowOrder {
                 if leaves.contains(&leaf)
                     && !signals
                         .iter()
-                        .any(|s| s.node == u && s.weight == edge.weight())
+                        .any(|s| s.node == u && s.weight() == edge.weight())
                 {
                     signals.push(CutSignal::tap(u, edge.ffs().to_vec()));
                     if signals.len() == leaves.len() {
@@ -557,6 +553,30 @@ mod tests {
         assert_eq!((lab.labels[v.index()], &lab.cuts[&v]), (flow.0, &flow.1));
         let mapped = crate::flowmap(&c, 2).unwrap();
         assert!(netlist::exhaustive_equiv(&c, &mapped.circuit, 3)
+            .unwrap()
+            .is_equivalent());
+        // At K = 3 the three signals fit one LUT `v`, whose inputs keep
+        // the two taps of `a` apart, in max-flow order.
+        let mapped = crate::flowmap(&c, 3).unwrap().circuit;
+        assert_eq!(mapped.num_gates(), 1);
+        let lut = mapped.find("v").unwrap();
+        let inputs: Vec<(&str, &[Bit])> = (mapped.node(lut).fanin().iter())
+            .map(|&e| {
+                (
+                    mapped.node(mapped.edge(e).from()).name(),
+                    mapped.edge(e).ffs(),
+                )
+            })
+            .collect();
+        assert_eq!(
+            inputs,
+            [
+                ("a", &[Bit::One][..]),
+                ("a", &[Bit::Zero][..]),
+                ("b", &[][..])
+            ]
+        );
+        assert!(netlist::exhaustive_equiv(&c, &mapped, 3)
             .unwrap()
             .is_equivalent());
         // Equal initial values make one signal: one 2-input LUT.

@@ -16,8 +16,13 @@
 //!   answer.
 //! * [`flowmap`] — mapping generation (registers untouched).
 //! * [`flowmap_frt`] — the full baseline including forward retiming.
+//! * [`generate`] — the LUT network generator of every mapper: one walk
+//!   of each root's cone over its cut, each input's register chain after
+//!   the roots' lags, then the LUTs. FlowMap gives every root lag 0;
+//!   TurboMap-frt's `generate_mapping` passes its computed lags.
+//! * [`cut`] — FlowMap's cut signals, and [`LutCut`]: what names a LUT
+//!   input, and in what order, for FlowMap's and TurboMap's cuts.
 //! * [`pack_luts`] — single-fanout LUT packing (area post-pass).
-//! * [`cut`] — cut/cone machinery shared with the TurboMap crates.
 //!
 //! # Examples
 //!
@@ -50,12 +55,14 @@
 
 pub mod cut;
 pub mod cutenum;
+pub mod generate;
 pub mod label;
 pub mod map;
 pub mod pack;
 
-pub use cut::{build_lut_network, cone_function, cone_table, Cut, CutSignal, MapError, Operand};
+pub use cut::{Cut, CutSignal, LutCut};
 pub use cutenum::{ConeWalk, CutArena, CutFault, ExpCut, ExpNode, CUT_CAP};
+pub use generate::{generate_luts, GenerateError, GeneratedMapping};
 pub use label::{flow_label, flowmap_labels, flowmap_labels_with, Labeling};
 pub use map::{
     flowmap, flowmap_frt, flowmap_frt_with, select_roots, FlowMapError, FlowMapFrtResult,

@@ -2,13 +2,15 @@
 //!
 //! After labelling, the LUT network is generated FlowMap-style: a FIFO
 //! seeded with all *visible* gates (gates driving POs or registers) pulls
-//! in the gates named by each root's best cut. `FlowMap-frt` then runs the
+//! in the gates named by each root's best cut, and [`generate_luts`]
+//! collapses each root's cone with every root at lag 0, registers kept in
+//! place — the generator TurboMap-frt uses too. `FlowMap-frt` then runs the
 //! optimal forward-retiming post-pass of the paper's Section 4 baseline:
 //! map each combinational block, re-stitch the registers, forward-retime
 //! for minimum clock period, and compute the initial state by simulation.
 
-use crate::cut::{build_lut_network, MapError};
 use crate::cutenum::CutArena;
+use crate::generate::{generate_luts, GenerateError};
 use crate::label::{flowmap_labels_with, Labeling};
 use netlist::{Circuit, NodeId};
 use retiming::{retime_min_period_forward, MoveStats, RetimingError};
@@ -33,8 +35,8 @@ pub struct FlowMapResult {
 /// Errors from the FlowMap flows.
 #[derive(Debug)]
 pub enum FlowMapError {
-    /// Mapping-network construction failed.
-    Map(MapError),
+    /// LUT network generation failed.
+    Generate(GenerateError),
     /// Retiming post-pass failed.
     Retiming(RetimingError),
     /// Input circuit invalid.
@@ -44,7 +46,7 @@ pub enum FlowMapError {
 impl std::fmt::Display for FlowMapError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            FlowMapError::Map(e) => write!(f, "mapping: {e}"),
+            FlowMapError::Generate(e) => write!(f, "mapping: {e}"),
             FlowMapError::Retiming(e) => write!(f, "retiming: {e}"),
             FlowMapError::Netlist(e) => write!(f, "netlist: {e}"),
         }
@@ -53,9 +55,9 @@ impl std::fmt::Display for FlowMapError {
 
 impl std::error::Error for FlowMapError {}
 
-impl From<MapError> for FlowMapError {
-    fn from(e: MapError) -> Self {
-        FlowMapError::Map(e)
+impl From<GenerateError> for FlowMapError {
+    fn from(e: GenerateError) -> Self {
+        FlowMapError::Generate(e)
     }
 }
 
@@ -141,9 +143,10 @@ fn flowmap_with(c: &Circuit, arena: &CutArena) -> Result<FlowMapResult, FlowMapE
     let roots = select_roots(c, seed_roots(c), |v, read| {
         let cut = labeling.cuts[&v].clone();
         cut.signals.iter().for_each(|s| read(s.node));
-        Ok::<_, MapError>(cut)
+        Ok::<_, GenerateError>(cut)
     })?;
-    let mapped = build_lut_network(c, &roots, &format!("{}_flowmap", c.name()))?;
+    let name = format!("{}_flowmap", c.name());
+    let mapped = generate_luts(c, &roots, |_| 0, &name, false)?.circuit;
     let depth = mapped.clock_period()?;
     Ok(FlowMapResult {
         luts: mapped.num_gates(),

@@ -566,7 +566,7 @@ pub fn flowmap_cut_check_violation(bounded: &Circuit, arena: &CutArena) -> Optio
             let names = |cut: &flowmap::Cut| -> Vec<String> {
                 cut.signals
                     .iter()
-                    .map(|s| format!("{}^{}", bounded.node(s.node).name(), s.weight))
+                    .map(|s| format!("{}^{}", bounded.node(s.node).name(), s.weight()))
                     .collect()
             };
             return Some(format!(

@@ -302,7 +302,7 @@ fn dropped_flowmap_cut_fires_the_cut_check() {
                 signals: signals
                     .map(|s| ExpNode {
                         node: s.node,
-                        weight: s.weight as u64,
+                        weight: s.weight() as u64,
                     })
                     .collect(),
             };

@@ -21,7 +21,8 @@
 //! * [`frtcheck`] — the FRTcheck label-pair iteration (Figure 5) deciding
 //!   one target period,
 //! * [`generate`] — mapping generation with forward retiming and initial
-//!   state computation (§3.3, Theorem 6),
+//!   state computation (§3.3, Theorem 6): root selection here, the LUT
+//!   network from `flowmap::generate`, the generator FlowMap-frt uses,
 //! * [`gencheck`] — the label computation for the **TurboMap** general-
 //!   retiming baseline (ICCD'96) used in the paper's comparison,
 //! * [`driver`] — binary search over Φ and the two end-to-end entry
