@@ -7,7 +7,7 @@
 //! deterministic. Mapped circuits can be written to an output directory
 //! as `<stem>.blif`.
 
-use crate::{load_circuit, run, Algorithm, Args};
+use crate::{load_circuit, run, Args};
 use engine::{run_batch, BatchOptions, JobOutcome, JobReport, JobSpec};
 use std::path::PathBuf;
 use std::time::Duration;
@@ -68,24 +68,13 @@ impl BatchArgs {
             out_dir: None,
             metrics_out: None,
             quiet: false,
-            run: Args {
-                input: String::new(),
-                output: None,
-                algorithm: Algorithm::TurboMapFrt,
-                k: 5,
-                pushback: false,
-                verify: None,
-                onehot: false,
-                pack: false,
-                strash: false,
-                trace_out: None,
-                report: None,
-                report_inline: false,
-                quiet: false,
-            },
+            run: Args::default(),
         };
         let mut it = raw.iter();
         while let Some(a) = it.next() {
+            if out.run.parse_run_flag(a, &mut it)? {
+                continue;
+            }
             match a.as_str() {
                 "--jobs" => {
                     out.jobs = it
@@ -107,32 +96,7 @@ impl BatchArgs {
                             .clone(),
                     );
                 }
-                "-a" | "--algorithm" => {
-                    out.run.algorithm = it
-                        .next()
-                        .ok_or_else(|| "--algorithm needs a name".to_string())?
-                        .parse()?;
-                }
-                "-k" => {
-                    out.run.k = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| "-k needs a number ≥ 2".to_string())?;
-                    if out.run.k < 2 {
-                        return Err("-k must be at least 2".into());
-                    }
-                }
-                "--pushback" => out.run.pushback = true,
-                "--verify" => {
-                    out.run.verify = Some(
-                        it.next()
-                            .and_then(|v| v.parse().ok())
-                            .ok_or_else(|| "--verify needs a vector count".to_string())?,
-                    );
-                }
                 "--onehot" => out.run.onehot = true,
-                "--pack" => out.run.pack = true,
-                "--strash" => out.run.strash = true,
                 "--metrics-out" => {
                     out.metrics_out = Some(
                         it.next()
@@ -255,7 +219,7 @@ pub fn run_batch_dir(args: &BatchArgs) -> Result<BatchSummary, String> {
     }
 
     if let Some(path) = &args.metrics_out {
-        let text = crate::metrics::render_metrics(&reports);
+        let text = engine::prom::render_job_metrics(&reports);
         std::fs::write(path, text).map_err(|e| format!("writing `{path}`: {e}"))?;
     }
 
@@ -307,7 +271,7 @@ mod tests {
         assert_eq!(a.jobs, 4);
         assert_eq!(a.timeout, Some(Duration::from_secs(30)));
         assert_eq!(a.out_dir.as_deref(), Some("out"));
-        assert_eq!(a.run.algorithm, Algorithm::TurboMap);
+        assert_eq!(a.run.algorithm, crate::Algorithm::TurboMap);
         assert_eq!(a.run.k, 4);
         assert_eq!(a.run.verify, Some(64));
         assert_eq!(a.metrics_out.as_deref(), Some("m.prom"));

@@ -6,7 +6,6 @@
 
 pub mod batch;
 pub mod fuzz;
-pub mod metrics;
 pub mod profile;
 pub mod serve;
 
@@ -81,14 +80,10 @@ pub struct Args {
     pub quiet: bool,
 }
 
-impl Args {
-    /// Parses raw arguments (without the program name).
-    ///
-    /// # Errors
-    ///
-    /// Returns a usage message on malformed input.
-    pub fn parse(raw: &[String]) -> Result<Args, String> {
-        let mut args = Args {
+impl Default for Args {
+    /// The single-circuit defaults: `turbomap-frt` at K = 5, no input.
+    fn default() -> Args {
+        Args {
             input: String::new(),
             output: None,
             algorithm: Algorithm::TurboMapFrt,
@@ -102,7 +97,18 @@ impl Args {
             report: None,
             report_inline: false,
             quiet: false,
-        };
+        }
+    }
+}
+
+impl Args {
+    /// Parses raw arguments (without the program name).
+    ///
+    /// # Errors
+    ///
+    /// Returns a usage message on malformed input.
+    pub fn parse(raw: &[String]) -> Result<Args, String> {
+        let mut args = Args::default();
         // `tmfrt map <input> …` is an explicit alias for the default
         // single-circuit mode (symmetric with `tmfrt batch …`).
         let raw = match raw.first().map(String::as_str) {
@@ -111,6 +117,9 @@ impl Args {
         };
         let mut it = raw.iter();
         while let Some(a) = it.next() {
+            if args.parse_run_flag(a, &mut it)? {
+                continue;
+            }
             match a.as_str() {
                 "-o" | "--output" => {
                     args.output = Some(
@@ -119,32 +128,7 @@ impl Args {
                             .clone(),
                     );
                 }
-                "-a" | "--algorithm" => {
-                    args.algorithm = it
-                        .next()
-                        .ok_or_else(|| "--algorithm needs a name".to_string())?
-                        .parse()?;
-                }
-                "-k" => {
-                    args.k = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| "-k needs a number ≥ 2".to_string())?;
-                    if args.k < 2 {
-                        return Err("-k must be at least 2".into());
-                    }
-                }
-                "--pushback" => args.pushback = true,
-                "--verify" => {
-                    args.verify = Some(
-                        it.next()
-                            .and_then(|v| v.parse().ok())
-                            .ok_or_else(|| "--verify needs a vector count".to_string())?,
-                    );
-                }
                 "--onehot" => args.onehot = true,
-                "--pack" => args.pack = true,
-                "--strash" => args.strash = true,
                 "--trace-out" => {
                     args.trace_out = Some(
                         it.next()
@@ -171,6 +155,59 @@ impl Args {
             return Err(USAGE.to_string());
         }
         Ok(args)
+    }
+
+    /// Parses `flag` if it is one of the run flags that `map`, `batch`
+    /// and `serve` share (`-a`, `-k`, `--verify`, `--pack`, `--strash`,
+    /// `--pushback`), taking its value from `rest`. Returns `false` for
+    /// any other flag, which the caller then handles itself.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message when the flag's value is missing or malformed.
+    pub fn parse_run_flag(
+        &mut self,
+        flag: &str,
+        rest: &mut std::slice::Iter<'_, String>,
+    ) -> Result<bool, String> {
+        match flag {
+            "-a" | "--algorithm" => {
+                self.algorithm = rest
+                    .next()
+                    .ok_or_else(|| "--algorithm needs a name".to_string())?
+                    .parse()?;
+            }
+            "-k" => {
+                self.k = rest
+                    .next()
+                    .and_then(|v| parse_k(v).ok())
+                    .ok_or_else(|| "-k needs a number ≥ 2".to_string())?;
+            }
+            "--verify" => {
+                self.verify = Some(
+                    rest.next()
+                        .and_then(|v| v.parse().ok())
+                        .ok_or_else(|| "--verify needs a vector count".to_string())?,
+                );
+            }
+            "--pack" => self.pack = true,
+            "--strash" => self.strash = true,
+            "--pushback" => self.pushback = true,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+}
+
+/// Parses a LUT input bound `K`: a number, at least 2.
+///
+/// # Errors
+///
+/// Returns a message for anything else.
+pub fn parse_k(value: &str) -> Result<usize, String> {
+    match value.parse() {
+        Ok(k) if k >= 2 => Ok(k),
+        _ => Err("k must be a number ≥ 2".to_string()),
     }
 }
 
@@ -450,11 +487,8 @@ impl ExplainArgs {
                 "-k" => {
                     args.k = it
                         .next()
-                        .and_then(|v| v.parse().ok())
+                        .and_then(|v| parse_k(v).ok())
                         .ok_or_else(|| "-k needs a number ≥ 2".to_string())?;
-                    if args.k < 2 {
-                        return Err("-k must be at least 2".into());
-                    }
                 }
                 "--onehot" => args.onehot = true,
                 "--json" => args.json = true,
@@ -764,6 +798,36 @@ mod tests {
         // `map` is only consumed in the leading position.
         let b = Args::parse(&argv("map --quiet")).unwrap_err();
         assert!(b.contains("USAGE"));
+    }
+
+    #[test]
+    fn run_flags_parse_alike_in_map_batch_and_serve() {
+        let flags = "-a turbomap -k 3 --verify 8 --pack --strash --pushback";
+        let map = Args::parse(&argv(&format!("x.blif {flags}"))).unwrap();
+        let batch = batch::BatchArgs::parse(&argv(&format!("dir {flags}")))
+            .unwrap()
+            .run;
+        let serve = serve::ServeArgs::parse(&argv(flags)).unwrap().run;
+        for a in [&map, &batch, &serve] {
+            assert_eq!(a.algorithm, Algorithm::TurboMap);
+            assert_eq!(a.k, 3);
+            assert_eq!(a.verify, Some(8));
+            assert!(a.pack && a.strash && a.pushback);
+        }
+        assert!(Args::parse(&argv("x.blif -k 1")).is_err());
+        assert!(batch::BatchArgs::parse(&argv("dir -k 1")).is_err());
+        assert!(serve::ServeArgs::parse(&argv("-k 1")).is_err());
+        // `--onehot` is a map and batch flag, not a serve one.
+        assert!(Args::parse(&argv("x.blif --onehot")).unwrap().onehot);
+        assert!(
+            batch::BatchArgs::parse(&argv("dir --onehot"))
+                .unwrap()
+                .run
+                .onehot
+        );
+        assert!(serve::ServeArgs::parse(&argv("--onehot")).is_err());
+        assert_eq!(parse_k("4"), Ok(4));
+        assert!(parse_k("1").is_err() && parse_k("four").is_err());
     }
 
     #[test]

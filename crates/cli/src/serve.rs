@@ -3,15 +3,20 @@
 //! Boots the dependency-free [`engine::http`] server and accepts mapping
 //! jobs over HTTP: `POST /jobs` with a BLIF body (or a JSON manifest of
 //! several sources) enqueues each circuit on a long-lived
-//! [`engine::Pool`], exactly as `tmfrt batch` does — panic-isolated,
-//! deadline-bounded through [`engine::CancelToken`]s, with per-job
-//! telemetry. While a job runs, its counters, spans, innermost open span
-//! and heap-accounting peaks are readable by other threads through the
-//! [`engine::telemetry::LiveTelemetry`] mirror, so `GET /jobs/<id>`
-//! shows counters- and peak-heap-so-far, `GET /metrics` folds running
-//! jobs into the Prometheus exposition (including the process-wide
-//! allocator gauges from [`engine::mem`]), and `GET /events` streams
-//! job-lifecycle and span-transition events as Server-Sent Events.
+//! [`engine::Pool`]. A worker runs the job through
+//! [`engine::batch::run_job`], the job protocol of `tmfrt batch` and
+//! `table1`: panic isolation, a deadline registered on the service's one
+//! [`engine::batch::Watchdog`], per-job telemetry, and an outcome of
+//! `ok`, `failed`, `panicked` or `deadline`. While a job runs, its
+//! counters, spans, innermost open span and heap-accounting peaks are
+//! readable by other threads through the
+//! [`engine::telemetry::LiveTelemetry`] mirror the protocol installs, so
+//! `GET /jobs/<id>` shows counters- and peak-heap-so-far and `GET
+//! /metrics` folds running jobs into the Prometheus exposition (including
+//! the process-wide allocator gauges from [`engine::mem`]). A monitor
+//! thread reads the mirrors every 20 ms and publishes span transitions,
+//! next to the job-lifecycle events, on the `GET /events` Server-Sent
+//! Events stream.
 //! With `--trace`, every job also records its spans, and
 //! `GET /jobs/<id>/trace` serves the finished job's Chrome-trace JSON
 //! (loadable in Perfetto, analyzable offline with `tmfrt profile`).
@@ -25,11 +30,10 @@
 //! `TMFRT_LOG` control them).
 
 use crate::{load_circuit, run, Args};
-use engine::cancel::{self, CancelReason};
+use engine::batch::{self, JobOutcome, JobReport, JobSpec, Watchdog};
 use engine::http::{Request, Response, Server, ServerConfig};
-use engine::telemetry::{self, Counter, LiveTelemetry, Telemetry, COUNTER_NAMES};
-use engine::{batch, log, trace, CancelToken, JsonValue, Pool, PromWriter};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use engine::telemetry::{Counter, LiveTelemetry, Telemetry, COUNTER_NAMES};
+use engine::{log, trace, CancelToken, JsonValue, Pool, PromWriter};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -104,12 +108,14 @@ impl ServeArgs {
             jobs: 2,
             timeout: None,
             trace: false,
-            run: Args::parse(&["placeholder".to_string()]).expect("placeholder args parse"),
+            run: Args::default(),
             quiet: false,
         };
-        out.run.input = String::new();
         let mut it = raw.iter();
         while let Some(a) = it.next() {
+            if out.run.parse_run_flag(a, &mut it)? {
+                continue;
+            }
             match a.as_str() {
                 "--addr" => {
                     out.addr = it
@@ -131,31 +137,6 @@ impl ServeArgs {
                     out.timeout = Some(Duration::from_secs(s));
                 }
                 "--trace" => out.trace = true,
-                "-a" | "--algorithm" => {
-                    out.run.algorithm = it
-                        .next()
-                        .ok_or_else(|| "--algorithm needs a name".to_string())?
-                        .parse()?;
-                }
-                "-k" => {
-                    out.run.k = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| "-k needs a number ≥ 2".to_string())?;
-                    if out.run.k < 2 {
-                        return Err("-k must be at least 2".into());
-                    }
-                }
-                "--verify" => {
-                    out.run.verify = Some(
-                        it.next()
-                            .and_then(|v| v.parse().ok())
-                            .ok_or_else(|| "--verify needs a vector count".to_string())?,
-                    );
-                }
-                "--pack" => out.run.pack = true,
-                "--strash" => out.run.strash = true,
-                "--pushback" => out.run.pushback = true,
                 "-q" | "--quiet" => out.quiet = true,
                 "-h" | "--help" => return Err(SERVE_USAGE.to_string()),
                 other => return Err(format!("unexpected argument `{other}`\n{SERVE_USAGE}")),
@@ -183,32 +164,37 @@ impl JobState {
     }
 }
 
+/// What a completed job hands back.
+struct JobOutput {
+    /// The run's human-readable report.
+    report: String,
+    /// The run's rendered `turbomap-report/v2` document (`report=1`
+    /// submissions). Served on `GET /jobs/<id>/report`.
+    report_json: Option<String>,
+}
+
 /// One tracked job.
 struct JobRecord {
     id: u64,
     name: String,
     state: JobState,
-    /// Final status keyword (`ok`/`failed`/`panicked`/`deadline`).
-    status: Option<&'static str>,
-    /// Error message for non-ok outcomes.
-    error: Option<String>,
-    /// The run's human-readable report (ok outcomes).
-    report: Option<String>,
-    /// The run's rendered `turbomap-report/v2` document (`report=1`
-    /// submissions, ok outcomes). Served on `GET /jobs/<id>/report`.
-    report_json: Option<String>,
     started: Option<Instant>,
-    wall: Option<Duration>,
-    deadline: Option<Instant>,
     limit: Option<Duration>,
     token: CancelToken,
     live: Arc<LiveTelemetry>,
-    final_telemetry: Option<Telemetry>,
-    /// Spans harvested from the job thread (`--trace` runs only).
-    trace: Option<trace::TraceBuffer>,
+    /// The finished job's report: outcome, wall, final telemetry and
+    /// (`--trace` runs) the spans harvested from the job thread.
+    done: Option<JobReport<JobOutput>>,
     /// Last innermost span published to the event stream (monitor
     /// state).
     last_span: Option<&'static str>,
+}
+
+impl JobRecord {
+    /// The completed job's output, if it completed.
+    fn output(&self) -> Option<&JobOutput> {
+        self.done.as_ref().and_then(|r| r.outcome.completed())
+    }
 }
 
 /// Bounded in-memory event log backing `GET /events`.
@@ -229,6 +215,8 @@ struct ServeState {
     events: Mutex<EventLog>,
     /// The mapping pool; `None` once shutdown has drained it.
     pool: Mutex<Option<Pool>>,
+    /// Trips each running job's token when its deadline passes.
+    watchdog: Watchdog,
     next_id: AtomicU64,
     shutdown: CancelToken,
     defaults: ServeArgs,
@@ -306,6 +294,7 @@ pub fn start(args: &ServeArgs) -> Result<ServeHandle, String> {
             next_seq: 0,
         }),
         pool: Mutex::new(Some(Pool::new(args.jobs))),
+        watchdog: Watchdog::spawn(),
         next_id: AtomicU64::new(0),
         shutdown: shutdown.clone(),
         defaults: args.clone(),
@@ -323,8 +312,8 @@ pub fn start(args: &ServeArgs) -> Result<ServeHandle, String> {
         ],
     );
 
-    // Monitor thread: enforces job deadlines and publishes span
-    // transitions of running jobs to the event stream.
+    // Monitor thread: publishes span transitions of running jobs to the
+    // event stream.
     let monitor = {
         let state = Arc::clone(&state);
         std::thread::Builder::new()
@@ -382,20 +371,9 @@ fn monitor_loop(state: &ServeState) {
         let mut transitions: Vec<(u64, &'static str)> = Vec::new();
         {
             let mut jobs = state.jobs.lock().expect("jobs poisoned");
-            let now = Instant::now();
             for job in jobs.iter_mut() {
                 if job.state != JobState::Running {
                     continue;
-                }
-                if let Some(deadline) = job.deadline {
-                    if deadline <= now && !job.token.is_cancelled() {
-                        job.token.cancel_deadline();
-                        log::warn(
-                            "tmfrt::serve",
-                            "deadline tripped",
-                            &[("job", JsonValue::UInt(job.id))],
-                        );
-                    }
                 }
                 let span = job.live.current_span();
                 if span != job.last_span {
@@ -514,9 +492,9 @@ fn submit_jobs(state: &Arc<ServeState>, req: &Request) -> Response {
         }
     }
     if let Some(k) = req.query_param("k") {
-        match k.parse::<usize>() {
-            Ok(k) if k >= 2 => run_args.k = k,
-            _ => return Response::bad_request("k must be a number ≥ 2"),
+        match crate::parse_k(k) {
+            Ok(k) => run_args.k = k,
+            Err(e) => return Response::bad_request(e),
         }
     }
     if let Some(v) = req.query_param("verify") {
@@ -578,18 +556,11 @@ fn submit_jobs(state: &Arc<ServeState>, req: &Request) -> Response {
             id,
             name: sub.name.clone(),
             state: JobState::Queued,
-            status: None,
-            error: None,
-            report: None,
-            report_json: None,
             started: None,
-            wall: None,
-            deadline: None,
             limit,
             token: token.clone(),
             live: Arc::clone(&live),
-            final_telemetry: None,
-            trace: None,
+            done: None,
             last_span: None,
         };
         state.jobs.lock().expect("jobs poisoned").push(record);
@@ -610,12 +581,13 @@ fn submit_jobs(state: &Arc<ServeState>, req: &Request) -> Response {
             ],
         );
         let worker_state = Arc::clone(state);
-        let worker_args = run_args.clone();
         let sub_name = sub.name.clone();
+        let mut spec = job_spec(run_args.clone(), sub);
+        spec.timeout = limit;
         let mut pool = state.pool.lock().expect("pool poisoned");
         match pool.as_mut() {
             Some(pool) => {
-                pool.spawn(move || execute_job(&worker_state, id, &worker_args, sub, token, live));
+                pool.spawn(move || execute_job(&worker_state, id, spec, token, live));
             }
             None => return Response::text(503, "shutting down\n"),
         }
@@ -656,91 +628,77 @@ fn parse_manifest(body: &str) -> Result<Vec<Submission>, String> {
     Ok(out)
 }
 
-/// Runs one job on a pool worker: the same isolation/telemetry protocol
-/// as `engine::batch`, but reporting into the live registry.
+/// The job body of one submission: load (or parse) the circuit, run the
+/// flow, keep the reports.
+fn job_spec(mut run_args: Args, sub: Submission) -> JobSpec<JobOutput> {
+    JobSpec::new(sub.name, move || {
+        let circuit = match sub.blif {
+            Some(text) => blifio::read_circuit_str(&text).map_err(|e| e.to_string())?,
+            None => {
+                run_args.input = sub.source.unwrap_or_default();
+                load_circuit(&run_args)?
+            }
+        };
+        let outcome = run(&run_args, &circuit)?;
+        Ok(JobOutput {
+            report: outcome.report,
+            report_json: outcome.report_json,
+        })
+    })
+}
+
+/// Runs one job on a pool worker through [`batch::run_job`], with the
+/// service's watchdog and the job's live telemetry mirror, and records
+/// its lifecycle in the registry and the event stream.
 fn execute_job(
     state: &Arc<ServeState>,
     id: u64,
-    run_args: &Args,
-    sub: Submission,
+    spec: JobSpec<JobOutput>,
     token: CancelToken,
     live: Arc<LiveTelemetry>,
 ) {
+    let name = spec.name.clone();
     {
         let mut jobs = state.jobs.lock().expect("jobs poisoned");
         let job = jobs.iter_mut().find(|j| j.id == id).expect("job exists");
         if token.is_cancelled() {
             // Shutdown beat the queue: never started.
             job.state = JobState::Done;
-            job.status = Some("failed");
-            job.error = Some("cancelled before start".into());
-            job.wall = Some(Duration::ZERO);
+            job.done = Some(JobReport {
+                name,
+                outcome: JobOutcome::Failed("cancelled before start".into()),
+                wall: Duration::ZERO,
+                telemetry: Telemetry::default(),
+                trace: None,
+            });
             return;
         }
         job.state = JobState::Running;
-        let now = Instant::now();
-        job.started = Some(now);
-        job.deadline = job.limit.map(|l| now + l);
+        job.started = Some(Instant::now());
     }
     state.push_event(
         "job",
         vec![
             ("job", JsonValue::UInt(id)),
-            ("name", JsonValue::str(sub.name.clone())),
+            ("name", JsonValue::str(name.clone())),
             ("state", JsonValue::str("running")),
         ],
     );
 
-    let guard = cancel::install(token.clone());
-    telemetry::reset();
-    trace::job_start();
-    let log_guard = log::with_job(sub.name.clone());
-    let mirror_guard = telemetry::install_mirror(Arc::clone(&live));
-    let start = Instant::now();
-    let mut run_args = run_args.clone();
-    let caught = catch_unwind(AssertUnwindSafe(|| {
-        let circuit = match &sub.blif {
-            Some(text) => blifio::read_circuit_str(text).map_err(|e| e.to_string())?,
-            None => {
-                run_args.input = sub.source.clone().unwrap_or_default();
-                load_circuit(&run_args)?
-            }
-        };
-        run(&run_args, &circuit)
-    }));
-    let wall = start.elapsed();
-    drop(mirror_guard);
-    drop(log_guard);
-    let final_telemetry = telemetry::take();
-    let trace_buffer = trace::take_if_enabled();
-    drop(guard);
-
-    let deadline_hit = token.reason() == Some(CancelReason::Deadline);
-    type Outcome = (&'static str, Option<String>, Option<String>, Option<String>);
-    let (status, error, report, report_json): Outcome = match caught {
-        Ok(Ok(outcome)) => ("ok", None, Some(outcome.report), outcome.report_json),
-        Ok(Err(_)) if deadline_hit => ("deadline", Some("deadline exceeded".into()), None, None),
-        Ok(Err(e)) => ("failed", Some(e), None, None),
-        Err(_) if deadline_hit => ("deadline", Some("deadline exceeded".into()), None, None),
-        Err(payload) => ("panicked", Some(batch::panic_message(payload)), None, None),
-    };
+    let report = batch::run_job(spec, token, &state.watchdog, Some(live));
+    let status = report.outcome.status();
+    let wall = report.wall;
     {
         let mut jobs = state.jobs.lock().expect("jobs poisoned");
         let job = jobs.iter_mut().find(|j| j.id == id).expect("job exists");
         job.state = JobState::Done;
-        job.status = Some(status);
-        job.error = error.clone();
-        job.report = report;
-        job.report_json = report_json;
-        job.wall = Some(wall);
-        job.final_telemetry = Some(final_telemetry);
-        job.trace = trace_buffer;
+        job.done = Some(report);
     }
     state.push_event(
         "job",
         vec![
             ("job", JsonValue::UInt(id)),
-            ("name", JsonValue::str(sub.name.clone())),
+            ("name", JsonValue::str(name)),
             ("state", JsonValue::str("done")),
             ("status", JsonValue::str(status)),
         ],
@@ -756,6 +714,15 @@ fn execute_job(
     );
 }
 
+/// The error text of a job that did not complete.
+fn outcome_error<T>(outcome: &JobOutcome<T>) -> Option<String> {
+    match outcome {
+        JobOutcome::Completed(_) => None,
+        JobOutcome::Failed(e) | JobOutcome::Panicked(e) => Some(e.clone()),
+        JobOutcome::DeadlineExceeded { .. } => Some("deadline exceeded".into()),
+    }
+}
+
 fn jobs_index(state: &ServeState) -> JsonValue {
     let jobs = state.jobs.lock().expect("jobs poisoned");
     let list = jobs
@@ -766,11 +733,9 @@ fn jobs_index(state: &ServeState) -> JsonValue {
                 ("name", JsonValue::str(j.name.clone())),
                 ("state", JsonValue::str(j.state.as_str())),
             ];
-            if let Some(status) = j.status {
-                pairs.push(("status", JsonValue::str(status)));
-            }
-            if let Some(wall) = j.wall {
-                pairs.push(("wall_micros", JsonValue::UInt(wall.as_micros() as u64)));
+            if let Some(done) = &j.done {
+                pairs.push(("status", JsonValue::str(done.outcome.status())));
+                pairs.push(("wall_micros", JsonValue::UInt(done.wall.as_micros() as u64)));
             }
             JsonValue::object(pairs)
         })
@@ -829,7 +794,7 @@ fn job_trace(state: &ServeState, id: u64) -> Response {
     let Some(j) = jobs.iter().find(|j| j.id == id) else {
         return Response::not_found();
     };
-    match &j.trace {
+    match j.done.as_ref().and_then(|r| r.trace.as_ref()) {
         Some(buffer) => {
             let doc = trace::chrome_trace(buffer, &j.name);
             Response::json(200, &doc)
@@ -848,7 +813,7 @@ fn job_report(state: &ServeState, id: u64) -> Response {
     let Some(j) = jobs.iter().find(|j| j.id == id) else {
         return Response::not_found();
     };
-    match &j.report_json {
+    match j.output().and_then(|o| o.report_json.as_ref()) {
         Some(doc) => Response {
             status: 200,
             content_type: "application/json".into(),
@@ -871,20 +836,20 @@ fn job_detail(state: &ServeState, id: u64) -> Option<JsonValue> {
         ("name", JsonValue::str(j.name.clone())),
         ("state", JsonValue::str(j.state.as_str())),
     ];
-    if let Some(status) = j.status {
-        pairs.push(("status", JsonValue::str(status)));
+    if let Some(done) = &j.done {
+        pairs.push(("status", JsonValue::str(done.outcome.status())));
+        if let Some(err) = outcome_error(&done.outcome) {
+            pairs.push(("error", JsonValue::str(err)));
+        }
     }
-    if let Some(err) = &j.error {
-        pairs.push(("error", JsonValue::str(err.clone())));
+    if let Some(output) = j.output() {
+        pairs.push(("report", JsonValue::str(output.report.clone())));
+        if output.report_json.is_some() {
+            pairs.push(("report_available", JsonValue::Bool(true)));
+        }
     }
-    if let Some(report) = &j.report {
-        pairs.push(("report", JsonValue::str(report.clone())));
-    }
-    if j.report_json.is_some() {
-        pairs.push(("report_available", JsonValue::Bool(true)));
-    }
-    if let Some(wall) = j.wall {
-        pairs.push(("wall_micros", JsonValue::UInt(wall.as_micros() as u64)));
+    if let Some(done) = &j.done {
+        pairs.push(("wall_micros", JsonValue::UInt(done.wall.as_micros() as u64)));
     } else if let Some(started) = j.started {
         pairs.push((
             "running_micros",
@@ -901,13 +866,15 @@ fn job_detail(state: &ServeState, id: u64) -> Option<JsonValue> {
     }
     // Dropped trace events are an explicit top-level field: a non-zero
     // value means `/jobs/<id>/trace` is incomplete.
-    if let Some(buffer) = &j.trace {
+    if let Some(buffer) = j.done.as_ref().and_then(|r| r.trace.as_ref()) {
         pairs.push(("trace_dropped_events", JsonValue::UInt(buffer.dropped)));
     }
-    // Telemetry: the final snapshot once done, counters and spans so far
-    // through the live mirror while running.
-    match (&j.final_telemetry, j.state) {
-        (Some(t), _) => pairs.extend(telemetry_json(t, None)),
+    // Telemetry: the final snapshot once a job that started is done,
+    // counters and spans so far through the live mirror while running.
+    match (&j.done, j.state) {
+        (Some(done), _) if j.started.is_some() => {
+            pairs.extend(telemetry_json(&done.telemetry, None))
+        }
         (None, JobState::Running) => {
             pairs.extend(telemetry_json(&j.live.snapshot(), j.live.current_span()));
         }
@@ -920,48 +887,30 @@ fn job_detail(state: &ServeState, id: u64) -> Option<JsonValue> {
 /// in-flight gauges, with the shared telemetry families over finished
 /// telemetry merged with live snapshots of running jobs.
 fn render_metrics(state: &ServeState) -> String {
-    let jobs = state.jobs.lock().expect("jobs poisoned");
-    let mut status_counts = [0u64; engine::prom::JOB_STATUSES.len()];
+    let mut w = PromWriter::new();
     let mut queued = 0u64;
     let mut running = 0u64;
-    let mut wall_total = 0.0f64;
     let mut trace_dropped = 0u64;
     let mut agg = Telemetry::default();
-    for j in jobs.iter() {
-        if let Some(buffer) = &j.trace {
-            trace_dropped += buffer.dropped;
-        }
-        match j.state {
-            JobState::Queued => queued += 1,
-            JobState::Running => agg.merge(&j.live.snapshot()),
-            JobState::Done => {}
-        }
-        if j.state == JobState::Running {
-            running += 1;
-        }
-        if let Some(status) = j.status {
-            if let Some(i) = engine::prom::JOB_STATUSES.iter().position(|s| *s == status) {
-                status_counts[i] += 1;
+    {
+        let jobs = state.jobs.lock().expect("jobs poisoned");
+        engine::prom::write_job_families(&mut w, jobs.iter().filter_map(|j| j.done.as_ref()));
+        for j in jobs.iter() {
+            match j.state {
+                JobState::Queued => queued += 1,
+                JobState::Running => {
+                    running += 1;
+                    agg.merge(&j.live.snapshot());
+                }
+                JobState::Done => {}
+            }
+            if let Some(done) = &j.done {
+                agg.merge(&done.telemetry);
+                trace_dropped += done.trace.as_ref().map_or(0, |b| b.dropped);
             }
         }
-        if let Some(wall) = j.wall {
-            wall_total += wall.as_secs_f64();
-        }
-        if let Some(t) = &j.final_telemetry {
-            agg.merge(t);
-        }
     }
-    drop(jobs);
 
-    let mut w = PromWriter::new();
-    w.family(
-        "tmfrt_jobs",
-        engine::prom::MetricKind::Counter,
-        "Finished jobs by outcome status.",
-    );
-    for (i, status) in engine::prom::JOB_STATUSES.iter().enumerate() {
-        w.sample_u64("tmfrt_jobs", &[("status", status)], status_counts[i]);
-    }
     w.family(
         "tmfrt_jobs_inflight",
         engine::prom::MetricKind::Gauge,
@@ -969,12 +918,6 @@ fn render_metrics(state: &ServeState) -> String {
     );
     w.sample_u64("tmfrt_jobs_inflight", &[("state", "queued")], queued);
     w.sample_u64("tmfrt_jobs_inflight", &[("state", "running")], running);
-    w.family(
-        "tmfrt_job_wall_seconds",
-        engine::prom::MetricKind::Counter,
-        "Total wall-clock seconds spent by finished jobs.",
-    );
-    w.sample("tmfrt_job_wall_seconds", &[], wall_total);
     // Observability health + the headline quality counter as dedicated
     // families (the counter also appears inside tmfrt_events, but
     // dashboards alert on these two specifically).

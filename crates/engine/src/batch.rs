@@ -1,27 +1,34 @@
 //! Batch job runner: isolation, deadlines, telemetry, stable ordering.
 //!
-//! [`run_batch`] executes a vector of [`JobSpec`]s on a [`Pool`]:
+//! [`run_job`] is the job protocol, the one place a job body runs:
 //!
-//! * **Panic isolation** — each job body runs under
+//! * **Panic isolation** — the body runs under
 //!   [`std::panic::catch_unwind`]; a panicking job becomes
 //!   [`JobOutcome::Panicked`] with the panic message, and its siblings
 //!   (and the suite) keep running.
-//! * **Soft deadlines** — a watchdog thread trips the job's
-//!   [`CancelToken`] when its deadline passes; the
-//!   job observes the token cooperatively (deep loops poll
-//!   [`cancel::cancelled`]) and unwinds with an
-//!   error, reported as [`JobOutcome::DeadlineExceeded`].
+//! * **Soft deadlines** — the job's deadline is registered on a
+//!   [`Watchdog`], whose thread trips the job's [`CancelToken`] when the
+//!   deadline passes; the job observes the token cooperatively (deep
+//!   loops poll [`cancel::cancelled`]) and unwinds with an error,
+//!   reported as [`JobOutcome::DeadlineExceeded`].
 //! * **Telemetry** — counters, spans and histograms are reset when the job
-//!   starts on its worker and harvested into the report when it ends.
-//! * **Deterministic ordering** — reports come back in submission order
-//!   regardless of worker count or completion order.
+//!   starts on its thread and harvested into the report when it ends;
+//!   an optional [`LiveTelemetry`] mirror shows them to other threads
+//!   while the job runs.
+//!
+//! [`run_batch`] runs a vector of [`JobSpec`]s through [`run_job`] on a
+//! [`Pool`] with one watchdog per batch, and returns the reports in
+//! submission order regardless of worker count or completion order.
+//! `tmfrt serve` runs each submitted job through [`run_job`] on its own
+//! long-lived pool and watchdog.
 
 use crate::cancel::{self, CancelReason, CancelToken};
 use crate::pool::Pool;
-use crate::telemetry::{self, Telemetry};
+use crate::telemetry::{self, LiveTelemetry, Telemetry};
 use crate::trace::{self, TraceBuffer};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// One job: a name, an optional per-job deadline, and the work closure.
@@ -148,37 +155,72 @@ struct WatchdogState {
     closed: bool,
 }
 
-struct Watchdog {
+#[derive(Default)]
+struct WatchdogShared {
     state: Mutex<WatchdogState>,
     changed: Condvar,
 }
 
+/// The deadline watchdog: one thread that trips a job's [`CancelToken`]
+/// with [`CancelReason::Deadline`] once the deadline registered for it
+/// passes. [`run_batch`] starts one per batch; a long-lived service
+/// starts one for its lifetime and hands it to every [`run_job`].
+/// Dropping the watchdog stops its thread.
+pub struct Watchdog {
+    shared: Arc<WatchdogShared>,
+    thread: Option<JoinHandle<()>>,
+}
+
 impl Watchdog {
-    fn new() -> Arc<Watchdog> {
-        Arc::new(Watchdog {
-            state: Mutex::new(WatchdogState::default()),
-            changed: Condvar::new(),
-        })
+    /// Starts the watchdog thread.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the thread cannot be spawned.
+    pub fn spawn() -> Watchdog {
+        let shared = Arc::new(WatchdogShared::default());
+        let runner = Arc::clone(&shared);
+        let thread = std::thread::Builder::new()
+            .name("engine-watchdog".into())
+            .spawn(move || runner.run())
+            .expect("spawn watchdog");
+        Watchdog {
+            shared,
+            thread: Some(thread),
+        }
     }
 
-    /// Registers a deadline for `token`; returns after noting it.
-    fn register(&self, deadline: Instant, token: CancelToken) {
-        let mut st = self.state.lock().expect("watchdog poisoned");
+    /// Trips `token` once `limit` has passed from now.
+    fn watch(&self, limit: Duration, token: CancelToken) {
+        let deadline = Instant::now() + limit;
+        let mut st = self.shared.state.lock().expect("watchdog poisoned");
         st.watches.push(Watch { deadline, token });
         drop(st);
-        self.changed.notify_one();
+        self.shared.changed.notify_one();
     }
 
-    fn close(&self) {
-        self.state.lock().expect("watchdog poisoned").closed = true;
-        self.changed.notify_one();
+    /// Drops the watches on `token`: its job has ended.
+    fn forget(&self, token: &CancelToken) {
+        let mut st = self.shared.state.lock().expect("watchdog poisoned");
+        st.watches.retain(|w| !w.token.same(token));
     }
+}
 
+impl Drop for Watchdog {
+    fn drop(&mut self) {
+        self.shared.state.lock().expect("watchdog poisoned").closed = true;
+        self.shared.changed.notify_one();
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
+    }
+}
+
+impl WatchdogShared {
     /// The watchdog loop: sleep until the earliest pending deadline,
     /// trip expired tokens, drop entries whose token is already tripped
-    /// or whose deadline passed. Finished jobs leave their watches in
-    /// place, so the loop ends on [`Watchdog::close`], which runs once
-    /// every job has finished, not when the last watch expires.
+    /// or whose deadline passed. [`run_job`] drops a finished job's
+    /// watch; the loop ends when the [`Watchdog`] is dropped.
     fn run(&self) {
         let mut st = self.state.lock().expect("watchdog poisoned");
         loop {
@@ -223,8 +265,62 @@ pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Runs `specs` on `opts.jobs` workers and returns one report per job,
-/// **in submission order**.
+/// Runs one job on the current thread under the job protocol: registers
+/// the spec's deadline (if any) on `watchdog` until the job ends, installs `token` as the
+/// thread's cancel token, resets telemetry, starts the trace ring, tags
+/// log lines with the job's name, mirrors counters and spans into
+/// `mirror` (if given) for other threads to read while the job runs,
+/// catches a panic, harvests telemetry and trace, and sorts the result
+/// into a [`JobOutcome`].
+pub fn run_job<T>(
+    spec: JobSpec<T>,
+    token: CancelToken,
+    watchdog: &Watchdog,
+    mirror: Option<Arc<LiveTelemetry>>,
+) -> JobReport<T> {
+    let limit = spec.timeout;
+    if let Some(t) = limit {
+        watchdog.watch(t, token.clone());
+    }
+    let guard = cancel::install(token.clone());
+    telemetry::reset();
+    trace::job_start();
+    // Log lines emitted inside the job body carry its name.
+    let log_guard = crate::log::with_job(spec.name.clone());
+    let mirror_guard = mirror.map(telemetry::install_mirror);
+    let start = Instant::now();
+    let caught = catch_unwind(AssertUnwindSafe(spec.work));
+    let wall = start.elapsed();
+    if limit.is_some() {
+        watchdog.forget(&token);
+    }
+    drop(mirror_guard);
+    drop(log_guard);
+    let telemetry = telemetry::take();
+    let trace = trace::take_if_enabled();
+    drop(guard);
+    let deadline_hit = token.reason() == Some(CancelReason::Deadline);
+    // A tripped deadline that the job outran is still a success; only
+    // jobs that bailed out report it.
+    let outcome = match caught {
+        Ok(Ok(v)) => JobOutcome::Completed(v),
+        Ok(Err(_)) | Err(_) if deadline_hit => JobOutcome::DeadlineExceeded {
+            limit: limit.unwrap_or(Duration::ZERO),
+        },
+        Ok(Err(e)) => JobOutcome::Failed(e),
+        Err(payload) => JobOutcome::Panicked(panic_message(payload)),
+    };
+    JobReport {
+        name: spec.name,
+        outcome,
+        wall,
+        telemetry,
+        trace,
+    }
+}
+
+/// Runs `specs` on `opts.jobs` workers, each through [`run_job`], and
+/// returns one report per job, **in submission order**.
 pub fn run_batch<T: Send + 'static>(
     specs: Vec<JobSpec<T>>,
     opts: &BatchOptions,
@@ -232,70 +328,21 @@ pub fn run_batch<T: Send + 'static>(
     let total = specs.len();
     let results: Arc<Mutex<Vec<Option<JobReport<T>>>>> =
         Arc::new(Mutex::new((0..total).map(|_| None).collect()));
-    let watchdog = Watchdog::new();
-    let watchdog_thread = {
-        let wd = Arc::clone(&watchdog);
-        std::thread::Builder::new()
-            .name("engine-watchdog".into())
-            .spawn(move || wd.run())
-            .expect("spawn watchdog")
-    };
-
+    let watchdog = Arc::new(Watchdog::spawn());
     {
         let mut pool = Pool::new(opts.jobs);
-        for (index, spec) in specs.into_iter().enumerate() {
+        for (index, mut spec) in specs.into_iter().enumerate() {
             let results = Arc::clone(&results);
             let watchdog = Arc::clone(&watchdog);
-            let timeout = spec.timeout.or(opts.timeout);
-            let name = spec.name;
-            let work = spec.work;
+            spec.timeout = spec.timeout.or(opts.timeout);
             pool.spawn(move || {
-                let token = CancelToken::new();
-                let limit = timeout;
-                if let Some(t) = limit {
-                    watchdog.register(Instant::now() + t, token.clone());
-                }
-                let guard = cancel::install(token.clone());
-                telemetry::reset();
-                trace::job_start();
-                // Log lines emitted inside the job body carry its name.
-                let log_guard = crate::log::with_job(name.clone());
-                let start = Instant::now();
-                let caught = catch_unwind(AssertUnwindSafe(work));
-                let wall = start.elapsed();
-                drop(log_guard);
-                let telemetry = telemetry::take();
-                let trace = trace::take_if_enabled();
-                drop(guard);
-                let deadline_hit = token.reason() == Some(CancelReason::Deadline);
-                // A tripped deadline that the job outran is still a
-                // success; only jobs that bailed out report it.
-                let outcome = match caught {
-                    Ok(Ok(v)) => JobOutcome::Completed(v),
-                    Ok(Err(_)) if deadline_hit => JobOutcome::DeadlineExceeded {
-                        limit: limit.unwrap_or(Duration::ZERO),
-                    },
-                    Ok(Err(e)) => JobOutcome::Failed(e),
-                    Err(_) if deadline_hit => JobOutcome::DeadlineExceeded {
-                        limit: limit.unwrap_or(Duration::ZERO),
-                    },
-                    Err(payload) => JobOutcome::Panicked(panic_message(payload)),
-                };
-                // Outrun deadlines leave the token tripped; cancel()ing
-                // here is a no-op either way, so nothing to unwind.
-                results.lock().expect("results poisoned")[index] = Some(JobReport {
-                    name,
-                    outcome,
-                    wall,
-                    telemetry,
-                    trace,
-                });
+                let report = run_job(spec, CancelToken::new(), &watchdog, None);
+                results.lock().expect("results poisoned")[index] = Some(report);
             });
         }
         // Pool drop waits for all jobs.
     }
-    watchdog.close();
-    let _ = watchdog_thread.join();
+    drop(watchdog);
 
     Arc::try_unwrap(results)
         .unwrap_or_else(|_| panic!("batch results still shared"))
@@ -377,6 +424,76 @@ mod tests {
         }
         assert!(reports[0].wall >= Duration::from_millis(50));
         assert!(matches!(reports[1].outcome, JobOutcome::Completed(7)));
+    }
+
+    #[test]
+    fn run_job_on_standalone_watchdog_reports_deadline() {
+        let watchdog = Watchdog::spawn();
+        let spec: JobSpec<u32> = JobSpec::new("slow", || {
+            let t0 = Instant::now();
+            while !cancel::cancelled() {
+                if t0.elapsed() > Duration::from_secs(30) {
+                    return Err("watchdog never fired".into());
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            Err("cancelled".into())
+        })
+        .with_timeout(Duration::from_millis(20));
+        let token = CancelToken::new();
+        let report = run_job(spec, token.clone(), &watchdog, None);
+        assert_eq!(report.name, "slow");
+        assert_eq!(
+            report.outcome,
+            JobOutcome::DeadlineExceeded {
+                limit: Duration::from_millis(20)
+            }
+        );
+        assert_eq!(token.reason(), Some(CancelReason::Deadline));
+        // The protocol leaves no token installed on the calling thread.
+        assert!(!cancel::cancelled());
+    }
+
+    #[test]
+    fn finished_job_leaves_no_watch() {
+        let watchdog = Watchdog::spawn();
+        let token = CancelToken::new();
+        let spec: JobSpec<u32> =
+            JobSpec::new("quick", || Ok(3)).with_timeout(Duration::from_millis(10));
+        let report = run_job(spec, token.clone(), &watchdog, None);
+        assert_eq!(report.outcome, JobOutcome::Completed(3));
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(token.reason(), None);
+    }
+
+    #[test]
+    fn live_mirror_shows_a_running_job() {
+        use crate::telemetry::Counter;
+        use std::sync::mpsc::channel;
+        let live = Arc::new(LiveTelemetry::new());
+        let (inside_tx, inside_rx) = channel();
+        let (release_tx, release_rx) = channel::<()>();
+        let spec: JobSpec<u32> = JobSpec::new("mirrored", move || {
+            let _probe = crate::trace::span("probe");
+            telemetry::count(Counter::FrtSweeps, 3);
+            inside_tx.send(()).unwrap();
+            release_rx.recv().unwrap();
+            Ok(1)
+        });
+        let mirror = Arc::clone(&live);
+        let job = std::thread::spawn(move || {
+            let watchdog = Watchdog::spawn();
+            run_job(spec, CancelToken::new(), &watchdog, Some(mirror))
+        });
+        inside_rx.recv().unwrap();
+        assert_eq!(live.snapshot().counter(Counter::FrtSweeps), 3);
+        assert_eq!(live.current_span(), Some("probe"));
+        release_tx.send(()).unwrap();
+        let report = job.join().unwrap();
+        assert_eq!(report.outcome, JobOutcome::Completed(1));
+        assert_eq!(report.telemetry.counter(Counter::FrtSweeps), 3);
+        assert_eq!(live.current_span(), None);
+        assert_eq!(live.snapshot().spans.get("probe").unwrap().count, 1);
     }
 
     #[test]

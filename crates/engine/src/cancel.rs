@@ -56,6 +56,11 @@ impl CancelToken {
         self.state.load(Ordering::Acquire) != LIVE
     }
 
+    /// True when `other` is a clone of this token.
+    pub(crate) fn same(&self, other: &CancelToken) -> bool {
+        Arc::ptr_eq(&self.state, &other.state)
+    }
+
     /// The reason the token was tripped, if it was.
     pub fn reason(&self) -> Option<CancelReason> {
         match self.state.load(Ordering::Acquire) {

@@ -7,11 +7,12 @@
 //!
 //! * [`pool`] — a work-stealing thread pool (per-worker deques plus a
 //!   shared injector; idle workers steal from their siblings),
-//! * [`batch`] — the job runner: per-job panic isolation
-//!   (`catch_unwind` turns a crash into [`batch::JobOutcome::Panicked`]),
-//!   soft deadlines enforced by a watchdog thread through cooperative
-//!   [`cancel`] tokens, and **deterministic result ordering** regardless
-//!   of worker count,
+//! * [`batch`] — the job runner: one job protocol ([`batch::run_job`])
+//!   with per-job panic isolation (`catch_unwind` turns a crash into
+//!   [`batch::JobOutcome::Panicked`]) and soft deadlines enforced by a
+//!   [`batch::Watchdog`] thread through cooperative [`cancel`] tokens;
+//!   [`batch::run_batch`] adds **deterministic result ordering**
+//!   regardless of worker count,
 //! * [`cancel`] — cancellation tokens installed thread-locally so deep
 //!   algorithm loops (the Φ binary search, the FRTcheck sweeps) can poll
 //!   [`cancel::cancelled`] without threading a token through every call,
@@ -78,7 +79,7 @@ pub mod rng;
 pub mod telemetry;
 pub mod trace;
 
-pub use batch::{run_batch, BatchOptions, JobOutcome, JobReport, JobSpec};
+pub use batch::{run_batch, run_job, BatchOptions, JobOutcome, JobReport, JobSpec, Watchdog};
 pub use cancel::CancelToken;
 pub use hist::{Histogram, Metric};
 pub use json::JsonValue;

@@ -248,41 +248,48 @@ pub fn write_telemetry_families(w: &mut PromWriter, agg: &Telemetry) {
     }
 }
 
+/// Writes the finished-job families: `tmfrt_jobs` (one sample per
+/// [`JOB_STATUSES`] keyword) and `tmfrt_job_wall_seconds`. Shared by
+/// [`render_job_metrics`] and `tmfrt serve`'s `/metrics`.
+pub fn write_job_families<'a, T: 'a>(
+    w: &mut PromWriter,
+    reports: impl IntoIterator<Item = &'a JobReport<T>>,
+) {
+    let mut counts = [0u64; JOB_STATUSES.len()];
+    let mut wall = 0.0f64;
+    for r in reports {
+        let status = r.outcome.status();
+        let i = JOB_STATUSES.iter().position(|s| *s == status);
+        counts[i.expect("a JobOutcome::status keyword")] += 1;
+        wall += r.wall.as_secs_f64();
+    }
+    w.family(
+        "tmfrt_jobs",
+        MetricKind::Counter,
+        "Finished jobs by final status.",
+    );
+    for (status, n) in JOB_STATUSES.iter().zip(counts) {
+        w.sample_u64("tmfrt_jobs", &[("status", status)], n);
+    }
+    w.family(
+        "tmfrt_job_wall_seconds",
+        MetricKind::Counter,
+        "Wall-clock seconds summed over finished jobs.",
+    );
+    w.sample("tmfrt_job_wall_seconds", &[], wall);
+}
+
 /// Renders a finished batch's reports as one scrape-ready Prometheus
-/// exposition: job outcomes, total wall time, then the telemetry
-/// families of [`write_telemetry_families`]. Deterministic for a given
-/// report set and always passes [`validate_exposition`].
+/// exposition: [`write_job_families`], then the telemetry families of
+/// [`write_telemetry_families`]. Deterministic for a given report set and
+/// always passes [`validate_exposition`].
 pub fn render_job_metrics<T>(reports: &[JobReport<T>]) -> String {
     let mut agg = Telemetry::default();
     for r in reports {
         agg.merge(&r.telemetry);
     }
-
     let mut w = PromWriter::new();
-    w.family(
-        "tmfrt_jobs",
-        MetricKind::Counter,
-        "Batch jobs by final status.",
-    );
-    for status in JOB_STATUSES {
-        let n = reports
-            .iter()
-            .filter(|r| r.outcome.status() == status)
-            .count();
-        w.sample_u64("tmfrt_jobs", &[("status", status)], n as u64);
-    }
-
-    w.family(
-        "tmfrt_job_wall_seconds",
-        MetricKind::Counter,
-        "Wall-clock seconds summed over all jobs.",
-    );
-    w.sample(
-        "tmfrt_job_wall_seconds",
-        &[],
-        reports.iter().map(|r| r.wall.as_secs_f64()).sum(),
-    );
-
+    write_job_families(&mut w, reports);
     write_telemetry_families(&mut w, &agg);
     w.finish()
 }

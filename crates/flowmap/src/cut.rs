@@ -77,6 +77,17 @@ pub trait LutCut {
     fn read(&self, c: &Circuit, e: EdgeId, weight: u64) -> Read;
 }
 
+/// A borrowed cut names its LUT's inputs as the cut itself does.
+impl<C: LutCut> LutCut for &C {
+    fn seeds(&self) -> &[CutSignal] {
+        (**self).seeds()
+    }
+
+    fn read(&self, c: &Circuit, e: EdgeId, weight: u64) -> Read {
+        (**self).read(c, e, weight)
+    }
+}
+
 /// FlowMap: every cut signal is an input, in cut order (max-flow's), and
 /// a read matches one on `(node, chain)`, so two taps of one driver with
 /// equal register counts but different initial values stay two inputs.

@@ -408,7 +408,9 @@ struct InitialStates {
 
 /// The chains of a forward-only retiming, from one [`ForwardValues`] pass
 /// over `c`: each node simulated for as many cycles as the most moves
-/// any of its instances makes.
+/// any of its instances makes. When nothing moves (always so for
+/// FlowMap-frt, every root at lag 0), each chain is its edge's own and
+/// the pass is skipped.
 fn forward_states(c: &Circuit, cones: &Cones) -> Result<InitialStates, GenerateError> {
     let mut depth = vec![0u64; c.num_nodes()];
     let mut moves = 0u64;
@@ -419,30 +421,37 @@ fn forward_states(c: &Circuit, cones: &Cones) -> Result<InitialStates, GenerateE
             moves += m;
         }
     }
-    // (edge, moves at its source, moves at its sink); a PI never moves.
-    let taps: Vec<(EdgeId, u64, u64)> = (cones.taps(c).into_iter())
-        .map(|(e, lag)| {
-            let from = cones.lag[c.edge(e).from().index()].unwrap_or(0);
-            (e, from.unsigned_abs(), lag.unsigned_abs())
-        })
-        .collect();
-    for &(e, m_from, m_to) in &taps {
-        let edge = c.edge(e);
-        if edge.weight() as u64 + m_from < m_to {
-            return Err(GenerateError::Retiming(RetimingError::NegativeEdgeWeight {
-                from: c.node(edge.from()).name().to_string(),
-                to: c.node(edge.to()).name().to_string(),
-                weight: edge.weight() as i64 + m_from as i64 - m_to as i64,
-            }));
+    let taps = cones.taps(c);
+    let chains = if moves == 0 {
+        taps.iter()
+            .map(|&(e, _)| c.edge(e).ffs().to_vec())
+            .collect()
+    } else {
+        // (edge, moves at its source, moves at its sink); a PI never moves.
+        let taps: Vec<(EdgeId, u64, u64)> = (taps.into_iter())
+            .map(|(e, lag)| {
+                let from = cones.lag[c.edge(e).from().index()].unwrap_or(0);
+                (e, from.unsigned_abs(), lag.unsigned_abs())
+            })
+            .collect();
+        for &(e, m_from, m_to) in &taps {
+            let edge = c.edge(e);
+            if edge.weight() as u64 + m_from < m_to {
+                return Err(GenerateError::Retiming(RetimingError::NegativeEdgeWeight {
+                    from: c.node(edge.from()).name().to_string(),
+                    to: c.node(edge.to()).name().to_string(),
+                    weight: edge.weight() as i64 + m_from as i64 - m_to as i64,
+                }));
+            }
         }
-    }
-    let values = ForwardValues::simulate(c, &depth).map_err(GenerateError::Retiming)?;
-    let chains = taps
-        .iter()
-        .map(|&(e, m_from, m_to)| values.chain(c, e, m_from, m_to));
+        let values = ForwardValues::simulate(c, &depth).map_err(GenerateError::Retiming)?;
+        taps.iter()
+            .map(|&(e, m_from, m_to)| values.chain(c, e, m_from, m_to).expect("checked above"))
+            .collect()
+    };
     engine::telemetry::count(engine::telemetry::Counter::ForwardMoves, moves);
     Ok(InitialStates {
-        chains: chains.map(|chain| chain.expect("checked above")).collect(),
+        chains,
         moves: MoveStats {
             forward_moves: moves as usize,
             backward_moves: 0,

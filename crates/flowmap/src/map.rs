@@ -141,7 +141,7 @@ fn flowmap_with(c: &Circuit, arena: &CutArena) -> Result<FlowMapResult, FlowMapE
     };
     let _s = engine::trace::span("flowmap_generate");
     let roots = select_roots(c, seed_roots(c), |v, read| {
-        let cut = labeling.cuts[&v].clone();
+        let cut = &labeling.cuts[&v];
         cut.signals.iter().for_each(|s| read(s.node));
         Ok::<_, GenerateError>(cut)
     })?;

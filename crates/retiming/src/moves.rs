@@ -240,8 +240,10 @@ fn move_forward(c: &mut Circuit, v: NodeId) {
 /// gate, and emit those values as sink-end registers on the fanin edges.
 ///
 /// Returns `Ok(false)` when the node currently has a zero-weight fanout
-/// edge (move not possible *yet*).
-fn try_move_backward(c: &mut Circuit, v: NodeId) -> Result<bool, RetimingError> {
+/// edge (move not possible *yet*), and an error when the fanout values
+/// conflict ([`RetimingError::ConflictingFanoutValues`]) or the gate
+/// cannot produce their value ([`RetimingError::NotJustifiable`]).
+pub(crate) fn try_move_backward(c: &mut Circuit, v: NodeId) -> Result<bool, RetimingError> {
     let fanout: Vec<EdgeId> = c.node(v).fanout().to_vec();
     if fanout.iter().any(|&e| c.edge(e).weight() == 0) {
         return Ok(false);

@@ -15,8 +15,10 @@
 //! backward retiming value (min path weight to any PO) so the loop
 //! terminates even on register-heavy cycles.
 
+use crate::moves::try_move_backward;
 use crate::spec::Retiming;
-use netlist::{Bit, Circuit, NodeId};
+use crate::RetimingError;
+use netlist::{Circuit, NodeId};
 
 /// Outcome statistics of a backward push.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -86,18 +88,20 @@ pub fn push_registers_backward(
                 if retiming.get(v) as u64 >= brt[v.index()] {
                     break;
                 }
-                match backward_move(&mut out, v) {
-                    BackwardOutcome::Moved => {
+                // A gate without fanout never gets here: it reaches no
+                // PO, so its `brt` cap is 0.
+                match try_move_backward(&mut out, v) {
+                    Ok(true) => {
                         retiming.set(v, retiming.get(v) + 1);
                         stats.moves += 1;
                         moved_this_round = true;
                     }
-                    BackwardOutcome::NoRegisters => break,
-                    BackwardOutcome::Conflict => {
+                    Ok(false) => break,
+                    Err(RetimingError::ConflictingFanoutValues { .. }) => {
                         stats.conflicts += 1;
                         break;
                     }
-                    BackwardOutcome::Unjustifiable => {
+                    Err(_) => {
                         stats.unjustifiable += 1;
                         break;
                     }
@@ -111,48 +115,10 @@ pub fn push_registers_backward(
     (out, retiming, stats)
 }
 
-enum BackwardOutcome {
-    Moved,
-    NoRegisters,
-    Conflict,
-    Unjustifiable,
-}
-
-fn backward_move(c: &mut Circuit, v: NodeId) -> BackwardOutcome {
-    let fanout: Vec<netlist::EdgeId> = c.node(v).fanout().to_vec();
-    if fanout.is_empty() || fanout.iter().any(|&e| c.edge(e).weight() == 0) {
-        return BackwardOutcome::NoRegisters;
-    }
-    let mut target = Bit::X;
-    for &e in &fanout {
-        match target.merge(c.edge(e).ffs()[0]) {
-            Some(m) => target = m,
-            None => return BackwardOutcome::Conflict,
-        }
-    }
-    let tt = c.node(v).function().expect("gate").clone();
-    let justified: Vec<Bit> = if target == Bit::X {
-        vec![Bit::X; tt.num_inputs()]
-    } else {
-        match tt.justify(target) {
-            Some(j) => j,
-            None => return BackwardOutcome::Unjustifiable,
-        }
-    };
-    for &e in &fanout {
-        c.ffs_mut(e).remove(0);
-    }
-    let fanin: Vec<netlist::EdgeId> = c.node(v).fanin().to_vec();
-    for (&e, &j) in fanin.iter().zip(&justified) {
-        c.ffs_mut(e).push(j);
-    }
-    BackwardOutcome::Moved
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netlist::{exhaustive_equiv, TruthTable};
+    use netlist::{exhaustive_equiv, Bit, TruthTable};
 
     #[test]
     fn pushes_chain_to_inputs() {
