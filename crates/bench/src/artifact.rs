@@ -4,7 +4,7 @@
 //! field-by-field description. Objects render with insertion-ordered
 //! keys via [`engine::JsonValue`], so the artifact is byte-deterministic
 //! for a given suite result. The `canonical` flag zeroes every timing
-//! field (wall seconds, cpu seconds, span-duration histograms) and
+//! field (wall seconds, cpu seconds) and
 //! **omits** the `spans` and memory objects (timing and heap behaviour
 //! are scheduling- and allocator-dependent) while keeping the
 //! deterministic algorithmic counters and value histograms; two runs
@@ -20,7 +20,7 @@
 //! prefix `turbomap-bench/table1/`.
 
 use crate::{geomean, Measured, Row};
-use engine::hist::{Histogram, Metric, HIST_NAMES, NUM_HISTS};
+use engine::hist::{Histogram, HIST_NAMES, NUM_HISTS};
 use engine::mem::MemStats;
 use engine::telemetry::{SpanTable, Telemetry, COUNTER_NAMES, NUM_COUNTERS};
 use engine::{JobOutcome, JobReport, JsonValue};
@@ -74,13 +74,11 @@ fn hist_json(h: &Histogram) -> JsonValue {
 }
 
 /// The telemetry's non-empty histograms, or `None` when all are empty
-/// (the `histograms` field is optional in the `v2` schema). Canonical
-/// artifacts drop `span_nanos` — it is a timing distribution, recorded
-/// only when tracing is on, and including it would break the
-/// tracing-on/off byte-identity guarantee.
-fn hists_json(t: &Telemetry, canonical: bool) -> Option<JsonValue> {
+/// (the `histograms` field is optional in the `v2` schema). Every
+/// histogram holds values, not timings, so canonical artifacts keep
+/// them all.
+fn hists_json(t: &Telemetry) -> Option<JsonValue> {
     let pairs: Vec<(String, JsonValue)> = (0..NUM_HISTS)
-        .filter(|&i| !(canonical && i == Metric::SpanNanos as usize))
         .filter(|&i| !t.hists[i].is_empty())
         .map(|i| (HIST_NAMES[i].to_string(), hist_json(&t.hists[i])))
         .collect();
@@ -146,7 +144,7 @@ fn measured_json(m: &Measured, canonical: bool) -> JsonValue {
         ("cpu_secs", secs(m.cpu, canonical)),
         ("counters", counters_json(&m.telemetry)),
     ];
-    if let Some(h) = hists_json(&m.telemetry, canonical) {
+    if let Some(h) = hists_json(&m.telemetry) {
         pairs.push(("histograms", h));
     }
     if let Some(sp) = spans_json(&m.telemetry.spans, canonical) {
@@ -195,7 +193,7 @@ fn circuit_json(report: &JobReport<Row>, canonical: bool) -> JsonValue {
     }
     pairs.push(("wall_secs", secs(report.wall.as_secs_f64(), canonical)));
     pairs.push(("job_counters", counters_json(&report.telemetry)));
-    if let Some(h) = hists_json(&report.telemetry, canonical) {
+    if let Some(h) = hists_json(&report.telemetry) {
         pairs.push(("job_histograms", h));
     }
     if let Some(sp) = spans_json(&report.telemetry.spans, canonical) {
@@ -351,6 +349,7 @@ pub fn large_json(rows: &[crate::large::IngestRow], canonical: bool) -> JsonValu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use engine::hist::Metric;
     use engine::telemetry::Telemetry;
     use std::time::Duration;
 
@@ -360,8 +359,6 @@ mod tests {
         for v in [2u64, 3, 3, 5] {
             t.hists[Metric::CutSize as usize].record(v);
         }
-        // A timing histogram that canonical artifacts must drop.
-        t.hists[Metric::SpanNanos as usize].record(1_500);
         // Memory accounting that canonical artifacts must omit.
         t.mem.allocs = 11;
         t.mem.alloc_bytes = 2_222;
@@ -426,9 +423,8 @@ mod tests {
         assert!(!text.contains("1.5"), "timing leaked: {text}");
         // Counters survive canonicalisation.
         assert!(text.contains("\"flow_augmentations\": 42"));
-        // Value histograms survive; the span-duration histogram does not.
+        // Value histograms survive.
         assert!(text.contains("\"cut_size\""));
-        assert!(!text.contains("\"span_nanos\""), "timing hist leaked");
         // Spans and memory are omitted wholesale in canonical mode, so
         // tracing- and accounting-on and -off runs stay byte-identical.
         assert!(!text.contains("spans"), "spans leaked: {text}");
@@ -465,8 +461,6 @@ mod tests {
             "\"cut_size\":{\"count\":4,\"sum\":13,\"p50\":3,\"p90\":7,\"p99\":7,\
              \"buckets\":[[2,3],[3,1]]}"
         ));
-        // Non-canonical artifacts keep the span-duration histogram.
-        assert!(text.contains("\"span_nanos\""));
         // Job-level telemetry is all-empty → optional field omitted.
         assert!(!text.contains("job_histograms"));
     }

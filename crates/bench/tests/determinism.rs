@@ -53,9 +53,7 @@ fn canonical_artifact_identical_for_jobs_1_and_8() {
 fn canonical_artifact_identical_with_tracing_on_and_off() {
     // Tracing must be observation-only: spans cost a little time (which
     // canonical artifacts zero anyway) but must never change an
-    // algorithmic result, a counter, or a value histogram. The only
-    // tracing-dependent histogram (`span_nanos`) is dropped from
-    // canonical artifacts for exactly this reason.
+    // algorithmic result, a counter, or a value histogram.
     let cfg = SuiteConfig {
         verify: false,
         jobs: 2,

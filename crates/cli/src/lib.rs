@@ -216,7 +216,7 @@ pub const USAGE: &str = "\
 tmfrt — FPGA mapping with forward retiming (Cong & Wu, DAC'98 reproduction)
 
 USAGE: tmfrt [map] <input> [-o out.blif] [-a ALGO] [-k K] [--pushback] [--verify N]
-             [--onehot] [--trace-out t.json] [--report r.json] [-q]
+             [--onehot] [--pack] [--strash] [--trace-out t.json] [--report r.json] [-q]
        tmfrt explain <input> [-k K] [--json] [--check] …  (see `tmfrt explain --help`)
        tmfrt batch <dir> [--jobs N] [--timeout-secs S] [-o OUTDIR] …  (see `tmfrt batch --help`)
        tmfrt fuzz [--seed A..=B] [--cases N] [--jobs N] …  (see `tmfrt fuzz --help`)
@@ -773,6 +773,31 @@ mod tests {
         assert_eq!(a.algorithm, Algorithm::TurboMapFrt);
         assert_eq!(a.k, 5);
         assert!(!a.pushback);
+    }
+
+    /// Every flag the flag list describes is also in the `map` synopsis
+    /// (under one of its spellings, e.g. `-q` for `-q, --quiet`).
+    #[test]
+    fn synopsis_names_every_listed_flag() {
+        let synopsis: String = USAGE
+            .lines()
+            .skip_while(|l| !l.starts_with("USAGE:"))
+            .take_while(|l| !l.trim_start().starts_with("tmfrt explain"))
+            .collect();
+        let entries = USAGE
+            .lines()
+            .filter_map(|l| l.strip_prefix("  "))
+            .filter(|l| l.starts_with('-'))
+            .map(|l| l.split("  ").next().unwrap_or(l));
+        for entry in entries {
+            let spellings: Vec<&str> = entry.split(", ").collect();
+            assert!(
+                spellings
+                    .iter()
+                    .any(|flag| synopsis.contains(&format!("[{flag}"))),
+                "{entry} missing from the synopsis"
+            );
+        }
     }
 
     #[test]

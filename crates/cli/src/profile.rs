@@ -131,7 +131,8 @@ fn load_profile(operands: &[String]) -> Result<Profile, String> {
 /// # Errors
 ///
 /// Returns a message on I/O failures, invalid JSON, or malformed
-/// (unbalanced/crossed) trace streams — the strictness CI gates on.
+/// (unbalanced, crossed or backwards-running) trace streams — the
+/// strictness CI gates on.
 pub fn run_profile(args: &ProfileArgs) -> Result<String, String> {
     if let Some((base_op, cand_op)) = &args.diff {
         let base = load_profile(std::slice::from_ref(base_op))?;
@@ -259,6 +260,8 @@ mod tests {
             ..ProfileArgs::default()
         };
         assert!(run_profile(&args).unwrap_err().contains("empty stack"));
+        std::fs::write(&bad, "not json").unwrap();
+        assert!(run_profile(&args).unwrap_err().contains("not valid JSON"));
         let args = ProfileArgs {
             inputs: vec![dir.join("missing.json").display().to_string()],
             ..ProfileArgs::default()

@@ -1,6 +1,6 @@
 //! End-to-end observability smoke tests driving the real binaries (the
 //! same flow as the CI `trace-smoke` job): `tmfrt map --trace-out` must
-//! emit a Chrome trace that `tracecheck` accepts, and
+//! emit a Chrome trace that `tmfrt profile` accepts, and
 //! `tmfrt batch --metrics-out` must emit valid Prometheus exposition.
 
 use std::path::PathBuf;
@@ -21,7 +21,7 @@ fn scratch(tag: &str) -> PathBuf {
 }
 
 #[test]
-fn map_trace_out_passes_tracecheck() {
+fn map_trace_out_passes_profile() {
     let dir = scratch("trace");
     let trace = dir.join("t.trace.json");
     let out = Command::new(env!("CARGO_BIN_EXE_tmfrt"))
@@ -49,13 +49,14 @@ fn map_trace_out_passes_tracecheck() {
     assert!(text.contains("\"traceEvents\""));
     assert!(text.contains("\"phi_search\""), "no phi_search span");
 
-    let check = Command::new(env!("CARGO_BIN_EXE_tracecheck"))
+    let check = Command::new(env!("CARGO_BIN_EXE_tmfrt"))
+        .arg("profile")
         .arg(&trace)
         .output()
-        .expect("tracecheck runs");
+        .expect("tmfrt profile runs");
     assert!(
         check.status.success(),
-        "tracecheck rejected the trace: {}",
+        "tmfrt profile rejected the trace: {}",
         String::from_utf8_lossy(&check.stderr)
     );
 }
@@ -118,30 +119,31 @@ fn profile_report_is_stdout_only() {
 }
 
 #[test]
-fn profile_rejects_malformed_trace() {
+fn profile_rejects_malformed_traces() {
     let dir = scratch("profile_bad");
     let bad = dir.join("bad.trace.json");
-    // An orphan E event: structurally JSON, semantically not a trace.
-    std::fs::write(&bad, "{\"traceEvents\": [{\"ph\": \"E\", \"ts\": 5}]}").unwrap();
-    let prof = Command::new(env!("CARGO_BIN_EXE_tmfrt"))
-        .arg("profile")
-        .arg(&bad)
-        .output()
-        .expect("tmfrt profile runs");
-    assert!(!prof.status.success(), "malformed trace must fail");
-    assert!(prof.stdout.is_empty(), "no report on failure");
-}
-
-#[test]
-fn tracecheck_rejects_garbage() {
-    let dir = scratch("garbage");
-    let bad = dir.join("bad.json");
-    std::fs::write(&bad, "{\"traceEvents\": [{\"ph\": \"B\"}]}").unwrap();
-    let check = Command::new(env!("CARGO_BIN_EXE_tracecheck"))
-        .arg(&bad)
-        .output()
-        .expect("tracecheck runs");
-    assert!(!check.status.success());
+    for (what, text) in [
+        // An orphan E event: structurally JSON, semantically not a trace.
+        (
+            "orphan exit",
+            "{\"traceEvents\": [{\"ph\": \"E\", \"ts\": 5}]}",
+        ),
+        ("unnamed enter", "{\"traceEvents\": [{\"ph\": \"B\"}]}"),
+        (
+            "backwards clock",
+            r#"{"traceEvents":[{"name":"a","ph":"i","ts":5,"pid":1,"tid":1},
+                {"name":"b","ph":"i","ts":4,"pid":1,"tid":1}]}"#,
+        ),
+    ] {
+        std::fs::write(&bad, text).unwrap();
+        let prof = Command::new(env!("CARGO_BIN_EXE_tmfrt"))
+            .arg("profile")
+            .arg(&bad)
+            .output()
+            .expect("tmfrt profile runs");
+        assert!(!prof.status.success(), "{what}: malformed trace must fail");
+        assert!(prof.stdout.is_empty(), "{what}: no report on failure");
+    }
 }
 
 #[test]

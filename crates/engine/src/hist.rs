@@ -44,37 +44,17 @@ pub enum Metric {
     AugmentationsPerCut = 1,
     /// FRTcheck / general-check label sweeps per probed Φ.
     SweepsPerPhi = 2,
-    /// Span durations in nanoseconds (recorded when tracing is enabled;
-    /// a timing field — canonical artifacts zero it).
-    SpanNanos = 3,
     /// Gate label updates (cut queries) per Φ probe, each answered from the
     /// probe-invariant cut arena or a fallback gate's kept expansion (one
     /// sample per label-check call).
-    CacheHitsPerProbe = 4,
+    CacheHitsPerProbe = 3,
     /// Gate count of each generated fuzz case (`crates/fuzz`), recorded
     /// after generation so the campaign's size distribution is visible.
-    FuzzCaseGates = 5,
-    /// Wall-clock nanoseconds per completed fuzz case (generation through
-    /// oracle verdict; a timing field — canonical artifacts zero it).
-    FuzzCaseNanos = 6,
-    /// Per-LUT timing slack (period − depth) of each mapped gate, recorded
-    /// when a mapping report is generated (`crates/report`).
-    NodeSlack = 7,
-    /// Derivation-log length of each Φ−1 infeasibility witness.
-    WitnessSteps = 8,
-    /// Node count of the critical cycle found on the mapped network at
-    /// Φ−1 (recorded only when a cycle exists).
-    WitnessCycleLen = 9,
-    /// Gate count of each block mapped by the partition-and-conquer
-    /// pipeline (`crates/partition`), recorded once per block.
-    PartitionBlockGates = 10,
-    /// Flip-flops frozen on each block's seam (cut registers charged to
-    /// the block that consumes them), recorded once per block.
-    PartitionCutFfs = 11,
+    FuzzCaseGates = 4,
 }
 
 /// Number of [`Metric`] variants.
-pub const NUM_HISTS: usize = 12;
+pub const NUM_HISTS: usize = 5;
 
 /// Stable snake_case metric names, indexed by `Metric as usize` (JSON
 /// keys in the `turbomap-bench/table1/v2` artifact).
@@ -82,15 +62,8 @@ pub const HIST_NAMES: [&str; NUM_HISTS] = [
     "cut_size",
     "augmentations_per_cut",
     "sweeps_per_phi",
-    "span_nanos",
     "cache_hits_per_probe",
     "fuzz_case_gates",
-    "fuzz_case_nanos",
-    "node_slack",
-    "witness_steps",
-    "witness_cycle_len",
-    "partition_block_gates",
-    "partition_cut_ffs",
 ];
 
 /// A streaming log-bucketed histogram. All fields are monotone counters.
@@ -134,24 +107,6 @@ pub fn bucket_upper_bound(index: usize) -> u64 {
     } else {
         (1u64 << index) - 1
     }
-}
-
-/// Inclusive lower bound of a bucket: 0, then `2^(i-1)`.
-pub fn bucket_lower_bound(index: usize) -> u64 {
-    if index == 0 {
-        0
-    } else {
-        1u64 << (index - 1)
-    }
-}
-
-/// Midpoint of a bucket's value range (the deterministic single-bucket
-/// estimate used by [`Histogram::percentile`]).
-pub fn bucket_midpoint(index: usize) -> u64 {
-    let lo = bucket_lower_bound(index);
-    let hi = bucket_upper_bound(index);
-    // Average without overflow (lo ≤ hi always).
-    lo + (hi - lo) / 2
 }
 
 impl Histogram {
@@ -244,40 +199,6 @@ impl Histogram {
         Some(bucket_upper_bound(NUM_BUCKETS - 1))
     }
 
-    /// Deterministic percentile for reports and dashboards, defined on
-    /// **every** histogram:
-    ///
-    /// * empty → `0` (not an error, not a stale bound),
-    /// * all samples in one bucket → that bucket's midpoint (the bucket
-    ///   is the entire information the histogram has; the midpoint is
-    ///   the minimum-worst-case point estimate, and it is the same for
-    ///   p50, p90 and p99, as it must be when n=1),
-    /// * otherwise → the upper bound of the bucket holding the
-    ///   `⌈q·count⌉`-th sample, exactly like [`Histogram::quantile`].
-    ///
-    /// [`Histogram::quantile`] keeps its `Option` shape for callers that
-    /// must distinguish "no data"; this is the total function the serve
-    /// metrics and `benchdiff` build on.
-    pub fn percentile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let nonzero = self.nonzero_buckets();
-        if let [(only, _)] = nonzero.as_slice() {
-            return bucket_midpoint(*only);
-        }
-        self.quantile(q).unwrap_or(0)
-    }
-
-    /// Mean of the recorded samples (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
     /// Non-empty buckets as `(index, count)` pairs, ascending — the
     /// compact form the JSON artifact stores.
     pub fn nonzero_buckets(&self) -> Vec<(usize, u64)> {
@@ -324,7 +245,6 @@ mod tests {
         assert_eq!(h.quantile(0.5), Some(3));
         // The top sample (100) is in bucket [64, 127].
         assert_eq!(h.quantile(1.0), Some(127));
-        assert!((h.mean() - 133.0 / 8.0).abs() < 1e-12);
     }
 
     #[test]
@@ -379,51 +299,6 @@ mod tests {
     }
 
     #[test]
-    fn percentile_is_total_and_deterministic() {
-        // Empty: every percentile is exactly 0, twice in a row.
-        let empty = Histogram::new();
-        for q in [0.5, 0.9, 0.99] {
-            assert_eq!(empty.percentile(q), 0);
-            assert_eq!(empty.percentile(q), 0);
-        }
-        // Single-bucket: the bucket midpoint, for every percentile.
-        // Samples 4..=7 land in bucket 3 → midpoint of [4,7] is 5.
-        let mut single = Histogram::new();
-        for v in [4u64, 5, 6, 7, 4] {
-            single.record(v);
-        }
-        for q in [0.5, 0.9, 0.99] {
-            assert_eq!(single.percentile(q), 5, "q={q}");
-        }
-        // Single-bucket at zero: midpoint of [0,0] is 0.
-        let mut zeros = Histogram::new();
-        zeros.record(0);
-        zeros.record(0);
-        assert_eq!(zeros.percentile(0.99), 0);
-        // Multi-bucket: agrees with `quantile`'s upper-bound estimate.
-        let mut multi = Histogram::new();
-        for v in [1u64, 1, 2, 3, 5, 8, 13, 100] {
-            multi.record(v);
-        }
-        assert_eq!(multi.percentile(0.5), multi.quantile(0.5).unwrap());
-        assert_eq!(multi.percentile(0.5), 3);
-        assert_eq!(multi.percentile(1.0), 127);
-    }
-
-    #[test]
-    fn bucket_bounds_and_midpoints() {
-        assert_eq!(bucket_lower_bound(0), 0);
-        assert_eq!(bucket_lower_bound(1), 1);
-        assert_eq!(bucket_lower_bound(3), 4);
-        assert_eq!(bucket_midpoint(0), 0);
-        assert_eq!(bucket_midpoint(1), 1);
-        assert_eq!(bucket_midpoint(3), 5); // [4,7] → 5
-        assert_eq!(bucket_midpoint(4), 11); // [8,15] → 11
-                                            // The top bucket's midpoint stays finite and in range.
-        assert!(bucket_midpoint(NUM_BUCKETS - 1) >= bucket_lower_bound(NUM_BUCKETS - 1));
-    }
-
-    #[test]
     fn nonzero_buckets_compact() {
         let mut h = Histogram::new();
         h.record(0);
@@ -435,21 +310,12 @@ mod tests {
     #[test]
     fn names_cover_metrics() {
         assert_eq!(HIST_NAMES.len(), NUM_HISTS);
-        assert_eq!(HIST_NAMES[Metric::SpanNanos as usize], "span_nanos");
-        assert_eq!(HIST_NAMES[Metric::NodeSlack as usize], "node_slack");
+        assert_eq!(HIST_NAMES[Metric::CutSize as usize], "cut_size");
         assert_eq!(
-            HIST_NAMES[Metric::WitnessCycleLen as usize],
-            "witness_cycle_len"
+            HIST_NAMES[Metric::FuzzCaseGates as usize],
+            "fuzz_case_gates"
         );
-        assert_eq!(
-            HIST_NAMES[Metric::PartitionBlockGates as usize],
-            "partition_block_gates"
-        );
-        assert_eq!(
-            HIST_NAMES[Metric::PartitionCutFfs as usize],
-            "partition_cut_ffs"
-        );
-        assert_eq!(Metric::PartitionCutFfs as usize, NUM_HISTS - 1);
+        assert_eq!(Metric::FuzzCaseGates as usize, NUM_HISTS - 1);
         let unique: std::collections::HashSet<&str> = HIST_NAMES.iter().copied().collect();
         assert_eq!(unique.len(), NUM_HISTS);
     }

@@ -65,8 +65,9 @@ impl JsonValue {
     ///
     /// Supports the full data model this writer emits; numbers parse as
     /// `UInt`/`Int` when integral and in range, `Float` otherwise.
-    /// Returns a message with a byte offset on malformed input. Used by
-    /// the `tracecheck` validator to read traces back.
+    /// Returns a message with a byte offset on malformed input. Reads
+    /// back the JSON the repo writes: traces, artifacts, reports and
+    /// repro manifests.
     pub fn parse(text: &str) -> Result<JsonValue, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;

@@ -442,11 +442,6 @@ pub fn current_rss_kib() -> Option<u64> {
     proc_status_kib("VmRSS:")
 }
 
-/// Peak resident set size in bytes (see [`peak_rss_kib`]).
-pub fn peak_rss() -> Option<u64> {
-    peak_rss_kib().map(|k| k * 1024)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -654,7 +649,6 @@ mod tests {
         if cfg!(target_os = "linux") {
             let peak = peak_rss_kib().expect("VmHWM present on Linux");
             assert!(peak > 0);
-            assert_eq!(peak_rss(), Some(peak * 1024));
             assert!(current_rss_kib().expect("VmRSS present") > 0);
         }
     }

@@ -13,9 +13,11 @@
 //! * a **differential** ([`diff`] / [`render_diff`]) — phase-attributed
 //!   comparison of two runs naming the spans whose self time moved most.
 //!
-//! Parsing is strict: unbalanced enters/exits, timestamps running
-//! backwards inside a stack, or malformed events are hard errors, so CI
-//! can gate on `tmfrt profile` exiting zero.
+//! Parsing is strict, so CI can gate on `tmfrt profile` exiting zero:
+//! every event needs a `name` and a phase (`B`/`E`/`i`/`I`/`M`), every
+//! non-metadata event a `ts`; timestamps never go backwards within one
+//! `(pid, tid)` stream; and every exit matches that stream's innermost
+//! open enter, with nothing left open at the end.
 
 use crate::json::JsonValue;
 use std::collections::BTreeMap;
@@ -51,6 +53,14 @@ pub struct Profile {
     pub dropped: u64,
 }
 
+/// One `(pid, tid)` event stream: its open spans and its latest
+/// timestamp.
+#[derive(Default)]
+struct Stream {
+    stack: Vec<Frame>,
+    last_ts: u64,
+}
+
 /// One frame on the reconstruction stack.
 struct Frame {
     name: String,
@@ -75,8 +85,9 @@ impl Profile {
     /// Folds one parsed Chrome-trace document into the profile.
     ///
     /// Accepts the `{"traceEvents": [...]}` object form the repo's
-    /// tools emit, or a bare event array. Errors on malformed or
-    /// unbalanced event streams.
+    /// tools emit, or a bare event array. Errors on malformed,
+    /// unbalanced or backwards-running event streams (see the module
+    /// docs).
     pub fn add_trace(&mut self, doc: &JsonValue) -> Result<(), String> {
         let events = match doc.get("traceEvents") {
             Some(v) => v
@@ -89,34 +100,44 @@ impl Profile {
         if let Some(d) = doc.get("dropped_events").and_then(JsonValue::as_u64) {
             self.dropped += d;
         }
-        // Events carry (pid, tid); reconstruct one stack per pair.
-        let mut stacks: BTreeMap<(u64, u64), Vec<Frame>> = BTreeMap::new();
+        // Events carry (pid, tid); each pair is one stream with its own
+        // stack and clock.
+        let mut streams: BTreeMap<(u64, u64), Stream> = BTreeMap::new();
         for (i, ev) in events.iter().enumerate() {
+            let name = ev
+                .get("name")
+                .and_then(JsonValue::as_str)
+                .ok_or_else(|| format!("event {i}: missing \"name\""))?;
             let ph = ev
                 .get("ph")
                 .and_then(JsonValue::as_str)
                 .ok_or_else(|| format!("event {i}: missing \"ph\""))?;
             match ph {
-                "M" => continue, // metadata
-                "i" | "I" => {
-                    self.instants += 1;
-                    continue;
-                }
-                "B" | "E" => {}
+                "M" => continue, // metadata carries no timestamp
+                "B" | "E" | "i" | "I" => {}
                 other => return Err(format!("event {i}: unsupported phase {other:?}")),
             }
-            let name = ev
-                .get("name")
-                .and_then(JsonValue::as_str)
-                .ok_or_else(|| format!("event {i}: missing \"name\""))?;
             let ts = ev
                 .get("ts")
                 .and_then(JsonValue::as_u64)
                 .ok_or_else(|| format!("event {i}: missing or negative \"ts\""))?;
             let pid = ev.get("pid").and_then(JsonValue::as_u64).unwrap_or(0);
             let tid = ev.get("tid").and_then(JsonValue::as_u64).unwrap_or(0);
-            let stack = stacks.entry((pid, tid)).or_default();
+            let stream = streams.entry((pid, tid)).or_default();
+            if ts < stream.last_ts {
+                return Err(format!(
+                    "event {i} ({name:?}): timestamp {ts} < previous {} on pid/tid {:?}",
+                    stream.last_ts,
+                    (pid, tid)
+                ));
+            }
+            stream.last_ts = ts;
+            if ph == "i" || ph == "I" {
+                self.instants += 1;
+                continue;
+            }
             self.events += 1;
+            let stack = &mut stream.stack;
             if ph == "B" {
                 let path = match stack.last() {
                     Some(top) => format!("{};{name}", top.path),
@@ -138,9 +159,9 @@ impl Profile {
                         frame.name
                     ));
                 }
-                let total = ts
-                    .checked_sub(frame.start_us)
-                    .ok_or_else(|| format!("event {i}: span {name:?} ends before it starts"))?;
+                // The stream's clock never runs backwards, so the span's
+                // end is at or after its start.
+                let total = ts - frame.start_us;
                 let self_us = total.saturating_sub(frame.child_us);
                 let agg = self.spans.entry(frame.name).or_default();
                 agg.count += 1;
@@ -152,11 +173,11 @@ impl Profile {
                 }
             }
         }
-        for (key, stack) in &stacks {
-            if !stack.is_empty() {
+        for (key, stream) in &streams {
+            if let Some(open) = stream.stack.last() {
                 return Err(format!(
                     "unbalanced trace: span {:?} still open on pid/tid {key:?}",
-                    stack.last().expect("non-empty").name
+                    open.name
                 ));
             }
         }
@@ -398,11 +419,77 @@ mod tests {
         assert!(p
             .add_trace(&backwards)
             .unwrap_err()
-            .contains("ends before it starts"));
+            .contains("timestamp 5 < previous 10"));
         assert!(p
             .add_trace(&JsonValue::str("nope"))
             .unwrap_err()
             .contains("expected"));
+        let parse = |text: &str| JsonValue::parse(text).expect("valid JSON");
+        assert!(p
+            .add_trace(&parse(r#"{"foo": 1}"#))
+            .unwrap_err()
+            .contains("expected"));
+        // Instants are checked like spans: named, timed, in order.
+        let back = parse(
+            r#"{"traceEvents":[{"name":"a","ph":"i","ts":5,"pid":1,"tid":1},
+                {"name":"b","ph":"i","ts":4,"pid":1,"tid":1}]}"#,
+        );
+        assert!(p.add_trace(&back).unwrap_err().contains("timestamp 4"));
+        let unnamed = parse(r#"{"traceEvents":[{"ph":"i","ts":1}]}"#);
+        assert!(p.add_trace(&unnamed).unwrap_err().contains("\"name\""));
+        let untimed = parse(r#"{"traceEvents":[{"name":"a","ph":"i"}]}"#);
+        assert!(p.add_trace(&untimed).unwrap_err().contains("\"ts\""));
+        let unnamed_meta = parse(r#"{"traceEvents":[{"ph":"M"}]}"#);
+        assert!(p.add_trace(&unnamed_meta).is_err());
+        let phase = parse(r#"{"traceEvents":[{"name":"a","ph":"X","ts":1}]}"#);
+        assert!(p.add_trace(&phase).unwrap_err().contains("phase"));
+    }
+
+    #[test]
+    fn clocks_are_per_stream() {
+        // Thread 2's events are older than thread 1's, but each stream
+        // runs forward on its own.
+        let parse = |text: &str| JsonValue::parse(text).expect("valid JSON");
+        let mut p = Profile::new();
+        p.add_trace(&parse(
+            r#"{"traceEvents":[{"name":"a","ph":"B","ts":10,"pid":1,"tid":1},
+                {"name":"a","ph":"E","ts":20,"pid":1,"tid":1},
+                {"name":"b","ph":"B","ts":1,"pid":1,"tid":2},
+                {"name":"b","ph":"E","ts":2,"pid":1,"tid":2}]}"#,
+        ))
+        .expect("per-stream order holds");
+        assert_eq!(p.spans["a"].total_us, 10);
+        assert_eq!(p.spans["b"].total_us, 1);
+    }
+
+    #[test]
+    fn exported_trace_is_accepted() {
+        use crate::trace::{chrome_trace, Event, EventKind, TraceBuffer};
+        // outer[1000..5000 ns] holding an instant and inner[3000..4000 ns],
+        // built by hand so the test leaves the global trace gate alone.
+        let event = |kind, name, nanos| Event {
+            kind,
+            name,
+            nanos,
+            args: [None, None],
+        };
+        let buffer = TraceBuffer {
+            events: vec![
+                event(EventKind::Enter, "outer", 1_000),
+                event(EventKind::Instant, "tick", 2_000),
+                event(EventKind::Enter, "inner", 3_000),
+                event(EventKind::Exit, "inner", 4_000),
+                event(EventKind::Exit, "outer", 5_000),
+            ],
+            dropped: 0,
+        };
+        let text = chrome_trace(&buffer, "test").render_pretty();
+        let mut p = Profile::new();
+        p.add_trace(&JsonValue::parse(&text).expect("export is JSON"))
+            .expect("exported trace must validate");
+        assert_eq!((p.events, p.instants), (4, 1));
+        assert_eq!(p.spans["outer"].total_us, 4);
+        assert_eq!(p.spans["inner"].self_us, 1);
     }
 
     #[test]

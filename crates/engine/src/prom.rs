@@ -508,7 +508,7 @@ mod tests {
         assert!(text.contains("tmfrt_cut_size_count 12\n"));
         assert!(text.contains("tmfrt_cut_size_sum 57\n"));
         // Histograms never recorded stay out of the exposition.
-        assert!(!text.contains("tmfrt_span_nanos"));
+        assert!(!text.contains("tmfrt_sweeps_per_phi"));
 
         // An empty batch still renders a valid, all-zero exposition.
         let empty = render_job_metrics::<()>(&[]);

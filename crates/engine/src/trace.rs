@@ -23,10 +23,8 @@
 //!
 //! Harvesting is a job-boundary operation: the batch runner calls
 //! [`job_start`] before the job body and [`take_thread`] after it, so a
-//! [`TraceBuffer`] never spans two jobs. A traced span's duration is
-//! also recorded into the [`crate::hist::Metric::SpanNanos`] histogram.
+//! [`TraceBuffer`] never spans two jobs.
 
-use crate::hist::Metric;
 use crate::json::JsonValue;
 use crate::mem;
 use crate::telemetry::{self, SpanStats};
@@ -236,7 +234,7 @@ pub fn take_if_enabled() -> Option<TraceBuffer> {
 /// RAII span: on drop, adds its count, wall, self time and (with
 /// [`mem`] accounting on) heap activity to the thread's span table.
 /// When tracing was enabled at creation it also records `Enter` and
-/// `Exit` events and a [`Metric::SpanNanos`] histogram sample.
+/// `Exit` events.
 #[derive(Debug)]
 pub struct SpanGuard {
     name: &'static str,
@@ -244,8 +242,8 @@ pub struct SpanGuard {
     depth: usize,
     heap: Option<mem::SpanMark>,
     mirror_prev: Option<Option<&'static str>>,
-    /// Ring-clock enter timestamp, when the span is traced.
-    traced: Option<u64>,
+    /// Whether the span recorded an `Enter` event.
+    traced: bool,
 }
 
 impl Drop for SpanGuard {
@@ -276,15 +274,13 @@ impl Drop for SpanGuard {
             .take()
             .map_or(0, |m| mem::span_exit(m, &mut stats));
         telemetry::span_closed(self.name, &stats, thread_peak, self.mirror_prev);
-        if let Some(enter) = self.traced {
-            let nanos = now_nanos();
+        if self.traced {
             push(Event {
                 kind: EventKind::Exit,
                 name: self.name,
-                nanos,
+                nanos: now_nanos(),
                 args: [None, None],
             });
-            telemetry::record(Metric::SpanNanos, nanos.saturating_sub(enter));
         }
     }
 }
@@ -307,16 +303,15 @@ pub fn span_with(name: &'static str, args: Payload) -> SpanGuard {
         o.depth = d + 1;
         d
     });
-    let traced = enabled().then(|| {
-        let nanos = now_nanos();
+    let traced = enabled();
+    if traced {
         push(Event {
             kind: EventKind::Enter,
             name,
-            nanos,
+            nanos: now_nanos(),
             args,
         });
-        nanos
-    });
+    }
     SpanGuard {
         name,
         depth,
@@ -597,20 +592,5 @@ mod tests {
         let doc = chrome_trace(&buffer, "x").render();
         assert_eq!(doc.matches("\"ph\":\"B\"").count(), 1);
         assert_eq!(doc.matches("\"ph\":\"E\"").count(), 1);
-    }
-
-    #[test]
-    fn span_durations_feed_histogram() {
-        with_tracing(|| {
-            telemetry::reset();
-            {
-                let _s = span("timed");
-                std::thread::sleep(std::time::Duration::from_millis(1));
-            }
-            let t = telemetry::take();
-            let h = &t.hists[Metric::SpanNanos as usize];
-            assert_eq!(h.count, 1);
-            assert!(h.sum >= 1_000_000, "span shorter than the sleep: {}", h.sum);
-        });
     }
 }

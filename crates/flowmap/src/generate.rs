@@ -689,15 +689,16 @@ mod tests {
         }
         let cone_set: HashMap<NodeId, usize> =
             cone.iter().enumerate().map(|(i, &v)| (v, i)).collect();
-        let mut fwd: Vec<Vec<usize>> = vec![Vec::new(); cone.len()];
+        let mut fwd: Vec<(usize, usize)> = Vec::new();
         for (vi, &v) in cone.iter().enumerate() {
             for &e in c.node(v).fanin() {
                 if !index.contains_key(&signal_of(e)) {
-                    fwd[cone_set[&c.edge(e).from()]].push(vi);
+                    fwd.push((cone_set[&c.edge(e).from()], vi));
                 }
             }
         }
-        let order = graphalgo::topo_order(&fwd).expect("cones are acyclic");
+        let fwd = graphalgo::Csr::from_edges(cone.len(), &fwd);
+        let order = graphalgo::topo_order_csr(&fwd).expect("cones are acyclic");
         Ok(TruthTable::from_fn(cut.signals.len(), |assignment| {
             let mut values: Vec<bool> = vec![false; cone.len()];
             for &vi in &order {

@@ -5,9 +5,9 @@
 //! on failure — shrinks it and archives a repro in the corpus. Jobs run
 //! under [`engine::run_batch`]: per-case soft deadlines (the watchdog
 //! trips the job's cancel token; the mappers bail out cooperatively),
-//! panic isolation, and per-job telemetry (histograms `fuzz_case_gates`
-//! and `fuzz_case_nanos`). The report counts judged cases, oracle
-//! failures and accepted shrink steps itself.
+//! panic isolation, and per-job telemetry (the `fuzz_case_gates`
+//! histogram; each case's wall time is its job report's). The report
+//! counts judged cases, oracle failures and accepted shrink steps itself.
 //!
 //! Everything is a pure function of the config: the per-case generator
 //! seed is derived from `(campaign_seed, case_index)` by splitmix, so a
@@ -207,12 +207,11 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
             let do_shrink = cfg.shrink;
             let shrink_budget = cfg.shrink_budget;
             specs.push(JobSpec::new(name.clone(), move || {
-                let t0 = std::time::Instant::now();
                 let cs = case_seed(seed, index);
                 let circuit = generate_case(cs, &gen_cfg);
                 telemetry::record(hist::Metric::FuzzCaseGates, circuit.num_gates() as u64);
                 let outcome = run_oracle(&circuit, &oracle_cfg);
-                let status = match outcome {
+                Ok(match outcome {
                     OracleOutcome::Cancelled => {
                         return Err("cancelled before judgement".to_string())
                     }
@@ -290,9 +289,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
                             shrink_steps: repro.steps,
                         }
                     }
-                };
-                telemetry::record(hist::Metric::FuzzCaseNanos, t0.elapsed().as_nanos() as u64);
-                Ok(status)
+                })
             }));
         }
     }

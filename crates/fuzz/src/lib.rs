@@ -33,8 +33,8 @@
 //!   `fuzz/corpus/`.
 //! * [`campaign`] — drives the whole thing on the [`engine`] batch pool
 //!   with per-case deadlines, cancellation, a report counting judged
-//!   cases, oracle failures and shrink steps, telemetry histograms
-//!   (`fuzz_case_gates`, `fuzz_case_nanos`) and structured-log progress.
+//!   cases, oracle failures and shrink steps, the `fuzz_case_gates`
+//!   telemetry histogram and structured-log progress.
 
 pub mod campaign;
 pub mod corpus;

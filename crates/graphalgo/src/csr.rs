@@ -20,7 +20,7 @@
 /// ```
 /// use graphalgo::Csr;
 ///
-/// let g = Csr::from_adj(&[vec![1usize, 2], vec![2], vec![]]);
+/// let g = Csr::from_edges(3, &[(0, 1), (0, 2), (1, 2)]);
 /// assert_eq!(g.len(), 3);
 /// assert_eq!(g.out(0), &[1, 2]);
 /// assert_eq!(g.out(2), &[] as &[u32]);
@@ -55,30 +55,6 @@ impl Csr {
         for &(u, v) in edges {
             targets[cursor[u] as usize] = v as u32;
             cursor[u] += 1;
-        }
-        Csr { offsets, targets }
-    }
-
-    /// Builds a CSR graph from nested adjacency lists.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a target is out of range.
-    pub fn from_adj(adj: &[Vec<usize>]) -> Csr {
-        let n = adj.len();
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0u32);
-        let mut total = 0u32;
-        for row in adj {
-            total += row.len() as u32;
-            offsets.push(total);
-        }
-        let mut targets = Vec::with_capacity(total as usize);
-        for row in adj {
-            for &v in row {
-                assert!(v < n, "edge target out of range");
-                targets.push(v as u32);
-            }
         }
         Csr { offsets, targets }
     }
@@ -155,36 +131,6 @@ impl WeightedCsr {
         }
     }
 
-    /// Builds a weighted CSR graph from nested adjacency lists.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a target is out of range.
-    pub fn from_adj(adj: &[Vec<(usize, u64)>]) -> WeightedCsr {
-        let n = adj.len();
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0u32);
-        let mut total = 0u32;
-        for row in adj {
-            total += row.len() as u32;
-            offsets.push(total);
-        }
-        let mut targets = Vec::with_capacity(total as usize);
-        let mut weights = Vec::with_capacity(total as usize);
-        for row in adj {
-            for &(v, w) in row {
-                assert!(v < n, "edge target out of range");
-                targets.push(v as u32);
-                weights.push(w);
-            }
-        }
-        WeightedCsr {
-            offsets,
-            targets,
-            weights,
-        }
-    }
-
     /// Number of nodes.
     pub fn len(&self) -> usize {
         self.offsets.len() - 1
@@ -229,26 +175,6 @@ mod tests {
     }
 
     #[test]
-    fn from_adj_round_trips() {
-        let adj = vec![vec![1usize, 2], vec![2], vec![], vec![0]];
-        let g = Csr::from_adj(&adj);
-        for (u, row) in adj.iter().enumerate() {
-            let got: Vec<usize> = g.out(u).iter().map(|&v| v as usize).collect();
-            assert_eq!(&got, row);
-        }
-    }
-
-    #[test]
-    fn from_edges_matches_from_adj() {
-        let edges = [(0usize, 1usize), (0, 2), (2, 1), (2, 0)];
-        let mut adj = vec![Vec::new(); 3];
-        for &(u, v) in &edges {
-            adj[u].push(v);
-        }
-        assert_eq!(Csr::from_edges(3, &edges), Csr::from_adj(&adj));
-    }
-
-    #[test]
     fn weighted_rows_stay_aligned() {
         let g = WeightedCsr::from_edges(3, &[(2, 0, 7), (0, 1, 1), (2, 1, 9)]);
         assert_eq!(g.out(2), &[0, 1]);
@@ -262,7 +188,7 @@ mod tests {
         let g = Csr::from_edges(0, &[]);
         assert!(g.is_empty());
         assert_eq!(g.num_edges(), 0);
-        let w = WeightedCsr::from_adj(&[]);
+        let w = WeightedCsr::from_edges(0, &[]);
         assert!(w.is_empty());
     }
 

@@ -15,10 +15,9 @@
 //! * [`csr`] — flat compressed-sparse-row graph storage shared by the
 //!   algorithm cores.
 //!
-//! All algorithms operate on plain index-based adjacency structures so
-//! they stay decoupled from the netlist representation. Each traversal
-//! core runs on [`Csr`] / [`WeightedCsr`]; the nested `Vec` entry points
-//! are thin wrappers kept for convenience and doc parity.
+//! All algorithms operate on plain index-based graphs so they stay
+//! decoupled from the netlist representation: the traversals run on
+//! [`Csr`] / [`WeightedCsr`], the longest-path solver on an edge list.
 //!
 //! # Examples
 //!
@@ -52,8 +51,7 @@ pub mod topo;
 pub use csr::{Csr, WeightedCsr};
 pub use flow::{MaxFlowResult, MinCutResult, NodeCutNetwork};
 pub use paths::{
-    dijkstra, dijkstra_csr, longest_paths, DijkstraScratch, LongestPathError, LongestPathScratch,
-    NEG_INF,
+    dijkstra_csr, longest_paths, DijkstraScratch, LongestPathError, LongestPathScratch, NEG_INF,
 };
-pub use scc::{strongly_connected_components, strongly_connected_components_csr};
-pub use topo::{topo_order, topo_order_csr, TopoError};
+pub use scc::strongly_connected_components_csr;
+pub use topo::{topo_order_csr, TopoError};

@@ -5,7 +5,7 @@
 //! * **Maximum forward retiming values** (Lemma 1): `frt(v)` is the minimum
 //!   path *weight* (flip-flop count) over all paths from any PI to `v` — a
 //!   multi-source shortest path problem with non-negative weights, solved by
-//!   [`dijkstra`].
+//!   [`dijkstra_csr`].
 //! * **l-values** (Theorem 1): `l(v)` is the maximum path *length* from any
 //!   PI to `v` where each edge `e(u,v)` has length `d(v) − Φ·w(e)`. The
 //!   retiming graph is cyclic, so this is a Bellman–Ford-style longest path
@@ -35,7 +35,7 @@ use std::collections::BinaryHeap;
 /// Sentinel for "unreachable" in longest-path results (acts as `−∞`).
 pub const NEG_INF: i64 = i64::MIN / 4;
 
-/// Reusable state for [`dijkstra`]: the distance array and the binary
+/// Reusable state for [`dijkstra_csr`]: the distance array and the binary
 /// heap survive across calls, so repeated queries (one per Φ probe) do
 /// not touch the allocator once warm.
 #[derive(Debug, Default, Clone)]
@@ -50,20 +50,10 @@ impl DijkstraScratch {
         DijkstraScratch::default()
     }
 
-    /// Multi-source Dijkstra; see [`dijkstra`] for the semantics. The
+    /// Multi-source Dijkstra; see [`dijkstra_csr`] for the semantics. The
     /// returned slice borrows this scratch and is valid until the next
-    /// call.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a source is out of range.
-    pub fn run(&mut self, adj: &[Vec<(usize, u64)>], sources: &[usize]) -> &[Option<u64>] {
-        self.run_csr(&crate::WeightedCsr::from_adj(adj), sources)
-    }
-
-    /// [`DijkstraScratch::run`] over a weighted CSR graph — the
-    /// allocation-lean core used by the per-Φ probe loops, which keep one
-    /// CSR per circuit and one scratch per search.
+    /// call, so the per-Φ probe loops keep one CSR per circuit and one
+    /// scratch per search.
     ///
     /// # Panics
     ///
@@ -97,35 +87,21 @@ impl DijkstraScratch {
     }
 }
 
-/// Multi-source Dijkstra over an adjacency list with non-negative `u64`
-/// weights.
+/// Multi-source Dijkstra over a weighted CSR graph with non-negative
+/// `u64` weights.
 ///
 /// Returns `dist[v] = None` for nodes unreachable from every source.
-/// One-shot form of [`DijkstraScratch::run`].
+/// One-shot form of [`DijkstraScratch::run_csr`].
 ///
 /// # Examples
 ///
 /// ```
-/// let adj = vec![
-///     vec![(1, 0u64), (2, 2)], // node 0
-///     vec![(2, 1)],            // node 1
-///     vec![],                  // node 2
-/// ];
-/// let dist = graphalgo::paths::dijkstra(&adj, &[0]);
+/// use graphalgo::WeightedCsr;
+///
+/// let g = WeightedCsr::from_edges(3, &[(0, 1, 0), (0, 2, 2), (1, 2, 1)]);
+/// let dist = graphalgo::paths::dijkstra_csr(&g, &[0]);
 /// assert_eq!(dist, vec![Some(0), Some(0), Some(1)]);
 /// ```
-///
-/// # Panics
-///
-/// Panics if a source or edge target is out of range.
-pub fn dijkstra(adj: &[Vec<(usize, u64)>], sources: &[usize]) -> Vec<Option<u64>> {
-    let mut scratch = DijkstraScratch::new();
-    scratch.run(adj, sources);
-    scratch.dist
-}
-
-/// [`dijkstra`] over a weighted CSR graph. One-shot form of
-/// [`DijkstraScratch::run_csr`].
 ///
 /// # Panics
 ///
@@ -370,39 +346,41 @@ pub fn longest_paths(
 mod tests {
     use super::*;
 
+    use crate::WeightedCsr;
+
     #[test]
     fn dijkstra_multi_source_takes_min() {
-        let adj = vec![vec![(2, 5u64)], vec![(2, 1)], vec![(3, 0)], vec![]];
-        let dist = dijkstra(&adj, &[0, 1]);
+        let g = WeightedCsr::from_edges(4, &[(0, 2, 5), (1, 2, 1), (2, 3, 0)]);
+        let dist = dijkstra_csr(&g, &[0, 1]);
         assert_eq!(dist, vec![Some(0), Some(0), Some(1), Some(1)]);
     }
 
     #[test]
     fn dijkstra_unreachable_is_none() {
-        let adj = vec![vec![], vec![(0, 1u64)]];
-        let dist = dijkstra(&adj, &[0]);
+        let g = WeightedCsr::from_edges(2, &[(1, 0, 1)]);
+        let dist = dijkstra_csr(&g, &[0]);
         assert_eq!(dist, vec![Some(0), None]);
     }
 
     #[test]
     fn dijkstra_zero_weight_cycle_ok() {
         // 0 -> 1 -> 2 -> 1 with zero weights must terminate.
-        let adj = vec![vec![(1, 0u64)], vec![(2, 0)], vec![(1, 0)]];
-        let dist = dijkstra(&adj, &[0]);
+        let g = WeightedCsr::from_edges(3, &[(0, 1, 0), (1, 2, 0), (2, 1, 0)]);
+        let dist = dijkstra_csr(&g, &[0]);
         assert_eq!(dist, vec![Some(0), Some(0), Some(0)]);
     }
 
     #[test]
     fn dijkstra_scratch_reuse_matches_fresh() {
         let mut scratch = DijkstraScratch::new();
-        let a = vec![vec![(1, 2u64)], vec![]];
-        assert_eq!(scratch.run(&a, &[0]), &[Some(0), Some(2)]);
+        let a = WeightedCsr::from_edges(2, &[(0, 1, 2)]);
+        assert_eq!(scratch.run_csr(&a, &[0]), &[Some(0), Some(2)]);
         // Second, smaller query on the same scratch: no stale state.
-        let b = vec![vec![]];
-        assert_eq!(scratch.run(&b, &[0]), &[Some(0)]);
+        let b = WeightedCsr::from_edges(1, &[]);
+        assert_eq!(scratch.run_csr(&b, &[0]), &[Some(0)]);
         // Third, bigger again.
-        let c = vec![vec![(2, 1u64)], vec![], vec![(1, 1)]];
-        assert_eq!(scratch.run(&c, &[0]), dijkstra(&c, &[0]).as_slice());
+        let c = WeightedCsr::from_edges(3, &[(0, 2, 1), (2, 1, 1)]);
+        assert_eq!(scratch.run_csr(&c, &[0]), dijkstra_csr(&c, &[0]).as_slice());
     }
 
     #[test]

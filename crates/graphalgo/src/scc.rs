@@ -1,37 +1,31 @@
 //! Strongly connected components (iterative Tarjan).
 //!
-//! Used by the netlist validator to report feedback structure and to detect
-//! register loops that are unreachable from primary inputs (a precondition
-//! violation for the label computations — see DESIGN.md).
+//! Used by `partition`'s clustering: the SCC condensation of a circuit's
+//! retiming graph.
 
-/// Computes the strongly connected components of the graph.
+/// Computes the strongly connected components of a CSR graph.
 ///
 /// Returns the components in **reverse topological order** of the condensed
 /// graph (a component appears before the components it can reach... Tarjan
 /// emits each SCC when its root pops, so components are ordered such that
 /// every edge of the condensation goes from a later component to an earlier
-/// one). Each component lists its member nodes.
+/// one). Each component lists its member nodes; children are visited in
+/// target-slice order.
 ///
 /// # Examples
 ///
 /// ```
+/// use graphalgo::Csr;
+///
 /// // 0 <-> 1 form one SCC; 2 alone.
-/// let adj = vec![vec![1usize], vec![0, 2], vec![]];
-/// let sccs = graphalgo::scc::strongly_connected_components(&adj);
+/// let g = Csr::from_edges(3, &[(0, 1), (1, 0), (1, 2)]);
+/// let sccs = graphalgo::scc::strongly_connected_components_csr(&g);
 /// assert_eq!(sccs.len(), 2);
 /// assert_eq!(sccs[0], vec![2]);
 /// let mut big = sccs[1].clone();
 /// big.sort_unstable();
 /// assert_eq!(big, vec![0, 1]);
 /// ```
-pub fn strongly_connected_components(adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
-    strongly_connected_components_csr(&crate::Csr::from_adj(adj))
-}
-
-/// [`strongly_connected_components`] over a CSR graph — the
-/// allocation-lean core. Children are visited in target-slice order, so
-/// the component order and membership match the nested-list form for the
-/// same adjacency.
 pub fn strongly_connected_components_csr(g: &crate::Csr) -> Vec<Vec<usize>> {
     let n = g.len();
     let mut index = vec![usize::MAX; n];
@@ -94,6 +88,7 @@ pub fn strongly_connected_components_csr(g: &crate::Csr) -> Vec<Vec<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Csr;
 
     fn sorted(mut v: Vec<usize>) -> Vec<usize> {
         v.sort_unstable();
@@ -102,15 +97,15 @@ mod tests {
 
     #[test]
     fn dag_gives_singletons() {
-        let adj = vec![vec![1], vec![2], vec![]];
-        let sccs = strongly_connected_components(&adj);
+        let g = Csr::from_edges(3, &[(0, 1), (1, 2)]);
+        let sccs = strongly_connected_components_csr(&g);
         assert_eq!(sccs.len(), 3);
     }
 
     #[test]
     fn cycle_is_one_component() {
-        let adj = vec![vec![1], vec![2], vec![0]];
-        let sccs = strongly_connected_components(&adj);
+        let g = Csr::from_edges(3, &[(0, 1), (1, 2), (2, 0)]);
+        let sccs = strongly_connected_components_csr(&g);
         assert_eq!(sccs.len(), 1);
         assert_eq!(sorted(sccs[0].clone()), vec![0, 1, 2]);
     }
@@ -118,8 +113,8 @@ mod tests {
     #[test]
     fn two_cycles_bridge() {
         // (0,1) cycle -> (2,3) cycle
-        let adj = vec![vec![1], vec![0, 2], vec![3], vec![2]];
-        let sccs = strongly_connected_components(&adj);
+        let g = Csr::from_edges(4, &[(0, 1), (1, 0), (1, 2), (2, 3), (3, 2)]);
+        let sccs = strongly_connected_components_csr(&g);
         assert_eq!(sccs.len(), 2);
         assert_eq!(sorted(sccs[0].clone()), vec![2, 3]);
         assert_eq!(sorted(sccs[1].clone()), vec![0, 1]);
@@ -129,10 +124,8 @@ mod tests {
     fn deep_chain_no_stack_overflow() {
         // 100k-node chain exercises the iterative implementation.
         let n = 100_000;
-        let adj: Vec<Vec<usize>> = (0..n)
-            .map(|v| if v + 1 < n { vec![v + 1] } else { vec![] })
-            .collect();
-        let sccs = strongly_connected_components(&adj);
+        let edges: Vec<(usize, usize)> = (1..n).map(|v| (v - 1, v)).collect();
+        let sccs = strongly_connected_components_csr(&Csr::from_edges(n, &edges));
         assert_eq!(sccs.len(), n);
     }
 }

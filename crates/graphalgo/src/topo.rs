@@ -4,7 +4,7 @@
 //! combinational paths) must be acyclic for a circuit to be well-formed, and
 //! every per-Φ computation walks that subgraph in topological order.
 
-/// Error returned by [`topo_order`] when the graph contains a cycle.
+/// Error returned by [`topo_order_csr`] when the graph contains a cycle.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TopoError {
     /// Nodes that could not be ordered (each lies on or downstream of a
@@ -24,11 +24,11 @@ impl std::fmt::Display for TopoError {
 
 impl std::error::Error for TopoError {}
 
-/// Kahn's algorithm over an adjacency list.
+/// Kahn's algorithm over a CSR graph.
 ///
-/// Returns a topological order of all `adj.len()` nodes, or a [`TopoError`]
-/// listing the nodes left unordered when a cycle exists. Convenience
-/// wrapper over [`topo_order_csr`].
+/// Returns a topological order of all `g.len()` nodes, or a [`TopoError`]
+/// listing the nodes left unordered when a cycle exists. The traversal
+/// pops a stack and scans each node's contiguous target slice.
 ///
 /// # Errors
 ///
@@ -37,21 +37,9 @@ impl std::error::Error for TopoError {}
 /// # Examples
 ///
 /// ```
-/// let adj = vec![vec![1usize], vec![2], vec![]];
-/// assert_eq!(graphalgo::topo::topo_order(&adj).unwrap(), vec![0, 1, 2]);
+/// let g = graphalgo::Csr::from_edges(3, &[(0, 1), (1, 2)]);
+/// assert_eq!(graphalgo::topo::topo_order_csr(&g).unwrap(), vec![0, 1, 2]);
 /// ```
-pub fn topo_order(adj: &[Vec<usize>]) -> Result<Vec<usize>, TopoError> {
-    topo_order_csr(&crate::Csr::from_adj(adj))
-}
-
-/// Kahn's algorithm over a CSR graph — the allocation-lean core behind
-/// [`topo_order`]. The traversal pops a stack and scans each node's
-/// contiguous target slice, so the order is identical to the nested-list
-/// form for the same adjacency.
-///
-/// # Errors
-///
-/// Returns [`TopoError`] if the graph has a directed cycle.
 pub fn topo_order_csr(g: &crate::Csr) -> Result<Vec<usize>, TopoError> {
     let n = g.len();
     let mut indeg = vec![0usize; n];
@@ -88,11 +76,12 @@ pub fn topo_order_csr(g: &crate::Csr) -> Result<Vec<usize>, TopoError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Csr;
 
     #[test]
     fn orders_dag() {
-        let adj = vec![vec![2], vec![2], vec![3], vec![]];
-        let order = topo_order(&adj).unwrap();
+        let g = Csr::from_edges(4, &[(0, 2), (1, 2), (2, 3)]);
+        let order = topo_order_csr(&g).unwrap();
         let pos: Vec<usize> = {
             let mut p = vec![0; 4];
             for (i, &v) in order.iter().enumerate() {
@@ -105,19 +94,21 @@ mod tests {
 
     #[test]
     fn detects_cycle() {
-        let adj = vec![vec![1], vec![2], vec![0], vec![]];
-        let err = topo_order(&adj).unwrap_err();
+        let g = Csr::from_edges(4, &[(0, 1), (1, 2), (2, 0)]);
+        let err = topo_order_csr(&g).unwrap_err();
         assert_eq!(err.cyclic_nodes, vec![0, 1, 2]);
     }
 
     #[test]
     fn self_loop_is_cycle() {
-        let adj = vec![vec![0]];
-        assert!(topo_order(&adj).is_err());
+        assert!(topo_order_csr(&Csr::from_edges(1, &[(0, 0)])).is_err());
     }
 
     #[test]
     fn empty_graph() {
-        assert_eq!(topo_order(&[]).unwrap(), Vec::<usize>::new());
+        assert_eq!(
+            topo_order_csr(&Csr::from_edges(0, &[])).unwrap(),
+            Vec::<usize>::new()
+        );
     }
 }

@@ -477,18 +477,6 @@ impl Circuit {
         })
     }
 
-    /// Adjacency over **combinational** (zero-weight) edges, as plain index
-    /// lists for the graph algorithms.
-    pub fn comb_adjacency(&self) -> Vec<Vec<usize>> {
-        let mut adj = vec![Vec::new(); self.nodes.len()];
-        for e in &self.edges {
-            if e.weight() == 0 {
-                adj[e.from.index()].push(e.to.index());
-            }
-        }
-        adj
-    }
-
     /// Adjacency over all edges with FF counts as weights.
     pub fn weighted_adjacency(&self) -> Vec<Vec<(usize, u64)>> {
         let mut adj = vec![Vec::new(); self.nodes.len()];
@@ -498,9 +486,9 @@ impl Circuit {
         adj
     }
 
-    /// [`Circuit::comb_adjacency`] in flat CSR form: one stable counting
-    /// pass over the edge list, no per-node heap rows. Rows list targets
-    /// in edge-id order, exactly like the nested form.
+    /// Adjacency over **combinational** (zero-weight) edges in flat CSR
+    /// form: one stable counting pass over the edge list, no per-node heap
+    /// rows. Rows list targets in edge-id order.
     pub fn comb_csr(&self) -> graphalgo::Csr {
         let n = self.nodes.len();
         let edges: Vec<(usize, usize)> = self
@@ -543,16 +531,16 @@ impl Circuit {
             })
     }
 
-    /// The clock period under the unit delay model: the maximum number of
-    /// gates on any register-free path (between PIs, POs and FFs).
+    /// Arrival time of every node under the unit delay model, indexed by
+    /// node: the node's delay plus the latest arrival over its
+    /// register-free fanins.
     ///
     /// # Errors
     ///
     /// Returns [`NetlistError::CombinationalCycle`] on zero-weight cycles.
-    pub fn clock_period(&self) -> Result<u64, NetlistError> {
+    pub fn arrival_times(&self) -> Result<Vec<u64>, NetlistError> {
         let order = self.comb_topo_order()?;
         let mut arrival = vec![0u64; self.nodes.len()];
-        let mut period = 0u64;
         for v in order {
             let node = self.node(v);
             let mut best = 0u64;
@@ -563,9 +551,19 @@ impl Circuit {
                 }
             }
             arrival[v.index()] = best + node.delay();
-            period = period.max(arrival[v.index()]);
         }
-        Ok(period)
+        Ok(arrival)
+    }
+
+    /// The clock period under the unit delay model: the maximum number of
+    /// gates on any register-free path (between PIs, POs and FFs), the
+    /// largest of [`Circuit::arrival_times`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetlistError::CombinationalCycle`] on zero-weight cycles.
+    pub fn clock_period(&self) -> Result<u64, NetlistError> {
+        Ok(self.arrival_times()?.into_iter().max().unwrap_or(0))
     }
 
     /// Maximum gate fanin.

@@ -44,7 +44,6 @@ pub use extract::{extract as extract_blocks, ExtractedBlocks, Seam};
 pub use stitch::{stitch as stitch_blocks, StitchStats};
 
 use engine::batch::{run_batch, BatchOptions, JobSpec};
-use engine::hist::Metric;
 use engine::{telemetry, trace};
 use netlist::{Circuit, NetlistError};
 use std::time::Duration;
@@ -294,13 +293,10 @@ pub fn partition_map(
     let mut specs: Vec<JobSpec<BlockMapped>> = Vec::with_capacity(block_circuits.len());
     for (b, circuit) in block_circuits.into_iter().enumerate() {
         let gates = ex.block_gates[b];
-        let block_cut = ex.block_cut_ffs[b];
         let name = circuit.name().to_string();
         let mopts = turbomap::Options::with_k(opts.k);
         specs.push(JobSpec::new(name, move || {
             let _s = trace::span1("partition_block", "block", b as u64);
-            telemetry::record(Metric::PartitionBlockGates, gates);
-            telemetry::record(Metric::PartitionCutFfs, block_cut);
             if gates == 0 {
                 return Ok(BlockMapped {
                     circuit,

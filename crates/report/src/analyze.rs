@@ -5,7 +5,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use engine::telemetry::{self, Counter};
-use engine::{hist, JsonValue};
+use engine::JsonValue;
 use graphalgo::paths::LongestPathError;
 use netlist::{Circuit, NodeId};
 use turbomap::{FrtContext, Options, TurboMapError, TurboMapResult, WitnessOutcome};
@@ -168,15 +168,6 @@ pub fn explain(source: &Circuit, opts: Options) -> Result<Explained, ReportError
     };
 
     telemetry::count(Counter::ReportsGenerated, 1);
-    for n in &nodes {
-        telemetry::record(hist::Metric::NodeSlack, n.slack);
-    }
-    if matches!(kind, WitnessKind::Derivation) {
-        telemetry::record(hist::Metric::WitnessSteps, steps.len() as u64);
-    }
-    if !critical_cycle.is_empty() {
-        telemetry::record(hist::Metric::WitnessCycleLen, critical_cycle.len() as u64);
-    }
 
     let report = Report {
         name: source.name().to_string(),
@@ -217,23 +208,10 @@ pub fn explain(source: &Circuit, opts: Options) -> Result<Explained, ReportError
 fn timing(
     mapped: &Circuit,
 ) -> Result<(Vec<NodeTiming>, Vec<String>, u64, Vec<(u64, u64)>), ReportError> {
-    let order = mapped
-        .comb_topo_order()
+    let arrival = mapped
+        .arrival_times()
         .map_err(|e| ReportError::Internal(format!("mapped network: {e}")))?;
-    let mut arrival = vec![0u64; mapped.num_nodes()];
-    let mut period = 0u64;
-    for v in order {
-        let node = mapped.node(v);
-        let mut best = 0u64;
-        for &e in node.fanin() {
-            let edge = mapped.edge(e);
-            if edge.weight() == 0 {
-                best = best.max(arrival[edge.from().index()]);
-            }
-        }
-        arrival[v.index()] = best + node.delay();
-        period = period.max(arrival[v.index()]);
-    }
+    let period = arrival.iter().copied().max().unwrap_or(0);
     let nodes: Vec<NodeTiming> = mapped
         .gate_ids()
         .map(|v| NodeTiming {

@@ -5,8 +5,10 @@
 //! retiming: starting from `r = 0`, repeatedly compute the combinational
 //! arrival times `Δ(v)` of the retimed graph and increment `r(v)` for every
 //! gate with `Δ(v) > Φ`. After `|V| − 1` rounds the retimed graph meets `Φ`
-//! iff `Φ` is feasible. This is the engine behind the TurboMap baseline's
-//! final retiming step and behind classic "map then retime" flows.
+//! iff `Φ` is feasible. It serves `tmfrt map -a retime-general`, the
+//! classic "map then retime" flow; the TurboMap baseline does not use it,
+//! because its final retiming `Ɍ(v) = ⌈l(v)/Φ⌉ − 1` comes straight from
+//! the labels (`turbomap::driver::generate_at`).
 //!
 //! The resulting retiming generally moves registers **backward** (positive
 //! `r`), so applying it needs justification-based initial state computation

@@ -280,6 +280,7 @@ fn generate_at(
 /// See [`TurboMapError`]; initial state computation cannot fail here.
 pub fn turbomap_frt(c: &Circuit, opts: Options) -> Result<TurboMapResult, TurboMapError> {
     let bounded = prepare(c, opts.k)?;
+    check_cancelled()?;
     let ctx = FrtContext::new(&bounded, opts.k, opts.weight_horizon);
     turbomap_frt_with(c.name(), &ctx)
 }
@@ -293,10 +294,12 @@ pub fn turbomap_frt(c: &Circuit, opts: Options) -> Result<TurboMapResult, TurboM
 ///
 /// See [`TurboMapError`]; initial state computation cannot fail here.
 pub fn turbomap_frt_with(name: &str, ctx: &FrtContext) -> Result<TurboMapResult, TurboMapError> {
+    check_cancelled()?;
     let bounded = ctx.circuit();
     // Upper bound: FlowMap-frt (cheap, feasible by construction).
     let baseline =
         flowmap::flowmap_frt_with(bounded, ctx.cut_arena()).map_err(TurboMapError::Baseline)?;
+    check_cancelled()?;
     let s = phi_search("turbomap::frt", baseline.period.max(1), |phi, seed| {
         let res = ctx.check_opts(phi, seed, 1);
         (res.feasible, res.labels, res.iterations)
@@ -320,9 +323,12 @@ pub fn turbomap_frt_with(name: &str, ctx: &FrtContext) -> Result<TurboMapResult,
 /// See [`TurboMapError`].
 pub fn turbomap_general(c: &Circuit, opts: Options) -> Result<TurboMapResult, TurboMapError> {
     let bounded = prepare(c, opts.k)?;
+    check_cancelled()?;
     let ctx = GeneralContext::new(&bounded, opts.k, opts.general_horizon);
+    check_cancelled()?;
     let baseline =
         flowmap::flowmap_frt_with(&bounded, ctx.cut_arena()).map_err(TurboMapError::Baseline)?;
+    check_cancelled()?;
     // Every probe starts cold: the general labels take no warm seed.
     let s = phi_search("turbomap::general", baseline.period.max(1), |phi, _| {
         let res = ctx.check(phi);
@@ -431,6 +437,31 @@ mod tests {
         assert!(exhaustive_equiv(&c, &res.circuit, 2)
             .unwrap()
             .is_equivalent());
+    }
+
+    /// A run whose token tripped before it started stops after
+    /// `prepare`: it never enumerates a cut.
+    #[test]
+    fn pre_cancelled_runs_enumerate_no_cuts() {
+        use engine::telemetry::{self, Counter};
+        let s5378 = workloads::presets()
+            .into_iter()
+            .find(|p| p.name == "s5378")
+            .expect("s5378 preset");
+        let c = workloads::build_preset(&s5378);
+        let token = engine::cancel::CancelToken::new();
+        token.cancel();
+        let _installed = engine::cancel::install(token);
+        let kept = || telemetry::snapshot().counter(Counter::CutsKept);
+        let before = kept();
+        let frt = turbomap_frt(&c, Options::with_k(5));
+        assert!(matches!(frt, Err(TurboMapError::Cancelled)), "{frt:?}");
+        let general = turbomap_general(&c, Options::with_k(5));
+        assert!(
+            matches!(general, Err(TurboMapError::Cancelled)),
+            "{general:?}"
+        );
+        assert_eq!(kept() - before, 0);
     }
 
     fn medium_fsm() -> Circuit {

@@ -112,13 +112,13 @@ pub fn grow(
     }
     // Phase 2: bulk. Avoid splicing near the critical path so the depth
     // stays close to the target (arrival times refreshed periodically).
-    let mut arrivals = arrival_times(&out);
+    let mut arrivals = out.arrival_times()?;
     let mut required = required_times(&out);
     let mut since_refresh = 0usize;
     let depth_cap = depth.max(target_depth).saturating_add(1);
     while out.num_gates() < target_gates {
         if since_refresh >= 16 {
-            arrivals = arrival_times(&out);
+            arrivals = out.arrival_times()?;
             required = required_times(&out);
             since_refresh = 0;
         }
@@ -322,30 +322,10 @@ fn required_times(c: &Circuit) -> Vec<u64> {
     req
 }
 
-/// Combinational arrival time per node (0 when the order is unavailable).
-fn arrival_times(c: &Circuit) -> Vec<u64> {
-    let order = match c.comb_topo_order() {
-        Ok(o) => o,
-        Err(_) => return vec![0; c.num_nodes()],
-    };
-    let mut arrival = vec![0u64; c.num_nodes()];
-    for v in order {
-        let node = c.node(v);
-        let mut best = 0u64;
-        for &e in node.fanin() {
-            if c.edge(e).weight() == 0 {
-                best = best.max(arrival[c.edge(e).from().index()]);
-            }
-        }
-        arrival[v.index()] = best + node.delay();
-    }
-    arrival
-}
-
 /// The register-carrying edge whose source has the largest combinational
 /// arrival time (the deepest pre-register path).
 fn deepest_register_edge(c: &Circuit) -> Option<EdgeId> {
-    let arrival = arrival_times(c);
+    let arrival = c.arrival_times().ok()?;
     c.edge_ids()
         .filter(|&e| c.edge(e).weight() >= 1)
         .max_by_key(|&e| arrival[c.edge(e).from().index()])
