@@ -1,116 +1,10 @@
-//! A compact name interner.
+//! The name interner: every signal/model/cell name in a parsed BLIF
+//! file is stored exactly once in a single append-only byte arena, and
+//! the rest of the front-end passes 4-byte [`Symbol`]s around. This is
+//! what keeps memory proportional to the *netlist*, not the file: raw
+//! text is scanned in fixed-size chunks and only distinct names survive.
 //!
-//! Every signal/model/cell name in a parsed BLIF file is stored exactly
-//! once in a single append-only byte arena; the rest of the front-end
-//! passes 4-byte [`Symbol`]s around. This is what keeps memory
-//! proportional to the *netlist*, not the file: raw text is scanned in
-//! fixed-size chunks and only distinct names survive.
+//! The interner lives in `netlist`, where it also holds each
+//! [`Circuit`](netlist::Circuit)'s node names; this module re-exports it.
 
-use std::collections::HashMap;
-
-/// Handle to an interned name (index into the arena's span table).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Symbol(pub u32);
-
-impl Symbol {
-    /// The span-table index.
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
-/// Append-only string arena with hash-consed lookup.
-#[derive(Debug, Default, Clone)]
-pub struct Interner {
-    arena: String,
-    spans: Vec<(u32, u32)>,
-    // FNV hash of the name → candidate symbols (collisions resolved by
-    // comparing arena slices; no duplicate `String` keys are kept).
-    map: HashMap<u64, Vec<u32>>,
-}
-
-fn fnv1a(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-impl Interner {
-    /// An empty interner.
-    pub fn new() -> Interner {
-        Interner::default()
-    }
-
-    /// Interns `name`, returning its (stable) symbol.
-    pub fn intern(&mut self, name: &str) -> Symbol {
-        let h = fnv1a(name);
-        if let Some(cands) = self.map.get(&h) {
-            for &id in cands {
-                let (start, len) = self.spans[id as usize];
-                if &self.arena[start as usize..(start + len) as usize] == name {
-                    return Symbol(id);
-                }
-            }
-        }
-        let start = u32::try_from(self.arena.len()).expect("arena < 4 GiB");
-        let len = u32::try_from(name.len()).expect("name < 4 GiB");
-        self.arena.push_str(name);
-        let id = u32::try_from(self.spans.len()).expect("< 2^32 names");
-        self.spans.push((start, len));
-        self.map.entry(h).or_default().push(id);
-        Symbol(id)
-    }
-
-    /// The text of an interned symbol.
-    pub fn resolve(&self, sym: Symbol) -> &str {
-        let (start, len) = self.spans[sym.index()];
-        &self.arena[start as usize..(start + len) as usize]
-    }
-
-    /// Number of distinct names.
-    pub fn len(&self) -> usize {
-        self.spans.len()
-    }
-
-    /// True when no name has been interned.
-    pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
-    }
-
-    /// Total bytes of distinct name text held.
-    pub fn arena_bytes(&self) -> usize {
-        self.arena.len()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn dedups_and_resolves() {
-        let mut i = Interner::new();
-        let a = i.intern("alpha");
-        let b = i.intern("beta");
-        let a2 = i.intern("alpha");
-        assert_eq!(a, a2);
-        assert_ne!(a, b);
-        assert_eq!(i.resolve(a), "alpha");
-        assert_eq!(i.resolve(b), "beta");
-        assert_eq!(i.len(), 2);
-        assert_eq!(i.arena_bytes(), "alphabeta".len());
-    }
-
-    #[test]
-    fn many_names_stay_distinct() {
-        let mut i = Interner::new();
-        let syms: Vec<Symbol> = (0..10_000).map(|n| i.intern(&format!("s{n}"))).collect();
-        for (n, &s) in syms.iter().enumerate() {
-            assert_eq!(i.resolve(s), format!("s{n}"));
-        }
-        assert_eq!(i.len(), 10_000);
-    }
-}
+pub use netlist::intern::{Interner, Symbol};

@@ -19,7 +19,7 @@ use crate::ast::{BlifFile, Command, Model, Names, Subckt};
 use crate::diag::{BlifError, Diag};
 use crate::intern::{Interner, Symbol};
 use crate::lib_cells::{is_output_pin, lookup_cell, lookup_latch_cell};
-use crate::write::model_from_circuit;
+use crate::write::{model_from_circuit, sanitize};
 use netlist::{Bit, Circuit, NetlistError, NodeId, TruthTable};
 use std::collections::HashMap;
 use workloads::kiss::{parse_kiss2, synthesize_stg};
@@ -147,6 +147,8 @@ struct Linker<'a> {
     /// Per model: truth tables of its `.names` blocks, computed once.
     tts: Vec<Option<Vec<TruthTable>>>,
     flat: Flat,
+    /// Scratch for prefixed instance-local names.
+    buf: String,
 }
 
 fn diag(line: u32, msg: impl Into<String>) -> BlifError {
@@ -166,6 +168,7 @@ impl<'a> Linker<'a> {
             model_idx,
             tts: vec![None; file.models.len()],
             flat: Flat::default(),
+            buf: String::new(),
         }
     }
 
@@ -193,12 +196,10 @@ impl<'a> Linker<'a> {
         if let Some(&s) = map.get(&local) {
             return s;
         }
-        let name = self.file.interner.resolve(local);
-        let s = if prefix.is_empty() {
-            self.flat.names.intern(name)
-        } else {
-            self.flat.names.intern(&format!("{prefix}{name}"))
-        };
+        self.buf.clear();
+        self.buf.push_str(prefix);
+        self.buf.push_str(self.file.interner.resolve(local));
+        let s = self.flat.names.intern(&self.buf);
         map.insert(local, s);
         s
     }
@@ -480,18 +481,25 @@ fn build(file: &BlifFile, root_idx: usize, mut flat: Flat) -> Result<Circuit, Bl
 
     let mut drivers: Vec<Option<Drv>> = Vec::new();
     drivers.resize_with(flat.names.len(), || None);
+    let pins: usize = flat.gates.iter().map(|g| g.inputs.len()).sum();
+    c.reserve(
+        pi_syms.len() + flat.gates.len() + po_syms.len(),
+        pins + po_syms.len(),
+    );
 
+    // Scratch for node names, which may take `$g` suffixes.
+    let mut node_name = String::new();
     for (&sym, &local) in pi_syms.iter().zip(root.inputs.iter()) {
         let name = file.interner.resolve(local);
-        let node_name = if po_set.contains(&sym) {
-            format!("{name}$g")
-        } else {
-            name.to_string()
-        };
         if drivers[sym.index()].is_some() {
             return Err(diag(root.line, format!("duplicate input `{name}`")));
         }
-        drivers[sym.index()] = Some(Drv::Pi(c.add_input(sanitize(&node_name))?));
+        node_name.clear();
+        node_name.push_str(&sanitize(name));
+        if po_set.contains(&sym) {
+            node_name.push_str("$g");
+        }
+        drivers[sym.index()] = Some(Drv::Pi(c.add_input(&node_name)?));
     }
 
     let mut gate_nodes: Vec<NodeId> = Vec::with_capacity(flat.gates.len());
@@ -512,15 +520,15 @@ fn build(file: &BlifFile, root_idx: usize, mut flat: Flat) -> Result<Circuit, Bl
             }
             None => {}
         }
-        let mut node_name = if po_set.contains(&g.output) {
-            format!("{}$g", sanitize(sig))
-        } else {
-            sanitize(sig)
-        };
+        node_name.clear();
+        node_name.push_str(&sanitize(sig));
+        if po_set.contains(&g.output) {
+            node_name.push_str("$g");
+        }
         while c.find(&node_name).is_some() {
             node_name.push_str("$g");
         }
-        let id = c.add_gate(node_name, g.tt.clone())?;
+        let id = c.add_gate(&node_name, g.tt.clone())?;
         gate_nodes.push(id);
         drivers[g.output.index()] = Some(Drv::Gate(gi));
     }
@@ -602,13 +610,8 @@ fn build(file: &BlifFile, root_idx: usize, mut flat: Flat) -> Result<Circuit, Bl
         let (src, chain) = resolve(sym, line)?;
         c.connect(src, po, chain)?;
     }
+    c.shrink_to_fit();
     Ok(c)
-}
-
-fn sanitize(name: &str) -> String {
-    name.chars()
-        .map(|ch| if ch.is_whitespace() { '_' } else { ch })
-        .collect()
 }
 
 #[cfg(test)]

@@ -10,6 +10,7 @@
 use crate::ast::*;
 use crate::intern::{Interner, Symbol};
 use netlist::{Bit, Circuit};
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// Serialises a whole parsed file back to BLIF text.
@@ -158,10 +159,29 @@ fn init_val(b: Bit) -> InitVal {
     }
 }
 
-fn sanitize(name: &str) -> String {
-    name.chars()
-        .map(|ch| if ch.is_whitespace() { '_' } else { ch })
-        .collect()
+/// `name` with every whitespace character replaced by `_`, so it
+/// survives as one BLIF token; borrowed unless it has whitespace.
+pub(crate) fn sanitize(name: &str) -> Cow<'_, str> {
+    if name.contains(char::is_whitespace) {
+        Cow::Owned(
+            name.chars()
+                .map(|ch| if ch.is_whitespace() { '_' } else { ch })
+                .collect(),
+        )
+    } else {
+        Cow::Borrowed(name)
+    }
+}
+
+/// The signal after `i` registers of `base`'s shared chain: `base`
+/// itself, then `base@1`, `base@2`, …, formatted in `buf`.
+fn shared_tap(interner: &mut Interner, buf: &mut String, base: &str, i: usize) -> Symbol {
+    if i == 0 {
+        return interner.intern(base);
+    }
+    buf.clear();
+    let _ = write!(buf, "{base}@{i}");
+    interner.intern(buf)
 }
 
 /// Converts a circuit into a single flat model, re-materialising FF
@@ -180,6 +200,9 @@ pub fn model_from_circuit(c: &Circuit, interner: &mut Interner, line: u32) -> Mo
     // their common prefix, per-edge otherwise.
     let mut edge_signal: Vec<Option<Symbol>> = vec![None; c.num_edges()];
     let mut latches: Vec<Command> = Vec::new();
+    let mut merged: Vec<Bit> = Vec::new();
+    // Scratch for the `{base}@…` tap names.
+    let mut tap = String::new();
     for v in c.node_ids() {
         let node = c.node(v);
         if node.is_output() {
@@ -187,11 +210,13 @@ pub fn model_from_circuit(c: &Circuit, interner: &mut Interner, line: u32) -> Mo
         }
         let base = sanitize(node.name());
         let fanout = node.fanout();
-        let chains: Vec<&[Bit]> = fanout.iter().map(|&e| c.edge(e).ffs()).collect();
-        let maxw = chains.iter().map(|ch| ch.len()).max().unwrap_or(0);
+        merged.clear();
         let mut shared_ok = true;
-        let mut merged: Vec<Bit> = vec![Bit::X; maxw];
-        for ch in &chains {
+        for &e in fanout {
+            let ch = c.edge(e).ffs();
+            if ch.len() > merged.len() {
+                merged.resize(ch.len(), Bit::X);
+            }
             for (i, &b) in ch.iter().enumerate() {
                 match merged[i].merge(b) {
                     Some(mb) => merged[i] = mb,
@@ -201,14 +226,9 @@ pub fn model_from_circuit(c: &Circuit, interner: &mut Interner, line: u32) -> Mo
         }
         if shared_ok {
             for (i, &init) in merged.iter().enumerate() {
-                let prev = if i == 0 {
-                    base.clone()
-                } else {
-                    format!("{base}@{i}")
-                };
                 latches.push(Command::Latch(Latch {
-                    input: interner.intern(&prev),
-                    output: interner.intern(&format!("{base}@{}", i + 1)),
+                    input: shared_tap(interner, &mut tap, &base, i),
+                    output: shared_tap(interner, &mut tap, &base, i + 1),
                     ty: None,
                     control: None,
                     init: Some(init_val(init)),
@@ -217,22 +237,18 @@ pub fn model_from_circuit(c: &Circuit, interner: &mut Interner, line: u32) -> Mo
             }
             for &e in fanout {
                 let w = c.edge(e).weight();
-                let sig = if w == 0 {
-                    base.clone()
-                } else {
-                    format!("{base}@{w}")
-                };
-                edge_signal[e.index()] = Some(interner.intern(&sig));
+                edge_signal[e.index()] = Some(shared_tap(interner, &mut tap, &base, w));
             }
         } else {
             for &e in fanout {
-                let ffs = c.edge(e).ffs();
-                let mut prev = base.clone();
-                for (i, &init) in ffs.iter().enumerate() {
-                    let next = format!("{base}@e{}@{}", e.index(), i + 1);
+                let mut prev = interner.intern(&base);
+                for (i, &init) in c.edge(e).ffs().iter().enumerate() {
+                    tap.clear();
+                    let _ = write!(tap, "{base}@e{}@{}", e.index(), i + 1);
+                    let next = interner.intern(&tap);
                     latches.push(Command::Latch(Latch {
-                        input: interner.intern(&prev),
-                        output: interner.intern(&next),
+                        input: prev,
+                        output: next,
                         ty: None,
                         control: None,
                         init: Some(init_val(init)),
@@ -240,7 +256,7 @@ pub fn model_from_circuit(c: &Circuit, interner: &mut Interner, line: u32) -> Mo
                     }));
                     prev = next;
                 }
-                edge_signal[e.index()] = Some(interner.intern(&prev));
+                edge_signal[e.index()] = Some(prev);
             }
         }
     }
@@ -257,11 +273,12 @@ pub fn model_from_circuit(c: &Circuit, interner: &mut Interner, line: u32) -> Mo
             .map(|&e| edge_signal[e.index()].expect("driver seen"))
             .collect();
         let output = interner.intern(&sanitize(node.name()));
+        let ones = tt.count_ones();
         let mut names = Names {
             inputs,
             output,
-            pattern_blob: Vec::new(),
-            values: Vec::new(),
+            pattern_blob: Vec::with_capacity(ones * tt.num_inputs()),
+            values: Vec::with_capacity(ones),
             line,
         };
         if tt.num_inputs() == 0 {

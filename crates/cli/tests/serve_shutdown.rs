@@ -7,17 +7,18 @@
 //! lifecycle; sharing a process with other serve tests would interleave
 //! their log lines.
 
+use engine::json::JsonValue;
 use engine::log::{self, MemorySink};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 use tmfrt_cli::serve::{start, ServeArgs};
 
-fn post(addr: SocketAddr, path: &str, body: &str) -> (u16, String) {
+fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
     let mut s = TcpStream::connect(addr).expect("connect");
     s.write_all(
         format!(
-            "POST {path} HTTP/1.1\r\nHost: t\r\nContent-Type: application/json\r\n\
+            "{method} {path} HTTP/1.1\r\nHost: t\r\nContent-Type: application/json\r\n\
              Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
             body.len()
         )
@@ -35,6 +36,30 @@ fn post(addr: SocketAddr, path: &str, body: &str) -> (u16, String) {
     (status, text)
 }
 
+fn post(addr: SocketAddr, path: &str, body: &str) -> (u16, String) {
+    request(addr, "POST", path, body)
+}
+
+/// Polls `GET /jobs` until some job is `running` (panics after `limit`).
+fn wait_running(addr: SocketAddr, limit: Duration) {
+    let start = Instant::now();
+    loop {
+        let (status, text) = request(addr, "GET", "/jobs", "");
+        assert_eq!(status, 200, "{text}");
+        let body = text.split_once("\r\n\r\n").map_or("", |(_, b)| b);
+        let doc = JsonValue::parse(body).expect("job index is JSON");
+        let jobs = doc.get("jobs").and_then(|j| j.as_array()).expect("jobs");
+        if jobs
+            .iter()
+            .any(|j| j.get("state").and_then(|s| s.as_str()) == Some("running"))
+        {
+            return;
+        }
+        assert!(start.elapsed() < limit, "no job started: {body}");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
 #[test]
 fn shutdown_cancels_inflight_and_queued_jobs() {
     let mem = MemorySink::new();
@@ -42,7 +67,9 @@ fn shutdown_cancels_inflight_and_queued_jobs() {
     log::set_level(Some(log::Level::Info));
 
     // One worker, three substantial jobs: the first occupies the worker
-    // while the other two sit in the queue.
+    // while the other two sit in the queue. s38417 takes long enough to
+    // map, in a release build too, that the queued two cannot finish
+    // before the shutdown lands.
     let args = ServeArgs::parse(&[
         "--addr".to_string(),
         "127.0.0.1:0".to_string(),
@@ -53,14 +80,14 @@ fn shutdown_cancels_inflight_and_queued_jobs() {
     let handle = start(&args).expect("serve starts");
     let addr = handle.addr;
     let manifest = r#"{"jobs":[
-        {"name":"busy0","source":"gen:s5378"},
-        {"name":"busy1","source":"gen:s5378"},
-        {"name":"busy2","source":"gen:s5378"}]}"#;
+        {"name":"busy0","source":"gen:s38417"},
+        {"name":"busy1","source":"gen:s38417"},
+        {"name":"busy2","source":"gen:s38417"}]}"#;
     let (status, body) = post(addr, "/jobs", manifest);
     assert_eq!(status, 202, "{body}");
 
-    // Let the worker pick up the first job, then pull the plug.
-    std::thread::sleep(Duration::from_millis(50));
+    // Wait for the worker to pick up the first job, then pull the plug.
+    wait_running(addr, Duration::from_secs(30));
     let started = Instant::now();
     let (status, _) = post(addr, "/shutdown", "");
     assert_eq!(status, 200);

@@ -475,7 +475,7 @@ fn expanded_states(
     // Per node of `c`: its H node when it is a PI or a root.
     let mut driver: Vec<Option<NodeId>> = vec![None; c.num_nodes()];
     for &pi in c.inputs() {
-        driver[pi.index()] = Some(h.add_input(c.node(pi).name().to_string())?);
+        driver[pi.index()] = Some(h.add_input(c.node(pi).name())?);
     }
     // H's node ids run PIs, cone instances, POs: so do the lags.
     let mut lags = vec![0; c.inputs().len()];
@@ -509,7 +509,7 @@ fn expanded_states(
         }
     }
     for &po in c.outputs() {
-        let new_po = h.add_output(c.node(po).name().to_string())?;
+        let new_po = h.add_output(c.node(po).name())?;
         let edge = c.edge(c.node(po).fanin()[0]);
         let src = driver[edge.from().index()].expect("checked by the walk");
         taps.push(h.connect(src, new_po, edge.ffs().to_vec())?);
@@ -558,11 +558,11 @@ fn emit_luts(
     let mut out = Circuit::new(name.to_string());
     let mut id: Vec<Option<NodeId>> = vec![None; c.num_nodes()];
     for &pi in c.inputs() {
-        id[pi.index()] = Some(out.add_input(c.node(pi).name().to_string())?);
+        id[pi.index()] = Some(out.add_input(c.node(pi).name())?);
     }
     for lut in &cones.luts {
         let f = lut.function.clone();
-        id[lut.root.index()] = Some(out.add_gate(c.node(lut.root).name().to_string(), f)?);
+        id[lut.root.index()] = Some(out.add_gate(c.node(lut.root).name(), f)?);
     }
     let mut chains = states.chains.into_iter();
     for lut in &cones.luts {
@@ -593,7 +593,7 @@ fn emit_luts(
         }
     }
     for (&po, chain) in c.outputs().iter().zip(chains) {
-        let new_po = out.add_output(c.node(po).name().to_string())?;
+        let new_po = out.add_output(c.node(po).name())?;
         let src = id[c.edge(c.node(po).fanin()[0]).from().index()].expect("checked by the walk");
         out.connect(src, new_po, chain)?;
     }

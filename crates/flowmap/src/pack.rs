@@ -168,11 +168,11 @@ fn pack_once(c: &Circuit, k: usize) -> Result<(Circuit, usize), NetlistError> {
         }
         let node = c.node(v);
         map[v.index()] = Some(match node.kind() {
-            netlist::NodeKind::Input => out.add_input(node.name().to_string())?,
-            netlist::NodeKind::Output => out.add_output(node.name().to_string())?,
+            netlist::NodeKind::Input => out.add_input(node.name())?,
+            netlist::NodeKind::Output => out.add_output(node.name())?,
             netlist::NodeKind::Gate(tt) => {
                 let tt = merged_tt[v.index()].clone().unwrap_or_else(|| tt.clone());
-                out.add_gate(node.name().to_string(), tt)?
+                out.add_gate(node.name(), tt)?
             }
         });
     }

@@ -11,8 +11,8 @@
 
 use crate::bit::Bit;
 use crate::error::NetlistError;
+use crate::intern::{Interner, Symbol};
 use crate::truth::TruthTable;
-use std::collections::HashMap;
 
 /// Identifier of a node within one [`Circuit`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -59,39 +59,142 @@ pub enum NodeKind {
     Gate(TruthTable),
 }
 
-/// A node of the retiming graph.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Node {
-    name: String,
-    kind: NodeKind,
-    fanin: Vec<EdgeId>,
-    fanout: Vec<EdgeId>,
+/// Edge ids a node keeps inline per list; longer lists spill to the heap.
+const INLINE_EDGES: usize = 5;
+
+/// A node's ordered fanin or fanout edge ids: up to [`INLINE_EDGES`]
+/// inline, beyond that in a boxed buffer that doubles as it fills. A
+/// list that shrinks back to the inline capacity moves back inline.
+/// Either way it occupies 24 bytes in its node.
+#[derive(Clone)]
+enum EdgeList {
+    Inline {
+        len: u8,
+        ids: [EdgeId; INLINE_EDGES],
+    },
+    Heap {
+        len: u32,
+        /// `ids[..len]` are the list; the rest is spare capacity.
+        ids: Box<[EdgeId]>,
+    },
 }
 
-impl Node {
+impl EdgeList {
+    const EMPTY: EdgeList = EdgeList::Inline {
+        len: 0,
+        ids: [EdgeId(0); INLINE_EDGES],
+    };
+
+    fn as_slice(&self) -> &[EdgeId] {
+        match self {
+            EdgeList::Inline { len, ids } => &ids[..*len as usize],
+            EdgeList::Heap { len, ids } => &ids[..*len as usize],
+        }
+    }
+
+    fn push(&mut self, e: EdgeId) {
+        match self {
+            EdgeList::Inline { len, ids } if (*len as usize) < INLINE_EDGES => {
+                ids[*len as usize] = e;
+                *len += 1;
+            }
+            EdgeList::Heap { len, ids } if (*len as usize) < ids.len() => {
+                ids[*len as usize] = e;
+                *len += 1;
+            }
+            full => {
+                let old = full.as_slice();
+                let mut grown = Vec::with_capacity(2 * old.len());
+                grown.extend_from_slice(old);
+                grown.push(e);
+                let len = grown.len() as u32;
+                grown.resize(2 * old.len(), EdgeId(0));
+                *full = EdgeList::Heap {
+                    len,
+                    ids: grown.into_boxed_slice(),
+                };
+            }
+        }
+    }
+
+    /// Removes the entry at `pos`, keeping the order of the rest.
+    fn remove(&mut self, pos: usize) {
+        match self {
+            EdgeList::Inline { len, ids } => {
+                ids.copy_within(pos + 1..*len as usize, pos);
+                *len -= 1;
+            }
+            EdgeList::Heap { len, ids } => {
+                ids.copy_within(pos + 1..*len as usize, pos);
+                *len -= 1;
+                if *len as usize <= INLINE_EDGES {
+                    let mut inline = EdgeList::EMPTY;
+                    for &e in &ids[..*len as usize] {
+                        inline.push(e);
+                    }
+                    *self = inline;
+                }
+            }
+        }
+    }
+}
+
+impl PartialEq for EdgeList {
+    fn eq(&self, other: &EdgeList) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for EdgeList {}
+
+impl std::fmt::Debug for EdgeList {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.as_slice()).finish()
+    }
+}
+
+/// What the circuit stores per node; its name is the node's symbol in
+/// the circuit's name table.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct NodeRec {
+    kind: NodeKind,
+    fanin: EdgeList,
+    fanout: EdgeList,
+}
+
+/// A node of the retiming graph: a `Copy` view into its [`Circuit`],
+/// from [`Circuit::node`].
+#[derive(Clone, Copy)]
+pub struct Node<'a> {
+    rec: &'a NodeRec,
+    names: &'a Interner,
+    id: NodeId,
+}
+
+impl<'a> Node<'a> {
     /// The node's unique name.
-    pub fn name(&self) -> &str {
-        &self.name
+    pub fn name(&self) -> &'a str {
+        self.names.resolve(Symbol(self.id.0))
     }
 
     /// The node's kind.
-    pub fn kind(&self) -> &NodeKind {
-        &self.kind
+    pub fn kind(&self) -> &'a NodeKind {
+        &self.rec.kind
     }
 
     /// Ordered fanin edges (gate pin `i` = `fanin()[i]`).
-    pub fn fanin(&self) -> &[EdgeId] {
-        &self.fanin
+    pub fn fanin(&self) -> &'a [EdgeId] {
+        self.rec.fanin.as_slice()
     }
 
-    /// Fanout edges (unordered).
-    pub fn fanout(&self) -> &[EdgeId] {
-        &self.fanout
+    /// Fanout edges, in the order they were attached.
+    pub fn fanout(&self) -> &'a [EdgeId] {
+        self.rec.fanout.as_slice()
     }
 
     /// The gate function, if this node is a gate.
-    pub fn function(&self) -> Option<&TruthTable> {
-        match &self.kind {
+    pub fn function(&self) -> Option<&'a TruthTable> {
+        match &self.rec.kind {
             NodeKind::Gate(tt) => Some(tt),
             _ => None,
         }
@@ -99,17 +202,17 @@ impl Node {
 
     /// True for primary inputs.
     pub fn is_input(&self) -> bool {
-        matches!(self.kind, NodeKind::Input)
+        matches!(self.rec.kind, NodeKind::Input)
     }
 
     /// True for primary outputs.
     pub fn is_output(&self) -> bool {
-        matches!(self.kind, NodeKind::Output)
+        matches!(self.rec.kind, NodeKind::Output)
     }
 
     /// True for gates.
     pub fn is_gate(&self) -> bool {
-        matches!(self.kind, NodeKind::Gate(_))
+        matches!(self.rec.kind, NodeKind::Gate(_))
     }
 
     /// Unit-model delay: 1 for gates, 0 for PIs/POs.
@@ -119,6 +222,17 @@ impl Node {
         } else {
             0
         }
+    }
+}
+
+impl std::fmt::Debug for Node<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Node")
+            .field("name", &self.name())
+            .field("kind", self.kind())
+            .field("fanin", &self.fanin())
+            .field("fanout", &self.fanout())
+            .finish()
     }
 }
 
@@ -154,6 +268,10 @@ impl Edge {
 
 /// A sequential circuit represented as a retiming graph.
 ///
+/// Each field is one allocation, whatever the size: node records (kind,
+/// inline truth table, inline fanin and fanout lists), edges, the PI
+/// and PO lists, and a name table whose symbol `i` is node `i`'s name.
+///
 /// # Examples
 ///
 /// ```
@@ -171,11 +289,12 @@ impl Edge {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Circuit {
     name: String,
-    nodes: Vec<Node>,
+    nodes: Vec<NodeRec>,
     edges: Vec<Edge>,
     inputs: Vec<NodeId>,
     outputs: Vec<NodeId>,
-    names: HashMap<String, NodeId>,
+    /// Node names: symbol `i` names node `i`.
+    names: Interner,
 }
 
 impl Circuit {
@@ -187,7 +306,7 @@ impl Circuit {
             edges: Vec::new(),
             inputs: Vec::new(),
             outputs: Vec::new(),
-            names: HashMap::new(),
+            names: Interner::new(),
         }
     }
 
@@ -201,19 +320,33 @@ impl Circuit {
         self.name = name.into();
     }
 
-    fn add_node(&mut self, name: String, kind: NodeKind) -> Result<NodeId, NetlistError> {
-        if self.names.contains_key(&name) {
-            return Err(NetlistError::DuplicateName(name));
-        }
+    fn add_node(&mut self, name: &str, kind: NodeKind) -> Result<NodeId, NetlistError> {
         let id = NodeId(self.nodes.len() as u32);
-        self.names.insert(name.clone(), id);
-        self.nodes.push(Node {
-            name,
+        // A new name gets the next symbol; a taken one returns its own.
+        if self.names.intern(name) != Symbol(id.0) {
+            return Err(NetlistError::DuplicateName(name.to_string()));
+        }
+        self.nodes.push(NodeRec {
             kind,
-            fanin: Vec::new(),
-            fanout: Vec::new(),
+            fanin: EdgeList::EMPTY,
+            fanout: EdgeList::EMPTY,
         });
         Ok(id)
+    }
+
+    /// Reserves room for `nodes` more nodes and `edges` more edges.
+    pub fn reserve(&mut self, nodes: usize, edges: usize) {
+        self.nodes.reserve(nodes);
+        self.edges.reserve(edges);
+    }
+
+    /// Releases the spare capacity of every table.
+    pub fn shrink_to_fit(&mut self) {
+        self.nodes.shrink_to_fit();
+        self.edges.shrink_to_fit();
+        self.inputs.shrink_to_fit();
+        self.outputs.shrink_to_fit();
+        self.names.shrink_to_fit();
     }
 
     /// Adds a primary input.
@@ -221,8 +354,8 @@ impl Circuit {
     /// # Errors
     ///
     /// Returns [`NetlistError::DuplicateName`] if the name is taken.
-    pub fn add_input(&mut self, name: impl Into<String>) -> Result<NodeId, NetlistError> {
-        let id = self.add_node(name.into(), NodeKind::Input)?;
+    pub fn add_input(&mut self, name: impl AsRef<str>) -> Result<NodeId, NetlistError> {
+        let id = self.add_node(name.as_ref(), NodeKind::Input)?;
         self.inputs.push(id);
         Ok(id)
     }
@@ -232,8 +365,8 @@ impl Circuit {
     /// # Errors
     ///
     /// Returns [`NetlistError::DuplicateName`] if the name is taken.
-    pub fn add_output(&mut self, name: impl Into<String>) -> Result<NodeId, NetlistError> {
-        let id = self.add_node(name.into(), NodeKind::Output)?;
+    pub fn add_output(&mut self, name: impl AsRef<str>) -> Result<NodeId, NetlistError> {
+        let id = self.add_node(name.as_ref(), NodeKind::Output)?;
         self.outputs.push(id);
         Ok(id)
     }
@@ -246,10 +379,10 @@ impl Circuit {
     /// Returns [`NetlistError::DuplicateName`] if the name is taken.
     pub fn add_gate(
         &mut self,
-        name: impl Into<String>,
+        name: impl AsRef<str>,
         function: TruthTable,
     ) -> Result<NodeId, NetlistError> {
-        self.add_node(name.into(), NodeKind::Gate(function))
+        self.add_node(name.as_ref(), NodeKind::Gate(function))
     }
 
     /// Connects `from -> to` with the given FF chain (`ffs[0]` nearest
@@ -267,22 +400,25 @@ impl Circuit {
         to: NodeId,
         ffs: Vec<Bit>,
     ) -> Result<EdgeId, NetlistError> {
-        if self.node(to).is_input() {
-            return Err(NetlistError::InputHasFanin(self.node(to).name.clone()));
+        let sink = self.node(to);
+        if sink.is_input() {
+            return Err(NetlistError::InputHasFanin(sink.name().to_string()));
         }
         if self.node(from).is_output() {
-            return Err(NetlistError::OutputHasFanout(self.node(from).name.clone()));
+            return Err(NetlistError::OutputHasFanout(
+                self.node(from).name().to_string(),
+            ));
         }
-        let max_pins = match &self.node(to).kind {
+        let max_pins = match sink.kind() {
             NodeKind::Output => 1,
             NodeKind::Gate(tt) => tt.num_inputs(),
             NodeKind::Input => unreachable!(),
         };
-        if self.node(to).fanin.len() >= max_pins {
+        if sink.fanin().len() >= max_pins {
             return Err(NetlistError::ArityMismatch {
-                node: self.node(to).name.clone(),
+                node: sink.name().to_string(),
                 expected: max_pins,
-                actual: self.node(to).fanin.len() + 1,
+                actual: sink.fanin().len() + 1,
             });
         }
         let id = EdgeId(self.edges.len() as u32);
@@ -312,8 +448,12 @@ impl Circuit {
     /// # Panics
     ///
     /// Panics if `id` is out of range.
-    pub fn node(&self, id: NodeId) -> &Node {
-        &self.nodes[id.index()]
+    pub fn node(&self, id: NodeId) -> Node<'_> {
+        Node {
+            rec: &self.nodes[id.index()],
+            names: &self.names,
+            id,
+        }
     }
 
     /// The edge with the given id.
@@ -349,7 +489,7 @@ impl Circuit {
     pub fn rewire_from(&mut self, id: EdgeId, new_from: NodeId) -> Result<(), NetlistError> {
         if self.node(new_from).is_output() {
             return Err(NetlistError::OutputHasFanout(
-                self.node(new_from).name.clone(),
+                self.node(new_from).name().to_string(),
             ));
         }
         let old_from = self.edges[id.index()].from;
@@ -358,6 +498,7 @@ impl Circuit {
         }
         let fanout = &mut self.nodes[old_from.index()].fanout;
         let pos = fanout
+            .as_slice()
             .iter()
             .position(|&e| e == id)
             .expect("edge listed in its source's fanout");
@@ -389,7 +530,7 @@ impl Circuit {
 
     /// Looks a node up by name.
     pub fn find(&self, name: &str) -> Option<NodeId> {
-        self.names.get(name).copied()
+        self.names.get(name).map(|s| NodeId(s.0))
     }
 
     /// Primary inputs in declaration order.
@@ -429,7 +570,10 @@ impl Circuit {
 
     /// Number of gates.
     pub fn num_gates(&self) -> usize {
-        self.nodes.iter().filter(|n| n.is_gate()).count()
+        self.nodes
+            .iter()
+            .filter(|n| matches!(n.kind, NodeKind::Gate(_)))
+            .count()
     }
 
     /// Total FF count without register sharing (sum of edge weights).
@@ -446,6 +590,7 @@ impl Circuit {
             .iter()
             .map(|n| {
                 n.fanout
+                    .as_slice()
                     .iter()
                     .map(|&e| self.edge(e).weight())
                     .max()
@@ -460,7 +605,12 @@ impl Circuit {
     /// initial values).
     pub fn sharing_consistent(&self) -> bool {
         self.nodes.iter().all(|n| {
-            let chains: Vec<&[Bit]> = n.fanout.iter().map(|&e| self.edge(e).ffs()).collect();
+            let chains: Vec<&[Bit]> = n
+                .fanout
+                .as_slice()
+                .iter()
+                .map(|&e| self.edge(e).ffs())
+                .collect();
             let maxw = chains.iter().map(|c| c.len()).max().unwrap_or(0);
             (0..maxw).all(|i| {
                 let mut merged = Bit::X;
@@ -526,7 +676,7 @@ impl Circuit {
                 nodes: e
                     .cyclic_nodes
                     .iter()
-                    .map(|&i| self.nodes[i].name.clone())
+                    .map(|&i| self.names.resolve(Symbol(i as u32)).to_string())
                     .collect(),
             })
     }
@@ -544,7 +694,7 @@ impl Circuit {
         for v in order {
             let node = self.node(v);
             let mut best = 0u64;
-            for &e in &node.fanin {
+            for &e in node.fanin() {
                 let edge = self.edge(e);
                 if edge.weight() == 0 {
                     best = best.max(arrival[edge.from.index()]);
@@ -568,10 +718,8 @@ impl Circuit {
 
     /// Maximum gate fanin.
     pub fn max_fanin(&self) -> usize {
-        self.nodes
-            .iter()
-            .filter(|n| n.is_gate())
-            .map(|n| n.fanin.len())
+        self.gate_ids()
+            .map(|v| self.node(v).fanin().len())
             .max()
             .unwrap_or(0)
     }
@@ -734,5 +882,117 @@ mod tests {
         c.connect(g1, o1, vec![]).unwrap();
         c.connect(g2, o2, vec![]).unwrap();
         assert!(!c.sharing_consistent());
+    }
+
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn node_record_is_one_cache_line() {
+        assert_eq!(std::mem::size_of::<EdgeList>(), 24);
+        assert_eq!(std::mem::size_of::<NodeKind>(), 16);
+        assert_eq!(std::mem::size_of::<NodeRec>(), 64);
+    }
+
+    /// `n` buffers named `g0..`, each fed by `src`.
+    fn fan_out(c: &mut Circuit, src: NodeId, n: usize) -> Vec<EdgeId> {
+        (0..n)
+            .map(|i| {
+                let g = c.add_gate(format!("g{i}"), TruthTable::buf()).unwrap();
+                c.connect(src, g, vec![]).unwrap()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn fanout_order_survives_spill_and_rewire() {
+        let mut c = Circuit::new("t");
+        let a = c.add_input("a").unwrap();
+        let b = c.add_input("b").unwrap();
+        let mut on_a = fan_out(&mut c, a, 3 * INLINE_EDGES);
+        assert_eq!(c.node(a).fanout(), &on_a[..]);
+        // Rewire from the middle, the front and the back until `a` fits
+        // inline again; both lists keep their order.
+        let mut on_b = Vec::new();
+        for pos in [7, 0, 11, 3, 3, 0, 8, 2, 5, 1] {
+            let e = on_a.remove(pos % on_a.len());
+            c.rewire_from(e, b).unwrap();
+            on_b.push(e);
+            assert_eq!(c.node(a).fanout(), &on_a[..]);
+            assert_eq!(c.node(b).fanout(), &on_b[..]);
+            assert_eq!(c.edge(e).from(), b);
+        }
+        assert!(on_a.len() <= INLINE_EDGES);
+        // And back: `a` spills a second time, appending in rewire order.
+        for e in on_b.drain(..).rev() {
+            c.rewire_from(e, a).unwrap();
+            on_a.push(e);
+        }
+        assert_eq!(c.node(a).fanout(), &on_a[..]);
+        assert!(c.node(b).fanout().is_empty());
+        // Rewiring to the current source is a no-op.
+        c.rewire_from(on_a[0], a).unwrap();
+        assert_eq!(c.node(a).fanout(), &on_a[..]);
+    }
+
+    #[test]
+    fn find_and_duplicates_over_many_names() {
+        let mut c = Circuit::new("t");
+        let ids: Vec<NodeId> = (0..10_000)
+            .map(|i| match i % 3 {
+                0 => c.add_input(format!("n{i}")),
+                1 => c.add_gate(format!("n{i}"), TruthTable::and(2)),
+                _ => c.add_output(format!("n{i}")),
+            })
+            .collect::<Result<_, _>>()
+            .unwrap();
+        for (i, &id) in ids.iter().enumerate() {
+            assert_eq!(c.find(&format!("n{i}")), Some(id));
+            assert_eq!(c.node(id).name(), format!("n{i}"));
+        }
+        assert_eq!(c.find("n10000"), None);
+        assert_eq!(c.find(""), None);
+        for i in (0..10_000).step_by(997) {
+            match c.add_gate(format!("n{i}"), TruthTable::not()) {
+                Err(NetlistError::DuplicateName(name)) => assert_eq!(name, format!("n{i}")),
+                other => panic!("expected DuplicateName, got {other:?}"),
+            }
+        }
+        assert_eq!(c.num_nodes(), 10_000);
+        // A rejected name leaves no trace: the next node still gets it.
+        let fresh = c.add_gate("fresh", TruthTable::not()).unwrap();
+        assert_eq!(fresh, NodeId(10_000));
+        assert_eq!(c.find("fresh"), Some(fresh));
+    }
+
+    #[test]
+    fn clone_and_equality_compare_contents() {
+        let (c, ..) = tiny();
+        let mut d = c.clone();
+        assert_eq!(c, d);
+        d.shrink_to_fit();
+        assert_eq!(c, d);
+        d.set_function(c.find("g").unwrap(), TruthTable::or(2));
+        assert_ne!(c, d);
+
+        // A fanout list that spilled and came back equals one that never
+        // spilled.
+        let mut spilled = Circuit::new("t");
+        let a = spilled.add_input("a").unwrap();
+        let b = spilled.add_input("b").unwrap();
+        let edges = fan_out(&mut spilled, a, INLINE_EDGES + 2);
+        for &e in &edges[INLINE_EDGES..] {
+            spilled.rewire_from(e, b).unwrap();
+        }
+        let mut direct = Circuit::new("t");
+        let a = direct.add_input("a").unwrap();
+        let b = direct.add_input("b").unwrap();
+        for i in 0..INLINE_EDGES + 2 {
+            let g = direct.add_gate(format!("g{i}"), TruthTable::buf()).unwrap();
+            let src = if i < INLINE_EDGES { a } else { b };
+            direct.connect(src, g, vec![]).unwrap();
+        }
+        assert_eq!(spilled, direct);
+        assert_eq!(spilled.clone(), direct);
+        direct.set_name("u");
+        assert_ne!(spilled, direct);
     }
 }

@@ -161,14 +161,14 @@ pub fn decompose_to_k(c: &Circuit, k: usize) -> Result<Circuit, NetlistError> {
         let node = c.node(v);
         match node.kind() {
             crate::circuit::NodeKind::Input => {
-                map[v.index()] = Some(out.add_input(node.name().to_string())?);
+                map[v.index()] = Some(out.add_input(node.name())?);
             }
             crate::circuit::NodeKind::Output => {
-                map[v.index()] = Some(out.add_output(node.name().to_string())?);
+                map[v.index()] = Some(out.add_output(node.name())?);
             }
             crate::circuit::NodeKind::Gate(tt) => {
                 if tt.num_inputs() <= k {
-                    let id = out.add_gate(node.name().to_string(), tt.clone())?;
+                    let id = out.add_gate(node.name(), tt.clone())?;
                     map[v.index()] = Some(id);
                     pending.push((
                         id,

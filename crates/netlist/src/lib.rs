@@ -7,6 +7,7 @@
 //! the mapping/retiming stack and the evaluation need:
 //!
 //! * [`Circuit`] — the retiming graph with FF initial states ([`circuit`]),
+//! * [`Interner`] — the name arena behind node names and the BLIF front-end ([`intern`]),
 //! * [`TruthTable`] / [`Bit`] — gate functions and 3-valued logic,
 //! * [`sim`] — cycle-accurate 3-valued simulation,
 //! * [`vsim`] — batched two-bitplane simulation, 64 vectors per word,
@@ -51,6 +52,7 @@ pub mod decompose;
 pub mod dot;
 pub mod equiv;
 pub mod error;
+pub mod intern;
 pub mod prune;
 pub mod sim;
 pub mod stats;
@@ -69,6 +71,7 @@ pub use equiv::{
     sequence_equiv_mode, CounterExample, EquivMode, EquivResult, EXHAUSTIVE_BITS_BOUND,
 };
 pub use error::NetlistError;
+pub use intern::{Interner, Symbol};
 pub use prune::prune_dead;
 pub use sim::Simulator;
 pub use stats::{CircuitStats, ModelCounts};

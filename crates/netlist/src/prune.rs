@@ -37,14 +37,14 @@ pub fn prune_dead(c: &Circuit) -> Result<Circuit, NetlistError> {
         let node = c.node(v);
         match node.kind() {
             NodeKind::Input => {
-                map[v.index()] = Some(out.add_input(node.name().to_string())?);
+                map[v.index()] = Some(out.add_input(node.name())?);
             }
             NodeKind::Output => {
-                map[v.index()] = Some(out.add_output(node.name().to_string())?);
+                map[v.index()] = Some(out.add_output(node.name())?);
             }
             NodeKind::Gate(tt) => {
                 if live[v.index()] {
-                    map[v.index()] = Some(out.add_gate(node.name().to_string(), tt.clone())?);
+                    map[v.index()] = Some(out.add_gate(node.name(), tt.clone())?);
                 }
             }
         }

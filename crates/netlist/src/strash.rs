@@ -77,9 +77,9 @@ pub fn strash(c: &Circuit) -> Result<StrashReport, NetlistError> {
         }
         let node = c.node(v);
         map[v.index()] = Some(match node.kind() {
-            NodeKind::Input => out.add_input(node.name().to_string())?,
-            NodeKind::Output => out.add_output(node.name().to_string())?,
-            NodeKind::Gate(tt) => out.add_gate(node.name().to_string(), tt.clone())?,
+            NodeKind::Input => out.add_input(node.name())?,
+            NodeKind::Output => out.add_output(node.name())?,
+            NodeKind::Gate(tt) => out.add_gate(node.name(), tt.clone())?,
         });
     }
     for v in c.node_ids() {

@@ -71,17 +71,43 @@ fn mux_tree<const K: usize>(table: u64, inputs: &[(u64, u64)]) -> (u64, u64) {
 }
 
 /// A complete Boolean function of `k` inputs, stored as its on-set bitmap.
+///
+/// A function of at most 6 inputs keeps its on-set inline in one word,
+/// so a gate's table costs no allocation; a wider one boxes its words.
+/// Every arity has exactly one representation, and unused high bits of
+/// the word stay zero, so the derived `Eq` and `Hash` compare functions.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct TruthTable {
+pub struct TruthTable(Repr);
+
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum Repr {
+    /// `num_inputs ≤ WORD_INPUTS`: bit `r` is row `r`.
+    Word { num_inputs: u8, word: u64 },
+    /// `num_inputs > WORD_INPUTS`.
+    Wide(Box<Wide>),
+}
+
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct Wide {
     num_inputs: u8,
-    /// Bit `r` of `words[r / 64]` is 1 iff row `r` is in the on-set.
-    words: Vec<u64>,
+    /// Bit `r % 64` of `words[r / 64]` is 1 iff row `r` is in the on-set.
+    words: Box<[u64]>,
 }
 
 impl TruthTable {
-    fn word_count(num_inputs: usize) -> usize {
-        let rows = 1usize << num_inputs;
-        rows.div_ceil(64)
+    /// The on-set words (one for arities up to [`WORD_INPUTS`]).
+    fn words(&self) -> &[u64] {
+        match &self.0 {
+            Repr::Word { word, .. } => std::slice::from_ref(word),
+            Repr::Wide(w) => &w.words,
+        }
+    }
+
+    fn words_mut(&mut self) -> &mut [u64] {
+        match &mut self.0 {
+            Repr::Word { word, .. } => std::slice::from_mut(word),
+            Repr::Wide(w) => &mut w.words,
+        }
     }
 
     /// The constant-zero function of `num_inputs` inputs.
@@ -91,10 +117,18 @@ impl TruthTable {
     /// Panics if `num_inputs > MAX_INPUTS`.
     pub fn const_zero(num_inputs: usize) -> TruthTable {
         assert!(num_inputs <= MAX_INPUTS, "too many truth table inputs");
-        TruthTable {
-            num_inputs: num_inputs as u8,
-            words: vec![0; Self::word_count(num_inputs)],
-        }
+        let k = num_inputs as u8;
+        TruthTable(if num_inputs <= WORD_INPUTS {
+            Repr::Word {
+                num_inputs: k,
+                word: 0,
+            }
+        } else {
+            Repr::Wide(Box::new(Wide {
+                num_inputs: k,
+                words: vec![0; 1 << (num_inputs - WORD_INPUTS)].into_boxed_slice(),
+            }))
+        })
     }
 
     /// The constant-one function of `num_inputs` inputs.
@@ -187,12 +221,15 @@ impl TruthTable {
 
     /// Number of inputs.
     pub fn num_inputs(&self) -> usize {
-        self.num_inputs as usize
+        match &self.0 {
+            Repr::Word { num_inputs, .. } => *num_inputs as usize,
+            Repr::Wide(w) => w.num_inputs as usize,
+        }
     }
 
     /// Number of rows (`2^k`).
     pub fn num_rows(&self) -> usize {
-        1usize << self.num_inputs
+        1usize << self.num_inputs()
     }
 
     /// Sets row `r` of the on-set.
@@ -202,10 +239,11 @@ impl TruthTable {
     /// Panics if `r` is out of range.
     pub fn set(&mut self, r: usize, value: bool) {
         assert!(r < self.num_rows(), "row out of range");
+        let word = &mut self.words_mut()[r / 64];
         if value {
-            self.words[r / 64] |= 1u64 << (r % 64);
+            *word |= 1u64 << (r % 64);
         } else {
-            self.words[r / 64] &= !(1u64 << (r % 64));
+            *word &= !(1u64 << (r % 64));
         }
     }
 
@@ -216,7 +254,7 @@ impl TruthTable {
     /// Panics if `r` is out of range.
     pub fn eval_row(&self, r: usize) -> bool {
         assert!(r < self.num_rows(), "row out of range");
-        (self.words[r / 64] >> (r % 64)) & 1 == 1
+        (self.words()[r / 64] >> (r % 64)) & 1 == 1
     }
 
     /// Evaluates on a slice of concrete inputs.
@@ -293,6 +331,7 @@ impl TruthTable {
         if let Some(table) = self.word() {
             return eval3_planes_word(table, inputs);
         }
+        let words = self.words();
         let mut out0 = 0u64;
         let mut out1 = 0u64;
         for r in 0..self.num_rows() {
@@ -307,7 +346,7 @@ impl TruthTable {
             if consistent == 0 {
                 continue;
             }
-            if (self.words[r / 64] >> (r % 64)) & 1 == 1 {
+            if (words[r / 64] >> (r % 64)) & 1 == 1 {
                 out1 |= consistent;
             } else {
                 out0 |= consistent;
@@ -319,7 +358,10 @@ impl TruthTable {
     /// The whole on-set as one word (bit `r` = row `r`) when the table
     /// has at most [`WORD_INPUTS`] inputs.
     pub(crate) fn word(&self) -> Option<u64> {
-        (self.num_inputs() <= WORD_INPUTS).then_some(self.words[0])
+        match self.0 {
+            Repr::Word { word, .. } => Some(word),
+            Repr::Wide(_) => None,
+        }
     }
 
     /// Finds an input vector `j` with `f(j) = target`, maximising the number
@@ -407,14 +449,14 @@ impl TruthTable {
 
     /// Number of on-set rows.
     pub fn count_ones(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+        self.words().iter().map(|w| w.count_ones() as usize).sum()
     }
 }
 
 impl std::fmt::Display for TruthTable {
     /// Hex on-set, most significant row first, e.g. `and(2)` is `tt2:8`.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "tt{}:", self.num_inputs)?;
+        write!(f, "tt{}:", self.num_inputs())?;
         let rows = self.num_rows();
         let nibbles = rows.div_ceil(4).max(1);
         for n in (0..nibbles).rev() {
@@ -545,5 +587,96 @@ mod tests {
         assert_eq!(tt.count_ones(), 512);
         assert!(tt.eval_row(0b1));
         assert!(!tt.eval_row(0b11));
+    }
+
+    fn hash_of(tt: &TruthTable) -> u64 {
+        use std::hash::{Hash, Hasher};
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        tt.hash(&mut h);
+        h.finish()
+    }
+
+    /// A fixed function of `k` inputs with no constant cofactor.
+    fn sample(k: usize) -> TruthTable {
+        TruthTable::from_fn(k, |r| (r.count_ones() + (r * 7 / 3) as u32) % 3 == 1)
+    }
+
+    #[test]
+    fn word_and_wide_tables_at_the_boundary() {
+        for k in [WORD_INPUTS, WORD_INPUTS + 1] {
+            let tt = sample(k);
+            assert_eq!(tt.num_inputs(), k);
+            assert_eq!(tt.word().is_some(), k <= WORD_INPUTS, "k = {k}");
+            let again = sample(k);
+            assert_eq!(tt, again);
+            assert_eq!(hash_of(&tt), hash_of(&again));
+            let mut flipped = tt.clone();
+            flipped.set(5, !tt.eval_row(5));
+            assert_ne!(tt, flipped);
+            flipped.set(5, tt.eval_row(5));
+            assert_eq!(tt, flipped);
+            assert_eq!(hash_of(&tt), hash_of(&flipped));
+        }
+        // Same on-set bits, different arity: different functions.
+        assert_ne!(TruthTable::const_zero(6), TruthTable::const_zero(7));
+        assert_eq!(TruthTable::const_one(6).word(), Some(u64::MAX));
+        assert_eq!(TruthTable::const_one(7).count_ones(), 128);
+    }
+
+    #[test]
+    fn cofactor_crosses_from_wide_to_word() {
+        let tt = sample(7);
+        for i in 0..7 {
+            for value in [false, true] {
+                let co = tt.cofactor(i, value);
+                let expect = TruthTable::from_fn(6, |r| {
+                    let low = r & ((1 << i) - 1);
+                    let full = low | ((r >> i) << (i + 1)) | (usize::from(value) << i);
+                    tt.eval_row(full)
+                });
+                assert!(co.word().is_some());
+                assert_eq!(co, expect);
+                assert_eq!(hash_of(&co), hash_of(&expect));
+            }
+        }
+        assert_eq!(sample(6).cofactor(2, true).num_inputs(), 5);
+    }
+
+    #[test]
+    fn eval3_planes_matches_eval3_at_6_and_7_inputs() {
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        for k in [6, 7] {
+            let tt = sample(k);
+            // Each lane's input is 0, 1 or X (both planes set).
+            let inputs: Vec<(u64, u64)> = (0..k)
+                .map(|_| {
+                    let (p0, p1) = (next(), next());
+                    (p0 | !p1, p1)
+                })
+                .collect();
+            let (out0, out1) = tt.eval3_planes(&inputs);
+            for lane in 0..64 {
+                let bits: Vec<Bit> = inputs
+                    .iter()
+                    .map(|&(p0, p1)| match ((p0 >> lane) & 1, (p1 >> lane) & 1) {
+                        (1, 1) => Bit::X,
+                        (_, 1) => Bit::One,
+                        _ => Bit::Zero,
+                    })
+                    .collect();
+                let got = match ((out0 >> lane) & 1, (out1 >> lane) & 1) {
+                    (1, 1) => Bit::X,
+                    (_, 1) => Bit::One,
+                    _ => Bit::Zero,
+                };
+                assert_eq!(got, tt.eval3(&bits), "k = {k}, lane {lane}");
+            }
+        }
     }
 }

@@ -102,7 +102,7 @@ pub fn extract(c: &Circuit, asg: &Assignment) -> Result<ExtractedBlocks, Partiti
     let mut seam_po: Vec<Option<NodeId>> = vec![None; seams.len()];
     for &pi in c.inputs() {
         let b = asg.block_of[pi.index()] as usize;
-        local[pi.index()] = Some(blocks[b].add_input(c.node(pi).name().to_string())?);
+        local[pi.index()] = Some(blocks[b].add_input(c.node(pi).name())?);
     }
     for s in &seams {
         let b = s.consumer_block as usize;
@@ -115,11 +115,11 @@ pub fn extract(c: &Circuit, asg: &Assignment) -> Result<ExtractedBlocks, Partiti
             .function()
             .expect("gate nodes carry a function")
             .clone();
-        local[g.index()] = Some(blocks[b].add_gate(c.node(g).name().to_string(), f)?);
+        local[g.index()] = Some(blocks[b].add_gate(c.node(g).name(), f)?);
     }
     for &po in c.outputs() {
         let b = asg.block_of[po.index()] as usize;
-        local[po.index()] = Some(blocks[b].add_output(c.node(po).name().to_string())?);
+        local[po.index()] = Some(blocks[b].add_output(c.node(po).name())?);
     }
     for s in &seams {
         if s.producer_is_gate {

@@ -66,7 +66,7 @@ pub fn stitch(
 
     // Interface first: every source PI, in source order.
     for &pi in source.inputs() {
-        out.add_input(source.node(pi).name().to_string())?;
+        out.add_input(source.node(pi).name())?;
     }
 
     // Copy every block's gates (block order, node order), renaming on
@@ -82,7 +82,7 @@ pub fn stitch(
                 .clone();
             let base = m.node(g).name();
             let id = if out.find(base).is_none() {
-                out.add_gate(base.to_string(), f)?
+                out.add_gate(base, f)?
             } else {
                 stats.renamed += 1;
                 let mut name = format!("{base}__b{b}");
@@ -98,7 +98,7 @@ pub fn stitch(
     }
     // Then every source PO, in source order.
     for &po in source.outputs() {
-        out.add_output(source.node(po).name().to_string())?;
+        out.add_output(source.node(po).name())?;
     }
 
     // Which block-local PIs/POs are seam pseudo-nodes, per block.

@@ -263,16 +263,24 @@ pub fn hier_to_string(spec: &LargeSpec) -> String {
 pub fn build_flat(spec: &LargeSpec) -> Result<Circuit, NetlistError> {
     let width = spec.width;
     let mut c = Circuit::new(spec.name.clone());
+    // PIs, gates and POs; two pins per tile gate, one per buffer and PO.
+    let gates = spec.flat_gates();
+    c.reserve(
+        gates + 2 * width,
+        gates + spec.tiles * spec.tile_gates + width,
+    );
     let plans: Vec<TilePlan> = (0..spec.kinds.max(1)).map(|k| tile_plan(spec, k)).collect();
+    // Node names are formatted into one reused buffer.
+    let mut buf = String::new();
 
     let mut bus: Vec<NodeId> = (0..width)
-        .map(|j| c.add_input(format!("pi{j}")))
+        .map(|j| c.add_input(name(&mut buf, format_args!("pi{j}"))))
         .collect::<Result<_, _>>()?;
     for t in 0..spec.tiles {
         let plan = &plans[t % spec.kinds.max(1)];
         let mut gates: Vec<NodeId> = Vec::with_capacity(plan.gates.len());
         for (i, &(op, a, b)) in plan.gates.iter().enumerate() {
-            let g = c.add_gate(format!("t{t}_g{i}"), op_tt(op))?;
+            let g = c.add_gate(name(&mut buf, format_args!("t{t}_g{i}")), op_tt(op))?;
             for idx in [a, b] {
                 let src = if (idx as usize) < width {
                     bus[idx as usize]
@@ -285,7 +293,7 @@ pub fn build_flat(spec: &LargeSpec) -> Result<Circuit, NetlistError> {
         }
         let mut next_bus = Vec::with_capacity(width);
         for j in 0..width {
-            let buf = c.add_gate(format!("t{t}_y{j}"), TruthTable::buf())?;
+            let buf = c.add_gate(name(&mut buf, format_args!("t{t}_y{j}")), TruthTable::buf())?;
             let init = effective_init(j, plan.out_init[j]);
             c.connect(gates[plan.out_src[j] as usize], buf, vec![init])?;
             next_bus.push(buf);
@@ -295,18 +303,26 @@ pub fn build_flat(spec: &LargeSpec) -> Result<Circuit, NetlistError> {
     // `.conn` aliases then PO buffers, as the top model emits them.
     let z: Vec<NodeId> = (0..width)
         .map(|j| {
-            let g = c.add_gate(format!("z{j}"), TruthTable::buf())?;
+            let g = c.add_gate(name(&mut buf, format_args!("z{j}")), TruthTable::buf())?;
             c.connect(bus[j], g, vec![])?;
             Ok(g)
         })
         .collect::<Result<_, NetlistError>>()?;
     for (j, &zj) in z.iter().enumerate() {
-        let pg = c.add_gate(format!("po{j}$g"), TruthTable::buf())?;
+        let pg = c.add_gate(name(&mut buf, format_args!("po{j}$g")), TruthTable::buf())?;
         c.connect(zj, pg, vec![])?;
-        let po = c.add_output(format!("po{j}"))?;
+        let po = c.add_output(name(&mut buf, format_args!("po{j}")))?;
         c.connect(pg, po, vec![])?;
     }
+    c.shrink_to_fit();
     Ok(c)
+}
+
+/// `args` formatted into `buf`, which is reused across calls.
+fn name<'b>(buf: &'b mut String, args: std::fmt::Arguments) -> &'b str {
+    buf.clear();
+    std::fmt::Write::write_fmt(buf, args).expect("formatting into a String cannot fail");
+    buf
 }
 
 /// The committed large-suite presets.
