@@ -97,32 +97,42 @@ impl LatchType {
 
 /// A `.names` logic block with verbatim cubes.
 ///
-/// Cubes are stored packed: `pattern_blob` holds `inputs.len()` bytes
-/// per cube (`0`/`1`/`-`), `values` one byte per cube (`0`/`1`).
+/// Its inputs and cubes live in its model's pools: the inputs are
+/// [`Model::pins`]`[pins_at..pins_at + num_inputs]`, and each cube is
+/// `num_inputs` pattern bytes (`0`/`1`/`-`) then one value byte
+/// (`0`/`1`) in [`Model::cubes`], from `cubes_at` on.
 #[derive(Debug, Clone)]
 pub struct Names {
-    /// Input signals (possibly empty — constant).
-    pub inputs: Vec<Symbol>,
     /// Output signal.
     pub output: Symbol,
-    /// Packed cube patterns.
-    pub pattern_blob: Vec<u8>,
-    /// Per-cube output value bytes.
-    pub values: Vec<u8>,
+    /// Offset of the first input in [`Model::pins`].
+    pub pins_at: usize,
+    /// Number of inputs (zero for a constant).
+    pub num_inputs: u32,
+    /// Offset of the first cube in [`Model::cubes`].
+    pub cubes_at: usize,
+    /// Number of cubes.
+    pub num_cubes: usize,
     /// Source line of the `.names` keyword.
     pub line: u32,
 }
 
 impl Names {
-    /// Number of cubes.
-    pub fn num_cubes(&self) -> usize {
-        self.values.len()
+    /// Input signals, from `model`'s pin pool.
+    pub fn inputs<'m>(&self, model: &'m Model) -> &'m [Symbol] {
+        &model.pins[self.pins_at..self.pins_at + self.num_inputs as usize]
     }
 
-    /// Cube `i` as (pattern bytes, value byte).
-    pub fn cube(&self, i: usize) -> (&[u8], u8) {
-        let w = self.inputs.len();
-        (&self.pattern_blob[i * w..(i + 1) * w], self.values[i])
+    /// Number of cubes.
+    pub fn num_cubes(&self) -> usize {
+        self.num_cubes
+    }
+
+    /// Cube `i` as (pattern bytes, value byte), from `model`'s cube pool.
+    pub fn cube<'m>(&self, model: &'m Model, i: usize) -> (&'m [u8], u8) {
+        let w = self.num_inputs as usize;
+        let at = self.cubes_at + i * (w + 1);
+        (&model.cubes[at..at + w], model.cubes[at + w])
     }
 }
 
@@ -275,6 +285,10 @@ pub struct Model {
     pub blackbox: bool,
     /// Body commands in source order.
     pub commands: Vec<Command>,
+    /// Input signals of every `.names` block, back to back.
+    pub pins: Vec<Symbol>,
+    /// Cubes of every `.names` block, back to back.
+    pub cubes: Vec<u8>,
     /// Source line of the `.model` keyword.
     pub line: u32,
 }
@@ -290,6 +304,8 @@ impl Model {
             clocks: Vec::new(),
             blackbox: false,
             commands: Vec::new(),
+            pins: Vec::new(),
+            cubes: Vec::new(),
             line,
         }
     }

@@ -2,10 +2,12 @@
 //!
 //! Two subcommands:
 //!
-//! * `gen <preset> -o FILE [--pad-mb N]` — stream a `workloads::large`
-//!   preset to disk. `--pad-mb` appends comment padding so the file
-//!   grows without the netlist growing: an ingest whose peak RSS tracks
-//!   the netlist (not the file) is unaffected by the padding.
+//! * `gen <preset> -o FILE [--flat] [--pad-mb N]` — stream a
+//!   `workloads::large` preset to disk. `--flat` writes the flattened
+//!   design instead, `write_circuit(build_flat(spec))`: one model, the
+//!   shape of a mapper's output. `--pad-mb` appends comment padding so
+//!   the file grows without the netlist growing: an ingest whose peak
+//!   RSS tracks the netlist (not the file) is unaffected by the padding.
 //! * `ingest FILE [--max-secs S] [--max-rss-mb M]` — parse + flatten the
 //!   file, then report wall time, circuit totals, the process's peak
 //!   RSS (`VmHWM` via [`engine::mem::peak_rss_kib`]) and the heap
@@ -28,10 +30,11 @@ fn usage() -> ! {
         "\
 blifcheck — ingest smoke-checker for the streaming BLIF front-end
 
-USAGE: blifcheck gen <preset> -o FILE [--pad-mb N]
+USAGE: blifcheck gen <preset> -o FILE [--flat] [--pad-mb N]
        blifcheck ingest FILE [--max-secs S] [--max-rss-mb M]
 
   gen      stream a large-workload preset ({}) to FILE;
+           --flat writes the flattened design as one model;
            --pad-mb appends N MiB of comment lines (file grows, netlist
            does not — RSS must not follow)
   ingest   parse + flatten FILE, print key=value metrics (wall seconds,
@@ -62,6 +65,13 @@ fn take_flag(args: &mut Vec<String>, name: &str) -> Option<String> {
 
 fn run_gen(mut args: Vec<String>) {
     let out = take_flag(&mut args, "-o").unwrap_or_else(|| fail("gen needs -o FILE"));
+    let flat = match args.iter().position(|a| a == "--flat") {
+        Some(i) => {
+            args.remove(i);
+            true
+        }
+        None => false,
+    };
     let pad_mb: u64 = take_flag(&mut args, "--pad-mb")
         .map(|v| {
             v.parse()
@@ -73,7 +83,14 @@ fn run_gen(mut args: Vec<String>) {
         workloads::large_preset(name).unwrap_or_else(|| fail(&format!("unknown preset `{name}`")));
     let f = std::fs::File::create(&out).unwrap_or_else(|e| fail(&format!("creating `{out}`: {e}")));
     let mut w = std::io::BufWriter::new(f);
-    workloads::write_hier(&spec, &mut w).unwrap_or_else(|e| fail(&format!("writing `{out}`: {e}")));
+    let written = if flat {
+        let c = workloads::build_flat(&spec)
+            .unwrap_or_else(|e| fail(&format!("building `{name}`: {e}")));
+        w.write_all(blifio::write_circuit(&c).as_bytes())
+    } else {
+        workloads::write_hier(&spec, &mut w)
+    };
+    written.unwrap_or_else(|e| fail(&format!("writing `{out}`: {e}")));
     // Comment padding: 64 KiB lines the scanner must stream through and
     // discard. The netlist is unchanged, so a streaming reader's peak
     // RSS must not scale with this.

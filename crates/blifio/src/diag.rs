@@ -54,13 +54,13 @@ impl Diag {
             out.push_str(src.trim_end());
             if self.col > 0 {
                 out.push_str("\n  ");
-                // The excerpt is byte-for-byte what the scanner saw, so a
-                // byte-column caret lines up for ASCII BLIF (the format is
-                // ASCII; multibyte names shift the caret, never panic).
+                // Columns count bytes, so the caret pads one space (or
+                // tab) per character that starts before the column: it
+                // lines up under multibyte names too.
                 let pad = src
-                    .chars()
-                    .take(self.col.saturating_sub(1))
-                    .map(|ch| if ch == '\t' { '\t' } else { ' ' })
+                    .char_indices()
+                    .take_while(|&(at, _)| at + 1 < self.col)
+                    .map(|(_, ch)| if ch == '\t' { '\t' } else { ' ' })
                     .collect::<String>();
                 out.push_str(&pad);
                 out.push('^');

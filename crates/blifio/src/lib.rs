@@ -5,9 +5,11 @@
 //! this crate:
 //!
 //! * **Streaming** — input is scanned through a fixed 64 KiB chunk
-//!   buffer ([`scan`]); names are interned into a single arena
-//!   ([`intern`]); the raw text is never held whole, so peak memory is
-//!   proportional to the netlist, not the file.
+//!   buffer ([`scan`]), a line split at a time and each token copied
+//!   whole; names are interned into a single arena ([`intern`]); the
+//!   raw text is never held whole, so peak memory is proportional to
+//!   the netlist, not the file. Names are UTF-8 copied verbatim; other
+//!   bytes are a positioned error.
 //! * **Full 1992 spec** — multi-model files, `.subckt` hierarchy,
 //!   `.latch` trigger types (`fe/re/ah/al/as`) and clock signals,
 //!   `.gate`/`.mlatch` library cells ([`lib_cells`]), embedded KISS FSMs
@@ -22,9 +24,10 @@
 //!   mapping/retiming stack, folding each latch into one FF on every
 //!   consumer edge of its output.
 //! * **Round-tripping writer** — [`write`](mod@write) serialises everything the
-//!   reader accepts, and converts circuits back to BLIF
-//!   ([`write_circuit`]). The committed `tests/golden/` corpus pins the
-//!   reader's verdict and the writer's bytes for the flat subset.
+//!   reader accepts, and writes circuits as BLIF straight from their
+//!   nodes and names ([`write_circuit`]). The committed `tests/golden/`
+//!   corpus pins the reader's verdict and the writer's bytes for the
+//!   flat subset.
 //!
 //! # Examples
 //!
@@ -67,7 +70,7 @@ pub use intern::{Interner, Symbol};
 pub use link::{flatten, LinkOptions};
 pub use parse::{parse_path, parse_reader, parse_str, ParseOptions};
 pub use scan::{LineBuf, Scanner, DEFAULT_CHUNK};
-pub use write::{from_circuit, model_from_circuit, write_circuit, write_file};
+pub use write::{write_circuit, write_file};
 
 use netlist::Circuit;
 use std::path::Path;

@@ -4,24 +4,27 @@
 //! Flattening has two stages. *Elaboration* walks the model hierarchy
 //! from the link root, binding `.subckt` formals to parent actuals and
 //! prefixing instance-local names with `{model}${ordinal}.` paths; it
-//! produces flat gate/latch lists over a second, flat-name interner (no
-//! string maps on the hot path — drivers are indexed by symbol).
-//! *Construction* then ports the proven semantics of the old
-//! single-model reader: latches fold onto consumer edges as FF chains,
-//! and gate nodes whose signal collides with a primary-output name get
-//! a `$g` suffix.
+//! produces flat gate/latch lists over a flat-name interner that starts
+//! as a copy of the file's, so the root model's names keep their
+//! symbols and only prefixed names are interned. No hash map is on the
+//! path: each instance depth has a table indexed by local symbol whose
+//! entries count only when stamped with the current instance, and gate
+//! inputs share one pool. *Construction* then builds the circuit:
+//! latches fold onto consumer edges as FF chains, and gate nodes whose
+//! signal collides with a primary-output name get a `$g` suffix.
 //!
 //! Embedded KISS FSM blocks are lowered first: each block is parsed
-//! with `workloads::kiss`, synthesised to gates, converted back to an
-//! auxiliary model, and the block replaced by a `.subckt` of it.
+//! with `workloads::kiss`, synthesised to gates, written with
+//! [`write_circuit`] and read back as an auxiliary model, and the block
+//! replaced by a `.subckt` of it.
 
 use crate::ast::{BlifFile, Command, Model, Names, Subckt};
 use crate::diag::{BlifError, Diag};
 use crate::intern::{Interner, Symbol};
 use crate::lib_cells::{is_output_pin, lookup_cell, lookup_latch_cell};
-use crate::write::{model_from_circuit, sanitize};
+use crate::parse::parse_str;
+use crate::write::{sanitize, write_circuit};
 use netlist::{Bit, Circuit, NetlistError, NodeId, TruthTable};
-use std::collections::HashMap;
 use workloads::kiss::{parse_kiss2, synthesize_stg};
 use workloads::Encoding;
 
@@ -95,9 +98,10 @@ fn kiss_lower(file: &BlifFile, encoding: Encoding) -> Result<Option<BlifFile>, B
                 )
                 .into());
             }
+            let line = block.line;
             let aux_name = format!("{}$kiss{}", out.models[mi].name, ci);
             let circ = synthesize_stg(&stg, encoding, &aux_name)?;
-            let aux_model = model_from_circuit(&circ, &mut out.interner, block.line);
+            let aux_model = graft(parse_str(&write_circuit(&circ))?, &mut out.interner, line);
             let model_sym = out.interner.intern(&aux_name);
             let mut conns = Vec::with_capacity(nin + nout);
             for (i, &actual) in file.models[mi].inputs.iter().enumerate() {
@@ -109,7 +113,7 @@ fn kiss_lower(file: &BlifFile, encoding: Encoding) -> Result<Option<BlifFile>, B
             out.models[mi].commands[ci] = Command::Subckt(Subckt {
                 model: model_sym,
                 conns,
-                line: block.line,
+                line,
             });
             aux.push(aux_model);
         }
@@ -118,9 +122,42 @@ fn kiss_lower(file: &BlifFile, encoding: Encoding) -> Result<Option<BlifFile>, B
     Ok(Some(out))
 }
 
+/// The one model of a file [`write_circuit`] wrote, moved to `into`'s
+/// symbols, with every source line set to `line` (the KISS block's).
+fn graft(synth: BlifFile, into: &mut Interner, line: u32) -> Model {
+    let BlifFile { models, interner } = synth;
+    let mut m = models
+        .into_iter()
+        .next()
+        .expect("write_circuit writes one model");
+    let mut map = |s: &mut Symbol| *s = into.intern(interner.resolve(*s));
+    m.inputs.iter_mut().for_each(&mut map);
+    m.outputs.iter_mut().for_each(&mut map);
+    m.pins.iter_mut().for_each(&mut map);
+    m.output_lines.fill(line);
+    m.line = line;
+    for cmd in &mut m.commands {
+        match cmd {
+            Command::Names(n) => {
+                map(&mut n.output);
+                n.line = line;
+            }
+            Command::Latch(l) => {
+                map(&mut l.input);
+                map(&mut l.output);
+                l.line = line;
+            }
+            other => unreachable!("write_circuit writes no {other:?}"),
+        }
+    }
+    m
+}
+
 /// A flattened gate: resolved truth table over flat signal symbols.
 struct FlatGate {
-    inputs: Vec<Symbol>,
+    /// Offset of the first input in [`Flat::pins`].
+    pins_at: usize,
+    num_pins: usize,
     output: Symbol,
     tt: TruthTable,
     line: u32,
@@ -138,15 +175,57 @@ struct FlatLatch {
 struct Flat {
     names: Interner,
     gates: Vec<FlatGate>,
+    /// Inputs of every flat gate, back to back.
+    pins: Vec<Symbol>,
     latches: Vec<FlatLatch>,
+}
+
+impl Flat {
+    fn gate_inputs(&self, g: &FlatGate) -> &[Symbol] {
+        &self.pins[g.pins_at..g.pins_at + g.num_pins]
+    }
+
+    fn push_gate(&mut self, pins_at: usize, output: Symbol, tt: TruthTable, line: u32) {
+        self.gates.push(FlatGate {
+            pins_at,
+            num_pins: self.pins.len() - pins_at,
+            output,
+            tt,
+            line,
+        });
+    }
+}
+
+/// A local symbol's flat symbol, which counts only while `stamp` is the
+/// current instance's.
+#[derive(Clone, Copy)]
+struct Slot {
+    stamp: u32,
+    flat: Symbol,
+}
+
+/// One model instance being expanded.
+#[derive(Clone, Copy)]
+struct Inst<'p> {
+    /// Depth below the root (the root is 0).
+    depth: usize,
+    stamp: u32,
+    /// `{model}${ordinal}.` path of the instance (empty at the root).
+    prefix: &'p str,
 }
 
 struct Linker<'a> {
     file: &'a BlifFile,
-    model_idx: HashMap<&'a str, usize>,
+    /// Model index of each symbol that names a model.
+    model_of: Vec<Option<u32>>,
     /// Per model: truth tables of its `.names` blocks, computed once.
     tts: Vec<Option<Vec<TruthTable>>>,
     flat: Flat,
+    /// Per depth below the root: the flat symbol of each local symbol
+    /// of the file (empty at the root, whose symbols are flat symbols).
+    frames: Vec<Vec<Slot>>,
+    /// The last stamp handed out.
+    stamp: u32,
     /// Scratch for prefixed instance-local names.
     buf: String,
 }
@@ -157,17 +236,22 @@ fn diag(line: u32, msg: impl Into<String>) -> BlifError {
 
 impl<'a> Linker<'a> {
     fn new(file: &'a BlifFile) -> Linker<'a> {
-        let model_idx = file
-            .models
-            .iter()
-            .enumerate()
-            .map(|(i, m)| (m.name.as_str(), i))
-            .collect();
+        let mut model_of = vec![None; file.interner.len()];
+        for (i, m) in file.models.iter().enumerate() {
+            if let Some(s) = file.interner.get(&m.name) {
+                model_of[s.index()] = Some(i as u32);
+            }
+        }
         Linker {
             file,
-            model_idx,
+            model_of,
             tts: vec![None; file.models.len()],
-            flat: Flat::default(),
+            flat: Flat {
+                names: file.interner.clone(),
+                ..Flat::default()
+            },
+            frames: Vec::new(),
+            stamp: 0,
             buf: String::new(),
         }
     }
@@ -176,40 +260,75 @@ impl<'a> Linker<'a> {
         if self.tts[mi].is_some() {
             return Ok(());
         }
+        let model = &self.file.models[mi];
         let mut tts = Vec::new();
-        for cmd in &self.file.models[mi].commands {
+        for cmd in &model.commands {
             if let Command::Names(n) = cmd {
-                tts.push(names_tt(n)?);
+                tts.push(names_tt(model, n)?);
             }
         }
         self.tts[mi] = Some(tts);
         Ok(())
     }
 
-    /// The flat symbol for a model-local signal inside one instance.
-    fn flat_sym(
+    /// A fresh instance at `depth`, declared on `line`.
+    fn instance<'p>(
         &mut self,
-        map: &mut HashMap<Symbol, Symbol>,
-        prefix: &str,
-        local: Symbol,
-    ) -> Symbol {
-        if let Some(&s) = map.get(&local) {
-            return s;
+        depth: usize,
+        prefix: &'p str,
+        line: u32,
+    ) -> Result<Inst<'p>, BlifError> {
+        while self.frames.len() <= depth {
+            let syms = if self.frames.is_empty() {
+                0
+            } else {
+                self.file.interner.len()
+            };
+            // Stamps start at 1, so stamp 0 marks an empty slot.
+            let empty = Slot {
+                stamp: 0,
+                flat: Symbol(0),
+            };
+            self.frames.push(vec![empty; syms]);
+        }
+        self.stamp = self
+            .stamp
+            .checked_add(1)
+            .ok_or_else(|| diag(line, "more than 2^32 model instances"))?;
+        Ok(Inst {
+            depth,
+            stamp: self.stamp,
+            prefix,
+        })
+    }
+
+    /// The flat symbol for a model-local signal inside one instance. The
+    /// root's names are the file's own symbols.
+    fn flat_sym(&mut self, inst: Inst<'_>, local: Symbol) -> Symbol {
+        if inst.depth == 0 {
+            return local;
+        }
+        let slot = &mut self.frames[inst.depth][local.index()];
+        if slot.stamp == inst.stamp {
+            return slot.flat;
         }
         self.buf.clear();
-        self.buf.push_str(prefix);
+        self.buf.push_str(inst.prefix);
         self.buf.push_str(self.file.interner.resolve(local));
         let s = self.flat.names.intern(&self.buf);
-        map.insert(local, s);
+        self.frames[inst.depth][local.index()] = Slot {
+            stamp: inst.stamp,
+            flat: s,
+        };
         s
     }
 
-    /// Expands model `mi` under `prefix` with the given port bindings.
+    /// Expands model `mi` as instance `inst`, whose port bindings are
+    /// already in its table.
     fn expand(
         &mut self,
         mi: usize,
-        prefix: &str,
-        bind: HashMap<Symbol, Symbol>,
+        inst: Inst<'_>,
         stack: &mut Vec<usize>,
     ) -> Result<(), BlifError> {
         if stack.contains(&mi) {
@@ -225,40 +344,31 @@ impl<'a> Linker<'a> {
         self.ensure_tts(mi)?;
         let file = self.file;
         let model = &file.models[mi];
-        let mut map = bind;
         let mut names_seen = 0usize;
-        let mut inst_counts: HashMap<Symbol, usize> = HashMap::new();
+        let mut ords = vec![0; file.models.len()];
         for cmd in &model.commands {
             match cmd {
                 Command::Names(n) => {
                     let tt = self.tts[mi].as_ref().expect("ensured")[names_seen].clone();
                     names_seen += 1;
-                    let inputs = n
-                        .inputs
-                        .iter()
-                        .map(|&s| self.flat_sym(&mut map, prefix, s))
-                        .collect();
-                    let output = self.flat_sym(&mut map, prefix, n.output);
-                    self.flat.gates.push(FlatGate {
-                        inputs,
-                        output,
-                        tt,
-                        line: n.line,
-                    });
+                    let at = self.flat.pins.len();
+                    for &s in n.inputs(model) {
+                        let f = self.flat_sym(inst, s);
+                        self.flat.pins.push(f);
+                    }
+                    let output = self.flat_sym(inst, n.output);
+                    self.flat.push_gate(at, output, tt, n.line);
                 }
                 Command::Conn { from, to, line } => {
-                    let from = self.flat_sym(&mut map, prefix, *from);
-                    let to = self.flat_sym(&mut map, prefix, *to);
-                    self.flat.gates.push(FlatGate {
-                        inputs: vec![from],
-                        output: to,
-                        tt: TruthTable::buf(),
-                        line: *line,
-                    });
+                    let at = self.flat.pins.len();
+                    let from = self.flat_sym(inst, *from);
+                    self.flat.pins.push(from);
+                    let to = self.flat_sym(inst, *to);
+                    self.flat.push_gate(at, to, TruthTable::buf(), *line);
                 }
                 Command::Latch(l) => {
-                    let input = self.flat_sym(&mut map, prefix, l.input);
-                    let output = self.flat_sym(&mut map, prefix, l.output);
+                    let input = self.flat_sym(inst, l.input);
+                    let output = self.flat_sym(inst, l.output);
                     self.flat.latches.push(FlatLatch {
                         input,
                         output,
@@ -294,7 +404,7 @@ impl<'a> Linker<'a> {
                     let Some(output) = output else {
                         return Err(diag(g.line, "missing output pin on .gate"));
                     };
-                    let mut inputs = Vec::with_capacity(cell.inputs.len());
+                    let at = self.flat.pins.len();
                     for (k, a) in input_actual.into_iter().enumerate() {
                         let Some(a) = a else {
                             return Err(diag(
@@ -305,15 +415,11 @@ impl<'a> Linker<'a> {
                                 ),
                             ));
                         };
-                        inputs.push(self.flat_sym(&mut map, prefix, a));
+                        let f = self.flat_sym(inst, a);
+                        self.flat.pins.push(f);
                     }
-                    let output = self.flat_sym(&mut map, prefix, output);
-                    self.flat.gates.push(FlatGate {
-                        inputs,
-                        output,
-                        tt: cell.tt.clone(),
-                        line: g.line,
-                    });
+                    let output = self.flat_sym(inst, output);
+                    self.flat.push_gate(at, output, cell.tt.clone(), g.line);
                 }
                 Command::Mlatch(ml) => {
                     let cell_name = file.interner.resolve(ml.cell);
@@ -337,8 +443,8 @@ impl<'a> Linker<'a> {
                     let (Some(d), Some(q)) = (d, q) else {
                         return Err(diag(ml.line, ".mlatch needs both d= and q= pins"));
                     };
-                    let input = self.flat_sym(&mut map, prefix, d);
-                    let output = self.flat_sym(&mut map, prefix, q);
+                    let input = self.flat_sym(inst, d);
+                    let output = self.flat_sym(inst, q);
                     self.flat.latches.push(FlatLatch {
                         input,
                         output,
@@ -346,53 +452,7 @@ impl<'a> Linker<'a> {
                         line: ml.line,
                     });
                 }
-                Command::Subckt(s) => {
-                    let child_name = file.interner.resolve(s.model);
-                    let Some(&ci) = self.model_idx.get(child_name) else {
-                        return Err(diag(s.line, format!("unknown model `{child_name}`")));
-                    };
-                    let child = &file.models[ci];
-                    if child.blackbox {
-                        return Err(diag(
-                            s.line,
-                            format!("cannot flatten instantiation of blackbox `{child_name}`"),
-                        ));
-                    }
-                    let mut child_bind: HashMap<Symbol, Symbol> = HashMap::new();
-                    for &(formal, actual) in &s.conns {
-                        if !child.inputs.contains(&formal) && !child.outputs.contains(&formal) {
-                            return Err(diag(
-                                s.line,
-                                format!(
-                                    "`{}` is not a port of model `{child_name}`",
-                                    file.interner.resolve(formal)
-                                ),
-                            ));
-                        }
-                        let flat = self.flat_sym(&mut map, prefix, actual);
-                        if child_bind.insert(formal, flat).is_some() {
-                            return Err(diag(
-                                s.line,
-                                format!("port `{}` bound twice", file.interner.resolve(formal)),
-                            ));
-                        }
-                    }
-                    for &pin in &child.inputs {
-                        if !child_bind.contains_key(&pin) {
-                            return Err(diag(
-                                s.line,
-                                format!(
-                                    "unconnected input `{}` of model `{child_name}`",
-                                    file.interner.resolve(pin)
-                                ),
-                            ));
-                        }
-                    }
-                    let ord = inst_counts.entry(s.model).or_insert(0);
-                    let child_prefix = format!("{prefix}{child_name}${ord}.");
-                    *ord += 1;
-                    self.expand(ci, &child_prefix, child_bind, stack)?;
-                }
+                Command::Subckt(s) => self.subckt(s, inst, &mut ords, stack)?,
                 Command::Kiss(k) => {
                     // `flatten` lowers KISS blocks before expansion; one
                     // surviving here means the caller skipped lowering.
@@ -404,33 +464,115 @@ impl<'a> Linker<'a> {
         stack.pop();
         Ok(())
     }
+
+    /// Binds the ports of `.subckt` `s` inside instance `inst` and
+    /// expands the child model. `ords` counts `inst`'s instances of
+    /// each model so far.
+    fn subckt(
+        &mut self,
+        s: &Subckt,
+        inst: Inst<'_>,
+        ords: &mut [u32],
+        stack: &mut Vec<usize>,
+    ) -> Result<(), BlifError> {
+        let file = self.file;
+        let child_name = file.interner.resolve(s.model);
+        let Some(ci) = self.model_of[s.model.index()].map(|i| i as usize) else {
+            return Err(diag(s.line, format!("unknown model `{child_name}`")));
+        };
+        let child = &file.models[ci];
+        if child.blackbox {
+            return Err(diag(
+                s.line,
+                format!("cannot flatten instantiation of blackbox `{child_name}`"),
+            ));
+        }
+        let child_prefix = format!("{}{child_name}${}.", inst.prefix, ords[ci]);
+        ords[ci] += 1;
+        let sub = self.instance(inst.depth + 1, &child_prefix, s.line)?;
+        for &(formal, actual) in &s.conns {
+            if !child.inputs.contains(&formal) && !child.outputs.contains(&formal) {
+                return Err(diag(
+                    s.line,
+                    format!(
+                        "`{}` is not a port of model `{child_name}`",
+                        file.interner.resolve(formal)
+                    ),
+                ));
+            }
+            let flat = self.flat_sym(inst, actual);
+            let slot = &mut self.frames[sub.depth][formal.index()];
+            if slot.stamp == sub.stamp {
+                return Err(diag(
+                    s.line,
+                    format!("port `{}` bound twice", file.interner.resolve(formal)),
+                ));
+            }
+            *slot = Slot {
+                stamp: sub.stamp,
+                flat,
+            };
+        }
+        for &pin in &child.inputs {
+            if self.frames[sub.depth][pin.index()].stamp != sub.stamp {
+                return Err(diag(
+                    s.line,
+                    format!(
+                        "unconnected input `{}` of model `{child_name}`",
+                        file.interner.resolve(pin)
+                    ),
+                ));
+            }
+        }
+        self.expand(ci, sub, stack)
+    }
 }
 
-/// Truth table of a `.names` block (on-set or off-set cubes).
-fn names_tt(block: &Names) -> Result<TruthTable, BlifError> {
-    let n = block.inputs.len();
+/// Rows, 64 to a word, where input `i < 6` is 1.
+const VAR_WORDS: [u64; 6] = [
+    0xAAAA_AAAA_AAAA_AAAA,
+    0xCCCC_CCCC_CCCC_CCCC,
+    0xF0F0_F0F0_F0F0_F0F0,
+    0xFF00_FF00_FF00_FF00,
+    0xFFFF_0000_FFFF_0000,
+    0xFFFF_FFFF_0000_0000,
+];
+
+/// Truth table of a `.names` block of `model` (on-set or off-set cubes),
+/// 64 rows at a time: each cube covers the rows its literals allow.
+fn names_tt(model: &Model, block: &Names) -> Result<TruthTable, BlifError> {
+    let n = block.num_inputs as usize;
     if block.num_cubes() == 0 {
         return Ok(TruthTable::const_zero(n));
     }
-    let value = block.values[0];
-    if block.values.iter().any(|&v| v != value) {
+    let value = block.cube(model, 0).1;
+    if (1..block.num_cubes()).any(|ci| block.cube(model, ci).1 != value) {
         return Err(diag(block.line, "mixed on-set/off-set cubes"));
     }
-    let covered = |r: usize| {
-        (0..block.num_cubes()).any(|ci| {
-            let (pattern, _) = block.cube(ci);
-            pattern.iter().enumerate().all(|(i, &ch)| match ch {
-                b'0' => r & (1 << i) == 0,
-                b'1' => r & (1 << i) != 0,
-                _ => true,
-            })
-        })
+    // Inputs from the seventh on pick whole words.
+    let cube_word = |pattern: &[u8], w: usize| {
+        let mut rows = !0u64;
+        for (i, &ch) in pattern.iter().enumerate() {
+            let ones = match VAR_WORDS.get(i) {
+                Some(&var) => var,
+                None if w >> (i - VAR_WORDS.len()) & 1 == 1 => !0,
+                None => 0,
+            };
+            match ch {
+                b'0' => rows &= !ones,
+                b'1' => rows &= ones,
+                _ => {}
+            }
+        }
+        rows
     };
-    Ok(TruthTable::from_fn(n, |r| {
+    Ok(TruthTable::from_word_fn(n, |w| {
+        let covered =
+            (0..block.num_cubes()).fold(0, |acc, ci| acc | cube_word(block.cube(model, ci).0, w));
         if value == b'1' {
-            covered(r)
+            covered
         } else {
-            !covered(r)
+            !covered
         }
     }))
 }
@@ -450,60 +592,52 @@ fn flatten_nokiss(file: &BlifFile, opts: &LinkOptions) -> Result<Circuit, BlifEr
     };
     let mut linker = Linker::new(file);
     let mut stack = Vec::new();
-    linker.expand(root_idx, "", HashMap::new(), &mut stack)?;
+    let root = linker.instance(0, "", file.models[root_idx].line)?;
+    linker.expand(root_idx, root, &mut stack)?;
     build(file, root_idx, linker.flat)
 }
 
+/// What drives a flat signal.
+#[derive(Clone, Copy)]
 enum Drv {
     Pi(NodeId),
-    Gate(usize),
-    Latch(usize),
+    Gate(NodeId),
+    Latch(u32),
 }
 
-/// Builds the retiming-graph circuit from flat gate/latch lists —
-/// semantics ported from the old single-model reader (latch folding,
-/// `$g` suffixes for PO-name collisions).
-fn build(file: &BlifFile, root_idx: usize, mut flat: Flat) -> Result<Circuit, BlifError> {
+/// Builds the retiming-graph circuit from flat gate/latch lists (latch
+/// folding, `$g` suffixes for PO-name collisions). The root model's
+/// port symbols are flat symbols.
+fn build(file: &BlifFile, root_idx: usize, flat: Flat) -> Result<Circuit, BlifError> {
     let root = &file.models[root_idx];
     let mut c = Circuit::new(root.name.clone());
+    let mut is_po = vec![false; flat.names.len()];
+    for &s in &root.outputs {
+        is_po[s.index()] = true;
+    }
 
-    let pi_syms: Vec<Symbol> = root
-        .inputs
-        .iter()
-        .map(|&s| flat.names.intern(file.interner.resolve(s)))
-        .collect();
-    let po_syms: Vec<Symbol> = root
-        .outputs
-        .iter()
-        .map(|&s| flat.names.intern(file.interner.resolve(s)))
-        .collect();
-    let po_set: std::collections::HashSet<Symbol> = po_syms.iter().copied().collect();
-
-    let mut drivers: Vec<Option<Drv>> = Vec::new();
-    drivers.resize_with(flat.names.len(), || None);
-    let pins: usize = flat.gates.iter().map(|g| g.inputs.len()).sum();
+    let mut drivers: Vec<Option<Drv>> = vec![None; flat.names.len()];
     c.reserve(
-        pi_syms.len() + flat.gates.len() + po_syms.len(),
-        pins + po_syms.len(),
+        root.inputs.len() + flat.gates.len() + root.outputs.len(),
+        flat.pins.len() + root.outputs.len(),
     );
 
     // Scratch for node names, which may take `$g` suffixes.
     let mut node_name = String::new();
-    for (&sym, &local) in pi_syms.iter().zip(root.inputs.iter()) {
-        let name = file.interner.resolve(local);
+    for &sym in &root.inputs {
+        let name = flat.names.resolve(sym);
         if drivers[sym.index()].is_some() {
             return Err(diag(root.line, format!("duplicate input `{name}`")));
         }
         node_name.clear();
         node_name.push_str(&sanitize(name));
-        if po_set.contains(&sym) {
+        if is_po[sym.index()] {
             node_name.push_str("$g");
         }
         drivers[sym.index()] = Some(Drv::Pi(c.add_input(&node_name)?));
     }
 
-    let mut gate_nodes: Vec<NodeId> = Vec::with_capacity(flat.gates.len());
-    for (gi, g) in flat.gates.iter().enumerate() {
+    for g in &flat.gates {
         let sig = flat.names.resolve(g.output);
         match drivers[g.output.index()] {
             Some(Drv::Pi(_)) => {
@@ -522,15 +656,19 @@ fn build(file: &BlifFile, root_idx: usize, mut flat: Flat) -> Result<Circuit, Bl
         }
         node_name.clear();
         node_name.push_str(&sanitize(sig));
-        if po_set.contains(&g.output) {
+        if is_po[g.output.index()] {
             node_name.push_str("$g");
         }
-        while c.find(&node_name).is_some() {
-            node_name.push_str("$g");
-        }
-        let id = c.add_gate(&node_name, g.tt.clone())?;
-        gate_nodes.push(id);
-        drivers[g.output.index()] = Some(Drv::Gate(gi));
+        // A taken name gets more `$g`s; the circuit's own name lookup
+        // says so.
+        let id = loop {
+            match c.add_gate(&node_name, g.tt.clone()) {
+                Ok(id) => break id,
+                Err(NetlistError::DuplicateName(_)) => node_name.push_str("$g"),
+                Err(e) => return Err(e.into()),
+            }
+        };
+        drivers[g.output.index()] = Some(Drv::Gate(id));
     }
 
     for (li, l) in flat.latches.iter().enumerate() {
@@ -550,7 +688,7 @@ fn build(file: &BlifFile, root_idx: usize, mut flat: Flat) -> Result<Circuit, Bl
             }
             None => {}
         }
-        drivers[l.output.index()] = Some(Drv::Latch(li));
+        drivers[l.output.index()] = Some(Drv::Latch(li as u32));
     }
 
     // Resolves a signal to its driving node plus the FF chain
@@ -562,17 +700,13 @@ fn build(file: &BlifFile, root_idx: usize, mut flat: Flat) -> Result<Circuit, Bl
         let mut line = use_line;
         let mut steps = 0usize;
         loop {
-            match drivers.get(cur.index()).and_then(|d| d.as_ref()) {
-                Some(Drv::Pi(n)) => {
+            match drivers.get(cur.index()).copied().flatten() {
+                Some(Drv::Pi(n) | Drv::Gate(n)) => {
                     chain.reverse();
-                    return Ok((*n, chain));
-                }
-                Some(Drv::Gate(gi)) => {
-                    chain.reverse();
-                    return Ok((gate_nodes[*gi], chain));
+                    return Ok((n, chain));
                 }
                 Some(Drv::Latch(li)) => {
-                    let l = &flat.latches[*li];
+                    let l = &flat.latches[li as usize];
                     chain.push(l.init);
                     line = l.line;
                     cur = l.input;
@@ -597,14 +731,17 @@ fn build(file: &BlifFile, root_idx: usize, mut flat: Flat) -> Result<Circuit, Bl
         }
     };
 
-    for (gi, g) in flat.gates.iter().enumerate() {
-        for &sig in &g.inputs {
+    for g in &flat.gates {
+        let Some(Drv::Gate(node)) = drivers[g.output.index()] else {
+            unreachable!("every flat gate drives its output");
+        };
+        for &sig in flat.gate_inputs(g) {
             let (src, chain) = resolve(sig, g.line)?;
-            c.connect(src, gate_nodes[gi], chain)?;
+            c.connect(src, node, chain)?;
         }
     }
-    for (k, &sym) in po_syms.iter().enumerate() {
-        let name = file.interner.resolve(root.outputs[k]);
+    for (k, &sym) in root.outputs.iter().enumerate() {
+        let name = flat.names.resolve(sym);
         let line = root.output_lines.get(k).copied().unwrap_or(root.line);
         let po = c.add_output(sanitize(name))?;
         let (src, chain) = resolve(sym, line)?;
@@ -829,6 +966,51 @@ mod tests {
                 assert_eq!(line, 6);
             }
             other => panic!("expected UndefinedSignal, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn names_tables_match_row_by_row_cover() {
+        let mut seed = 0x2545_f491_4f6c_dd1du64;
+        let mut rnd = move |m: u64| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed % m
+        };
+        for n in [1usize, 3, 6, 7, 9] {
+            for value in [b'0', b'1'] {
+                let cubes: Vec<Vec<u8>> = (0..1 + rnd(5))
+                    .map(|_| (0..n).map(|_| b"01-"[rnd(3) as usize]).collect())
+                    .collect();
+                let mut src = String::from(".model t\n.names");
+                for i in 0..n {
+                    src.push_str(&format!(" i{i}"));
+                }
+                src.push_str(" z\n");
+                for cube in &cubes {
+                    src.push_str(std::str::from_utf8(cube).unwrap());
+                    src.push(' ');
+                    src.push(value as char);
+                    src.push('\n');
+                }
+                let f = parse_str(&src).unwrap();
+                let m = &f.models[0];
+                let Command::Names(block) = &m.commands[0] else {
+                    panic!("one .names block");
+                };
+                let tt = names_tt(m, block).unwrap();
+                for r in 0..1usize << n {
+                    let covered = cubes.iter().any(|cube| {
+                        cube.iter().enumerate().all(|(i, &ch)| match ch {
+                            b'0' => r & (1 << i) == 0,
+                            b'1' => r & (1 << i) != 0,
+                            _ => true,
+                        })
+                    });
+                    assert_eq!(tt.eval_row(r), covered == (value == b'1'), "{src}row {r}");
+                }
+            }
         }
     }
 

@@ -163,15 +163,19 @@ impl Parser {
                         ),
                     ));
                 }
-                let inputs: Vec<_> = (1..lb.len() - 1)
-                    .map(|i| self.interner.intern(lb.tok(i)))
-                    .collect();
+                self.model_mut(line);
+                let m = self.cur.as_mut().expect("just opened");
+                let pins_at = m.pins.len();
+                for i in 1..lb.len() - 1 {
+                    m.pins.push(self.interner.intern(lb.tok(i)));
+                }
                 let output = self.interner.intern(lb.tok(lb.len() - 1));
-                self.model_mut(line).commands.push(Command::Names(Names {
-                    inputs,
+                m.commands.push(Command::Names(Names {
                     output,
-                    pattern_blob: Vec::new(),
-                    values: Vec::new(),
+                    pins_at,
+                    num_inputs: (lb.len() - 2) as u32,
+                    cubes_at: m.cubes.len(),
+                    num_cubes: 0,
                     line,
                 }));
                 self.names_open = true;
@@ -364,7 +368,8 @@ impl Parser {
         let Some(Command::Names(block)) = model.commands.last_mut() else {
             unreachable!("names_open tracks the last command");
         };
-        let (pattern, value) = if block.inputs.is_empty() {
+        let width = block.num_inputs as usize;
+        let (pattern, value) = if width == 0 {
             if lb.len() != 1 || lb.tok(0).len() != 1 {
                 return Err(lb.diag_at(0, "constant .names expects `0` or `1`"));
             }
@@ -373,13 +378,12 @@ impl Parser {
             if lb.len() != 2 {
                 return Err(lb.diag_at(0, "cube must be `pattern value`"));
             }
-            if lb.tok(0).len() != block.inputs.len() {
+            if lb.tok(0).len() != width {
                 return Err(lb.diag_at(
                     0,
                     format!(
-                        "cube width {} does not match {} inputs",
-                        lb.tok(0).len(),
-                        block.inputs.len()
+                        "cube width {} does not match {width} inputs",
+                        lb.tok(0).len()
                     ),
                 ));
             }
@@ -396,14 +400,11 @@ impl Parser {
             .position(|b| !matches!(b, b'0' | b'1' | b'-'))
         {
             let (l, c) = lb.pos(0);
-            let d = Diag::new(l, c + off, "cube pattern must use 0/1/-");
-            return Err(match lb.source_line(l) {
-                Some(src) => d.with_source(src),
-                None => d,
-            });
+            return Err(lb.diag_at_pos(l, c + off, "cube pattern must use 0/1/-"));
         }
-        block.pattern_blob.extend_from_slice(pattern.as_bytes());
-        block.values.push(value);
+        model.cubes.extend_from_slice(pattern.as_bytes());
+        model.cubes.push(value);
+        block.num_cubes += 1;
         Ok(())
     }
 
@@ -446,7 +447,7 @@ mod tests {
         match &m.commands[0] {
             Command::Names(n) => {
                 assert_eq!(n.num_cubes(), 1);
-                assert_eq!(n.cube(0), (b"11".as_slice(), b'1'));
+                assert_eq!(n.cube(m, 0), (b"11".as_slice(), b'1'));
             }
             other => panic!("{other:?}"),
         }

@@ -1,15 +1,17 @@
-//! BLIF writing: round-trips everything the reader accepts, and
-//! converts retiming-graph circuits back into model ASTs.
+//! BLIF writing: round-trips everything the reader accepts, and writes
+//! retiming-graph circuits as BLIF.
 //!
-//! [`model_from_circuit`] turns a circuit into an AST [`Model`]
-//! (shared-vs-per-edge latch chain materialisation, on-set cube
-//! emission, PO buffers), which is what both the KISS lowering and
-//! [`write_circuit`] build on. `tests/golden/` pins the bytes
-//! `write_circuit` produces.
+//! [`write_file`] serialises a parsed file's models. [`write_circuit`]
+//! writes a circuit straight from its nodes, edges and names, with no
+//! model in between: FF chains become latches (one shared chain per
+//! driver where the fanout chains agree, one per edge otherwise), gates
+//! become on-set cubes, and outputs get buffers where needed. It is the
+//! one circuit-to-BLIF path; the KISS lowering reads its text back.
+//! `tests/golden/` pins the bytes `write_circuit` produces.
 
 use crate::ast::*;
 use crate::intern::{Interner, Symbol};
-use netlist::{Bit, Circuit};
+use netlist::{Bit, Circuit, EdgeId};
 use std::borrow::Cow;
 use std::fmt::Write as _;
 
@@ -50,7 +52,7 @@ pub fn write_model(model: &Model, interner: &Interner, out: &mut String) {
                 // double space (empty input join); the golden corpus
                 // pins these bytes.
                 out.push_str(".names ");
-                for (i, &s) in n.inputs.iter().enumerate() {
+                for (i, &s) in n.inputs(model).iter().enumerate() {
                     if i > 0 {
                         out.push(' ');
                     }
@@ -60,7 +62,7 @@ pub fn write_model(model: &Model, interner: &Interner, out: &mut String) {
                 out.push_str(interner.resolve(n.output));
                 out.push('\n');
                 for ci in 0..n.num_cubes() {
-                    let (pattern, value) = n.cube(ci);
+                    let (pattern, value) = n.cube(model, ci);
                     if !pattern.is_empty() {
                         out.push_str(std::str::from_utf8(pattern).expect("cube is ASCII"));
                         out.push(' ');
@@ -151,68 +153,85 @@ pub fn write_model(model: &Model, interner: &Interner, out: &mut String) {
     out.push_str(".end\n");
 }
 
-fn init_val(b: Bit) -> InitVal {
-    match b {
-        Bit::Zero => InitVal::Zero,
-        Bit::One => InitVal::One,
-        Bit::X => InitVal::Unknown,
-    }
-}
-
 /// `name` with every whitespace character replaced by `_`, so it
 /// survives as one BLIF token; borrowed unless it has whitespace.
 pub(crate) fn sanitize(name: &str) -> Cow<'_, str> {
-    if name.contains(char::is_whitespace) {
+    if name.bytes().all(|b| b.is_ascii_graphic()) || !name.contains(char::is_whitespace) {
+        Cow::Borrowed(name)
+    } else {
         Cow::Owned(
             name.chars()
                 .map(|ch| if ch.is_whitespace() { '_' } else { ch })
                 .collect(),
         )
-    } else {
-        Cow::Borrowed(name)
     }
 }
 
-/// The signal after `i` registers of `base`'s shared chain: `base`
-/// itself, then `base@1`, `base@2`, …, formatted in `buf`.
-fn shared_tap(interner: &mut Interner, buf: &mut String, base: &str, i: usize) -> Symbol {
-    if i == 0 {
-        return interner.intern(base);
+/// The initial-value digit of a latch holding `b` (`X` is `3`, unknown).
+fn init_char(b: Bit) -> char {
+    match b {
+        Bit::Zero => '0',
+        Bit::One => '1',
+        Bit::X => '3',
     }
-    buf.clear();
-    let _ = write!(buf, "{base}@{i}");
-    interner.intern(buf)
 }
 
-/// Converts a circuit into a single flat model, re-materialising FF
-/// chains as latches.
-pub fn model_from_circuit(c: &Circuit, interner: &mut Interner, line: u32) -> Model {
-    let mut m = Model::new(sanitize(c.name()), line);
-    for &v in c.inputs() {
-        m.inputs.push(interner.intern(&sanitize(c.node(v).name())));
+/// Appends the signal that edge `e` reads: its driver's name after the
+/// edge's registers. A driver with a shared chain names its taps
+/// `{name}@1`, `{name}@2`, …; the chain of edge `e` of any other driver
+/// is `{name}@e{e}@1`, ….
+fn push_signal(out: &mut String, c: &Circuit, shared: &[bool], e: EdgeId) {
+    let edge = c.edge(e);
+    let driver = edge.from();
+    out.push_str(&sanitize(c.node(driver).name()));
+    match edge.weight() {
+        0 => {}
+        w if shared[driver.index()] => {
+            let _ = write!(out, "@{w}");
+        }
+        w => {
+            let _ = write!(out, "@e{}@{w}", e.index());
+        }
     }
-    for &v in c.outputs() {
-        m.outputs.push(interner.intern(&sanitize(c.node(v).name())));
-        m.output_lines.push(line);
+}
+
+/// Serialises a circuit to BLIF text as one flat model, straight from
+/// the circuit and its own names.
+///
+/// FF chains become latches: one chain per driver, shared by its fanout
+/// edges, when their chains agree on their common prefix (an `X`
+/// agrees with anything); a chain per edge otherwise. Gates are written
+/// as their on-set cubes (a constant as a `1` cube or none), and each
+/// output whose driving signal has another name gets a buffer.
+pub fn write_circuit(c: &Circuit) -> String {
+    let mut out = String::new();
+    out.push_str(".model ");
+    out.push_str(&sanitize(c.name()));
+    out.push('\n');
+    for (kw, ids) in [(".inputs", c.inputs()), (".outputs", c.outputs())] {
+        if ids.is_empty() {
+            continue;
+        }
+        out.push_str(kw);
+        for &v in ids {
+            out.push(' ');
+            out.push_str(&sanitize(c.node(v).name()));
+        }
+        out.push('\n');
     }
 
-    // Latch chains: shared per driver when the fanout chains agree on
-    // their common prefix, per-edge otherwise.
-    let mut edge_signal: Vec<Option<Symbol>> = vec![None; c.num_edges()];
-    let mut latches: Vec<Command> = Vec::new();
+    // Latch chains, driver by driver.
+    let mut shared = vec![false; c.num_nodes()];
     let mut merged: Vec<Bit> = Vec::new();
-    // Scratch for the `{base}@…` tap names.
-    let mut tap = String::new();
     for v in c.node_ids() {
         let node = c.node(v);
         if node.is_output() {
             continue;
         }
-        let base = sanitize(node.name());
-        let fanout = node.fanout();
+        let name = sanitize(node.name());
         merged.clear();
         let mut shared_ok = true;
-        for &e in fanout {
+        for &e in node.fanout() {
             let ch = c.edge(e).ffs();
             if ch.len() > merged.len() {
                 merged.resize(ch.len(), Bit::X);
@@ -225,113 +244,71 @@ pub fn model_from_circuit(c: &Circuit, interner: &mut Interner, line: u32) -> Mo
             }
         }
         if shared_ok {
+            shared[v.index()] = true;
             for (i, &init) in merged.iter().enumerate() {
-                latches.push(Command::Latch(Latch {
-                    input: shared_tap(interner, &mut tap, &base, i),
-                    output: shared_tap(interner, &mut tap, &base, i + 1),
-                    ty: None,
-                    control: None,
-                    init: Some(init_val(init)),
-                    line,
-                }));
-            }
-            for &e in fanout {
-                let w = c.edge(e).weight();
-                edge_signal[e.index()] = Some(shared_tap(interner, &mut tap, &base, w));
+                out.push_str(".latch ");
+                out.push_str(&name);
+                if i > 0 {
+                    let _ = write!(out, "@{i}");
+                }
+                let _ = writeln!(out, " {name}@{} {}", i + 1, init_char(init));
             }
         } else {
-            for &e in fanout {
-                let mut prev = interner.intern(&base);
+            for &e in node.fanout() {
                 for (i, &init) in c.edge(e).ffs().iter().enumerate() {
-                    tap.clear();
-                    let _ = write!(tap, "{base}@e{}@{}", e.index(), i + 1);
-                    let next = interner.intern(&tap);
-                    latches.push(Command::Latch(Latch {
-                        input: prev,
-                        output: next,
-                        ty: None,
-                        control: None,
-                        init: Some(init_val(init)),
-                        line,
-                    }));
-                    prev = next;
+                    out.push_str(".latch ");
+                    out.push_str(&name);
+                    if i > 0 {
+                        let _ = write!(out, "@e{}@{i}", e.index());
+                    }
+                    let _ = writeln!(out, " {name}@e{}@{} {}", e.index(), i + 1, init_char(init));
                 }
-                edge_signal[e.index()] = Some(prev);
             }
         }
     }
-    m.commands.extend(latches);
 
-    // Gates: on-set cubes (one per true row), constants as 0/1-cube
-    // blocks.
+    // Gates: on-set cubes, one per true row. A constant block keeps a
+    // double space after `.names` (its empty input list).
     for v in c.gate_ids() {
         let node = c.node(v);
         let tt = node.function().expect("gate");
-        let inputs: Vec<Symbol> = node
-            .fanin()
-            .iter()
-            .map(|&e| edge_signal[e.index()].expect("driver seen"))
-            .collect();
-        let output = interner.intern(&sanitize(node.name()));
-        let ones = tt.count_ones();
-        let mut names = Names {
-            inputs,
-            output,
-            pattern_blob: Vec::with_capacity(ones * tt.num_inputs()),
-            values: Vec::with_capacity(ones),
-            line,
-        };
-        if tt.num_inputs() == 0 {
-            if tt.eval_row(0) {
-                names.values.push(b'1');
+        out.push_str(".names ");
+        for (i, &e) in node.fanin().iter().enumerate() {
+            if i > 0 {
+                out.push(' ');
             }
-        } else {
-            for r in 0..tt.num_rows() {
-                if tt.eval_row(r) {
-                    for i in 0..tt.num_inputs() {
-                        names
-                            .pattern_blob
-                            .push(if r & (1 << i) != 0 { b'1' } else { b'0' });
-                    }
-                    names.values.push(b'1');
-                }
-            }
+            push_signal(&mut out, c, &shared, e);
         }
-        m.commands.push(Command::Names(names));
+        out.push(' ');
+        out.push_str(&sanitize(node.name()));
+        out.push('\n');
+        let k = tt.num_inputs();
+        if k == 0 {
+            if tt.eval_row(0) {
+                out.push_str("1\n");
+            }
+            continue;
+        }
+        for r in (0..tt.num_rows()).filter(|&r| tt.eval_row(r)) {
+            out.extend((0..k).map(|i| if r & (1 << i) != 0 { '1' } else { '0' }));
+            out.push_str(" 1\n");
+        }
     }
 
-    // PO buffers where the driving signal name differs from the PO name.
+    // Output buffers where the driving signal's name differs from the
+    // output's.
+    let mut sig = String::new();
     for &po in c.outputs() {
         let node = c.node(po);
-        let e = node.fanin()[0];
-        let sig = edge_signal[e.index()].expect("driver seen");
-        let name = interner.intern(&sanitize(node.name()));
+        sig.clear();
+        push_signal(&mut sig, c, &shared, node.fanin()[0]);
+        let name = sanitize(node.name());
         if sig != name {
-            m.commands.push(Command::Names(Names {
-                inputs: vec![sig],
-                output: name,
-                pattern_blob: vec![b'1'],
-                values: vec![b'1'],
-                line,
-            }));
+            let _ = writeln!(out, ".names {sig} {name}\n1 1");
         }
     }
-    m
-}
-
-/// Wraps a circuit as a one-model [`BlifFile`].
-pub fn from_circuit(c: &Circuit) -> BlifFile {
-    let mut interner = Interner::new();
-    let model = model_from_circuit(c, &mut interner, 1);
-    BlifFile {
-        models: vec![model],
-        interner,
-    }
-}
-
-/// Serialises a circuit to BLIF text through the AST writer.
-pub fn write_circuit(c: &Circuit) -> String {
-    write_file(&from_circuit(c))
+    out.push_str(".end\n");
+    out
 }
 
 #[cfg(test)]

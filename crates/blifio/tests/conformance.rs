@@ -3,7 +3,8 @@
 //! * The golden corpus (`tests/golden/`) freezes the verdicts of the
 //!   flat-subset reader and writer this crate replaced: every
 //!   `<case>.blif` must be read and written to exactly `<case>.out`, or
-//!   be rejected with the error in `<case>.err`.
+//!   be rejected with the error in `<case>.err`. Whatever the chunk
+//!   size, the scanner must see the same tokens at the same positions.
 //! * The hierarchical acceptance test checks that a multi-model file
 //!   with `.subckt`s, yosys annotations, `.conn` and an embedded KISS
 //!   FSM flattens into the same circuit as a flattened-by-hand
@@ -11,7 +12,10 @@
 //! * The large-workload test checks `flatten ∘ parse ∘ write_hier`
 //!   against `workloads::large::build_flat`.
 
-use blifio::{flatten, parse_reader, parse_str, structural_diff, LinkOptions, ParseOptions};
+use blifio::{
+    flatten, parse_reader, parse_str, structural_diff, BlifError, LineBuf, LinkOptions,
+    ParseOptions, Scanner, DEFAULT_CHUNK,
+};
 use netlist::{Circuit, NetlistError, NodeId, TruthTable};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -21,30 +25,56 @@ fn golden_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
 }
 
-/// Reads every golden input with `blifio` alone. An accepted input must
-/// write to the frozen bytes and re-read to an equivalent circuit; a
-/// rejected one must fail at the frozen line with the frozen message,
-/// which `blifio` may extend with detail (a bad latch init adds
-/// ` (expected 0-3)`).
-#[test]
-fn golden_corpus() {
+/// Reads and flattens BLIF bytes (which need not be UTF-8).
+fn read_bytes(src: &[u8], chunk: usize) -> Result<Circuit, BlifError> {
+    flatten(
+        &parse_reader(src, &ParseOptions { chunk })?,
+        &LinkOptions::default(),
+    )
+}
+
+/// Names of a circuit's inputs, then of its outputs.
+fn port_names(c: &Circuit) -> Vec<String> {
+    c.inputs()
+        .iter()
+        .chain(c.outputs())
+        .map(|&v| c.node(v).name().to_string())
+        .collect()
+}
+
+/// The golden inputs, sorted by name.
+fn golden_inputs() -> Vec<PathBuf> {
     let mut inputs: Vec<PathBuf> = std::fs::read_dir(golden_dir())
         .unwrap()
         .map(|e| e.unwrap().path())
         .filter(|p| p.extension().is_some_and(|x| x == "blif"))
         .collect();
     inputs.sort();
-    assert!(inputs.len() >= 38, "golden corpus shrank");
+    inputs
+}
+
+/// Reads every golden input with `blifio` alone. An accepted input must
+/// write to the frozen bytes and re-read to an equivalent circuit with
+/// the same port names; a rejected one must fail with the error in its
+/// `.err`. An `.err` that starts with `BLIF` holds the line and message
+/// of the reader this crate replaced, which `blifio` may extend with
+/// detail (a bad latch init adds ` (expected 0-3)`); any other holds
+/// the positioned diagnostic, column included.
+#[test]
+fn golden_corpus() {
+    let inputs = golden_inputs();
+    assert!(inputs.len() >= 41, "golden corpus shrank");
     for path in inputs {
         let name = path.file_stem().unwrap().to_string_lossy().into_owned();
-        let src = std::fs::read_to_string(&path).unwrap();
+        let src = std::fs::read(&path).unwrap();
         let out = std::fs::read_to_string(path.with_extension("out")).ok();
         let err = std::fs::read_to_string(path.with_extension("err")).ok();
-        match (blifio::read_circuit_str(&src), out, err) {
+        match (read_bytes(&src, DEFAULT_CHUNK), out, err) {
             (Ok(c), Some(want), None) => {
                 let text = blifio::write_circuit(&c);
                 assert_eq!(text, want, "{name}: written bytes");
                 let back = blifio::read_circuit_str(&text).unwrap();
+                assert_eq!(port_names(&back), port_names(&c), "{name}: port names");
                 assert!(
                     netlist::random_equiv(&c, &back, 64, 11)
                         .unwrap()
@@ -53,7 +83,11 @@ fn golden_corpus() {
                 );
             }
             (Err(e), None, Some(want)) => {
-                let got = NetlistError::from(e).to_string();
+                let got = if want.starts_with("BLIF") {
+                    NetlistError::from(e).to_string()
+                } else {
+                    e.to_string()
+                };
                 assert!(
                     got.starts_with(want.trim_end()),
                     "{name}: got `{got}`, want `{want}`"
@@ -69,21 +103,100 @@ fn golden_corpus() {
     }
 }
 
+/// Every logical line's tokens with their (line, col), then the
+/// parser's verdict: the re-written file, or the rendered diagnostic.
+type Scanned = (Vec<(String, usize, usize)>, Result<String, String>);
+
+fn scan_and_parse(src: &[u8], chunk: usize) -> Scanned {
+    let mut sc = Scanner::with_chunk(src, chunk);
+    let mut lb = LineBuf::default();
+    let mut toks = Vec::new();
+    loop {
+        match sc.next_line(&mut lb) {
+            Ok(true) => toks.extend((0..lb.len()).map(|i| {
+                let (line, col) = lb.pos(i);
+                (lb.tok(i).to_string(), line, col)
+            })),
+            Ok(false) => break,
+            Err(e) => {
+                toks.push((e.render(), 0, 0));
+                break;
+            }
+        }
+    }
+    let verdict = parse_reader(src, &ParseOptions { chunk })
+        .map(|f| blifio::write_file(&f))
+        .map_err(|e| e.render());
+    (toks, verdict)
+}
+
+/// `src` with CRLF line ends, and with each directive's first token
+/// continued onto a line of its own by `\` + CRLF.
+fn crlf_continued(src: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    for line in src.split_inclusive(|&b| b == b'\n') {
+        let body = line.strip_suffix(b"\n").unwrap_or(line);
+        match body.iter().position(|&b| b == b' ') {
+            Some(sp) if body.starts_with(b".") => {
+                out.extend_from_slice(&body[..sp]);
+                out.extend_from_slice(b" \\\r\n");
+                out.extend_from_slice(&body[sp..]);
+            }
+            _ => out.extend_from_slice(body),
+        }
+        if line.ends_with(b"\n") {
+            out.extend_from_slice(b"\r\n");
+        }
+    }
+    out
+}
+
+/// Chunk size is invisible: over the golden corpus, its `\` + CRLF
+/// variant, a token longer than the chunk and a 1 MiB comment line, every
+/// chunk size gives the same tokens, positions and diagnostics as the
+/// default one.
 #[test]
 fn tiny_chunks_change_nothing() {
-    let src: String = [
-        "counter",
-        "flat_mix",
-        "flat_po_collision",
-        "flat_continuation_comments",
-    ]
-    .iter()
-    .map(|n| std::fs::read_to_string(golden_dir().join(format!("{n}.blif"))).unwrap())
-    .collect();
-    let whole = blifio::write_file(&parse_str(&src).unwrap());
-    for chunk in [1usize, 2, 3, 7, 64] {
-        let f = parse_reader(src.as_bytes(), &ParseOptions { chunk }).unwrap();
-        assert_eq!(blifio::write_file(&f), whole, "chunk={chunk}");
+    let long = "n".repeat(300);
+    let mut cases: Vec<Vec<u8>> = Vec::new();
+    for path in golden_inputs() {
+        let src = std::fs::read(&path).unwrap();
+        let continued = crlf_continued(&src);
+        // The variant keeps every logical line, so an accepted file
+        // parses to the same models.
+        let plain = scan_and_parse(&src, DEFAULT_CHUNK).1;
+        if plain.is_ok() {
+            let crlf = scan_and_parse(&continued, DEFAULT_CHUNK).1;
+            assert_eq!(crlf, plain, "{}: \\ + CRLF variant", path.display());
+        }
+        cases.push(src);
+        cases.push(continued);
+    }
+    cases.push(
+        format!(".model m\n.inputs {long} b\n.outputs z\n.names {long} b z\n11 1\n.end\n")
+            .into_bytes(),
+    );
+    for src in &cases {
+        let want = scan_and_parse(src, DEFAULT_CHUNK);
+        for chunk in 1..=64 {
+            assert_eq!(
+                scan_and_parse(src, chunk),
+                want,
+                "chunk={chunk}: {}",
+                String::from_utf8_lossy(src)
+            );
+        }
+    }
+    let long_case = scan_and_parse(cases.last().unwrap(), 1).0;
+    assert_eq!(long_case[3], (long, 2, 9));
+
+    let mut commented = b".model m\n# ".to_vec();
+    commented.resize(commented.len() + (1 << 20), b'c');
+    commented.extend_from_slice(b"\n.inputs a\n.outputs a\n.end\n");
+    let want = scan_and_parse(&commented, DEFAULT_CHUNK);
+    assert_eq!(want.0[2], (".inputs".to_string(), 3, 1));
+    for chunk in [1, 7, 64, 4096] {
+        assert_eq!(scan_and_parse(&commented, chunk), want, "chunk={chunk}");
     }
 }
 

@@ -267,8 +267,11 @@ pub fn load_input(input: &str, onehot: bool) -> Result<Circuit, String> {
             // Route the generated hierarchy through the streaming
             // front-end, so `gen:hier*` exercises the same ingest path
             // as a file on disk.
-            return blifio::read_circuit_str(&workloads::hier_to_string(&spec))
-                .map_err(|e| e.to_string());
+            let text = {
+                let _s = engine::trace::span("hier_text");
+                workloads::hier_to_string(&spec)
+            };
+            return read_blif(|| blifio::parse_str(&text), &blifio::LinkOptions::default());
         }
         return Err(format!(
             "unknown preset `{name}`; available: {}",
@@ -295,7 +298,7 @@ pub fn load_input(input: &str, onehot: bool) -> Result<Circuit, String> {
     // yosys-extended BLIF all flatten here without the text ever being
     // held whole.
     if input != "-" && !looks_like_kiss(input, "") && !probe_kiss(input)? {
-        return blifio::read_circuit_path_opts(input, &link).map_err(|e| e.to_string());
+        return read_blif(|| blifio::parse_path(input), &link);
     }
     let text = if input == "-" {
         use std::io::Read;
@@ -311,8 +314,24 @@ pub fn load_input(input: &str, onehot: bool) -> Result<Circuit, String> {
         let stg = workloads::parse_kiss2(&text).map_err(|e| e.to_string())?;
         workloads::synthesize_stg(&stg, enc, "kiss2").map_err(|e| e.to_string())
     } else {
-        blifio::read_circuit_str_opts(&text, &link).map_err(|e| e.to_string())
+        read_blif(|| blifio::parse_str(&text), &link)
     }
+}
+
+/// Parses BLIF with `parse` in a `parse` trace span, then flattens it
+/// (and frees the parsed file) in a `flatten` span.
+fn read_blif(
+    parse: impl FnOnce() -> Result<blifio::BlifFile, blifio::BlifError>,
+    link: &blifio::LinkOptions,
+) -> Result<Circuit, String> {
+    let file = {
+        let _s = engine::trace::span("parse");
+        parse().map_err(|e| e.to_string())?
+    };
+    let _s = engine::trace::span("flatten");
+    let circuit = blifio::flatten(&file, link);
+    drop(file);
+    circuit.map_err(|e| e.to_string())
 }
 
 /// KISS2 detection: by extension, or by the `.i`/`.s`/`.r` header shape
@@ -410,8 +429,14 @@ pub fn run_stats(args: &StatsArgs) -> Result<String, String> {
             return circuit_only(&workloads::build_preset(&preset));
         }
         if let Some(spec) = workloads::large_preset(name) {
-            let file =
-                blifio::parse_str(&workloads::hier_to_string(&spec)).map_err(|e| e.to_string())?;
+            let text = {
+                let _s = engine::trace::span("hier_text");
+                workloads::hier_to_string(&spec)
+            };
+            let file = {
+                let _s = engine::trace::span("parse");
+                blifio::parse_str(&text).map_err(|e| e.to_string())?
+            };
             return render_file_stats(&file, &link);
         }
         return Err(format!("unknown preset `{name}`"));
@@ -429,8 +454,10 @@ pub fn run_stats(args: &StatsArgs) -> Result<String, String> {
         std::io::stdin()
             .read_to_string(&mut buf)
             .map_err(|e| format!("reading stdin: {e}"))?;
+        let _s = engine::trace::span("parse");
         blifio::parse_str(&buf).map_err(|e| e.to_string())?
     } else {
+        let _s = engine::trace::span("parse");
         blifio::parse_path(&args.input).map_err(|e| e.to_string())?
     };
     render_file_stats(&file, &link)
@@ -442,7 +469,10 @@ fn render_file_stats(
     link: &blifio::LinkOptions,
 ) -> Result<String, String> {
     let mut out = netlist::stats::render_model_table(&file.model_counts());
-    let flat = blifio::flatten(file, link).map_err(|e| e.to_string())?;
+    let flat = {
+        let _s = engine::trace::span("flatten");
+        blifio::flatten(file, link).map_err(|e| e.to_string())?
+    };
     let stats = netlist::CircuitStats::of(&flat).map_err(|e| e.to_string())?;
     write!(out, "\nflat:   {stats}\n").ok();
     Ok(out)

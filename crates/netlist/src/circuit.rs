@@ -334,8 +334,10 @@ impl Circuit {
         Ok(id)
     }
 
-    /// Reserves room for `nodes` more nodes and `edges` more edges.
+    /// Reserves room for `nodes` more nodes (and their names) and
+    /// `edges` more edges.
     pub fn reserve(&mut self, nodes: usize, edges: usize) {
+        self.names.reserve(nodes);
         self.nodes.reserve(nodes);
         self.edges.reserve(edges);
     }

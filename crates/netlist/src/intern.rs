@@ -110,10 +110,24 @@ impl Interner {
         }
     }
 
+    /// Makes room for `additional` more names without growing the hash
+    /// index on the way.
+    pub fn reserve(&mut self, additional: usize) {
+        self.ends.reserve(additional);
+        let names = self.ends.len() + additional;
+        if names * 4 > self.index.len() * 3 {
+            self.rebuild_index((names * 4 / 3 + 1).next_power_of_two().max(16));
+        }
+    }
+
     /// Doubles the hash index (16 slots at first) and reinserts every
     /// symbol.
     fn grow_index(&mut self) {
-        let len = (self.index.len() * 2).max(16);
+        self.rebuild_index((self.index.len() * 2).max(16));
+    }
+
+    /// Rebuilds the hash index with `len` slots, a power of two.
+    fn rebuild_index(&mut self, len: usize) {
         self.index = vec![EMPTY; len];
         for id in 0..self.ends.len() as u32 {
             let Err(slot) = self.probe(self.resolve(Symbol(id))) else {

@@ -169,6 +169,25 @@ impl TruthTable {
         tt
     }
 
+    /// Builds a table 64 rows at a time: `f(w)` is the on-set of rows
+    /// `64·w ..= 64·w + 63`, row `r` at bit `r % 64`. Bits past the last
+    /// row are ignored.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_inputs > MAX_INPUTS`.
+    pub fn from_word_fn(num_inputs: usize, mut f: impl FnMut(usize) -> u64) -> TruthTable {
+        let mut tt = Self::const_zero(num_inputs);
+        let mask = match 1u32 << num_inputs.min(WORD_INPUTS) {
+            64 => !0,
+            rows => (1u64 << rows) - 1,
+        };
+        for (w, word) in tt.words_mut().iter_mut().enumerate() {
+            *word = f(w) & mask;
+        }
+        tt
+    }
+
     /// The identity function of one input (a buffer).
     pub fn buf() -> TruthTable {
         Self::from_fn(1, |r| r == 1)
