@@ -37,8 +37,12 @@ pub const SCHEMA: &str = "turbomap-bench/table1/v4";
 /// read from the span table like the Table-1 artifact's; `v6` maps
 /// every row monolithically with TurboMap-frt — structural
 /// `mapped_phi`/`mapped_luts`/`mapped_ffs`, exact-gated by benchdiff,
-/// and the `map_secs` timing replace the partition fields).
-pub const LARGE_SCHEMA: &str = "turbomap-bench/large/v6";
+/// and the `map_secs` timing replace the partition fields; `v7` checks
+/// each mapping against its source instead of running the scalar and
+/// vector simulators over the source — a top-level `verify_vectors`,
+/// `verify_secs` is the row's `verify` span, and `verify_lanes`,
+/// `verify_cycles` and `verify_scalar_secs` are gone).
+pub const LARGE_SCHEMA: &str = "turbomap-bench/large/v7";
 
 fn secs(value: f64, canonical: bool) -> JsonValue {
     JsonValue::Float(if canonical { 0.0 } else { value })
@@ -279,14 +283,20 @@ pub fn table1_json(
 
 /// Builds the [`LARGE_SCHEMA`] artifact.
 ///
-/// The structural fields (`file_bytes`, `models`, `gates`, `ffs`,
-/// `pis`, `pos`, the verify shape and the `mapped_*` results) are
+/// Every row's mapping was checked against its source with
+/// `verify_vectors` random vectors (a row that failed the check is not
+/// in the suite's result). The structural fields (`file_bytes`,
+/// `models`, `gates`, `ffs`, `pis`, `pos` and the `mapped_*` results) are
 /// deterministic per preset; `benchdiff` compares them exactly, so
 /// *any* drift gates. `canonical` zeroes the timing fields
 /// (`*_secs`, `peak_rss_kib`) like the Table-1 artifact.
 pub fn large_json(rows: &[crate::large::IngestRow], canonical: bool) -> JsonValue {
     JsonValue::object(vec![
         ("schema", JsonValue::str(LARGE_SCHEMA)),
+        (
+            "verify_vectors",
+            JsonValue::UInt(crate::VERIFY_VECTORS as u64),
+        ),
         ("canonical", JsonValue::Bool(canonical)),
         (
             "circuits",
@@ -303,11 +313,8 @@ pub fn large_json(rows: &[crate::large::IngestRow], canonical: bool) -> JsonValu
                             ("ffs", JsonValue::UInt(r.ffs as u64)),
                             ("pis", JsonValue::UInt(r.pis as u64)),
                             ("pos", JsonValue::UInt(r.pos as u64)),
-                            ("verify_lanes", JsonValue::UInt(r.verify_lanes as u64)),
-                            ("verify_cycles", JsonValue::UInt(r.verify_cycles as u64)),
                             ("parse_secs", secs(r.parse_secs, canonical)),
                             ("verify_secs", secs(r.verify_secs, canonical)),
-                            ("verify_scalar_secs", secs(r.verify_scalar_secs, canonical)),
                             (
                                 "wall_secs",
                                 secs(r.total_secs + r.verify_secs + m.map_secs, canonical),
@@ -488,10 +495,7 @@ mod tests {
             pos: 4,
             parse_secs: 0.1,
             total_secs: 0.2,
-            verify_lanes: 64,
-            verify_cycles: 16,
             verify_secs: 0.05,
-            verify_scalar_secs: 0.5,
             peak_rss_kib: 1000,
             mapped: crate::large::MapMeasurement {
                 phi: 9,
@@ -514,7 +518,8 @@ mod tests {
             },
         };
         let text = large_json(std::slice::from_ref(&row), false).render();
-        assert!(text.contains("\"schema\":\"turbomap-bench/large/v6\""));
+        assert!(text.contains("\"schema\":\"turbomap-bench/large/v7\",\"verify_vectors\":3008,"));
+        assert!(!text.contains("verify_scalar"), "{text}");
         assert!(text.contains("\"mapped_phi\":9,\"mapped_luts\":50,\"mapped_ffs\":12"));
         assert!(text.contains("\"map_secs\":2.0"));
         assert!(text.contains("\"wall_secs\":2.25"), "{text}");

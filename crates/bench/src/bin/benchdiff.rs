@@ -4,11 +4,12 @@
 //! Usage:
 //!   benchdiff <baseline.json> <candidate.json>
 //!             [--wall-threshold-pct P] [--mem-threshold-pct M]
-//!             [--verify-speedup X] [--no-quality-gate]
+//!             [--no-quality-gate]
 //!
 //! Prints a byte-deterministic per-circuit delta report (Φ, LUTs, FFs,
-//! wall time, peak memory, histogram p50/p90/p99) to stdout. Exit status: 0
-//! when the candidate passes, 1 on regressions (quality changes, wall
+//! `⋆` and `verified` flags, wall time, peak memory, histogram
+//! p50/p90/p99) to stdout. Exit status: 0 when the candidate passes, 1 on
+//! regressions (quality changes, a mapping that no longer verifies, wall
 //! time more than P percent over baseline — default 25 — or, with
 //! `--mem-threshold-pct`, per-job peak memory more than M percent over
 //! baseline), 2 on usage or parse errors. When a wall or memory gate
@@ -17,12 +18,9 @@
 //! gating are skipped automatically when either artifact is canonical
 //! (timing zeroed, memory omitted by design).
 //!
-//! `--verify-speedup X` gates `large/v3` rows on the verify phase's
-//! vectorization speedup: `verify_scalar_secs / verify_secs` must be at
-//! least X on every row. The ratio compares the two simulation engines
-//! within one run, so only the *candidate* needs real timings — the
-//! checked-in canonical baseline works fine as the other side. Skipped
-//! (with a note) when the candidate itself is canonical.
+//! The `verified` gate needs both artifacts to have run the equivalence
+//! check (`verify_vectors > 0`); against a `--no-verify` artifact it is
+//! skipped, and the report says so.
 
 use bench::diff::{diff_artifacts, render_report, DiffOptions};
 use engine::log;
@@ -32,7 +30,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: benchdiff <baseline.json> <candidate.json> \
          [--wall-threshold-pct P] [--mem-threshold-pct M] \
-         [--verify-speedup X] [--no-quality-gate]"
+         [--no-quality-gate]"
     );
     std::process::exit(2);
 }
@@ -85,13 +83,6 @@ fn main() {
                     None => usage(),
                 };
                 opts.mem_threshold = Some(pct / 100.0);
-            }
-            "--verify-speedup" => {
-                let x: f64 = match args.next().and_then(|v| v.parse().ok()) {
-                    Some(x) if x > 0.0 => x,
-                    _ => usage(),
-                };
-                opts.verify_speedup = Some(x);
             }
             "--no-quality-gate" => opts.quality_gate = false,
             "-h" | "--help" => usage(),

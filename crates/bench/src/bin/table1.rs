@@ -8,11 +8,14 @@
 //!
 //! `--suite large` runs the large-workload suite instead: each
 //! `workloads::large` preset is generated to a temp dir, ingested
-//! through the streaming BLIF front-end, simulated by the verify phase
-//! and mapped monolithically with TurboMap-frt at `--k`; `--json` then
-//! writes the `turbomap-bench/large/v6` artifact (also honouring
-//! `--canonical` and `--max-gates`, which caps the preset's flattened
-//! gate count).
+//! through the streaming BLIF front-end, mapped monolithically with
+//! TurboMap-frt at `--k` and checked against its source with
+//! `bench::VERIFY_VECTORS` random vectors (always: `--no-verify` does
+//! not apply); `--json` then writes the `turbomap-bench/large/v7`
+//! artifact (also honouring `--canonical` and `--max-gates`, which caps
+//! the preset's flattened gate count). A mapping that differs from its
+//! source fails the suite, and the process exits 1 naming the preset,
+//! the output and the cycle.
 //!
 //! Circuits run as isolated jobs on the `engine` batch runner: `--jobs`
 //! picks the worker count (results are identical and identically ordered
@@ -32,6 +35,9 @@
 //! byte-identical with or without it.
 //! A panicking or deadline-exceeded circuit is reported and skipped; the
 //! remaining rows still print and the process exits nonzero naming it.
+//! So does a circuit with a mapping that failed verification without a
+//! `⋆` to excuse it (`[VERIFY FAILED]`, see `Row::verify_failures`).
+//! Under `--no-verify` the artifact's `verify_vectors` is 0.
 //!
 //! `--stats` additionally prints the FRTcheck iteration counts per probed
 //! clock period (the paper's §3.2 claim of 5–15 iterations).
@@ -47,9 +53,9 @@ use std::time::Duration;
 #[global_allocator]
 static ALLOC: engine::mem::CountingAlloc = engine::mem::CountingAlloc::new();
 
-/// The `--suite large` path: ingest and map every large preset (within
-/// the gate cap) and optionally write the `turbomap-bench/large/v6`
-/// artifact.
+/// The `--suite large` path: ingest, map and verify every large preset
+/// (within the gate cap) and optionally write the
+/// `turbomap-bench/large/v7` artifact.
 fn run_large_suite_main(cfg: &SuiteConfig, json_path: Option<&str>, canonical: bool) {
     let dir = std::env::temp_dir().join("tmfrt_large_suite");
     println!(
@@ -57,7 +63,7 @@ fn run_large_suite_main(cfg: &SuiteConfig, json_path: Option<&str>, canonical: b
         cfg.k
     );
     println!(
-        "{:<10} {:>12} {:>7} {:>9} {:>7} {:>5} {:>5} {:>9} {:>9} {:>9} {:>9} {:>8} {:>3} {:>7} {:>7} {:>8}",
+        "{:<10} {:>12} {:>7} {:>9} {:>7} {:>5} {:>5} {:>9} {:>9} {:>3} {:>7} {:>7} {:>8} {:>9}",
         "preset",
         "file_bytes",
         "models",
@@ -67,13 +73,11 @@ fn run_large_suite_main(cfg: &SuiteConfig, json_path: Option<&str>, canonical: b
         "POs",
         "parse_s",
         "total_s",
-        "verify_s",
-        "scalar_s",
-        "speedup",
         "Φ",
         "LUTs",
         "map_FFs",
-        "map_s"
+        "map_s",
+        "verify_s"
     );
     let rows = match bench::large::run_large_suite(cfg.max_gates, &dir, cfg.k) {
         Ok(rows) => rows,
@@ -88,7 +92,7 @@ fn run_large_suite_main(cfg: &SuiteConfig, json_path: Option<&str>, canonical: b
     };
     for r in &rows {
         println!(
-            "{:<10} {:>12} {:>7} {:>9} {:>7} {:>5} {:>5} {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>7.1}x {:>3} {:>7} {:>7} {:>8.3}",
+            "{:<10} {:>12} {:>7} {:>9} {:>7} {:>5} {:>5} {:>9.3} {:>9.3} {:>3} {:>7} {:>7} {:>8.3} {:>9.3}",
             r.name,
             r.file_bytes,
             r.models,
@@ -98,13 +102,11 @@ fn run_large_suite_main(cfg: &SuiteConfig, json_path: Option<&str>, canonical: b
             r.pos,
             r.parse_secs,
             r.total_secs,
-            r.verify_secs,
-            r.verify_scalar_secs,
-            r.verify_scalar_secs / r.verify_secs.max(1e-12),
             r.mapped.phi,
             r.mapped.luts,
             r.mapped.ffs,
-            r.mapped.map_secs
+            r.mapped.map_secs,
+            r.verify_secs
         );
     }
     if let Some(path) = json_path {
@@ -266,6 +268,7 @@ fn main() {
     }
 
     let mut rows: Vec<&Row> = Vec::new();
+    let mut verify_failed: Vec<String> = Vec::new();
     for report in &reports {
         let Some(row) = report.outcome.completed() else {
             let detail = match &report.outcome {
@@ -285,6 +288,15 @@ fn main() {
             continue;
         };
         let tm_star = if row.turbomap.star { "*" } else { " " };
+        let bad = row.verify_failures();
+        let verdict = if !cfg.verify {
+            ""
+        } else if bad.is_empty() {
+            "  [verified]"
+        } else {
+            verify_failed.push(format!("{} ({})", row.name, bad.join(", ")));
+            "  [VERIFY FAILED]"
+        };
         println!(
             "{:<10} {:>6}{:>6} | {:>4}{:>6}{:>6}{:>9.2} | {}{:>5}{:>6}{:>6}{:>9.2} | {:>5} | {:>4}{:>6}{:>6}{:>9.2}{}",
             row.name,
@@ -304,18 +316,7 @@ fn main() {
             row.turbomap_frt.luts,
             row.turbomap_frt.ffs,
             row.turbomap_frt.cpu,
-            if cfg.verify {
-                let ok = row.flowmap_frt.verified
-                    && row.turbomap_frt.verified
-                    && (row.turbomap.verified || row.turbomap.star);
-                if ok {
-                    "  [verified]"
-                } else {
-                    "  [VERIFY FAILED]"
-                }
-            } else {
-                ""
-            },
+            verdict,
         );
         if stats {
             let iters: Vec<String> = row
@@ -340,7 +341,8 @@ fn main() {
     }
 
     if let Some(path) = &json_path {
-        let doc = artifact::table1_json(&reports, cfg.k, bench::VERIFY_VECTORS, canonical);
+        let vectors = if cfg.verify { bench::VERIFY_VECTORS } else { 0 };
+        let doc = artifact::table1_json(&reports, cfg.k, vectors, canonical);
         if let Err(e) = std::fs::write(path, doc.render_pretty()) {
             log::error(
                 "table1",
@@ -463,6 +465,18 @@ fn main() {
                 ("names", JsonValue::str(names.join(", "))),
             ],
         );
+    }
+    if !verify_failed.is_empty() {
+        log::error(
+            "table1",
+            "mappings differ from their sources",
+            &[
+                ("failed", JsonValue::UInt(verify_failed.len() as u64)),
+                ("names", JsonValue::str(verify_failed.join(", "))),
+            ],
+        );
+    }
+    if !failed.is_empty() || !verify_failed.is_empty() {
         std::process::exit(1);
     }
 }

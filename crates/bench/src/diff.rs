@@ -5,7 +5,7 @@
 //! The `benchdiff` binary reads a **baseline** artifact (typically the
 //! committed `BENCH_table1.json` or `BENCH_large.json`) and a
 //! **candidate** artifact (a fresh run) and reports per-circuit deltas
-//! on the quality metrics (Φ, LUT and FF counts and `⋆` for table1;
+//! on the quality metrics (Φ, LUT and FF counts, `⋆` and `verified` for table1;
 //! file/model/gate/FF totals and the mapped Φ, LUTs and FFs for
 //! large — deterministic, so any change is signal), wall time, and histogram quantiles (p50/p90/p99 of each
 //! recorded distribution).
@@ -16,6 +16,10 @@
 //!   any algorithm, a circuit disappearing, a status downgrade) is a
 //!   regression — these are deterministic and must be byte-stable
 //!   run-to-run;
+//! * a mapping that **verified** in the baseline and not in the
+//!   candidate is a regression, when both artifacts ran the check
+//!   (`verify_vectors > 0`; a `--no-verify` artifact records no verdicts,
+//!   so the gate skips and says so);
 //! * a **wall-time** increase beyond the configurable fractional
 //!   threshold is a regression, *unless* either artifact is canonical
 //!   (canonical artifacts zero all timing, so wall deltas are
@@ -53,14 +57,6 @@ pub struct DiffOptions {
     /// diff counts a regression (`Some(0.25)` = +25%). `None` (the
     /// default) disables the memory gate entirely.
     pub mem_threshold: Option<f64>,
-    /// Minimum vectorization speedup (`verify_scalar_secs /
-    /// verify_secs`) required of every large-suite row, e.g.
-    /// `Some(2.0)` = the vector engine must beat the scalar engine 2×
-    /// on the verify phase. Unlike the wall gate this only needs the
-    /// *candidate* to carry real timings — the ratio is
-    /// machine-relative, so a canonical baseline is fine. `None` (the
-    /// default) disables the gate.
-    pub verify_speedup: Option<f64>,
 }
 
 impl Default for DiffOptions {
@@ -69,7 +65,6 @@ impl Default for DiffOptions {
             wall_threshold: 0.25,
             quality_gate: true,
             mem_threshold: None,
-            verify_speedup: None,
         }
     }
 }
@@ -97,8 +92,8 @@ pub struct DiffReport {
     /// True when the memory gate was requested but skipped (canonical
     /// artifact: memory breakdowns omitted).
     pub mem_skipped: bool,
-    /// True when the verify-speedup gate was requested but skipped
-    /// (canonical candidate: verify timings zeroed).
+    /// True when the `verified` gate was skipped because an artifact
+    /// ran no equivalence check (`verify_vectors` absent or 0).
     pub verify_skipped: bool,
 }
 
@@ -132,15 +127,13 @@ const QUALITY_FIELDS: [&str; 3] = ["phi", "luts", "ffs"];
 /// Structural fields of a `turbomap-bench/large/*` row. Deterministic
 /// per preset, so *any* change — either direction — is a generator,
 /// front-end or mapper regression.
-const STRUCT_FIELDS: [&str; 11] = [
+const STRUCT_FIELDS: [&str; 9] = [
     "file_bytes",
     "models",
     "gates",
     "ffs",
     "pis",
     "pos",
-    "verify_lanes",
-    "verify_cycles",
     // The monolithic TurboMap-frt mapping (large/v6).
     "mapped_phi",
     "mapped_luts",
@@ -183,6 +176,14 @@ fn check_schema<'a>(doc: &'a JsonValue, which: &str) -> Result<&'a str, String> 
 
 fn is_canonical(doc: &JsonValue) -> bool {
     matches!(doc.get("canonical"), Some(JsonValue::Bool(true)))
+}
+
+/// True when the artifact's mappings were checked against their sources
+/// (`verify_vectors > 0`), so its `verified` fields are verdicts.
+fn ran_verify(doc: &JsonValue) -> bool {
+    doc.get("verify_vectors")
+        .and_then(|v| v.as_u64())
+        .is_some_and(|n| n > 0)
 }
 
 /// Compares every histogram under `key` (e.g. `histograms`) of two
@@ -281,7 +282,7 @@ fn diff_circuit(
     cand: &JsonValue,
     opts: &DiffOptions,
     wall_comparable: bool,
-    cand_timed: bool,
+    verify_comparable: bool,
 ) -> CircuitDiff {
     let mut notes = Vec::new();
     let mut regressions = Vec::new();
@@ -319,14 +320,25 @@ fn diff_circuit(
                 }
             }
         }
-        let star = |row: &JsonValue| match row.get("star") {
-            Some(JsonValue::Bool(star)) => Some(*star),
+        let flag = |row: &JsonValue, key: &str| match row.get(key) {
+            Some(JsonValue::Bool(v)) => Some(*v),
             _ => None,
         };
-        if let (Some(bs), Some(cs)) = (star(b), star(c)) {
+        if let (Some(bs), Some(cs)) = (flag(b, "star"), flag(c, "star")) {
             if bs != cs {
                 let line = format!("{alg}.star: {bs} -> {cs}");
                 if cs && opts.quality_gate {
+                    regressions.push(line.clone());
+                }
+                notes.push(line);
+            }
+        }
+        if let (true, Some(bv), Some(cv)) =
+            (verify_comparable, flag(b, "verified"), flag(c, "verified"))
+        {
+            if bv != cv {
+                let line = format!("{alg}.verified: {bv} -> {cv}");
+                if !cv && opts.quality_gate {
                     regressions.push(line.clone());
                 }
                 notes.push(line);
@@ -399,29 +411,6 @@ fn diff_circuit(
         }
     }
 
-    if let Some(min) = opts.verify_speedup {
-        // Candidate-only gate: the speedup ratio compares the two
-        // engines on the same machine and run, so a canonical baseline
-        // doesn't block it — only a canonical (zero-timing) candidate.
-        let cv = cand.get("verify_secs").and_then(as_f64);
-        let cs = cand.get("verify_scalar_secs").and_then(as_f64);
-        if let (true, Some(cv), Some(cs)) = (cand_timed, cv, cs) {
-            if cv > 0.0 && cs > 0.0 {
-                let ratio = cs / cv;
-                let line = format!(
-                    "verify speedup: {:.1}x (scalar {} / vector {}; floor {min:.1}x)",
-                    ratio,
-                    fmt_secs(cs),
-                    fmt_secs(cv)
-                );
-                if ratio < min {
-                    regressions.push(line.clone());
-                }
-                notes.push(line);
-            }
-        }
-    }
-
     CircuitDiff {
         name: name.to_string(),
         notes,
@@ -446,8 +435,8 @@ pub fn diff_artifacts(
             "artifact families differ: baseline is `{base_family}`, candidate is `{cand_family}`"
         ));
     }
-    let cand_timed = !is_canonical(cand);
-    let wall_comparable = !is_canonical(base) && cand_timed;
+    let wall_comparable = !is_canonical(base) && !is_canonical(cand);
+    let verify_comparable = ran_verify(base) && ran_verify(cand);
     let base_map = circuit_map(base)?;
     let cand_map = circuit_map(cand)?;
 
@@ -465,7 +454,9 @@ pub fn diff_artifacts(
         let b = base_map.iter().find(|(n, _)| n == name).map(|(_, v)| *v);
         let c = cand_map.iter().find(|(n, _)| n == name).map(|(_, v)| *v);
         let diff = match (b, c) {
-            (Some(b), Some(c)) => diff_circuit(name, b, c, opts, wall_comparable, cand_timed),
+            (Some(b), Some(c)) => {
+                diff_circuit(name, b, c, opts, wall_comparable, verify_comparable)
+            }
             (Some(_), None) => CircuitDiff {
                 name: name.clone(),
                 notes: vec!["missing from candidate".into()],
@@ -492,7 +483,7 @@ pub fn diff_artifacts(
         regressions,
         wall_skipped: !wall_comparable,
         mem_skipped: opts.mem_threshold.is_some() && !wall_comparable,
-        verify_skipped: opts.verify_speedup.is_some() && !cand_timed,
+        verify_skipped: !verify_comparable,
     })
 }
 
@@ -517,7 +508,9 @@ pub fn render_report(report: &DiffReport) -> String {
         out.push_str("memory gate skipped: canonical artifact (memory omitted)\n");
     }
     if report.verify_skipped {
-        out.push_str("verify-speedup gate skipped: canonical candidate (timing zeroed)\n");
+        out.push_str(
+            "verified gate skipped: an artifact ran no equivalence check (verify_vectors = 0)\n",
+        );
     }
     for c in &changed {
         out.push_str(&format!("--- {}\n", c.name));
@@ -644,6 +637,53 @@ mod tests {
         assert!(render_report(&report).contains("turbomap.star: true -> false"));
     }
 
+    /// A canonical one-row artifact checked with `vectors` random vectors
+    /// whose TurboMap-frt mapping has the given `verified` verdict.
+    fn verified_artifact(vectors: u64, verified: bool) -> JsonValue {
+        let alg = format!(r#"{{"phi": 3, "luts": 10, "ffs": 4, "verified": {verified}}}"#);
+        let row = format!(r#"{{"name": "s27", "status": "ok", "turbomap_frt": {alg}}}"#);
+        let doc = format!(
+            r#"{{"schema": "turbomap-bench/table1/v4", "verify_vectors": {vectors},
+                "canonical": true, "circuits": [{row}]}}"#
+        );
+        JsonValue::parse(&doc).unwrap()
+    }
+
+    #[test]
+    fn verified_turning_false_gates() {
+        let (base, cand) = (
+            verified_artifact(3008, true),
+            verified_artifact(3008, false),
+        );
+        let report = diff_artifacts(&base, &cand, &DiffOptions::default()).unwrap();
+        assert_eq!(
+            report.regressions,
+            ["s27: turbomap_frt.verified: true -> false"]
+        );
+        assert!(!report.verify_skipped);
+        assert!(!render_report(&report).contains("verified gate skipped"));
+        // A mapping that starts verifying is reported, not gated.
+        let report = diff_artifacts(&cand, &base, &DiffOptions::default()).unwrap();
+        assert!(report.is_clean(), "{:?}", report.regressions);
+        assert!(render_report(&report).contains("turbomap_frt.verified: false -> true"));
+    }
+
+    #[test]
+    fn verified_gate_skips_without_verification() {
+        // A `--no-verify` candidate records `verified: false` everywhere
+        // and `verify_vectors: 0`: no verdict to compare, so no gate.
+        let base = verified_artifact(3008, true);
+        let cand = verified_artifact(0, false);
+        for (b, c) in [(&base, &cand), (&cand, &base)] {
+            let report = diff_artifacts(b, c, &DiffOptions::default()).unwrap();
+            assert!(report.is_clean(), "{:?}", report.regressions);
+            assert!(report.verify_skipped);
+            let text = render_report(&report);
+            assert!(text.contains("verified gate skipped"), "{text}");
+            assert!(!text.contains("verified: "), "{text}");
+        }
+    }
+
     #[test]
     fn wall_regression_gates_past_threshold() {
         let base = artifact(3, 10, 1.0, false);
@@ -715,104 +755,6 @@ mod tests {
                 ])]),
             ),
         ])
-    }
-
-    /// A `large/v3` row with the verify-phase fields.
-    fn large_v3_artifact(canonical: bool, verify: f64, scalar: f64) -> JsonValue {
-        let z = |v: f64| JsonValue::Float(if canonical { 0.0 } else { v });
-        JsonValue::object(vec![
-            ("schema", JsonValue::str("turbomap-bench/large/v3")),
-            ("canonical", JsonValue::Bool(canonical)),
-            (
-                "circuits",
-                JsonValue::Array(vec![JsonValue::object(vec![
-                    ("name", JsonValue::str("hier100k")),
-                    ("status", JsonValue::str("ok")),
-                    ("file_bytes", JsonValue::UInt(509325)),
-                    ("models", JsonValue::UInt(6)),
-                    ("gates", JsonValue::UInt(99136)),
-                    ("ffs", JsonValue::UInt(768)),
-                    ("pis", JsonValue::UInt(32)),
-                    ("pos", JsonValue::UInt(32)),
-                    ("verify_lanes", JsonValue::UInt(64)),
-                    ("verify_cycles", JsonValue::UInt(16)),
-                    ("parse_secs", z(0.3)),
-                    ("verify_secs", z(verify)),
-                    ("verify_scalar_secs", z(scalar)),
-                    ("wall_secs", z(1.0 + verify)),
-                ])]),
-            ),
-        ])
-    }
-
-    #[test]
-    fn verify_speedup_gate_needs_only_a_timed_candidate() {
-        let opts = DiffOptions {
-            verify_speedup: Some(2.0),
-            ..DiffOptions::default()
-        };
-        // Canonical baseline (the checked-in artifact) + timed
-        // candidate: the gate still runs — the ratio is machine-local.
-        let base = large_v3_artifact(true, 0.0, 0.0);
-        let fast = large_v3_artifact(false, 0.01, 0.6); // 60x
-        let report = diff_artifacts(&base, &fast, &opts).unwrap();
-        assert!(report.is_clean(), "{:?}", report.regressions);
-        assert!(!report.verify_skipped);
-        assert!(report.circuits[0]
-            .notes
-            .iter()
-            .any(|n| n.contains("verify speedup: 60.0x")));
-
-        // A candidate whose vector engine lost its edge gates.
-        let slow = large_v3_artifact(false, 0.5, 0.6); // 1.2x < 2.0 floor
-        let report = diff_artifacts(&base, &slow, &opts).unwrap();
-        assert_eq!(report.regressions.len(), 1);
-        assert!(
-            report.regressions[0].contains("verify speedup: 1.2x"),
-            "{:?}",
-            report.regressions
-        );
-
-        // Canonical candidate: gate skipped, and says so.
-        let report = diff_artifacts(&base, &base, &opts).unwrap();
-        assert!(report.is_clean());
-        assert!(report.verify_skipped);
-        assert!(render_report(&report).contains("verify-speedup gate skipped"));
-
-        // Gate off by default even with timed rows.
-        let report = diff_artifacts(&base, &slow, &DiffOptions::default()).unwrap();
-        assert!(report.is_clean());
-    }
-
-    #[test]
-    fn verify_shape_drift_is_structural() {
-        let base = large_v3_artifact(true, 0.0, 0.0);
-        let mut cand = large_v3_artifact(true, 0.0, 0.0);
-        // Mutate verify_cycles: deterministic per preset, so any drift
-        // (here 16 -> 8) must gate even between canonical artifacts.
-        if let JsonValue::Object(pairs) = &mut cand {
-            for (k, v) in pairs.iter_mut() {
-                if k != "circuits" {
-                    continue;
-                }
-                if let JsonValue::Array(rows) = v {
-                    if let JsonValue::Object(row) = &mut rows[0] {
-                        for (rk, rv) in row.iter_mut() {
-                            if rk == "verify_cycles" {
-                                *rv = JsonValue::UInt(8);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        let report = diff_artifacts(&base, &cand, &DiffOptions::default()).unwrap();
-        assert_eq!(report.regressions.len(), 1);
-        assert!(
-            report.regressions[0].contains("verify_cycles: 16 -> 8"),
-            "{:?}",
-            report.regressions
-        );
     }
 
     #[test]

@@ -1,45 +1,24 @@
 //! The large-workload suite: generate each `workloads::large` preset to
-//! disk, time the streaming front-end parsing and flattening it, time a
-//! vectorized **verify phase** over the flattened circuit, then map it
-//! monolithically with TurboMap-frt.
+//! disk, time the streaming front-end parsing and flattening it, map it
+//! monolithically with TurboMap-frt, and check the mapping against its
+//! source.
 //!
 //! The interesting numbers are file size, model/gate/FF totals and the
 //! mapping's Φ, LUTs and FFs (all deterministic for a preset — any
 //! drift is a generator, linker or mapper regression) and the
-//! parse/flatten/verify/map wall times (reported, and zeroed in
+//! parse/flatten/map/verify wall times (reported, and zeroed in
 //! canonical artifacts like every other timing field). Every wall time
 //! is read from the row's span table: the `parse`, `flatten`,
-//! `verify_vector`, `verify_scalar` and `turbomap_frt` spans opened
-//! here. `verify_vector` includes its `verify_setup` child: compiling
-//! the vector simulator and packing the stimulus into bitplanes.
+//! `turbomap_frt` and `verify` spans opened here.
 //!
-//! The verify phase drives [`VERIFY_LANES`] independent random input
-//! sequences through the circuit on **both** simulation engines — the
-//! 64-wide two-bitplane [`netlist::VecSimulator`] in one pass, and the
-//! scalar [`netlist::Simulator`] one sequence at a time — and requires
-//! their outputs to agree bit-for-bit. That makes every suite run a
-//! full-scale differential test of the vector engine, and the two wall
-//! times quantify the vectorization speedup on exactly the workload
-//! the equivalence checkers see (`verify_scalar_secs / verify_secs`,
-//! gated by `benchdiff --verify-speedup`).
+//! The check is the one every published mapping gets,
+//! [`crate::verify_mapping`]: [`crate::VERIFY_VECTORS`] random vectors
+//! through the source and the mapped circuit on the vector simulator. A
+//! mapping that differs from its source fails its row, and with it the
+//! suite, naming the preset, the output and the cycle.
 
 use engine::telemetry::{self, SpanTable};
 use engine::trace::span;
-use netlist::{Bit, Planes, Simulator, VecSimulator, LANES};
-
-/// Independent sequences in the verify phase: one full `Planes` word.
-pub const VERIFY_LANES: usize = LANES;
-
-/// Scalar-engine work budget (gate evaluations) that picks the verify
-/// sequence depth per preset, so the phase stays a few seconds even on
-/// million-gate circuits.
-const VERIFY_EVAL_BUDGET: usize = 150_000_000;
-
-/// Sequence depth of the verify phase: budget-bounded, clamped to
-/// `[2, 16]` cycles. Deterministic per gate count.
-pub fn verify_cycles_for(gates: usize) -> usize {
-    (VERIFY_EVAL_BUDGET / VERIFY_LANES.saturating_mul(gates.max(1))).clamp(2, 16)
-}
 
 /// One preset's ingestion measurement.
 #[derive(Debug, Clone)]
@@ -62,19 +41,9 @@ pub struct IngestRow {
     pub parse_secs: f64,
     /// Seconds for parse + hierarchy flattening.
     pub total_secs: f64,
-    /// Independent input sequences in the verify phase ([`VERIFY_LANES`]).
-    pub verify_lanes: usize,
-    /// Cycles per verify sequence (budget-bounded, see [`verify_cycles_for`]).
-    pub verify_cycles: usize,
-    /// Seconds of the vector pass (the `verify_vector` span): compiling
-    /// the [`VecSimulator`] and packing the stimulus into bitplanes (its
-    /// `verify_setup` child span), then simulating all verify sequences
-    /// in one 64-lane pass.
+    /// Seconds of the row's `verify` span: the mapping checked against
+    /// the flattened source with [`crate::VERIFY_VECTORS`] random vectors.
     pub verify_secs: f64,
-    /// Seconds the scalar engine took on the same sequences, one at a
-    /// time — the pre-vectorization baseline; `verify_scalar_secs /
-    /// verify_secs` is the measured vectorization speedup.
-    pub verify_scalar_secs: f64,
     /// Process peak RSS (`VmHWM`) in KiB after the row (ingest, verify
     /// and map), 0 when the probe is unavailable. Zeroed in canonical
     /// artifacts like every other environment-dependent measurement.
@@ -102,15 +71,17 @@ pub struct MapMeasurement {
 }
 
 /// Generates `spec` into `dir`, ingests it through the streaming
-/// front-end, runs the verify phase and maps the flattened circuit with
-/// TurboMap-frt at LUT input bound `k`. The generated file is left in
-/// place (callers pass a temp dir; CI reuses the file for `blifcheck`).
+/// front-end, maps the flattened circuit with TurboMap-frt at LUT input
+/// bound `k` and checks the mapping against it. The generated file is
+/// left in place (callers pass a temp dir; CI reuses the file for
+/// `blifcheck`).
 ///
 /// # Errors
 ///
-/// Returns a message on I/O, parse, link or mapping failures, and when
-/// the flattened totals disagree with the generator's closed-form
-/// counts (which would mean the generator and linker drifted apart).
+/// Returns a message on I/O, parse, link or mapping failures, when the
+/// flattened totals disagree with the generator's closed-form counts
+/// (which would mean the generator and linker drifted apart), and when
+/// the mapping differs from its source (naming the output and cycle).
 pub fn run_ingest_row(
     spec: &workloads::LargeSpec,
     dir: &std::path::Path,
@@ -152,15 +123,14 @@ pub fn run_ingest_row(
         ));
     }
 
-    let verify_cycles = run_verify_phase(&circuit, spec.seed)
-        .map_err(|e| format!("{}: verify phase: {e}", spec.name))?;
-
     let map_span = crate::ALGORITHM_SPANS[2];
     let mapped = {
         let _s = span(map_span);
         turbomap::turbomap_frt(&circuit, turbomap::Options::with_k(k))
             .map_err(|e| format!("{}: turbomap-frt: {e}", spec.name))?
     };
+    crate::verify_mapping(&circuit, &mapped.circuit, spec.seed)
+        .map_err(|e| format!("{}: turbomap-frt mapping: {e}", spec.name))?;
 
     let spans = telemetry::snapshot().since(&before).spans;
     let mapped = MapMeasurement {
@@ -180,87 +150,11 @@ pub fn run_ingest_row(
         pos: circuit.outputs().len(),
         parse_secs,
         total_secs: parse_secs + spans.wall_secs("flatten"),
-        verify_lanes: VERIFY_LANES,
-        verify_cycles,
-        verify_secs: spans.wall_secs("verify_vector"),
-        verify_scalar_secs: spans.wall_secs("verify_scalar"),
+        verify_secs: spans.wall_secs("verify"),
         peak_rss_kib: engine::mem::peak_rss_kib().unwrap_or(0),
         mapped,
         spans,
     })
-}
-
-/// Simulates [`VERIFY_LANES`] independent random sequences on both
-/// engines — the vector pass under a `verify_vector` span (set-up in its
-/// `verify_setup` child), the scalar pass under `verify_scalar` — and
-/// requires bit-for-bit agreement on every PO, lane and cycle. Returns
-/// the sequence depth in cycles.
-fn run_verify_phase(circuit: &netlist::Circuit, seed: u64) -> Result<usize, String> {
-    let m = circuit.inputs().len();
-    let cycles = verify_cycles_for(circuit.num_gates());
-    // Stimulus: [cycle][lane * m + pi], defined bits with a 1-in-8
-    // sprinkle of X so the third value exercises both engines.
-    let mut rng = engine::Rng64::new(seed ^ 0x5EC5_1A7E);
-    let stimulus: Vec<Vec<Bit>> = (0..cycles)
-        .map(|_| {
-            (0..VERIFY_LANES * m)
-                .map(|_| {
-                    let r = rng.next_u64();
-                    if r & 7 == 7 {
-                        Bit::X
-                    } else {
-                        Bit::from_bool(r & 1 == 1)
-                    }
-                })
-                .collect()
-        })
-        .collect();
-
-    // Vector pass: all lanes at once. Set-up compiles the simulator and
-    // packs every cycle's stimulus into bitplanes, lane `l` in bit `l`.
-    let vector_span = span("verify_vector");
-    let (mut vsim, planes) = {
-        let _setup = span("verify_setup");
-        let vsim = VecSimulator::new(circuit).map_err(|e| e.to_string())?;
-        let planes: Vec<Vec<Planes>> = stimulus
-            .iter()
-            .map(|bits| {
-                (0..m)
-                    .map(|i| {
-                        let lanes: Vec<Bit> = (0..VERIFY_LANES).map(|l| bits[l * m + i]).collect();
-                        Planes::pack(&lanes)
-                    })
-                    .collect()
-            })
-            .collect();
-        (vsim, planes)
-    };
-    let mut vector_out: Vec<Vec<Planes>> = Vec::with_capacity(cycles);
-    for inputs in &planes {
-        vector_out.push(vsim.step(inputs).map_err(|e| e.to_string())?);
-    }
-    drop(vector_span);
-
-    // Scalar pass: the same sequences one lane at a time — the
-    // pre-vectorization equivalence-check protocol.
-    let _scalar_span = span("verify_scalar");
-    for l in 0..VERIFY_LANES {
-        let mut sim = Simulator::new(circuit).map_err(|e| e.to_string())?;
-        for (cycle, bits) in stimulus.iter().enumerate() {
-            let lane_in = &bits[l * m..(l + 1) * m];
-            let out = sim.step(lane_in).map_err(|e| e.to_string())?;
-            for (po, &s) in out.iter().enumerate() {
-                let v = vector_out[cycle][po].get(l);
-                if v != s {
-                    return Err(format!(
-                        "engines disagree: PO {po}, lane {l}, cycle {cycle}: \
-                         scalar {s:?}, vector {v:?}"
-                    ));
-                }
-            }
-        }
-    }
-    Ok(cycles)
 }
 
 /// Runs the whole large suite (presets with at most `max_gates` flat
@@ -285,16 +179,25 @@ pub fn run_large_suite(
 mod tests {
     use super::*;
 
-    #[test]
-    fn ingest_row_on_small_spec() {
-        let spec = workloads::LargeSpec {
+    fn small_spec() -> workloads::LargeSpec {
+        workloads::LargeSpec {
             name: "bench_small".into(),
             width: 4,
             kinds: 2,
             tiles: 3,
             tile_gates: 16,
             seed: 7,
-        };
+        }
+    }
+
+    fn small_flat() -> netlist::Circuit {
+        let file = blifio::parse_str(&workloads::hier_to_string(&small_spec())).unwrap();
+        blifio::flatten(&file, &blifio::LinkOptions::default()).unwrap()
+    }
+
+    #[test]
+    fn ingest_row_on_small_spec() {
+        let spec = small_spec();
         let dir = std::env::temp_dir().join("tmfrt_bench_large");
         let row = run_ingest_row(&spec, &dir, 5).unwrap();
         assert_eq!(row.gates, spec.flat_gates());
@@ -304,29 +207,63 @@ mod tests {
         assert_eq!(row.pos, spec.width);
         assert!(row.file_bytes > 0);
         assert!(row.total_secs >= row.parse_secs);
-        // The verify phase ran on both engines and agreed.
-        assert_eq!(row.verify_lanes, VERIFY_LANES);
-        assert_eq!(row.verify_cycles, verify_cycles_for(row.gates));
-        assert!(row.verify_secs > 0.0);
-        assert!(row.verify_scalar_secs > 0.0);
         // The map leg is TurboMap-frt on the flattened circuit.
-        let file = blifio::parse_str(&workloads::hier_to_string(&spec)).unwrap();
-        let flat = blifio::flatten(&file, &blifio::LinkOptions::default()).unwrap();
-        let want = turbomap::turbomap_frt(&flat, turbomap::Options::with_k(5)).unwrap();
+        let want = turbomap::turbomap_frt(&small_flat(), turbomap::Options::with_k(5)).unwrap();
         assert_eq!(row.mapped.phi, want.period);
         assert_eq!(row.mapped.luts, want.luts);
         assert_eq!(row.mapped.ffs, want.ffs);
         assert!(row.mapped.map_secs > 0.0);
         assert_eq!(row.spans.get("turbomap_frt").unwrap().count, 1);
+        // The mapping was checked against its source, once.
+        assert_eq!(row.spans.get("verify").unwrap().count, 1);
+        assert_eq!(row.verify_secs, row.spans.wall_secs("verify"));
     }
 
+    /// The vector and scalar simulators agree bit for bit on a flattened
+    /// hierarchical design: 64 lanes × 16 cycles of random inputs with a
+    /// 1-in-8 sprinkle of X, so the third value reaches both engines.
     #[test]
-    fn verify_cycles_budget() {
-        assert_eq!(verify_cycles_for(100), 16); // tiny: clamped up
-        assert_eq!(verify_cycles_for(100_000), 16);
-        assert_eq!(verify_cycles_for(300_000), 7);
-        assert_eq!(verify_cycles_for(1_000_000), 2);
-        assert_eq!(verify_cycles_for(usize::MAX / 2), 2); // clamped down
+    fn vector_matches_scalar_on_flattened_design() {
+        use netlist::{Bit, Planes, Simulator, VecSimulator, LANES};
+        let c = small_flat();
+        let m = c.inputs().len();
+        let mut rng = engine::Rng64::new(0x5EC5_1A7E);
+        let stimulus: Vec<Vec<Bit>> = (0..16)
+            .map(|_| {
+                (0..LANES * m)
+                    .map(|_| match rng.next_u64() {
+                        r if r & 7 == 7 => Bit::X,
+                        r => Bit::from_bool(r & 1 == 1),
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut vsim = VecSimulator::new(&c).unwrap();
+        let vector_out: Vec<Vec<Planes>> = stimulus
+            .iter()
+            .map(|bits| {
+                let planes: Vec<Planes> = (0..m)
+                    .map(|i| Planes::pack(&(0..LANES).map(|l| bits[l * m + i]).collect::<Vec<_>>()))
+                    .collect();
+                vsim.step(&planes).unwrap()
+            })
+            .collect();
+        let mut xs = 0;
+        for l in 0..LANES {
+            let mut sim = Simulator::new(&c).unwrap();
+            for (cycle, bits) in stimulus.iter().enumerate() {
+                let out = sim.step(&bits[l * m..(l + 1) * m]).unwrap();
+                for (po, &s) in out.iter().enumerate() {
+                    assert_eq!(
+                        vector_out[cycle][po].get(l),
+                        s,
+                        "PO {po}, lane {l}, cycle {cycle}"
+                    );
+                    xs += usize::from(s == Bit::X);
+                }
+            }
+        }
+        assert!(xs > 0, "no X reached an output");
     }
 
     #[test]

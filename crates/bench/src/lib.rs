@@ -30,7 +30,8 @@ pub struct Measured {
     pub cpu: f64,
     /// `⋆`: no usable equivalent initial state.
     pub star: bool,
-    /// Sequential equivalence verified (random vectors).
+    /// Sequential equivalence verified by [`verify_mapping`]; `false`
+    /// when the row ran without verification.
     pub verified: bool,
     /// Full telemetry delta attributed to this algorithm (spans,
     /// counters and histograms, verification included).
@@ -66,11 +67,48 @@ impl Row {
         }
         best
     }
+
+    /// The algorithms (by [`ALGORITHM_SPANS`] name) whose mapping failed
+    /// verification with no `⋆` to excuse it. A starred mapping lost its
+    /// initial state, so it is not expected to verify; any other failure
+    /// is a wrong mapping. This is the rule `tmfrt map --verify` applies.
+    /// Meaningful only for a row run with verification on.
+    pub fn verify_failures(&self) -> Vec<&'static str> {
+        [&self.flowmap_frt, &self.turbomap, &self.turbomap_frt]
+            .into_iter()
+            .zip(ALGORITHM_SPANS)
+            .filter(|(m, _)| !m.verified && !m.star)
+            .map(|(_, name)| name)
+            .collect()
+    }
 }
 
 /// Number of random vectors used for verification (the paper used 3008
 /// for its largest circuits).
 pub const VERIFY_VECTORS: usize = 3008;
+
+/// Checks `mapped` against its `source` with [`VERIFY_VECTORS`] random
+/// vectors from `seed` (`netlist::random_equiv`, conformance mode), under
+/// a `verify` span whose `vectors` arg is the vector count. Every mapping
+/// the bench publishes is checked here: each [`Row`] algorithm when
+/// verifying, and each large-suite preset's TurboMap-frt mapping.
+///
+/// # Errors
+///
+/// Returns a message naming the diverging output and cycle when the
+/// check finds a counterexample, or the checker's own error (an
+/// interface mismatch, an unsimulatable circuit).
+pub fn verify_mapping(source: &Circuit, mapped: &Circuit, seed: u64) -> Result<(), String> {
+    let _s = engine::trace::span1("verify", "vectors", VERIFY_VECTORS as u64);
+    match netlist::random_equiv(source, mapped, VERIFY_VECTORS, seed) {
+        Ok(netlist::EquivResult::Equivalent) => Ok(()),
+        Ok(netlist::EquivResult::Different(cex)) => Err(format!(
+            "output `{}` differs from its source at cycle {} (expected {}, got {})",
+            cex.output, cex.cycle, cex.expected, cex.actual
+        )),
+        Err(e) => Err(format!("equivalence check failed: {e}")),
+    }
+}
 
 /// The top-level span of each algorithm, in [`Row`] order: FlowMap-frt,
 /// TurboMap, TurboMap-frt.
@@ -104,13 +142,7 @@ pub fn try_run_row_opts(
     opts: turbomap::Options,
 ) -> Result<Row, String> {
     let k = opts.k;
-    let check = |mapped: &Circuit, seed: u64| -> bool {
-        let _s = engine::trace::span1("verify", "vectors", VERIFY_VECTORS as u64);
-        verify
-            && netlist::random_equiv(c, mapped, VERIFY_VECTORS, seed)
-                .map(|r| r.is_equivalent())
-                .unwrap_or(false)
-    };
+    let check = |mapped: &Circuit, seed: u64| verify && verify_mapping(c, mapped, seed).is_ok();
 
     let [fm_span, tm_span, tf_span] = ALGORITHM_SPANS;
     let t0 = telemetry::snapshot();
@@ -216,6 +248,20 @@ mod tests {
         assert!(row.turbomap_frt.verified);
         assert!(!row.turbomap_frt.star);
         assert!(row.best_valid_phi() >= row.turbomap.phi || row.turbomap.star);
+        assert!(row.verify_failures().is_empty());
+    }
+
+    #[test]
+    fn verify_failures_excuse_only_starred_mappings() {
+        let presets = workloads::presets();
+        let c = workloads::build_preset(&presets[1]); // bbtas
+        let mut row = run_row("bbtas", &c, 5, true);
+        row.turbomap_frt.verified = false;
+        assert_eq!(row.verify_failures(), ["turbomap_frt"]);
+        row.turbomap.verified = false;
+        assert_eq!(row.verify_failures(), ["turbomap", "turbomap_frt"]);
+        row.turbomap.star = true;
+        assert_eq!(row.verify_failures(), ["turbomap_frt"]);
     }
 
     #[test]
@@ -246,6 +292,48 @@ mod tests {
         }
         // FlowMap-frt does no FRTcheck sweeps.
         assert_eq!(row.flowmap_frt.telemetry.counter(Counter::FrtSweeps), 0);
+    }
+
+    #[test]
+    fn verify_mapping_names_the_output_a_complemented_lut_breaks() {
+        let presets = workloads::presets();
+        let c = workloads::build_preset(&presets[1]); // bbtas
+        let mut mapped = turbomap::turbomap_frt(&c, turbomap::Options::with_k(5))
+            .unwrap()
+            .circuit;
+        assert_eq!(verify_mapping(&c, &mapped, 3), Ok(()));
+        // Complement a LUT that drives one output and nothing else, so
+        // that output is the only one the fault can reach.
+        let (lut, po) = mapped
+            .gate_ids()
+            .find_map(|g| match mapped.node(g).fanout() {
+                [e] if mapped.node(mapped.edge(*e).to()).is_output() => {
+                    Some((g, mapped.edge(*e).to()))
+                }
+                _ => None,
+            })
+            .expect("some LUT drives only an output");
+        let f = mapped.node(lut).function().unwrap().clone();
+        let not_f = netlist::TruthTable::from_fn(f.num_inputs(), |r| !f.eval_row(r));
+        mapped.set_function(lut, not_f);
+        let err = verify_mapping(&c, &mapped, 3).unwrap_err();
+        let name = mapped.node(po).name();
+        assert!(err.contains(&format!("output `{name}`")), "{err}");
+        assert!(err.contains("at cycle "), "{err}");
+        // An interface mismatch is an error too, not a quiet `false`.
+        let err = verify_mapping(&c, &Circuit::new("empty"), 3).unwrap_err();
+        assert!(err.contains("equivalence check failed"), "{err}");
+    }
+
+    #[test]
+    fn no_verify_opens_no_verify_span() {
+        let presets = workloads::presets();
+        let c = workloads::build_preset(&presets[1]); // bbtas
+        let row = run_row("bbtas", &c, 5, false);
+        for m in [&row.flowmap_frt, &row.turbomap, &row.turbomap_frt] {
+            assert!(!m.verified);
+            assert!(m.telemetry.spans.get("verify").is_none());
+        }
     }
 
     #[test]

@@ -763,9 +763,12 @@ pub fn run(args: &Args, input: &Circuit) -> Result<RunOutcome, String> {
         circuit
     };
     if let Some(n) = args.verify {
-        let eq = netlist::random_equiv(input, &circuit, n, 0x7E57)
-            .map_err(|e| e.to_string())?
-            .is_equivalent();
+        let eq = {
+            let _s = engine::trace::span1("verify", "vectors", n as u64);
+            netlist::random_equiv(input, &circuit, n, 0x7E57)
+        }
+        .map_err(|e| e.to_string())?
+        .is_equivalent();
         writeln!(
             report,
             "verify: {}",

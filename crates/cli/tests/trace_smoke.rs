@@ -29,7 +29,7 @@ fn map_trace_out_passes_profile() {
         .arg(data_blif())
         .arg("--trace-out")
         .arg(&trace)
-        .arg("-q")
+        .args(["--verify", "64", "-q"])
         .output()
         .expect("tmfrt runs");
     assert!(
@@ -48,6 +48,16 @@ fn map_trace_out_passes_profile() {
     let text = std::fs::read_to_string(&trace).unwrap();
     assert!(text.contains("\"traceEvents\""));
     assert!(text.contains("\"phi_search\""), "no phi_search span");
+    // The equivalence check runs inside its own span, vector count as
+    // its arg, so its simulation steps have a parent.
+    let doc = engine::JsonValue::parse(&text).unwrap();
+    let events = doc.get("traceEvents").and_then(|e| e.as_array()).unwrap();
+    let verify = events
+        .iter()
+        .find(|e| e.get("name").and_then(|n| n.as_str()) == Some("verify"))
+        .expect("no verify span");
+    let vectors = verify.get("args").and_then(|a| a.get("vectors"));
+    assert_eq!(vectors.and_then(|v| v.as_u64()), Some(64), "{verify:?}");
 
     let check = Command::new(env!("CARGO_BIN_EXE_tmfrt"))
         .arg("profile")
