@@ -5,7 +5,7 @@
 //! round-trip everything the reader accepted. Names are interned
 //! [`Symbol`]s — the raw text is never held whole.
 
-use crate::intern::{Interner, Symbol};
+use crate::{Interner, Symbol};
 use netlist::Bit;
 
 /// A latch initial value as written (`0`, `1`, `2` = don't care,
@@ -322,11 +322,6 @@ pub struct BlifFile {
 }
 
 impl BlifFile {
-    /// Finds a model by name.
-    pub fn model(&self, name: &str) -> Option<&Model> {
-        self.models.iter().find(|m| m.name == name)
-    }
-
     /// Per-model pre-flatten counts, in source order.
     pub fn model_counts(&self) -> Vec<netlist::stats::ModelCounts> {
         self.models

@@ -6,7 +6,7 @@
 //!
 //! * **Streaming** — input is scanned through a fixed 64 KiB chunk
 //!   buffer ([`scan`]), a line split at a time and each token copied
-//!   whole; names are interned into a single arena ([`intern`]); the
+//!   whole; names are interned into a single arena ([`Interner`]); the
 //!   raw text is never held whole, so peak memory is proportional to
 //!   the netlist, not the file. Names are UTF-8 copied verbatim; other
 //!   bytes are a positioned error.
@@ -56,7 +56,6 @@
 pub mod ast;
 pub mod compare;
 pub mod diag;
-pub mod intern;
 pub mod lib_cells;
 pub mod link;
 pub mod parse;
@@ -64,10 +63,10 @@ pub mod scan;
 pub mod write;
 
 pub use ast::{BlifFile, Command, InitVal, LatchType, Model};
-pub use compare::{structural_diff, structurally_equal};
+pub use compare::structural_diff;
 pub use diag::{BlifError, Diag};
-pub use intern::{Interner, Symbol};
 pub use link::{flatten, LinkOptions};
+pub use netlist::intern::{Interner, Symbol};
 pub use parse::{parse_path, parse_reader, parse_str, ParseOptions};
 pub use scan::{LineBuf, Scanner, DEFAULT_CHUNK};
 pub use write::{write_circuit, write_file};
@@ -81,16 +80,7 @@ use std::path::Path;
 ///
 /// See [`parse_str`] and [`flatten`].
 pub fn read_circuit_str(text: &str) -> Result<Circuit, BlifError> {
-    read_circuit_str_opts(text, &LinkOptions::default())
-}
-
-/// Parses and flattens BLIF text with explicit link options.
-///
-/// # Errors
-///
-/// See [`parse_str`] and [`flatten`].
-pub fn read_circuit_str_opts(text: &str, opts: &LinkOptions) -> Result<Circuit, BlifError> {
-    flatten(&parse_str(text)?, opts)
+    flatten(&parse_str(text)?, &LinkOptions::default())
 }
 
 /// Streams, parses and flattens a BLIF file with default link options.
@@ -99,17 +89,5 @@ pub fn read_circuit_str_opts(text: &str, opts: &LinkOptions) -> Result<Circuit, 
 ///
 /// See [`parse_path`] and [`flatten`].
 pub fn read_circuit_path(path: impl AsRef<Path>) -> Result<Circuit, BlifError> {
-    read_circuit_path_opts(path, &LinkOptions::default())
-}
-
-/// Streams, parses and flattens a BLIF file with explicit link options.
-///
-/// # Errors
-///
-/// See [`parse_path`] and [`flatten`].
-pub fn read_circuit_path_opts(
-    path: impl AsRef<Path>,
-    opts: &LinkOptions,
-) -> Result<Circuit, BlifError> {
-    flatten(&parse_path(path)?, opts)
+    flatten(&parse_path(path)?, &LinkOptions::default())
 }

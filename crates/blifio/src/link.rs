@@ -1,38 +1,49 @@
 //! Hierarchy linking: `.subckt` elaboration, library-cell resolution,
 //! KISS lowering, and flattening into a retiming-graph [`Circuit`].
 //!
-//! Flattening has two stages. *Elaboration* walks the model hierarchy
-//! from the link root, binding `.subckt` formals to parent actuals and
-//! prefixing instance-local names with `{model}${ordinal}.` paths; it
-//! produces flat gate/latch lists over a flat-name interner that starts
-//! as a copy of the file's, so the root model's names keep their
-//! symbols and only prefixed names are interned. No hash map is on the
-//! path: each instance depth has a table indexed by local symbol whose
-//! entries count only when stamped with the current instance, and gate
-//! inputs share one pool. *Construction* then builds the circuit:
-//! latches fold onto consumer edges as FF chains, and gate nodes whose
-//! signal collides with a primary-output name get a `$g` suffix.
+//! The linker writes straight into the circuit. It first checks each
+//! model the link root reaches, once and in the order elaboration meets
+//! them, so every link error is found before any memory is set aside;
+//! this *plan* also counts each model's gates and pins and resolves its
+//! library cells and child models. It then reserves the node and edge
+//! tables, failing with a diagnostic when the allocator refuses, and
+//! adds the link root's primary inputs. *Elaboration* then walks the
+//! model hierarchy from the root, binding `.subckt` formals to parent
+//! actuals. Each `.names`, `.gate` and `.conn` becomes a gate node as
+//! soon as it is expanded; its name, the instance's `{model}${ordinal}.`
+//! path plus the local name, is formatted once and interned only into
+//! the circuit, with a `$g` suffix when it collides with a primary
+//! output or a taken name. Signals are dense `u32` ids: the root's
+//! names keep the file's own symbols, and each instance-local signal
+//! gets the next id, recorded with its instance's path (kept in one
+//! string arena) and local symbol for diagnostics. No hash map is on
+//! the path: each instance depth has a table indexed by local symbol
+//! whose entries count only when stamped with the current instance.
+//! Because BLIF has no hierarchical references, a root name that spells
+//! an instance path is a signal of its own. After elaboration, latches
+//! fold onto consumer edges as FF chains, gate pins are connected in
+//! node order, and the primary outputs are added last.
 //!
 //! Embedded KISS FSM blocks are lowered first: each block is parsed
 //! with `workloads::kiss`, synthesised to gates, written with
 //! [`write_circuit`] and read back as an auxiliary model, and the block
 //! replaced by a `.subckt` of it.
 
-use crate::ast::{BlifFile, Command, Model, Names, Subckt};
+use crate::ast::{BlifFile, Command, InitVal, LibGate, Mlatch, Model, Names, Subckt};
 use crate::diag::{BlifError, Diag};
-use crate::intern::{Interner, Symbol};
 use crate::lib_cells::{is_output_pin, lookup_cell, lookup_latch_cell};
 use crate::parse::parse_str;
 use crate::write::{sanitize, write_circuit};
+use crate::{Interner, Symbol};
 use netlist::{Bit, Circuit, NetlistError, NodeId, TruthTable};
+use std::borrow::Cow;
 use workloads::kiss::{parse_kiss2, synthesize_stg};
 use workloads::Encoding;
 
-/// Options controlling hierarchy flattening.
+/// Options controlling hierarchy flattening. The link root is always
+/// the file's first non-blackbox model.
 #[derive(Debug, Clone)]
 pub struct LinkOptions {
-    /// Link root model name; defaults to the first non-blackbox model.
-    pub root: Option<String>,
     /// State encoding for embedded KISS FSMs.
     pub encoding: Encoding,
 }
@@ -40,7 +51,6 @@ pub struct LinkOptions {
 impl Default for LinkOptions {
     fn default() -> LinkOptions {
         LinkOptions {
-            root: None,
             encoding: Encoding::Binary,
         }
     }
@@ -51,12 +61,13 @@ impl Default for LinkOptions {
 /// # Errors
 ///
 /// Positioned [`Diag`]s for link problems (unknown models, bad port
-/// bindings, recursion, blackbox instantiation), and
+/// bindings, recursion, blackbox instantiation, a design too large to
+/// reserve room for), and
 /// [`NetlistError`]s for driver conflicts and undefined signals.
 pub fn flatten(file: &BlifFile, opts: &LinkOptions) -> Result<Circuit, BlifError> {
     match kiss_lower(file, opts.encoding)? {
-        Some(lowered) => flatten_nokiss(&lowered, opts),
-        None => flatten_nokiss(file, opts),
+        Some(lowered) => flatten_nokiss(&lowered),
+        None => flatten_nokiss(file),
     }
 }
 
@@ -153,55 +164,318 @@ fn graft(synth: BlifFile, into: &mut Interner, line: u32) -> Model {
     m
 }
 
-/// A flattened gate: resolved truth table over flat signal symbols.
-struct FlatGate {
-    /// Offset of the first input in [`Flat::pins`].
-    pins_at: usize,
-    num_pins: usize,
-    output: Symbol,
-    tt: TruthTable,
-    line: u32,
-}
-
-/// A flattened latch (FF with a three-valued initial state).
+/// A latch (FF with a three-valued initial state) between two flat
+/// signals.
 struct FlatLatch {
-    input: Symbol,
-    output: Symbol,
+    input: u32,
+    output: u32,
     init: Bit,
     line: u32,
 }
 
-#[derive(Default)]
-struct Flat {
-    names: Interner,
-    gates: Vec<FlatGate>,
-    /// Inputs of every flat gate, back to back.
-    pins: Vec<Symbol>,
-    latches: Vec<FlatLatch>,
+/// What drives a flat signal.
+#[derive(Clone, Copy)]
+enum Drv {
+    Pi(NodeId),
+    Gate(NodeId),
+    Latch(u32),
 }
 
-impl Flat {
-    fn gate_inputs(&self, g: &FlatGate) -> &[Symbol] {
-        &self.pins[g.pins_at..g.pins_at + g.num_pins]
+/// The names of flat signals. Ids below `symbols.len()` are the root's
+/// own symbols; id `symbols.len() + k` is local symbol `origins[k].1`
+/// of the instance whose path is number `origins[k].0`.
+struct FlatNames<'a> {
+    symbols: &'a Interner,
+    origins: Vec<(u32, Symbol)>,
+    /// The paths of instances that own a signal, back to back.
+    prefixes: String,
+    /// Path `p` is `prefixes[bounds[p]..bounds[p + 1]]`.
+    bounds: Vec<u32>,
+}
+
+impl FlatNames<'_> {
+    /// Appends the name of flat signal `id` to `out`.
+    fn push(&self, id: u32, out: &mut String) {
+        match (id as usize).checked_sub(self.symbols.len()) {
+            None => out.push_str(self.symbols.resolve(Symbol(id))),
+            Some(k) => {
+                let (p, local) = self.origins[k];
+                let (start, end) = (self.bounds[p as usize], self.bounds[p as usize + 1]);
+                out.push_str(&self.prefixes[start as usize..end as usize]);
+                out.push_str(self.symbols.resolve(local));
+            }
+        }
     }
 
-    fn push_gate(&mut self, pins_at: usize, output: Symbol, tt: TruthTable, line: u32) {
-        self.gates.push(FlatGate {
-            pins_at,
-            num_pins: self.pins.len() - pins_at,
-            output,
-            tt,
-            line,
-        });
+    fn name(&self, id: u32) -> String {
+        let mut s = String::new();
+        self.push(id, &mut s);
+        s
     }
 }
 
-/// A local symbol's flat symbol, which counts only while `stamp` is the
+/// A local symbol's flat signal, which counts only while `stamp` is the
 /// current instance's.
 #[derive(Clone, Copy)]
 struct Slot {
     stamp: u32,
-    flat: Symbol,
+    flat: u32,
+}
+
+/// The current instance at one depth below the root.
+struct Frame {
+    /// The flat signal of each local symbol of the file (none at the
+    /// root, whose symbols are flat signals).
+    slots: Vec<Slot>,
+    /// The instance's path number in [`FlatNames`], once a signal of
+    /// its own needs it.
+    prefix: Option<u32>,
+}
+
+/// One step of expanding a model, checked once.
+enum Step<'a> {
+    /// A gate node with table `tt` that drives `out` from the next
+    /// `tt.num_inputs()` signals of `Plan::actuals`.
+    Gate {
+        tt: TruthTable,
+        out: Symbol,
+        line: u32,
+    },
+    Latch {
+        d: Symbol,
+        q: Symbol,
+        init: Bit,
+        line: u32,
+    },
+    /// A `.subckt` of the model with this index.
+    Subckt(&'a Subckt, u32),
+}
+
+/// A model's expansion steps, and what one instance flattens to.
+struct Plan<'a> {
+    steps: Vec<Step<'a>>,
+    /// The input signals of every gate step, back to back.
+    actuals: Vec<Symbol>,
+    gates: u64,
+    pins: u64,
+}
+
+/// Checks and plans every model the link root reaches, once each, in
+/// the order elaboration meets them, so that every link error is found
+/// before any room is reserved for the design.
+struct Planner<'a> {
+    file: &'a BlifFile,
+    /// Model index of each symbol that names a model.
+    model_of: Vec<Option<u32>>,
+    plans: Vec<Option<Plan<'a>>>,
+    /// The models being planned, outermost first.
+    stack: Vec<usize>,
+    /// Per symbol, the number of the last `.subckt` that bound it.
+    bound: Vec<u32>,
+    /// `.subckt`s checked so far.
+    subckts: u32,
+}
+
+impl<'a> Planner<'a> {
+    /// The plan of every model that model `root` reaches (`None` for
+    /// the others).
+    fn run(file: &'a BlifFile, root: usize) -> Result<Vec<Option<Plan<'a>>>, BlifError> {
+        let syms = file.interner.len();
+        let mut planner = Planner {
+            file,
+            model_of: vec![None; syms],
+            plans: (0..file.models.len()).map(|_| None).collect(),
+            stack: Vec::new(),
+            bound: vec![0; syms],
+            subckts: 0,
+        };
+        for (i, m) in file.models.iter().enumerate() {
+            if let Some(s) = file.interner.get(&m.name) {
+                planner.model_of[s.index()] = Some(i as u32);
+            }
+        }
+        planner.plan(root)?;
+        Ok(planner.plans)
+    }
+
+    /// Plans model `mi` unless it has been, and returns its gate and pin
+    /// counts.
+    fn plan(&mut self, mi: usize) -> Result<(u64, u64), BlifError> {
+        if let Some(p) = &self.plans[mi] {
+            return Ok((p.gates, p.pins));
+        }
+        let file = self.file;
+        let model = &file.models[mi];
+        if self.stack.contains(&mi) {
+            let msg = format!("recursive instantiation of model `{}`", model.name);
+            return Err(diag(model.line, msg));
+        }
+        self.stack.push(mi);
+        // Every `.names` table is checked before the model's commands.
+        let tts: Vec<TruthTable> = (model.commands.iter())
+            .filter_map(|cmd| match cmd {
+                Command::Names(n) => Some(names_tt(model, n)),
+                _ => None,
+            })
+            .collect::<Result<_, _>>()?;
+        let mut tts = tts.into_iter();
+        let mut p = Plan {
+            steps: Vec::with_capacity(model.commands.len()),
+            actuals: Vec::new(),
+            gates: 0,
+            pins: 0,
+        };
+        for cmd in &model.commands {
+            let (tt, out, line) = match cmd {
+                Command::Names(n) => {
+                    p.actuals.extend_from_slice(n.inputs(model));
+                    (tts.next().expect("one table a block"), n.output, n.line)
+                }
+                Command::Conn { from, to, line } => {
+                    p.actuals.push(*from);
+                    (TruthTable::buf(), *to, *line)
+                }
+                Command::Gate(g) => {
+                    let (tt, out) = plan_gate(file, g, &mut p.actuals)?;
+                    (tt, out, g.line)
+                }
+                Command::Latch(l) => {
+                    p.steps.push(latch_step(l.input, l.output, l.init, l.line));
+                    continue;
+                }
+                Command::Mlatch(ml) => {
+                    let (d, q) = plan_mlatch(file, ml)?;
+                    p.steps.push(latch_step(d, q, ml.init, ml.line));
+                    continue;
+                }
+                Command::Subckt(s) => {
+                    let ci = self.child(s)?;
+                    let (gates, pins) = self.plan(ci)?;
+                    p.gates = p.gates.saturating_add(gates);
+                    p.pins = p.pins.saturating_add(pins);
+                    p.steps.push(Step::Subckt(s, ci as u32));
+                    continue;
+                }
+                Command::Kiss(k) => {
+                    // `flatten` lowers KISS blocks before linking; one
+                    // surviving here means the caller skipped lowering.
+                    return Err(diag(k.line, "unlowered KISS block at link time"));
+                }
+                Command::Attr { .. } | Command::Directive { .. } => continue,
+            };
+            p.gates = p.gates.saturating_add(1);
+            p.pins = p.pins.saturating_add(tt.num_inputs() as u64);
+            p.steps.push(Step::Gate { tt, out, line });
+        }
+        self.stack.pop();
+        let counts = (p.gates, p.pins);
+        self.plans[mi] = Some(p);
+        Ok(counts)
+    }
+
+    /// The model `.subckt` `s` instantiates, once its port bindings
+    /// check out.
+    fn child(&mut self, s: &Subckt) -> Result<usize, BlifError> {
+        let file = self.file;
+        let child_name = file.interner.resolve(s.model);
+        let err = |msg: String| Err(diag(s.line, msg));
+        let Some(ci) = self.model_of[s.model.index()].map(|i| i as usize) else {
+            return err(format!("unknown model `{child_name}`"));
+        };
+        let child = &file.models[ci];
+        if child.blackbox {
+            return err(format!(
+                "cannot flatten instantiation of blackbox `{child_name}`"
+            ));
+        }
+        self.subckts += 1;
+        for &(formal, _) in &s.conns {
+            let name = file.interner.resolve(formal);
+            if !child.inputs.contains(&formal) && !child.outputs.contains(&formal) {
+                return err(format!("`{name}` is not a port of model `{child_name}`"));
+            }
+            if std::mem::replace(&mut self.bound[formal.index()], self.subckts) == self.subckts {
+                return err(format!("port `{name}` bound twice"));
+            }
+        }
+        for &pin in &child.inputs {
+            if self.bound[pin.index()] != self.subckts {
+                let name = file.interner.resolve(pin);
+                return err(format!(
+                    "unconnected input `{name}` of model `{child_name}`"
+                ));
+            }
+        }
+        Ok(ci)
+    }
+}
+
+/// Pushes the input signals of `.gate` `g` onto `actuals` in its cell's
+/// order, and returns the cell's table and the output signal.
+fn plan_gate(
+    file: &BlifFile,
+    g: &LibGate,
+    actuals: &mut Vec<Symbol>,
+) -> Result<(TruthTable, Symbol), BlifError> {
+    let cell_name = file.interner.resolve(g.cell);
+    let err = |msg: String| Err(diag(g.line, msg));
+    let Some(cell) = lookup_cell(cell_name) else {
+        return err(format!("unknown library cell `{cell_name}`"));
+    };
+    let mut output = None;
+    let mut input_actual: Vec<Option<Symbol>> = vec![None; cell.inputs.len()];
+    for &(formal, actual) in &g.conns {
+        let pin = file.interner.resolve(formal);
+        if let Some(k) = cell.inputs.iter().position(|p| p.eq_ignore_ascii_case(pin)) {
+            input_actual[k] = Some(actual);
+        } else if pin.eq_ignore_ascii_case(cell.output) || is_output_pin(pin) {
+            if output.is_some() {
+                return err("multiple output pins on .gate".into());
+            }
+            output = Some(actual);
+        } else {
+            return err(format!("cell `{}` has no pin `{pin}`", cell.name));
+        }
+    }
+    let Some(output) = output else {
+        return err("missing output pin on .gate".into());
+    };
+    for (a, pin) in input_actual.into_iter().zip(cell.inputs) {
+        let Some(a) = a else {
+            return err(format!("unconnected input pin `{pin}` on `{}`", cell.name));
+        };
+        actuals.push(a);
+    }
+    Ok((cell.tt, output))
+}
+
+fn latch_step<'a>(d: Symbol, q: Symbol, init: Option<InitVal>, line: u32) -> Step<'a> {
+    let init = init.map_or(Bit::X, |v| v.to_bit());
+    Step::Latch { d, q, init, line }
+}
+
+/// The d and q signals of `.mlatch` `ml`.
+fn plan_mlatch(file: &BlifFile, ml: &Mlatch) -> Result<(Symbol, Symbol), BlifError> {
+    let cell_name = file.interner.resolve(ml.cell);
+    let err = |msg: String| Err(diag(ml.line, msg));
+    let Some(cell) = lookup_latch_cell(cell_name) else {
+        return err(format!("unknown latch cell `{cell_name}`"));
+    };
+    let (mut d, mut q) = (None, None);
+    for &(formal, actual) in &ml.conns {
+        let pin = file.interner.resolve(formal);
+        if pin.eq_ignore_ascii_case(cell.d) {
+            d = Some(actual);
+        } else if pin.eq_ignore_ascii_case(cell.q) {
+            q = Some(actual);
+        } else {
+            return err(format!("latch cell `{cell_name}` has no pin `{pin}`"));
+        }
+    }
+    match (d, q) {
+        (Some(d), Some(q)) => Ok((d, q)),
+        _ => err(".mlatch needs both d= and q= pins".into()),
+    }
 }
 
 /// One model instance being expanded.
@@ -216,315 +490,341 @@ struct Inst<'p> {
 
 struct Linker<'a> {
     file: &'a BlifFile,
-    /// Model index of each symbol that names a model.
-    model_of: Vec<Option<u32>>,
-    /// Per model: truth tables of its `.names` blocks, computed once.
-    tts: Vec<Option<Vec<TruthTable>>>,
-    flat: Flat,
-    /// Per depth below the root: the flat symbol of each local symbol
-    /// of the file (empty at the root, whose symbols are flat symbols).
-    frames: Vec<Vec<Slot>>,
+    /// Per model, its plan if the root reaches it.
+    plans: &'a [Option<Plan<'a>>],
+    c: Circuit,
+    /// The driver of each flat signal.
+    drivers: Vec<Option<Drv>>,
+    names: FlatNames<'a>,
+    /// Whether each root symbol names a primary output.
+    is_po: Vec<bool>,
+    /// Inputs of every gate node, back to back, as flat signals.
+    pins: Vec<u32>,
+    /// Per gate node: the end of its inputs in `pins`, and its line.
+    gates: Vec<(u32, u32)>,
+    latches: Vec<FlatLatch>,
+    /// The first driver conflict, reported once elaboration has ended
+    /// so that any link error takes precedence.
+    conflict: Option<BlifError>,
+    /// Per depth below the root (the root's is empty), its current
+    /// instance.
+    frames: Vec<Frame>,
     /// The last stamp handed out.
     stamp: u32,
-    /// Scratch for prefixed instance-local names.
-    buf: String,
+    /// Scratch for node names.
+    node_name: String,
 }
 
 fn diag(line: u32, msg: impl Into<String>) -> BlifError {
     Diag::new(line as usize, 1, msg).into()
 }
 
+fn build_error(line: u32, message: String) -> BlifError {
+    BlifError::Build(NetlistError::Parse {
+        line: line as usize,
+        message,
+    })
+}
+
 impl<'a> Linker<'a> {
-    fn new(file: &'a BlifFile) -> Linker<'a> {
-        let mut model_of = vec![None; file.interner.len()];
-        for (i, m) in file.models.iter().enumerate() {
-            if let Some(s) = file.interner.get(&m.name) {
-                model_of[s.index()] = Some(i as u32);
-            }
-        }
-        Linker {
+    /// A linker for root model `root_idx` whose circuit has room for
+    /// every node and edge and holds the primary inputs.
+    fn new(
+        file: &'a BlifFile,
+        plans: &'a [Option<Plan<'a>>],
+        root_idx: usize,
+    ) -> Result<Linker<'a>, BlifError> {
+        let root = &file.models[root_idx];
+        let syms = file.interner.len();
+        let mut linker = Linker {
             file,
-            model_of,
-            tts: vec![None; file.models.len()],
-            flat: Flat {
-                names: file.interner.clone(),
-                ..Flat::default()
+            plans,
+            c: Circuit::new(root.name.clone()),
+            drivers: vec![None; syms],
+            names: FlatNames {
+                symbols: &file.interner,
+                origins: Vec::new(),
+                prefixes: String::new(),
+                bounds: vec![0],
             },
-            frames: Vec::new(),
+            is_po: vec![false; syms],
+            pins: Vec::new(),
+            gates: Vec::new(),
+            latches: Vec::new(),
+            conflict: None,
+            frames: vec![Frame {
+                slots: Vec::new(),
+                prefix: None,
+            }],
             stamp: 0,
-            buf: String::new(),
+            node_name: String::new(),
+        };
+        for &s in &root.outputs {
+            linker.is_po[s.index()] = true;
         }
+        let plan = plans[root_idx].as_ref().expect("the root is planned");
+        let (gates, pins) = (plan.gates, plan.pins);
+        let (ins, outs) = (root.inputs.len() as u64, root.outputs.len() as u64);
+        let (nodes, edges) = (gates.saturating_add(ins + outs), pins.saturating_add(outs));
+        if nodes.max(edges) > u64::from(u32::MAX) {
+            return Err(diag(root.line, "design flattens to 2^32 nodes or more"));
+        }
+        // The circuit's name index is filled as it is made, so the
+        // tables that only take address space go first.
+        let reserved = (linker.pins.try_reserve_exact(pins as usize))
+            .and_then(|()| linker.gates.try_reserve_exact(gates as usize))
+            .and_then(|()| linker.c.reserve(nodes as usize, edges as usize));
+        if reserved.is_err() {
+            return Err(diag(
+                root.line,
+                format!("no memory for a design of {nodes} nodes and {edges} edges"),
+            ));
+        }
+        linker.conflict = linker.add_inputs(root).err();
+        Ok(linker)
     }
 
-    fn ensure_tts(&mut self, mi: usize) -> Result<(), BlifError> {
-        if self.tts[mi].is_some() {
-            return Ok(());
-        }
-        let model = &self.file.models[mi];
-        let mut tts = Vec::new();
-        for cmd in &model.commands {
-            if let Command::Names(n) = cmd {
-                tts.push(names_tt(model, n)?);
+    fn add_inputs(&mut self, root: &Model) -> Result<(), BlifError> {
+        for &sym in &root.inputs {
+            if self.drivers[sym.index()].is_some() {
+                let name = self.file.interner.resolve(sym);
+                return Err(diag(root.line, format!("duplicate input `{name}`")));
             }
+            self.name_node(sym.0);
+            self.drivers[sym.index()] = Some(Drv::Pi(self.c.add_input(&self.node_name)?));
         }
-        self.tts[mi] = Some(tts);
         Ok(())
     }
 
-    /// A fresh instance at `depth`, declared on `line`.
-    fn instance<'p>(
-        &mut self,
-        depth: usize,
-        prefix: &'p str,
-        line: u32,
-    ) -> Result<Inst<'p>, BlifError> {
-        while self.frames.len() <= depth {
-            let syms = if self.frames.is_empty() {
-                0
-            } else {
-                self.file.interner.len()
-            };
-            // Stamps start at 1, so stamp 0 marks an empty slot.
-            let empty = Slot {
-                stamp: 0,
-                flat: Symbol(0),
-            };
-            self.frames.push(vec![empty; syms]);
+    /// Sets `node_name` to the sanitised name of flat signal `id`, with
+    /// a `$g` suffix when a primary output has that name: the signal's
+    /// own, or one that an instance's signal spells.
+    fn name_node(&mut self, id: u32) {
+        self.node_name.clear();
+        self.names.push(id, &mut self.node_name);
+        let root_sym = match (id as usize) < self.is_po.len() {
+            true => Some(Symbol(id)),
+            false => self.file.interner.get(&self.node_name),
+        };
+        let po = root_sym.is_some_and(|s| self.is_po[s.index()]);
+        if let Cow::Owned(name) = sanitize(&self.node_name) {
+            self.node_name = name;
         }
-        self.stamp = self
-            .stamp
-            .checked_add(1)
-            .ok_or_else(|| diag(line, "more than 2^32 model instances"))?;
-        Ok(Inst {
-            depth,
-            stamp: self.stamp,
-            prefix,
-        })
+        if po {
+            self.node_name.push_str("$g");
+        }
     }
 
-    /// The flat symbol for a model-local signal inside one instance. The
-    /// root's names are the file's own symbols.
-    fn flat_sym(&mut self, inst: Inst<'_>, local: Symbol) -> Symbol {
+    /// The flat signal of a model-local symbol inside one instance. The
+    /// root's signals are the file's own symbols; any other gets the
+    /// next id.
+    fn flat_id(&mut self, inst: Inst<'_>, local: Symbol) -> u32 {
         if inst.depth == 0 {
-            return local;
+            return local.0;
         }
-        let slot = &mut self.frames[inst.depth][local.index()];
+        let frame = &mut self.frames[inst.depth];
+        let slot = frame.slots[local.index()];
         if slot.stamp == inst.stamp {
             return slot.flat;
         }
-        self.buf.clear();
-        self.buf.push_str(inst.prefix);
-        self.buf.push_str(self.file.interner.resolve(local));
-        let s = self.flat.names.intern(&self.buf);
-        self.frames[inst.depth][local.index()] = Slot {
+        let names = &mut self.names;
+        let prefix = *frame.prefix.get_or_insert_with(|| {
+            names.prefixes.push_str(inst.prefix);
+            let end = u32::try_from(names.prefixes.len()).expect("instance paths < 4 GiB");
+            names.bounds.push(end);
+            (names.bounds.len() - 2) as u32
+        });
+        let id = u32::try_from(self.drivers.len()).expect("< 2^32 flat signals");
+        self.drivers.push(None);
+        names.origins.push((prefix, local));
+        frame.slots[local.index()] = Slot {
             stamp: inst.stamp,
-            flat: s,
+            flat: id,
         };
-        s
+        id
+    }
+
+    /// Adds the gate node that drives flat signal `out` from the inputs
+    /// pushed onto `pins` since the last gate.
+    fn add_gate(&mut self, out: u32, tt: &TruthTable, line: u32) {
+        self.gates.push((self.pins.len() as u32, line));
+        if self.conflict.is_none() {
+            self.conflict = self.try_add_gate(out, tt, line).err();
+        }
+    }
+
+    fn try_add_gate(&mut self, out: u32, tt: &TruthTable, line: u32) -> Result<(), BlifError> {
+        if let Some(d) = self.drivers[out as usize] {
+            let sig = self.names.name(out);
+            return Err(build_error(
+                line,
+                match d {
+                    Drv::Pi(_) => format!("signal `{sig}` driven by both .inputs and .names"),
+                    _ => format!("signal `{sig}` has multiple drivers"),
+                },
+            ));
+        }
+        self.name_node(out);
+        // A taken name gets more `$g`s; the circuit's own name lookup
+        // says so.
+        let id = loop {
+            match self.c.add_gate(&self.node_name, tt.clone()) {
+                Ok(id) => break id,
+                Err(NetlistError::DuplicateName(_)) => self.node_name.push_str("$g"),
+                Err(e) => return Err(e.into()),
+            }
+        };
+        self.drivers[out as usize] = Some(Drv::Gate(id));
+        Ok(())
     }
 
     /// Expands model `mi` as instance `inst`, whose port bindings are
     /// already in its table.
-    fn expand(
-        &mut self,
-        mi: usize,
-        inst: Inst<'_>,
-        stack: &mut Vec<usize>,
-    ) -> Result<(), BlifError> {
-        if stack.contains(&mi) {
-            return Err(diag(
-                self.file.models[mi].line,
-                format!(
-                    "recursive instantiation of model `{}`",
-                    self.file.models[mi].name
-                ),
-            ));
-        }
-        stack.push(mi);
-        self.ensure_tts(mi)?;
-        let file = self.file;
-        let model = &file.models[mi];
-        let mut names_seen = 0usize;
-        let mut ords = vec![0; file.models.len()];
-        for cmd in &model.commands {
-            match cmd {
-                Command::Names(n) => {
-                    let tt = self.tts[mi].as_ref().expect("ensured")[names_seen].clone();
-                    names_seen += 1;
-                    let at = self.flat.pins.len();
-                    for &s in n.inputs(model) {
-                        let f = self.flat_sym(inst, s);
-                        self.flat.pins.push(f);
+    fn expand(&mut self, mi: usize, inst: Inst<'_>) -> Result<(), BlifError> {
+        let plans = self.plans;
+        let plan = plans[mi].as_ref().expect("the planner reached the model");
+        let mut ords = vec![0; self.file.models.len()];
+        let mut actuals = plan.actuals.iter();
+        for step in &plan.steps {
+            match *step {
+                Step::Gate { ref tt, out, line } => {
+                    for &s in actuals.by_ref().take(tt.num_inputs()) {
+                        let f = self.flat_id(inst, s);
+                        self.pins.push(f);
                     }
-                    let output = self.flat_sym(inst, n.output);
-                    self.flat.push_gate(at, output, tt, n.line);
+                    let out = self.flat_id(inst, out);
+                    self.add_gate(out, tt, line);
                 }
-                Command::Conn { from, to, line } => {
-                    let at = self.flat.pins.len();
-                    let from = self.flat_sym(inst, *from);
-                    self.flat.pins.push(from);
-                    let to = self.flat_sym(inst, *to);
-                    self.flat.push_gate(at, to, TruthTable::buf(), *line);
-                }
-                Command::Latch(l) => {
-                    let input = self.flat_sym(inst, l.input);
-                    let output = self.flat_sym(inst, l.output);
-                    self.flat.latches.push(FlatLatch {
+                Step::Latch { d, q, init, line } => {
+                    let (input, output) = (self.flat_id(inst, d), self.flat_id(inst, q));
+                    let latch = FlatLatch {
                         input,
                         output,
-                        init: l.init.map_or(Bit::X, |v| v.to_bit()),
-                        line: l.line,
-                    });
-                }
-                Command::Gate(g) => {
-                    let cell_name = file.interner.resolve(g.cell);
-                    let Some(cell) = lookup_cell(cell_name) else {
-                        return Err(diag(g.line, format!("unknown library cell `{cell_name}`")));
+                        init,
+                        line,
                     };
-                    let mut output = None;
-                    let mut input_actual: Vec<Option<Symbol>> = vec![None; cell.inputs.len()];
-                    for &(formal, actual) in &g.conns {
-                        let pin = file.interner.resolve(formal);
-                        if let Some(k) =
-                            cell.inputs.iter().position(|p| p.eq_ignore_ascii_case(pin))
-                        {
-                            input_actual[k] = Some(actual);
-                        } else if pin.eq_ignore_ascii_case(cell.output) || is_output_pin(pin) {
-                            if output.is_some() {
-                                return Err(diag(g.line, "multiple output pins on .gate"));
-                            }
-                            output = Some(actual);
-                        } else {
-                            return Err(diag(
-                                g.line,
-                                format!("cell `{}` has no pin `{pin}`", cell.name),
-                            ));
-                        }
-                    }
-                    let Some(output) = output else {
-                        return Err(diag(g.line, "missing output pin on .gate"));
-                    };
-                    let at = self.flat.pins.len();
-                    for (k, a) in input_actual.into_iter().enumerate() {
-                        let Some(a) = a else {
-                            return Err(diag(
-                                g.line,
-                                format!(
-                                    "unconnected input pin `{}` on `{}`",
-                                    cell.inputs[k], cell.name
-                                ),
-                            ));
-                        };
-                        let f = self.flat_sym(inst, a);
-                        self.flat.pins.push(f);
-                    }
-                    let output = self.flat_sym(inst, output);
-                    self.flat.push_gate(at, output, cell.tt.clone(), g.line);
+                    self.latches.push(latch);
                 }
-                Command::Mlatch(ml) => {
-                    let cell_name = file.interner.resolve(ml.cell);
-                    let Some(cell) = lookup_latch_cell(cell_name) else {
-                        return Err(diag(ml.line, format!("unknown latch cell `{cell_name}`")));
-                    };
-                    let (mut d, mut q) = (None, None);
-                    for &(formal, actual) in &ml.conns {
-                        let pin = file.interner.resolve(formal);
-                        if pin.eq_ignore_ascii_case(cell.d) {
-                            d = Some(actual);
-                        } else if pin.eq_ignore_ascii_case(cell.q) {
-                            q = Some(actual);
-                        } else {
-                            return Err(diag(
-                                ml.line,
-                                format!("latch cell `{cell_name}` has no pin `{pin}`"),
-                            ));
-                        }
-                    }
-                    let (Some(d), Some(q)) = (d, q) else {
-                        return Err(diag(ml.line, ".mlatch needs both d= and q= pins"));
-                    };
-                    let input = self.flat_sym(inst, d);
-                    let output = self.flat_sym(inst, q);
-                    self.flat.latches.push(FlatLatch {
-                        input,
-                        output,
-                        init: ml.init.map_or(Bit::X, |v| v.to_bit()),
-                        line: ml.line,
-                    });
-                }
-                Command::Subckt(s) => self.subckt(s, inst, &mut ords, stack)?,
-                Command::Kiss(k) => {
-                    // `flatten` lowers KISS blocks before expansion; one
-                    // surviving here means the caller skipped lowering.
-                    return Err(diag(k.line, "unlowered KISS block at link time"));
-                }
-                Command::Attr { .. } | Command::Directive { .. } => {}
+                Step::Subckt(s, ci) => self.subckt(s, ci as usize, inst, &mut ords)?,
             }
         }
-        stack.pop();
         Ok(())
     }
 
-    /// Binds the ports of `.subckt` `s` inside instance `inst` and
-    /// expands the child model. `ords` counts `inst`'s instances of
-    /// each model so far.
+    /// Binds the ports of `.subckt` `s`, an instance of model `ci`
+    /// inside instance `inst`, and expands it. `ords` counts `inst`'s
+    /// instances of each model so far.
     fn subckt(
         &mut self,
         s: &Subckt,
+        ci: usize,
         inst: Inst<'_>,
         ords: &mut [u32],
-        stack: &mut Vec<usize>,
     ) -> Result<(), BlifError> {
         let file = self.file;
         let child_name = file.interner.resolve(s.model);
-        let Some(ci) = self.model_of[s.model.index()].map(|i| i as usize) else {
-            return Err(diag(s.line, format!("unknown model `{child_name}`")));
-        };
-        let child = &file.models[ci];
-        if child.blackbox {
-            return Err(diag(
-                s.line,
-                format!("cannot flatten instantiation of blackbox `{child_name}`"),
-            ));
-        }
-        let child_prefix = format!("{}{child_name}${}.", inst.prefix, ords[ci]);
+        let prefix = format!("{}{child_name}${}.", inst.prefix, ords[ci]);
         ords[ci] += 1;
-        let sub = self.instance(inst.depth + 1, &child_prefix, s.line)?;
+        let depth = inst.depth + 1;
+        if self.frames.len() == depth {
+            // Stamps start at 1, so stamp 0 marks an empty slot.
+            let slots = vec![Slot { stamp: 0, flat: 0 }; file.interner.len()];
+            self.frames.push(Frame {
+                slots,
+                prefix: None,
+            });
+        }
+        self.frames[depth].prefix = None;
+        self.stamp = (self.stamp.checked_add(1))
+            .ok_or_else(|| diag(s.line, "more than 2^32 model instances"))?;
+        let sub = Inst {
+            depth,
+            stamp: self.stamp,
+            prefix: &prefix,
+        };
         for &(formal, actual) in &s.conns {
-            if !child.inputs.contains(&formal) && !child.outputs.contains(&formal) {
-                return Err(diag(
-                    s.line,
-                    format!(
-                        "`{}` is not a port of model `{child_name}`",
-                        file.interner.resolve(formal)
-                    ),
-                ));
-            }
-            let flat = self.flat_sym(inst, actual);
-            let slot = &mut self.frames[sub.depth][formal.index()];
-            if slot.stamp == sub.stamp {
-                return Err(diag(
-                    s.line,
-                    format!("port `{}` bound twice", file.interner.resolve(formal)),
-                ));
-            }
-            *slot = Slot {
+            let flat = self.flat_id(inst, actual);
+            self.frames[depth].slots[formal.index()] = Slot {
                 stamp: sub.stamp,
                 flat,
             };
         }
-        for &pin in &child.inputs {
-            if self.frames[sub.depth][pin.index()].stamp != sub.stamp {
-                return Err(diag(
-                    s.line,
-                    format!(
-                        "unconnected input `{}` of model `{child_name}`",
-                        file.interner.resolve(pin)
-                    ),
-                ));
-            }
+        self.expand(ci, sub)
+    }
+
+    /// Folds the latches onto FF chains, connects every gate's pins in
+    /// node order and adds the primary outputs of `root`.
+    fn finish(mut self, root: &Model) -> Result<Circuit, BlifError> {
+        if let Some(e) = self.conflict.take() {
+            return Err(e);
         }
-        self.expand(ci, sub, stack)
+        for (li, l) in self.latches.iter().enumerate() {
+            let what = match self.drivers[l.output as usize] {
+                Some(Drv::Pi(_) | Drv::Gate(_)) => "shadows an existing driver",
+                Some(Drv::Latch(_)) => "has multiple drivers",
+                None => {
+                    self.drivers[l.output as usize] = Some(Drv::Latch(li as u32));
+                    continue;
+                }
+            };
+            let sig = self.names.name(l.output);
+            return Err(build_error(l.line, format!("latch output `{sig}` {what}")));
+        }
+
+        // Resolves a signal to its driving node plus the FF chain
+        // (source→sink order) accumulated through latches. Iterative —
+        // the step guard bounds latch-only cycles.
+        let resolve = |id: u32, use_line: u32| -> Result<(NodeId, Vec<Bit>), BlifError> {
+            let mut chain: Vec<Bit> = Vec::new();
+            let mut cur = id;
+            let mut line = use_line;
+            loop {
+                match self.drivers[cur as usize] {
+                    Some(Drv::Pi(n) | Drv::Gate(n)) => {
+                        chain.reverse();
+                        return Ok((n, chain));
+                    }
+                    Some(Drv::Latch(li)) => {
+                        let l = &self.latches[li as usize];
+                        chain.push(l.init);
+                        line = l.line;
+                        cur = l.input;
+                        if chain.len() > self.latches.len() {
+                            let sig = self.names.name(id);
+                            return Err(build_error(
+                                line,
+                                format!("latch cycle through `{sig}` with no logic"),
+                            ));
+                        }
+                    }
+                    None => {
+                        return Err(BlifError::Build(NetlistError::UndefinedSignal {
+                            signal: self.names.name(cur),
+                            line: line as usize,
+                        }))
+                    }
+                }
+            }
+        };
+
+        let mut at = 0;
+        for (g, &(end, line)) in self.gates.iter().enumerate() {
+            let node = NodeId((root.inputs.len() + g) as u32);
+            for &sig in &self.pins[at..end as usize] {
+                let (src, chain) = resolve(sig, line)?;
+                self.c.connect(src, node, chain)?;
+            }
+            at = end as usize;
+        }
+        for (k, &sym) in root.outputs.iter().enumerate() {
+            let line = root.output_lines.get(k).copied().unwrap_or(root.line);
+            let po = self
+                .c
+                .add_output(sanitize(self.names.symbols.resolve(sym)))?;
+            let (src, chain) = resolve(sym.0, line)?;
+            self.c.connect(src, po, chain)?;
+        }
+        Ok(self.c)
     }
 }
 
@@ -577,176 +877,22 @@ fn names_tt(model: &Model, block: &Names) -> Result<TruthTable, BlifError> {
     }))
 }
 
-fn flatten_nokiss(file: &BlifFile, opts: &LinkOptions) -> Result<Circuit, BlifError> {
-    let root_idx = match &opts.root {
-        Some(name) => match file.models.iter().position(|m| &m.name == name) {
-            Some(i) => i,
-            None => {
-                return Err(Diag::new(0, 0, format!("link root model `{name}` not found")).into())
-            }
-        },
-        None => match file.models.iter().position(|m| !m.blackbox) {
-            Some(i) => i,
-            None => return Err(Diag::new(0, 0, "no non-blackbox model to link").into()),
-        },
+fn flatten_nokiss(file: &BlifFile) -> Result<Circuit, BlifError> {
+    let Some(root_idx) = file.models.iter().position(|m| !m.blackbox) else {
+        return Err(Diag::new(0, 0, "no non-blackbox model to link").into());
     };
-    let mut linker = Linker::new(file);
-    let mut stack = Vec::new();
-    let root = linker.instance(0, "", file.models[root_idx].line)?;
-    linker.expand(root_idx, root, &mut stack)?;
-    build(file, root_idx, linker.flat)
-}
-
-/// What drives a flat signal.
-#[derive(Clone, Copy)]
-enum Drv {
-    Pi(NodeId),
-    Gate(NodeId),
-    Latch(u32),
-}
-
-/// Builds the retiming-graph circuit from flat gate/latch lists (latch
-/// folding, `$g` suffixes for PO-name collisions). The root model's
-/// port symbols are flat symbols.
-fn build(file: &BlifFile, root_idx: usize, flat: Flat) -> Result<Circuit, BlifError> {
     let root = &file.models[root_idx];
-    let mut c = Circuit::new(root.name.clone());
-    let mut is_po = vec![false; flat.names.len()];
-    for &s in &root.outputs {
-        is_po[s.index()] = true;
-    }
-
-    let mut drivers: Vec<Option<Drv>> = vec![None; flat.names.len()];
-    c.reserve(
-        root.inputs.len() + flat.gates.len() + root.outputs.len(),
-        flat.pins.len() + root.outputs.len(),
-    );
-
-    // Scratch for node names, which may take `$g` suffixes.
-    let mut node_name = String::new();
-    for &sym in &root.inputs {
-        let name = flat.names.resolve(sym);
-        if drivers[sym.index()].is_some() {
-            return Err(diag(root.line, format!("duplicate input `{name}`")));
-        }
-        node_name.clear();
-        node_name.push_str(&sanitize(name));
-        if is_po[sym.index()] {
-            node_name.push_str("$g");
-        }
-        drivers[sym.index()] = Some(Drv::Pi(c.add_input(&node_name)?));
-    }
-
-    for g in &flat.gates {
-        let sig = flat.names.resolve(g.output);
-        match drivers[g.output.index()] {
-            Some(Drv::Pi(_)) => {
-                return Err(BlifError::Build(NetlistError::Parse {
-                    line: g.line as usize,
-                    message: format!("signal `{sig}` driven by both .inputs and .names"),
-                }));
-            }
-            Some(_) => {
-                return Err(BlifError::Build(NetlistError::Parse {
-                    line: g.line as usize,
-                    message: format!("signal `{sig}` has multiple drivers"),
-                }));
-            }
-            None => {}
-        }
-        node_name.clear();
-        node_name.push_str(&sanitize(sig));
-        if is_po[g.output.index()] {
-            node_name.push_str("$g");
-        }
-        // A taken name gets more `$g`s; the circuit's own name lookup
-        // says so.
-        let id = loop {
-            match c.add_gate(&node_name, g.tt.clone()) {
-                Ok(id) => break id,
-                Err(NetlistError::DuplicateName(_)) => node_name.push_str("$g"),
-                Err(e) => return Err(e.into()),
-            }
-        };
-        drivers[g.output.index()] = Some(Drv::Gate(id));
-    }
-
-    for (li, l) in flat.latches.iter().enumerate() {
-        let sig = flat.names.resolve(l.output);
-        match drivers[l.output.index()] {
-            Some(Drv::Pi(_) | Drv::Gate(_)) => {
-                return Err(BlifError::Build(NetlistError::Parse {
-                    line: l.line as usize,
-                    message: format!("latch output `{sig}` shadows an existing driver"),
-                }));
-            }
-            Some(Drv::Latch(_)) => {
-                return Err(BlifError::Build(NetlistError::Parse {
-                    line: l.line as usize,
-                    message: format!("latch output `{sig}` has multiple drivers"),
-                }));
-            }
-            None => {}
-        }
-        drivers[l.output.index()] = Some(Drv::Latch(li as u32));
-    }
-
-    // Resolves a signal to its driving node plus the FF chain
-    // (source→sink order) accumulated through latches. Iterative — the
-    // step guard bounds latch-only cycles.
-    let resolve = |sym: Symbol, use_line: u32| -> Result<(NodeId, Vec<Bit>), BlifError> {
-        let mut chain: Vec<Bit> = Vec::new();
-        let mut cur = sym;
-        let mut line = use_line;
-        let mut steps = 0usize;
-        loop {
-            match drivers.get(cur.index()).copied().flatten() {
-                Some(Drv::Pi(n) | Drv::Gate(n)) => {
-                    chain.reverse();
-                    return Ok((n, chain));
-                }
-                Some(Drv::Latch(li)) => {
-                    let l = &flat.latches[li as usize];
-                    chain.push(l.init);
-                    line = l.line;
-                    cur = l.input;
-                    steps += 1;
-                    if steps > flat.latches.len() {
-                        return Err(BlifError::Build(NetlistError::Parse {
-                            line: line as usize,
-                            message: format!(
-                                "latch cycle through `{}` with no logic",
-                                flat.names.resolve(sym)
-                            ),
-                        }));
-                    }
-                }
-                None => {
-                    return Err(BlifError::Build(NetlistError::UndefinedSignal {
-                        signal: flat.names.resolve(cur).to_string(),
-                        line: line as usize,
-                    }))
-                }
-            }
-        }
+    let plans = Planner::run(file, root_idx)?;
+    let mut linker = Linker::new(file, &plans, root_idx)?;
+    let inst = Inst {
+        depth: 0,
+        stamp: 0,
+        prefix: "",
     };
-
-    for g in &flat.gates {
-        let Some(Drv::Gate(node)) = drivers[g.output.index()] else {
-            unreachable!("every flat gate drives its output");
-        };
-        for &sig in flat.gate_inputs(g) {
-            let (src, chain) = resolve(sig, g.line)?;
-            c.connect(src, node, chain)?;
-        }
-    }
-    for (k, &sym) in root.outputs.iter().enumerate() {
-        let name = flat.names.resolve(sym);
-        let line = root.output_lines.get(k).copied().unwrap_or(root.line);
-        let po = c.add_output(sanitize(name))?;
-        let (src, chain) = resolve(sym, line)?;
-        c.connect(src, po, chain)?;
-    }
+    linker.expand(root_idx, inst)?;
+    // Trimmed after the linker's tables are freed, so the copies that
+    // shrinking makes never add to their peak.
+    let mut c = linker.finish(root)?;
     c.shrink_to_fit();
     Ok(c)
 }
@@ -881,6 +1027,39 @@ mod tests {
         assert!(e.to_string().contains("unconnected input `y`"), "{e}");
     }
 
+    /// A root over a chain of `levels` models, each instantiating the
+    /// next twice, down to one gate: 2^`levels` gates.
+    fn doubling(levels: usize) -> String {
+        let mut src = String::from(".model top\n.inputs a\n.outputs z\n.subckt m0 x=a y=z\n.end\n");
+        for l in 0..levels {
+            let next = l + 1;
+            src.push_str(&format!(
+                ".model m{l}\n.inputs x\n.outputs y\n\
+                 .subckt m{next} x=x y=t\n.subckt m{next} x=t y=y\n.end\n"
+            ));
+        }
+        src.push_str(&format!(
+            ".model m{levels}\n.inputs x\n.outputs y\n.names x y\n0 1\n.end\n"
+        ));
+        src
+    }
+
+    #[test]
+    fn huge_designs_fail_before_reserving() {
+        // 2^31 gates would take some 128 GiB of nodes: the link error
+        // must come first, wherever elaboration would meet it.
+        let bomb = doubling(31);
+        let leaf = bomb.replace(".names x y\n0 1\n", ".subckt missing\n");
+        let root = bomb.replace("y=z\n", "y=z\n.subckt missing\n");
+        for src in [leaf, root] {
+            let e = flatten(&parse_str(&src).unwrap(), &LinkOptions::default()).unwrap_err();
+            assert!(e.to_string().contains("unknown model `missing`"), "{e}");
+        }
+        let e = flatten(&parse_str(&doubling(32)).unwrap(), &LinkOptions::default()).unwrap_err();
+        assert!(e.to_string().contains("2^32 nodes or more"), "{e}");
+        assert_eq!(read(&doubling(3)).num_gates(), 8);
+    }
+
     #[test]
     fn recursion_rejected() {
         let src = "\
@@ -927,26 +1106,8 @@ mod tests {
 1 1
 .end
 ";
-        let f = parse_str(src).unwrap();
-        let c = flatten(&f, &LinkOptions::default()).unwrap();
+        let c = read(src);
         assert_eq!(c.name(), "real");
-        let c2 = flatten(
-            &f,
-            &LinkOptions {
-                root: Some("real".into()),
-                ..LinkOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(c2.name(), "real");
-        assert!(flatten(
-            &f,
-            &LinkOptions {
-                root: Some("nope".into()),
-                ..LinkOptions::default()
-            }
-        )
-        .is_err());
     }
 
     #[test]
@@ -967,6 +1128,37 @@ mod tests {
             }
             other => panic!("expected UndefinedSignal, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn root_names_never_alias_instance_wires() {
+        // BLIF has no hierarchical references: the root's `and$0.t` is
+        // not the wire `t` of instance `and$0`.
+        let top = ".model top\n.inputs a b\n.outputs z\n.subckt and x=a y=b o=u\n";
+        let and =
+            ".model and\n.inputs x y\n.outputs o\n.names x y t\n11 1\n.names t o\n1 1\n.end\n";
+        let src = format!("{top}.names and$0.t u z\n11 1\n.end\n{and}");
+        match flatten(&parse_str(&src).unwrap(), &LinkOptions::default()) {
+            Err(BlifError::Build(NetlistError::UndefinedSignal { signal, line })) => {
+                assert_eq!((signal.as_str(), line), ("and$0.t", 5));
+            }
+            other => panic!("expected UndefinedSignal, got {other:?}"),
+        }
+        // Driven in the root, it is a gate of its own, not a second driver.
+        let c = read(&format!(
+            "{top}.names a and$0.t\n0 1\n.names and$0.t u z\n11 1\n.end\n{and}"
+        ));
+        assert_eq!(c.num_gates(), 4);
+        assert_eq!(c.node(c.find("and$0.t").unwrap()).fanin().len(), 2);
+        let outer = c.node(c.find("and$0.t$g").unwrap());
+        assert_eq!(c.edge(outer.fanin()[0]).from(), c.find("a").unwrap());
+        // As a primary output's name, it stays the output's.
+        let top = top.replace(".outputs z", ".outputs and$0.t u");
+        let c = read(&format!("{top}.names a and$0.t\n0 1\n.end\n{and}"));
+        assert_eq!(c.num_gates(), 3);
+        let po = c.node(c.find("and$0.t").unwrap());
+        let driver = c.node(c.edge(po.fanin()[0]).from());
+        assert!(po.is_output() && driver.fanin().len() == 1);
     }
 
     #[test]

@@ -8,8 +8,8 @@
 
 use crate::ast::*;
 use crate::diag::{BlifError, Diag};
-use crate::intern::Interner;
 use crate::scan::{LineBuf, Scanner, DEFAULT_CHUNK};
+use crate::{Interner, Symbol};
 use netlist::MAX_INPUTS;
 use std::io::Read;
 use std::path::Path;
@@ -332,7 +332,7 @@ impl Parser {
         })
     }
 
-    fn control_symbol(&mut self, tok: &str) -> Option<crate::intern::Symbol> {
+    fn control_symbol(&mut self, tok: &str) -> Option<Symbol> {
         if tok == "NIL" {
             None
         } else {
@@ -345,7 +345,7 @@ impl Parser {
         lb: &LineBuf,
         from: usize,
         to: usize,
-    ) -> Result<Vec<(crate::intern::Symbol, crate::intern::Symbol)>, Diag> {
+    ) -> Result<Vec<(Symbol, Symbol)>, Diag> {
         let mut conns = Vec::with_capacity(to.saturating_sub(from));
         for i in from..to {
             let tok = lb.tok(i);

@@ -225,8 +225,6 @@ pub struct Scanner<R: Read> {
     /// Bytes of the current physical line kept in the line buffer's
     /// `src` (capped, for diagnostics).
     kept: usize,
-    /// Total bytes read from `src`.
-    read: u64,
 }
 
 impl<R: Read> Scanner<R> {
@@ -247,13 +245,7 @@ impl<R: Read> Scanner<R> {
             line: 1,
             col: 1,
             kept: 0,
-            read: 0,
         }
-    }
-
-    /// Total bytes consumed so far.
-    pub fn bytes_consumed(&self) -> u64 {
-        self.read - (self.len - self.pos) as u64
     }
 
     /// Refills an exhausted chunk; leaves it empty at end of input.
@@ -264,7 +256,6 @@ impl<R: Read> Scanner<R> {
         let n = self.src.read(&mut self.chunk)?;
         self.pos = 0;
         self.len = n;
-        self.read += n as u64;
         if n == 0 {
             self.eof = true;
         }

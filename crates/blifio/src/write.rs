@@ -10,7 +10,7 @@
 //! `tests/golden/` pins the bytes `write_circuit` produces.
 
 use crate::ast::*;
-use crate::intern::{Interner, Symbol};
+use crate::{Interner, Symbol};
 use netlist::{Bit, Circuit, EdgeId};
 use std::borrow::Cow;
 use std::fmt::Write as _;

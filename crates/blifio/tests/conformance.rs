@@ -316,7 +316,6 @@ fn onehot_encoding_changes_register_count() {
         &f,
         &LinkOptions {
             encoding: Encoding::OneHot,
-            ..LinkOptions::default()
         },
     )
     .unwrap();

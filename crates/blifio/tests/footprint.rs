@@ -13,6 +13,11 @@ static ALLOC: mem::CountingAlloc = mem::CountingAlloc::new();
 /// text and the name index (about 165 B on a generated hierarchy).
 const MAX_BYTES_PER_NODE: f64 = 180.0;
 
+/// Heap `flatten` may hold above the parsed file and the circuit it
+/// returns, relative to the circuit (about 0.4 on a generated
+/// hierarchy).
+const MAX_TRANSIENT_RATIO: f64 = 0.5;
+
 #[test]
 fn flattened_circuit_heap_per_node_is_bounded() {
     let spec = LargeSpec {
@@ -25,22 +30,30 @@ fn flattened_circuit_heap_per_node_is_bounded() {
     };
     let text = workloads::hier_to_string(&spec);
     mem::set_enabled(true);
-    let before = mem::thread_live();
     let file = blifio::parse_str(&text).expect("generated BLIF parses");
+    let before = mem::thread_live();
+    mem::job_mark();
     let c = blifio::flatten(&file, &blifio::LinkOptions::default()).expect("flattens");
-    drop(file);
     let bytes = mem::thread_live().saturating_sub(before);
+    let transient = mem::thread_peak().saturating_sub(before + bytes);
     mem::set_enabled(false);
+    drop(file);
 
     assert_eq!(c.num_gates(), spec.flat_gates());
     let per_node = bytes as f64 / c.num_nodes() as f64;
+    let ratio = transient as f64 / bytes as f64;
     println!(
-        "{} nodes, {} edges: {bytes} B live, {per_node:.1} B per node",
+        "{} nodes, {} edges: {bytes} B live, {per_node:.1} B per node, \
+         {transient} B transient ({ratio:.2} of the circuit)",
         c.num_nodes(),
         c.num_edges()
     );
     assert!(
         per_node <= MAX_BYTES_PER_NODE,
         "circuit holds {per_node:.1} B per node (bound {MAX_BYTES_PER_NODE})"
+    );
+    assert!(
+        ratio <= MAX_TRANSIENT_RATIO,
+        "flatten peaks {ratio:.2} of the circuit above it (bound {MAX_TRANSIENT_RATIO})"
     );
 }

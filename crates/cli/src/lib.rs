@@ -252,16 +252,41 @@ pub fn load_circuit(args: &Args) -> Result<Circuit, String> {
 }
 
 /// Loads a circuit from an input specification (path, `-`, or
-/// `gen:<preset>`) — the shared front door of `map`, `explain` and
-/// `stats`.
+/// `gen:<preset>`) — the shared front door of `map`, `explain`, `batch`
+/// and `serve`; `stats` reads its input the same way.
 ///
 /// # Errors
 ///
 /// Returns a human-readable message on I/O, parse or synthesis errors.
 pub fn load_input(input: &str, onehot: bool) -> Result<Circuit, String> {
+    let link = link_options(onehot);
+    match read_input(input, link.encoding)? {
+        Input::Circuit(c) => Ok(c),
+        Input::Blif(file) => flatten_blif(file, &link),
+    }
+}
+
+fn link_options(onehot: bool) -> blifio::LinkOptions {
+    let encoding = if onehot {
+        workloads::Encoding::OneHot
+    } else {
+        workloads::Encoding::Binary
+    };
+    blifio::LinkOptions { encoding }
+}
+
+/// An input read as far as BLIF goes: a parsed file still to flatten,
+/// or a circuit that never was BLIF (a built-in preset or KISS2).
+enum Input {
+    Blif(blifio::BlifFile),
+    Circuit(Circuit),
+}
+
+/// Reads an input specification, parsing BLIF in a `parse` span.
+fn read_input(input: &str, enc: workloads::Encoding) -> Result<Input, String> {
     if let Some(name) = input.strip_prefix("gen:") {
         if let Some(preset) = workloads::presets().into_iter().find(|p| p.name == name) {
-            return Ok(workloads::build_preset(&preset));
+            return Ok(Input::Circuit(workloads::build_preset(&preset)));
         }
         if let Some(spec) = workloads::large_preset(name) {
             // Route the generated hierarchy through the streaming
@@ -271,7 +296,7 @@ pub fn load_input(input: &str, onehot: bool) -> Result<Circuit, String> {
                 let _s = engine::trace::span("hier_text");
                 workloads::hier_to_string(&spec)
             };
-            return read_blif(|| blifio::parse_str(&text), &blifio::LinkOptions::default());
+            return parse_blif(|| blifio::parse_str(&text)).map(Input::Blif);
         }
         return Err(format!(
             "unknown preset `{name}`; available: {}",
@@ -284,21 +309,12 @@ pub fn load_input(input: &str, onehot: bool) -> Result<Circuit, String> {
                 .join(", ")
         ));
     }
-    let enc = if onehot {
-        workloads::Encoding::OneHot
-    } else {
-        workloads::Encoding::Binary
-    };
-    let link = blifio::LinkOptions {
-        encoding: enc,
-        ..blifio::LinkOptions::default()
-    };
     // Stream straight from the file unless the extension or a 4 KiB
     // header probe says KISS2; hierarchical, multi-model and
-    // yosys-extended BLIF all flatten here without the text ever being
+    // yosys-extended BLIF all parse here without the text ever being
     // held whole.
     if input != "-" && !looks_like_kiss(input, "") && !probe_kiss(input)? {
-        return read_blif(|| blifio::parse_path(input), &link);
+        return parse_blif(|| blifio::parse_path(input)).map(Input::Blif);
     }
     let text = if input == "-" {
         use std::io::Read;
@@ -312,26 +328,28 @@ pub fn load_input(input: &str, onehot: bool) -> Result<Circuit, String> {
     };
     if looks_like_kiss(input, &text) {
         let stg = workloads::parse_kiss2(&text).map_err(|e| e.to_string())?;
-        workloads::synthesize_stg(&stg, enc, "kiss2").map_err(|e| e.to_string())
+        let c = workloads::synthesize_stg(&stg, enc, "kiss2").map_err(|e| e.to_string())?;
+        Ok(Input::Circuit(c))
     } else {
-        read_blif(|| blifio::parse_str(&text), &link)
+        parse_blif(|| blifio::parse_str(&text)).map(Input::Blif)
     }
 }
 
-/// Parses BLIF with `parse` in a `parse` trace span, then flattens it
-/// (and frees the parsed file) in a `flatten` span.
-fn read_blif(
+/// Parses BLIF with `parse` in a `parse` trace span.
+pub(crate) fn parse_blif(
     parse: impl FnOnce() -> Result<blifio::BlifFile, blifio::BlifError>,
+) -> Result<blifio::BlifFile, String> {
+    let _s = engine::trace::span("parse");
+    parse().map_err(|e| e.to_string())
+}
+
+/// Flattens a parsed file, and frees it, in a `flatten` trace span.
+pub(crate) fn flatten_blif(
+    file: blifio::BlifFile,
     link: &blifio::LinkOptions,
 ) -> Result<Circuit, String> {
-    let file = {
-        let _s = engine::trace::span("parse");
-        parse().map_err(|e| e.to_string())?
-    };
     let _s = engine::trace::span("flatten");
-    let circuit = blifio::flatten(&file, link);
-    drop(file);
-    circuit.map_err(|e| e.to_string())
+    blifio::flatten(&file, link).map_err(|e| e.to_string())
 }
 
 /// KISS2 detection: by extension, or by the `.i`/`.s`/`.r` header shape
@@ -411,70 +429,16 @@ USAGE: tmfrt stats <input> [--onehot]
 ///
 /// Returns a human-readable message on I/O or parse errors.
 pub fn run_stats(args: &StatsArgs) -> Result<String, String> {
-    let enc = if args.onehot {
-        workloads::Encoding::OneHot
-    } else {
-        workloads::Encoding::Binary
-    };
-    let link = blifio::LinkOptions {
-        encoding: enc,
-        ..blifio::LinkOptions::default()
-    };
-    let circuit_only = |c: &Circuit| -> Result<String, String> {
-        let stats = netlist::CircuitStats::of(c).map_err(|e| e.to_string())?;
-        Ok(format!("flat:   {stats}\n"))
-    };
-    if let Some(name) = args.input.strip_prefix("gen:") {
-        if let Some(preset) = workloads::presets().into_iter().find(|p| p.name == name) {
-            return circuit_only(&workloads::build_preset(&preset));
+    let link = link_options(args.onehot);
+    let (mut out, flat) = match read_input(&args.input, link.encoding)? {
+        Input::Circuit(c) => (String::new(), c),
+        Input::Blif(file) => {
+            let table = netlist::stats::render_model_table(&file.model_counts());
+            (table + "\n", flatten_blif(file, &link)?)
         }
-        if let Some(spec) = workloads::large_preset(name) {
-            let text = {
-                let _s = engine::trace::span("hier_text");
-                workloads::hier_to_string(&spec)
-            };
-            let file = {
-                let _s = engine::trace::span("parse");
-                blifio::parse_str(&text).map_err(|e| e.to_string())?
-            };
-            return render_file_stats(&file, &link);
-        }
-        return Err(format!("unknown preset `{name}`"));
-    }
-    if args.input != "-" && (looks_like_kiss(&args.input, "") || probe_kiss(&args.input)?) {
-        let text = std::fs::read_to_string(&args.input)
-            .map_err(|e| format!("reading `{}`: {e}", args.input))?;
-        let stg = workloads::parse_kiss2(&text).map_err(|e| e.to_string())?;
-        let c = workloads::synthesize_stg(&stg, enc, "kiss2").map_err(|e| e.to_string())?;
-        return circuit_only(&c);
-    }
-    let file = if args.input == "-" {
-        use std::io::Read;
-        let mut buf = String::new();
-        std::io::stdin()
-            .read_to_string(&mut buf)
-            .map_err(|e| format!("reading stdin: {e}"))?;
-        let _s = engine::trace::span("parse");
-        blifio::parse_str(&buf).map_err(|e| e.to_string())?
-    } else {
-        let _s = engine::trace::span("parse");
-        blifio::parse_path(&args.input).map_err(|e| e.to_string())?
-    };
-    render_file_stats(&file, &link)
-}
-
-/// The per-model table plus post-flatten totals for a parsed BLIF file.
-fn render_file_stats(
-    file: &blifio::BlifFile,
-    link: &blifio::LinkOptions,
-) -> Result<String, String> {
-    let mut out = netlist::stats::render_model_table(&file.model_counts());
-    let flat = {
-        let _s = engine::trace::span("flatten");
-        blifio::flatten(file, link).map_err(|e| e.to_string())?
     };
     let stats = netlist::CircuitStats::of(&flat).map_err(|e| e.to_string())?;
-    write!(out, "\nflat:   {stats}\n").ok();
+    writeln!(out, "flat:   {stats}").ok();
     Ok(out)
 }
 

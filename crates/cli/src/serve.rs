@@ -29,7 +29,7 @@
 //! structured JSON lines on stderr through [`engine::log`] (so `-q` and
 //! `TMFRT_LOG` control them).
 
-use crate::{load_circuit, run, Args};
+use crate::{flatten_blif, load_circuit, parse_blif, run, Args};
 use engine::batch::{self, JobOutcome, JobReport, JobSpec, Watchdog};
 use engine::http::{Request, Response, Server, ServerConfig};
 use engine::telemetry::{Counter, LiveTelemetry, Telemetry, COUNTER_NAMES};
@@ -633,7 +633,10 @@ fn parse_manifest(body: &str) -> Result<Vec<Submission>, String> {
 fn job_spec(mut run_args: Args, sub: Submission) -> JobSpec<JobOutput> {
     JobSpec::new(sub.name, move || {
         let circuit = match sub.blif {
-            Some(text) => blifio::read_circuit_str(&text).map_err(|e| e.to_string())?,
+            Some(text) => flatten_blif(
+                parse_blif(|| blifio::parse_str(&text))?,
+                &blifio::LinkOptions::default(),
+            )?,
             None => {
                 run_args.input = sub.source.unwrap_or_default();
                 load_circuit(&run_args)?

@@ -280,17 +280,21 @@ fn serve_trace_endpoint_and_mem_metrics() {
     }
 
     // The finished job's trace is a well-formed Chrome-trace document:
-    // the offline analyzer must accept it and see the mapper's spans.
+    // the offline analyzer must accept it and see the mapper's spans,
+    // and the inline BLIF loads through the same `parse` and `flatten`
+    // spans as `tmfrt map`.
     let (status, body) = get(addr, &format!("/jobs/{id}/trace"));
     assert_eq!(status, 200, "{body}");
     let doc = JsonValue::parse(&body).expect("trace body is JSON");
     let mut profile = engine::profile::Profile::new();
     profile.add_trace(&doc).expect("trace is well-formed");
-    assert!(
-        profile.spans.contains_key("phi_search"),
-        "no phi_search span in {:?}",
-        profile.spans.keys().collect::<Vec<_>>()
-    );
+    for span in ["parse", "flatten", "phi_search"] {
+        assert!(
+            profile.spans.contains_key(span),
+            "no {span} span in {:?}",
+            profile.spans.keys().collect::<Vec<_>>()
+        );
+    }
 
     // Unknown job and bad ids on the trace route.
     assert_eq!(get(addr, "/jobs/9999/trace").0, 404);

@@ -205,19 +205,6 @@ pub enum OracleOutcome {
 }
 
 impl OracleOutcome {
-    /// True for [`OracleOutcome::Pass`].
-    pub fn is_pass(&self) -> bool {
-        matches!(self, OracleOutcome::Pass(_))
-    }
-
-    /// The first violation's kind, when failing (the shrinker's key).
-    pub fn primary_kind(&self) -> Option<CheckKind> {
-        match self {
-            OracleOutcome::Fail { violations, .. } => violations.first().map(|v| v.kind),
-            _ => None,
-        }
-    }
-
     /// True when failing with at least one violation of `kind`.
     pub fn has_kind(&self, kind: CheckKind) -> bool {
         match self {

@@ -13,6 +13,7 @@ use crate::bit::Bit;
 use crate::error::NetlistError;
 use crate::intern::{Interner, Symbol};
 use crate::truth::TruthTable;
+use std::collections::TryReserveError;
 
 /// Identifier of a node within one [`Circuit`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -336,10 +337,15 @@ impl Circuit {
 
     /// Reserves room for `nodes` more nodes (and their names) and
     /// `edges` more edges.
-    pub fn reserve(&mut self, nodes: usize, edges: usize) {
-        self.names.reserve(nodes);
-        self.nodes.reserve(nodes);
-        self.edges.reserve(edges);
+    ///
+    /// # Errors
+    ///
+    /// Returns the allocator's refusal of any table.
+    pub fn reserve(&mut self, nodes: usize, edges: usize) -> Result<(), TryReserveError> {
+        // The name index is filled as it is made, so it comes last.
+        self.nodes.try_reserve(nodes)?;
+        self.edges.try_reserve(edges)?;
+        self.names.reserve(nodes)
     }
 
     /// Releases the spare capacity of every table.
@@ -428,21 +434,6 @@ impl Circuit {
         self.nodes[to.index()].fanin.push(id);
         self.nodes[from.index()].fanout.push(id);
         Ok(id)
-    }
-
-    /// Convenience: connect with `w` flip-flops all initialised to `init`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Circuit::connect`].
-    pub fn connect_w(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        w: usize,
-        init: Bit,
-    ) -> Result<EdgeId, NetlistError> {
-        self.connect(from, to, vec![init; w])
     }
 
     /// The node with the given id.

@@ -258,11 +258,6 @@ fn instantiate(
     }
 }
 
-/// Statistics helper: true when `c` is already k-bounded.
-pub fn is_k_bounded(c: &Circuit, k: usize) -> bool {
-    c.max_fanin() <= k
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

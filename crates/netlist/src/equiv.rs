@@ -260,35 +260,25 @@ pub fn random_equiv_mode(
     let mut lane_rngs: Vec<Rng64> = lane_seeds.iter().map(|&s| Rng64::new(s)).collect();
     let mut ref_sim = VecSimulator::new(reference)?;
     let mut cand_sim = VecSimulator::new(candidate)?;
-    let mut inputs = vec![Planes::splat(Bit::X); m];
-    let mut history: Vec<Vec<Bit>> = Vec::with_capacity(cycles); // lane-major per cycle
+    let mut inputs = vec![Planes::splat(Bit::Zero); m];
     for cycle in 0..cycles {
-        let mut cycle_bits = vec![Bit::Zero; LANES * m];
+        // Lane by lane, input by input: each lane draws its vector in
+        // `random_sequence` order.
+        inputs.fill(Planes::splat(Bit::Zero));
         for (l, rng) in lane_rngs.iter_mut().enumerate() {
-            for i in 0..m {
-                cycle_bits[l * m + i] = Bit::from_bool(rng.next_u64() & 1 == 1);
+            for planes in &mut inputs {
+                let bit = (rng.next_u64() & 1) << l;
+                planes.p0 ^= bit;
+                planes.p1 |= bit;
             }
         }
-        for (i, planes) in inputs.iter_mut().enumerate() {
-            let mut p1 = 0u64;
-            for l in 0..LANES {
-                if cycle_bits[l * m + i] == Bit::One {
-                    p1 |= 1u64 << l;
-                }
-            }
-            *planes = Planes { p0: !p1, p1 };
-        }
-        history.push(cycle_bits);
         let ref_out = ref_sim.step(&inputs)?;
         let cand_out = cand_sim.step(&inputs)?;
         for (po, (&e, &a)) in ref_out.iter().zip(cand_out.iter()).enumerate() {
             let viol = mode.violations(e, a);
             if viol != 0 {
                 let l = viol.trailing_zeros() as usize;
-                let inputs: Vec<Vec<Bit>> = history
-                    .iter()
-                    .map(|bits| bits[l * m..(l + 1) * m].to_vec())
-                    .collect();
+                let inputs = random_sequence(m, cycle + 1, lane_seeds[l]);
                 return Ok(EquivResult::Different(Box::new(CounterExample {
                     inputs,
                     cycle,
@@ -571,6 +561,19 @@ mod tests {
         }
     }
 
+    /// `z = a(t-2) ∧ b(t-1) ∧ c(t)`, registers at 0, `tt` for the AND.
+    fn delayed_and(name: &str, tt: TruthTable) -> Circuit {
+        let mut c = Circuit::new(name);
+        let pis = ["a", "b", "c"].map(|n| c.add_input(n).unwrap());
+        let g = c.add_gate("g", tt).unwrap();
+        for (k, pi) in pis.into_iter().enumerate() {
+            c.connect(pi, g, vec![Bit::Zero; 2 - k]).unwrap();
+        }
+        let z = c.add_output("z").unwrap();
+        c.connect(g, z, vec![]).unwrap();
+        c
+    }
+
     #[test]
     fn counterexample_replays() {
         let c1 = inverter_circuit("c1", Bit::Zero);
@@ -582,5 +585,25 @@ mod tests {
         } else {
             panic!("should differ");
         }
+
+        // Seed 14's witness is lane 24's, diverging at cycle 2.
+        let r = delayed_and("r", TruthTable::and(3));
+        let k = delayed_and("k", TruthTable::const_zero(3));
+        let EquivResult::Different(ce) = random_equiv(&r, &k, 256, 14).unwrap() else {
+            panic!("should differ");
+        };
+        use Bit::{One as I, Zero as O};
+        let pinned = CounterExample {
+            inputs: vec![vec![I, O, I], vec![O, I, I], vec![O, I, I]],
+            cycle: 2,
+            output: "z".into(),
+            expected: I,
+            actual: O,
+        };
+        assert_eq!(*ce, pinned);
+        let mut seeder = Rng64::new(14);
+        let lane_seed = (0..25).map(|_| seeder.next_u64()).last().unwrap();
+        assert_eq!(ce.inputs, random_sequence(3, 3, lane_seed));
+        assert!(!sequence_equiv(&r, &k, &ce.inputs).unwrap().is_equivalent());
     }
 }

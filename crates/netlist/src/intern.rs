@@ -10,6 +10,8 @@
 //! symbol, and an open-addressed hash index of symbol ids. No name owns
 //! a `String` or a collision list of its own.
 
+use std::collections::TryReserveError;
+
 /// Handle to an interned name (its insertion index).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Symbol(pub u32);
@@ -112,23 +114,33 @@ impl Interner {
 
     /// Makes room for `additional` more names without growing the hash
     /// index on the way.
-    pub fn reserve(&mut self, additional: usize) {
-        self.ends.reserve(additional);
+    ///
+    /// # Errors
+    ///
+    /// Returns the allocator's refusal of the offset table or the index.
+    pub fn reserve(&mut self, additional: usize) -> Result<(), TryReserveError> {
+        self.ends.try_reserve(additional)?;
         let names = self.ends.len() + additional;
         if names * 4 > self.index.len() * 3 {
-            self.rebuild_index((names * 4 / 3 + 1).next_power_of_two().max(16));
+            let len = (names * 4 / 3 + 1).next_power_of_two().max(16);
+            let mut index = Vec::new();
+            index.try_reserve_exact(len)?;
+            index.resize(len, EMPTY);
+            self.rebuild_index(index);
         }
+        Ok(())
     }
 
     /// Doubles the hash index (16 slots at first) and reinserts every
     /// symbol.
     fn grow_index(&mut self) {
-        self.rebuild_index((self.index.len() * 2).max(16));
+        self.rebuild_index(vec![EMPTY; (self.index.len() * 2).max(16)]);
     }
 
-    /// Rebuilds the hash index with `len` slots, a power of two.
-    fn rebuild_index(&mut self, len: usize) {
-        self.index = vec![EMPTY; len];
+    /// Makes `index`, all empty and a power of two long, the hash index
+    /// and reinserts every symbol.
+    fn rebuild_index(&mut self, index: Vec<u32>) {
+        self.index = index;
         for id in 0..self.ends.len() as u32 {
             let Err(slot) = self.probe(self.resolve(Symbol(id))) else {
                 unreachable!("interned names are distinct");
@@ -158,11 +170,6 @@ impl Interner {
         self.ends.is_empty()
     }
 
-    /// Total bytes of distinct name text held.
-    pub fn arena_bytes(&self) -> usize {
-        self.arena.len()
-    }
-
     /// Releases spare capacity of the arena and the offset table (the
     /// hash index keeps its size).
     pub fn shrink_to_fit(&mut self) {
@@ -186,7 +193,8 @@ mod tests {
         assert_eq!(i.resolve(a), "alpha");
         assert_eq!(i.resolve(b), "beta");
         assert_eq!(i.len(), 2);
-        assert_eq!(i.arena_bytes(), "alphabeta".len());
+        // Interning a name twice stores its text once.
+        assert_eq!(i.arena, "alphabeta");
     }
 
     #[test]

@@ -127,12 +127,6 @@ impl PartitionOptions {
     }
 }
 
-/// Picks a block count from the flattened gate count: one block per
-/// ~100k gates, capped at 16 — the `--partitions auto` policy.
-pub fn auto_blocks(gates: usize) -> usize {
-    (gates / 100_000).clamp(1, 16)
-}
-
 /// What happened to one block.
 #[derive(Debug, Clone)]
 pub struct BlockOutcome {

@@ -268,7 +268,8 @@ pub fn build_flat(spec: &LargeSpec) -> Result<Circuit, NetlistError> {
     c.reserve(
         gates + 2 * width,
         gates + spec.tiles * spec.tile_gates + width,
-    );
+    )
+    .expect("room for the flattened design");
     let plans: Vec<TilePlan> = (0..spec.kinds.max(1)).map(|k| tile_plan(spec, k)).collect();
     // Node names are formatted into one reused buffer.
     let mut buf = String::new();
