@@ -4,7 +4,6 @@
 //! Usage:
 //!   benchdiff <baseline.json> <candidate.json>
 //!             [--wall-threshold-pct P] [--mem-threshold-pct M]
-//!             [--no-quality-gate]
 //!
 //! Prints a byte-deterministic per-circuit delta report (Φ, LUTs, FFs,
 //! `⋆` and `verified` flags, wall time, peak memory, histogram
@@ -29,8 +28,7 @@ use engine::JsonValue;
 fn usage() -> ! {
     eprintln!(
         "usage: benchdiff <baseline.json> <candidate.json> \
-         [--wall-threshold-pct P] [--mem-threshold-pct M] \
-         [--no-quality-gate]"
+         [--wall-threshold-pct P] [--mem-threshold-pct M]"
     );
     std::process::exit(2);
 }
@@ -84,7 +82,6 @@ fn main() {
                 };
                 opts.mem_threshold = Some(pct / 100.0);
             }
-            "--no-quality-gate" => opts.quality_gate = false,
             "-h" | "--help" => usage(),
             other if !other.starts_with('-') => paths.push(other.to_string()),
             _ => usage(),

@@ -50,9 +50,6 @@ pub struct DiffOptions {
     /// Allowed fractional wall-time increase per circuit before the
     /// diff counts a regression (0.25 = +25%).
     pub wall_threshold: f64,
-    /// Gate on quality (Φ/LUTs/status) changes. On by default; turning
-    /// it off limits gating to wall time.
-    pub quality_gate: bool,
     /// Allowed fractional peak-memory increase per circuit before the
     /// diff counts a regression (`Some(0.25)` = +25%). `None` (the
     /// default) disables the memory gate entirely.
@@ -63,7 +60,6 @@ impl Default for DiffOptions {
     fn default() -> DiffOptions {
         DiffOptions {
             wall_threshold: 0.25,
-            quality_gate: true,
             mem_threshold: None,
         }
     }
@@ -291,7 +287,7 @@ fn diff_circuit(
     let cstatus = cand.get("status").and_then(|s| s.as_str()).unwrap_or("?");
     if bstatus != cstatus {
         let line = format!("status: {bstatus} -> {cstatus}");
-        if cstatus != "ok" && opts.quality_gate {
+        if cstatus != "ok" {
             regressions.push(line.clone());
         }
         notes.push(line);
@@ -313,7 +309,7 @@ fn diff_circuit(
             if let (Some(bv), Some(cv)) = (bv, cv) {
                 if bv != cv {
                     let line = format!("{alg}.{field}: {bv} -> {cv}");
-                    if cv > bv && opts.quality_gate {
+                    if cv > bv {
                         regressions.push(line.clone());
                     }
                     notes.push(line);
@@ -327,7 +323,7 @@ fn diff_circuit(
         if let (Some(bs), Some(cs)) = (flag(b, "star"), flag(c, "star")) {
             if bs != cs {
                 let line = format!("{alg}.star: {bs} -> {cs}");
-                if cs && opts.quality_gate {
+                if cs {
                     regressions.push(line.clone());
                 }
                 notes.push(line);
@@ -338,7 +334,7 @@ fn diff_circuit(
         {
             if bv != cv {
                 let line = format!("{alg}.verified: {bv} -> {cv}");
-                if !cv && opts.quality_gate {
+                if !cv {
                     regressions.push(line.clone());
                 }
                 notes.push(line);
@@ -354,9 +350,7 @@ fn diff_circuit(
         if let (Some(bv), Some(cv)) = (bv, cv) {
             if bv != cv {
                 let line = format!("{field}: {bv} -> {cv}");
-                if opts.quality_gate {
-                    regressions.push(line.clone());
-                }
+                regressions.push(line.clone());
                 notes.push(line);
             }
         }
@@ -460,11 +454,7 @@ pub fn diff_artifacts(
             (Some(_), None) => CircuitDiff {
                 name: name.clone(),
                 notes: vec!["missing from candidate".into()],
-                regressions: if opts.quality_gate {
-                    vec!["missing from candidate".into()]
-                } else {
-                    Vec::new()
-                },
+                regressions: vec!["missing from candidate".into()],
             },
             (None, Some(_)) => CircuitDiff {
                 name: name.clone(),
@@ -596,13 +586,6 @@ mod tests {
         assert!(text.contains("FAIL"), "{text}");
         // Quality improvements do not gate.
         let report = diff_artifacts(&cand, &base, &DiffOptions::default()).unwrap();
-        assert!(report.is_clean());
-        // Quality gate can be disabled.
-        let opts = DiffOptions {
-            quality_gate: false,
-            ..DiffOptions::default()
-        };
-        let report = diff_artifacts(&base, &cand, &opts).unwrap();
         assert!(report.is_clean());
     }
 

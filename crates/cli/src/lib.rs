@@ -145,7 +145,7 @@ impl Args {
                 }
                 "-q" | "--quiet" => args.quiet = true,
                 "-h" | "--help" => return Err(USAGE.to_string()),
-                other if args.input.is_empty() && !other.starts_with('-') => {
+                other if args.input.is_empty() && is_input(other) => {
                     args.input = other.to_string();
                 }
                 other => return Err(format!("unexpected argument `{other}`\n{USAGE}")),
@@ -197,6 +197,12 @@ impl Args {
         }
         Ok(true)
     }
+}
+
+/// Whether `arg` can name the input: anything but a flag, and `-` for
+/// stdin.
+fn is_input(arg: &str) -> bool {
+    arg == "-" || !arg.starts_with('-')
 }
 
 /// Parses a LUT input bound `K`: a number, at least 2.
@@ -398,7 +404,7 @@ impl StatsArgs {
             match a.as_str() {
                 "--onehot" => args.onehot = true,
                 "-h" | "--help" => return Err(STATS_USAGE.to_string()),
-                other if args.input.is_empty() && !other.starts_with('-') => {
+                other if args.input.is_empty() && is_input(other) => {
                     args.input = other.to_string();
                 }
                 other => return Err(format!("unexpected argument `{other}`\n{STATS_USAGE}")),
@@ -495,7 +501,7 @@ impl ExplainArgs {
                     );
                 }
                 "-h" | "--help" => return Err(EXPLAIN_USAGE.to_string()),
-                other if args.input.is_empty() && !other.starts_with('-') => {
+                other if args.input.is_empty() && is_input(other) => {
                     args.input = other.to_string();
                 }
                 other => return Err(format!("unexpected argument `{other}`\n{EXPLAIN_USAGE}")),
@@ -618,22 +624,24 @@ pub fn run(args: &Args, input: &Circuit) -> Result<RunOutcome, String> {
     let stats = netlist::CircuitStats::of(input).map_err(|e| e.to_string())?;
     writeln!(report, "input:  {stats}").ok();
 
+    let pushed;
     let source = if args.pushback {
-        let (pushed, _, pstats) = retiming::push_registers_backward(input, 32);
+        let (circuit, _, pstats) = retiming::push_registers_backward(input, 32);
         writeln!(
             report,
             "pushback: {} backward moves ({} conflicts, {} unjustifiable)",
             pstats.moves, pstats.conflicts, pstats.unjustifiable
         )
         .ok();
-        pushed
+        pushed = circuit;
+        &pushed
     } else {
-        input.clone()
+        input
     };
 
     let (circuit, star) = match args.algorithm {
         Algorithm::FlowMapFrt => {
-            let prep = turbomap::prepare(&source, args.k).map_err(|e| e.to_string())?;
+            let prep = turbomap::prepare(source, args.k).map_err(|e| e.to_string())?;
             let r = flowmap::flowmap_frt(&prep, args.k).map_err(|e| e.to_string())?;
             writeln!(
                 report,
@@ -648,7 +656,7 @@ pub fn run(args: &Args, input: &Circuit) -> Result<RunOutcome, String> {
             if args.report.is_some() || args.report_inline {
                 // The report pipeline wraps the same mapping run, so the
                 // circuit comes out of `explain` rather than mapping twice.
-                let explained = report::explain(&source, opts).map_err(|e| e.to_string())?;
+                let explained = report::explain(source, opts).map_err(|e| e.to_string())?;
                 let doc = explained.to_json().render_pretty();
                 if let Some(path) = &args.report {
                     std::fs::write(path, &doc).map_err(|e| format!("writing `{path}`: {e}"))?;
@@ -664,7 +672,7 @@ pub fn run(args: &Args, input: &Circuit) -> Result<RunOutcome, String> {
                 .ok();
                 (r.circuit, false)
             } else {
-                let r = turbomap::turbomap_frt(&source, opts).map_err(|e| e.to_string())?;
+                let r = turbomap::turbomap_frt(source, opts).map_err(|e| e.to_string())?;
                 writeln!(
                     report,
                     "turbomap-frt: Φ = {}, {} LUTs, {} FFs (initial state guaranteed)",
@@ -675,7 +683,7 @@ pub fn run(args: &Args, input: &Circuit) -> Result<RunOutcome, String> {
             }
         }
         Algorithm::TurboMap => {
-            let r = turbomap::turbomap_general(&source, turbomap::Options::with_k(args.k))
+            let r = turbomap::turbomap_general(source, turbomap::Options::with_k(args.k))
                 .map_err(|e| e.to_string())?;
             writeln!(
                 report,
@@ -694,11 +702,11 @@ pub fn run(args: &Args, input: &Circuit) -> Result<RunOutcome, String> {
             (r.circuit, star)
         }
         Algorithm::RetimeForward => {
-            let r = retiming::retime_min_period_forward(&source).map_err(|e| e.to_string())?;
+            let r = retiming::retime_min_period_forward(source).map_err(|e| e.to_string())?;
             writeln!(report, "retime-forward: Φ = {}", r.period).ok();
             (r.circuit, false)
         }
-        Algorithm::RetimeGeneral => match retiming::retime_min_period_general(&source) {
+        Algorithm::RetimeGeneral => match retiming::retime_min_period_general(source) {
             Ok(r) => {
                 writeln!(report, "retime-general: Φ = {}", r.period).ok();
                 (r.circuit, false)
@@ -968,6 +976,19 @@ mod tests {
         assert!(a.onehot);
         assert!(StatsArgs::parse(&argv("")).is_err());
         assert!(StatsArgs::parse(&argv("x.blif --bogus")).is_err());
+    }
+
+    /// A lone `-` names stdin in all three input-taking parsers; any
+    /// other dash word is still a flag.
+    #[test]
+    fn dash_names_stdin() {
+        assert_eq!(Args::parse(&argv("- -q")).unwrap().input, "-");
+        assert_eq!(Args::parse(&argv("map -")).unwrap().input, "-");
+        assert_eq!(StatsArgs::parse(&argv("- --onehot")).unwrap().input, "-");
+        assert_eq!(ExplainArgs::parse(&argv("- --check")).unwrap().input, "-");
+        assert!(Args::parse(&argv("- -")).is_err());
+        assert!(StatsArgs::parse(&argv("--x")).is_err());
+        assert!(ExplainArgs::parse(&argv("-x")).is_err());
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Exact K-feasible cut enumeration: every gate's cuts of its expanded
-//! circuit, listed once per run in one flat arena.
+//! circuit, listed once per run in one arena.
 //!
 //! The expanded circuit `F_v^b` of a gate `v` is the DAG of instances
 //! `u^w` (node `u` seen through `w` registers) that `v` reads, with the
@@ -64,7 +64,9 @@
 //!   leaf-set signature, one hashed bit per leaf. A fanin's choices are
 //!   its segments, shifted in one pass. No earlier, lighter round can
 //!   dominate a new cut (see `Merge::append`), so none is checked. The
-//!   arena packs the segments in node order and drops the signatures.
+//!   segments are the arena: a gate's list is its segments in round
+//!   order, which is ascending cone weight, and the label scans walk
+//!   them in place. Only the signatures are freed after the last round.
 //! * A union is formed only when it may fit in `K` leaves: a cut short
 //!   enough beside the partial cut always does, a longer one only when
 //!   the two signatures share a bit and their union has at most `K`. At
@@ -89,7 +91,8 @@
 //! A gate whose list exceeds the cut cap, whose leaves would carry more
 //! than 255 registers, which has a cut of more than 255 leaves, or whose
 //! cone may absorb another fallback gate has no list, whatever round it
-//! fell back in. Its label updates run a bounded max-flow instead:
+//! fell back in; the segments it had listed stay in their chunks, unread.
+//! Its label updates run a bounded max-flow instead:
 //! `crate::label` for FlowMap, the `turbomap` crate's cut oracle on the
 //! gate's own expanded circuit for the others.
 
@@ -142,26 +145,63 @@ pub enum CutFault {
 }
 
 /// Every gate's K-feasible cuts of `F_v^{b(v)}`, dominance-pruned and
-/// sorted by cone weight, in one flat arena.
+/// sorted by cone weight, in the layout the enumeration builds them in.
+/// A round appends each gate's new cuts — all of the round's cone weight
+/// — as one segment at the end of the last chunk, so lists grow in place
+/// and a gate's list is its segments in round order.
 #[derive(Debug, Clone)]
 pub struct CutArena {
     /// The LUT input bound `K` every listed cut meets.
     k: usize,
-    /// Per node: `gate_off[v]..gate_off[v + 1]` index the node's cuts.
-    gate_off: Vec<u32>,
     /// Per node: true for gates answered by the flow fallback.
     fallback: Vec<bool>,
-    /// Per cut: `leaf_off[c]..leaf_off[c + 1]` index the cut's leaves.
-    leaf_off: Vec<u32>,
-    /// Per cut: cone weight (ascending within each gate).
-    weight: Vec<u8>,
-    /// Per leaf: the driver node `u` of `u^w`.
-    leaf_node: Vec<u32>,
+    /// Per node: its first and last segment, or [`CutArena::NONE`].
+    head: Vec<u32>,
+    tail: Vec<u32>,
+    /// Per node: cuts listed.
+    count: Vec<u32>,
+    segs: Vec<Seg>,
+    chunks: Vec<Chunk>,
+}
+
+/// One round's cuts of one gate, all of cone weight `weight`: `cuts`
+/// index the per-cut arrays of its chunk, `leaves` the per-leaf ones.
+#[derive(Debug, Clone)]
+struct Seg {
+    chunk: u32,
+    cuts: Range<u32>,
+    leaves: Range<u32>,
+    weight: u8,
+    /// The gate's next segment, or [`CutArena::NONE`].
+    next: u32,
+}
+
+/// Whole segments of up to [`Chunk::LEAVES`] leaves (more only for a
+/// lone segment that needs it). A chunk reserves its leaves when it
+/// opens and a segment that does not fit opens the next, so leaves are
+/// never copied and the slack is the unfilled tail of each chunk.
+#[derive(Debug, Clone, Default)]
+struct Chunk {
+    /// Per cut: its number of leaves; a cut's leaves follow the previous
+    /// cut's in `node`/`w`.
+    size: Vec<u8>,
+    /// Per cut: leaf-set signature ([`sig_bit`]), freed after the last
+    /// round.
+    sig: Vec<u64>,
+    /// Per leaf: the driver node `u` of `u^w`; sorted by `(node, w)`
+    /// within each cut.
+    node: Vec<u32>,
     /// Per leaf: the register count `w` of `u^w`.
-    leaf_weight: Vec<u8>,
+    w: Vec<u8>,
+}
+
+impl Chunk {
+    const LEAVES: usize = 1 << 14;
 }
 
 impl CutArena {
+    const NONE: u32 = u32::MAX;
+
     /// Enumerates the cuts of every gate `v` of `c` in `F_v^{frt[v]}`.
     /// `order` is a combinational topological order of `c`; a gate whose
     /// list would exceed `cut_cap` falls back (see the module docs).
@@ -178,10 +218,19 @@ impl CutArena {
             .filter(|&v| c.node(v).is_gate())
             .collect();
         let _span = engine::trace::span1("cut_enum", "gates", active.len() as u64);
-        let mut st = Lists::new(c, frt);
+        let n = c.num_nodes();
+        let mut arena = CutArena {
+            k,
+            fallback: vec![false; n],
+            head: vec![CutArena::NONE; n],
+            tail: vec![CutArena::NONE; n],
+            count: vec![0; n],
+            segs: Vec::new(),
+            chunks: Vec::new(),
+        };
         for &v in &active {
             // Cone weights are stored in a byte.
-            st.fallback[v.index()] = frt[v.index()] > u64::from(u8::MAX);
+            arena.fallback[v.index()] = frt[v.index()] > u64::from(u8::MAX);
         }
         let max_b = active.iter().map(|v| frt[v.index()]).max().unwrap_or(0);
         let mut merge = Merge {
@@ -190,27 +239,33 @@ impl CutArena {
             ..Merge::default()
         };
         for b in 0..=max_b.min(u64::from(u8::MAX)) {
-            active.retain(|v| !st.fallback[v.index()] && frt[v.index()] >= b);
+            active.retain(|v| !arena.fallback[v.index()] && frt[v.index()] >= b);
             let _round = engine::trace::span_with(
                 "cut_round",
                 [Some(("round", b)), Some(("gates", active.len() as u64))],
             );
             for &v in &active {
-                if b > 0 && !st.may_grow(v, b) {
+                if b > 0 && !arena.may_grow(c, v, b) {
                     continue;
                 }
-                if merge.run(&st, v, b).is_none() || !merge.append(&mut st, v, b as u8) {
-                    st.drop_list(v);
+                if merge.run(&arena, c, frt, v, b).is_none()
+                    || !merge.append(&mut arena, v, b as u8)
+                {
+                    arena.drop_list(v);
                 }
             }
             merge.stats.flush();
         }
-        let arena = st.compact(k);
+        // Only the enumeration reads the signatures.
+        for chunk in &mut arena.chunks {
+            chunk.sig = Vec::new();
+        }
+        let cuts: u64 = arena.count.iter().map(|&n| u64::from(n)).sum();
         let fallback = arena.fallback.iter().filter(|&&f| f).count();
         engine::trace::event_with(
             "cut_arena",
             [
-                Some(("cuts", arena.weight.len() as u64)),
+                Some(("cuts", cuts)),
                 Some(("fallback_gates", fallback as u64)),
             ],
         );
@@ -242,7 +297,7 @@ impl CutArena {
 
     /// Number of cuts listed for `v` (0 for fallback gates and non-gates).
     pub fn num_cuts(&self, v: NodeId) -> usize {
-        (self.gate_off[v.index() + 1] - self.gate_off[v.index()]) as usize
+        self.count[v.index()] as usize
     }
 
     /// The position in `v`'s list of the cut with exactly `cut`'s leaves,
@@ -250,18 +305,18 @@ impl CutArena {
     pub fn position(&self, v: NodeId, cut: &ExpCut) -> Option<usize> {
         let mut want: Vec<(u32, u64)> = cut.signals.iter().map(|s| (s.node.0, s.weight)).collect();
         want.sort_unstable();
-        self.cuts(v).position(|c| {
-            self.leaves(c)
-                .map(|l| (self.leaf_node[l], u64::from(self.leaf_weight[l])))
-                .eq(want.iter().copied())
+        self.cut_list(v).position(|(_, node, w)| {
+            let leaves = node.iter().zip(w).map(|(&n, &w)| (n, u64::from(w)));
+            leaves.eq(want.iter().copied())
         })
     }
 
     /// The driver node of every leaf of every cut of `v` (with repeats).
-    pub fn leaf_nodes(&self, v: NodeId) -> &[u32] {
-        let lo = self.leaf_off[self.gate_off[v.index()] as usize] as usize;
-        let hi = self.leaf_off[self.gate_off[v.index() + 1] as usize] as usize;
-        &self.leaf_node[lo..hi]
+    pub fn leaf_nodes(&self, v: NodeId) -> impl Iterator<Item = u32> + '_ {
+        self.segs(v).flat_map(move |seg| {
+            let leaves = seg.leaves.start as usize..seg.leaves.end as usize;
+            self.chunks[seg.chunk as usize].node[leaves].iter().copied()
+        })
     }
 
     /// The scan behind `LabelUpdate`: the smallest cone weight of a listed
@@ -269,11 +324,11 @@ impl CutArena {
     /// `l^s(u) − Φ·w + 1 ≤ height`, or `None` when no cut qualifies.
     /// Meaningless for fallback gates, which list no cuts.
     pub fn min_weight(&self, v: NodeId, ls: &[i64], phi: i64, height: i64) -> Option<u64> {
-        let cut = self
-            .cuts(v)
-            .find(|&cut| self.within_height(cut, ls, phi, height))?;
-        engine::telemetry::record(engine::hist::Metric::CutSize, self.num_leaves(cut) as u64);
-        Some(u64::from(self.weight[cut]))
+        let (weight, node, _) = self
+            .cut_list(v)
+            .find(|&(_, node, w)| within_height(node, w, ls, phi, height))?;
+        engine::telemetry::record(engine::hist::Metric::CutSize, node.len() as u64);
+        Some(u64::from(weight))
     }
 
     /// The cut mapping generation takes (see the module docs): of `v`'s
@@ -293,93 +348,183 @@ impl CutArena {
     ) -> Option<ExpCut> {
         // Sorted by cone weight: the first cut too heavy ends the list.
         let qualifying = || {
-            self.cuts(v)
-                .take_while(|&cut| u64::from(self.weight[cut]) <= weight)
-                .filter(|&cut| self.within_height(cut, ls, phi, height))
+            self.cut_list(v)
+                .take_while(|&(cw, ..)| u64::from(cw) <= weight)
+                .filter(|&(_, node, w)| within_height(node, w, ls, phi, height))
         };
-        let fewest = qualifying().map(|cut| self.num_leaves(cut)).min()?;
-        let mut tied = qualifying().filter(|&cut| self.num_leaves(cut) == fewest);
+        let fewest = qualifying().map(|(_, node, _)| node.len()).min()?;
+        let mut tied = qualifying().filter(|(_, node, _)| node.len() == fewest);
         let first = tied.next()?;
         // Cone walks only break ties; `min_by_key` keeps the first minimum.
-        let cut = match tied.next() {
+        let (_, node, w) = match tied.next() {
             None => first,
-            Some(second) => [first, second].into_iter().chain(tied).min_by_key(|&cut| {
-                let leaves = self.leaves(cut);
-                cone_size(&self.leaf_node[leaves.clone()], &self.leaf_weight[leaves])
-            })?,
+            Some(second) => [first, second]
+                .into_iter()
+                .chain(tied)
+                .min_by_key(|&(_, node, w)| cone_size(node, w))?,
         };
         engine::telemetry::record(engine::hist::Metric::CutSize, fewest as u64);
-        let signals = self
-            .leaves(cut)
-            .map(|l| ExpNode {
-                node: NodeId(self.leaf_node[l]),
-                weight: u64::from(self.leaf_weight[l]),
+        let signals = node
+            .iter()
+            .zip(w)
+            .map(|(&n, &w)| ExpNode {
+                node: NodeId(n),
+                weight: u64::from(w),
             })
             .collect();
         Some(ExpCut { signals })
     }
 
-    /// `v`'s cuts in list order, each as its cone weight, leaf driver
-    /// nodes and leaf register counts. For arena identity tests.
+    /// `v`'s cuts in list order (ascending cone weight), each as its cone
+    /// weight, leaf driver nodes and leaf register counts.
     #[doc(hidden)]
     pub fn cut_list(&self, v: NodeId) -> impl Iterator<Item = (u8, &[u32], &[u8])> + '_ {
-        self.cuts(v).map(move |cut| {
-            let leaves = self.leaves(cut);
-            (
-                self.weight[cut],
-                &self.leaf_node[leaves.clone()],
-                &self.leaf_weight[leaves],
-            )
+        self.segs(v).flat_map(move |seg| {
+            let (chunk, cuts) = self.seg_cuts(seg);
+            cuts.map(move |(_, l)| (seg.weight, &chunk.node[l.clone()], &chunk.w[l]))
         })
     }
 
-    /// The arena indices of `v`'s cuts, in ascending cone weight.
-    fn cuts(&self, v: NodeId) -> std::ops::Range<usize> {
-        self.gate_off[v.index()] as usize..self.gate_off[v.index() + 1] as usize
-    }
-
-    /// The arena indices of `cut`'s leaves.
-    fn leaves(&self, cut: usize) -> std::ops::Range<usize> {
-        self.leaf_off[cut] as usize..self.leaf_off[cut + 1] as usize
-    }
-
-    fn num_leaves(&self, cut: usize) -> usize {
-        (self.leaf_off[cut + 1] - self.leaf_off[cut]) as usize
-    }
-
-    /// Whether every leaf `u^w` of `cut` has `l^s(u) − Φ·w + 1 ≤ height`.
-    fn within_height(&self, cut: usize, ls: &[i64], phi: i64, height: i64) -> bool {
-        self.leaves(cut)
-            .all(|l| ls[self.leaf_node[l] as usize] - phi * i64::from(self.leaf_weight[l]) < height)
-    }
-
     /// Plants `fault` in gate `v`'s list; false when the list has no such
-    /// cut. A fault-injection hook for oracle tests.
+    /// cut. A fault-injection hook for oracle tests: it relists `v` in a
+    /// chunk of its own, one segment per cut, so a bumped cut keeps its
+    /// place in the list.
     #[doc(hidden)]
     pub fn inject(&mut self, v: NodeId, fault: CutFault) -> bool {
         let (CutFault::DropCut(i) | CutFault::BumpWeight(i)) = fault;
-        let cut = self.gate_off[v.index()] as usize + i;
-        if cut >= self.gate_off[v.index() + 1] as usize {
+        if i >= self.num_cuts(v) {
             return false;
         }
-        match fault {
-            CutFault::BumpWeight(_) => self.weight[cut] = self.weight[cut].saturating_add(1),
-            CutFault::DropCut(_) => {
-                let (start, end) = (self.leaf_off[cut], self.leaf_off[cut + 1]);
-                self.leaf_node.drain(start as usize..end as usize);
-                self.leaf_weight.drain(start as usize..end as usize);
-                self.leaf_off.remove(cut + 1);
-                for off in &mut self.leaf_off[cut + 1..] {
-                    *off -= end - start;
-                }
-                self.weight.remove(cut);
-                for off in &mut self.gate_off[v.index() + 1..] {
-                    *off -= 1;
-                }
-            }
+        let chunk_id = self.chunks.len() as u32;
+        let mut chunk = Chunk::default();
+        let mut segs = Vec::new();
+        for (j, (weight, node, w)) in self.cut_list(v).enumerate() {
+            let weight = match fault {
+                CutFault::DropCut(_) if j == i => continue,
+                CutFault::BumpWeight(_) if j == i => weight.saturating_add(1),
+                _ => weight,
+            };
+            let (cut, leaf) = (chunk.size.len() as u32, chunk.node.len() as u32);
+            chunk.size.push(node.len() as u8);
+            chunk.node.extend_from_slice(node);
+            chunk.w.extend_from_slice(w);
+            segs.push(Seg {
+                chunk: chunk_id,
+                cuts: cut..cut + 1,
+                leaves: leaf..chunk.node.len() as u32,
+                weight,
+                next: CutArena::NONE,
+            });
+        }
+        self.chunks.push(chunk);
+        let i = v.index();
+        (self.head[i], self.tail[i], self.count[i]) = (CutArena::NONE, CutArena::NONE, 0);
+        for seg in segs {
+            self.link(v, seg);
         }
         true
     }
+
+    /// `v`'s segments, in ascending cone weight.
+    fn segs(&self, v: NodeId) -> impl Iterator<Item = &Seg> {
+        let mut s = self.head[v.index()];
+        std::iter::from_fn(move || {
+            let seg = self.segs.get(s as usize)?;
+            s = seg.next;
+            Some(seg)
+        })
+    }
+
+    /// A segment's chunk and its cuts there, each with its leaf range.
+    fn seg_cuts<'s>(
+        &'s self,
+        seg: &Seg,
+    ) -> (&'s Chunk, impl Iterator<Item = (usize, Range<usize>)> + 's) {
+        let chunk = &self.chunks[seg.chunk as usize];
+        let mut start = seg.leaves.start as usize;
+        let cuts = (seg.cuts.start as usize..seg.cuts.end as usize).map(move |i| {
+            let end = start + usize::from(chunk.size[i]);
+            let leaves = start..end;
+            start = end;
+            (i, leaves)
+        });
+        (chunk, cuts)
+    }
+
+    /// Whether round `b` can give `v` a cut of weight `b`: some fanin
+    /// `u^w` the cone may absorb lists a cut of weight exactly `b − w`
+    /// (or has fallen back, which `v` must then inherit).
+    fn may_grow(&self, c: &Circuit, v: NodeId, b: u64) -> bool {
+        c.node(v).fanin().iter().any(|&e| {
+            let edge = c.edge(e);
+            let (u, w) = (edge.from(), edge.weight() as u64);
+            c.node(u).is_gate()
+                && w <= b
+                && (self.fallback[u.index()] || self.segs(u).any(|s| u64::from(s.weight) == b - w))
+        })
+    }
+
+    /// Appends the cuts of `set`, all of weight `b` and with at most 255
+    /// leaves, to `v`'s list.
+    fn push(&mut self, v: NodeId, b: u8, set: &CandSet) {
+        let leaves: usize = set.cands.iter().map(|c| c.len as usize).sum();
+        let full = |ch: &Chunk| ch.node.len() + leaves > ch.node.capacity();
+        if self.chunks.last().is_none_or(full) {
+            let leaves = leaves.max(Chunk::LEAVES);
+            self.chunks.push(Chunk {
+                node: Vec::with_capacity(leaves),
+                w: Vec::with_capacity(leaves),
+                ..Chunk::default()
+            });
+        }
+        let chunk_id = self.chunks.len() - 1;
+        let chunk = &mut self.chunks[chunk_id];
+        let (first, first_leaf) = (chunk.size.len() as u32, chunk.node.len() as u32);
+        for c in &set.cands {
+            let keys = set.leaves(c);
+            chunk.node.extend(keys.iter().map(|&k| (k >> 8) as u32));
+            chunk.w.extend(keys.iter().map(|&k| k as u8));
+            chunk.size.push(c.len as u8);
+            chunk.sig.push(c.sig);
+        }
+        let seg = Seg {
+            chunk: chunk_id as u32,
+            cuts: first..chunk.size.len() as u32,
+            leaves: first_leaf..chunk.node.len() as u32,
+            weight: b,
+            next: CutArena::NONE,
+        };
+        self.link(v, seg);
+    }
+
+    /// Appends `seg` to `v`'s list.
+    fn link(&mut self, v: NodeId, seg: Seg) {
+        let (i, s) = (v.index(), self.segs.len() as u32);
+        self.count[i] += seg.cuts.len() as u32;
+        self.segs.push(seg);
+        match self.tail[i] {
+            CutArena::NONE => self.head[i] = s,
+            t => self.segs[t as usize].next = s,
+        }
+        self.tail[i] = s;
+    }
+
+    /// Sends `v` to the flow fallback: it lists no cuts. Its segments stay
+    /// in their chunks, unread.
+    fn drop_list(&mut self, v: NodeId) {
+        let i = v.index();
+        self.fallback[i] = true;
+        self.head[i] = CutArena::NONE;
+        self.tail[i] = CutArena::NONE;
+        self.count[i] = 0;
+    }
+}
+
+/// Whether every leaf `node[i]^{w[i]}` has `l^s(u) − Φ·w + 1 ≤ height`.
+fn within_height(node: &[u32], w: &[u8], ls: &[i64], phi: i64, height: i64) -> bool {
+    node.iter()
+        .zip(w)
+        .all(|(&u, &w)| ls[u as usize] - phi * i64::from(w) < height)
 }
 
 /// Reusable buffers of the cone walks that break final-cut ties and that
@@ -470,200 +615,6 @@ impl ConeWalk {
         self.head[i] = slot;
         self.stack.push(slot);
         slot as usize
-    }
-}
-
-/// The enumeration's state: every gate's cuts so far, and the gates
-/// that fell back. A round appends each gate's new cuts — all of the
-/// round's cone weight — as one segment at the end of the last chunk, so
-/// lists grow in place and a gate's list is its segments in round order.
-struct Lists<'a> {
-    c: &'a Circuit,
-    frt: &'a [u64],
-    fallback: Vec<bool>,
-    /// Per node: its first and last segment, or [`Lists::NONE`].
-    head: Vec<u32>,
-    tail: Vec<u32>,
-    /// Per node: cuts listed.
-    count: Vec<u32>,
-    segs: Vec<Seg>,
-    chunks: Vec<Chunk>,
-}
-
-/// One round's cuts of one gate: `cuts` index the per-cut arrays of its
-/// chunk, `leaves` the per-leaf ones.
-#[derive(Debug, Clone)]
-struct Seg {
-    chunk: u32,
-    cuts: Range<u32>,
-    leaves: Range<u32>,
-    weight: u8,
-    /// The gate's next segment, or [`Lists::NONE`].
-    next: u32,
-}
-
-/// Whole segments of up to [`Chunk::LEAVES`] leaves (more only for a
-/// lone segment that needs it). Chunks this small come from, and go back
-/// to, the allocator's heap, which the rest of a mapping run reuses.
-#[derive(Debug, Default)]
-struct Chunk {
-    /// Per cut: its number of leaves; a cut's leaves follow the previous
-    /// cut's in `node`/`w`.
-    size: Vec<u8>,
-    /// Per cut: leaf-set signature ([`sig_bit`]); not kept in the arena.
-    sig: Vec<u64>,
-    /// Per leaf: the driver node `u` of `u^w`; sorted by `(node, w)`
-    /// within each cut.
-    node: Vec<u32>,
-    /// Per leaf: the register count `w` of `u^w`.
-    w: Vec<u8>,
-}
-
-impl Chunk {
-    const LEAVES: usize = 1 << 14;
-}
-
-impl<'a> Lists<'a> {
-    const NONE: u32 = u32::MAX;
-
-    fn new(c: &'a Circuit, frt: &'a [u64]) -> Lists<'a> {
-        let n = c.num_nodes();
-        Lists {
-            c,
-            frt,
-            fallback: vec![false; n],
-            head: vec![Lists::NONE; n],
-            tail: vec![Lists::NONE; n],
-            count: vec![0; n],
-            segs: Vec::new(),
-            chunks: Vec::new(),
-        }
-    }
-
-    /// `v`'s segments, in ascending cone weight.
-    fn segs(&self, v: NodeId) -> impl Iterator<Item = &Seg> {
-        let mut s = self.head[v.index()];
-        std::iter::from_fn(move || {
-            let seg = self.segs.get(s as usize)?;
-            s = seg.next;
-            Some(seg)
-        })
-    }
-
-    /// A segment's chunk and its cuts there, each with its leaf range.
-    fn cuts<'s>(
-        &'s self,
-        seg: &Seg,
-    ) -> (&'s Chunk, impl Iterator<Item = (usize, Range<usize>)> + 's) {
-        let chunk = &self.chunks[seg.chunk as usize];
-        let mut start = seg.leaves.start as usize;
-        let cuts = (seg.cuts.start as usize..seg.cuts.end as usize).map(move |i| {
-            let end = start + usize::from(chunk.size[i]);
-            let leaves = start..end;
-            start = end;
-            (i, leaves)
-        });
-        (chunk, cuts)
-    }
-
-    /// Whether round `b` can give `v` a cut of weight `b`: some fanin
-    /// `u^w` the cone may absorb lists a cut of weight exactly `b − w`
-    /// (or has fallen back, which `v` must then inherit).
-    fn may_grow(&self, v: NodeId, b: u64) -> bool {
-        self.c.node(v).fanin().iter().any(|&e| {
-            let edge = self.c.edge(e);
-            let (u, w) = (edge.from(), edge.weight() as u64);
-            self.c.node(u).is_gate()
-                && w <= b
-                && (self.fallback[u.index()] || self.segs(u).any(|s| u64::from(s.weight) == b - w))
-        })
-    }
-
-    /// Appends the cuts of `set`, all of weight `b` and with at most 255
-    /// leaves, to `v`'s list.
-    fn push(&mut self, v: NodeId, b: u8, set: &CandSet) {
-        let leaves: usize = set.cands.iter().map(|c| c.len as usize).sum();
-        let full = |ch: &Chunk| ch.node.len() + leaves > ch.node.capacity();
-        if self.chunks.last().is_none_or(full) {
-            let leaves = leaves.max(Chunk::LEAVES);
-            self.chunks.push(Chunk {
-                node: Vec::with_capacity(leaves),
-                w: Vec::with_capacity(leaves),
-                ..Chunk::default()
-            });
-        }
-        let chunk_id = self.chunks.len() - 1;
-        let chunk = &mut self.chunks[chunk_id];
-        let (first, first_leaf) = (chunk.size.len() as u32, chunk.node.len() as u32);
-        for c in &set.cands {
-            let keys = set.leaves(c);
-            chunk.node.extend(keys.iter().map(|&k| (k >> 8) as u32));
-            chunk.w.extend(keys.iter().map(|&k| k as u8));
-            chunk.size.push(c.len as u8);
-            chunk.sig.push(c.sig);
-        }
-        let s = self.segs.len() as u32;
-        self.segs.push(Seg {
-            chunk: chunk_id as u32,
-            cuts: first..chunk.size.len() as u32,
-            leaves: first_leaf..chunk.node.len() as u32,
-            weight: b,
-            next: Lists::NONE,
-        });
-        let i = v.index();
-        match self.tail[i] {
-            Lists::NONE => self.head[i] = s,
-            t => self.segs[t as usize].next = s,
-        }
-        self.tail[i] = s;
-        self.count[i] += set.cands.len() as u32;
-    }
-
-    /// Sends `v` to the flow fallback: it lists no cuts.
-    fn drop_list(&mut self, v: NodeId) {
-        let i = v.index();
-        self.fallback[i] = true;
-        self.head[i] = Lists::NONE;
-        self.tail[i] = Lists::NONE;
-        self.count[i] = 0;
-    }
-
-    /// Packs the lists into the flat arena, in node order.
-    fn compact(mut self, k: usize) -> CutArena {
-        // The signatures go first: the arena may reuse their memory.
-        for chunk in &mut self.chunks {
-            chunk.sig = Vec::new();
-        }
-        let cuts: usize = self.count.iter().map(|&l| l as usize).sum();
-        let leaves: usize = (self.c.node_ids().flat_map(|v| self.segs(v)))
-            .map(|seg| seg.leaves.len())
-            .sum();
-        let mut a = CutArena {
-            k,
-            gate_off: Vec::with_capacity(self.c.num_nodes() + 1),
-            fallback: Vec::new(),
-            leaf_off: Vec::with_capacity(cuts + 1),
-            weight: Vec::with_capacity(cuts),
-            leaf_node: Vec::with_capacity(leaves),
-            leaf_weight: Vec::with_capacity(leaves),
-        };
-        a.gate_off.push(0);
-        a.leaf_off.push(0);
-        for v in self.c.node_ids() {
-            for seg in self.segs(v) {
-                let leaves = seg.leaves.start as usize..seg.leaves.end as usize;
-                let (from, to) = (leaves.start, a.leaf_node.len());
-                let (chunk, cuts) = self.cuts(seg);
-                a.leaf_node.extend_from_slice(&chunk.node[leaves.clone()]);
-                a.leaf_weight.extend_from_slice(&chunk.w[leaves]);
-                a.leaf_off
-                    .extend(cuts.map(|(_, cut)| (cut.end - from + to) as u32));
-                a.weight.extend(seg.cuts.clone().map(|_| seg.weight));
-            }
-            a.gate_off.push(a.weight.len() as u32);
-        }
-        a.fallback = self.fallback;
-        a
     }
 }
 
@@ -817,8 +768,8 @@ impl Merge {
     /// turns `exact` into `exact × choices ∪ lighter × exact choices` and
     /// `lighter` into `lighter × lighter choices`. A round thus pays only
     /// for unions that reach its weight.
-    fn run(&mut self, st: &Lists, v: NodeId, b: u64) -> Option<()> {
-        let fanins = st.c.node(v).fanin();
+    fn run(&mut self, st: &CutArena, c: &Circuit, frt: &[u64], v: NodeId, b: u64) -> Option<()> {
+        let fanins = c.node(v).fanin();
         self.lighter.clear();
         self.exact.clear();
         // The root alone, of cone weight 0.
@@ -828,7 +779,7 @@ impl Merge {
             self.lighter.seal(0, 0, 0);
         }
         for (j, &e) in fanins.iter().enumerate() {
-            self.options(st, v, e, b)?;
+            self.options(st, c, frt, v, e, b)?;
             let k = self.k;
             // At the first fanin the root alone is the only partial cut,
             // so the unions are the choices themselves: `u^w` and
@@ -894,7 +845,7 @@ impl Merge {
     /// list. This round therefore also forms a union of weight exactly `b`
     /// (from `c_i`) on `C`'s leaves without `ℓ`, and pruning drops `C`.
     /// Hence `T(D) ≥ T(C) = b > W(D) = T(D)`, absurd.
-    fn append(&mut self, st: &mut Lists, v: NodeId, b: u8) -> bool {
+    fn append(&mut self, st: &mut CutArena, v: NodeId, b: u8) -> bool {
         let cands = &self.exact.cands;
         if cands.iter().any(|c| c.len > u32::from(u8::MAX))
             || st.count[v.index()] as usize + cands.len() > self.cut_cap
@@ -911,8 +862,16 @@ impl Merge {
     /// Loads fanin edge `e`'s choices: the leaf `u^w`, and, when the cone
     /// may absorb `u^w`, each cut of `u` shifted by `w` registers. `None`
     /// when `v` must fall back.
-    fn options(&mut self, st: &Lists, v: NodeId, e: EdgeId, b: u64) -> Option<()> {
-        let edge = st.c.edge(e);
+    fn options(
+        &mut self,
+        st: &CutArena,
+        c: &Circuit,
+        frt: &[u64],
+        v: NodeId,
+        e: EdgeId,
+        b: u64,
+    ) -> Option<()> {
+        let edge = c.edge(e);
         let u = edge.from();
         let w = u8::try_from(edge.weight()).ok()?;
         self.opt_lighter.clear();
@@ -925,11 +884,11 @@ impl Merge {
         let k = key(u.0, w);
         leaf.keys.push(k);
         leaf.seal(0, 0, sig_bit(k));
-        if !st.c.node(u).is_gate() || u64::from(w) > b {
+        if !c.node(u).is_gate() || u64::from(w) > b {
             return Some(());
         }
         // `u`'s list must cover every sub-cone weight `F_v` allows.
-        if st.fallback[u.index()] || st.frt[u.index()] + u64::from(w) < st.frt[v.index()] {
+        if st.fallback[u.index()] || frt[u.index()] + u64::from(w) < frt[v.index()] {
             return None;
         }
         for seg in st.segs(u) {
@@ -941,7 +900,7 @@ impl Merge {
             };
             // The segment's leaves are contiguous: shift them in one go.
             let leaves = seg.leaves.start as usize..seg.leaves.end as usize;
-            let (chunk, cuts) = st.cuts(seg);
+            let (chunk, cuts) = st.seg_cuts(seg);
             let (nodes, ws) = (&chunk.node[leaves.clone()], &chunk.w[leaves.clone()]);
             if ws.iter().any(|&lw| lw.checked_add(w).is_none()) {
                 return None;

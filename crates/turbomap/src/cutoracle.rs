@@ -76,7 +76,6 @@ impl<'a> CutOracle<'a> {
         // unique generation tag).
         let mut pairs: Vec<(usize, usize)> = Vec::new();
         let mut stamp: Vec<u32> = vec![0; n];
-        let mut fallback_gates = 0u64;
         for v in circuit.gate_ids() {
             let mut reads = |x: usize| {
                 if stamp[x] != v.0 + 1 {
@@ -85,27 +84,18 @@ impl<'a> CutOracle<'a> {
                 }
             };
             if cuts.is_fallback(v) {
-                fallback_gates += 1;
                 let exp = ExpandedCircuit::build(circuit, v, bound[v.index()], MAX_EXPANDED_NODES);
                 for en in exp.iter().flat_map(|exp| &exp.nodes) {
                     reads(en.node.index());
                 }
                 expanded[v.index()] = OnceLock::from(exp.map(Box::new));
             } else {
-                for &u in cuts.leaf_nodes(v) {
+                for u in cuts.leaf_nodes(v) {
                     reads(u as usize);
                 }
             }
         }
         let requeue = graphalgo::Csr::from_edges(n, &pairs);
-        engine::log::debug(
-            "turbomap::cutoracle",
-            "cut arena",
-            &[
-                ("gates", engine::JsonValue::UInt(circuit.num_gates() as u64)),
-                ("fallback_gates", engine::JsonValue::UInt(fallback_gates)),
-            ],
-        );
         CutOracle {
             circuit,
             bound,
@@ -440,7 +430,7 @@ pub(crate) mod tests {
         assert_eq!(dropped.num_cuts(v), arena.num_cuts(v) - 1);
         assert!(!dropped.inject(v, CutFault::DropCut(arena.num_cuts(v))));
         for g in c.gate_ids().filter(|&g| g != v) {
-            assert_eq!(dropped.leaf_nodes(g), arena.leaf_nodes(g));
+            assert!(dropped.leaf_nodes(g).eq(arena.leaf_nodes(g)));
         }
         let mut bumped = arena.clone();
         assert!(bumped.inject(v, CutFault::BumpWeight(0)));
