@@ -4,9 +4,10 @@
 //! The linker writes straight into the circuit. It first checks each
 //! model the link root reaches, once and in the order elaboration meets
 //! them, so every link error is found before any memory is set aside;
-//! this *plan* also counts each model's gates and pins and resolves its
-//! library cells and child models. It then reserves the node and edge
-//! tables, failing with a diagnostic when the allocator refuses, and
+//! this *plan* also counts each model's gates, pins, latches and
+//! instance-local signals and resolves its library cells and child
+//! models. It then reserves the node, edge, FF chain and signal tables
+//! exactly, failing with a diagnostic when the allocator refuses, and
 //! adds the link root's primary inputs. *Elaboration* then walks the
 //! model hierarchy from the root, binding `.subckt` formals to parent
 //! actuals. Each `.names`, `.gate` and `.conn` becomes a gate node as
@@ -258,6 +259,21 @@ struct Plan<'a> {
     actuals: Vec<Symbol>,
     gates: u64,
     pins: u64,
+    latches: u64,
+    /// The bytes of its gate nodes' names, instance paths below the
+    /// model included, if each took its own instance's path. A gate
+    /// that drives a bound output port takes its parent's name instead,
+    /// so this is an estimate.
+    name_bytes: u64,
+    /// The names the model's own steps use that are not its ports: one
+    /// flat signal each in every instance.
+    locals: u64,
+    /// The flat signals of its sub-instances, their own sub-instances'
+    /// included.
+    inner: u64,
+    /// The ports the model's own steps use, sorted. Those that a
+    /// `.subckt` leaves unbound are flat signals of that instance.
+    ports_used: Vec<Symbol>,
 }
 
 /// Checks and plans every model the link root reaches, once each, in
@@ -274,6 +290,10 @@ struct Planner<'a> {
     bound: Vec<u32>,
     /// `.subckt`s checked so far.
     subckts: u32,
+    /// Per symbol, the stamp of the last count that met it.
+    seen: Vec<u32>,
+    /// The last stamp handed out for `seen`.
+    stamp: u32,
 }
 
 impl<'a> Planner<'a> {
@@ -288,6 +308,8 @@ impl<'a> Planner<'a> {
             stack: Vec::new(),
             bound: vec![0; syms],
             subckts: 0,
+            seen: vec![0; syms],
+            stamp: 0,
         };
         for (i, m) in file.models.iter().enumerate() {
             if let Some(s) = file.interner.get(&m.name) {
@@ -298,12 +320,16 @@ impl<'a> Planner<'a> {
         Ok(planner.plans)
     }
 
-    /// Plans model `mi` unless it has been, and returns its gate and pin
-    /// counts.
-    fn plan(&mut self, mi: usize) -> Result<(u64, u64), BlifError> {
-        if let Some(p) = &self.plans[mi] {
-            return Ok((p.gates, p.pins));
+    /// Plans model `mi` unless it has been.
+    fn plan(&mut self, mi: usize) -> Result<&Plan<'a>, BlifError> {
+        if self.plans[mi].is_none() {
+            let p = self.plan_model(mi)?;
+            self.plans[mi] = Some(p);
         }
+        Ok(self.plans[mi].as_ref().expect("planned"))
+    }
+
+    fn plan_model(&mut self, mi: usize) -> Result<Plan<'a>, BlifError> {
         let file = self.file;
         let model = &file.models[mi];
         if self.stack.contains(&mi) {
@@ -319,11 +345,18 @@ impl<'a> Planner<'a> {
             })
             .collect::<Result<_, _>>()?;
         let mut tts = tts.into_iter();
+        // Instances of each model so far, which number their paths.
+        let mut ords = vec![0u32; file.models.len()];
         let mut p = Plan {
             steps: Vec::with_capacity(model.commands.len()),
             actuals: Vec::new(),
             gates: 0,
             pins: 0,
+            latches: 0,
+            name_bytes: 0,
+            locals: 0,
+            inner: 0,
+            ports_used: Vec::new(),
         };
         for cmd in &model.commands {
             let (tt, out, line) = match cmd {
@@ -340,19 +373,37 @@ impl<'a> Planner<'a> {
                     (tt, out, g.line)
                 }
                 Command::Latch(l) => {
+                    p.latches = p.latches.saturating_add(1);
                     p.steps.push(latch_step(l.input, l.output, l.init, l.line));
                     continue;
                 }
                 Command::Mlatch(ml) => {
                     let (d, q) = plan_mlatch(file, ml)?;
+                    p.latches = p.latches.saturating_add(1);
                     p.steps.push(latch_step(d, q, ml.init, ml.line));
                     continue;
                 }
                 Command::Subckt(s) => {
                     let ci = self.child(s)?;
-                    let (gates, pins) = self.plan(ci)?;
-                    p.gates = p.gates.saturating_add(gates);
-                    p.pins = p.pins.saturating_add(pins);
+                    let child = self.plan(ci)?;
+                    let bound = (s.conns.iter())
+                        .filter(|(formal, _)| child.ports_used.binary_search(formal).is_ok())
+                        .count();
+                    let unbound = (child.ports_used.len() - bound) as u64;
+                    // Every gate node below gets the `{model}${ordinal}.` path.
+                    let path =
+                        file.interner.resolve(s.model).len() + ords[ci].to_string().len() + 2;
+                    ords[ci] += 1;
+                    p.name_bytes = (p.name_bytes)
+                        .saturating_add(child.name_bytes)
+                        .saturating_add(child.gates.saturating_mul(path as u64));
+                    p.gates = p.gates.saturating_add(child.gates);
+                    p.pins = p.pins.saturating_add(child.pins);
+                    p.latches = p.latches.saturating_add(child.latches);
+                    p.inner = (p.inner)
+                        .saturating_add(child.locals)
+                        .saturating_add(child.inner)
+                        .saturating_add(unbound);
                     p.steps.push(Step::Subckt(s, ci as u32));
                     continue;
                 }
@@ -365,12 +416,43 @@ impl<'a> Planner<'a> {
             };
             p.gates = p.gates.saturating_add(1);
             p.pins = p.pins.saturating_add(tt.num_inputs() as u64);
+            p.name_bytes = (p.name_bytes).saturating_add(file.interner.resolve(out).len() as u64);
             p.steps.push(Step::Gate { tt, out, line });
         }
         self.stack.pop();
-        let counts = (p.gates, p.pins);
-        self.plans[mi] = Some(p);
-        Ok(counts)
+        self.count_names(model, &mut p);
+        Ok(p)
+    }
+
+    /// Counts the distinct names plan `p` of `model` uses, as
+    /// elaboration meets them: its locals, and its ports apart.
+    fn count_names(&mut self, model: &Model, p: &mut Plan<'a>) {
+        self.stamp += 2;
+        let (port, met) = (self.stamp - 1, self.stamp);
+        for &s in model.inputs.iter().chain(&model.outputs) {
+            self.seen[s.index()] = port;
+        }
+        let (mut locals, mut ports) = (0, Vec::new());
+        let seen = &mut self.seen;
+        let mut meet = |s: Symbol| match std::mem::replace(&mut seen[s.index()], met) {
+            stamp if stamp == port => ports.push(s),
+            stamp if stamp != met => locals += 1,
+            _ => {}
+        };
+        p.actuals.iter().for_each(|&s| meet(s));
+        for step in &p.steps {
+            match *step {
+                Step::Gate { out, .. } => meet(out),
+                Step::Latch { d, q, .. } => {
+                    meet(d);
+                    meet(q);
+                }
+                Step::Subckt(s, _) => s.conns.iter().for_each(|&(_, actual)| meet(actual)),
+            }
+        }
+        ports.sort_unstable();
+        p.locals = locals;
+        p.ports_used = ports;
     }
 
     /// The model `.subckt` `s` instantiates, once its port bindings
@@ -563,17 +645,30 @@ impl<'a> Linker<'a> {
             linker.is_po[s.index()] = true;
         }
         let plan = plans[root_idx].as_ref().expect("the root is planned");
-        let (gates, pins) = (plan.gates, plan.pins);
+        let (gates, pins, latches) = (plan.gates, plan.pins, plan.latches);
         let (ins, outs) = (root.inputs.len() as u64, root.outputs.len() as u64);
         let (nodes, edges) = (gates.saturating_add(ins + outs), pins.saturating_add(outs));
         if nodes.max(edges) > u64::from(u32::MAX) {
             return Err(diag(root.line, "design flattens to 2^32 nodes or more"));
         }
         // The circuit's name index is filled as it is made, so the
-        // tables that only take address space go first.
+        // tables that only take address space go first. The root's
+        // signals are the file's symbols; every other is an instance's.
+        let signals = plan.inner as usize;
+        // Port names, and a `$g` for each gate that a primary output's
+        // name would otherwise take.
+        let ports = root.inputs.iter().chain(&root.outputs);
+        let port_bytes: usize = ports.map(|&s| file.interner.resolve(s).len()).sum();
+        let name_bytes = plan.name_bytes as usize + port_bytes + 2 * root.outputs.len();
         let reserved = (linker.pins.try_reserve_exact(pins as usize))
             .and_then(|()| linker.gates.try_reserve_exact(gates as usize))
-            .and_then(|()| linker.c.reserve(nodes as usize, edges as usize));
+            .and_then(|()| linker.drivers.try_reserve_exact(signals))
+            .and_then(|()| linker.names.origins.try_reserve_exact(signals))
+            .and_then(|()| linker.latches.try_reserve_exact(latches as usize))
+            .and_then(|()| {
+                let (nodes, edges) = (nodes as usize, edges as usize);
+                linker.c.reserve(nodes, name_bytes, edges, latches as usize)
+            });
         if reserved.is_err() {
             return Err(diag(
                 root.line,
@@ -904,6 +999,71 @@ mod tests {
 
     fn read(text: &str) -> Circuit {
         flatten(&parse_str(text).unwrap(), &LinkOptions::default()).unwrap()
+    }
+
+    /// The plan's counts are what elaboration makes: every instance
+    /// signal, latch and node name, with an output port left unbound,
+    /// a port the child never names and models nested two deep.
+    #[test]
+    fn plan_counts_match_elaboration() {
+        let nested = "\
+.model top
+.inputs a b
+.outputs z
+.subckt mid p=a q=b r=z
+.subckt mid p=b q=a
+.end
+.model mid
+.inputs p q
+.outputs r s
+.subckt leaf x=p y=q o=t
+.latch t r 0
+.names t q s
+11 1
+.end
+.model leaf
+.inputs x y
+.outputs o unused
+.names x y w
+10 1
+.names w y o
+01 1
+.end
+";
+        let spec = workloads::LargeSpec {
+            name: "plan4".into(),
+            width: 8,
+            kinds: 2,
+            tiles: 4,
+            tile_gates: 24,
+            seed: 7,
+        };
+        for text in [nested.to_string(), workloads::hier_to_string(&spec)] {
+            let file = parse_str(&text).unwrap();
+            let root_idx = file.models.iter().position(|m| !m.blackbox).unwrap();
+            let plans = Planner::run(&file, root_idx).unwrap();
+            let plan = plans[root_idx].as_ref().unwrap();
+            let mut linker = Linker::new(&file, &plans, root_idx).unwrap();
+            let inst = Inst {
+                depth: 0,
+                stamp: 0,
+                prefix: "",
+            };
+            linker.expand(root_idx, inst).unwrap();
+            let syms = file.interner.len();
+            assert_eq!(linker.drivers.len() as u64, syms as u64 + plan.inner);
+            assert_eq!(linker.names.origins.len() as u64, plan.inner);
+            assert_eq!(linker.latches.len() as u64, plan.latches);
+            let root = &file.models[root_idx];
+            let c = linker.finish(root).unwrap();
+            let names: usize = c.node_ids().map(|v| c.node(v).name().len()).sum();
+            let ports = root.inputs.iter().chain(&root.outputs);
+            let port_bytes: usize = ports.map(|&s| file.interner.resolve(s).len()).sum();
+            // A gate that drives a bound output port takes its parent's
+            // name, so the plan's count is an upper bound here.
+            let estimate = plan.name_bytes as usize + port_bytes;
+            assert!(names <= estimate + 2 * root.outputs.len());
+        }
     }
 
     #[test]

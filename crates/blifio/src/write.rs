@@ -195,6 +195,37 @@ fn push_signal(out: &mut String, c: &Circuit, shared: &[bool], e: EdgeId) {
     }
 }
 
+/// Longest register suffix [`push_signal`] or a latch line writes:
+/// `@e{edge}@{bit}`, two `u32`s.
+const SUFFIX_MAX: usize = 2 + 10 + 1 + 10;
+
+/// An upper bound on the length of [`write_circuit`]'s text, so the
+/// writer allocates once. Each line is bounded by its names, register
+/// suffixes of [`SUFFIX_MAX`] bytes and a fixed rest.
+fn text_bound(c: &Circuit) -> usize {
+    let name = |v| c.node(v).name().len();
+    let signal = |e| {
+        let edge = c.edge(e);
+        name(edge.from()) + if edge.weight() > 0 { SUFFIX_MAX } else { 0 }
+    };
+    let ports = c.inputs().iter().chain(c.outputs());
+    let mut n = 32 + c.name().len() + ports.map(|&v| 1 + name(v)).sum::<usize>();
+    for e in c.edge_ids() {
+        let edge = c.edge(e);
+        n += edge.weight() * (2 * (name(edge.from()) + SUFFIX_MAX) + 12);
+    }
+    for v in c.gate_ids() {
+        let node = c.node(v);
+        let tt = node.function().expect("gate");
+        n += 9 + name(v) + node.fanin().iter().map(|&e| signal(e) + 1).sum::<usize>();
+        n += tt.count_ones() * (tt.num_inputs() + 3);
+    }
+    for &po in c.outputs() {
+        n += 16 + signal(c.node(po).fanin()[0]) + name(po);
+    }
+    n
+}
+
 /// Serialises a circuit to BLIF text as one flat model, straight from
 /// the circuit and its own names.
 ///
@@ -202,9 +233,11 @@ fn push_signal(out: &mut String, c: &Circuit, shared: &[bool], e: EdgeId) {
 /// edges, when their chains agree on their common prefix (an `X`
 /// agrees with anything); a chain per edge otherwise. Gates are written
 /// as their on-set cubes (a constant as a `1` cube or none), and each
-/// output whose driving signal has another name gets a buffer.
+/// output whose driving signal has another name gets a buffer. The
+/// returned string holds no spare capacity.
 pub fn write_circuit(c: &Circuit) -> String {
-    let mut out = String::new();
+    let bound = text_bound(c);
+    let mut out = String::with_capacity(bound);
     out.push_str(".model ");
     out.push_str(&sanitize(c.name()));
     out.push('\n');
@@ -308,6 +341,10 @@ pub fn write_circuit(c: &Circuit) -> String {
         }
     }
     out.push_str(".end\n");
+    debug_assert!(out.len() <= bound, "text longer than its bound {bound}");
+    // The text outlives the writer (a caller may hold it through a
+    // re-read), so it keeps none of the bound's slack.
+    out.shrink_to_fit();
     out
 }
 

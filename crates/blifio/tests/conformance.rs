@@ -218,7 +218,7 @@ fn inline(
     for v in f.gate_ids() {
         for &e in f.node(v).fanin() {
             let src = map[&f.edge(e).from()];
-            dst.connect(src, map[&v], f.edge(e).ffs().to_vec()).unwrap();
+            dst.connect(src, map[&v], f.edge(e).ffs()).unwrap();
         }
     }
     map
@@ -287,7 +287,7 @@ fn hierarchical_yosys_kiss_acceptance() {
     let fsm_po = f.outputs()[0];
     let fe = f.node(fsm_po).fanin()[0];
     let fq = exp.add_gate("fq", TruthTable::buf()).unwrap();
-    exp.connect(map[&f.edge(fe).from()], fq, f.edge(fe).ffs().to_vec())
+    exp.connect(map[&f.edge(fe).from()], fq, f.edge(fe).ffs())
         .unwrap();
     let zg = exp.add_gate("z$g", TruthTable::buf()).unwrap();
     exp.connect(fq, zg, vec![]).unwrap();

@@ -186,7 +186,7 @@ pub fn run_batch_dir(args: &BatchArgs) -> Result<BatchSummary, String> {
                 .unwrap_or_else(|| run_args.input.clone());
             JobSpec::new(name, move || {
                 let circuit = load_circuit(&run_args)?;
-                let outcome = run(&run_args, &circuit)?;
+                let outcome = run(&run_args, circuit)?;
                 Ok(FileResult {
                     report: outcome.report,
                     star: outcome.star,

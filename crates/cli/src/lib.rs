@@ -10,6 +10,7 @@ pub mod profile;
 pub mod serve;
 
 use netlist::Circuit;
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// Which mapping flow to run.
@@ -237,6 +238,9 @@ USAGE: tmfrt [map] <input> [-o out.blif] [-a ALGO] [-k K] [--pushback] [--verify
   -k K         LUT input bound (default 5; ignored by retime-*)
   --pushback   push registers toward the PIs first (Section-5 methodology)
   --verify N   check sequential equivalence with N random vectors
+               against the circuit as read, which then stays in memory
+               through mapping (without it, the mapping algorithms drop
+               it once they have their prepared copy)
   --onehot     one-hot state encoding for KISS2 inputs (default binary)
   --pack       LUT packing area post-pass on the result
   --strash     structural hashing (duplicate-logic sweep) on the result
@@ -610,115 +614,43 @@ pub struct RunOutcome {
     pub star: bool,
 }
 
-/// Runs the selected flow.
+/// Runs the selected flow on `input`. The unprepared source is dropped
+/// once the algorithm no longer reads it, unless `--verify` checks the
+/// result against it.
 ///
 /// # Errors
 ///
 /// Returns a human-readable message on algorithm failures.
-pub fn run(args: &Args, input: &Circuit) -> Result<RunOutcome, String> {
+pub fn run(args: &Args, input: Circuit) -> Result<RunOutcome, String> {
     if (args.report.is_some() || args.report_inline) && args.algorithm != Algorithm::TurboMapFrt {
         return Err("--report is only available with -a turbomap-frt".into());
     }
     let mut report = String::new();
     let mut report_json: Option<String> = None;
-    let stats = netlist::CircuitStats::of(input).map_err(|e| e.to_string())?;
+    let stats = netlist::CircuitStats::of(&input).map_err(|e| e.to_string())?;
     writeln!(report, "input:  {stats}").ok();
 
-    let pushed;
-    let source = if args.pushback {
-        let (circuit, _, pstats) = retiming::push_registers_backward(input, 32);
+    let pushed = args.pushback.then(|| {
+        let (circuit, _, pstats) = retiming::push_registers_backward(&input, 32);
         writeln!(
             report,
             "pushback: {} backward moves ({} conflicts, {} unjustifiable)",
             pstats.moves, pstats.conflicts, pstats.unjustifiable
         )
         .ok();
-        pushed = circuit;
-        &pushed
-    } else {
-        input
+        circuit
+    });
+    // `--verify` checks the result against the circuit as read, not
+    // against what `prepare` made of it, so only it keeps `input`.
+    let (original, owned) = match args.verify {
+        Some(_) => (Some(input), pushed),
+        None => (None, Some(pushed.unwrap_or(input))),
     };
-
-    let (circuit, star) = match args.algorithm {
-        Algorithm::FlowMapFrt => {
-            let prep = turbomap::prepare(source, args.k).map_err(|e| e.to_string())?;
-            let r = flowmap::flowmap_frt(&prep, args.k).map_err(|e| e.to_string())?;
-            writeln!(
-                report,
-                "flowmap-frt: Φ = {}, {} LUTs, {} FFs",
-                r.period, r.luts, r.ffs
-            )
-            .ok();
-            (r.circuit, false)
-        }
-        Algorithm::TurboMapFrt => {
-            let opts = turbomap::Options::with_k(args.k);
-            if args.report.is_some() || args.report_inline {
-                // The report pipeline wraps the same mapping run, so the
-                // circuit comes out of `explain` rather than mapping twice.
-                let explained = report::explain(source, opts).map_err(|e| e.to_string())?;
-                let doc = explained.to_json().render_pretty();
-                if let Some(path) = &args.report {
-                    std::fs::write(path, &doc).map_err(|e| format!("writing `{path}`: {e}"))?;
-                    writeln!(report, "report: wrote {path}").ok();
-                }
-                report_json = Some(doc);
-                let r = explained.result;
-                writeln!(
-                    report,
-                    "turbomap-frt: Φ = {}, {} LUTs, {} FFs (initial state guaranteed)",
-                    r.period, r.luts, r.ffs
-                )
-                .ok();
-                (r.circuit, false)
-            } else {
-                let r = turbomap::turbomap_frt(source, opts).map_err(|e| e.to_string())?;
-                writeln!(
-                    report,
-                    "turbomap-frt: Φ = {}, {} LUTs, {} FFs (initial state guaranteed)",
-                    r.period, r.luts, r.ffs
-                )
-                .ok();
-                (r.circuit, false)
-            }
-        }
-        Algorithm::TurboMap => {
-            let r = turbomap::turbomap_general(source, turbomap::Options::with_k(args.k))
-                .map_err(|e| e.to_string())?;
-            writeln!(
-                report,
-                "turbomap: Φ = {}, {} LUTs, {} FFs{}",
-                r.period,
-                r.luts,
-                r.ffs,
-                if r.star() {
-                    " — ⋆ NO usable equivalent initial state"
-                } else {
-                    ""
-                }
-            )
-            .ok();
-            let star = r.star();
-            (r.circuit, star)
-        }
-        Algorithm::RetimeForward => {
-            let r = retiming::retime_min_period_forward(source).map_err(|e| e.to_string())?;
-            writeln!(report, "retime-forward: Φ = {}", r.period).ok();
-            (r.circuit, false)
-        }
-        Algorithm::RetimeGeneral => match retiming::retime_min_period_general(source) {
-            Ok(r) => {
-                writeln!(report, "retime-general: Φ = {}", r.period).ok();
-                (r.circuit, false)
-            }
-            Err(e) => {
-                return Err(format!(
-                    "retime-general failed to compute an initial state: {e} \
-                     (this is the NP-hard case the paper avoids)"
-                ))
-            }
-        },
+    let source = match owned {
+        Some(c) => Cow::Owned(c),
+        None => Cow::Borrowed(original.as_ref().expect("kept for --verify")),
     };
+    let (circuit, star) = map_source(args, source, &mut report, &mut report_json)?;
 
     let circuit = if args.strash {
         let r = netlist::strash(&circuit).map_err(|e| e.to_string())?;
@@ -734,10 +666,10 @@ pub fn run(args: &Args, input: &Circuit) -> Result<RunOutcome, String> {
     } else {
         circuit
     };
-    if let Some(n) = args.verify {
+    if let (Some(n), Some(original)) = (args.verify, &original) {
         let eq = {
             let _s = engine::trace::span1("verify", "vectors", n as u64);
-            netlist::random_equiv(input, &circuit, n, 0x7E57)
+            netlist::random_equiv(original, &circuit, n, 0x7E57)
         }
         .map_err(|e| e.to_string())?
         .is_equivalent();
@@ -762,6 +694,98 @@ pub fn run(args: &Args, input: &Circuit) -> Result<RunOutcome, String> {
         report_json,
         star,
     })
+}
+
+/// Runs the selected algorithm on `source` and returns its circuit and
+/// whether the initial state was lost.
+fn map_source(
+    args: &Args,
+    source: Cow<'_, Circuit>,
+    report: &mut String,
+    report_json: &mut Option<String>,
+) -> Result<(Circuit, bool), String> {
+    let k = args.k;
+    let opts = turbomap::Options::with_k(k);
+    match args.algorithm {
+        Algorithm::FlowMapFrt => {
+            let prep = prepare(source, k)?;
+            let r = flowmap::flowmap_frt(&prep, k).map_err(|e| e.to_string())?;
+            writeln!(
+                report,
+                "flowmap-frt: Φ = {}, {} LUTs, {} FFs",
+                r.period, r.luts, r.ffs
+            )
+            .ok();
+            Ok((r.circuit, false))
+        }
+        Algorithm::TurboMapFrt => {
+            let r = if args.report.is_some() || args.report_inline {
+                // The report pipeline wraps the same mapping run, so the
+                // circuit comes out of `explain` rather than mapping twice.
+                let explained = report::explain(&source, opts).map_err(|e| e.to_string())?;
+                let doc = explained.to_json().render_pretty();
+                if let Some(path) = &args.report {
+                    std::fs::write(path, &doc).map_err(|e| format!("writing `{path}`: {e}"))?;
+                    writeln!(report, "report: wrote {path}").ok();
+                }
+                *report_json = Some(doc);
+                explained.result
+            } else {
+                let prep = prepare(source, k)?;
+                let ctx = turbomap::FrtContext::new(&prep, k, opts.weight_horizon);
+                turbomap::turbomap_frt_with(prep.name(), &ctx).map_err(|e| e.to_string())?
+            };
+            writeln!(
+                report,
+                "turbomap-frt: Φ = {}, {} LUTs, {} FFs (initial state guaranteed)",
+                r.period, r.luts, r.ffs
+            )
+            .ok();
+            Ok((r.circuit, false))
+        }
+        Algorithm::TurboMap => {
+            let prep = prepare(source, k)?;
+            let ctx = turbomap::GeneralContext::new(&prep, k, opts.general_horizon);
+            let r =
+                turbomap::turbomap_general_with(prep.name(), &ctx).map_err(|e| e.to_string())?;
+            writeln!(
+                report,
+                "turbomap: Φ = {}, {} LUTs, {} FFs{}",
+                r.period,
+                r.luts,
+                r.ffs,
+                if r.star() {
+                    " — ⋆ NO usable equivalent initial state"
+                } else {
+                    ""
+                }
+            )
+            .ok();
+            let star = r.star();
+            Ok((r.circuit, star))
+        }
+        Algorithm::RetimeForward => {
+            let r = retiming::retime_min_period_forward(&source).map_err(|e| e.to_string())?;
+            writeln!(report, "retime-forward: Φ = {}", r.period).ok();
+            Ok((r.circuit, false))
+        }
+        Algorithm::RetimeGeneral => match retiming::retime_min_period_general(&source) {
+            Ok(r) => {
+                writeln!(report, "retime-general: Φ = {}", r.period).ok();
+                Ok((r.circuit, false))
+            }
+            Err(e) => Err(format!(
+                "retime-general failed to compute an initial state: {e} \
+                 (this is the NP-hard case the paper avoids)"
+            )),
+        },
+    }
+}
+
+/// The [`turbomap::prepare`]d network of `source`, which is dropped
+/// here: the mapping algorithms read only the prepared copy.
+fn prepare(source: Cow<'_, Circuit>, k: usize) -> Result<Circuit, String> {
+    turbomap::prepare(&source, k).map_err(|e| e.to_string())
 }
 
 #[cfg(test)]
@@ -872,7 +896,7 @@ mod tests {
     fn end_to_end_on_preset() {
         let args = Args::parse(&argv("gen:dk17 --verify 256")).unwrap();
         let c = load_circuit(&args).unwrap();
-        let out = run(&args, &c).unwrap();
+        let out = run(&args, c).unwrap();
         assert!(out.report.contains("turbomap-frt"));
         assert!(out.report.contains("verify: equivalent"));
         assert!(!out.star);
@@ -900,7 +924,7 @@ mod tests {
         )))
         .unwrap();
         let c = load_circuit(&args).unwrap();
-        let out = run(&args, &c).unwrap();
+        let out = run(&args, c).unwrap();
         assert!(out.report.contains("flowmap-frt"));
     }
 
@@ -914,7 +938,7 @@ mod tests {
         let args = Args::parse(&argv(&format!("{} --verify 64", path.display()))).unwrap();
         let c = load_circuit(&args).unwrap();
         assert!(c.ff_count_shared() >= 1);
-        let out = run(&args, &c).unwrap();
+        let out = run(&args, c).unwrap();
         assert!(out.report.contains("equivalent"));
     }
 
@@ -923,7 +947,7 @@ mod tests {
         let args = Args::parse(&argv("gen:dk17 --pack --strash --verify 128")).unwrap();
         assert!(args.pack && args.strash);
         let c = load_circuit(&args).unwrap();
-        let out = run(&args, &c).unwrap();
+        let out = run(&args, c).unwrap();
         assert!(out.report.contains("pack: removed"));
         assert!(out.report.contains("strash: merged"));
         assert!(out.report.contains("verify: equivalent"));
@@ -953,7 +977,7 @@ mod tests {
         let c = load_circuit(&args).unwrap();
         assert_eq!(c.name(), "top");
         assert_eq!(c.num_gates(), 1);
-        let out = run(&args, &c).unwrap();
+        let out = run(&args, c).unwrap();
         assert!(out.report.contains("verify: equivalent"));
     }
 
@@ -999,11 +1023,42 @@ mod tests {
         assert!(err.contains("sand"), "{err}");
     }
 
+    /// Keeping the source for `--verify` or dropping it after `prepare`
+    /// maps to the same circuit, for every algorithm.
+    #[test]
+    fn verify_keeps_the_mapping_unchanged() {
+        for algo in [
+            "flowmap-frt",
+            "turbomap-frt",
+            "turbomap",
+            "retime-forward",
+            "retime-general",
+        ] {
+            for pushback in ["", "--pushback"] {
+                let plain = Args::parse(&argv(&format!("gen:dk17 -a {algo} {pushback}"))).unwrap();
+                let verified =
+                    Args::parse(&argv(&format!("gen:dk17 -a {algo} {pushback} --verify 64")))
+                        .unwrap();
+                let c = load_circuit(&plain).unwrap();
+                let (a, b) = match (run(&plain, c.clone()), run(&verified, c)) {
+                    (Ok(a), Ok(b)) => (a, b),
+                    (Err(a), Err(b)) => {
+                        assert_eq!(a, b, "{algo} {pushback}");
+                        continue;
+                    }
+                    (a, b) => panic!("{algo} {pushback}: {:?} vs {:?}", a.err(), b.err()),
+                };
+                assert_eq!(a.circuit, b.circuit, "{algo} {pushback}");
+                assert!(b.report.contains("verify: "), "{algo} {pushback}");
+            }
+        }
+    }
+
     #[test]
     fn pushback_flow_runs() {
         let args = Args::parse(&argv("gen:ex2 --pushback --verify 128")).unwrap();
         let c = load_circuit(&args).unwrap();
-        let out = run(&args, &c).unwrap();
+        let out = run(&args, c).unwrap();
         assert!(out.report.contains("pushback"));
         assert!(out.report.contains("verify: equivalent"));
     }

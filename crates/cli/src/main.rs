@@ -76,7 +76,7 @@ fn main() {
             Err(msg) => fatal("loading circuit", &msg),
         }
     };
-    match run(&args, &circuit) {
+    match run(&args, circuit) {
         Ok(outcome) => {
             if !args.quiet {
                 eprint!("{}", outcome.report);

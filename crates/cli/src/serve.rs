@@ -642,7 +642,7 @@ fn job_spec(mut run_args: Args, sub: Submission) -> JobSpec<JobOutput> {
                 load_circuit(&run_args)?
             }
         };
-        let outcome = run(&run_args, &circuit)?;
+        let outcome = run(&run_args, circuit)?;
         Ok(JobOutput {
             report: outcome.report,
             report_json: outcome.report_json,

@@ -72,13 +72,17 @@ impl Pool {
     pub fn spawn(&mut self, task: impl FnOnce() + Send + 'static) {
         let slot = self.next % self.shared.queues.len();
         self.next = self.next.wrapping_add(1);
+        // Counted before it is queued: a worker that claims the task
+        // must find it counted, or `pending` would drop below zero.
+        // A worker that wakes in between finds no task yet and looks
+        // again.
+        let mut pending = self.shared.pending.lock().expect("pending poisoned");
+        *pending += 1;
+        drop(pending);
         self.shared.queues[slot]
             .lock()
             .expect("queue poisoned")
             .push_back(Box::new(task));
-        let mut pending = self.shared.pending.lock().expect("pending poisoned");
-        *pending += 1;
-        drop(pending);
         self.shared.wakeup.notify_one();
     }
 }

@@ -512,7 +512,7 @@ fn expanded_states(
         let new_po = h.add_output(c.node(po).name())?;
         let edge = c.edge(c.node(po).fanin()[0]);
         let src = driver[edge.from().index()].expect("checked by the walk");
-        taps.push(h.connect(src, new_po, edge.ffs().to_vec())?);
+        taps.push(h.connect(src, new_po, edge.ffs())?);
     }
     lags.resize(h.num_nodes(), 0);
     let retiming = Retiming::from_values(lags);

@@ -192,7 +192,7 @@ fn pack_once(c: &Circuit, k: usize) -> Result<(Circuit, usize), NetlistError> {
                 for &e in c.node(v).fanin() {
                     let edge = c.edge(e);
                     let src = map[edge.from().index()].expect("drivers survive");
-                    out.connect(src, new_v, edge.ffs().to_vec())?;
+                    out.connect(src, new_v, edge.ffs())?;
                 }
             }
         }

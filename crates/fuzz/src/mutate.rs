@@ -155,8 +155,12 @@ pub fn retime_forward(c: &mut Circuit, rng: &mut Rng64) -> bool {
     // `ffs[0]` is nearest the source).
     let mut taken = Vec::with_capacity(fanin.len());
     for &e in &fanin {
-        match cand.ffs_mut(e).pop() {
-            Some(b) => taken.push(b),
+        // Fanin edges are distinct, so `c` still holds each one's chain.
+        match c.edge(e).ffs().split_last() {
+            Some((&b, rest)) => {
+                taken.push(b);
+                cand.set_ffs(e, rest);
+            }
             None => return false,
         }
     }
@@ -166,7 +170,10 @@ pub fn retime_forward(c: &mut Circuit, rng: &mut Rng64) -> bool {
     };
     // Give each fanout a register adjacent to g (source end = front).
     for &e in &fanout {
-        cand.ffs_mut(e).insert(0, value);
+        let chain: Vec<Bit> = std::iter::once(value)
+            .chain(cand.edge(e).ffs().iter().copied())
+            .collect();
+        cand.set_ffs(e, chain);
     }
     if netlist::validate(&cand).is_err() || !cand.sharing_consistent() {
         return false;

@@ -150,7 +150,8 @@ fn candidates(c: &Circuit) -> Vec<Circuit> {
     for e in c.edge_ids() {
         if c.edge(e).weight() >= 1 {
             let mut cand = c.clone();
-            cand.ffs_mut(e).pop();
+            let w = c.edge(e).weight();
+            cand.set_ffs(e, &c.edge(e).ffs()[..w - 1]);
             out.push(cand);
         }
     }

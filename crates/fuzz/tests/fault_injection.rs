@@ -121,7 +121,8 @@ fn dropped_register_fires_the_equivalence_check() {
             continue;
         }
         let mut bad = mapped.clone();
-        bad.ffs_mut(e).pop();
+        let w = mapped.edge(e).weight();
+        bad.set_ffs(e, &mapped.edge(e).ffs()[..w - 1]);
         if netlist::validate(&bad).is_err() {
             continue;
         }

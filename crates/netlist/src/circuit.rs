@@ -237,41 +237,97 @@ impl std::fmt::Debug for Node<'_> {
     }
 }
 
-/// An edge of the retiming graph with its flip-flop chain.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Edge {
+/// What the circuit stores per edge: its ends and where its FF chain
+/// lies in the circuit's chain pool. An empty chain sits at offset 0.
+#[derive(Debug, Clone, Copy)]
+struct EdgeRec {
     from: NodeId,
     to: NodeId,
-    ffs: Vec<Bit>,
+    start: u32,
+    len: u32,
 }
 
-impl Edge {
+impl EdgeRec {
+    /// The chain's place in the pool.
+    fn chain(&self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+}
+
+/// An edge of the retiming graph with its flip-flop chain: a `Copy` view
+/// into its [`Circuit`], from [`Circuit::edge`].
+#[derive(Clone, Copy)]
+pub struct Edge<'a> {
+    rec: EdgeRec,
+    pool: &'a [Bit],
+}
+
+impl<'a> Edge<'a> {
     /// Driving node.
     pub fn from(&self) -> NodeId {
-        self.from
+        self.rec.from
     }
 
     /// Consuming node.
     pub fn to(&self) -> NodeId {
-        self.to
+        self.rec.to
     }
 
     /// Edge weight `w(e)` — the number of flip-flops on the connection.
     pub fn weight(&self) -> usize {
-        self.ffs.len()
+        self.rec.len as usize
     }
 
     /// Initial values of the FF chain, ordered from source to sink.
-    pub fn ffs(&self) -> &[Bit] {
-        &self.ffs
+    pub fn ffs(&self) -> &'a [Bit] {
+        &self.pool[self.rec.chain()]
     }
+}
+
+/// Edges are equal when their ends and chain contents are.
+impl PartialEq for Edge<'_> {
+    fn eq(&self, other: &Edge<'_>) -> bool {
+        (self.from(), self.to(), self.ffs()) == (other.from(), other.to(), other.ffs())
+    }
+}
+
+impl Eq for Edge<'_> {}
+
+impl std::fmt::Debug for Edge<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Edge")
+            .field("from", &self.from())
+            .field("to", &self.to())
+            .field("ffs", &self.ffs())
+            .finish()
+    }
+}
+
+/// The chains of `edges`, back to back in edge order, read from `pool`;
+/// each record's offset moves to its new place. `live` is their total
+/// length.
+fn pack(edges: &mut [EdgeRec], pool: &[Bit], live: usize) -> Vec<Bit> {
+    let mut packed = Vec::with_capacity(live);
+    for e in edges.iter_mut().filter(|e| e.len > 0) {
+        let at = packed.len() as u32;
+        packed.extend_from_slice(&pool[e.chain()]);
+        e.start = at;
+    }
+    packed
 }
 
 /// A sequential circuit represented as a retiming graph.
 ///
 /// Each field is one allocation, whatever the size: node records (kind,
-/// inline truth table, inline fanin and fanout lists), edges, the PI
-/// and PO lists, and a name table whose symbol `i` is node `i`'s name.
+/// inline truth table, inline fanin and fanout lists), 16-byte edge
+/// records, one pool that holds every edge's FF chain, the PI and PO
+/// lists, and a name table whose symbol `i` is node `i`'s name.
+///
+/// A chain that [`Circuit::set_ffs`] grows moves to the end of the pool
+/// and leaves its old bits behind. Cloning and
+/// [`Circuit::shrink_to_fit`] pack the pool, and so does a growth that
+/// finds more bits left behind than live bits and edges together.
+/// Equality compares chain contents, never where they lie.
 ///
 /// # Examples
 ///
@@ -287,11 +343,14 @@ impl Edge {
 /// assert_eq!(c.num_gates(), 1);
 /// assert_eq!(c.ff_count_shared(), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Circuit {
     name: String,
     nodes: Vec<NodeRec>,
-    edges: Vec<Edge>,
+    edges: Vec<EdgeRec>,
+    /// Every edge's FF chain, at the offset its record names.
+    ffs: Vec<Bit>,
+    /// Pool bits no chain uses any more.
+    dead: usize,
     inputs: Vec<NodeId>,
     outputs: Vec<NodeId>,
     /// Node names: symbol `i` names node `i`.
@@ -305,6 +364,8 @@ impl Circuit {
             name: name.into(),
             nodes: Vec::new(),
             edges: Vec::new(),
+            ffs: Vec::new(),
+            dead: 0,
             inputs: Vec::new(),
             outputs: Vec::new(),
             names: Interner::new(),
@@ -335,23 +396,33 @@ impl Circuit {
         Ok(id)
     }
 
-    /// Reserves room for `nodes` more nodes (and their names) and
-    /// `edges` more edges.
+    /// Reserves room for `nodes` more nodes with `name_bytes` bytes of
+    /// names in all, `edges` more edges and `ffs` more chain bits.
     ///
     /// # Errors
     ///
     /// Returns the allocator's refusal of any table.
-    pub fn reserve(&mut self, nodes: usize, edges: usize) -> Result<(), TryReserveError> {
+    pub fn reserve(
+        &mut self,
+        nodes: usize,
+        name_bytes: usize,
+        edges: usize,
+        ffs: usize,
+    ) -> Result<(), TryReserveError> {
         // The name index is filled as it is made, so it comes last.
         self.nodes.try_reserve(nodes)?;
         self.edges.try_reserve(edges)?;
-        self.names.reserve(nodes)
+        self.ffs.try_reserve(ffs)?;
+        self.names.reserve(nodes, name_bytes)
     }
 
-    /// Releases the spare capacity of every table.
+    /// Packs the chain pool and releases the spare capacity of every
+    /// table.
     pub fn shrink_to_fit(&mut self) {
+        self.pack_pool();
         self.nodes.shrink_to_fit();
         self.edges.shrink_to_fit();
+        self.ffs.shrink_to_fit();
         self.inputs.shrink_to_fit();
         self.outputs.shrink_to_fit();
         self.names.shrink_to_fit();
@@ -406,7 +477,7 @@ impl Circuit {
         &mut self,
         from: NodeId,
         to: NodeId,
-        ffs: Vec<Bit>,
+        ffs: impl AsRef<[Bit]>,
     ) -> Result<EdgeId, NetlistError> {
         let sink = self.node(to);
         if sink.is_input() {
@@ -429,8 +500,14 @@ impl Circuit {
                 actual: sink.fanin().len() + 1,
             });
         }
-        let id = EdgeId(self.edges.len() as u32);
-        self.edges.push(Edge { from, to, ffs });
+        let id = EdgeId(u32::try_from(self.edges.len()).expect("fewer than 2^32 edges"));
+        self.edges.push(EdgeRec {
+            from,
+            to,
+            start: 0,
+            len: 0,
+        });
+        self.set_ffs(id, ffs);
         self.nodes[to.index()].fanin.push(id);
         self.nodes[from.index()].fanout.push(id);
         Ok(id)
@@ -454,17 +531,72 @@ impl Circuit {
     /// # Panics
     ///
     /// Panics if `id` is out of range.
-    pub fn edge(&self, id: EdgeId) -> &Edge {
-        &self.edges[id.index()]
+    pub fn edge(&self, id: EdgeId) -> Edge<'_> {
+        Edge {
+            rec: self.edges[id.index()],
+            pool: &self.ffs,
+        }
     }
 
-    /// Mutable FF chain of an edge (for retiming moves).
+    /// The FF chain of an edge, for changing its values in place; change
+    /// its length with [`Circuit::set_ffs`].
     ///
     /// # Panics
     ///
     /// Panics if `id` is out of range.
-    pub fn ffs_mut(&mut self, id: EdgeId) -> &mut Vec<Bit> {
-        &mut self.edges[id.index()].ffs
+    pub fn ffs_mut(&mut self, id: EdgeId) -> &mut [Bit] {
+        let chain = self.edges[id.index()].chain();
+        &mut self.ffs[chain]
+    }
+
+    /// Replaces the FF chain of an edge (`ffs[0]` nearest its source). A
+    /// chain no longer than the old one takes its place; a longer one
+    /// moves to the end of the pool, unless it is there already.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is out of range, or if the pool would hold
+    /// `2^32` bits or more.
+    pub fn set_ffs(&mut self, id: EdgeId, ffs: impl AsRef<[Bit]>) {
+        let ffs = ffs.as_ref();
+        let rec = self.edges[id.index()];
+        let (start, old, new) = (rec.start as usize, rec.len as usize, ffs.len());
+        let start = if old > 0 && start + old == self.ffs.len() {
+            // The last chain of the pool grows or shrinks where it is.
+            self.ffs.truncate(start);
+            self.ffs.extend_from_slice(ffs);
+            start
+        } else if new <= old {
+            self.ffs[start..start + new].copy_from_slice(ffs);
+            self.dead += old - new;
+            start
+        } else {
+            self.edges[id.index()].len = 0;
+            self.dead += old;
+            if self.dead > self.ffs.len() - self.dead + self.edges.len() {
+                self.pack_pool();
+            }
+            let end = self.ffs.len();
+            self.ffs.extend_from_slice(ffs);
+            end
+        };
+        assert!(
+            u32::try_from(self.ffs.len()).is_ok(),
+            "the FF chain pool holds 2^32 bits or more"
+        );
+        let rec = &mut self.edges[id.index()];
+        rec.start = if new == 0 { 0 } else { start as u32 };
+        rec.len = new as u32;
+    }
+
+    /// Lays the chains out back to back in edge order, dropping the bits
+    /// that no chain uses.
+    fn pack_pool(&mut self) {
+        if self.dead > 0 {
+            let live = self.ffs.len() - self.dead;
+            self.ffs = pack(&mut self.edges, &self.ffs, live);
+            self.dead = 0;
+        }
     }
 
     /// Redirects the *source* of an existing edge to `new_from`, keeping
@@ -571,7 +703,7 @@ impl Circuit {
 
     /// Total FF count without register sharing (sum of edge weights).
     pub fn ff_count_total(&self) -> usize {
-        self.edges.iter().map(|e| e.weight()).sum()
+        self.ffs.len() - self.dead
     }
 
     /// FF count **with register sharing**: each node contributes the maximum
@@ -624,7 +756,7 @@ impl Circuit {
     pub fn weighted_adjacency(&self) -> Vec<Vec<(usize, u64)>> {
         let mut adj = vec![Vec::new(); self.nodes.len()];
         for e in &self.edges {
-            adj[e.from.index()].push((e.to.index(), e.weight() as u64));
+            adj[e.from.index()].push((e.to.index(), u64::from(e.len)));
         }
         adj
     }
@@ -637,7 +769,7 @@ impl Circuit {
         let edges: Vec<(usize, usize)> = self
             .edges
             .iter()
-            .filter(|e| e.weight() == 0)
+            .filter(|e| e.len == 0)
             .map(|e| (e.from.index(), e.to.index()))
             .collect();
         graphalgo::Csr::from_edges(n, &edges)
@@ -650,7 +782,7 @@ impl Circuit {
         let edges: Vec<(usize, usize, u64)> = self
             .edges
             .iter()
-            .map(|e| (e.from.index(), e.to.index(), e.weight() as u64))
+            .map(|e| (e.from.index(), e.to.index(), u64::from(e.len)))
             .collect();
         graphalgo::WeightedCsr::from_edges(n, &edges)
     }
@@ -690,7 +822,7 @@ impl Circuit {
             for &e in node.fanin() {
                 let edge = self.edge(e);
                 if edge.weight() == 0 {
-                    best = best.max(arrival[edge.from.index()]);
+                    best = best.max(arrival[edge.from().index()]);
                 }
             }
             arrival[v.index()] = best + node.delay();
@@ -715,6 +847,55 @@ impl Circuit {
             .map(|v| self.node(v).fanin().len())
             .max()
             .unwrap_or(0)
+    }
+}
+
+/// A clone packs the chain pool.
+impl Clone for Circuit {
+    fn clone(&self) -> Circuit {
+        let mut edges = self.edges.clone();
+        let ffs = pack(&mut edges, &self.ffs, self.ff_count_total());
+        Circuit {
+            name: self.name.clone(),
+            nodes: self.nodes.clone(),
+            edges,
+            ffs,
+            dead: 0,
+            inputs: self.inputs.clone(),
+            outputs: self.outputs.clone(),
+            names: self.names.clone(),
+        }
+    }
+}
+
+/// Circuits are equal when their names, nodes, edges (ends and chain
+/// contents) and ports are; where the chains lie in the pool does not
+/// count.
+impl PartialEq for Circuit {
+    fn eq(&self, other: &Circuit) -> bool {
+        self.name == other.name
+            && self.nodes == other.nodes
+            && self.inputs == other.inputs
+            && self.outputs == other.outputs
+            && self.names == other.names
+            && self.num_edges() == other.num_edges()
+            && self.edge_ids().all(|e| self.edge(e) == other.edge(e))
+    }
+}
+
+impl Eq for Circuit {}
+
+impl std::fmt::Debug for Circuit {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let edges: Vec<Edge<'_>> = self.edge_ids().map(|e| self.edge(e)).collect();
+        f.debug_struct("Circuit")
+            .field("name", &self.name)
+            .field("nodes", &self.nodes)
+            .field("edges", &edges)
+            .field("inputs", &self.inputs)
+            .field("outputs", &self.outputs)
+            .field("names", &self.names)
+            .finish()
     }
 }
 
@@ -987,5 +1168,135 @@ mod tests {
         assert_eq!(spilled.clone(), direct);
         direct.set_name("u");
         assert_ne!(spilled, direct);
+    }
+
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn edge_record_is_16_bytes() {
+        assert_eq!(std::mem::size_of::<EdgeRec>(), 16);
+    }
+
+    fn random_chain(rng: &mut engine::rng::Rng64, max: usize) -> Vec<Bit> {
+        let len = rng.below(max + 1);
+        (0..len)
+            .map(|_| [Bit::Zero, Bit::One, Bit::X][rng.below(3)])
+            .collect()
+    }
+
+    /// `c`'s edges against the model: ends and chains, the FF count, and
+    /// the pool's live bits.
+    fn check_model(c: &Circuit, ends: &[(NodeId, NodeId)], chains: &[Vec<Bit>], step: usize) {
+        assert_eq!(c.num_edges(), chains.len());
+        for (i, chain) in chains.iter().enumerate() {
+            let e = c.edge(EdgeId(i as u32));
+            assert_eq!((e.from(), e.to()), ends[i], "step {step}, edge {i}");
+            assert_eq!(e.ffs(), &chain[..], "step {step}, edge {i}");
+            assert_eq!(e.weight(), chain.len());
+        }
+        let live: usize = chains.iter().map(Vec::len).sum();
+        assert_eq!(c.ff_count_total(), live, "step {step}");
+        assert_eq!(c.ffs.len() - c.dead, live, "step {step}");
+        assert!(
+            c.ffs.len() <= 2 * live + c.num_edges() + 8,
+            "step {step}: pool {} for {live}",
+            c.ffs.len()
+        );
+    }
+
+    /// Random chain edits against a `Vec<Vec<Bit>>` model: whole-chain
+    /// sets, pushes at the front, pops at the back, in-place bit flips,
+    /// rewiring, clones and shrinking. A circuit whose pool holds
+    /// garbage equals one rebuilt from the model.
+    #[test]
+    fn chain_edits_match_a_vec_model() {
+        let mut rng = engine::rng::Rng64::new(0xC4A1);
+        for round in 0..8 {
+            let mut c = Circuit::new("pool");
+            let srcs: Vec<NodeId> = (0..4)
+                .map(|i| c.add_input(format!("i{i}")).unwrap())
+                .collect();
+            let n = 12 + rng.below(24);
+            let mut ends = Vec::new();
+            let mut chains = Vec::new();
+            for g in 0..n {
+                let v = c.add_gate(format!("g{g}"), TruthTable::buf()).unwrap();
+                let chain = random_chain(&mut rng, 3);
+                let u = srcs[rng.below(srcs.len())];
+                c.connect(u, v, &chain).unwrap();
+                ends.push((u, v));
+                chains.push(chain);
+            }
+            let mut twin = c.clone();
+            for step in 0..400 {
+                let i = rng.below(n);
+                let e = EdgeId(i as u32);
+                match rng.below(8) {
+                    0 => {
+                        chains[i] = random_chain(&mut rng, 6);
+                        c.set_ffs(e, &chains[i]);
+                    }
+                    1 => {
+                        let b = [Bit::Zero, Bit::One, Bit::X][rng.below(3)];
+                        chains[i].insert(0, b);
+                        let grown: Vec<Bit> = std::iter::once(b)
+                            .chain(c.edge(e).ffs().iter().copied())
+                            .collect();
+                        c.set_ffs(e, grown);
+                    }
+                    2 => {
+                        chains[i].pop();
+                        let w = c.edge(e).weight().saturating_sub(1);
+                        let kept = c.edge(e).ffs()[..w].to_vec();
+                        c.set_ffs(e, kept);
+                    }
+                    3 => {
+                        if let Some(j) = (!chains[i].is_empty()).then(|| rng.below(chains[i].len()))
+                        {
+                            let flipped = match chains[i][j] {
+                                Bit::Zero => Bit::One,
+                                Bit::One => Bit::X,
+                                Bit::X => Bit::Zero,
+                            };
+                            chains[i][j] = flipped;
+                            c.ffs_mut(e)[j] = flipped;
+                        }
+                    }
+                    4 => {
+                        let u = srcs[rng.below(srcs.len())];
+                        c.rewire_from(e, u).unwrap();
+                        ends[i].0 = u;
+                    }
+                    5 => {
+                        let d = c.clone();
+                        assert_eq!(d.dead, 0);
+                        assert_eq!(d, c, "round {round}, step {step}");
+                        c = d;
+                    }
+                    6 => {
+                        c.shrink_to_fit();
+                        assert_eq!(c.dead, 0);
+                    }
+                    _ => {
+                        chains[i].clear();
+                        c.set_ffs(e, []);
+                    }
+                }
+                if twin.edge(e).from() != ends[i].0 {
+                    twin.rewire_from(e, ends[i].0).unwrap();
+                }
+                twin.set_ffs(e, &chains[i]);
+                check_model(&c, &ends, &chains, step);
+            }
+            // The twin took every edit as a whole chain: its pool lies
+            // differently, its circuit is the same.
+            assert_eq!(c, twin, "round {round}");
+            assert_eq!(c.clone(), twin.clone(), "round {round}");
+            if let Some(i) = chains.iter().position(|ch| !ch.is_empty()) {
+                let e = EdgeId(i as u32);
+                let b = c.edge(e).ffs()[0];
+                twin.ffs_mut(e)[0] = if b == Bit::One { Bit::Zero } else { Bit::One };
+                assert_ne!(c, twin, "round {round}");
+            }
+        }
     }
 }

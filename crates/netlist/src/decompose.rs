@@ -204,7 +204,7 @@ pub fn decompose_to_k(c: &Circuit, k: usize) -> Result<Circuit, NetlistError> {
                     let e = c.node(orig_gate).fanin()[pin];
                     let edge = c.edge(e);
                     let src = map[edge.from().index()].expect("driver created in pass 1");
-                    out.connect(src, gate, edge.ffs().to_vec())?;
+                    out.connect(src, gate, edge.ffs())?;
                 }
             }
         }
@@ -215,7 +215,7 @@ pub fn decompose_to_k(c: &Circuit, k: usize) -> Result<Circuit, NetlistError> {
         let edge = c.edge(e);
         let src = map[edge.from().index()].expect("driver created");
         let new_po = map[po.index()].expect("PO created");
-        out.connect(src, new_po, edge.ffs().to_vec())?;
+        out.connect(src, new_po, edge.ffs())?;
     }
     Ok(out)
 }

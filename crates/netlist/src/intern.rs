@@ -112,13 +112,15 @@ impl Interner {
         }
     }
 
-    /// Makes room for `additional` more names without growing the hash
-    /// index on the way.
+    /// Makes room for `additional` more names of `bytes` bytes in all
+    /// without growing the hash index on the way.
     ///
     /// # Errors
     ///
-    /// Returns the allocator's refusal of the offset table or the index.
-    pub fn reserve(&mut self, additional: usize) -> Result<(), TryReserveError> {
+    /// Returns the allocator's refusal of the text, the offset table or
+    /// the index.
+    pub fn reserve(&mut self, additional: usize, bytes: usize) -> Result<(), TryReserveError> {
+        self.arena.try_reserve(bytes)?;
         self.ends.try_reserve(additional)?;
         let names = self.ends.len() + additional;
         if names * 4 > self.index.len() * 3 {

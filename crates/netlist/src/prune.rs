@@ -52,7 +52,7 @@ pub fn prune_dead(c: &Circuit) -> Result<Circuit, NetlistError> {
     for e in c.edge_ids() {
         let edge = c.edge(e);
         if let (Some(src), Some(dst)) = (map[edge.from().index()], map[edge.to().index()]) {
-            out.connect(src, dst, edge.ffs().to_vec())?;
+            out.connect(src, dst, edge.ffs())?;
         }
     }
     Ok(out)

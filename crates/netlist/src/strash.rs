@@ -90,7 +90,7 @@ pub fn strash(c: &Circuit) -> Result<StrashReport, NetlistError> {
             let edge = c.edge(e);
             let src_canon = canonical[edge.from().index()] as usize;
             let src = map[src_canon].expect("canonical nodes survive");
-            out.connect(src, map[v.index()].expect("survives"), edge.ffs().to_vec())?;
+            out.connect(src, map[v.index()].expect("survives"), edge.ffs())?;
         }
     }
     Ok(StrashReport {

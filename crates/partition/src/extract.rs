@@ -145,7 +145,7 @@ pub fn extract(c: &Circuit, asg: &Assignment) -> Result<ExtractedBlocks, Partiti
                 }
                 None => {
                     let u_local = local[e.from().index()].expect("source copied");
-                    blocks[b].connect(u_local, v_local, e.ffs().to_vec())?;
+                    blocks[b].connect(u_local, v_local, e.ffs())?;
                 }
             }
         }

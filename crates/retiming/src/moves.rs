@@ -122,7 +122,7 @@ pub fn apply_forward_retiming(
             moves[c.edge(e).to().index()],
         );
         if from + to > 0 {
-            *out.ffs_mut(e) = values.chain(c, e, from, to).expect("validated retiming");
+            out.set_ffs(e, values.chain(c, e, from, to).expect("validated retiming"));
         }
     }
     let forward_moves = moves.iter().sum::<u64>();
@@ -222,17 +222,33 @@ fn move_forward(c: &mut Circuit, v: NodeId) {
     let fanin: Vec<EdgeId> = c.node(v).fanin().to_vec();
     let fanout: Vec<EdgeId> = c.node(v).fanout().to_vec();
     let mut vals = Vec::with_capacity(fanin.len());
+    let mut chain = Vec::new();
     for &e in &fanin {
-        let chain = c.ffs_mut(e);
-        vals.push(chain.pop().expect("can_move_forward checked weights"));
+        let last = edit_chain(c, e, &mut chain, Vec::pop);
+        vals.push(last.expect("can_move_forward checked weights"));
     }
     let tt = c.node(v).function().expect("gate").clone();
     let o = tt.eval3(&vals);
     for &e in &fanout {
         // Self-loops: the fanin pop above may alias this edge; inserting at
         // the front is still correct (the popped FF was the sink-end one).
-        c.ffs_mut(e).insert(0, o);
+        edit_chain(c, e, &mut chain, |ch| ch.insert(0, o));
     }
+}
+
+/// Applies `edit` to a copy of edge `e`'s chain, made in `scratch`, and
+/// stores the result as the edge's chain.
+fn edit_chain<R>(
+    c: &mut Circuit,
+    e: EdgeId,
+    scratch: &mut Vec<Bit>,
+    edit: impl FnOnce(&mut Vec<Bit>) -> R,
+) -> R {
+    scratch.clear();
+    scratch.extend_from_slice(c.edge(e).ffs());
+    let r = edit(scratch);
+    c.set_ffs(e, &scratch[..]);
+    r
 }
 
 /// One backward unit move: consume the source-end register of every fanout
@@ -268,12 +284,13 @@ pub(crate) fn try_move_backward(c: &mut Circuit, v: NodeId) -> Result<bool, Reti
                 target,
             })?
     };
+    let mut chain = Vec::new();
     for &e in &fanout {
-        c.ffs_mut(e).remove(0);
+        edit_chain(c, e, &mut chain, |ch| ch.remove(0));
     }
     let fanin: Vec<EdgeId> = c.node(v).fanin().to_vec();
     for (&e, &j) in fanin.iter().zip(&justified) {
-        c.ffs_mut(e).push(j);
+        edit_chain(c, e, &mut chain, |ch| ch.push(j));
     }
     Ok(true)
 }
@@ -499,7 +516,7 @@ mod tests {
                 } else {
                     (nodes[rng.below(g)], 0)
                 };
-                let chain = (0..w)
+                let chain: Vec<Bit> = (0..w)
                     .map(|_| [Bit::Zero, Bit::One, Bit::X][rng.below(3)])
                     .collect();
                 c.connect(src, nodes[g], chain).unwrap();

@@ -325,18 +325,32 @@ pub fn turbomap_general(c: &Circuit, opts: Options) -> Result<TurboMapResult, Tu
     let bounded = prepare(c, opts.k)?;
     check_cancelled()?;
     let ctx = GeneralContext::new(&bounded, opts.k, opts.general_horizon);
+    turbomap_general_with(c.name(), &ctx)
+}
+
+/// [`turbomap_general`] of the circuit named `name` from its label
+/// context: `ctx` built on the [`prepare`]d network.
+///
+/// # Errors
+///
+/// See [`TurboMapError`].
+pub fn turbomap_general_with(
+    name: &str,
+    ctx: &GeneralContext,
+) -> Result<TurboMapResult, TurboMapError> {
     check_cancelled()?;
+    let bounded = ctx.circuit();
     let baseline =
-        flowmap::flowmap_frt_with(&bounded, ctx.cut_arena()).map_err(TurboMapError::Baseline)?;
+        flowmap::flowmap_frt_with(bounded, ctx.cut_arena()).map_err(TurboMapError::Baseline)?;
     check_cancelled()?;
     // Every probe starts cold: the general labels take no warm seed.
     let s = phi_search("turbomap::general", baseline.period.max(1), |phi, _| {
         let res = ctx.check(phi);
         (res.feasible, res.labels, res.iterations)
     })?;
-    let name = format!("{}_tm", c.name());
+    let name = format!("{name}_tm");
     let cuts = || ctx.final_cuts(&s.labels, s.phi);
-    let res = generate_at(&bounded, baseline, &name, s.phi, &s.labels, cuts, true)?;
+    let res = generate_at(bounded, baseline, &name, s.phi, &s.labels, cuts, true)?;
     Ok(TurboMapResult {
         iterations: s.iterations,
         ..res

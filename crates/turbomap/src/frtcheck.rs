@@ -135,7 +135,7 @@ struct Update {
 /// [`crate::gencheck::GeneralContext`] differ only in the oracle's bounds
 /// and the [`LabelRule`] (internal).
 pub(crate) struct LabelSweeps<'a> {
-    circuit: &'a Circuit,
+    pub(crate) circuit: &'a Circuit,
     /// Every gate's cuts of `F_v^{b(v)}`, the flow-fallback expansions
     /// and the requeue index.
     pub(crate) oracle: CutOracle<'a>,

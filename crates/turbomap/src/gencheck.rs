@@ -72,6 +72,11 @@ impl<'a> GeneralContext<'a> {
         }
     }
 
+    /// The prepared network the context was built on.
+    pub fn circuit(&self) -> &'a Circuit {
+        self.sweeps.circuit
+    }
+
     /// The cut lists the label updates scan.
     pub fn cut_arena(&self) -> &CutArena {
         self.sweeps.oracle.arena()
@@ -193,7 +198,7 @@ mod tests {
         // Remove the register by rebuilding: easier to zero the chain.
         let o = c.find("o").unwrap();
         let e = c.node(o).fanin()[0];
-        c.ffs_mut(e).clear();
+        c.set_ffs(e, []);
         let ctx = GeneralContext::new(&c, 2, 16);
         assert!(!ctx.check(2).feasible);
         assert!(ctx.check(3).feasible);

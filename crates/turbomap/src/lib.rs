@@ -73,8 +73,8 @@ pub use cutsearch::{
     find_cut, find_cut_with, min_weight_cut, min_weight_cut_with, CutScratch, ExpCut,
 };
 pub use driver::{
-    prepare, turbomap_frt, turbomap_frt_with, turbomap_general, Options, TurboMapError,
-    TurboMapResult,
+    prepare, turbomap_frt, turbomap_frt_with, turbomap_general, turbomap_general_with, Options,
+    TurboMapError, TurboMapResult,
 };
 pub use expand::{ExpNode, ExpandedCircuit};
 pub use frtcheck::{FrtCheck, FrtContext, LabelPairs};

@@ -263,11 +263,17 @@ pub fn hier_to_string(spec: &LargeSpec) -> String {
 pub fn build_flat(spec: &LargeSpec) -> Result<Circuit, NetlistError> {
     let width = spec.width;
     let mut c = Circuit::new(spec.name.clone());
-    // PIs, gates and POs; two pins per tile gate, one per buffer and PO.
+    // PIs, gates and POs with their names below; two pins per tile gate,
+    // one per buffer and PO; one register per tile output.
     let gates = spec.flat_gates();
+    let (tiles, tile_gates) = (spec.tiles, spec.tile_gates);
+    let tile_names = |n: usize| tiles * n * 3 + n * digit_sum(tiles) + tiles * digit_sum(n);
+    let name_bytes = 9 * width + 4 * digit_sum(width) + tile_names(tile_gates) + tile_names(width);
     c.reserve(
         gates + 2 * width,
-        gates + spec.tiles * spec.tile_gates + width,
+        name_bytes,
+        gates + tiles * tile_gates + width,
+        spec.flat_ffs(),
     )
     .expect("room for the flattened design");
     let plans: Vec<TilePlan> = (0..spec.kinds.max(1)).map(|k| tile_plan(spec, k)).collect();
@@ -317,6 +323,13 @@ pub fn build_flat(spec: &LargeSpec) -> Result<Circuit, NetlistError> {
     }
     c.shrink_to_fit();
     Ok(c)
+}
+
+/// The decimal digits of `0..n`, all told.
+fn digit_sum(n: usize) -> usize {
+    (0..n)
+        .map(|x| x.checked_ilog10().map_or(1, |d| d as usize + 1))
+        .sum()
 }
 
 /// `args` formatted into `buf`, which is reused across calls.
